@@ -52,10 +52,10 @@ def main(argv=None) -> int:
         "--events",
         action="store_true",
         help=(
-            "run only the event-core benchmark: event-driven engine vs the "
-            "round-loop oracle (long-horizon speedup cell, scenario and "
-            "policy parity matrices); merges an 'event_core' section into "
-            "BENCH_core.json"
+            "run only the skip-executor benchmark: the default simulator vs "
+            "the stepping loop (fast_forward=False) on the long-horizon "
+            "cell, parity-checked and speedup-gated; merges an 'event_core' "
+            "section into BENCH_core.json"
         ),
     )
     mode.add_argument(

@@ -219,9 +219,8 @@ def run_core_bench(
 
     report["telemetry"] = _telemetry_overhead(smoke, indexed)
 
-    # Event-driven engine vs the round-loop oracle: long-horizon speedup cell
-    # plus scenario and policy parity matrices (raises on divergence or a
-    # missed speedup gate -- see repro.bench.event_bench).
+    # Skip executor vs the stepping loop on the long-horizon cell (raises on
+    # divergence or a missed speedup gate -- see repro.bench.event_bench).
     from repro.bench.event_bench import run_event_bench
 
     report["event_core"] = run_event_bench(smoke=smoke)

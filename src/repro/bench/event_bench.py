@@ -1,115 +1,48 @@
-"""The event-core benchmark: event-driven engine vs the round-loop oracle.
+"""The skip-executor benchmark: the default simulator vs the stepping loop.
 
-Three parity surfaces plus one performance cell, all driven by the
-``engine="rounds"|"events"`` switch of :class:`~repro.simulator.engine.Simulator`
-(identical everything else):
+One cell, the 30-day low-load Philly workload (:mod:`repro.bench.workload`
+``LONG_*``), run twice with identical everything except ``fast_forward``:
+the default (skips executed by :mod:`repro.simulator.event_core`) and the
+plain stepping loop (``fast_forward=False``), which is the paper's section-3
+round abstraction and the reference every skip must match.  Both legs are
+timed best-of-N with the round log disabled (the streaming configuration,
+where skipped segments are O(1)) and compared on per-job completion times,
+round count and end time; one further untimed leg each with the full round
+log proves the logs bit-identical too.  The full configuration gates
+``speedup_rounds_per_sec >= EVENT_SPEEDUP_GATE``.
 
-* **long_horizon** -- the 30-day low-load Philly cell
-  (:mod:`repro.bench.workload` ``LONG_*``): both engines timed best-of-N with
-  the round log disabled (the streaming configuration, where skipped segments
-  are O(1) for the event core), parity checked on per-job completion times,
-  round count and end time; then one untimed leg per engine with the full
-  round log to prove the logs bit-identical too.  The full configuration
-  gates ``speedup_rounds_per_sec >= EVENT_SPEEDUP_GATE``.
-* **scenarios** -- every scenario in the registry (churn timelines,
-  failure storms, spot markets...) under fifo and tiresias, event vs rounds
-  bit-identical completions + round logs + round counts.
-* **policies** -- the policy x placement matrix on the seeded bench workload,
-  same bit-identity check per cell.
-
-Every cell must hold schedule parity; the report records it and
-:func:`run_event_bench` raises ``AssertionError`` otherwise, exactly like the
-other bench gates.
+Per-scenario and per-policy fast-forward-vs-stepping parity is recorded by
+``BENCH_scenarios.json`` and the policy matrix; it is not repeated here.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.bench import workload
+from repro.policies.placement.consolidated import ConsolidatedPlacement
+from repro.policies.scheduling.fifo import FifoScheduling
 from repro.simulator.engine import SimulationResult, Simulator
 
-#: The long-horizon cell must run at least this many times faster under the
-#: event engine than under the round loop (full configuration only; the smoke
-#: cell finishes in milliseconds, where timer noise dominates).
+#: The long-horizon cell must run at least this many times faster with skips
+#: than stepping (full configuration only; the smoke cell finishes in
+#: milliseconds, where timer noise dominates).
 EVENT_SPEEDUP_GATE = 5.0
-#: Timing repetitions per engine leg (best-of).
+#: Timing repetitions per leg (best-of).
 _TIMING_REPS = 3
-
-_POLICY_NAMES = ("fifo", "srtf", "las", "tiresias")
-_PLACEMENT_NAMES = ("consolidated", "first-free")
-
-
-def _make_policy(name: str):
-    if name == "fifo":
-        from repro.policies.scheduling.fifo import FifoScheduling
-
-        return FifoScheduling()
-    if name == "srtf":
-        from repro.policies.scheduling.srtf import SrtfScheduling
-
-        return SrtfScheduling()
-    if name == "las":
-        from repro.policies.scheduling.las import LasScheduling
-
-        return LasScheduling()
-    if name == "tiresias":
-        from repro.policies.scheduling.tiresias import TiresiasScheduling
-
-        return TiresiasScheduling()
-    raise ValueError(f"unknown policy {name!r}")
-
-
-def _make_placement(name: str):
-    if name == "consolidated":
-        from repro.policies.placement.consolidated import ConsolidatedPlacement
-
-        return ConsolidatedPlacement()
-    if name == "first-free":
-        from repro.policies.placement.first_free import FirstFreePlacement
-
-        return FirstFreePlacement()
-    raise ValueError(f"unknown placement {name!r}")
-
-
-def schedule_parity(rounds: SimulationResult, events: SimulationResult) -> Dict[str, object]:
-    """Bit-identity verdict between a rounds-engine and an events-engine run."""
-    rounds_completions = {j.job_id: j.completion_time for j in rounds.jobs}
-    events_completions = {j.job_id: j.completion_time for j in events.jobs}
-    mismatched = sorted(
-        job_id
-        for job_id in set(rounds_completions) | set(events_completions)
-        if rounds_completions.get(job_id) != events_completions.get(job_id)
-    )
-    return {
-        "identical_completion_times": not mismatched,
-        "identical_round_logs": rounds.round_log == events.round_log,
-        "identical_round_count": rounds.rounds == events.rounds,
-        "identical_end_time": rounds.end_time == events.end_time,
-        "mismatched_job_ids": mismatched[:20],
-    }
-
-
-def _parity_ok(parity: Dict[str, object]) -> bool:
-    return bool(
-        parity["identical_completion_times"]
-        and parity["identical_round_logs"]
-        and parity["identical_round_count"]
-        and parity["identical_end_time"]
-    )
 
 
 def _run_long_horizon(
-    engine: str, smoke: bool, round_log_limit: Optional[int]
+    fast_forward: bool, smoke: bool, round_log_limit: Optional[int]
 ) -> Tuple[SimulationResult, float]:
     simulator = Simulator(
         cluster_state=workload.long_horizon_cluster(smoke=smoke),
         jobs=workload.long_horizon_trace(smoke=smoke).fresh_jobs(),
-        scheduling_policy=_make_policy("fifo"),
-        placement_policy=_make_placement("consolidated"),
+        scheduling_policy=FifoScheduling(),
+        placement_policy=ConsolidatedPlacement(),
         round_duration=workload.long_horizon_round_duration(smoke=smoke),
-        engine=engine,
+        fast_forward=fast_forward,
         round_log_limit=round_log_limit,
         max_rounds=2_000_000,
     )
@@ -118,158 +51,73 @@ def _run_long_horizon(
     return result, time.perf_counter() - start
 
 
-def _long_horizon_cell(smoke: bool) -> Dict[str, object]:
-    best: Dict[str, float] = {}
-    last: Dict[str, SimulationResult] = {}
-    for _ in range(_TIMING_REPS):
-        for engine in ("rounds", "events"):
-            result, wall = _run_long_horizon(engine, smoke, round_log_limit=0)
-            best[engine] = min(best.get(engine, wall), wall)
-            last[engine] = result
-    timed_parity = schedule_parity(last["rounds"], last["events"])
-
-    # One untimed leg per engine with the full round log: the timed legs
-    # disable it (that is the streaming configuration the cell measures), so
-    # log bit-identity is proved separately at the same cell.
-    logged_rounds, _ = _run_long_horizon("rounds", smoke, round_log_limit=None)
-    logged_events, _ = _run_long_horizon("events", smoke, round_log_limit=None)
-    log_parity = schedule_parity(logged_rounds, logged_events)
-
-    rounds_count = last["rounds"].rounds
-    rounds_rps = rounds_count / best["rounds"] if best["rounds"] > 0 else float("inf")
-    events_rps = rounds_count / best["events"] if best["events"] > 0 else float("inf")
-    speedup = events_rps / rounds_rps if rounds_rps > 0 else float("inf")
+def _parity(default: SimulationResult, stepping: SimulationResult) -> Dict[str, bool]:
     return {
-        "horizon_days": round(last["rounds"].end_time / 86400.0, 2),
-        "rounds": rounds_count,
-        "finished_jobs": len(last["rounds"].finished_jobs()),
-        "rounds_engine_wall_s": round(best["rounds"], 4),
-        "events_engine_wall_s": round(best["events"], 4),
-        "rounds_engine_rounds_per_sec": round(rounds_rps, 1),
-        "events_engine_rounds_per_sec": round(events_rps, 1),
-        "speedup_rounds_per_sec": round(speedup, 2),
-        "speedup_gate": EVENT_SPEEDUP_GATE,
-        # The gate binds on the full configuration only: the smoke cell runs
-        # in milliseconds, where timer noise dwarfs the real separation.
-        "gated": not smoke,
-        "speedup_ok": smoke or speedup >= EVENT_SPEEDUP_GATE,
-        "schedule_parity": _parity_ok(timed_parity) and _parity_ok(log_parity),
-        "parity": timed_parity,
-        "round_log_parity": log_parity,
+        "identical_completion_times": (
+            {j.job_id: j.completion_time for j in default.jobs}
+            == {j.job_id: j.completion_time for j in stepping.jobs}
+        ),
+        "identical_round_logs": list(default.round_log) == list(stepping.round_log),
+        "identical_round_count": default.rounds == stepping.rounds,
+        "identical_end_time": default.end_time == stepping.end_time,
     }
-
-
-def _scenario_cells(smoke: bool) -> Dict[str, object]:
-    from repro.experiments.harness import PolicySpec, run_policy
-    from repro.scenarios.registry import get_scenario, scenario_names
-    from repro.scenarios.runner import (
-        PLACEMENT_FACTORIES,
-        POLICY_FACTORIES,
-        SCENARIO_SEED,
-    )
-
-    del smoke  # Scenario cells always use the smoke-compiled variants: the
-    # parity claim is per scenario mechanism (churn kinds), not per scale,
-    # and the full variants would dominate the bench wall time.
-    cells: Dict[str, object] = {}
-    all_parity = True
-    for name in scenario_names():
-        scenario = get_scenario(name, smoke=True).compile(SCENARIO_SEED)
-        for policy_name in ("fifo", "tiresias"):
-            spec = PolicySpec(
-                label=f"{name}/{policy_name}",
-                scheduling=POLICY_FACTORIES[policy_name],
-                placement=PLACEMENT_FACTORIES["consolidated"],
-            )
-            results = {}
-            for engine in ("rounds", "events"):
-                results[engine] = run_policy(
-                    scenario.trace,
-                    spec,
-                    num_nodes=scenario.spec.cluster.num_nodes,
-                    cluster=scenario.build_cluster(),
-                    cluster_manager=scenario.make_cluster_manager(),
-                    round_duration=scenario.spec.round_duration,
-                    engine=engine,
-                )
-            parity = schedule_parity(results["rounds"], results["events"])
-            ok = _parity_ok(parity)
-            all_parity = all_parity and ok
-            cells[f"{name}/{policy_name}"] = {
-                "schedule_parity": ok,
-                "rounds": results["rounds"].rounds,
-                "cluster_events": len(scenario.events),
-            }
-    return {"all_schedule_parity": all_parity, "cells": cells}
-
-
-def _policy_cells(smoke: bool) -> Dict[str, object]:
-    cells: Dict[str, object] = {}
-    all_parity = True
-    for policy_name in _POLICY_NAMES:
-        for placement_name in _PLACEMENT_NAMES:
-            results = {}
-            for engine in ("rounds", "events"):
-                simulator = Simulator(
-                    cluster_state=workload.bench_cluster(smoke=smoke),
-                    jobs=workload.bench_trace(smoke=smoke).fresh_jobs(),
-                    scheduling_policy=_make_policy(policy_name),
-                    placement_policy=_make_placement(placement_name),
-                    round_duration=workload.ROUND_DURATION,
-                    engine=engine,
-                )
-                results[engine] = simulator.run()
-            parity = schedule_parity(results["rounds"], results["events"])
-            ok = _parity_ok(parity)
-            all_parity = all_parity and ok
-            cells[f"{policy_name}/{placement_name}"] = {
-                "schedule_parity": ok,
-                "rounds": results["rounds"].rounds,
-            }
-    return {"all_schedule_parity": all_parity, "cells": cells}
 
 
 def run_event_bench(smoke: bool = False) -> Dict[str, object]:
-    """Run the event-core bench; returns the ``event_core`` report section.
+    """Run the cell; returns the ``event_core`` section of ``BENCH_core.json``.
 
-    Raises ``AssertionError`` when any parity surface diverges, or (full
-    configuration) when the long-horizon speedup misses its gate.
+    Raises ``AssertionError`` when the default run diverges from stepping, or
+    (full configuration) when the speedup misses its gate.
     """
-    long_horizon = _long_horizon_cell(smoke)
-    scenarios = _scenario_cells(smoke)
-    policies = _policy_cells(smoke)
-    all_parity = bool(
-        long_horizon["schedule_parity"]
-        and scenarios["all_schedule_parity"]
-        and policies["all_schedule_parity"]
+    best = {True: float("inf"), False: float("inf")}
+    last: Dict[bool, SimulationResult] = {}
+    for _ in range(_TIMING_REPS):
+        for fast_forward in (False, True):
+            result, wall = _run_long_horizon(fast_forward, smoke, round_log_limit=0)
+            best[fast_forward] = min(best[fast_forward], wall)
+            last[fast_forward] = result
+    timed_parity = _parity(last[True], last[False])
+    # The timed legs disable the round log (that is the streaming
+    # configuration the cell measures), so log bit-identity is proved
+    # separately at the same cell.
+    log_parity = _parity(
+        _run_long_horizon(True, smoke, round_log_limit=None)[0],
+        _run_long_horizon(False, smoke, round_log_limit=None)[0],
     )
+    schedule_parity = all(timed_parity.values()) and all(log_parity.values())
+
+    rounds = last[True].rounds
+    speedup = best[False] / best[True]
     report = {
         "scale": "smoke" if smoke else "full",
-        "long_horizon": long_horizon,
-        "scenarios": scenarios,
-        "policies": policies,
-        "all_schedule_parity": all_parity,
+        "long_horizon": {
+            "horizon_days": round(last[True].end_time / 86400.0, 2),
+            "rounds": rounds,
+            "finished_jobs": len(last[True].finished_jobs()),
+            "stepping_wall_s": round(best[False], 4),
+            "default_wall_s": round(best[True], 4),
+            "stepping_rounds_per_sec": round(rounds / best[False], 1),
+            "default_rounds_per_sec": round(rounds / best[True], 1),
+            "speedup_rounds_per_sec": round(speedup, 2),
+            "speedup_gate": EVENT_SPEEDUP_GATE,
+            # The gate binds on the full configuration only: the smoke cell
+            # runs in milliseconds, where timer noise dwarfs the separation.
+            "gated": not smoke,
+            "speedup_ok": smoke or speedup >= EVENT_SPEEDUP_GATE,
+            "schedule_parity": schedule_parity,
+            "parity": timed_parity,
+            "round_log_parity": log_parity,
+        },
+        "all_schedule_parity": schedule_parity,
     }
-    if not all_parity:
-        failing: List[str] = []
-        if not long_horizon["schedule_parity"]:
-            failing.append(f"long_horizon: {long_horizon['parity']}")
-        failing.extend(
-            f"scenario {name}"
-            for name, cell in scenarios["cells"].items()
-            if not cell["schedule_parity"]
-        )
-        failing.extend(
-            f"policy {name}"
-            for name, cell in policies["cells"].items()
-            if not cell["schedule_parity"]
-        )
+    if not schedule_parity:
         raise AssertionError(
-            "event engine diverged from the round-loop oracle: " + "; ".join(failing)
+            "the skip executor diverged from the stepping loop: "
+            f"timed {timed_parity}; logged {log_parity}"
         )
-    if not long_horizon["speedup_ok"]:
+    if not report["long_horizon"]["speedup_ok"]:
         raise AssertionError(
-            f"long-horizon event-core speedup {long_horizon['speedup_rounds_per_sec']}x "
+            f"long-horizon skip speedup {speedup:.2f}x "
             f"missed the >= {EVENT_SPEEDUP_GATE}x gate"
         )
     return report

@@ -37,10 +37,10 @@ ROUND_DURATION = 300.0
 #: fine-grained 60 s rounds.  Low load means long decision-free stretches
 #: (single-job drains, idle gaps) and fine rounds mean many rounds per
 #: stretch -- the regime where the event core's O(events) skipping separates
-#: from the round loop's O(rounds) skipping.  The load is the honest knob
-#: here: arrivals and completions (the full rounds both engines share) are
-#: the irreducible cost, so the separation measures skipped-round execution
-#: and nothing else.
+#: from the stepping loop's O(rounds) execution.  The load is the honest knob
+#: here: arrivals and completions (the full rounds both runs share) are the
+#: irreducible cost, so the separation measures skipped-round execution and
+#: nothing else.
 LONG_NODES = 16
 LONG_JOBS = 180
 LONG_JOBS_PER_HOUR = 0.25

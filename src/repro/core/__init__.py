@@ -16,14 +16,6 @@ from repro.core.abstractions import (
     TerminationPolicy,
 )
 from repro.core.blox_manager import BloxManager
-from repro.core.events import (
-    KIND_ARRIVAL,
-    KIND_CLUSTER,
-    KIND_COMPLETION,
-    KIND_POLICY,
-    EventHeap,
-    SimEvent,
-)
 from repro.core.mechanisms import SimulatedLauncher, SimulatedPreemption
 from repro.core import exceptions
 
@@ -44,12 +36,6 @@ __all__ = [
     "SchedulingPolicy",
     "TerminationPolicy",
     "BloxManager",
-    "EventHeap",
-    "SimEvent",
-    "KIND_ARRIVAL",
-    "KIND_CLUSTER",
-    "KIND_COMPLETION",
-    "KIND_POLICY",
     "SimulatedLauncher",
     "SimulatedPreemption",
     "exceptions",

@@ -152,9 +152,15 @@ class BloxManager:
         return launched
 
     def advance_time(self) -> None:
-        """Move the simulated clock forward by one round."""
-        self.current_time += self.round_duration
+        """Move the simulated clock forward by one round.
+
+        Simulated time is computed from the round index, never accumulated,
+        so ``current_time == round_number * round_duration`` holds exactly at
+        every round and a skip of any length lands on the same float a
+        round-by-round run reaches.  Overrides must preserve that identity.
+        """
         self.round_number += 1
+        self.current_time = self.round_number * self.round_duration
 
     def submit_job(self, job: Job) -> None:
         """Append a job to the wait queue mid-run.

@@ -106,7 +106,6 @@ def run_policy(
     max_rounds: int = 200_000,
     cluster_manager: Optional[ClusterManager] = None,
     fast_forward: bool = True,
-    engine: str = "rounds",
 ) -> SimulationResult:
     """Run one simulation of ``trace`` under ``spec`` on a fresh cluster.
 
@@ -137,7 +136,6 @@ def run_policy(
         max_rounds=max_rounds,
         cluster_manager=cluster_manager,
         fast_forward=fast_forward,
-        engine=engine,
     )
     return simulator.run()
 

@@ -533,10 +533,6 @@ class UniformShardFactory:
     fast_forward: bool = True
     cluster_manager_factory: Optional[Callable[[int], Optional[ClusterManager]]] = None
     max_rounds: int = 200_000
-    #: Simulation engine for every built shard: the classic round loop
-    #: (``"rounds"``) or the event-heap core (``"events"``); both produce
-    #: bit-identical schedules, so the choice is a performance knob.
-    engine: str = "rounds"
     #: Bound each shard's per-round log (None keeps everything, 0 disables);
     #: streaming runs set 0 so worker memory stays flat over millions of jobs.
     round_log_limit: Optional[int] = None
@@ -582,7 +578,6 @@ class UniformShardFactory:
             round_duration=self.round_duration,
             fast_forward=self.fast_forward,
             max_rounds=self.max_rounds,
-            engine=self.engine,
             round_log_limit=self.round_log_limit,
             recorder=recorder,
         )
@@ -606,7 +601,6 @@ def build_uniform_shards(
     fast_forward: bool = True,
     cluster_manager_factory: Optional[Callable[[int], Optional[ClusterManager]]] = None,
     max_rounds: int = 200_000,
-    engine: str = "rounds",
 ) -> List[ShardSimulator]:
     """Build ``num_shards`` identical shards with fresh policy instances.
 
@@ -631,6 +625,5 @@ def build_uniform_shards(
         fast_forward=fast_forward,
         cluster_manager_factory=cluster_manager_factory,
         max_rounds=max_rounds,
-        engine=engine,
     )
     return factory.build_all(num_shards)

@@ -53,7 +53,7 @@ class BoundedClusterManager(ClusterManager):
     shard cannot see the global arrival stream, so without the bound it would
     skip straight past the round in which a routed gang must be admitted.
     Advertising the routing event as a cluster event makes every skip path
-    (classic light rounds, steady strides, the drain chain) stop one round
+    (light rounds, steady strides, the drain chain) stop one round
     short of it for free, with no changes to the engine.
     """
 

@@ -180,7 +180,6 @@ class CentralScheduler:
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
         recorder: Optional[TraceRecorder] = None,
-        engine: str = "rounds",
     ) -> None:
         if lease_protocol not in ("central", "optimistic"):
             raise ConfigurationError(f"unknown lease protocol {lease_protocol!r}")
@@ -229,7 +228,6 @@ class CentralScheduler:
                 DeploymentBloxManager, lease_manager=self.lease_manager
             ),
             recorder=recorder,
-            engine=engine,
         )
         # Swap in the RPC-backed launch/preemption mechanisms: the two modules
         # that differ between simulation and deployment.

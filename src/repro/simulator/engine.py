@@ -11,14 +11,12 @@ preemption mechanisms change.
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
     Callable,
-    Dict,
     Iterable,
     List,
     MutableSequence,
@@ -41,6 +39,7 @@ from repro.core.exceptions import ConfigurationError, SimulationError
 from repro.core.job import Job, JobStatus
 from repro.core.job_state import JobState
 from repro.metrics.summary import SummaryStats, average, cdf_points, jct_summary
+from repro.simulator.event_core import EventCore
 from repro.simulator.execution import ExecutionModel
 from repro.simulator.overheads import OverheadModel
 from repro.telemetry.events import (
@@ -161,17 +160,12 @@ class Simulator:
         allow_empty_workload: bool = False,
         recorder: Optional["TraceRecorder"] = None,
         round_log_limit: Optional[int] = None,
-        engine: str = "rounds",
     ) -> None:
         from repro.policies.admission.accept_all import AcceptAll
         from repro.policies.placement.consolidated import ConsolidatedPlacement
 
         if max_rounds < 1:
             raise ConfigurationError("max_rounds must be >= 1")
-        if engine not in ("rounds", "events"):
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; expected 'rounds' or 'events'"
-            )
 
         self.cluster_state = cluster_state
         self.job_state = job_state if job_state is not None else JobState()
@@ -242,9 +236,22 @@ class Simulator:
             and getattr(self.admission_policy, "steady_state_safe", True)
             and self._jitter_free
         )
-        # Steady-mode strides additionally require that nothing observes the
-        # intermediate rounds (collectors sample per round by contract).
-        self._stride_accelerable = self._jitter_free and not self.metric_collectors
+        # Batched strides additionally require that nothing observes the
+        # intermediate rounds: collectors sample per round by contract, and a
+        # BloxManager subclass overriding advance_time expects one call per
+        # round, so either keeps the per-round light loop.
+        manager_type = type(self.manager)
+        self._stride_accelerable = (
+            self._jitter_free
+            and not self.metric_collectors
+            and manager_type.advance_time is BloxManager.advance_time
+        )
+        # Batched idle segments also skip the per-round update_metrics/prune
+        # no-ops, so a manager overriding either keeps those per-round too.
+        self._idle_batchable = (
+            manager_type.update_metrics is BloxManager.update_metrics
+            and manager_type.prune_completed_jobs is BloxManager.prune_completed_jobs
+        )
         #: Whether the most recent full round's placement decision was a pure
         #: lease renewal (nothing suspended, nothing newly launched).  The
         #: elastic fast-forward path uses this as its fixed-point witness.
@@ -282,21 +289,10 @@ class Simulator:
         self._eviction_count = 0
         self._wall_time = 0.0
 
-        # Engine selection.  ``rounds`` is the classic loop and the
-        # differential oracle; ``events`` swaps the three skip executors
-        # (light rounds, steady strides, the gang chain) for the event-heap
-        # core (repro.simulator.event_core), which batches the skipped rounds
-        # around a heap of (round, kind, id) events.  Both engines share
-        # every full-round step and every skip-eligibility *decision* -- the
-        # event core only replaces skip *execution* -- which is what makes
-        # "event-driven == round-loop bit-identical" provable surface by
-        # surface rather than hoped for.
-        self.engine = engine
-        self._event_core = None
-        if engine == "events":
-            from repro.simulator.event_core import EventCore
-
-            self._event_core = EventCore(self)
+        # Sanctioned skips that are batchable (idle segments, decision-stable
+        # strides, the gang drain chain) execute in the event core; everything
+        # else takes the per-round light loop below.
+        self._event_core = EventCore(self)
 
         # Telemetry is opt-in and read-only: the recorder hooks only observe
         # state (never draw RNG or mutate anything), so a traced run stays
@@ -337,6 +333,13 @@ class Simulator:
         if self.job_state.count_with_status(JobStatus.WAITING_ADMISSION):
             return False
         return True
+
+    def _prune_completed_jobs(self) -> List[Job]:
+        """Step 3 of the loop; a pruned job also gives up its completion probe."""
+        released = self.manager.prune_completed_jobs(self.cluster_state, self.job_state)
+        for job in released:
+            self._event_core.forget(job.job_id)
+        return released
 
     def _round_record(self) -> RoundRecord:
         mgr = self.manager
@@ -427,6 +430,14 @@ class Simulator:
                 earliest = finish
         return earliest
 
+    def _boundary_horizon(self) -> float:
+        """Time of the next arrival or cluster event (``inf`` if neither)."""
+        mgr = self.manager
+        next_event = mgr.cluster_manager.next_event_time(mgr.current_time)
+        next_arrival = mgr.next_arrival_time()
+        bounds = [t for t in (next_event, next_arrival) if t is not None]
+        return min(bounds) if bounds else math.inf
+
     def _fast_forward(self, round_log: List[RoundRecord]) -> bool:
         """Skip rounds during which no scheduling decision can change.
 
@@ -457,6 +468,7 @@ class Simulator:
         if self.admission_policy.pending_jobs():
             return False
 
+        boundary = self._boundary_horizon()
         policy_bound: Optional[float] = None
         running = job_state.count_with_status(JobStatus.RUNNING)
         active = job_state.count_active()
@@ -475,22 +487,16 @@ class Simulator:
             if gang_steady:
                 # The chain's deferred bookkeeping (one probe + one flush per
                 # job) only pays for itself on long strides; near an arrival
-                # or cluster event the classic per-round loop is cheaper and
+                # or cluster event the per-round light loop is cheaper and
                 # bit-identical, so short windows fall through to it.
-                if self._stride_accelerable:
-                    next_event = mgr.cluster_manager.next_event_time(mgr.current_time)
-                    next_arrival = mgr.next_arrival_time()
-                    entry_bounds = [t for t in (next_event, next_arrival) if t is not None]
-                    if (
-                        not entry_bounds
-                        or min(entry_bounds) - mgr.current_time > 1 * mgr.round_duration
-                    ):
-                        if self._event_core is not None:
-                            return self._event_core.chain(round_log)
-                        return self._fast_forward_chain(round_log)
-                # Not accelerable (collectors or jitter), or a short window:
-                # fall through to the classic per-round loop, which breaks at
-                # completions.
+                if (
+                    self._stride_accelerable
+                    and boundary - mgr.current_time > mgr.round_duration
+                ):
+                    return self._event_core.chain(boundary)
+                # Not accelerable (collectors, jitter or a manager with its
+                # own advance_time), or a short window: fall through to the
+                # per-round light loop, which breaks at completions.
             else:
                 # Decision-stable (elastic/discretised policies): this round's
                 # decision was a pure lease renewal, and the policy guarantees
@@ -519,7 +525,7 @@ class Simulator:
                 # that very round -- so the stride must stop *before* the
                 # first completion, not merely break at it.  Steady strides
                 # enforce this by excluding the completing round from the
-                # probe-sized stride; the classic loop (collectors present)
+                # probe-sized stride; the light loop (collectors present)
                 # bounds the horizon by the closed-form completion estimate
                 # with a one-round safety margin.
                 steady_mode = self._stride_accelerable
@@ -534,17 +540,12 @@ class Simulator:
 
         # Nothing may fire before the next arrival or cluster event (or, on
         # the decision-stable path, the policy's own next event).
-        next_event = mgr.cluster_manager.next_event_time(mgr.current_time)
-        next_arrival = mgr.next_arrival_time()
-        bounds = [t for t in (next_event, next_arrival, policy_bound) if t is not None]
-        horizon = min(bounds) if bounds else math.inf
+        horizon = boundary if policy_bound is None else min(boundary, policy_bound)
 
         if steady_mode:
-            if self._event_core is not None:
-                return self._event_core.steady(horizon, round_log)
-            return self._fast_forward_steady(horizon, round_log)
-        if self._event_core is not None:
-            return self._event_core.light(horizon, running, round_log)
+            return self._event_core.steady(horizon)
+        if not active and self._stride_accelerable and self._idle_batchable:
+            return self._event_core.idle(horizon)
         return self._fast_forward_light(horizon, running, round_log)
 
     def _fast_forward_light(
@@ -553,23 +554,23 @@ class Simulator:
         running: int,
         round_log: List[RoundRecord],
     ) -> bool:
-        """The classic per-round light loop: advance + log, nothing else.
+        """The per-round light loop: advance + log, nothing else.
 
-        Handles the skip cases the batched executors do not claim: idle
-        stretches observed by collectors, short gang-steady windows (where
-        the chain's bookkeeping costs more than it saves) and the
-        decision-stable path when strides are not accelerable.  Breaks back
-        to the full loop as soon as a completion changes the steady state.
+        Handles the skip cases the event core does not claim: idle stretches
+        observed by collectors, short gang-steady windows (where the chain's
+        bookkeeping costs more than it saves) and every stride that is not
+        accelerable.  Breaks back to the full loop as soon as a completion
+        changes the steady state.
         """
         mgr = self.manager
         job_state = self.job_state
         while (
             mgr.round_number + 1 < self.max_rounds
-            and mgr.current_time + mgr.round_duration < horizon
+            and (mgr.round_number + 1) * mgr.round_duration < horizon
         ):
             mgr.advance_time()
             mgr.update_metrics(self.cluster_state, job_state)
-            released = mgr.prune_completed_jobs(self.cluster_state, job_state)
+            released = self._prune_completed_jobs()
             if self._tracked_all_finished():
                 return True
             # Keep the sanctioned "now" side-channel fresh for collectors,
@@ -583,207 +584,6 @@ class Simulator:
                 # take over again (its next rounds are no-ops for the policies
                 # but cheap, and they re-establish the skip conditions).
                 break
-        return False
-
-    def _fast_forward_chain(self, round_log: List[RoundRecord]) -> bool:
-        """Chained gang-steady strides with deferred per-job advancement.
-
-        Entered with the gang witness held (every active job RUNNING on
-        exactly its requested gang, all composed policies steady-state safe)
-        and the stride accelerable (no collectors, no jitter).  Under the
-        witness, a completion cannot change any scheduling decision -- the
-        remaining jobs simply keep their gangs -- so whole drain phases
-        collapse into one chain:
-
-        * each running job is probed **once** for the absolute round in which
-          it will complete (exact per-round replay, not closed form), and the
-          results drive a min-heap of upcoming completion rounds;
-        * between completion rounds, nothing observable changes: the round
-          records (constant counts, accumulated clock) are appended directly
-          and job advancement is *deferred*;
-        * at each completion round, exactly the completing jobs are
-          materialised (advanced through the round, completed, pruned); every
-          other job's accounting is flushed once, when the chain exits.
-
-        Because deferred flushing replays each job's per-round operations in
-        order, final job state, completion times and the round log are
-        bit-identical to the classic per-round loop.
-        """
-        mgr = self.manager
-        job_state = self.job_state
-        execution = self.execution_model
-        rd = mgr.round_duration
-        entry_round = mgr.round_number
-
-        jobs = job_state.running_jobs()
-        rates: Dict[int, float] = {}
-        advanced_through: Dict[int, int] = {}
-        completions: List[Tuple[int, int]] = []  # (absolute round, job_id)
-        probe_cap = self.max_rounds - 1 - entry_round
-        if probe_cap <= 0:
-            return False
-        # The chain cannot extend past the first arrival or cluster event, so
-        # probing beyond that horizon is wasted work (contended phases enter
-        # short chains constantly).  An upper bound is enough: completions
-        # probed past the chain's actual end are simply never reached.
-        next_event = mgr.cluster_manager.next_event_time(mgr.current_time)
-        next_arrival = mgr.next_arrival_time()
-        entry_bounds = [t for t in (next_event, next_arrival) if t is not None]
-        if entry_bounds:
-            to_horizon = int((min(entry_bounds) - mgr.current_time) / rd) + 2
-            probe_cap = min(probe_cap, max(1, to_horizon))
-        for job in jobs:
-            rate = execution.cached_rate(job, self.cluster_state)[0]
-            rates[job.job_id] = rate
-            advanced_through[job.job_id] = entry_round
-            completing = execution.steady_completion_round(job, rd, probe_cap, rate)
-            if completing is not None:
-                completions.append((entry_round + completing, job.job_id))
-        heapq.heapify(completions)
-        by_id = {job.job_id: job for job in jobs}
-
-        def flush(job: Job, upto_round: int, final_round_start: float) -> bool:
-            owed = upto_round - advanced_through[job.job_id]
-            advanced_through[job.job_id] = upto_round
-            if owed <= 0:
-                return False
-            # rate=None lets advance_steady hit the version-stamped rate
-            # cache, which also supplies the fragmented flag.
-            return execution.advance_steady(
-                job, self.cluster_state, final_round_start, rd, owed
-            )
-
-        def flush_all() -> None:
-            for job in jobs:
-                if job.status == JobStatus.RUNNING:
-                    flush(job, mgr.round_number, mgr.current_time - rd)
-            job_state.current_time = mgr.current_time
-
-        while True:
-            next_event = mgr.cluster_manager.next_event_time(mgr.current_time)
-            next_arrival = mgr.next_arrival_time()
-            bounds = [t for t in (next_event, next_arrival) if t is not None]
-            horizon = min(bounds) if bounds else math.inf
-            round_cap = self.max_rounds - 1 - mgr.round_number
-            if horizon == math.inf:
-                segment_cap = round_cap
-            else:
-                # Mirror the classic loop's accumulated-clock comparisons.
-                segment_cap = 0
-                clock = mgr.current_time
-                while segment_cap < round_cap and clock + rd < horizon:
-                    clock += rd
-                    segment_cap += 1
-            boundary = completions[0][0] if completions else None
-            if boundary is None or boundary - mgr.round_number > segment_cap:
-                # No completion inside this segment: skip to the horizon.
-                for _ in range(segment_cap):
-                    mgr.advance_time()
-                    round_log.append(self._round_record())
-                flush_all()
-                return False
-            # Skip to the completion round; its record must reflect the
-            # post-completion state, so it is appended after materialising.
-            steps = boundary - mgr.round_number
-            for _ in range(steps - 1):
-                mgr.advance_time()
-                round_log.append(self._round_record())
-            mgr.advance_time()
-            final_round_start = mgr.current_time - rd
-            while completions and completions[0][0] == boundary:
-                _, job_id = heapq.heappop(completions)
-                job = by_id[job_id]
-                if not flush(job, boundary, final_round_start):
-                    raise SimulationError(
-                        f"job {job_id} did not complete in its probed round "
-                        f"{boundary}; steady-chain accounting diverged"
-                    )
-            mgr.prune_completed_jobs(self.cluster_state, job_state)
-            if self._tracked_all_finished():
-                # The simulation ends at this round exactly as the full loop
-                # would; materialise the remaining jobs' deferred rounds so
-                # their work/service accounting matches a per-round run.
-                flush_all()
-                return True
-            job_state.current_time = mgr.current_time
-            round_log.append(self._round_record())
-            if not job_state.count_active():
-                flush_all()
-                return False
-            # The gang witness is preserved by construction (the remaining
-            # jobs keep running on their exact gangs), so chain directly into
-            # the next segment.
-
-    def _fast_forward_steady(
-        self,
-        horizon: float,
-        round_log: List[RoundRecord],
-    ) -> bool:
-        """Steady-mode decision-stable stride: batched advancement + records.
-
-        Only entered on the decision-stable (elastic/discretised) path when
-        the stride is rate-stable (no jitter model) and unobserved (no metric
-        collectors); gang-steady strides use :meth:`_fast_forward_chain`
-        instead.  The stride length is the smaller of the horizon -- derived
-        with exactly the comparisons the classic loop would make -- and one
-        round *short of* the earliest completing round, found by replaying
-        the per-round accounting without mutation
-        (:meth:`ExecutionModel.steady_completion_round`): a completion frees
-        GPUs that the next full round must be able to hand to a queued job.
-        """
-        mgr = self.manager
-        job_state = self.job_state
-        round_cap = self.max_rounds - 1 - mgr.round_number
-        if round_cap <= 0:
-            return False
-        if horizon == math.inf:
-            rounds = round_cap
-        else:
-            # Mirror the classic loop's accumulated-clock comparisons exactly
-            # so both stop at the same round.
-            rounds = 0
-            clock = mgr.current_time
-            while rounds < round_cap and clock + mgr.round_duration < horizon:
-                clock += mgr.round_duration
-                rounds += 1
-        if rounds == 0:
-            return False
-        execution = self.execution_model
-        advancing = [
-            (job, execution.cached_rate(job, self.cluster_state)[0])
-            for job in job_state.running_jobs()
-        ]
-        for job, rate in advancing:
-            completing = execution.steady_completion_round(
-                job, mgr.round_duration, rounds, rate
-            )
-            if completing is not None:
-                # Stop one round short: the completing round must run as a
-                # full round so the freed GPUs can go to a queued job.
-                limit = completing - 1
-                if limit < rounds:
-                    rounds = limit
-        if rounds <= 0:
-            return False
-
-        # Rounds before the last cannot change any observable state, so their
-        # records (constant counts, accumulated clock) are appended up front;
-        # the final round's record is appended after completions are applied
-        # and pruned, mirroring the classic per-round order of operations.
-        for _ in range(rounds - 1):
-            mgr.advance_time()
-            round_log.append(self._round_record())
-        mgr.advance_time()
-        final_round_start = mgr.current_time - mgr.round_duration
-        for job, _rate in advancing:
-            execution.advance_steady(
-                job, self.cluster_state, final_round_start, mgr.round_duration, rounds
-            )
-        mgr.prune_completed_jobs(self.cluster_state, job_state)
-        if self._tracked_all_finished():
-            return True
-        job_state.current_time = mgr.current_time
-        round_log.append(self._round_record())
         return False
 
     def _advance_loop(self, stop_time: Optional[float]) -> bool:
@@ -841,7 +641,7 @@ class Simulator:
 
                 # 2./3. Progress from the previous round, then free completed jobs.
                 mgr.update_metrics(self.cluster_state, self.job_state)
-                mgr.prune_completed_jobs(self.cluster_state, self.job_state)
+                self._prune_completed_jobs()
 
                 if self._tracked_all_finished():
                     return True

@@ -1,68 +1,55 @@
-"""The event-driven skip core: heap-organised strides, batched accounting.
+"""The skip executor: heap-organised strides, batched accounting.
 
-:class:`EventCore` is the ``engine="events"`` execution strategy of
+:class:`EventCore` executes every batchable skip of
 :class:`~repro.simulator.engine.Simulator`.  The round loop keeps making every
-*decision* -- full rounds run the identical eight steps, and the skip
-*eligibility* logic in ``Simulator._fast_forward`` (witnesses, policy bounds,
-admission quiescence) is shared verbatim -- but once a skip is sanctioned,
-execution is handed here instead of to the classic per-round executors.  The
-clock then jumps from event to event:
+*decision* -- full rounds run the eight steps of Figure 2, and
+``Simulator._fast_forward`` decides *whether* a skip is sanctioned
+(witnesses, policy bounds, admission quiescence) and how far it may reach --
+and hands the sanctioned skip here.  The clock then jumps from event to event:
 
 * upcoming **completions** are probed once per (job, allocation epoch) via the
   exact replay of :meth:`~repro.simulator.execution.ExecutionModel.steady_scan`
-  and cached (resumably) in :class:`_CompletionProbe` entries, feeding
-  ``KIND_COMPLETION`` events into the :class:`~repro.core.events.EventHeap`;
+  and cached (resumably) in :class:`_CompletionProbe` entries; the gang chain
+  keeps them in a ``heapq`` of ``(round, job_id)`` tuples;
 * **arrivals**, **cluster/timeline churn** (including federation routing
   bounds surfaced through ``ClusterManager.next_event_time``) and **policy
-  events** become boundary events -- rounds at which the full loop must run
-  again;
+  events** are boundaries -- rounds at which the full loop must run again;
 * the rounds *between* events carry no decisions by construction, so their
-  observable product -- the round log, the accumulated clock, and each
-  running job's progress accounting -- is materialised in batch:
-  constant-field :class:`~repro.simulator.engine.RoundRecord` rows, an exact
-  clock jump, and
-  :meth:`~repro.simulator.execution.ExecutionModel.advance_steady_bulk`
+  observable product -- the round log, the clock, and each running job's
+  progress accounting -- is materialised in batch: constant-field
+  :class:`~repro.simulator.engine.RoundRecord` rows, a computed clock jump,
+  and :meth:`~repro.simulator.execution.ExecutionModel.advance_steady_bulk`
   constant-delta folds.  With the round log disabled
   (``round_log_limit=0``) and no trace recorder attached, a whole segment is
   literally O(1).
 
-Bit-identity with the round-loop oracle rests on three mirrored mechanisms,
-each of which the parity fuzz harness exercises:
+The reference is the plain stepping loop (``fast_forward=False``), and
+bit-identity with it rests on three mechanisms the parity fuzz harness
+exercises:
 
-1. **round counting** -- every horizon->round conversion uses the oracle's own
-   accumulated-clock comparison (``while clock + rd < horizon: clock += rd``),
-   with a closed form only where float accumulation is provably exact
-   (integral clock and round duration below 2**53);
+1. **the clock is computed** -- simulated time is always
+   ``round_number * round_duration`` (see ``BloxManager.advance_time``), so a
+   jump of any length lands on the float the stepping loop reaches, and "how
+   many rounds fit before this horizon" is one comparison per candidate round
+   against that same product;
 2. **progress accounting** -- deferred/batched advancement replays the exact
    per-round float fold of ``ExecutionModel.advance`` (same values, same
    order), so completion times agree to the last bit;
-3. **tie-breaking** -- simultaneous events resolve by the heap's
-   ``(time, kind, id)`` order, which encodes the round loop's implicit
-   resolution: boundary kinds hand the round to the full loop (which then
-   applies advance -> prune -> admit -> schedule in its canonical order),
-   completions materialise in ascending job id.
+3. **tie-breaking** -- a completion in the same round as a boundary is left to
+   that round's full pass through the loop (advance -> prune -> admit ->
+   schedule), and completions sharing a round materialise in ascending job id,
+   the order the loop's per-round steps visit jobs.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.blox_manager import BloxManager
-from repro.core.events import (
-    KIND_ARRIVAL,
-    KIND_CLUSTER,
-    KIND_COMPLETION,
-    EventHeap,
-    SimEvent,
-)
 from repro.core.exceptions import SimulationError
 from repro.core.job import Job, JobStatus
 from repro.telemetry.events import EVENT_ROUND
-
-#: Float integers stay exact under addition below this bound, which is what
-#: licenses the O(1) clock jump and the closed-form round count.
-_EXACT_FLOAT_INT = float(2**53)
 
 
 class _CompletionProbe:
@@ -74,7 +61,8 @@ class _CompletionProbe:
     the same history.  So the probe is taken once per allocation epoch,
     scanning lazily only as far as the caller's current horizon needs, and
     resumed from its saved ``(work, pending)`` state when a later call needs
-    to see further.
+    to see further.  It lives until the job is pruned
+    (:meth:`EventCore.forget`).
     """
 
     __slots__ = (
@@ -110,80 +98,42 @@ class _CompletionProbe:
 
 
 class EventCore:
-    """Event-heap skip executor bound to one :class:`Simulator` instance."""
+    """Skip executor bound to one :class:`Simulator` instance."""
 
     def __init__(self, sim) -> None:
         self.sim = sim
-        self.heap = EventHeap()
         self._probes: Dict[int, _CompletionProbe] = {}
-        # Batched execution bypasses the manager's per-round advance_time
-        # calls (and, for idle segments, its per-round update_metrics/prune
-        # no-ops), so a manager subclass overriding those hooks keeps the
-        # classic executors -- mirroring the engine's unmigrated-manager
-        # check for ClusterManager.update.
-        mgr_cls = type(sim.manager)
-        self._clock_batchable = mgr_cls.advance_time is BloxManager.advance_time
-        self._idle_batchable = (
-            self._clock_batchable
-            and mgr_cls.update_metrics is BloxManager.update_metrics
-            and mgr_cls.prune_completed_jobs is BloxManager.prune_completed_jobs
-        )
+
+    def forget(self, job_id: int) -> None:
+        """Drop the completion probe of a job that was pruned."""
+        self._probes.pop(job_id, None)
 
     # ------------------------------------------------------------------
-    # Exact round arithmetic
+    # Round arithmetic on the computed clock
     # ------------------------------------------------------------------
 
     def _rounds_until(self, horizon: float, round_cap: int) -> int:
-        """Rounds skippable before ``horizon``, capped -- oracle-identically.
+        """Rounds skippable before ``horizon``, capped.
 
-        The oracle counts with ``while clock + rd < horizon: clock += rd``;
-        when clock and round duration are float integers the accumulated sums
-        are exact, so the count has a closed form (guess-and-adjust against
-        the same float comparison).  Otherwise the accumulation is mirrored
-        literally.
+        The largest ``k <= round_cap`` whose round still starts strictly
+        before the horizon, ``(round_number + k) * round_duration < horizon``
+        -- the comparison the per-round light loop makes one round at a time.
+        The division only seeds the answer; the two adjust loops decide it
+        against that exact product.
         """
         if round_cap <= 0:
             return 0
-        mgr = self.sim.manager
-        rd = mgr.round_duration
-        clock = mgr.current_time
         if horizon == math.inf:
             return round_cap
-        if (
-            rd > 0
-            and clock.is_integer()
-            and rd.is_integer()
-            and abs(clock) + round_cap * rd < _EXACT_FLOAT_INT
-        ):
-            guess = int((horizon - clock) / rd)
-            guess = min(max(guess, 0), round_cap)
-            while guess > 0 and clock + guess * rd >= horizon:
-                guess -= 1
-            while guess < round_cap and clock + (guess + 1) * rd < horizon:
-                guess += 1
-            return guess
-        count = 0
-        while count < round_cap and clock + rd < horizon:
-            clock += rd
-            count += 1
-        return count
-
-    def _advance_clock(self, rounds: int) -> None:
-        """Jump the manager clock ``rounds`` rounds, bit-equal to repeated adds."""
         mgr = self.sim.manager
         rd = mgr.round_duration
-        clock = mgr.current_time
-        if (
-            clock.is_integer()
-            and rd.is_integer()
-            and abs(clock) + rounds * rd < _EXACT_FLOAT_INT
-        ):
-            mgr.current_time = clock + rounds * rd
-        else:
-            for _ in range(rounds):
-                clock += rd
-            mgr.current_time = clock
-        mgr.round_number += rounds
+        base = mgr.round_number
+        guess = min(max(int(horizon / rd) - base, 0), round_cap)
+        while guess > 0 and (base + guess) * rd >= horizon:
+            guess -= 1
+        while guess < round_cap and (base + guess + 1) * rd < horizon:
+            guess += 1
+        return guess
 
     # ------------------------------------------------------------------
     # Batched round records
@@ -193,9 +143,9 @@ class EventCore:
         """Advance ``rounds`` skipped rounds: clock, log rows, trace events.
 
         Nothing observable changes between events, so every row shares one
-        set of counts/utilisation values; only the round number and the
-        accumulated clock vary.  With the log disabled and no recorder the
-        whole segment collapses to the O(1) clock jump.
+        set of counts/utilisation values; only the round number and its
+        computed time vary.  With the log disabled and no recorder the whole
+        segment collapses to the O(1) clock jump.
         """
         if rounds <= 0:
             return
@@ -203,8 +153,11 @@ class EventCore:
         mgr = sim.manager
         log = sim._round_log
         recorder = sim._recorder
+        rd = mgr.round_duration
+        first = mgr.round_number + 1
+        mgr.round_number += rounds
+        mgr.current_time = mgr.round_number * rd
         if recorder is None and getattr(log, "maxlen", None) == 0:
-            self._advance_clock(rounds)
             return
         job_state = sim.job_state
         running = job_state.count_with_status(JobStatus.RUNNING)
@@ -222,25 +175,22 @@ class EventCore:
         )
         from repro.simulator.engine import RoundRecord
 
-        rd = mgr.round_duration
-        clock = mgr.current_time
-        number = mgr.round_number
         append = log.append
-        for _ in range(rounds):
-            clock += rd
-            number += 1
-            record = RoundRecord(
-                round_number=number,
-                time=clock,
-                running_jobs=running,
-                queued_jobs=queued,
-                utilization=utilization,
-                scheduler_name=scheduler_name,
-                admission_name=admission_name,
-                busy_capacity=busy,
-                healthy_capacity=healthy,
+        for number in range(first, first + rounds):
+            clock = number * rd
+            append(
+                RoundRecord(
+                    round_number=number,
+                    time=clock,
+                    running_jobs=running,
+                    queued_jobs=queued,
+                    utilization=utilization,
+                    scheduler_name=scheduler_name,
+                    admission_name=admission_name,
+                    busy_capacity=busy,
+                    healthy_capacity=healthy,
+                )
             )
-            append(record)
             if recorder is not None:
                 recorder.emit(
                     EVENT_ROUND,
@@ -254,8 +204,6 @@ class EventCore:
                         "healthy_capacity": healthy,
                     },
                 )
-        mgr.current_time = clock
-        mgr.round_number = number
 
     # ------------------------------------------------------------------
     # Completion events
@@ -268,8 +216,7 @@ class EventCore:
 
         Cache-validated against the job's version stamps; scans resume from
         the cached state, so across a whole run each round of a job's life is
-        probed at most once per allocation epoch (the classic executors
-        re-probe from scratch at every fast-forward entry).
+        probed at most once per allocation epoch.
         """
         if rate <= 0:
             return None
@@ -320,17 +267,9 @@ class EventCore:
     # Skip executors (dispatch targets of Simulator._fast_forward)
     # ------------------------------------------------------------------
 
-    def light(self, horizon: float, running: int, round_log: List) -> bool:
-        """Idle segments: no running jobs, so only the log rows accumulate."""
+    def idle(self, horizon: float) -> bool:
+        """Idle segments: no active jobs, so only the log rows accumulate."""
         sim = self.sim
-        if (
-            not self._idle_batchable
-            or not sim._stride_accelerable
-            or sim.job_state.count_active()
-        ):
-            # Short gang-steady windows, collector-observed or jittered
-            # strides, and unbatchable managers keep the oracle's loop.
-            return sim._fast_forward_light(horizon, running, round_log)
         mgr = sim.manager
         rounds = self._rounds_until(horizon, sim.max_rounds - 1 - mgr.round_number)
         if rounds > 0:
@@ -338,11 +277,14 @@ class EventCore:
             sim.job_state.current_time = mgr.current_time
         return False
 
-    def steady(self, horizon: float, round_log: List) -> bool:
-        """Decision-stable strides: batched records + bulk advancement."""
+    def steady(self, horizon: float) -> bool:
+        """Decision-stable strides: batched records + bulk advancement.
+
+        The stride length is the smaller of the horizon and one round *short
+        of* the earliest completing round: a completion frees GPUs that the
+        next full round must be able to hand to a queued job.
+        """
         sim = self.sim
-        if not self._clock_batchable:
-            return sim._fast_forward_steady(horizon, round_log)
         mgr = sim.manager
         job_state = sim.job_state
         execution = sim.execution_model
@@ -350,52 +292,55 @@ class EventCore:
         if rounds == 0:
             return False
         base = mgr.round_number
-        advancing = [
-            (job, execution.cached_rate(job, sim.cluster_state)[0])
-            for job in job_state.running_jobs()
-        ]
-        for job, rate in advancing:
+        advancing = job_state.running_jobs()
+        for job in advancing:
+            rate = execution.cached_rate(job, sim.cluster_state)[0]
             completing = self._completion_event_round(job, rate, base + rounds)
             if completing is not None:
-                # Stop one round short: the completing round must run as a
-                # full round so the freed GPUs can go to a queued job.
-                limit = completing - base - 1
-                if limit < rounds:
-                    rounds = limit
+                rounds = min(rounds, completing - base - 1)
         if rounds <= 0:
             return False
+        # The final round's record is appended after completions are applied
+        # and pruned, mirroring the per-round order of operations.
         self._append_records(rounds - 1)
         mgr.advance_time()
-        final_round_start = mgr.current_time - mgr.round_duration
         execution.advance_steady_bulk(
-            [job for job, _rate in advancing],
+            advancing,
             sim.cluster_state,
-            final_round_start,
+            mgr.current_time - mgr.round_duration,
             mgr.round_duration,
             rounds,
         )
-        mgr.prune_completed_jobs(sim.cluster_state, job_state)
+        sim._prune_completed_jobs()
         if sim._tracked_all_finished():
             return True
         job_state.current_time = mgr.current_time
-        round_log.append(sim._round_record())
+        sim._round_log.append(sim._round_record())
         return False
 
-    def chain(self, round_log: List) -> bool:
-        """Gang-steady drain chain organised around the event heap.
+    def chain(self, horizon: float) -> bool:
+        """Chained gang-steady strides with deferred per-job advancement.
 
-        Mirrors ``Simulator._fast_forward_chain`` segment for segment: under
-        the gang witness a completion cannot change any decision, so the heap
-        is seeded with every running job's completion event (cache-amortised
-        probes) and the chain jumps completion to completion, handing back to
-        the full loop at the first boundary event.  Ties at one round resolve
-        by the heap's ``(time, kind, id)`` order -- boundary kinds first,
-        which is exactly the oracle's implicit behaviour of materialising a
-        same-round completion inside the boundary's full round.
+        Entered with the gang witness held (every active job RUNNING on
+        exactly its requested gang, all composed policies steady-state safe),
+        the stride accelerable and ``horizon`` the next arrival or cluster
+        event as of the entry round.  Under the witness a completion cannot
+        change any scheduling decision -- the remaining jobs simply keep
+        their gangs -- so whole drain phases collapse into one chain:
+
+        * every running job's completion round (cache-amortised probes) seeds
+          a min-heap of ``(round, job_id)``;
+        * between completion rounds nothing observable changes: the round
+          records are appended in batch and job advancement is *deferred*;
+        * at each completion round exactly the completing jobs are
+          materialised (advanced through the round, completed, pruned); every
+          other job's accounting is flushed once, when the chain exits at the
+          first boundary (arrival, cluster event or the round budget).
+
+        A completion tied with a boundary round is not materialised here: the
+        chain stops one round short and the boundary's full round applies it.
         """
         sim = self.sim
-        if not self._clock_batchable:
-            return sim._fast_forward_chain(round_log)
         mgr = sim.manager
         job_state = sim.job_state
         execution = sim.execution_model
@@ -405,100 +350,80 @@ class EventCore:
         probe_cap = sim.max_rounds - 1 - entry_round
         if probe_cap <= 0:
             return False
-        next_event = mgr.cluster_manager.next_event_time(mgr.current_time)
-        next_arrival = mgr.next_arrival_time()
-        entry_bounds = [t for t in (next_event, next_arrival) if t is not None]
-        if entry_bounds:
-            to_horizon = int((min(entry_bounds) - mgr.current_time) / rd) + 2
+        # The chain cannot extend past the first arrival or cluster event, so
+        # probing beyond that horizon is wasted work.  An upper bound is
+        # enough: completions probed past the chain's actual end are simply
+        # never reached.
+        if horizon != math.inf:
+            to_horizon = int((horizon - mgr.current_time) / rd) + 2
             probe_cap = min(probe_cap, max(1, to_horizon))
 
         jobs = job_state.running_jobs()
-        heap = self.heap
-        heap.clear()
-        advanced_through: Dict[int, int] = {}
         by_id: Dict[int, Job] = {}
+        completions: List[Tuple[int, int]] = []
         for job in jobs:
             rate = execution.cached_rate(job, sim.cluster_state)[0]
-            advanced_through[job.job_id] = entry_round
             by_id[job.job_id] = job
             completing = self._completion_event_round(
                 job, rate, entry_round + probe_cap
             )
             if completing is not None:
-                heap.push(SimEvent(completing, KIND_COMPLETION, job.job_id))
+                completions.append((completing, job.job_id))
+        heapq.heapify(completions)
 
-        def flush(job: Job, upto_round: int, final_round_start: float) -> bool:
-            owed = upto_round - advanced_through[job.job_id]
-            advanced_through[job.job_id] = upto_round
-            if owed <= 0:
-                return False
-            return execution.advance_steady(
-                job, sim.cluster_state, final_round_start, rd, owed
-            )
-
-        def flush_all() -> None:
-            # Jobs flushed mid-chain are exactly the completed ones, so every
-            # still-running job owes the same span -- one bulk fold.
-            flushing = [job for job in jobs if job.status == JobStatus.RUNNING]
+        def flush_running() -> None:
+            # Jobs materialised mid-chain are exactly the completed ones, so
+            # every still-running job owes the same span -- one bulk fold.
             owed = mgr.round_number - entry_round
-            if owed > 0 and flushing:
+            if owed > 0:
                 execution.advance_steady_bulk(
-                    flushing, sim.cluster_state, mgr.current_time - rd, rd, owed
+                    [job for job in jobs if job.status == JobStatus.RUNNING],
+                    sim.cluster_state,
+                    mgr.current_time - rd,
+                    rd,
+                    owed,
                 )
-                for job in flushing:
-                    advanced_through[job.job_id] = mgr.round_number
             job_state.current_time = mgr.current_time
 
         while True:
-            next_event = mgr.cluster_manager.next_event_time(mgr.current_time)
-            next_arrival = mgr.next_arrival_time()
-            bounds = []
-            if next_event is not None:
-                bounds.append((next_event, KIND_CLUSTER))
-            if next_arrival is not None:
-                bounds.append((next_arrival, KIND_ARRIVAL))
-            horizon = min(bounds)[0] if bounds else math.inf
             segment_cap = self._rounds_until(
                 horizon, sim.max_rounds - 1 - mgr.round_number
             )
-            completion = heap.peek()
-            if completion is None or completion.time > mgr.round_number + segment_cap:
+            if not completions or completions[0][0] > mgr.round_number + segment_cap:
                 # The next event is a boundary (or the round budget): skip
-                # straight to it and hand the loop back.  A completion tied
-                # to the boundary round lands here too -- KIND_CLUSTER and
-                # KIND_ARRIVAL order before KIND_COMPLETION -- and the full
-                # boundary round materialises it.
+                # straight to it and hand the loop back.
                 self._append_records(segment_cap)
-                flush_all()
+                flush_running()
                 return False
-            boundary = completion.time
+            boundary = completions[0][0]
             self._append_records(boundary - 1 - mgr.round_number)
             mgr.advance_time()
-            final_round_start = mgr.current_time - rd
-            while True:
-                completion = heap.peek()
-                if completion is None or completion.time != boundary:
-                    break
-                heap.pop()
-                job = by_id[completion.id]
-                if not flush(job, boundary, final_round_start):
+            while completions and completions[0][0] == boundary:
+                _, job_id = heapq.heappop(completions)
+                if not execution.advance_steady(
+                    by_id[job_id],
+                    sim.cluster_state,
+                    mgr.current_time - rd,
+                    rd,
+                    boundary - entry_round,
+                ):
                     raise SimulationError(
-                        f"job {completion.id} did not complete in its probed "
+                        f"job {job_id} did not complete in its probed "
                         f"round {boundary}; event-core accounting diverged"
                     )
-                self._probes.pop(completion.id, None)
-            mgr.prune_completed_jobs(sim.cluster_state, job_state)
+            sim._prune_completed_jobs()
             if sim._tracked_all_finished():
                 # The simulation ends at this round exactly as the full loop
                 # would; materialise the remaining jobs' deferred rounds so
                 # their work/service accounting matches a per-round run.
-                flush_all()
+                flush_running()
                 return True
             job_state.current_time = mgr.current_time
-            round_log.append(sim._round_record())
+            sim._round_log.append(sim._round_record())
             if not job_state.count_active():
-                flush_all()
+                flush_running()
                 return False
             # The gang witness is preserved by construction (the remaining
             # jobs keep running on their exact gangs), so chain directly into
             # the next segment.
+            horizon = sim._boundary_horizon()

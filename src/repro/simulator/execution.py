@@ -212,29 +212,6 @@ class ExecutionModel:
             effective_rate=rate,
         )
 
-    def steady_completion_round(
-        self,
-        job: Job,
-        round_duration: float,
-        max_rounds: int,
-        rate: float,
-    ) -> Optional[int]:
-        """Stride round (1-based) in which a running job would complete.
-
-        A pure probe: replays the per-round work/overhead accounting of
-        :meth:`advance` -- identical values, identical operation order --
-        without mutating the job, so the simulator can size a fast-forward
-        stride exactly.  Returns ``None`` when the job cannot complete within
-        ``max_rounds`` rounds at the given (constant) rate.
-        """
-        if rate <= 0:
-            return None
-        target = self.termination.work_target(job)
-        completing, _work, _pending = self.steady_scan(
-            target, rate, round_duration, job.work_done, job.pending_overhead, max_rounds
-        )
-        return completing
-
     @staticmethod
     def steady_scan(
         target: float,
@@ -244,10 +221,11 @@ class ExecutionModel:
         pending: float,
         max_rounds: int,
     ) -> Tuple[Optional[int], float, float]:
-        """Resumable form of :meth:`steady_completion_round`'s replay.
+        """Pure, resumable probe for the round in which a job would complete.
 
         Replays up to ``max_rounds`` rounds of the per-round accounting from
-        the explicit ``(work, pending)`` state and returns
+        the explicit ``(work, pending)`` state -- without touching any job --
+        and returns
         ``(completing_round, work, pending)`` where ``completing_round`` is
         1-based within *this* scan or ``None``.  When no completion is found
         the returned state is exactly the state after ``max_rounds`` rounds,
@@ -309,14 +287,14 @@ class ExecutionModel:
         (same values, same order, per job), so the job's state after the call
         is bit-identical to ``rounds`` individual ``advance`` calls --
         including the sub-round completion time if the job finishes in the
-        stride's final round (callers size strides with
-        :meth:`steady_completion_round` so a completion can only fall there).
+        stride's final round (callers size strides with :meth:`steady_scan`
+        so a completion can only fall there).
         The application metrics are pure functions of the final state and the
         constant rate, so they are flushed once at the end instead of per
         round.
 
         ``final_round_start`` is the wall-clock start of the stride's *last*
-        round, taken from the manager's accumulated clock so a completion time
+        round, taken from the manager's clock so a completion time
         assigned here is bit-identical to the one ``advance`` would assign.
         Returns whether the job completed.
         """
@@ -428,7 +406,7 @@ class ExecutionModel:
         The per-round completion test ``remaining / rate <= available`` is
         monotone along the stride (work never decreases, so remaining never
         increases), so testing it once at the final round with the exact
-        values the classic loop would use proves every earlier round took the
+        values the per-round loop would use proves every earlier round took the
         no-completion arm.  Any job failing the check -- or carrying pending
         overhead -- is replayed through :meth:`advance_steady`, preserving its
         exact completion/error semantics.
@@ -447,7 +425,7 @@ class ExecutionModel:
             if job.pending_overhead != 0.0:
                 # Overhead rounds change the per-round operands; rare (the
                 # launch round's full advance usually drains it), so the
-                # classic replay is fine.
+                # scalar replay is fine.
                 self.advance_steady(
                     job, cluster_state, final_round_start, round_duration, rounds
                 )
@@ -497,7 +475,7 @@ class ExecutionModel:
 
         for index, (job, rate, _num_gpus) in enumerate(fast):
             # Completion-safety check at the stride's final round, with the
-            # exact operands the classic loop's test would use there.
+            # exact operands the per-round loop's test would use there.
             target = self.termination.work_target(job)
             remaining = max(0.0, target - final_work[index])
             if remaining / rate <= round_duration:

@@ -32,6 +32,8 @@ from repro.telemetry.recorder import TraceRecorder
 from repro.telemetry.sinks import TraceSink
 
 MODES = ("core", "runtime", "federation")
+#: Values of the retired ``engine`` spec field that old trace headers carry.
+_LEGACY_ENGINES = ("rounds", "events")
 
 
 def _policy_factories() -> Dict[str, type]:
@@ -84,22 +86,12 @@ class RunSpec:
     #: selects the registry's shrunk smoke variant.
     scenario: Optional[str] = None
     scenario_smoke: bool = False
-    #: Simulation engine: the classic round loop (``rounds``, the
-    #: differential oracle) or the event-heap core (``events``).  Both must
-    #: produce bit-identical schedules, so a trace recorded under one engine
-    #: replays cleanly under either -- but the engine is part of the spec so
-    #: a replay re-drives the run exactly as recorded.
-    engine: str = "rounds"
 
     def __post_init__(self) -> None:
         from repro.federation.router import ROUTER_FACTORIES
 
         if self.mode not in MODES:
             raise TraceFormatError(f"unknown run mode {self.mode!r}; expected {MODES}")
-        if self.engine not in ("rounds", "events"):
-            raise TraceFormatError(
-                f"unknown engine {self.engine!r}; expected 'rounds' or 'events'"
-            )
         if self.policy not in _policy_factories():
             raise TraceFormatError(
                 f"unknown policy {self.policy!r}; expected one of "
@@ -141,6 +133,10 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, record: Dict[str, object]) -> "RunSpec":
+        if record.get("engine") in _LEGACY_ENGINES:
+            # Headers recorded while two skip engines existed name one; the
+            # two were bit-identical by contract, so the key is discarded.
+            record = {k: v for k, v in record.items() if k != "engine"}
         known = {f.name for f in fields(cls)}
         unknown = set(record) - known
         if unknown:
@@ -219,7 +215,6 @@ def _run_core(spec: RunSpec, sink: TraceSink) -> None:
             cluster_manager=compiled.make_cluster_manager(),
             tracked_job_ids=compiled.trace.tracked_ids(),
             recorder=TraceRecorder(sink, source="sim"),
-            engine=spec.engine,
         ).run()
         return
 
@@ -230,7 +225,6 @@ def _run_core(spec: RunSpec, sink: TraceSink) -> None:
         placement_policy=_placement_factories()[spec.placement](),
         round_duration=spec.round_duration,
         recorder=TraceRecorder(sink, source="sim"),
-        engine=spec.engine,
     ).run()
 
 
@@ -247,7 +241,6 @@ def _run_runtime(spec: RunSpec, sink: TraceSink) -> None:
         lease_protocol="optimistic",
         overhead_model=OverheadModel(),
         recorder=TraceRecorder(sink, source="runtime"),
-        engine=spec.engine,
     ).run()
 
 
@@ -267,7 +260,6 @@ def _run_federation(spec: RunSpec, sink: TraceSink) -> None:
                 placement_policy=_placement_factories()[spec.placement](),
                 round_duration=spec.round_duration,
                 recorder=TraceRecorder(sink, source=f"shard{shard_id}"),
-                engine=spec.engine,
             )
         )
     FederationEngine(

@@ -58,16 +58,6 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="use the scenario's shrunk smoke variant",
     )
-    parser.add_argument(
-        "--engine",
-        choices=("rounds", "events"),
-        default=defaults.engine,
-        help=(
-            "simulation engine: the classic round loop or the event-heap "
-            "core (recorded in the trace header, so replay re-drives the "
-            "run exactly as recorded)"
-        ),
-    )
 
 
 def _spec_from_args(args: argparse.Namespace) -> RunSpec:
@@ -84,7 +74,6 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
         router=args.router,
         scenario=args.scenario,
         scenario_smoke=args.scenario_smoke,
-        engine=args.engine,
     )
 
 

@@ -1,44 +1,37 @@
-"""Unit and regression tests for the event-heap simulator core.
+"""Unit and regression tests for the skip executor (the event core).
 
-Covers the event primitives (:class:`~repro.core.events.SimEvent` ordering,
-:class:`~repro.core.events.EventHeap` behaviour), the deterministic
-``(time, kind, id)`` tie-break contract, the ``engine=`` switch validation,
-the exact clock arithmetic the event core uses for O(1) jumps, and the
-simultaneous-event regression: an arrival, a completion and a cluster-churn
-firing all landing on the *same* round boundary must replay bit-identically
-under both engines.
+Covers the computed clock (``current_time == round_number * round_duration``
+through skips of any length, horizon counting against that product), the
+manager-subclass rule (an overridden ``advance_time`` keeps the per-round
+light loop), the completion-probe lifetime, and the simultaneous-event
+regression: an arrival, a completion and a cluster-churn firing all landing
+on the *same* round boundary must replay the stepping loop
+(``fast_forward=False``) bit-identically.
 """
 
 import pytest
 
 from repro.cluster.builder import build_cluster
-from repro.core.events import (
-    KIND_ARRIVAL,
-    KIND_CLUSTER,
-    KIND_COMPLETION,
-    KIND_POLICY,
-    EventHeap,
-    SimEvent,
-)
-from repro.core.exceptions import ConfigurationError
-from repro.core.job import Job
+from repro.core.blox_manager import BloxManager
+from repro.core.job import Job, JobStatus
 from repro.policies.placement.consolidated import ConsolidatedPlacement
+from repro.policies.scheduling import PolluxScheduling
 from repro.policies.scheduling.fifo import FifoScheduling
+from repro.scenarios.registry import get_scenario
 from repro.simulator.engine import Simulator
 from repro.workloads.philly import generate_philly_trace
 
 ROUND = 300.0
 
 
-def make_sim(jobs, engine, cluster_manager=None, **kwargs):
+def make_sim(jobs, cluster_manager=None, round_duration=ROUND, **kwargs):
     return Simulator(
         cluster_state=build_cluster(num_nodes=4, gpus_per_node=4),
         jobs=jobs,
         scheduling_policy=FifoScheduling(),
         placement_policy=ConsolidatedPlacement(),
-        round_duration=ROUND,
+        round_duration=round_duration,
         cluster_manager=cluster_manager,
-        engine=engine,
         **kwargs,
     )
 
@@ -53,136 +46,119 @@ def assert_identical(first, second):
 
 
 # ----------------------------------------------------------------------
-# Event primitives
+# Computed clock
 # ----------------------------------------------------------------------
 
 
-def test_sim_event_kind_tie_break_order():
-    """At one boundary round: cluster churn < arrival < policy < completion.
-
-    Boundary kinds must sort ahead of completions so a tied boundary forces
-    the full round that materialises the completion, never the reverse.
-    """
-    assert KIND_CLUSTER < KIND_ARRIVAL < KIND_POLICY < KIND_COMPLETION
-    tied = [
-        SimEvent(10, KIND_COMPLETION, 3),
-        SimEvent(10, KIND_ARRIVAL, 7),
-        SimEvent(10, KIND_POLICY, 1),
-        SimEvent(10, KIND_CLUSTER, 5),
-    ]
-    assert [e.kind for e in sorted(tied)] == [
-        KIND_CLUSTER,
-        KIND_ARRIVAL,
-        KIND_POLICY,
-        KIND_COMPLETION,
-    ]
-    # Same time and kind: the id is the last tie-breaker, so ordering is
-    # total and never falls through to object identity.
-    same_kind = [SimEvent(10, KIND_COMPLETION, 9), SimEvent(10, KIND_COMPLETION, 2)]
-    assert [e.id for e in sorted(same_kind)] == [2, 9]
-    # Time dominates everything.
-    assert SimEvent(9, KIND_COMPLETION, 99) < SimEvent(10, KIND_CLUSTER, 0)
-
-
-def test_sim_event_kind_names():
-    assert SimEvent(0, KIND_ARRIVAL, 1).kind_name == "arrival"
-    assert SimEvent(0, KIND_COMPLETION, 1).kind_name == "completion"
-    assert SimEvent(0, KIND_CLUSTER, 1).kind_name == "cluster"
-    assert SimEvent(0, KIND_POLICY, 1).kind_name == "policy"
-
-
-def test_event_heap_orders_pushes():
-    heap = EventHeap()
-    events = [
-        SimEvent(30, KIND_COMPLETION, 1),
-        SimEvent(10, KIND_COMPLETION, 4),
-        SimEvent(10, KIND_CLUSTER, 2),
-        SimEvent(20, KIND_ARRIVAL, 3),
-        SimEvent(10, KIND_COMPLETION, 2),
-    ]
-    for event in events:
-        heap.push(event)
-    assert len(heap) == 5
-    assert bool(heap)
-    assert heap.peek() == SimEvent(10, KIND_CLUSTER, 2)
-    assert [heap.pop() for _ in range(len(heap))] == sorted(events)
-    assert not heap
-    heap.push(SimEvent(1, KIND_ARRIVAL, 1))
-    heap.clear()
-    assert len(heap) == 0
-
-
-# ----------------------------------------------------------------------
-# Engine switch
-# ----------------------------------------------------------------------
-
-
-def test_unknown_engine_rejected():
+@pytest.mark.parametrize("rd", [300.0, 60.0, 287.5, 100.1, 33.3])
+def test_rounds_until_counts_rounds_starting_before_the_horizon(rd):
+    """The seeded closed form equals the light loop's one-round-at-a-time test."""
     trace = generate_philly_trace(num_jobs=4, jobs_per_hour=4.0, seed=1)
-    with pytest.raises(ConfigurationError, match="unknown engine"):
-        make_sim(trace.fresh_jobs(), engine="instant")
-
-
-def test_engine_selects_event_core():
-    trace = generate_philly_trace(num_jobs=4, jobs_per_hour=4.0, seed=1)
-    assert make_sim(trace.fresh_jobs(), engine="rounds")._event_core is None
-    assert make_sim(trace.fresh_jobs(), engine="events")._event_core is not None
-
-
-# ----------------------------------------------------------------------
-# Exact clock arithmetic (the O(1)-jump licence)
-# ----------------------------------------------------------------------
-
-
-def _oracle_rounds_until(clock, rd, horizon, cap):
-    count = 0
-    while count < cap and clock + rd < horizon:
-        clock += rd
-        count += 1
-    return count
-
-
-@pytest.mark.parametrize("rd", [300.0, 60.0, 287.5, 299.25])
-def test_rounds_until_matches_oracle_accumulation(rd):
-    """Closed-form and mirrored paths both equal the oracle's float loop."""
-    trace = generate_philly_trace(num_jobs=4, jobs_per_hour=4.0, seed=1)
-    sim = make_sim(trace.fresh_jobs(), engine="events")
+    sim = make_sim(trace.fresh_jobs(), round_duration=rd)
     core = sim._event_core
-    sim.manager.round_duration = rd
-    for start_rounds in (0, 1, 7, 1001):
-        clock = 0.0
-        for _ in range(start_rounds):
-            clock += rd
-        sim.manager.current_time = clock
+    for base in (0, 1, 7, 1001):
+        sim.manager.round_number = base
         for horizon in (
-            clock,
-            clock + 0.5 * rd,
-            clock + rd,
-            clock + 3.0 * rd,
-            clock + 3.5 * rd,
-            clock + 1000 * rd,
+            base * rd,
+            (base + 0.5) * rd,
+            (base + 1) * rd,
+            (base + 3) * rd,
+            (base + 3.5) * rd,
+            (base + 1000) * rd,
             float("inf"),
         ):
             for cap in (0, 1, 5, 2000):
-                assert core._rounds_until(horizon, cap) == _oracle_rounds_until(
-                    clock, rd, horizon, cap
-                ), (rd, clock, horizon, cap)
+                expected = 0
+                while expected < cap and (base + expected + 1) * rd < horizon:
+                    expected += 1
+                assert core._rounds_until(horizon, cap) == expected, (
+                    rd, base, horizon, cap,
+                )
 
 
-@pytest.mark.parametrize("rd", [300.0, 287.5])
-def test_advance_clock_bit_equal_to_repeated_adds(rd):
-    trace = generate_philly_trace(num_jobs=4, jobs_per_hour=4.0, seed=1)
-    sim = make_sim(trace.fresh_jobs(), engine="events")
-    core = sim._event_core
-    sim.manager.round_duration = rd
-    sim.manager.current_time = 0.0
-    sim.manager.round_number = 0
-    core._advance_clock(1234)
-    expected = 0.0
-    for _ in range(1234):
-        expected += rd
-    assert sim.manager.current_time == expected
-    assert sim.manager.round_number == 1234
+@pytest.mark.parametrize("rd", [100.1, 33.3])
+def test_clock_is_round_number_times_duration_after_skips(rd):
+    """Fractional round durations: the clock is computed, never accumulated."""
+    trace = generate_philly_trace(num_jobs=20, jobs_per_hour=1.0, seed=3)
+    sim = make_sim(trace.fresh_jobs(), round_duration=rd, max_rounds=2_000_000)
+    full_rounds = []
+    schedule = sim.scheduling_policy.schedule
+    sim.scheduling_policy.schedule = lambda *args: (
+        full_rounds.append(sim.manager.round_number) or schedule(*args)
+    )
+    for stop_time in (5_000.0, 20_000.0, 50_000.0):
+        assert sim._advance_loop(stop_time) is False
+        assert sim.manager.current_time == sim.manager.round_number * rd
+    assert sim._advance_loop(None) is True
+    result = sim.build_result()
+    assert result.end_time == result.rounds * rd
+    # Most rounds were skipped, every logged row carries the computed time,
+    # and the whole run matches stepping.
+    assert len(full_rounds) < result.rounds / 4
+    assert [r.round_number for r in result.round_log] == list(range(result.rounds))
+    assert all(r.time == r.round_number * rd for r in result.round_log)
+    stepping = make_sim(
+        trace.fresh_jobs(), round_duration=rd, max_rounds=2_000_000, fast_forward=False
+    ).run()
+    assert_identical(result, stepping)
+
+
+# ----------------------------------------------------------------------
+# Manager subclasses
+# ----------------------------------------------------------------------
+
+
+class CountingManager(BloxManager):
+    """Overrides ``advance_time``, so it must see one call per round."""
+
+    advances = 0
+
+    def advance_time(self):
+        super().advance_time()
+        self.advances += 1
+
+
+def test_manager_overriding_advance_time_takes_the_light_loop():
+    trace = generate_philly_trace(num_jobs=30, jobs_per_hour=5.0, seed=17)
+    sim = make_sim(trace.fresh_jobs(), manager_factory=CountingManager)
+    assert sim.fast_forward and not sim._stride_accelerable
+    result = sim.run()
+    assert sim.manager.advances == result.rounds
+    assert_identical(result, make_sim(trace.fresh_jobs(), fast_forward=False).run())
+    # The same trace on the plain manager does batch (the comparison above is
+    # not vacuous).
+    assert make_sim(trace.fresh_jobs())._stride_accelerable
+
+
+# ----------------------------------------------------------------------
+# Completion-probe lifetime
+# ----------------------------------------------------------------------
+
+
+def test_completion_probes_are_dropped_when_their_job_is_pruned():
+    """Pollux + churn takes the decision-stable path, which used to leak."""
+    compiled = get_scenario("failure-storm", smoke=True).compile(seed=5)
+    sim = Simulator(
+        cluster_state=compiled.build_cluster(),
+        jobs=compiled.trace.fresh_jobs(),
+        scheduling_policy=PolluxScheduling(),
+        placement_policy=ConsolidatedPlacement(),
+        round_duration=compiled.spec.round_duration,
+        cluster_manager=compiled.make_cluster_manager(),
+        tracked_job_ids=compiled.trace.tracked_ids(),
+    )
+    probes = sim._event_core._probes
+    probed = 0
+    last_arrival = max(job.arrival_time for job in sim.jobs)
+    for step in range(1, 9):
+        sim._advance_loop(step * last_arrival / 8)
+        probed = max(probed, len(probes))
+        unfinished = {job.job_id for job in sim.job_state.active_jobs()}
+        assert set(probes) <= unfinished
+    assert sim._advance_loop(None) is True
+    assert probed > 0
+    assert not sim.job_state.count_with_status(JobStatus.RUNNING)
+    assert not probes
 
 
 # ----------------------------------------------------------------------
@@ -236,16 +212,16 @@ def _collision_jobs():
 
 
 def test_simultaneous_arrival_completion_and_churn_parity():
-    results = {}
-    for engine in ("rounds", "events"):
-        sim = make_sim(
+    default, stepping = (
+        make_sim(
             _collision_jobs(),
-            engine=engine,
             cluster_manager=BoundaryChurn(fail_at=1500.0, recover_at=2400.0),
-        )
-        results[engine] = sim.run()
-    assert_identical(results["rounds"], results["events"])
-    completions = {j.job_id: j.completion_time for j in results["events"].jobs}
+            fast_forward=fast_forward,
+        ).run()
+        for fast_forward in (True, False)
+    )
+    assert_identical(default, stepping)
+    completions = {j.job_id: j.completion_time for j in default.jobs}
     # The collision actually happened: job 1 completed at the same boundary
     # where jobs 2/3 arrived and the churn fired.
     assert completions[1] == 1500.0
@@ -254,11 +230,9 @@ def test_simultaneous_arrival_completion_and_churn_parity():
 
 def test_simultaneous_events_parity_without_churn():
     """Arrival + completion tied at one boundary, static membership."""
-    results = {}
-    for engine in ("rounds", "events"):
-        results[engine] = make_sim(_collision_jobs(), engine=engine).run()
-    assert_identical(results["rounds"], results["events"])
-    completions = {j.job_id: j.completion_time for j in results["events"].jobs}
+    default = make_sim(_collision_jobs()).run()
+    assert_identical(default, make_sim(_collision_jobs(), fast_forward=False).run())
+    completions = {j.job_id: j.completion_time for j in default.jobs}
     assert completions[1] == 1500.0
 
 
@@ -268,24 +242,22 @@ def test_simultaneous_events_parity_without_churn():
 
 
 def test_round_log_disabled_parity():
-    """round_log_limit=0 (the streaming configuration) keeps engine parity."""
+    """round_log_limit=0 (the streaming configuration) keeps parity with stepping."""
     trace = generate_philly_trace(num_jobs=30, jobs_per_hour=5.0, seed=17)
-    results = {}
-    for engine in ("rounds", "events"):
-        results[engine] = make_sim(
-            trace.fresh_jobs(), engine=engine, round_log_limit=0
-        ).run()
-    rounds, events = results["rounds"], results["events"]
-    assert {j.job_id: j.completion_time for j in rounds.jobs} == {
-        j.job_id: j.completion_time for j in events.jobs
+    default, stepping = (
+        make_sim(trace.fresh_jobs(), round_log_limit=0, fast_forward=fast_forward).run()
+        for fast_forward in (True, False)
+    )
+    assert {j.job_id: j.completion_time for j in default.jobs} == {
+        j.job_id: j.completion_time for j in stepping.jobs
     }
-    assert rounds.rounds == events.rounds
-    assert rounds.end_time == events.end_time
-    assert list(rounds.round_log) == list(events.round_log) == []
+    assert default.rounds == stepping.rounds
+    assert default.end_time == stepping.end_time
+    assert list(default.round_log) == list(stepping.round_log) == []
 
 
-def test_event_engine_is_deterministic():
+def test_default_run_is_deterministic():
     trace = generate_philly_trace(num_jobs=25, jobs_per_hour=6.0, seed=5)
-    first = make_sim(trace.fresh_jobs(), engine="events").run()
-    second = make_sim(trace.fresh_jobs(), engine="events").run()
+    first = make_sim(trace.fresh_jobs()).run()
+    second = make_sim(trace.fresh_jobs()).run()
     assert_identical(first, second)

@@ -1,11 +1,12 @@
-"""Property-based differential fuzzing: event engine vs the round-loop oracle.
+"""Property-based differential fuzzing: the default simulator vs stepping.
 
 Each drawn spec is a random point in (workload x cluster shape x round
 duration x policy x placement x churn) space; the property is always the
-same: ``engine="events"`` must replay ``engine="rounds"`` bit-identically --
-per-job completion times, the full round log, round count and end time --
-and both engines must leave the shared state in the same condition as judged
-by ``check_invariants()``.
+same: the default run (skips executed by the event core) must replay the
+plain stepping loop (``fast_forward=False``) bit-identically -- per-job
+completion times, the full round log, round count and end time -- and both
+must leave the shared state in the same condition as judged by
+``check_invariants()``.
 
 Two tiers:
 
@@ -43,9 +44,8 @@ PLACEMENTS = {
     "consolidated": ConsolidatedPlacement,
     "first-free": FirstFreePlacement,
 }
-#: Round durations the generator draws from; the non-integral entries force
-#: the event core off its closed-form clock arithmetic and onto the mirrored
-#: float-accumulation path, which is where rounding divergence would hide.
+#: Round durations the generator draws from; the non-integral entries put
+#: fractional products into every horizon comparison of the computed clock.
 ROUND_DURATIONS = (60.0, 150.0, 300.0, 287.5, 299.25)
 
 #: Frozen corpus seeds (always run).  Together the specs they draw cover all
@@ -90,7 +90,7 @@ class ScriptedChurn(ClusterManager):
 def _draw_spec(seed):
     rng = random.Random(seed)
     # Cluster shapes stay comfortably above the largest Philly gang (8 GPUs):
-    # an infeasible draw would starve under FIFO on *both* engines, which
+    # an infeasible draw would starve under FIFO on *both* runs, which
     # times out the run instead of testing parity.
     nodes = rng.randint(4, 8)
     round_duration = rng.choice(ROUND_DURATIONS)
@@ -118,7 +118,7 @@ def _draw_spec(seed):
     return spec
 
 
-def _run_engine(spec, engine):
+def _run(spec, fast_forward):
     trace = generate_philly_trace(
         num_jobs=spec["jobs"], jobs_per_hour=spec["jobs_per_hour"], seed=spec["seed"]
     )
@@ -132,7 +132,7 @@ def _run_engine(spec, engine):
         placement_policy=PLACEMENTS[spec["placement"]](),
         round_duration=spec["round_duration"],
         cluster_manager=manager,
-        engine=engine,
+        fast_forward=fast_forward,
     )
     result = simulator.run()
     return simulator, result
@@ -149,16 +149,16 @@ def _invariant_outcome(simulator):
 
 
 def _assert_parity(spec):
-    rounds_sim, rounds_result = _run_engine(spec, "rounds")
-    events_sim, events_result = _run_engine(spec, "events")
+    default_sim, default = _run(spec, fast_forward=True)
+    stepping_sim, stepping = _run(spec, fast_forward=False)
 
-    rounds_completions = {j.job_id: j.completion_time for j in rounds_result.jobs}
-    events_completions = {j.job_id: j.completion_time for j in events_result.jobs}
-    assert rounds_completions == events_completions, spec
-    assert rounds_result.round_log == events_result.round_log, spec
-    assert rounds_result.rounds == events_result.rounds, spec
-    assert rounds_result.end_time == events_result.end_time, spec
-    assert _invariant_outcome(rounds_sim) == _invariant_outcome(events_sim), spec
+    assert {j.job_id: j.completion_time for j in default.jobs} == {
+        j.job_id: j.completion_time for j in stepping.jobs
+    }, spec
+    assert default.round_log == stepping.round_log, spec
+    assert default.rounds == stepping.rounds, spec
+    assert default.end_time == stepping.end_time, spec
+    assert _invariant_outcome(default_sim) == _invariant_outcome(stepping_sim), spec
 
 
 def test_corpus_covers_every_drawn_dimension():
@@ -173,11 +173,11 @@ def test_corpus_covers_every_drawn_dimension():
 
 
 @pytest.mark.parametrize("seed", FIXED_CORPUS_SEEDS)
-def test_event_engine_parity_fixed_corpus(seed):
+def test_default_vs_stepping_parity_fixed_corpus(seed):
     _assert_parity(_draw_spec(seed))
 
 
 @pytest.mark.fuzz
 @pytest.mark.parametrize("seed", FUZZ_SWEEP_SEEDS)
-def test_event_engine_parity_fuzz_sweep(seed):
+def test_default_vs_stepping_parity_fuzz_sweep(seed):
     _assert_parity(_draw_spec(seed))

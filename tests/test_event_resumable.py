@@ -1,15 +1,14 @@
-"""Event-engine interplay with every resumable-loop surface.
+"""The skip executor under every resumable-loop surface.
 
-The event core is a skip *executor* inside the round loop, so everything
-built on the loop's pausability must behave identically on both engines:
+The event core executes skips *inside* the round loop, so everything built on
+the loop's pausability must match the stepping loop (``fast_forward=False``):
 
 * ``_advance_loop(stop_time)`` pause/resume on a plain simulator;
 * federation shards (``run_until``/``submit``/``finish`` driven by the
-  serial engine) built on ``engine="events"``;
+  serial engine);
 * the deployment path (:class:`CentralScheduler` composes the simulator);
-* trace record -> replay -> diff round-trips, with the engine choice carried
-  in the trace header and the recorded event streams bit-identical across
-  engines.
+* trace record -> replay -> diff round-trips, including headers recorded
+  while the spec still carried an ``engine`` field.
 """
 
 import json
@@ -20,12 +19,15 @@ from repro.cluster.builder import build_cluster
 from repro.federation.engine import FederationEngine, build_uniform_shards
 from repro.federation.router import make_router
 from repro.policies.placement.consolidated import ConsolidatedPlacement
-from repro.policies.scheduling import FifoScheduling, SrtfScheduling
+from repro.policies.scheduling import FifoScheduling, SrtfScheduling, TiresiasScheduling
 from repro.runtime.central_scheduler import CentralScheduler
+from repro.scenarios.registry import get_scenario
 from repro.simulator.engine import Simulator
 from repro.simulator.overheads import OverheadModel
 from repro.telemetry.events import NONDETERMINISTIC_KINDS, TraceFormatError
+from repro.telemetry.recorder import TraceRecorder
 from repro.telemetry.runspec import RunSpec
+from repro.telemetry.sinks import RingBufferSink
 from repro.trace import main as trace_main
 from repro.workloads.philly import generate_philly_trace
 
@@ -38,14 +40,13 @@ def small_trace(num_jobs=30, seed=13, jobs_per_hour=6.0):
     )
 
 
-def make_sim(trace, engine, **kwargs):
+def make_sim(trace, **kwargs):
     return Simulator(
         cluster_state=build_cluster(num_nodes=4, gpus_per_node=4),
         jobs=trace.fresh_jobs(),
         scheduling_policy=FifoScheduling(),
         placement_policy=ConsolidatedPlacement(),
         round_duration=ROUND,
-        engine=engine,
         **kwargs,
     )
 
@@ -66,12 +67,12 @@ def assert_identical(first, second):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("engine", ["rounds", "events"])
-def test_paused_and_resumed_loop_matches_uninterrupted_run(engine):
+@pytest.mark.parametrize("fast_forward", [True, False])
+def test_paused_and_resumed_loop_matches_uninterrupted_run(fast_forward):
     trace = small_trace()
-    uninterrupted = make_sim(trace, engine).run()
+    uninterrupted = make_sim(trace, fast_forward=fast_forward).run()
 
-    paused = make_sim(trace, engine)
+    paused = make_sim(trace, fast_forward=fast_forward)
     for stop_time in (2_000.0, 9_000.0, 30_000.0):
         assert paused._advance_loop(stop_time) is False
         assert paused.manager.current_time >= stop_time
@@ -79,32 +80,27 @@ def test_paused_and_resumed_loop_matches_uninterrupted_run(engine):
     assert_identical(uninterrupted, paused.build_result())
 
 
-def test_pause_points_are_engine_invariant():
-    """Both engines paused at the same stop_time stand at the same round."""
+def test_pause_points_match_stepping():
+    """Default and stepping runs paused at one stop_time stand at the same round."""
     trace = small_trace()
-    sims = {engine: make_sim(trace, engine) for engine in ("rounds", "events")}
+    default = make_sim(trace)
+    stepping = make_sim(trace, fast_forward=False)
     for stop_time in (1_500.0, 12_000.0):
-        for sim in sims.values():
+        for sim in (default, stepping):
             assert sim._advance_loop(stop_time) is False
-        assert (
-            sims["rounds"].manager.round_number
-            == sims["events"].manager.round_number
-        )
-        assert (
-            sims["rounds"].manager.current_time
-            == sims["events"].manager.current_time
-        )
-    for sim in sims.values():
+        assert default.manager.round_number == stepping.manager.round_number
+        assert default.manager.current_time == stepping.manager.current_time
+    for sim in (default, stepping):
         assert sim._advance_loop(None) is True
-    assert_identical(sims["rounds"].build_result(), sims["events"].build_result())
+    assert_identical(default.build_result(), stepping.build_result())
 
 
 # ----------------------------------------------------------------------
-# Federation shards on the event engine
+# Federation shards
 # ----------------------------------------------------------------------
 
 
-def _run_federation(engine, scheduling=FifoScheduling, router_name="round-robin"):
+def _run_federation(fast_forward, scheduling=FifoScheduling, router_name="round-robin"):
     trace = small_trace(num_jobs=40, seed=7)
     shards = build_uniform_shards(
         2,
@@ -112,35 +108,40 @@ def _run_federation(engine, scheduling=FifoScheduling, router_name="round-robin"
         scheduling,
         ConsolidatedPlacement,
         round_duration=ROUND,
-        engine=engine,
+        fast_forward=fast_forward,
     )
-    engine_obj = FederationEngine(
+    engine = FederationEngine(
         shards,
         make_router(router_name),
         trace.fresh_jobs(),
         tracked_job_ids=trace.tracked_ids(),
     )
-    return engine_obj.run()
+    return engine.run()
 
 
 @pytest.mark.parametrize("scheduling", [FifoScheduling, SrtfScheduling])
-def test_federation_shards_event_engine_parity(scheduling):
-    rounds = _run_federation("rounds", scheduling=scheduling)
-    events = _run_federation("events", scheduling=scheduling)
-    assert rounds.assignments == events.assignments
-    for rounds_shard, events_shard in zip(rounds.shard_results, events.shard_results):
-        assert_identical(rounds_shard, events_shard)
+def test_federation_shards_match_stepping(scheduling):
+    default = _run_federation(True, scheduling=scheduling)
+    stepping = _run_federation(False, scheduling=scheduling)
+    assert default.assignments == stepping.assignments
+    for default_shard, stepping_shard in zip(
+        default.shard_results, stepping.shard_results
+    ):
+        assert_identical(default_shard, stepping_shard)
 
 
 # ----------------------------------------------------------------------
-# Deployment path (CentralScheduler) on the event engine
+# Deployment path (CentralScheduler)
 # ----------------------------------------------------------------------
 
 
-def test_central_scheduler_event_engine_parity():
+@pytest.mark.parametrize("collect_worker_metrics", [True, False])
+def test_central_scheduler_matches_stepping(collect_worker_metrics):
+    """Worker-metric collectors force the light loop; without them the
+    deployment manager (which overrides prune) still batches strides."""
     trace = small_trace(num_jobs=25, seed=21)
-    results = {}
-    for engine in ("rounds", "events"):
+    results = []
+    for fast_forward in (True, False):
         scheduler = CentralScheduler(
             cluster_state=build_cluster(num_nodes=4, gpus_per_node=4),
             jobs=trace.fresh_jobs(),
@@ -148,26 +149,80 @@ def test_central_scheduler_event_engine_parity():
             placement_policy=ConsolidatedPlacement(),
             round_duration=ROUND,
             overhead_model=OverheadModel(),
-            engine=engine,
+            collect_worker_metrics=collect_worker_metrics,
+            fast_forward=fast_forward,
         )
-        results[engine] = scheduler.run()
+        results.append(scheduler.run())
         assert scheduler.leaked_leases() == 0
-    assert_identical(results["rounds"], results["events"])
+    assert_identical(*results)
 
 
 # ----------------------------------------------------------------------
-# Trace record / replay / diff carries the engine
+# Telemetry is a parity surface too, not just completions
 # ----------------------------------------------------------------------
 
 
-def test_runspec_engine_round_trip_and_default():
-    spec = RunSpec(engine="events")
+def _recorded_stream(build, fast_forward):
+    sink = RingBufferSink()
+    build(TraceRecorder(sink, source="run"), fast_forward).run()
+    return [e for e in sink.events() if e.kind not in NONDETERMINISTIC_KINDS]
+
+
+def _build_core(recorder, fast_forward):
+    return make_sim(small_trace(), recorder=recorder, fast_forward=fast_forward)
+
+
+def _build_scenario(recorder, fast_forward):
+    compiled = get_scenario("failure-storm", smoke=True).compile(seed=11)
+    return Simulator(
+        cluster_state=compiled.build_cluster(),
+        jobs=compiled.trace.fresh_jobs(),
+        scheduling_policy=TiresiasScheduling(),
+        round_duration=compiled.spec.round_duration,
+        cluster_manager=compiled.make_cluster_manager(),
+        tracked_job_ids=compiled.trace.tracked_ids(),
+        recorder=recorder,
+        fast_forward=fast_forward,
+    )
+
+
+def _build_runtime(recorder, fast_forward):
+    return CentralScheduler(
+        cluster_state=build_cluster(num_nodes=4, gpus_per_node=4),
+        jobs=small_trace(num_jobs=25, seed=21).fresh_jobs(),
+        scheduling_policy=FifoScheduling(),
+        round_duration=ROUND,
+        overhead_model=OverheadModel(),
+        recorder=recorder,
+        fast_forward=fast_forward,
+    )
+
+
+@pytest.mark.parametrize("build", [_build_core, _build_scenario, _build_runtime])
+def test_recorded_event_stream_matches_stepping(build):
+    default = _recorded_stream(build, fast_forward=True)
+    assert len(default) > 100
+    assert default == _recorded_stream(build, fast_forward=False)
+
+
+# ----------------------------------------------------------------------
+# Trace record / replay / diff, and headers from before the engine merge
+# ----------------------------------------------------------------------
+
+
+def test_runspec_discards_legacy_engine_field():
+    spec = RunSpec()
+    assert "engine" not in spec.as_dict()
     assert RunSpec.from_dict(spec.as_dict()) == spec
-    # Traces recorded before the engine switch existed replay on the oracle.
-    legacy = {key: value for key, value in spec.as_dict().items() if key != "engine"}
-    assert RunSpec.from_dict(legacy).engine == "rounds"
-    with pytest.raises(TraceFormatError, match="unknown engine"):
-        RunSpec(engine="instant")
+    # Traces recorded while RunSpec had an ``engine`` field still load: the
+    # two values it could take were bit-identical by contract.
+    for legacy in ("rounds", "events"):
+        assert RunSpec.from_dict({**spec.as_dict(), "engine": legacy}) == spec
+    # Anything else is still an unknown field, legacy key included.
+    with pytest.raises(TraceFormatError, match="unknown fields"):
+        RunSpec.from_dict({**spec.as_dict(), "engine": "instant"})
+    with pytest.raises(TraceFormatError, match="unknown fields"):
+        RunSpec.from_dict({**spec.as_dict(), "turbo": True})
 
 
 @pytest.mark.parametrize("mode_args", [
@@ -176,38 +231,37 @@ def test_runspec_engine_round_trip_and_default():
     ["--mode", "federation", "--shards", "2"],
     ["--scenario", "steady", "--scenario-smoke"],
 ])
-def test_trace_record_replay_diff_event_engine(tmp_path, mode_args):
+def test_trace_record_replay_diff(tmp_path, mode_args):
     spec_args = ["--jobs", "12", "--nodes", "4", "--seed", "11", *mode_args]
-    events_path = str(tmp_path / "events.jsonl")
-    rounds_path = str(tmp_path / "rounds.jsonl")
-    assert trace_main(
-        ["record", *spec_args, "--engine", "events", "--out", events_path]
-    ) == 0
-    assert trace_main(
-        ["record", *spec_args, "--engine", "rounds", "--out", rounds_path]
-    ) == 0
+    recorded = str(tmp_path / "recorded.jsonl")
+    assert trace_main(["record", *spec_args, "--out", recorded]) == 0
+    assert trace_main(["replay", recorded]) == 0
+    assert trace_main(["diff", recorded, recorded]) == 0
 
-    # The replay re-drives each trace with the engine from its own header and
-    # must reproduce the stream bit-identically.
-    assert trace_main(["replay", events_path]) == 0
-    assert trace_main(["diff", events_path, events_path]) == 0
+    with open(recorded) as handle:
+        lines = handle.readlines()
+    header = json.loads(lines[0])
+    assert "engine" not in header["spec"]
 
-    # Cross-engine: the recorded *event streams* (everything after the
-    # header, which embeds the spec and so legitimately differs) must be
-    # bit-identical -- telemetry is a parity surface, not just completions.
-    # Wall-clock kinds (timing, supervisor) are excluded exactly as the
-    # repo's own `trace diff` excludes them.
-    def stream(path):
-        with open(path) as handle:
-            lines = handle.readlines()[1:]
-        return [
-            line
-            for line in lines
-            if json.loads(line)["kind"] not in NONDETERMINISTIC_KINDS
-        ]
+    # A header carrying either legacy engine value replays bit-identically.
+    for legacy in ("rounds", "events"):
+        header["spec"]["engine"] = legacy
+        legacy_path = str(tmp_path / f"legacy-{legacy}.jsonl")
+        with open(legacy_path, "w") as handle:
+            handle.write(json.dumps(header) + "\n")
+            handle.writelines(lines[1:])
+        assert trace_main(["replay", legacy_path]) == 0
+        assert trace_main(["diff", recorded, legacy_path]) == 0
 
-    assert stream(events_path) == stream(rounds_path)
 
-    with open(events_path) as handle:
-        header = json.loads(handle.readline())
-    assert header["spec"]["engine"] == "events"
+def test_trace_replay_rejects_unknown_engine(tmp_path):
+    recorded = str(tmp_path / "recorded.jsonl")
+    assert trace_main(["record", "--jobs", "6", "--nodes", "4", "--out", recorded]) == 0
+    with open(recorded) as handle:
+        lines = handle.readlines()
+    header = json.loads(lines[0])
+    header["spec"]["engine"] = "instant"
+    with open(recorded, "w") as handle:
+        handle.write(json.dumps(header) + "\n")
+        handle.writelines(lines[1:])
+    assert trace_main(["replay", recorded]) == 2
