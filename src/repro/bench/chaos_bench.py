@@ -30,18 +30,13 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
 from repro.bench import workload
-from repro.bench.federation_bench import _bench_factory, _shard_parity
-from repro.bench.runtime_bench import _parity
-from repro.federation.engine import FederationEngine, FederationResult
-from repro.federation.parallel import (
-    ParallelFederationEngine,
-    SupervisorConfig,
-    WorkerKillPlan,
-)
-from repro.federation.router import make_router
+from repro.bench.federation_bench import run_parallel
+from repro.federation.parallel import SupervisorConfig, WorkerKillPlan
+from repro.metrics.parity import schedule_diff
 from repro.policies.scheduling.tiresias import TiresiasScheduling
 from repro.runtime.central_scheduler import CentralScheduler
 from repro.runtime.rpc import FaultPlan, FaultSpec, RetryPolicy
@@ -91,56 +86,31 @@ def _supervisor(smoke: bool, **overrides) -> SupervisorConfig:
     return SupervisorConfig(**base)
 
 
-def _serial_reference(smoke: bool, total_nodes: int) -> FederationResult:
-    trace = workload.bench_trace(smoke=smoke)
-    factory = _bench_factory(total_nodes // CHAOS_SHARDS, True)
-    return FederationEngine(
-        factory.build_all(CHAOS_SHARDS),
-        make_router(CHAOS_ROUTER),
-        trace.fresh_jobs(),
-        tracked_job_ids=trace.tracked_ids(),
-    ).run()
-
-
-def _supervised_run(
-    smoke: bool,
-    total_nodes: int,
-    supervisor: SupervisorConfig,
-    kill_plan: WorkerKillPlan,
-) -> FederationResult:
-    trace = workload.bench_trace(smoke=smoke)
-    return ParallelFederationEngine(
-        factory=_bench_factory(total_nodes // CHAOS_SHARDS, True),
-        num_shards=CHAOS_SHARDS,
-        router=make_router(CHAOS_ROUTER),
-        jobs=trace.fresh_jobs(),
-        tracked_job_ids=trace.tracked_ids(),
-        workers=CHAOS_WORKERS,
-        supervisor=supervisor,
-        kill_plan=kill_plan,
-    ).run()
-
-
 def run_federation_chaos(smoke: bool = False) -> Dict[str, object]:
     """Kill-one-worker parity cells plus the degradation cell."""
-    total_nodes = workload.SMOKE_NODES if smoke else workload.FULL_NODES
-    num_jobs = workload.SMOKE_JOBS if smoke else workload.FULL_JOBS
+    spec = replace(
+        workload.SMOKE if smoke else workload.FULL,
+        mode="federation",
+        router=CHAOS_ROUTER,
+        shards=CHAOS_SHARDS,
+    )
+    total_nodes, num_jobs = spec.num_nodes, spec.num_jobs
     kill_points = KILL_POINTS_SMOKE if smoke else KILL_POINTS_FULL
-    reference = _serial_reference(smoke, total_nodes)
+    reference = spec.build().run()
 
     cells: Dict[str, object] = {}
     all_parity = True
     all_recovered = True
     for when in ("before", "after"):
         for kill_at in kill_points:
-            result = _supervised_run(
-                smoke,
-                total_nodes,
-                _supervisor(smoke),
-                WorkerKillPlan(kills=((kill_at, 0),), when=when),
+            result = run_parallel(
+                spec,
+                CHAOS_WORKERS,
+                supervisor=_supervisor(smoke),
+                kill_plan=WorkerKillPlan(kills=((kill_at, 0),), when=when),
             )
             stats = result.fault_stats
-            parity = _shard_parity(reference, result)
+            parity = schedule_diff(reference, result).identical
             all_parity = all_parity and parity
             all_recovered = all_recovered and stats.worker_restarts >= 1
             cells[f"kill-{when}/advance{kill_at}"] = {
@@ -156,11 +126,11 @@ def run_federation_chaos(smoke: bool = False) -> Dict[str, object]:
     # Degradation: restarts exhausted immediately, the dead shard's
     # queued-but-unrouted jobs re-route to the survivor.
     degrade_at = kill_points[-1]
-    degraded = _supervised_run(
-        smoke,
-        total_nodes,
-        _supervisor(smoke, max_restarts=0, on_unrecoverable="degrade"),
-        WorkerKillPlan(kills=((degrade_at, 1),), when="before"),
+    degraded = run_parallel(
+        spec,
+        CHAOS_WORKERS,
+        supervisor=_supervisor(smoke, max_restarts=0, on_unrecoverable="degrade"),
+        kill_plan=WorkerKillPlan(kills=((degrade_at, 1),), when="before"),
     )
     dstats = degraded.fault_stats
     finished = sum(len(shard.jobs) for shard in degraded.shard_results)
@@ -230,7 +200,7 @@ def run_runtime_chaos(smoke: bool = False, seed: int = SCENARIO_SEED) -> Dict[st
         faulty, faulty_result = _deployment_run(compiled, fault_seed=fault_seed)
         stats = faulty.fault_stats()
         leaked = faulty.leaked_leases()
-        parity = _parity(ref_result, faulty_result)
+        parity = schedule_diff(ref_result, faulty_result).identical
         all_parity = all_parity and parity
         all_zero_leak = all_zero_leak and leaked == 0
         all_recovered = all_recovered and stats.any_recovery()

@@ -26,11 +26,12 @@ from typing import Dict, Optional
 
 from repro.bench import workload
 from repro.bench.legacy import LegacySimulator
-from repro.policies.placement.consolidated import ConsolidatedPlacement
-from repro.policies.scheduling.fifo import FifoScheduling
-from repro.simulator.engine import SimulationResult, Simulator
+from repro.metrics.parity import schedule_diff
+from repro.policies.placement import PLACEMENT_POLICIES
+from repro.policies.scheduling import SCHEDULING_POLICIES
+from repro.simulator.engine import SimulationResult
 from repro.telemetry.events import run_metadata
-from repro.telemetry.recorder import TraceRecorder
+from repro.telemetry.runspec import RunSpec
 from repro.telemetry.sinks import JsonlSink
 
 #: Recording a run may cost at most this fraction of the untraced wall time
@@ -41,23 +42,19 @@ _OVERHEAD_REPS = 5
 
 
 def _run_case(
-    indexed: bool, smoke: bool, trace_path: Optional[str] = None
+    spec: RunSpec, indexed: bool, trace_path: Optional[str] = None
 ) -> Dict[str, object]:
-    trace = workload.bench_trace(smoke=smoke)
-    simulator_cls = Simulator if indexed else LegacySimulator
-    sink = None
-    extra: Dict[str, object] = {}
-    if trace_path is not None:
-        sink = JsonlSink(trace_path)
-        extra["recorder"] = TraceRecorder(sink, source="sim")
-    simulator = simulator_cls(
-        cluster_state=workload.bench_cluster(smoke=smoke),
-        jobs=trace.fresh_jobs(),
-        scheduling_policy=FifoScheduling(),
-        placement_policy=ConsolidatedPlacement(),
-        round_duration=workload.ROUND_DURATION,
-        **extra,
-    )
+    sink = JsonlSink(trace_path) if trace_path is not None else None
+    if indexed:
+        simulator = spec.build(sink)
+    else:
+        simulator = LegacySimulator(
+            cluster_state=spec.cluster(),
+            jobs=spec.trace().fresh_jobs(),
+            scheduling_policy=SCHEDULING_POLICIES[spec.policy](),
+            placement_policy=PLACEMENT_POLICIES[spec.placement](),
+            round_duration=spec.round_duration,
+        )
     start = time.perf_counter()
     cpu_start = time.process_time()
     result = simulator.run()
@@ -74,7 +71,9 @@ def _run_case(
     }
 
 
-def _telemetry_overhead(smoke: bool, untraced: Dict[str, object]) -> Dict[str, object]:
+def _telemetry_overhead(
+    spec: RunSpec, smoke: bool, untraced: Dict[str, object]
+) -> Dict[str, object]:
     """Measure recording cost: traced vs untraced indexed legs, best-of-N.
 
     Both legs repeat ``_OVERHEAD_REPS`` times interleaved and the ratio is
@@ -99,14 +98,14 @@ def _telemetry_overhead(smoke: bool, untraced: Dict[str, object]) -> Dict[str, o
         untraced_runs = [untraced]
         traced_runs = []
         for _ in range(_OVERHEAD_REPS):
-            traced_runs.append(_run_case(indexed=True, smoke=smoke, trace_path=trace_path))
-            untraced_runs.append(_run_case(indexed=True, smoke=smoke))
+            traced_runs.append(_run_case(spec, indexed=True, trace_path=trace_path))
+            untraced_runs.append(_run_case(spec, indexed=True))
             gc.collect()
         events = sum(1 for _ in open(trace_path)) - 1  # minus header line
     finally:
         gc.unfreeze()
         os.remove(trace_path)
-    parity = _parity(untraced["result"], traced_runs[-1]["result"])
+    parity = schedule_diff(untraced["result"], traced_runs[-1]["result"])
     traced_cpu = min(run["cpu_time_s"] for run in traced_runs)
     untraced_cpu = min(run["cpu_time_s"] for run in untraced_runs)
     overhead = traced_cpu / untraced_cpu - 1 if untraced_cpu > 0 else 0.0
@@ -123,27 +122,7 @@ def _telemetry_overhead(smoke: bool, untraced: Dict[str, object]) -> Dict[str, o
         # real recording cost.
         "gated": not smoke,
         "overhead_ok": smoke or overhead <= TELEMETRY_OVERHEAD_GATE,
-        "schedule_parity": (
-            parity["identical_completion_times"]
-            and parity["identical_round_logs"]
-            and parity["identical_round_count"]
-        ),
-    }
-
-
-def _parity(baseline: SimulationResult, indexed: SimulationResult) -> Dict[str, object]:
-    base_completions = {j.job_id: j.completion_time for j in baseline.jobs}
-    new_completions = {j.job_id: j.completion_time for j in indexed.jobs}
-    mismatched = sorted(
-        job_id
-        for job_id in set(base_completions) | set(new_completions)
-        if base_completions.get(job_id) != new_completions.get(job_id)
-    )
-    return {
-        "identical_completion_times": not mismatched,
-        "identical_round_logs": baseline.round_log == indexed.round_log,
-        "identical_round_count": baseline.rounds == indexed.rounds,
-        "mismatched_job_ids": mismatched[:20],
+        "schedule_parity": parity.identical,
     }
 
 
@@ -166,10 +145,11 @@ def run_core_bench(
     from repro.bench.policy_bench import run_policy_bench
 
     scale = "smoke" if smoke else "full"
-    total_gpus = (workload.SMOKE_NODES if smoke else workload.FULL_NODES) * workload.GPUS_PER_NODE
-    baseline = _run_case(indexed=False, smoke=smoke)
-    indexed = _run_case(indexed=True, smoke=smoke)
-    parity = _parity(baseline["result"], indexed["result"])
+    spec = workload.SMOKE if smoke else workload.FULL
+    total_gpus = spec.num_nodes * spec.gpus_per_node
+    baseline = _run_case(spec, indexed=False)
+    indexed = _run_case(spec, indexed=True)
+    parity = schedule_diff(baseline["result"], indexed["result"])
 
     def _case_report(case: Dict[str, object]) -> Dict[str, object]:
         result: SimulationResult = case["result"]
@@ -185,13 +165,13 @@ def run_core_bench(
         "benchmark": f"core-{scale}-{total_gpus}gpu-philly-fifo-consolidated",
         "config": {
             "scale": scale,
-            "seed": workload.BENCH_SEED,
-            "num_nodes": workload.SMOKE_NODES if smoke else workload.FULL_NODES,
-            "gpus_per_node": workload.GPUS_PER_NODE,
+            "seed": spec.seed,
+            "num_nodes": spec.num_nodes,
+            "gpus_per_node": spec.gpus_per_node,
             "total_gpus": total_gpus,
-            "num_jobs": workload.SMOKE_JOBS if smoke else workload.FULL_JOBS,
-            "jobs_per_hour": workload.SMOKE_JOBS_PER_HOUR if smoke else workload.FULL_JOBS_PER_HOUR,
-            "round_duration_s": workload.ROUND_DURATION,
+            "num_jobs": spec.num_jobs,
+            "jobs_per_hour": spec.jobs_per_hour,
+            "round_duration_s": spec.round_duration,
             "python": platform.python_version(),
         },
         "baseline": _case_report(baseline),
@@ -204,20 +184,15 @@ def run_core_bench(
         )
         if indexed["wall_time_s"] > 0
         else float("inf"),
-        "parity": parity,
+        "parity": {
+            **parity.as_dict(),
+            "mismatched_job_ids": list(parity.mismatched_job_ids),
+        },
     }
-    report["metadata"] = run_metadata(
-        workload.BENCH_SEED, report["config"], started_at
-    )
+    report["metadata"] = run_metadata(spec.seed, report["config"], started_at)
+    report["schedule_parity"] = parity.identical
 
-    schedule_parity = (
-        parity["identical_completion_times"]
-        and parity["identical_round_logs"]
-        and parity["identical_round_count"]
-    )
-    report["schedule_parity"] = schedule_parity
-
-    report["telemetry"] = _telemetry_overhead(smoke, indexed)
+    report["telemetry"] = _telemetry_overhead(spec, smoke, indexed)
 
     # Skip executor vs the stepping loop on the long-horizon cell (raises on
     # divergence or a missed speedup gate -- see repro.bench.event_bench).
@@ -233,9 +208,9 @@ def run_core_bench(
             json.dump(report, handle, indent=2, sort_keys=False)
             handle.write("\n")
 
-    if not schedule_parity:
+    if not parity.identical:
         raise AssertionError(
-            f"baseline and indexed runs diverged: {parity}"
+            f"baseline and indexed runs diverged: {parity.first_divergence}"
         )
     if not report["telemetry"]["schedule_parity"]:
         raise AssertionError(

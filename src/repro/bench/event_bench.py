@@ -1,7 +1,7 @@
 """The skip-executor benchmark: the default simulator vs the stepping loop.
 
 One cell, the 30-day low-load Philly workload (:mod:`repro.bench.workload`
-``LONG_*``), run twice with identical everything except ``fast_forward``:
+``LONG_HORIZON``), run twice with identical everything except ``fast_forward``:
 the default (skips executed by :mod:`repro.simulator.event_core`) and the
 plain stepping loop (``fast_forward=False``), which is the paper's section-3
 round abstraction and the reference every skip must match.  Both legs are
@@ -21,9 +21,8 @@ import time
 from typing import Dict, Optional, Tuple
 
 from repro.bench import workload
-from repro.policies.placement.consolidated import ConsolidatedPlacement
-from repro.policies.scheduling.fifo import FifoScheduling
-from repro.simulator.engine import SimulationResult, Simulator
+from repro.metrics.parity import schedule_diff
+from repro.simulator.engine import SimulationResult
 
 #: The long-horizon cell must run at least this many times faster with skips
 #: than stepping (full configuration only; the smoke cell finishes in
@@ -36,12 +35,8 @@ _TIMING_REPS = 3
 def _run_long_horizon(
     fast_forward: bool, smoke: bool, round_log_limit: Optional[int]
 ) -> Tuple[SimulationResult, float]:
-    simulator = Simulator(
-        cluster_state=workload.long_horizon_cluster(smoke=smoke),
-        jobs=workload.long_horizon_trace(smoke=smoke).fresh_jobs(),
-        scheduling_policy=FifoScheduling(),
-        placement_policy=ConsolidatedPlacement(),
-        round_duration=workload.long_horizon_round_duration(smoke=smoke),
+    spec = workload.LONG_HORIZON_SMOKE if smoke else workload.LONG_HORIZON
+    simulator = spec.build(
         fast_forward=fast_forward,
         round_log_limit=round_log_limit,
         max_rounds=2_000_000,
@@ -49,18 +44,6 @@ def _run_long_horizon(
     start = time.perf_counter()
     result = simulator.run()
     return result, time.perf_counter() - start
-
-
-def _parity(default: SimulationResult, stepping: SimulationResult) -> Dict[str, bool]:
-    return {
-        "identical_completion_times": (
-            {j.job_id: j.completion_time for j in default.jobs}
-            == {j.job_id: j.completion_time for j in stepping.jobs}
-        ),
-        "identical_round_logs": list(default.round_log) == list(stepping.round_log),
-        "identical_round_count": default.rounds == stepping.rounds,
-        "identical_end_time": default.end_time == stepping.end_time,
-    }
 
 
 def run_event_bench(smoke: bool = False) -> Dict[str, object]:
@@ -76,15 +59,15 @@ def run_event_bench(smoke: bool = False) -> Dict[str, object]:
             result, wall = _run_long_horizon(fast_forward, smoke, round_log_limit=0)
             best[fast_forward] = min(best[fast_forward], wall)
             last[fast_forward] = result
-    timed_parity = _parity(last[True], last[False])
+    timed_parity = schedule_diff(last[True], last[False])
     # The timed legs disable the round log (that is the streaming
     # configuration the cell measures), so log bit-identity is proved
     # separately at the same cell.
-    log_parity = _parity(
+    log_parity = schedule_diff(
         _run_long_horizon(True, smoke, round_log_limit=None)[0],
         _run_long_horizon(False, smoke, round_log_limit=None)[0],
     )
-    schedule_parity = all(timed_parity.values()) and all(log_parity.values())
+    schedule_parity = timed_parity.identical and log_parity.identical
 
     rounds = last[True].rounds
     speedup = best[False] / best[True]
@@ -105,15 +88,16 @@ def run_event_bench(smoke: bool = False) -> Dict[str, object]:
             "gated": not smoke,
             "speedup_ok": smoke or speedup >= EVENT_SPEEDUP_GATE,
             "schedule_parity": schedule_parity,
-            "parity": timed_parity,
-            "round_log_parity": log_parity,
+            "parity": timed_parity.as_dict(),
+            "round_log_parity": log_parity.as_dict(),
         },
         "all_schedule_parity": schedule_parity,
     }
     if not schedule_parity:
         raise AssertionError(
             "the skip executor diverged from the stepping loop: "
-            f"timed {timed_parity}; logged {log_parity}"
+            f"timed: {timed_parity.first_divergence}; "
+            f"logged: {log_parity.first_divergence}"
         )
     if not report["long_horizon"]["speedup_ok"]:
         raise AssertionError(

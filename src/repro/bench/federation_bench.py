@@ -41,21 +41,19 @@ import pickle
 import platform
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench import workload
 from repro.core.exceptions import ConfigurationError
-from repro.federation.engine import (
-    FederationEngine,
-    FederationResult,
-    UniformShardFactory,
-)
+from repro.federation.engine import FederationResult, UniformShardFactory
 from repro.federation.parallel import ParallelFederationEngine, default_worker_count
 from repro.federation.router import make_router, router_names
-from repro.policies.placement.consolidated import ConsolidatedPlacement
-from repro.policies.scheduling.fifo import FifoScheduling
+from repro.metrics.parity import schedule_diff
+from repro.policies.placement import PLACEMENT_POLICIES
+from repro.policies.scheduling import SCHEDULING_POLICIES
 from repro.telemetry.events import run_metadata
+from repro.telemetry.runspec import RunSpec
 from repro.workloads.philly import PhillyTraceGenerator
 
 #: Shard counts of the matrix.  Every count must divide the node total and
@@ -93,79 +91,68 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _bench_factory(cell_nodes_per_shard: int, fast_forward: bool) -> UniformShardFactory:
-    return UniformShardFactory(
-        nodes_per_shard=cell_nodes_per_shard,
-        scheduling_factory=FifoScheduling,
-        placement_factory=ConsolidatedPlacement,
-        gpus_per_node=workload.GPUS_PER_NODE,
-        round_duration=workload.ROUND_DURATION,
-        fast_forward=fast_forward,
+def federation_spec(
+    smoke: bool, router: str, num_shards: int, total_nodes: int
+) -> RunSpec:
+    """The bench workload on ``total_nodes`` split into ``num_shards`` shards."""
+    return replace(
+        workload.SMOKE if smoke else workload.FULL,
+        mode="federation",
+        router=router,
+        shards=num_shards,
+        num_nodes=total_nodes,
     )
+
+
+def shard_factory(spec: RunSpec) -> UniformShardFactory:
+    """The picklable shard recipe of ``spec``: what ``spec.build()`` wires
+    in-process, in the form worker processes can rebuild."""
+    return UniformShardFactory(
+        nodes_per_shard=spec.num_nodes // spec.shards,
+        scheduling_factory=SCHEDULING_POLICIES[spec.policy],
+        placement_factory=PLACEMENT_POLICIES[spec.placement],
+        gpus_per_node=spec.gpus_per_node,
+        round_duration=spec.round_duration,
+    )
+
+
+def run_parallel(spec: RunSpec, workers: int, **engine_kwargs) -> FederationResult:
+    """Run ``spec`` on the multiprocess engine with ``workers`` processes."""
+    trace = spec.trace()
+    return ParallelFederationEngine(
+        factory=shard_factory(spec),
+        num_shards=spec.shards,
+        router=make_router(spec.router),
+        jobs=trace.fresh_jobs(),
+        tracked_job_ids=trace.tracked_ids(),
+        workers=workers,
+        **engine_kwargs,
+    ).run()
 
 
 @dataclass(frozen=True)
 class FederationCell:
     """One picklable cell of the matrix (shipped to sweep workers)."""
 
-    router: str
-    num_shards: int
-    total_nodes: int
-    smoke: bool
+    spec: RunSpec
     #: Worker processes for the parallel leg; 0 skips it (1-shard cells).
     workers: int = 0
 
 
-def _run_federation(cell: FederationCell, fast_forward: bool) -> FederationResult:
-    trace = workload.bench_trace(smoke=cell.smoke)
-    factory = _bench_factory(cell.total_nodes // cell.num_shards, fast_forward)
-    shards = factory.build_all(cell.num_shards)
-    engine = FederationEngine(
-        shards,
-        make_router(cell.router),
-        trace.fresh_jobs(),
-        tracked_job_ids=trace.tracked_ids(),
-    )
+def _run_serial(spec: RunSpec, fast_forward: bool) -> FederationResult:
+    engine = spec.build(fast_forward=fast_forward)
     result = engine.run()
-    for shard in shards:
+    for shard in engine.shards:
         shard.cluster_state.check_invariants()
     return result
 
 
-def _run_parallel(cell: FederationCell) -> FederationResult:
-    trace = workload.bench_trace(smoke=cell.smoke)
-    engine = ParallelFederationEngine(
-        factory=_bench_factory(cell.total_nodes // cell.num_shards, True),
-        num_shards=cell.num_shards,
-        router=make_router(cell.router),
-        jobs=trace.fresh_jobs(),
-        tracked_job_ids=trace.tracked_ids(),
-        workers=cell.workers,
-    )
-    return engine.run()
-
-
-def _shard_parity(left: FederationResult, right: FederationResult) -> bool:
-    """Bit-identical per-shard schedules and identical routing decisions."""
-    if left.assignments != right.assignments:
-        return False
-    for left_shard, right_shard in zip(left.shard_results, right.shard_results):
-        left_completions = {j.job_id: j.completion_time for j in left_shard.jobs}
-        right_completions = {j.job_id: j.completion_time for j in right_shard.jobs}
-        if left_completions != right_completions:
-            return False
-        if left_shard.round_log != right_shard.round_log:
-            return False
-        if left_shard.rounds != right_shard.rounds:
-            return False
-    return True
-
-
 def _execute_cell(cell: FederationCell) -> Tuple[str, Dict[str, object]]:
     """Run one cell (fast-forward + stepping + parallel) into a JSON row."""
-    fastforward = _run_federation(cell, fast_forward=True)
-    stepping = _run_federation(cell, fast_forward=False)
-    parity = _shard_parity(fastforward, stepping)
+    spec = cell.spec
+    fastforward = _run_serial(spec, fast_forward=True)
+    stepping = _run_serial(spec, fast_forward=False)
+    parity = schedule_diff(fastforward, stepping).identical
     ff_rps = (
         fastforward.total_rounds() / fastforward.wall_time_s
         if fastforward.wall_time_s > 0
@@ -178,9 +165,9 @@ def _execute_cell(cell: FederationCell) -> Tuple[str, Dict[str, object]]:
     )
     summary = fastforward.summary()
     row = {
-        "router": cell.router,
-        "num_shards": cell.num_shards,
-        "nodes_per_shard": cell.total_nodes // cell.num_shards,
+        "router": spec.router,
+        "num_shards": spec.shards,
+        "nodes_per_shard": spec.num_nodes // spec.shards,
         "schedule_parity": parity,
         "total_rounds": fastforward.total_rounds(),
         "jobs_per_shard": fastforward.jobs_per_shard(),
@@ -199,11 +186,11 @@ def _execute_cell(cell: FederationCell) -> Tuple[str, Dict[str, object]]:
         "routing_imbalance": round(summary.routing_imbalance, 3),
         "capacity_weighted_utilization": round(summary.capacity_weighted_utilization, 4),
     }
-    if cell.workers >= 2 and cell.num_shards >= 2:
-        parallel = _run_parallel(cell)
+    if cell.workers >= 2 and spec.shards >= 2:
+        parallel = run_parallel(spec, cell.workers)
         row.update(
             {
-                "parallel_parity": _shard_parity(fastforward, parallel),
+                "parallel_parity": schedule_diff(fastforward, parallel).identical,
                 "parallel_workers": parallel.workers,
                 "parallel_wall_s": round(parallel.wall_time_s, 4),
                 "parallel_routing_time_s": round(parallel.routing_time_s, 4),
@@ -215,20 +202,12 @@ def _execute_cell(cell: FederationCell) -> Tuple[str, Dict[str, object]]:
                 else None,
             }
         )
-    return f"{cell.router}/shards{cell.num_shards}", row
+    return f"{spec.router}/shards{spec.shards}", row
 
 
 # ----------------------------------------------------------------------
 # Dedicated scaling cell: the >= 3x wall-clock gate
 # ----------------------------------------------------------------------
-
-
-def _scaling_trace(smoke: bool):
-    return PhillyTraceGenerator(
-        num_jobs=SMOKE_SCALING_JOBS if smoke else SCALING_JOBS,
-        jobs_per_hour=SMOKE_SCALING_JOBS_PER_HOUR if smoke else SCALING_JOBS_PER_HOUR,
-        seed=workload.BENCH_SEED,
-    ).generate()
 
 
 def run_scaling_cell(
@@ -250,24 +229,14 @@ def run_scaling_cell(
         num_shards = (SMOKE_SHARD_COUNTS if smoke else FULL_SHARD_COUNTS)[-1]
     if workers is None:
         workers = num_shards
-    trace = _scaling_trace(smoke)
-    factory = _bench_factory(total_nodes // num_shards, True)
-    router_name = "queue-delay"
-    serial = FederationEngine(
-        factory.build_all(num_shards),
-        make_router(router_name),
-        trace.fresh_jobs(),
-        tracked_job_ids=trace.tracked_ids(),
-    ).run()
-    parallel = ParallelFederationEngine(
-        factory=factory,
-        num_shards=num_shards,
-        router=make_router(router_name),
-        jobs=trace.fresh_jobs(),
-        tracked_job_ids=trace.tracked_ids(),
-        workers=workers,
-    ).run()
-    parity = _shard_parity(serial, parallel)
+    spec = replace(
+        federation_spec(smoke, "queue-delay", num_shards, total_nodes),
+        num_jobs=SMOKE_SCALING_JOBS if smoke else SCALING_JOBS,
+        jobs_per_hour=SMOKE_SCALING_JOBS_PER_HOUR if smoke else SCALING_JOBS_PER_HOUR,
+    )
+    serial = spec.build().run()
+    parallel = run_parallel(spec, workers)
+    parity = schedule_diff(serial, parallel).identical
     speedup = (
         serial.wall_time_s / parallel.wall_time_s if parallel.wall_time_s > 0 else 0.0
     )
@@ -290,10 +259,10 @@ def run_scaling_cell(
             f"{SPEEDUP_GATE_MIN_CORES}"
         )
     return {
-        "router": router_name,
+        "router": spec.router,
         "num_shards": num_shards,
         "workers": parallel.workers,
-        "num_jobs": len(trace.jobs),
+        "num_jobs": spec.num_jobs,
         "usable_cores": cores,
         "parallel_parity": parity,
         "serial_wall_s": round(serial.wall_time_s, 4),
@@ -332,13 +301,14 @@ def run_stream_demo(
         raise ConfigurationError(f"--stream needs >= 1 jobs, got {num_jobs}")
     if workers is None:
         workers = max(2, min(default_worker_count(num_shards), 8))
+    spec = federation_spec(
+        False, STREAM_ROUTER, num_shards, num_shards * STREAM_NODES_PER_SHARD
+    )
     generator = PhillyTraceGenerator(
-        num_jobs=num_jobs,
-        jobs_per_hour=STREAM_JOBS_PER_HOUR,
-        seed=workload.BENCH_SEED,
+        num_jobs=num_jobs, jobs_per_hour=STREAM_JOBS_PER_HOUR, seed=spec.seed
     )
     engine = ParallelFederationEngine(
-        factory=_bench_factory(STREAM_NODES_PER_SHARD, True),
+        factory=shard_factory(spec),
         num_shards=num_shards,
         router=make_router(STREAM_ROUTER),
         jobs=generator.iter_jobs(),
@@ -375,10 +345,11 @@ def run_federation_bench(
     ``started_at`` is the caller's wall-clock stamp for the report metadata.
     """
     total_nodes = SMOKE_TOTAL_NODES if smoke else FULL_TOTAL_NODES
+    base = workload.SMOKE if smoke else workload.FULL
     if shard_counts is None:
         shard_counts = SMOKE_SHARD_COUNTS if smoke else FULL_SHARD_COUNTS
     shard_counts = tuple(shard_counts)
-    biggest_gang_nodes = 16 // workload.GPUS_PER_NODE
+    biggest_gang_nodes = 16 // base.gpus_per_node
     for count in shard_counts:
         if count < 1 or total_nodes % count != 0:
             raise ConfigurationError(
@@ -406,10 +377,7 @@ def run_federation_bench(
     )
     cells = [
         FederationCell(
-            router=router,
-            num_shards=count,
-            total_nodes=total_nodes,
-            smoke=smoke,
+            spec=federation_spec(smoke, router, count, total_nodes),
             workers=min(cell_workers, count) if count >= 2 else 0,
         )
         for router in routers
@@ -469,26 +437,24 @@ def run_federation_bench(
     scaling = run_scaling_cell(smoke=smoke, total_nodes=total_nodes)
 
     scale = "smoke" if smoke else "full"
-    total_gpus = total_nodes * workload.GPUS_PER_NODE
+    total_gpus = total_nodes * base.gpus_per_node
     report: Dict[str, object] = {
         "benchmark": f"federation-{scale}-{total_gpus}gpu-philly-fifo-consolidated",
         "config": {
             "scale": scale,
-            "seed": workload.BENCH_SEED,
+            "seed": base.seed,
             "total_nodes": total_nodes,
-            "gpus_per_node": workload.GPUS_PER_NODE,
+            "gpus_per_node": base.gpus_per_node,
             "total_gpus": total_gpus,
-            "num_jobs": workload.SMOKE_JOBS if smoke else workload.FULL_JOBS,
-            "jobs_per_hour": workload.SMOKE_JOBS_PER_HOUR
-            if smoke
-            else workload.FULL_JOBS_PER_HOUR,
-            "round_duration_s": workload.ROUND_DURATION,
+            "num_jobs": base.num_jobs,
+            "jobs_per_hour": base.jobs_per_hour,
+            "round_duration_s": base.round_duration,
             "shard_counts": list(shard_counts),
             "routers": list(routers),
             "parallel_workers": cell_workers,
             "usable_cores": _usable_cores(),
-            "scheduling": "fifo",
-            "placement": "consolidated",
+            "scheduling": base.policy,
+            "placement": base.placement,
             "python": platform.python_version(),
         },
         "matrix": sorted(cell_rows),
@@ -500,9 +466,7 @@ def run_federation_bench(
         "scaling": scaling,
         "cells": cell_rows,
     }
-    report["metadata"] = run_metadata(
-        workload.BENCH_SEED, report["config"], started_at
-    )
+    report["metadata"] = run_metadata(base.seed, report["config"], started_at)
     if stream_jobs is not None:
         report["stream_demo"] = run_stream_demo(stream_jobs)
 

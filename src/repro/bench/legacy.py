@@ -367,6 +367,18 @@ class LegacyPolluxScheduling(SchedulingPolicy):
         ]
 
 
+#: Registry name -> pre-refactor implementation, for the policies the policy
+#: benchmark pairs against their current (``SCHEDULING_POLICIES``) selves.
+LEGACY_SCHEDULING = {
+    "fifo": LegacyFifoScheduling,
+    "srtf": LegacySrtfScheduling,
+    "las": LegacyLasScheduling,
+    "tiresias": LegacyTiresiasScheduling,
+    "gavel": LegacyGavelScheduling,
+    "pollux": LegacyPolluxScheduling,
+}
+
+
 class PrePolicyRefactorJobState(JobState):
     """Job registry with the pre-policy-refactor view costs.
 

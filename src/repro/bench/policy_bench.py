@@ -22,44 +22,15 @@ scheduler noise; the parity verdict comes from the first pair.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.bench import workload
-from repro.bench.legacy import (
-    LegacyFifoScheduling,
-    LegacyGavelScheduling,
-    LegacyLasScheduling,
-    LegacyPolicySimulator,
-    LegacyPolluxScheduling,
-    LegacySrtfScheduling,
-    LegacyTiresiasScheduling,
-)
-from repro.policies.placement.consolidated import ConsolidatedPlacement
-from repro.policies.placement.first_free import FirstFreePlacement
-from repro.policies.scheduling import (
-    FifoScheduling,
-    GavelScheduling,
-    LasScheduling,
-    PolluxScheduling,
-    SrtfScheduling,
-    TiresiasScheduling,
-)
-from repro.simulator.engine import SimulationResult, Simulator
-
-#: policy name -> (incremental factory, pre-refactor factory)
-POLICY_FACTORIES = {
-    "fifo": (FifoScheduling, LegacyFifoScheduling),
-    "srtf": (SrtfScheduling, LegacySrtfScheduling),
-    "las": (LasScheduling, LegacyLasScheduling),
-    "tiresias": (TiresiasScheduling, LegacyTiresiasScheduling),
-    "gavel": (GavelScheduling, LegacyGavelScheduling),
-    "pollux": (PolluxScheduling, LegacyPolluxScheduling),
-}
-
-PLACEMENT_FACTORIES = {
-    "consolidated": ConsolidatedPlacement,
-    "first-free": FirstFreePlacement,
-}
+from repro.bench.legacy import LEGACY_SCHEDULING, LegacyPolicySimulator
+from repro.metrics.parity import schedule_diff
+from repro.policies.placement import PLACEMENT_POLICIES
+from repro.simulator.engine import SimulationResult
+from repro.telemetry.runspec import RunSpec
 
 #: (policy, placement) cells of the full matrix: every policy against the
 #: default placement of the paper's comparisons, plus a second placement for
@@ -84,30 +55,20 @@ SMOKE_MATRIX: Tuple[Tuple[str, str], ...] = (
 )
 
 
-def _run_cell_case(
-    policy_factory, placement_factory, simulator_cls, smoke: bool
-) -> Tuple[SimulationResult, float]:
-    trace = workload.bench_trace(smoke=smoke)
-    simulator = simulator_cls(
-        cluster_state=workload.bench_cluster(smoke=smoke),
-        jobs=trace.fresh_jobs(),
-        scheduling_policy=policy_factory(),
-        placement_policy=placement_factory(),
-        round_duration=workload.ROUND_DURATION,
-    )
+def _run_cell_case(spec: RunSpec, legacy: bool) -> Tuple[SimulationResult, float]:
+    if legacy:
+        simulator = LegacyPolicySimulator(
+            cluster_state=spec.cluster(),
+            jobs=spec.trace().fresh_jobs(),
+            scheduling_policy=LEGACY_SCHEDULING[spec.policy](),
+            placement_policy=PLACEMENT_POLICIES[spec.placement](),
+            round_duration=spec.round_duration,
+        )
+    else:
+        simulator = spec.build()
     start = time.perf_counter()
     result = simulator.run()
     return result, time.perf_counter() - start
-
-
-def _cell_parity(baseline: SimulationResult, current: SimulationResult) -> bool:
-    base_completions = {j.job_id: j.completion_time for j in baseline.jobs}
-    new_completions = {j.job_id: j.completion_time for j in current.jobs}
-    return (
-        base_completions == new_completions
-        and baseline.round_log == current.round_log
-        and baseline.rounds == current.rounds
-    )
 
 
 def run_policy_bench(
@@ -120,31 +81,26 @@ def run_policy_bench(
         matrix = SMOKE_MATRIX if smoke else FULL_MATRIX
     if repeats is None:
         repeats = 1 if smoke else 3
+    base = workload.SMOKE if smoke else workload.FULL
 
     cells: Dict[str, object] = {}
     all_parity = True
     for policy_name, placement_name in matrix:
-        current_factory, legacy_factory = POLICY_FACTORIES[policy_name]
-        placement_factory = PLACEMENT_FACTORIES[placement_name]
-
+        spec = replace(base, policy=policy_name, placement=placement_name)
         current_walls: List[float] = []
         baseline_walls: List[float] = []
         current_result = baseline_result = None
         for _ in range(repeats):
-            result, wall = _run_cell_case(
-                current_factory, placement_factory, Simulator, smoke
-            )
+            result, wall = _run_cell_case(spec, legacy=False)
             if current_result is None:
                 current_result = result
             current_walls.append(wall)
-            result, wall = _run_cell_case(
-                legacy_factory, placement_factory, LegacyPolicySimulator, smoke
-            )
+            result, wall = _run_cell_case(spec, legacy=True)
             if baseline_result is None:
                 baseline_result = result
             baseline_walls.append(wall)
 
-        parity = _cell_parity(baseline_result, current_result)
+        parity = schedule_diff(baseline_result, current_result).identical
         all_parity = all_parity and parity
         wall_new = min(current_walls)
         wall_old = min(baseline_walls)

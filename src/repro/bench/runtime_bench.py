@@ -13,11 +13,11 @@ through three runs of the same compiled workload and cluster dynamics:
 
 All three use the same deterministic overhead model, so they must make
 bit-identical scheduling decisions (``schedule_parity``: per-job completion
-times, round logs and round counts); the deployment runs additionally must
-finish without ``LeaseError`` under every scenario's churn.  The report
-carries rounds/s for each run (the deployment tax is real RPC bookkeeping)
-and the per-preemption lease-round latencies, plus the Fig. 19 lease-scaling
-sweep.  Results are written to ``BENCH_runtime.json``.
+times, round logs, round counts and end times); the deployment runs
+additionally must finish without ``LeaseError`` under every scenario's churn.
+The report carries rounds/s for each run (the deployment tax is real RPC
+bookkeeping) and the per-preemption lease-round latencies, plus the Fig. 19
+lease-scaling sweep.  Results are written to ``BENCH_runtime.json``.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from repro.experiments.fig19_lease_scaling import (
     run_fig19,
 )
 from repro.experiments.harness import PolicySpec, run_policy
+from repro.metrics.parity import schedule_diff
 from repro.policies.scheduling.tiresias import TiresiasScheduling
 from repro.runtime.central_scheduler import CentralScheduler
 from repro.scenarios.registry import SMOKE_SCENARIOS, get_scenario, scenario_names
@@ -101,16 +102,6 @@ def _run_simulation(compiled) -> Dict[str, object]:
     return {"result": result, "wall_time_s": time.perf_counter() - start}
 
 
-def _parity(a: SimulationResult, b: SimulationResult) -> bool:
-    a_completions = {j.job_id: j.completion_time for j in a.jobs}
-    b_completions = {j.job_id: j.completion_time for j in b.jobs}
-    return (
-        a_completions == b_completions
-        and a.rounds == b.rounds
-        and a.round_log == b.round_log
-    )
-
-
 def _rounds_per_sec(result: SimulationResult, wall: float) -> float:
     return result.rounds / wall if wall > 0 else float("inf")
 
@@ -149,8 +140,9 @@ def run_runtime_bench(
         stepping = _run_deployment(compiled, fast_forward=False)
         simulation = _run_simulation(compiled)
         dep_result: SimulationResult = deployment["result"]
-        parity = _parity(dep_result, simulation["result"]) and _parity(
-            dep_result, stepping["result"]
+        parity = (
+            schedule_diff(dep_result, simulation["result"]).identical
+            and schedule_diff(dep_result, stepping["result"]).identical
         )
         all_parity = all_parity and parity
         dep_rps = _rounds_per_sec(dep_result, deployment["wall_time_s"])

@@ -24,12 +24,9 @@ import argparse
 from typing import Sequence
 
 from repro.bench import workload
+from repro.bench.federation_bench import federation_spec, run_parallel
 from repro.experiments.harness import ExperimentTable
-from repro.federation.engine import FederationEngine, UniformShardFactory
-from repro.federation.parallel import ParallelFederationEngine
-from repro.federation.router import make_router, router_names
-from repro.policies.placement.consolidated import ConsolidatedPlacement
-from repro.policies.scheduling.fifo import FifoScheduling
+from repro.federation.router import router_names
 
 DEFAULT_SHARD_COUNTS = (1, 2, 4, 8)
 DEFAULT_ROUTERS = ("round-robin", "queue-delay")
@@ -50,31 +47,10 @@ def run_federation_point(
     multiprocess engine with that many worker processes (``1`` degenerates to
     the serial path by design).
     """
-    trace = workload.bench_trace(smoke=smoke)
-    factory = UniformShardFactory(
-        nodes_per_shard=total_nodes // num_shards,
-        scheduling_factory=FifoScheduling,
-        placement_factory=ConsolidatedPlacement,
-        gpus_per_node=workload.GPUS_PER_NODE,
-        round_duration=workload.ROUND_DURATION,
-    )
+    spec = federation_spec(smoke, router, num_shards, total_nodes)
     if workers >= 1:
-        engine = ParallelFederationEngine(
-            factory=factory,
-            num_shards=num_shards,
-            router=make_router(router),
-            jobs=trace.fresh_jobs(),
-            tracked_job_ids=trace.tracked_ids(),
-            workers=min(workers, num_shards),
-        )
-        return engine.run()
-    engine = FederationEngine(
-        factory.build_all(num_shards),
-        make_router(router),
-        trace.fresh_jobs(),
-        tracked_job_ids=trace.tracked_ids(),
-    )
-    return engine.run()
+        return run_parallel(spec, min(workers, num_shards))
+    return spec.build().run()
 
 
 def run_federation_scaling(
@@ -96,7 +72,7 @@ def run_federation_scaling(
     table = ExperimentTable(
         name="fig-federation-scaling",
         description=(
-            f"Sharded federation on the {total_nodes * workload.GPUS_PER_NODE}-GPU "
+            f"Sharded federation on the {total_nodes * workload.FULL.gpus_per_node}-GPU "
             "Philly benchmark workload: aggregate rounds/s and schedule quality "
             "vs shard count and worker processes (total capacity held constant; "
             "workers=0 is the in-process serial engine)."

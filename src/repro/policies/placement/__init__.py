@@ -18,3 +18,15 @@ __all__ = [
     "SynergyPlacement",
     "IntraNodeBandwidthPlacement",
 ]
+
+#: Placement-policy registry: name -> zero-argument factory.  The two
+#: mode-parameterised placements register under their default mode's name
+#: (the ``name`` a default-constructed instance reports).
+PLACEMENT_POLICIES = {
+    FirstFreePlacement.name: FirstFreePlacement,
+    ConsolidatedPlacement.name: ConsolidatedPlacement,
+    TiresiasPlacement.name: TiresiasPlacement,
+    ProfilePlacement.name: ProfilePlacement,
+    "synergy-tune": SynergyPlacement,
+    "intra-node-bandwidth-aware": IntraNodeBandwidthPlacement,
+}

@@ -21,3 +21,18 @@ __all__ = [
     "ThemisScheduling",
     "SynergyScheduling",
 ]
+
+#: Scheduling-policy registry: name -> zero-argument factory.  Policies are
+#: stateful, so every run must build a fresh instance.  ``__all__`` stays the
+#: class list; a test keeps the two in step.
+SCHEDULING_POLICIES = {
+    FifoScheduling.name: FifoScheduling,
+    LasScheduling.name: LasScheduling,
+    SrtfScheduling.name: SrtfScheduling,
+    TiresiasScheduling.name: TiresiasScheduling,
+    OptimusScheduling.name: OptimusScheduling,
+    GavelScheduling.name: GavelScheduling,
+    PolluxScheduling.name: PolluxScheduling,
+    ThemisScheduling.name: ThemisScheduling,
+    SynergyScheduling.name: SynergyScheduling,
+}

@@ -10,10 +10,10 @@ simulated twice from the same compiled scenario:
 * **stepping** -- the same engine with ``fast_forward=False``, executing
   every round (what per-round failure injection used to force).
 
-Both runs must produce identical per-job completion times, round logs and
-round counts (``schedule_parity``) -- scenario dynamics are scheduled state
-changes, not noise, so fast-forward remains a pure performance feature under
-churn.  The report also carries per-scenario summaries: JCT distribution
+Both runs must produce identical per-job completion times, round logs,
+round counts and end times (``schedule_parity``) -- scenario dynamics are
+scheduled state changes, not noise, so fast-forward remains a pure
+performance feature under churn.  The report also carries per-scenario summaries: JCT distribution
 (avg/median/p95/p99), policy preemptions, event-driven evictions and the
 capacity-weighted utilisation integrated over the run.
 """
@@ -23,27 +23,15 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.harness import PolicySpec, SweepTask, run_sweep
+from repro.metrics.parity import schedule_diff
 from repro.metrics.summary import scenario_summary
-from repro.policies.placement.consolidated import ConsolidatedPlacement
-from repro.policies.placement.first_free import FirstFreePlacement
-from repro.policies.scheduling import FifoScheduling, SrtfScheduling, TiresiasScheduling
+from repro.policies.placement import PLACEMENT_POLICIES
+from repro.policies.scheduling import SCHEDULING_POLICIES
 from repro.scenarios.registry import SMOKE_SCENARIOS, get_scenario, scenario_names
 from repro.telemetry.events import run_metadata
-from repro.simulator.engine import SimulationResult
 
 #: Seed every scenario in the checked-in matrix is compiled with.
 SCENARIO_SEED = 20240701
-
-POLICY_FACTORIES = {
-    "fifo": FifoScheduling,
-    "srtf": SrtfScheduling,
-    "tiresias": TiresiasScheduling,
-}
-
-PLACEMENT_FACTORIES = {
-    "consolidated": ConsolidatedPlacement,
-    "first-free": FirstFreePlacement,
-}
 
 #: (policy, placement) combinations of the full matrix: every policy against
 #: the paper's default placement, plus a second placement for one gang and
@@ -61,16 +49,6 @@ SMOKE_COMBOS: Tuple[Tuple[str, str], ...] = (
     ("fifo", "consolidated"),
     ("tiresias", "consolidated"),
 )
-
-
-def _cell_parity(fastforward: SimulationResult, stepping: SimulationResult) -> bool:
-    ff_completions = {j.job_id: j.completion_time for j in fastforward.jobs}
-    step_completions = {j.job_id: j.completion_time for j in stepping.jobs}
-    return (
-        ff_completions == step_completions
-        and fastforward.round_log == stepping.round_log
-        and fastforward.rounds == stepping.rounds
-    )
 
 
 def run_scenario_matrix(
@@ -100,8 +78,8 @@ def run_scenario_matrix(
             for mode in ("fastforward", "stepping"):
                 spec = PolicySpec(
                     label=f"{scenario_name}/{policy_name}/{placement_name}/{mode}",
-                    scheduling=POLICY_FACTORIES[policy_name],
-                    placement=PLACEMENT_FACTORIES[placement_name],
+                    scheduling=SCHEDULING_POLICIES[policy_name],
+                    placement=PLACEMENT_POLICIES[placement_name],
                 )
                 tasks.append(
                     SweepTask(
@@ -131,7 +109,7 @@ def run_scenario_matrix(
             base = f"{scenario_name}/{policy_name}/{placement_name}"
             fastforward = results[f"{base}/fastforward"]
             stepping = results[f"{base}/stepping"]
-            parity = _cell_parity(fastforward, stepping)
+            parity = schedule_diff(fastforward, stepping).identical
             all_parity = all_parity and parity
             ff_rps = (
                 fastforward.rounds / fastforward.wall_time_s

@@ -727,13 +727,3 @@ class Simulator:
             )
         self.flush_telemetry()
         return self.build_result()
-
-
-def run_simulation(
-    cluster_state: ClusterState,
-    jobs: Iterable[Job],
-    scheduling_policy: SchedulingPolicy,
-    **kwargs,
-) -> SimulationResult:
-    """Convenience wrapper: build a :class:`Simulator` and run it."""
-    return Simulator(cluster_state, jobs, scheduling_policy, **kwargs).run()

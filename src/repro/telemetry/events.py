@@ -36,7 +36,9 @@ import platform
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from repro.core.exceptions import ConfigurationError
+# Re-exported: trace files, run specs and workload files share one error type,
+# so ``except TraceFormatError`` means the same whichever module it came from.
+from repro.core.exceptions import TraceFormatError  # noqa: F401
 
 #: Bump on any incompatible change to the record layout below.
 #: v2: added the ``cluster`` event kind (scenario timeline firings).  v1
@@ -81,10 +83,6 @@ EVENT_SUPERVISOR = "supervisor"
 #: (wall-clock timings; supervisor actions triggered by injected faults).
 #: ``trace diff`` skips these unless asked not to.
 NONDETERMINISTIC_KINDS = frozenset({EVENT_TIMING, EVENT_SUPERVISOR})
-
-
-class TraceFormatError(ConfigurationError):
-    """A trace file or record does not match the schema."""
 
 
 class TraceEvent(NamedTuple):

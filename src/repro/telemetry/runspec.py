@@ -1,8 +1,10 @@
 """Replayable run descriptions: record once, re-drive bit-identically.
 
 A :class:`RunSpec` is a plain-data description of a run -- mode, policy and
-placement names (resolved through registries, never pickled objects), seed,
-workload size, cluster shape, federation layout.  It is stored in every
+placement names (any key of ``SCHEDULING_POLICIES`` / ``PLACEMENT_POLICIES``,
+never pickled objects), seed, workload size, cluster shape, federation
+layout -- and :meth:`RunSpec.build` is the one place that turns a description
+into an engine.  It is stored in every
 recorded trace's header, which makes the trace *self-replaying*:
 ``python -m repro.trace replay trace.jsonl`` rebuilds the exact run from the
 header and diffs the fresh event stream against the recorded one.  Because
@@ -24,8 +26,8 @@ Three modes cover the repo's execution paths:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass, fields
+from typing import Dict, Optional
 
 from repro.telemetry.events import TraceFormatError, TraceHeader, run_metadata
 from repro.telemetry.recorder import TraceRecorder
@@ -34,32 +36,6 @@ from repro.telemetry.sinks import TraceSink
 MODES = ("core", "runtime", "federation")
 #: Values of the retired ``engine`` spec field that old trace headers carry.
 _LEGACY_ENGINES = ("rounds", "events")
-
-
-def _policy_factories() -> Dict[str, type]:
-    from repro.policies.scheduling import (
-        FifoScheduling,
-        LasScheduling,
-        SrtfScheduling,
-        TiresiasScheduling,
-    )
-
-    return {
-        "fifo": FifoScheduling,
-        "srtf": SrtfScheduling,
-        "las": LasScheduling,
-        "tiresias": TiresiasScheduling,
-    }
-
-
-def _placement_factories() -> Dict[str, type]:
-    from repro.policies.placement.consolidated import ConsolidatedPlacement
-    from repro.policies.placement.first_free import FirstFreePlacement
-
-    return {
-        "consolidated": ConsolidatedPlacement,
-        "first-free": FirstFreePlacement,
-    }
 
 
 @dataclass(frozen=True)
@@ -89,21 +65,27 @@ class RunSpec:
 
     def __post_init__(self) -> None:
         from repro.federation.router import ROUTER_FACTORIES
+        from repro.policies.placement import PLACEMENT_POLICIES
+        from repro.policies.scheduling import SCHEDULING_POLICIES
 
         if self.mode not in MODES:
             raise TraceFormatError(f"unknown run mode {self.mode!r}; expected {MODES}")
-        if self.policy not in _policy_factories():
+        if self.policy not in SCHEDULING_POLICIES:
             raise TraceFormatError(
                 f"unknown policy {self.policy!r}; expected one of "
-                f"{sorted(_policy_factories())}"
+                f"{sorted(SCHEDULING_POLICIES)}"
             )
-        if self.placement not in _placement_factories():
+        if self.placement not in PLACEMENT_POLICIES:
             raise TraceFormatError(
                 f"unknown placement {self.placement!r}; expected one of "
-                f"{sorted(_placement_factories())}"
+                f"{sorted(PLACEMENT_POLICIES)}"
             )
-        if self.num_jobs < 1 or self.num_nodes < 1:
-            raise TraceFormatError("num_jobs and num_nodes must be >= 1")
+        if self.num_jobs < 1 or self.num_nodes < 1 or self.gpus_per_node < 1:
+            raise TraceFormatError("num_jobs, num_nodes and gpus_per_node must be >= 1")
+        # Specs arrive from the CLI and from trace headers: reject here what
+        # the engine constructors would otherwise reject mid-recording.
+        if not (self.jobs_per_hour > 0 and self.round_duration > 0):
+            raise TraceFormatError("jobs_per_hour and round_duration must be > 0")
         if self.scenario is not None:
             from repro.scenarios.registry import scenario_names
 
@@ -148,14 +130,17 @@ class RunSpec:
 
     # ------------------------------------------------------------------
 
-    def _trace(self):
+    def trace(self):
+        """The seeded Philly-style workload this spec describes."""
         from repro.workloads.philly import generate_philly_trace
 
         return generate_philly_trace(
             num_jobs=self.num_jobs, jobs_per_hour=self.jobs_per_hour, seed=self.seed
         )
 
-    def _cluster(self, num_nodes: Optional[int] = None):
+    def cluster(self, num_nodes: Optional[int] = None):
+        """A fresh homogeneous V100 cluster (``num_nodes`` overrides the
+        spec's node count, e.g. for one federation shard)."""
         from repro.cluster.builder import build_cluster
 
         return build_cluster(
@@ -163,6 +148,81 @@ class RunSpec:
             gpus_per_node=self.gpus_per_node,
             gpu_type="v100",
             network_bw_gbps=10.0,
+        )
+
+    def build(self, sink: Optional[TraceSink] = None, **engine_kwargs):
+        """The unstarted engine for this spec's mode; ``.run()`` executes it.
+
+        ``sink`` turns recording on.  ``engine_kwargs`` reach the engine
+        constructor (every shard's, in federation mode), so the stepping
+        reference of any spec is ``spec.build(fast_forward=False)``.
+        """
+        from repro.policies.placement import PLACEMENT_POLICIES
+        from repro.policies.scheduling import SCHEDULING_POLICIES
+
+        scheduling = SCHEDULING_POLICIES[self.policy]
+        placement = PLACEMENT_POLICIES[self.placement]
+
+        def recorder(source: str) -> Optional[TraceRecorder]:
+            return None if sink is None else TraceRecorder(sink, source=source)
+
+        if self.mode == "federation":
+            from repro.federation.engine import FederationEngine
+            from repro.federation.router import make_router
+            from repro.federation.shard import ShardSimulator
+
+            shards = [
+                ShardSimulator(
+                    shard_id=shard_id,
+                    cluster_state=self.cluster(self.num_nodes // self.shards),
+                    scheduling_policy=scheduling(),
+                    placement_policy=placement(),
+                    round_duration=self.round_duration,
+                    recorder=recorder(f"shard{shard_id}"),
+                    **engine_kwargs,
+                )
+                for shard_id in range(self.shards)
+            ]
+            trace = self.trace()
+            return FederationEngine(
+                shards,
+                make_router(self.router),
+                trace.fresh_jobs(),
+                tracked_job_ids=trace.tracked_ids(),
+                recorder=recorder("federation"),
+            )
+
+        if self.scenario is not None:
+            from repro.scenarios.registry import get_scenario
+
+            compiled = get_scenario(self.scenario, smoke=self.scenario_smoke).compile(
+                seed=self.seed
+            )
+            cluster, trace = compiled.build_cluster(), compiled.trace
+            round_duration = compiled.spec.round_duration
+            engine_kwargs["cluster_manager"] = compiled.make_cluster_manager()
+        else:
+            cluster, trace = self.cluster(), self.trace()
+            round_duration = self.round_duration
+        if self.mode == "runtime":
+            from repro.runtime.central_scheduler import CentralScheduler
+            from repro.simulator.overheads import OverheadModel
+
+            engine_cls, source = CentralScheduler, "runtime"
+            engine_kwargs.update(lease_protocol="optimistic", overhead_model=OverheadModel())
+        else:
+            from repro.simulator.engine import Simulator
+
+            engine_cls, source = Simulator, "sim"
+        return engine_cls(
+            cluster_state=cluster,
+            jobs=trace.fresh_jobs(),
+            scheduling_policy=scheduling(),
+            placement_policy=placement(),
+            round_duration=round_duration,
+            tracked_job_ids=trace.tracked_ids(),
+            recorder=recorder(source),
+            **engine_kwargs,
         )
 
     def header(self, started_at: Optional[float] = None) -> TraceHeader:
@@ -186,85 +246,7 @@ def run_recorded(
     """
     if write_header:
         sink.write_header(spec.header(started_at))
-    if spec.mode == "core":
-        _run_core(spec, sink)
-    elif spec.mode == "runtime":
-        _run_runtime(spec, sink)
-    else:
-        _run_federation(spec, sink)
+    spec.build(sink).run()
     flush = getattr(sink, "flush", None)
     if flush is not None:
         flush()
-
-
-def _run_core(spec: RunSpec, sink: TraceSink) -> None:
-    from repro.simulator.engine import Simulator
-
-    if spec.scenario is not None:
-        from repro.scenarios.registry import get_scenario
-
-        compiled = get_scenario(spec.scenario, smoke=spec.scenario_smoke).compile(
-            seed=spec.seed
-        )
-        Simulator(
-            cluster_state=compiled.build_cluster(),
-            jobs=compiled.trace.fresh_jobs(),
-            scheduling_policy=_policy_factories()[spec.policy](),
-            placement_policy=_placement_factories()[spec.placement](),
-            round_duration=compiled.spec.round_duration,
-            cluster_manager=compiled.make_cluster_manager(),
-            tracked_job_ids=compiled.trace.tracked_ids(),
-            recorder=TraceRecorder(sink, source="sim"),
-        ).run()
-        return
-
-    Simulator(
-        cluster_state=spec._cluster(),
-        jobs=spec._trace().fresh_jobs(),
-        scheduling_policy=_policy_factories()[spec.policy](),
-        placement_policy=_placement_factories()[spec.placement](),
-        round_duration=spec.round_duration,
-        recorder=TraceRecorder(sink, source="sim"),
-    ).run()
-
-
-def _run_runtime(spec: RunSpec, sink: TraceSink) -> None:
-    from repro.runtime.central_scheduler import CentralScheduler
-    from repro.simulator.overheads import OverheadModel
-
-    CentralScheduler(
-        cluster_state=spec._cluster(),
-        jobs=spec._trace().fresh_jobs(),
-        scheduling_policy=_policy_factories()[spec.policy](),
-        placement_policy=_placement_factories()[spec.placement](),
-        round_duration=spec.round_duration,
-        lease_protocol="optimistic",
-        overhead_model=OverheadModel(),
-        recorder=TraceRecorder(sink, source="runtime"),
-    ).run()
-
-
-def _run_federation(spec: RunSpec, sink: TraceSink) -> None:
-    from repro.federation.engine import FederationEngine
-    from repro.federation.router import make_router
-    from repro.federation.shard import ShardSimulator
-
-    nodes_per_shard = spec.num_nodes // spec.shards
-    shards: List[ShardSimulator] = []
-    for shard_id in range(spec.shards):
-        shards.append(
-            ShardSimulator(
-                shard_id=shard_id,
-                cluster_state=spec._cluster(num_nodes=nodes_per_shard),
-                scheduling_policy=_policy_factories()[spec.policy](),
-                placement_policy=_placement_factories()[spec.placement](),
-                round_duration=spec.round_duration,
-                recorder=TraceRecorder(sink, source=f"shard{shard_id}"),
-            )
-        )
-    FederationEngine(
-        shards=shards,
-        router=make_router(spec.router),
-        jobs=spec._trace().fresh_jobs(),
-        recorder=TraceRecorder(sink, source="federation"),
-    ).run()

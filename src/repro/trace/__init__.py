@@ -21,6 +21,9 @@ import sys
 import time
 from typing import List, Optional
 
+from repro.federation.router import ROUTER_FACTORIES
+from repro.policies.placement import PLACEMENT_POLICIES
+from repro.policies.scheduling import SCHEDULING_POLICIES
 from repro.telemetry.diff import diff_streams
 from repro.telemetry.events import NONDETERMINISTIC_KINDS, TraceFormatError, merge_events
 from repro.telemetry.runspec import MODES, RunSpec, run_recorded
@@ -30,8 +33,18 @@ from repro.telemetry.sinks import RingBufferSink, open_sink, read_trace
 def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     defaults = RunSpec()
     parser.add_argument("--mode", choices=MODES, default=defaults.mode)
-    parser.add_argument("--policy", default=defaults.policy, help="scheduling policy name")
-    parser.add_argument("--placement", default=defaults.placement, help="placement policy name")
+    parser.add_argument(
+        "--policy",
+        choices=sorted(SCHEDULING_POLICIES),
+        default=defaults.policy,
+        help="scheduling policy name",
+    )
+    parser.add_argument(
+        "--placement",
+        choices=sorted(PLACEMENT_POLICIES),
+        default=defaults.placement,
+        help="placement policy name",
+    )
     parser.add_argument("--seed", type=int, default=defaults.seed)
     parser.add_argument("--jobs", type=int, default=defaults.num_jobs, help="workload size")
     parser.add_argument(
@@ -42,7 +55,10 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
         "--shards", type=int, default=defaults.shards, help="federation shard count"
     )
     parser.add_argument(
-        "--router", default=defaults.router, help="federation router name"
+        "--router",
+        choices=sorted(ROUTER_FACTORIES),
+        default=defaults.router,
+        help="federation router name",
     )
     parser.add_argument(
         "--round-duration", type=float, default=defaults.round_duration

@@ -37,6 +37,7 @@ from repro.federation import (
     router_names,
     summarize_shard,
 )
+from repro.metrics.parity import schedule_diff
 from repro.metrics.summary import FederationSummary, federation_summary, percentile
 from repro.policies.placement.consolidated import ConsolidatedPlacement
 from repro.policies.scheduling import FifoScheduling, SrtfScheduling
@@ -70,14 +71,6 @@ def make_federation(num_shards, router, trace, fast_forward=True, nodes_per_shar
 
 def completions(result):
     return {j.job_id: j.completion_time for j in result.jobs}
-
-
-def assert_federation_parity(fastforward, stepping):
-    assert fastforward.assignments == stepping.assignments
-    for ff_shard, step_shard in zip(fastforward.shard_results, stepping.shard_results):
-        assert completions(ff_shard) == completions(step_shard)
-        assert ff_shard.round_log == step_shard.round_log
-        assert ff_shard.rounds == step_shard.rounds
 
 
 # ----------------------------------------------------------------------
@@ -130,7 +123,7 @@ def test_federation_fast_forward_parity(router_name):
     step_engine, _ = make_federation(2, make_router(router_name), trace, fast_forward=False)
     fastforward = ff_engine.run()
     stepping = step_engine.run()
-    assert_federation_parity(fastforward, stepping)
+    assert schedule_diff(fastforward, stepping).identical
     for shard in ff_shards:
         shard.cluster_state.check_invariants()
 
@@ -142,7 +135,7 @@ def test_federation_parity_with_srtf():
     step_engine, _ = make_federation(
         2, QueueDelayRouter(), trace, scheduling=SrtfScheduling, fast_forward=False
     )
-    assert_federation_parity(ff_engine.run(), step_engine.run())
+    assert schedule_diff(ff_engine.run(), step_engine.run()).identical
 
 
 def test_federation_parity_with_per_shard_scenarios():
@@ -165,7 +158,7 @@ def test_federation_parity_with_per_shard_scenarios():
     )
     fastforward = ff_engine.run()
     stepping = step_engine.run()
-    assert_federation_parity(fastforward, stepping)
+    assert schedule_diff(fastforward, stepping).identical
     for shard in ff_shards:
         shard.cluster_state.check_invariants()
 

@@ -37,6 +37,7 @@ from repro.federation import (
     make_router,
     router_names,
 )
+from repro.metrics.parity import schedule_diff
 from repro.policies.placement.consolidated import ConsolidatedPlacement
 from repro.policies.scheduling import FifoScheduling, SrtfScheduling
 from repro.scenarios.registry import get_scenario
@@ -83,18 +84,6 @@ def run_parallel(factory, num_shards, router_name, trace, workers=2, **kwargs):
     return engine.run()
 
 
-def completions(result):
-    return {j.job_id: j.completion_time for j in result.jobs}
-
-
-def assert_bit_parity(serial, parallel):
-    assert serial.assignments == parallel.assignments
-    for serial_shard, parallel_shard in zip(serial.shard_results, parallel.shard_results):
-        assert completions(serial_shard) == completions(parallel_shard)
-        assert serial_shard.round_log == parallel_shard.round_log
-        assert serial_shard.rounds == parallel_shard.rounds
-
-
 # ----------------------------------------------------------------------
 # Serial == parallel bit-parity
 # ----------------------------------------------------------------------
@@ -106,7 +95,7 @@ def test_parallel_matches_serial(router_name):
     factory = bench_factory()
     serial = run_serial(factory, 2, router_name, trace)
     parallel = run_parallel(factory, 2, router_name, trace, workers=2)
-    assert_bit_parity(serial, parallel)
+    assert schedule_diff(serial, parallel).identical
     assert serial.workers == 0
     assert parallel.workers == 2
 
@@ -124,7 +113,7 @@ def test_parallel_matches_serial_under_failure_storm(router_name):
     )
     serial = run_serial(factory, 2, router_name, trace)
     parallel = run_parallel(factory, 2, router_name, trace, workers=2)
-    assert_bit_parity(serial, parallel)
+    assert schedule_diff(serial, parallel).identical
     assert sum(r.eviction_count for r in parallel.shard_results) == sum(
         r.eviction_count for r in serial.shard_results
     )
@@ -137,7 +126,7 @@ def test_parallel_matches_serial_with_srtf_and_more_shards_than_workers():
     factory = bench_factory(scheduling=SrtfScheduling)
     serial = run_serial(factory, 4, "queue-delay", trace)
     parallel = run_parallel(factory, 4, "queue-delay", trace, workers=2)
-    assert_bit_parity(serial, parallel)
+    assert schedule_diff(serial, parallel).identical
 
 
 def test_parallel_spawn_context_matches_serial():
@@ -149,7 +138,7 @@ def test_parallel_spawn_context_matches_serial():
     parallel = run_parallel(
         factory, 2, "least-loaded", trace, workers=2, mp_context="spawn"
     )
-    assert_bit_parity(serial, parallel)
+    assert schedule_diff(serial, parallel).identical
 
 
 def test_parallel_timing_breakdown_populated():
@@ -180,7 +169,7 @@ def test_workers_one_uses_serial_engine(monkeypatch):
     factory = bench_factory()
     serial = run_serial(factory, 2, "queue-delay", trace)
     degenerate = run_parallel(factory, 2, "queue-delay", trace, workers=1)
-    assert_bit_parity(serial, degenerate)
+    assert schedule_diff(serial, degenerate).identical
     assert degenerate.workers == 1
 
 

@@ -28,6 +28,7 @@ from repro.federation import (
 )
 from repro.federation.parallel import WorkerPoolBackend
 from repro.federation.router import make_router
+from repro.metrics.parity import schedule_diff
 from repro.policies.placement.consolidated import ConsolidatedPlacement
 from repro.policies.scheduling import FifoScheduling
 from repro.workloads.philly import generate_philly_trace
@@ -77,18 +78,6 @@ def supervisor(**overrides):
     return SupervisorConfig(**config)
 
 
-def completions(result):
-    return {j.job_id: j.completion_time for j in result.jobs}
-
-
-def assert_bit_parity(serial, recovered):
-    assert serial.assignments == recovered.assignments
-    for serial_shard, shard in zip(serial.shard_results, recovered.shard_results):
-        assert completions(serial_shard) == completions(shard)
-        assert serial_shard.round_log == shard.round_log
-        assert serial_shard.rounds == shard.rounds
-
-
 # ----------------------------------------------------------------------
 # Kill-one-worker recovery parity (the tentpole gate)
 # ----------------------------------------------------------------------
@@ -105,7 +94,7 @@ def test_sigkill_mid_advance_recovers_bit_identical(mp_context, when):
         supervisor=supervisor(),
         kill_plan=WorkerKillPlan(kills=((2, 0),), when=when),
     )
-    assert_bit_parity(serial, recovered)
+    assert schedule_diff(serial, recovered).identical
     stats = recovered.fault_stats
     assert stats.worker_restarts == 1
     assert stats.checkpoints >= 1
@@ -119,7 +108,7 @@ def test_kill_before_first_checkpoint_replays_from_genesis():
         supervisor=supervisor(checkpoint_interval=1000),
         kill_plan=WorkerKillPlan(kills=((4, 1),), when="before"),
     )
-    assert_bit_parity(serial, recovered)
+    assert schedule_diff(serial, recovered).identical
     stats = recovered.fault_stats
     assert stats.worker_restarts == 1
     assert stats.checkpoints == 0
@@ -134,7 +123,7 @@ def test_two_kills_same_worker_recover():
         supervisor=supervisor(),
         kill_plan=WorkerKillPlan(kills=((1, 0), (5, 0)), when="before"),
     )
-    assert_bit_parity(serial, recovered)
+    assert schedule_diff(serial, recovered).identical
     assert recovered.fault_stats.worker_restarts == 2
 
 

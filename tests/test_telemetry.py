@@ -361,6 +361,28 @@ def test_runspec_validation():
         RunSpec(mode="federation", router="carrier-pigeon")
     with pytest.raises(TraceFormatError):
         RunSpec.from_dict({"mode": "core", "flux_capacitor": 1})
+    for bad in ({"round_duration": 0.0}, {"jobs_per_hour": 0.0}, {"gpus_per_node": 0}):
+        with pytest.raises(TraceFormatError):
+            RunSpec(**bad)
+
+
+def test_bad_runspec_and_bad_workload_file_raise_the_same_type(tmp_path):
+    # One TraceFormatError, whichever module it is imported from: a caller's
+    # ``except TraceFormatError`` must not depend on the import it picked.
+    import repro.core.exceptions as core_exceptions
+    import repro.telemetry.events as telemetry_events
+    from repro.workloads.parsers import load_trace_csv
+
+    assert telemetry_events.TraceFormatError is core_exceptions.TraceFormatError
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text("job_id,arrival_time\n1,0.0\n")
+    raised = []
+    for trigger in (lambda: RunSpec(policy="lottery"), lambda: load_trace_csv(bad_csv)):
+        with pytest.raises(Exception) as excinfo:
+            trigger()
+        raised.append(excinfo.type)
+    assert raised == [TraceFormatError, TraceFormatError]
+    assert issubclass(TraceFormatError, ValueError)
 
 
 def test_run_metadata_fields():
@@ -407,6 +429,44 @@ def test_cli_rejects_unreplayable_trace(tmp_path):
         sink.emit(SAMPLE_EVENTS[0])
     assert trace_main(["replay", bare]) == 2
     assert trace_main(["diff", bare, str(tmp_path / "missing.jsonl")]) == 2
+
+
+@pytest.mark.parametrize(
+    "bad_flag", [["--round-duration", "0"], ["--jobs-per-hour", "0"]]
+)
+def test_cli_record_rejects_bad_spec_before_opening_the_output(tmp_path, bad_flag, capsys):
+    # Used to pass RunSpec validation, write a header-only trace, then die
+    # with a ConfigurationError traceback from the engine constructor.
+    out = tmp_path / "never.jsonl"
+    assert trace_main(["record", *bad_flag, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_replay_rejects_bad_header_spec(tmp_path, capsys):
+    bad = str(tmp_path / "bad.jsonl")
+    with JsonlSink(bad) as sink:
+        sink.write_header(
+            TraceHeader(metadata={"seed": 1}, spec={**RunSpec().as_dict(), "gpus_per_node": 0})
+        )
+    assert trace_main(["replay", bad]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_policy_choices_come_from_the_registries(capsys):
+    from repro.federation.router import ROUTER_FACTORIES
+    from repro.policies.placement import PLACEMENT_POLICIES
+    from repro.policies.scheduling import SCHEDULING_POLICIES
+
+    with pytest.raises(SystemExit) as excinfo:
+        trace_main(["record", "--help"])
+    assert excinfo.value.code == 0
+    help_text = capsys.readouterr().out
+    for name in (*SCHEDULING_POLICIES, *PLACEMENT_POLICIES, *ROUTER_FACTORIES):
+        assert name in help_text
+    with pytest.raises(SystemExit) as excinfo:
+        trace_main(["record", "--policy", "lottery"])
+    assert excinfo.value.code == 2
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,13 @@ Checks, for ``README.md`` and every ``docs/*.md``:
 * **lint rule ids** -- every rule id documented in
   ``docs/static-analysis.md`` exists in ``repro.analysis.rule_catalog()``,
   and every registered rule is documented there, so the rule catalog and its
-  reference page cannot drift apart.
+  reference page cannot drift apart;
+* **policy names** -- the "Name" column of each registry-backed table in
+  ``docs/policies.md`` (scheduling, placement, routers) equals the keys of
+  the registry that resolves those names (``SCHEDULING_POLICIES``,
+  ``PLACEMENT_POLICIES``, ``ROUTER_FACTORIES``), in both directions, so a
+  documented name is always one ``RunSpec`` / ``python -m repro.trace record``
+  accepts and a registered policy is always documented.
 
 External ``http(s)://`` / ``mailto:`` links are skipped (CI has no network
 guarantee).  Exit status is the number of broken references; the CLI smoke
@@ -174,6 +180,54 @@ def check_lint_rule_ids() -> List[str]:
     return errors
 
 
+#: ``docs/policies.md`` section heading (prefix) -> the registry whose keys
+#: that section's "Name" column must equal.
+POLICY_REGISTRIES = {
+    "## Scheduling policies": ("repro.policies.scheduling", "SCHEDULING_POLICIES"),
+    "## Placement policies": ("repro.policies.placement", "PLACEMENT_POLICIES"),
+    "## Federation routers": ("repro.federation.router", "ROUTER_FACTORIES"),
+}
+#: First cell of a table row: ``| `name` | ...``.
+NAME_CELL_RE = re.compile(r"^\|\s*`([^`]+)`\s*\|")
+
+
+def check_policy_names() -> List[str]:
+    """docs/policies.md "Name" columns and the policy registries agree."""
+    import importlib
+
+    doc = REPO_ROOT / "docs" / "policies.md"
+    if not doc.exists():
+        return ["missing documentation file: docs/policies.md"]
+    documented: Dict[str, set] = {heading: set() for heading in POLICY_REGISTRIES}
+    section = None
+    for line in doc.read_text().splitlines():
+        if line.startswith("## "):
+            section = next((h for h in POLICY_REGISTRIES if line.startswith(h)), None)
+        match = NAME_CELL_RE.match(line)
+        if section is not None and match:
+            documented[section].add(match.group(1))
+    errors: List[str] = []
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    try:
+        for heading, (module, attribute) in POLICY_REGISTRIES.items():
+            registered = set(getattr(importlib.import_module(module), attribute))
+            errors.extend(
+                f"docs/policies.md: {heading[3:]!r} documents `{name}`, which "
+                f"is not a key of {module}.{attribute}"
+                for name in sorted(documented[heading] - registered)
+            )
+            errors.extend(
+                f"docs/policies.md: {module}.{attribute} key `{name}` has no "
+                f"row in the {heading[3:]!r} table"
+                for name in sorted(registered - documented[heading])
+            )
+    except Exception as exc:  # pragma: no cover - import environment issues
+        return [f"docs/policies.md: cannot import the policy registries ({exc})"]
+    finally:
+        sys.path.pop(0)
+    return errors
+
+
 def main() -> int:
     files = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
     missing = [f for f in files if not f.exists()]
@@ -184,6 +238,7 @@ def main() -> int:
         if md_path.exists():
             errors.extend(check_file(md_path))
     errors.extend(check_lint_rule_ids())
+    errors.extend(check_policy_names())
     if errors:
         print(f"check_docs: {len(errors)} broken reference(s)", file=sys.stderr)
         for error in errors:
