@@ -93,7 +93,6 @@ HOT_PATH_FUNCTIONS: FrozenSet[str] = frozenset(
         "repro/simulator/execution.py::ExecutionModel.advance",
         "repro/simulator/execution.py::ExecutionModel.advance_steady",
         "repro/simulator/execution.py::ExecutionModel.steady_scan",
-        "repro/simulator/execution.py::ExecutionModel.advance_steady_bulk",
         # _append_records is deliberately absent: it *is* the batched
         # round-record choke point, so telemetry emission belongs there.
         "repro/simulator/event_core.py::EventCore._completion_event_round",

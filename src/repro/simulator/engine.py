@@ -335,10 +335,11 @@ class Simulator:
         return True
 
     def _prune_completed_jobs(self) -> List[Job]:
-        """Step 3 of the loop; a pruned job also gives up its completion probe."""
+        """Step 3 of the loop; a pruned job also gives up its probe and cached rate."""
         released = self.manager.prune_completed_jobs(self.cluster_state, self.job_state)
         for job in released:
             self._event_core.forget(job.job_id)
+            self.execution_model.forget(job.job_id)
         return released
 
     def _round_record(self) -> RoundRecord:

@@ -18,7 +18,7 @@ and hands the sanctioned skip here.  The clock then jumps from event to event:
   observable product -- the round log, the clock, and each running job's
   progress accounting -- is materialised in batch: constant-field
   :class:`~repro.simulator.engine.RoundRecord` rows, a computed clock jump,
-  and :meth:`~repro.simulator.execution.ExecutionModel.advance_steady_bulk`
+  and :meth:`~repro.simulator.execution.ExecutionModel.advance_steady`
   constant-delta folds.  With the round log disabled
   (``round_log_limit=0``) and no trace recorder attached, a whole segment is
   literally O(1).
@@ -278,7 +278,7 @@ class EventCore:
         return False
 
     def steady(self, horizon: float) -> bool:
-        """Decision-stable strides: batched records + bulk advancement.
+        """Decision-stable strides: batched records + one replay per job.
 
         The stride length is the smaller of the horizon and one round *short
         of* the earliest completing round: a completion frees GPUs that the
@@ -304,13 +304,11 @@ class EventCore:
         # and pruned, mirroring the per-round order of operations.
         self._append_records(rounds - 1)
         mgr.advance_time()
-        execution.advance_steady_bulk(
-            advancing,
-            sim.cluster_state,
-            mgr.current_time - mgr.round_duration,
-            mgr.round_duration,
-            rounds,
-        )
+        final_round_start = mgr.current_time - mgr.round_duration
+        for job in advancing:
+            execution.advance_steady(
+                job, sim.cluster_state, final_round_start, mgr.round_duration, rounds
+            )
         sim._prune_completed_jobs()
         if sim._tracked_all_finished():
             return True
@@ -373,16 +371,15 @@ class EventCore:
 
         def flush_running() -> None:
             # Jobs materialised mid-chain are exactly the completed ones, so
-            # every still-running job owes the same span -- one bulk fold.
+            # every still-running job owes the same span.
             owed = mgr.round_number - entry_round
             if owed > 0:
-                execution.advance_steady_bulk(
-                    [job for job in jobs if job.status == JobStatus.RUNNING],
-                    sim.cluster_state,
-                    mgr.current_time - rd,
-                    rd,
-                    owed,
-                )
+                final_round_start = mgr.current_time - rd
+                for job in jobs:
+                    if job.status == JobStatus.RUNNING:
+                        execution.advance_steady(
+                            job, sim.cluster_state, final_round_start, rd, owed
+                        )
             job_state.current_time = mgr.current_time
 
         while True:

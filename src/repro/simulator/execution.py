@@ -16,13 +16,7 @@ policies "on a common footing" as the paper argues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
-
-try:  # pragma: no cover - exercised indirectly via advance_steady_bulk
-    import numpy as _np
-except ImportError:  # pragma: no cover - the scalar path is always available
-    _np = None
+from typing import Dict, Optional, Tuple
 
 from repro.core.abstractions import TerminationPolicy
 from repro.core.cluster_state import ClusterState
@@ -35,23 +29,6 @@ from repro.simulator.overheads import OverheadModel
 #: slower networks grow it -- this is what flips the Tiresias placement result
 #: when moving from 100 Gbps P100 clusters to 10 Gbps V100 clusters (Fig. 10).
 REFERENCE_NETWORK_BW_GBPS = 40.0
-
-#: Below this many jobs the per-round numpy call overhead exceeds the scalar
-#: loop it replaces; elementwise float64 adds are bit-identical either way,
-#: so the threshold is purely a speed knob.
-BULK_NUMPY_MIN_JOBS = 16
-
-
-@dataclass
-class RoundProgress:
-    """What happened to one job during one round (returned for logging/tests)."""
-
-    job_id: int
-    work_done: float
-    compute_seconds: float
-    overhead_seconds: float
-    completed: bool
-    effective_rate: float
 
 
 class ExecutionModel:
@@ -147,6 +124,10 @@ class ExecutionModel:
         )
         return rate, fragmented, num_gpus
 
+    def forget(self, job_id: int) -> None:
+        """Drop the cached rate of a job that was pruned."""
+        self._rate_cache.pop(job_id, None)
+
     # ------------------------------------------------------------------
     # Round advancement
     # ------------------------------------------------------------------
@@ -157,12 +138,13 @@ class ExecutionModel:
         cluster_state: ClusterState,
         round_start: float,
         round_duration: float,
-    ) -> RoundProgress:
+    ) -> bool:
         """Advance one running job across one round of wall-clock time.
 
         Updates ``work_done``, ``attained_service`` and application metrics on
         the job; marks it completed (with a sub-round-accurate completion time)
-        if it reaches its termination target during the round.
+        if it reaches its termination target during the round.  Returns
+        whether the job completed.
         """
         if job.status != JobStatus.RUNNING:
             raise SimulationError(f"cannot advance job {job.job_id} in status {job.status}")
@@ -203,14 +185,7 @@ class ExecutionModel:
             # observers, which read the JCT off the job.
             job.completion_time = round_start + overhead_used + compute_seconds
             job.status = JobStatus.COMPLETED
-        return RoundProgress(
-            job_id=job.job_id,
-            work_done=work,
-            compute_seconds=compute_seconds,
-            overhead_seconds=overhead_used,
-            completed=completed,
-            effective_rate=rate,
-        )
+        return completed
 
     @staticmethod
     def steady_scan(
@@ -276,35 +251,30 @@ class ExecutionModel:
         final_round_start: float,
         round_duration: float,
         rounds: int,
-        rate: Optional[float] = None,
     ) -> bool:
         """Advance one running job across ``rounds`` steady-state rounds at once.
 
-        Used by the simulator's fast-forward when the job's allocation,
-        placement and rate are constant across the stride: the per-round
-        work/overhead/service accounting is replayed in a tight loop with
-        exactly the floating-point operations :meth:`advance` would perform
-        (same values, same order, per job), so the job's state after the call
-        is bit-identical to ``rounds`` individual ``advance`` calls --
-        including the sub-round completion time if the job finishes in the
-        stride's final round (callers size strides with :meth:`steady_scan`
-        so a completion can only fall there).
-        The application metrics are pure functions of the final state and the
-        constant rate, so they are flushed once at the end instead of per
-        round.
+        The one k-round replay: used by the skip executor when the job's
+        allocation, placement and rate are constant across the stride.  The
+        per-round work/overhead/service accounting is replayed with exactly
+        the floating-point operations :meth:`advance` would perform (same
+        values, same order), so the job's state after the call is
+        bit-identical to ``rounds`` individual ``advance`` calls -- including
+        the sub-round completion time if the job finishes in the stride's
+        final round (callers size strides with :meth:`steady_scan` so a
+        completion can only fall there).  The application metrics are pure
+        functions of the final state and the constant rate, so they are
+        flushed once at the end instead of per round.
 
         ``final_round_start`` is the wall-clock start of the stride's *last*
         round, taken from the manager's clock so a completion time
         assigned here is bit-identical to the one ``advance`` would assign.
-        Returns whether the job completed.
+        Returns whether the job completed; a completion before the final
+        round raises :class:`SimulationError` before any progress is written.
         """
         if job.status != JobStatus.RUNNING:
             raise SimulationError(f"cannot advance job {job.job_id} in status {job.status}")
-        if rate is None:
-            rate, fragmented, num_gpus = self.cached_rate(job, cluster_state)
-        else:
-            fragmented = len(cluster_state.nodes_for_job(job.job_id)) > 1
-            num_gpus = cluster_state.num_gpus_for_job(job.job_id)
+        rate, fragmented, num_gpus = self.cached_rate(job, cluster_state)
         if not num_gpus:
             raise SimulationError(f"running job {job.job_id} holds no GPUs")
         if fragmented:
@@ -317,14 +287,11 @@ class ExecutionModel:
         completed = False
         overhead_used = 0.0
         compute_seconds = 0.0
-        # General fold only while overhead drains (or the rate is
-        # non-positive); once pending hits exactly 0.0 with a positive rate,
-        # every later round has overhead_used == 0.0 and available ==
-        # round_duration, so the loop switches to a fast fold of two adds per
-        # non-completing round with constant operands and no min/max calls.
-        # Both arms perform identical float operations in identical order.
+        # General fold while overhead drains.  A non-positive rate needs no
+        # more than that: once pending is exactly 0.0 each of its rounds adds
+        # 0.0 work and 0.0 service, a no-op of any length.
         index = 0
-        while index < rounds and (pending != 0.0 or rate <= 0):
+        while index < rounds and pending != 0.0:
             overhead_used = min(pending, round_duration)
             pending -= overhead_used
             available = round_duration - overhead_used
@@ -351,28 +318,41 @@ class ExecutionModel:
                     )
                 break
             index += 1
-        if not completed and index < rounds:
+        if rate > 0 and index < rounds and not completed:
+            # Overhead drained, positive rate: every round has overhead_used
+            # == 0.0 and available == round_duration, so a non-completing
+            # round is two adds with constant operands.  All rounds but the
+            # last are folded blind; the per-round completion test
+            # ``remaining / rate <= round_duration`` is monotone along the
+            # stride (work never decreases, so remaining never increases), so
+            # one test on the round before the last, with the exact operands
+            # the per-round loop would use there, proves every blind round
+            # took the no-completion arm.
             work_delta = round_duration * rate
             service_delta = num_gpus * (round_duration + 0.0)
             overhead_used = 0.0
-            while index < rounds:
-                remaining = target - work
-                if remaining < 0.0:
-                    remaining = 0.0
-                compute_seconds = remaining / rate
-                if compute_seconds <= round_duration:
-                    completed = True
-                    work += remaining
-                    attained += num_gpus * (compute_seconds + 0.0)
-                    if index != rounds - 1:
-                        raise SimulationError(
-                            f"job {job.job_id} completed in stride round {index + 1} "
-                            f"of {rounds}; the stride was sized past its completion"
-                        )
-                    break
+            blind = rounds - index - 1
+            if blind > 0:
+                for _ in range(blind - 1):
+                    work += work_delta
+                    attained += service_delta
+                if max(0.0, target - work) / rate <= round_duration:
+                    raise SimulationError(
+                        f"job {job.job_id} completed before the final round of "
+                        f"its {rounds}-round stride; the stride was sized past "
+                        "its completion"
+                    )
                 work += work_delta
                 attained += service_delta
-                index += 1
+            remaining = max(0.0, target - work)
+            compute_seconds = remaining / rate
+            if compute_seconds <= round_duration:
+                completed = True
+                work += remaining
+                attained += num_gpus * (compute_seconds + 0.0)
+            else:
+                work += work_delta
+                attained += service_delta
         job.work_done = work
         job.attained_service = attained
         job.pending_overhead = pending
@@ -381,114 +361,6 @@ class ExecutionModel:
             job.completion_time = final_round_start + overhead_used + compute_seconds
             job.status = JobStatus.COMPLETED
         return completed
-
-    def advance_steady_bulk(
-        self,
-        jobs: Sequence[Job],
-        cluster_state: ClusterState,
-        final_round_start: float,
-        round_duration: float,
-        rounds: int,
-    ) -> None:
-        """Advance many running jobs ``rounds`` steady rounds each, batched.
-
-        Bit-identical to calling :meth:`advance_steady` per job in ``jobs``
-        order, but the common case -- no pending overhead, positive rate, no
-        completion inside the stride -- collapses each job's round loop to two
-        float additions per round with constant, precomputed deltas (the
-        per-round operands never change once the overhead is drained), and
-        vectorises those additions across jobs with numpy when the batch is
-        large (elementwise IEEE-754 float64 adds are bit-identical to the
-        scalar fold).
-
-        Callers size ``rounds`` strictly before every job's probed completion
-        round; the fast path *verifies* that claim rather than trusting it.
-        The per-round completion test ``remaining / rate <= available`` is
-        monotone along the stride (work never decreases, so remaining never
-        increases), so testing it once at the final round with the exact
-        values the per-round loop would use proves every earlier round took the
-        no-completion arm.  Any job failing the check -- or carrying pending
-        overhead -- is replayed through :meth:`advance_steady`, preserving its
-        exact completion/error semantics.
-        """
-        if rounds <= 0:
-            return
-        fast: list = []  # (job, rate, num_gpus) for the pure constant-delta fold
-        for job in jobs:
-            if job.status != JobStatus.RUNNING:
-                raise SimulationError(
-                    f"cannot advance job {job.job_id} in status {job.status}"
-                )
-            rate, fragmented, num_gpus = self.cached_rate(job, cluster_state)
-            if not num_gpus:
-                raise SimulationError(f"running job {job.job_id} holds no GPUs")
-            if job.pending_overhead != 0.0:
-                # Overhead rounds change the per-round operands; rare (the
-                # launch round's full advance usually drains it), so the
-                # scalar replay is fine.
-                self.advance_steady(
-                    job, cluster_state, final_round_start, round_duration, rounds
-                )
-                continue
-            if fragmented:
-                job.metrics["was_fragmented"] = True
-            if rate <= 0:
-                # Every round adds exactly 0.0 work and 0.0 service; the fold
-                # is a no-op regardless of length (and such a job can never
-                # complete), so only the end-of-stride metric flush remains.
-                self._update_app_metrics(job, rate)
-                continue
-            fast.append((job, rate, num_gpus))
-        if not fast:
-            return
-
-        work_delta = [round_duration * rate for _job, rate, _n in fast]
-        service_delta = [
-            # advance() computes num_gpus * (compute_seconds + overhead_used);
-            # with overhead 0.0 that inner sum is exactly round_duration.
-            num_gpus * (round_duration + 0.0)
-            for _job, _rate, num_gpus in fast
-        ]
-        if _np is not None and len(fast) >= BULK_NUMPY_MIN_JOBS:
-            works = _np.array([job.work_done for job, _r, _n in fast])
-            services = _np.array([job.attained_service for job, _r, _n in fast])
-            wdelta = _np.array(work_delta)
-            sdelta = _np.array(service_delta)
-            for _ in range(rounds - 1):
-                _np.add(works, wdelta, out=works)
-                _np.add(services, sdelta, out=services)
-            final_work = [float(v) for v in works]
-            final_service = [float(v) for v in services]
-        else:
-            final_work = [job.work_done for job, _r, _n in fast]
-            final_service = [job.attained_service for job, _r, _n in fast]
-            for index in range(len(fast)):
-                work = final_work[index]
-                service = final_service[index]
-                wdelta_i = work_delta[index]
-                sdelta_i = service_delta[index]
-                for _ in range(rounds - 1):
-                    work += wdelta_i
-                    service += sdelta_i
-                final_work[index] = work
-                final_service[index] = service
-
-        for index, (job, rate, _num_gpus) in enumerate(fast):
-            # Completion-safety check at the stride's final round, with the
-            # exact operands the per-round loop's test would use there.
-            target = self.termination.work_target(job)
-            remaining = max(0.0, target - final_work[index])
-            if remaining / rate <= round_duration:
-                # A completion (or the stride-overrun error) belongs inside
-                # the stride after all: hand the untouched job to the exact
-                # replay.  Monotonicity means only this job is affected.
-                self.advance_steady(
-                    job, cluster_state, final_round_start, round_duration, rounds
-                )
-                continue
-            job.work_done = final_work[index] + work_delta[index]
-            job.attained_service = final_service[index] + service_delta[index]
-            self._update_app_metrics(job, rate)
 
     def _update_app_metrics(self, job: Job, rate: float) -> None:
         """Push the application-level metrics the paper's schedulers consume."""

@@ -136,7 +136,11 @@ def test_manager_overriding_advance_time_takes_the_light_loop():
 
 
 def test_completion_probes_are_dropped_when_their_job_is_pruned():
-    """Pollux + churn takes the decision-stable path, which used to leak."""
+    """Pollux + churn takes the decision-stable path, which used to leak.
+
+    The execution model's rate cache has the same lifetime and the same
+    single prune site, so it is held to the same bound.
+    """
     compiled = get_scenario("failure-storm", smoke=True).compile(seed=5)
     sim = Simulator(
         cluster_state=compiled.build_cluster(),
@@ -148,17 +152,23 @@ def test_completion_probes_are_dropped_when_their_job_is_pruned():
         tracked_job_ids=compiled.trace.tracked_ids(),
     )
     probes = sim._event_core._probes
+    rates = sim.execution_model._rate_cache
     probed = 0
+    rated = 0
     last_arrival = max(job.arrival_time for job in sim.jobs)
     for step in range(1, 9):
         sim._advance_loop(step * last_arrival / 8)
         probed = max(probed, len(probes))
+        rated = max(rated, len(rates))
         unfinished = {job.job_id for job in sim.job_state.active_jobs()}
         assert set(probes) <= unfinished
+        assert set(rates) <= unfinished
     assert sim._advance_loop(None) is True
     assert probed > 0
+    assert rated > 0
     assert not sim.job_state.count_with_status(JobStatus.RUNNING)
     assert not probes
+    assert not rates
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ paths (``src/repro/simulator/fake.py`` lands in simulation scope) so the bad
 code never exists on disk where the CI lint job would flag it.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -779,3 +780,27 @@ def test_manifest_paths_exist():
     for suffix in manifest.on_progress_allowed:
         assert (REPO_ROOT / "src" / suffix).exists(), suffix
     assert (REPO_ROOT / manifest.policy_doc_path).exists()
+
+
+def _defined_names(path):
+    """Dotted names of every ``def``/``class`` in a file, nested ones included."""
+    names = set()
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(prefix + child.name)
+                walk(child, prefix + child.name + ".")
+
+    walk(ast.parse(path.read_text()), "")
+    return names
+
+
+def test_manifest_names_resolve():
+    """A deleted hot function or pipe-crossing class must not silently drop out."""
+    manifest = default_manifest()
+    for entry in manifest.hot_path_functions:
+        suffix, qualname = entry.split("::", 1)
+        assert qualname in _defined_names(REPO_ROOT / "src" / suffix), entry
+    for class_name, suffix in manifest.pickle_registry.items():
+        assert class_name in _defined_names(REPO_ROOT / "src" / suffix), class_name
