@@ -88,9 +88,11 @@ HOT_PATH_FUNCTIONS: FrozenSet[str] = frozenset(
     {
         "repro/core/job.py::_StatusField.__set__",
         "repro/core/job.py::_ProgressField.__set__",
+        "repro/core/job.py::Job.add_progress",
         "repro/core/job_state.py::JobState._notify_progress",
         "repro/core/job_state.py::JobState._reindex_status",
         "repro/simulator/execution.py::ExecutionModel.advance",
+        "repro/simulator/execution.py::ExecutionModel.advance_running",
         "repro/simulator/execution.py::ExecutionModel.advance_steady",
         "repro/simulator/execution.py::ExecutionModel.steady_scan",
         # _append_records is deliberately absent: it *is* the batched

@@ -63,12 +63,15 @@ class ScheduleEntry:
 
 @dataclass
 class PlacementDecision:
-    """Output of a placement policy for one round.
+    """Output of a placement policy for one round: the allocation *delta*.
 
-    ``to_launch`` maps job id -> concrete GPU ids the job should run on during
-    the coming round (this includes jobs that keep running on the same GPUs).
+    ``to_launch`` maps job id -> concrete GPU ids for every job whose
+    allocation changes this round: launches, moves and resizes.
     ``to_suspend`` lists jobs running in the previous round that must be
     preempted (because they were not selected, or their placement changed).
+    A running job named in neither keeps exactly the GPUs it holds.  The
+    stock placements list nothing else; a policy may still list a kept job
+    under its current GPUs (a lease renewal), which ``exec_jobs`` skips.
     """
 
     to_launch: Dict[int, List[int]] = field(default_factory=dict)
@@ -85,6 +88,9 @@ class AdmissionPolicy:
     previous round; it may hold jobs back internally (admission queue) and
     release them in a later round, which is how the threshold policies used in
     the composition case study (§5.1) work.
+
+    The application metrics in ``job.metrics`` may lag inside ``accept``; see
+    :class:`SchedulingPolicy`.
     """
 
     name = "admission"
@@ -114,7 +120,21 @@ class AdmissionPolicy:
 
 
 class SchedulingPolicy:
-    """Orders runnable jobs by priority and decides their GPU demand for the round."""
+    """Orders runnable jobs by priority and decides their GPU demand for the round.
+
+    Progress (``work_done``, ``attained_service``, ``pending_overhead``) is
+    current on every job when ``schedule`` runs.  The five application metrics
+    the execution model derives from it (``job.metrics["loss" | "progress" |
+    "iteration_time" | "throughput" | "attained_service"]``) are not: they
+    are written when a metric collector runs, when a job completes or stalls
+    and when the loop returns, and hold the last written values in between.
+    A policy (admission, scheduling or placement) that reads them must call
+    ``publish_owed_metrics()`` on the run's
+    :class:`~repro.simulator.execution.ExecutionModel` first (the one passed
+    to, or created by, the simulator: ``Simulator.execution_model``); the
+    call is schedule-neutral and costs one write per job advanced since the
+    last one.
+    """
 
     name = "scheduling"
 
@@ -271,7 +291,14 @@ class TerminationPolicy:
     name = "termination"
 
     def work_target(self, job: Job) -> float:
-        """Seconds of (requested-allocation) work after which the job is complete."""
+        """Seconds of (requested-allocation) work after which the job is complete.
+
+        Must be a pure function of the job's static description (duration,
+        convergence fraction, ...): the execution model reads it once per
+        allocation, not once per round, and completion probes size skips
+        with it.  A target that moves with progress, metrics or time is not
+        re-read until the job's allocation or the cluster membership changes.
+        """
         raise NotImplementedError
 
     def is_complete(self, job: Job) -> bool:

@@ -27,10 +27,11 @@ def is_lease_renewal(job: Job, gpu_ids) -> bool:
     """Whether (re)launching ``job`` on ``gpu_ids`` would change nothing.
 
     Relies on ``job.allocated_gpus`` being maintained sorted (the launcher
-    sorts it; preemption and pruning clear it), and on kept allocations being
-    handed around as copies of that list, so the plain equality almost always
-    decides without sorting.  Shared by :meth:`BloxManager.exec_jobs` and the
-    simulator's no-op-decision witness so the two can never disagree.
+    sorts it; preemption and pruning clear it), so the plain equality decides
+    a sorted listing without sorting.  The stock placements emit the
+    allocation delta and never list a kept job; this is for policies that
+    do.  Shared by :meth:`BloxManager.exec_jobs` and the simulator's
+    no-op-decision witness so the two can never disagree.
     """
     return job.status == JobStatus.RUNNING and (
         gpu_ids == job.allocated_gpus or sorted(gpu_ids) == job.allocated_gpus
@@ -65,9 +66,6 @@ class BloxManager:
             sorted(trace_jobs, key=lambda j: (j.arrival_time, j.job_id))
         )
         self.terminate = False
-        #: Finished-job count at the last prune; lets prune_completed_jobs
-        #: early-out in O(1) on the (common) rounds where nothing finished.
-        self._pruned_finished_count = 0
 
     # ------------------------------------------------------------------
     # Loop steps (names follow Figure 2 in the paper)
@@ -81,35 +79,31 @@ class BloxManager:
         """Advance every running job over the round that just elapsed."""
         if self.round_number == 0:
             return
-        round_start = self.current_time - self.round_duration
-        for job in job_state.running_jobs():
-            self.execution.advance(job, cluster_state, round_start, self.round_duration)
+        self.execution.advance_running(
+            job_state.running_jobs(),
+            cluster_state,
+            self.current_time - self.round_duration,
+            self.round_duration,
+        )
 
     def prune_completed_jobs(
         self, cluster_state: ClusterState, job_state: JobState
     ) -> List[Job]:
         """Release resources held by jobs that finished during the last round.
 
-        Walks the cluster's job->GPU index (jobs currently holding GPUs are the
-        only candidates) instead of re-scanning every finished job each round,
-        and skips even that walk when the finished count has not moved since
-        the previous prune (no newly finished job can be holding GPUs then).
+        Consumes the ids the registry saw turn terminal since the previous
+        prune -- the newly-finished part of the round's allocation delta --
+        in ascending id, so a round in which nothing finished costs one
+        emptiness check and no running job is ever probed.
         """
-        finished_count = job_state.count_finished()
-        if finished_count == self._pruned_finished_count:
-            return []
-        self._pruned_finished_count = finished_count
-        finished_holding_gpus = []
-        for job_id in cluster_state.jobs_with_allocations():
-            if job_id not in job_state:
-                continue
+        released = []
+        for job_id in job_state.take_newly_finished():
             job = job_state.get(job_id)
-            if job.is_finished:
-                finished_holding_gpus.append(job)
-        for job in finished_holding_gpus:
-            cluster_state.release_job(job.job_id)
-            job.allocated_gpus = []
-        return finished_holding_gpus
+            if job.is_finished and cluster_state.num_gpus_for_job(job_id):
+                cluster_state.release_job(job_id)
+                job.allocated_gpus = []
+                released.append(job)
+        return released
 
     def pop_wait_queue(self, simulate: Optional[bool] = None) -> List[Job]:
         """Return jobs whose arrival time has passed since the previous round."""
@@ -127,10 +121,11 @@ class BloxManager:
     ) -> List[Tuple[int, List[int]]]:
         """Apply a placement decision: suspend first, then launch.
 
-        Jobs that keep exactly the GPUs they already hold are treated as lease
-        renewals and pay no overhead.  Returns the launches actually applied
-        (renewals excluded), so the engine can trace real decisions without a
-        second lease-renewal scan over the launch map.
+        A running job the decision does not name keeps its GPUs.  One listed
+        under exactly the GPUs it already holds is a lease renewal: skipped,
+        no overhead.  Returns the launches actually applied (renewals
+        excluded), so the engine can trace real decisions without a second
+        lease-renewal scan over the launch map.
         """
         for job_id in decision.to_suspend:
             job = job_state.get(job_id)

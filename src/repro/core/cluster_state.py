@@ -58,6 +58,9 @@ class ClusterState:
         #: capacity-weighted utilisation of a heterogeneous cluster is O(1).
         self._busy_capacity = 0.0
         self._healthy_capacity = 0.0
+        #: GPUs (free or assigned) on healthy nodes: the integer twin of
+        #: ``_healthy_capacity``, maintained at the same mutation sites.
+        self._healthy_gpu_count = 0
         #: Version stamps consumed by the execution model's rate cache: the
         #: membership version bumps on any node add/remove/health change, a
         #: job's allocation version bumps whenever its GPU set changes.  A
@@ -110,6 +113,7 @@ class ClusterState:
         ids.sort(key=lambda g: self.gpus[g].local_gpu_id)
         if not node.failed:
             self._healthy_capacity += gpu.gpu_type.compute_factor
+            self._healthy_gpu_count += 1
         if gpu.is_free:
             self._free_by_node[gpu.node_id].add(gpu.gpu_id)
             if not node.failed:
@@ -161,6 +165,7 @@ class ClusterState:
                 key = gpu_type_key(node.gpu_type)
                 self._free_healthy_by_type[key] -= 1
                 self._healthy_capacity -= node.gpu_type.compute_factor
+                self._healthy_gpu_count -= 1
         del self._node_gpu_ids[node_id]
         del self._free_by_node[node_id]
         del self.nodes[node_id]
@@ -188,6 +193,7 @@ class ClusterState:
             factor = node.gpu_type.compute_factor
             total_here = len(self._node_gpu_ids[node_id])
             self._healthy_capacity -= factor * total_here
+            self._healthy_gpu_count -= total_here
             self._busy_capacity -= factor * (total_here - free_here)
             self.membership_version += 1
         return affected
@@ -205,6 +211,7 @@ class ClusterState:
         factor = node.gpu_type.compute_factor
         total_here = len(self._node_gpu_ids[node_id])
         self._healthy_capacity += factor * total_here
+        self._healthy_gpu_count += total_here
         self._busy_capacity += factor * (total_here - free_here)
         self.membership_version += 1
 
@@ -387,6 +394,15 @@ class ClusterState:
         """Compute-factor-weighted capacity of all GPUs on healthy nodes; O(1)."""
         return self._healthy_capacity
 
+    def healthy_gpus(self) -> int:
+        """GPUs, free or assigned, on healthy nodes; O(1).
+
+        What a round can hand out in total.  Not ``busy + free healthy``:
+        between a node failing and its jobs being evicted, the GPUs those
+        jobs hold there are busy but no longer schedulable.
+        """
+        return self._healthy_gpu_count
+
     def busy_capacity(self) -> float:
         """Compute-factor-weighted capacity of assigned GPUs on healthy nodes; O(1)."""
         return self._busy_capacity
@@ -473,6 +489,7 @@ class ClusterState:
         free_by_type: Dict[str, int] = {}
         job_gpus: Dict[int, Set[int]] = {}
         healthy_capacity = 0.0
+        healthy_gpus = 0
         busy_capacity = 0.0
         for gpu in self.gpus.values():
             assert gpu.node_id in self.nodes, f"GPU {gpu.gpu_id} on unknown node"
@@ -481,6 +498,7 @@ class ClusterState:
             assert in_free == gpu.is_free, f"free index wrong for GPU {gpu.gpu_id}"
             if not node.failed:
                 healthy_capacity += gpu.gpu_type.compute_factor
+                healthy_gpus += 1
             if gpu.is_free:
                 if not node.failed:
                     free_healthy += 1
@@ -494,6 +512,9 @@ class ClusterState:
         assert busy == self._busy_count, f"busy {busy} != cached {self._busy_count}"
         assert free_healthy == self._free_healthy_count, (
             f"free {free_healthy} != cached {self._free_healthy_count}"
+        )
+        assert healthy_gpus == self._healthy_gpu_count, (
+            f"healthy GPUs {healthy_gpus} != cached {self._healthy_gpu_count}"
         )
         # The cached capacities accumulate the same values in a different
         # order (and bulk multiples on fail/recover), so compare with a

@@ -95,6 +95,11 @@ class _ProgressField:
     and ``work_done`` -- the execution model updates both once per running job
     per round -- notifies the registry recorded by ``JobState.track``, which
     forwards to its observers.  Untracked jobs pay only a dict store.
+
+    The raw value lives in ``job.__dict__["_" + name]``; nothing outside this
+    module touches it there.  :meth:`Job.add_progress` is the one shortcut:
+    it stores both fields directly while the registry has no progress
+    observer (nobody to notify).
     """
 
     def __init__(self, default: float = 0.0) -> None:
@@ -241,6 +246,25 @@ class Job:
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
+
+    # --- progress ---------------------------------------------------------
+
+    def add_progress(self, work: float, service: float) -> None:
+        """``work_done += work`` then ``attained_service += service``, in one call.
+
+        The execution model's write, once per running job per round.  Same
+        values and same notifications as the two assignments; while the
+        registry has no progress observer (nobody to notify) both sums are
+        stored without the descriptor calls.
+        """
+        state = self.__dict__
+        registry = state.get("_registry")
+        if registry is not None and registry._progress_observers:
+            self.work_done = state["_work_done"] + work
+            self.attained_service = state["_attained_service"] + service
+        else:
+            state["_work_done"] += work
+            state["_attained_service"] += service
 
     # --- derived quantities ---------------------------------------------
 

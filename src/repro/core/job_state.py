@@ -80,6 +80,11 @@ class JobState:
         #: reads views like running_jobs() several times per round while
         #: transitions happen at most a few times per round.
         self._view_cache: Dict[tuple, List[Job]] = {}
+        #: Ids that entered a terminal status (or were tracked in one) since
+        #: :meth:`take_newly_finished` last ran: the newly-finished part of a
+        #: round's allocation delta, which the manager's prune step consumes
+        #: instead of rescanning every GPU-holding job.
+        self._newly_finished: Set[int] = set()
         #: Simulated (or wall-clock) time of the current round; the scheduling
         #: loop refreshes this before invoking policies so policies that need a
         #: notion of "now" (Themis' fairness estimate, Tiresias' starvation
@@ -189,6 +194,8 @@ class JobState:
         if old is not None:
             self._by_status[old].discard(job.job_id)
         self._by_status[new].add(job.job_id)
+        if new in FINISHED_STATUSES:
+            self._newly_finished.add(job.job_id)
         if self._view_cache:
             self._view_cache.clear()
         if self._observers:
@@ -246,11 +253,23 @@ class JobState:
         self._jobs[job.job_id] = job
         job.__dict__["_registry"] = self
         self._by_status[job.status].add(job.job_id)
+        if job.status in FINISHED_STATUSES:
+            self._newly_finished.add(job.job_id)
         if self._view_cache:
             self._view_cache.clear()
         if self._observers:
             for observer in self._live_observers(self._observers):
                 observer.on_job_tracked(job)
+
+    def take_newly_finished(self) -> List[int]:
+        """Ids that turned terminal since the previous call, ascending.
+
+        The record is handed over, not copied: each finished job is reported
+        exactly once, so nothing here outlives the prune that consumes it.
+        """
+        taken = sorted(self._newly_finished)
+        self._newly_finished.clear()
+        return taken
 
     def prune_completed_jobs(self) -> List[Job]:
         """Return (but keep a record of) jobs that reached a terminal state.

@@ -68,7 +68,6 @@ from repro.telemetry.events import (
     TraceHeader,
 )
 from repro.telemetry.recorder import DEFAULT_FEDERATION_INTERVAL, TraceRecorder
-from repro.telemetry.sinks import JsonlSink
 
 __all__ = [
     "FederationEngine",
@@ -555,6 +554,8 @@ class UniformShardFactory:
         )
         recorder = None
         if self.trace_dir is not None:
+            from repro.telemetry.sinks import JsonlSink  # pulls sqlite3/orjson
+
             os.makedirs(self.trace_dir, exist_ok=True)
             sink = JsonlSink(
                 os.path.join(self.trace_dir, f"shard-{shard_id}.jsonl")

@@ -75,8 +75,7 @@ class AvailabilityView:
 
         Only the nodes hosting the taken GPUs are touched, so the cost is
         O(taken + free on those nodes) rather than a rebuild of the whole
-        view; GPUs on nodes with nothing free (the common case for lease
-        renewals, whose GPUs are not in the view at all) cost one dict probe.
+        view; a GPU on a node with nothing free costs one dict probe.
         """
         free_by_node = self._free_by_node
         if not free_by_node:
@@ -109,6 +108,12 @@ class BasePlacementPolicy(PlacementPolicy):
        changed, are suspended; their GPUs become available.
     3. *Allocation*: selected jobs that are not already running with the right
        allocation receive concrete GPUs via :meth:`select_gpus`.
+
+    The decision is the round's *delta*: a running job whose demand is
+    unchanged keeps its GPUs by being named in neither ``to_suspend`` nor
+    ``to_launch`` (see :class:`~repro.core.abstractions.PlacementDecision`),
+    so a saturated steady round costs the selection walk over the jobs that
+    fit and nothing per kept job beyond one dictionary probe.
     """
 
     name = "base-placement"
@@ -125,49 +130,39 @@ class BasePlacementPolicy(PlacementPolicy):
         cluster_state: ClusterState,
         job_state: JobState,
     ) -> PlacementDecision:
-        capacity = sum(
-            node.num_gpus for node in cluster_state.nodes.values() if not node.failed
-        )
-
         selected: Dict[int, int] = {}
-        order: List[int] = []
-        remaining = capacity
+        remaining = cluster_state.healthy_gpus()
         for entry in schedule:
-            if entry.gpu_demand <= 0:
+            if remaining == 0:
+                # Every later entry demands at least one GPU (or is skipped),
+                # so the rest of the list cannot change the decision.
+                break
+            demand = entry.gpu_demand
+            if demand <= 0 or entry.job_id in selected:
                 continue
-            if entry.job_id in selected:
-                continue
-            if entry.gpu_demand <= remaining:
-                selected[entry.job_id] = entry.gpu_demand
-                order.append(entry.job_id)
-                remaining -= entry.gpu_demand
+            if demand <= remaining:
+                selected[entry.job_id] = demand
+                remaining -= demand
 
         decision = PlacementDecision()
-        kept: Dict[int, List[int]] = {}
         suspended_gpus: List[int] = []
         for job in job_state.running_jobs():
-            demand = selected.get(job.job_id)
-            if demand is not None and demand == len(job.allocated_gpus):
-                kept[job.job_id] = list(job.allocated_gpus)
+            if selected.get(job.job_id) == len(job.allocated_gpus):
+                # Kept exactly as it runs: not part of this round's delta.
+                del selected[job.job_id]
             else:
                 decision.to_suspend.append(job.job_id)
                 suspended_gpus.extend(job.allocated_gpus)
+        if not selected:
+            return decision
 
         view = AvailabilityView(cluster_state, extra_gpu_ids=suspended_gpus)
-        # Kept jobs retain their GPUs; remove them from the availability view in
-        # case they were (incorrectly) reported free.
-        for gpu_ids in kept.values():
-            view.take(gpu_ids)
-
-        for job_id in order:
-            if job_id in kept:
-                decision.to_launch[job_id] = kept[job_id]
-                continue
-            job = job_state.get(job_id)
-            demand = selected[job_id]
+        # What is left of the selection, still in priority order, is the
+        # round's launches, moves and resizes.
+        for job_id, demand in selected.items():
             if view.total_free() < demand:
                 continue
-            gpu_ids = self.select_gpus(job, demand, view, cluster_state)
+            gpu_ids = self.select_gpus(job_state.get(job_id), demand, view, cluster_state)
             if gpu_ids is None or len(gpu_ids) != demand:
                 continue
             view.take(gpu_ids)

@@ -6,13 +6,8 @@ from typing import List, Optional
 
 from repro.core.abstractions import ScheduleEntry, SchedulingPolicy
 from repro.core.cluster_state import ClusterState
-from repro.core.job import Job
 from repro.core.job_state import JobState
-from repro.policies.scheduling.priority_index import RunnablePriorityIndex
-
-
-def _fifo_key(job: Job):
-    return (job.arrival_time, job.job_id)
+from repro.policies.scheduling.priority_index import RunnablePriorityIndex, arrival_key
 
 
 class FifoScheduling(SchedulingPolicy):
@@ -42,7 +37,7 @@ class FifoScheduling(SchedulingPolicy):
 
     def __init__(self, hol_blocking: bool = False) -> None:
         self.hol_blocking = hol_blocking
-        self._index = RunnablePriorityIndex(idle_key=_fifo_key)
+        self._index = RunnablePriorityIndex(idle_key=arrival_key)
 
     def next_policy_event_time(
         self, job_state: JobState, cluster_state: ClusterState, now: float
@@ -54,17 +49,14 @@ class FifoScheduling(SchedulingPolicy):
 
     def schedule(self, job_state: JobState, cluster_state: ClusterState) -> List[ScheduleEntry]:
         self._index.bind(job_state)
-        ordered = self._index.ordered(running_key=_fifo_key)
-        if not self.hol_blocking:
-            return [ScheduleEntry(job_id=j.job_id, gpu_demand=j.num_gpus) for j in ordered]
-        capacity = sum(
-            node.num_gpus for node in cluster_state.nodes.values() if not node.failed
-        )
-        entries: List[ScheduleEntry] = []
-        remaining = capacity
-        for job in ordered:
-            if job.num_gpus > remaining:
-                break
-            entries.append(ScheduleEntry(job_id=job.job_id, gpu_demand=job.num_gpus))
-            remaining -= job.num_gpus
-        return entries
+        ordered = self._index.ordered(running_key=arrival_key)
+        if self.hol_blocking:
+            # Strict head-of-line blocking: the list ends at the first job
+            # whose gang does not fit what the jobs before it leave.
+            remaining = cluster_state.healthy_gpus()
+            for count, job in enumerate(ordered):
+                if job.num_gpus > remaining:
+                    del ordered[count:]
+                    break
+                remaining -= job.num_gpus
+        return self._index.gang_entries(ordered)

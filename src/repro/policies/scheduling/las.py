@@ -43,4 +43,4 @@ class LasScheduling(SchedulingPolicy):
     def schedule(self, job_state: JobState, cluster_state: ClusterState) -> List[ScheduleEntry]:
         self._index.bind(job_state)
         ordered = self._index.ordered(running_key=_las_key)
-        return [ScheduleEntry(job_id=j.job_id, gpu_demand=j.num_gpus) for j in ordered]
+        return self._index.gang_entries(ordered)

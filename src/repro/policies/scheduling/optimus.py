@@ -73,9 +73,7 @@ class OptimusScheduling(SchedulingPolicy):
         )
         if not jobs:
             return []
-        capacity = sum(
-            node.num_gpus for node in cluster_state.nodes.values() if not node.failed
-        )
+        capacity = cluster_state.healthy_gpus()
 
         allocation: Dict[int, int] = {j.job_id: 0 for j in jobs}
         by_id = {j.job_id: j for j in jobs}

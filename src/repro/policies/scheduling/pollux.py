@@ -38,15 +38,11 @@ from repro.core.cluster_state import ClusterState
 from repro.core.exceptions import ConfigurationError
 from repro.core.job import Job, JobStatus
 from repro.core.job_state import JobState
-from repro.policies.scheduling.priority_index import RunnablePriorityIndex
+from repro.policies.scheduling.priority_index import RunnablePriorityIndex, arrival_key
 
 #: Minimum marginal goodput for which another GPU is still worth handing out
 #: (matches the seed's strictly-greater comparison against this epsilon).
 _MIN_GAIN = 1e-12
-
-
-def _arrival_key(job: Job):
-    return (job.arrival_time, job.job_id)
 
 
 class _GoodputCurve:
@@ -75,7 +71,7 @@ class PolluxScheduling(SchedulingPolicy):
         #: Running and waiting tiers both order by (arrival, id) -- static
         #: keys -- so the index keeps the waiting queue permanently sorted.
         self._index = RunnablePriorityIndex(
-            idle_key=_arrival_key,
+            idle_key=arrival_key,
             on_rebuild=self._curves.clear,
             on_transition=self._on_transition,
         )
@@ -145,15 +141,13 @@ class PolluxScheduling(SchedulingPolicy):
     def schedule(self, job_state: JobState, cluster_state: ClusterState) -> List[ScheduleEntry]:
         self._index.bind(job_state)
         running = sorted(
-            ((_arrival_key(job), job) for job in self._index.running_jobs()),
+            ((arrival_key(job), job) for job in self._index.running_jobs()),
             key=lambda entry: entry[0],
         )
         waiting = self._index.idle_entries()
         if not running and not waiting:
             return []
-        capacity = sum(
-            node.num_gpus for node in cluster_state.nodes.values() if not node.failed
-        )
+        capacity = cluster_state.healthy_gpus()
 
         allocation: Dict[int, int] = {}
         # Running jobs are never preempted: they keep at least one GPU.

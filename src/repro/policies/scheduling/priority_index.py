@@ -35,6 +35,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core.abstractions import ScheduleEntry
 from repro.core.job import Job, JobStatus
 from repro.core.job_state import JobState, JobStateObserver
 
@@ -43,6 +44,11 @@ PriorityKey = Tuple
 KeyFn = Callable[[Job], PriorityKey]
 
 _IDLE_STATUSES = (JobStatus.RUNNABLE, JobStatus.PREEMPTED)
+
+
+def arrival_key(job: Job) -> PriorityKey:
+    """Arrival order: the key of every FIFO-ordered tier (FIFO, Pollux, Synergy)."""
+    return (job.arrival_time, job.job_id)
 
 
 class RunnablePriorityIndex(JobStateObserver):
@@ -75,6 +81,9 @@ class RunnablePriorityIndex(JobStateObserver):
         self._idle: List[Tuple[PriorityKey, Job]] = []
         self._idle_keys: Dict[int, PriorityKey] = {}
         self._running: Dict[int, Job] = {}
+        #: job id -> the frozen entry :meth:`gang_entries` last emitted for it;
+        #: dropped when the job leaves the index, so it never outlives the job.
+        self._entries: Dict[int, ScheduleEntry] = {}
 
     # ------------------------------------------------------------------
     # Binding
@@ -108,6 +117,7 @@ class RunnablePriorityIndex(JobStateObserver):
         self._idle = []
         self._idle_keys = {}
         self._running = {}
+        self._entries = {}
         if self._on_rebuild is not None:
             self._on_rebuild()
         if self._job_state is None:
@@ -153,6 +163,8 @@ class RunnablePriorityIndex(JobStateObserver):
             self._running[job.job_id] = job
         elif job.status in _IDLE_STATUSES:
             self._insert_idle(job, sort=True)
+        else:
+            self._entries.pop(job.job_id, None)
 
     def _insert_idle(self, job: Job, sort: bool = False) -> None:
         key = self._idle_key_fn(job)
@@ -221,6 +233,26 @@ class RunnablePriorityIndex(JobStateObserver):
         )
         return merge_by_key(self._idle, running)
 
+    def gang_entries(self, ordered: List[Job]) -> List[ScheduleEntry]:
+        """One entry per job of ``ordered``, each asking for its requested gang.
+
+        The schedule of every gang policy.  An entry is frozen, so the one
+        built for a job is reused round after round while the job's request
+        is unchanged; most of a backlog's entries are never looked at by
+        placement, and none of them is rebuilt.  ``ordered`` must hold jobs
+        of the bound registry's runnable set (what :meth:`ordered` returns).
+        """
+        cache = self._entries
+        entries = []
+        for job in ordered:
+            entry = cache.get(job.job_id)
+            if entry is None or entry.gpu_demand != job.num_gpus:
+                entry = cache[job.job_id] = ScheduleEntry(
+                    job_id=job.job_id, gpu_demand=job.num_gpus
+                )
+            entries.append(entry)
+        return entries
+
     def check_invariants(self) -> None:
         """Assert the tiers exactly mirror the bound registry (test support)."""
         assert self._job_state is not None, "index is not bound"
@@ -237,6 +269,7 @@ class RunnablePriorityIndex(JobStateObserver):
         for key, job in self._idle:
             assert job.status in _IDLE_STATUSES, f"job {job.job_id} mis-tiered"
             assert self._idle_keys[job.job_id] == key, "idle key cache drifted"
+        assert set(self._entries) <= members, "entry cached for a job that left"
 
 
 def merge_by_key(

@@ -17,6 +17,7 @@ from typing import List
 from repro.core.abstractions import ScheduleEntry, SchedulingPolicy
 from repro.core.cluster_state import ClusterState
 from repro.core.job_state import JobState
+from repro.policies.scheduling.priority_index import RunnablePriorityIndex, arrival_key
 
 
 class SynergyScheduling(SchedulingPolicy):
@@ -27,11 +28,13 @@ class SynergyScheduling(SchedulingPolicy):
     # the per-job demand metrics are refreshed on every invocation.
     steady_state_safe = False
 
+    def __init__(self) -> None:
+        self._index = RunnablePriorityIndex(idle_key=arrival_key)
+
     def schedule(self, job_state: JobState, cluster_state: ClusterState) -> List[ScheduleEntry]:
-        ordered = sorted(
-            job_state.runnable_jobs(), key=lambda j: (j.arrival_time, j.job_id)
-        )
+        self._index.bind(job_state)
+        ordered = self._index.ordered(running_key=arrival_key)
         for job in ordered:
             job.metrics["cpu_demand"] = job.cpu_demand_per_gpu * job.num_gpus
             job.metrics["mem_demand"] = job.mem_demand_per_gpu * job.num_gpus
-        return [ScheduleEntry(job_id=j.job_id, gpu_demand=j.num_gpus) for j in ordered]
+        return self._index.gang_entries(ordered)

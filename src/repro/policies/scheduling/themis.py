@@ -19,6 +19,11 @@ from repro.core.cluster_state import ClusterState
 from repro.core.exceptions import ConfigurationError
 from repro.core.job import Job
 from repro.core.job_state import JobState
+from repro.policies.scheduling.priority_index import RunnablePriorityIndex
+
+
+def _id_key(job: Job):
+    return (job.job_id,)
 
 
 class ThemisScheduling(SchedulingPolicy):
@@ -33,6 +38,10 @@ class ThemisScheduling(SchedulingPolicy):
         if not 0.0 <= fairness_knob < 1.0:
             raise ConfigurationError("fairness_knob must be in [0, 1)")
         self.fairness_knob = fairness_knob
+        # rho drifts with ``now`` for waiting jobs too, so no tier order
+        # survives a round: the index supplies the runnable set and the
+        # reused entries, and every round sorts by rho.
+        self._index = RunnablePriorityIndex(idle_key=_id_key)
 
     def finish_time_fairness(self, job: Job, now: float) -> float:
         """rho = projected shared finish time / isolated finish time."""
@@ -42,7 +51,9 @@ class ThemisScheduling(SchedulingPolicy):
 
     def schedule(self, job_state: JobState, cluster_state: ClusterState) -> List[ScheduleEntry]:
         now = getattr(job_state, "current_time", 0.0)
-        jobs = job_state.runnable_jobs()
+        index = self._index
+        index.bind(job_state)
+        jobs = index.idle_jobs() + index.running_jobs()
         if not jobs:
             return []
         scored = []
@@ -57,5 +68,4 @@ class ThemisScheduling(SchedulingPolicy):
         cutoff = max(1, math.ceil((1.0 - self.fairness_knob) * len(scored)))
         winners = [job for _, job in scored[:cutoff]]
         backfill = [job for _, job in scored[cutoff:]]
-        ordered = winners + backfill
-        return [ScheduleEntry(job_id=j.job_id, gpu_demand=j.num_gpus) for j in ordered]
+        return index.gang_entries(winners + backfill)

@@ -137,7 +137,9 @@ class TiresiasScheduling(SchedulingPolicy):
         seed recorded for a job was the schedule time of the round in which it
         stopped running, which is exactly the transition time captured here.
         """
-        if old == JobStatus.RUNNING and job.status != JobStatus.RUNNING:
+        if job.is_finished:
+            self._last_run_time.pop(job.job_id, None)  # nothing outlives its job
+        elif old == JobStatus.RUNNING and job.status != JobStatus.RUNNING:
             self._last_run_time[job.job_id] = self._now()
 
     def _push_promotion_deadline(self, job: Job) -> None:
@@ -181,7 +183,7 @@ class TiresiasScheduling(SchedulingPolicy):
             return (self.queue_index(job), job.arrival_time, job.job_id)
 
         ordered = self._index.ordered(running_key=running_key)
-        return [ScheduleEntry(job_id=j.job_id, gpu_demand=j.num_gpus) for j in ordered]
+        return self._index.gang_entries(ordered)
 
     # ------------------------------------------------------------------
     # Event-aware fast-forward support

@@ -28,7 +28,7 @@ Three pieces tie the lease lifecycle and cluster dynamics together:
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.core.abstractions import (
     AdmissionPolicy,
@@ -55,7 +55,9 @@ from repro.runtime.worker_manager import WorkerManager
 from repro.simulator.engine import SimulationResult, Simulator
 from repro.simulator.execution import ExecutionModel
 from repro.simulator.overheads import ClusterOverheadModel, OverheadModel
-from repro.telemetry.recorder import TraceRecorder
+
+if TYPE_CHECKING:  # annotation only: the caller hands the recorder in
+    from repro.telemetry.recorder import TraceRecorder
 
 
 class RpcLauncher(SimulatedLauncher):

@@ -16,6 +16,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Iterable,
     List,
@@ -48,12 +49,19 @@ from repro.telemetry.events import (
     EVENT_EVICTION,
     EVENT_ROUND,
 )
-from repro.telemetry.recorder import TelemetryObserver, TraceRecorder
+
+if TYPE_CHECKING:  # imported where a recorder is attached, not by every run
+    from repro.telemetry.recorder import TelemetryObserver, TraceRecorder
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundRecord:
-    """One row of the per-round log kept by the simulator."""
+    """One row of the per-round log kept by the simulator.
+
+    Slotted: a long-horizon run keeps one row per simulated round, so the
+    per-instance ``__dict__`` was most of the log's memory.  The event core
+    builds skipped rounds' rows positionally -- keep the field order.
+    """
 
     round_number: int
     time: float
@@ -302,6 +310,8 @@ class Simulator:
         self._recorder = recorder
         self._telemetry_observer: Optional[TelemetryObserver] = None
         if recorder is not None:
+            from repro.telemetry.recorder import TelemetryObserver
+
             self._telemetry_observer = TelemetryObserver(recorder, clock=self.manager)
             # The registry holds observers weakly; the instance attribute
             # above is the strong reference keeping it alive.
@@ -341,6 +351,15 @@ class Simulator:
             self._event_core.forget(job.job_id)
             self.execution_model.forget(job.job_id)
         return released
+
+    def _collect_metrics(self) -> None:
+        """Step 7 of the loop; collectors read the application metrics."""
+        if self.metric_collectors:
+            self.execution_model.publish_owed_metrics()
+            for collector in self.metric_collectors:
+                collector.collect(
+                    self.job_state, self.cluster_state, self.manager.current_time
+                )
 
     def _round_record(self) -> RoundRecord:
         mgr = self.manager
@@ -383,9 +402,10 @@ class Simulator:
     def _decision_is_noop(self, decision) -> bool:
         """Whether applying ``decision`` leaves job and cluster state unchanged.
 
-        True when nothing is suspended and every launch entry is a lease
-        renewal (the job is already RUNNING on exactly those GPUs).  Must be
-        evaluated *before* ``exec_jobs`` applies the decision.
+        True when nothing is suspended and nothing is launched -- an empty
+        delta, or one whose every launch entry is a listed lease renewal (the
+        job is already RUNNING on exactly those GPUs).  Must be evaluated
+        *before* ``exec_jobs`` applies the decision.
         """
         if decision.to_suspend:
             return False
@@ -577,8 +597,7 @@ class Simulator:
             # Keep the sanctioned "now" side-channel fresh for collectors,
             # mirroring the refresh the full loop does before its policy calls.
             job_state.current_time = mgr.current_time
-            for collector in self.metric_collectors:
-                collector.collect(job_state, self.cluster_state, mgr.current_time)
+            self._collect_metrics()
             round_log.append(self._round_record())
             if released or job_state.count_with_status(JobStatus.RUNNING) != running:
                 # A completion changed the steady state; let the full loop
@@ -678,8 +697,7 @@ class Simulator:
                     )
 
                 # 7. Metric collection.
-                for collector in self.metric_collectors:
-                    collector.collect(self.job_state, self.cluster_state, mgr.current_time)
+                self._collect_metrics()
 
                 round_log.append(self._round_record())
 
@@ -693,6 +711,10 @@ class Simulator:
                 mgr.advance_time()
             return False
         finally:
+            # Whoever regains control (a caller reading results, a federation
+            # pause, a checkpoint pickling this object) sees every job's
+            # application metrics written.
+            self.execution_model.publish_owed_metrics()
             self._wall_time += time.perf_counter() - wall_start
 
     def flush_telemetry(self) -> None:

@@ -175,35 +175,40 @@ class EventCore:
         )
         from repro.simulator.engine import RoundRecord
 
-        append = log.append
+        # Rows are built positionally -- RoundRecord(round_number, time,
+        # running_jobs, queued_jobs, utilization, scheduler_name,
+        # admission_name, busy_capacity, healthy_capacity) -- and the
+        # recorder-free loop is split from the recording one: on a long-horizon run
+        # this is where nearly every row of the log is made.
+        if recorder is None:
+            log.extend(  # a generator: a bounded ring never holds the segment
+                RoundRecord(
+                    number, number * rd, running, queued, utilization,
+                    scheduler_name, admission_name, busy, healthy,
+                )
+                for number in range(first, first + rounds)
+            )
+            return
         for number in range(first, first + rounds):
             clock = number * rd
-            append(
+            log.append(
                 RoundRecord(
-                    round_number=number,
-                    time=clock,
-                    running_jobs=running,
-                    queued_jobs=queued,
-                    utilization=utilization,
-                    scheduler_name=scheduler_name,
-                    admission_name=admission_name,
-                    busy_capacity=busy,
-                    healthy_capacity=healthy,
+                    number, clock, running, queued, utilization,
+                    scheduler_name, admission_name, busy, healthy,
                 )
             )
-            if recorder is not None:
-                recorder.emit(
-                    EVENT_ROUND,
-                    clock,
-                    {
-                        "round": number,
-                        "running": running,
-                        "queued": queued,
-                        "utilization": utilization,
-                        "busy_capacity": busy,
-                        "healthy_capacity": healthy,
-                    },
-                )
+            recorder.emit(
+                EVENT_ROUND,
+                clock,
+                {
+                    "round": number,
+                    "running": running,
+                    "queued": queued,
+                    "utilization": utilization,
+                    "busy_capacity": busy,
+                    "healthy_capacity": healthy,
+                },
+            )
 
     # ------------------------------------------------------------------
     # Completion events

@@ -16,7 +16,7 @@ policies "on a common footing" as the paper argues.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from repro.core.abstractions import TerminationPolicy
 from repro.core.cluster_state import ClusterState
@@ -29,6 +29,23 @@ from repro.simulator.overheads import OverheadModel
 #: slower networks grow it -- this is what flips the Tiresias placement result
 #: when moving from 100 Gbps P100 clusters to 10 Gbps V100 clusters (Fig. 10).
 REFERENCE_NETWORK_BW_GBPS = 40.0
+
+
+class _Facts(NamedTuple):
+    """What a round needs of one job that only changes with its allocation.
+
+    Valid for ``job`` on ``cluster`` while both version stamps hold; see
+    :meth:`ExecutionModel._facts`.
+    """
+
+    cluster: ClusterState
+    membership_version: int
+    alloc_version: int
+    rate: float
+    fragmented: bool
+    num_gpus: int
+    work_target: float
+    job: Job
 
 
 class ExecutionModel:
@@ -53,9 +70,15 @@ class ExecutionModel:
         self._rates_cacheable = (
             type(self.overheads).iteration_jitter is OverheadModel.iteration_jitter
         )
-        #: job id -> (cluster, membership_version, alloc_version, rate,
-        #: fragmented, num_gpus)
-        self._rate_cache: Dict[int, Tuple[object, int, int, float, bool, int]] = {}
+        #: job id -> the job's allocation facts (see :meth:`_facts`), valid
+        #: until its allocation or the cluster membership changes.
+        self._rate_cache: Dict[int, _Facts] = {}
+        #: job id -> the facts of the job's latest round whose application
+        #: metrics :meth:`advance_running` has not written yet.  Nothing
+        #: reads those five values between rounds unless a collector runs or
+        #: the loop hands control back, so they are written then
+        #: (:meth:`publish_owed_metrics`) instead of once per job per round.
+        self._owed: Dict[int, _Facts] = {}
 
     # ------------------------------------------------------------------
     # Rate model
@@ -91,46 +114,134 @@ class ExecutionModel:
         jitter = self.overheads.iteration_jitter(job)
         return scaling * compute_factor * placement * cpu_factor * jitter
 
-    def cached_rate(self, job: Job, cluster_state: ClusterState) -> Tuple[float, bool, int]:
-        """``(effective_rate, is_fragmented, num_gpus)`` with memoization.
+    def _facts(self, job: Job, cluster_state: ClusterState) -> _Facts:
+        """The job's rate, fragmentation, GPU count and work target, memoized.
 
-        The three values are pure functions of state covered by the cluster's
-        version stamps, so one entry serves every round until the job's
-        allocation or the cluster membership changes.  Falls back to a fresh
-        computation per call when the overhead model has per-round jitter
-        (the RNG draw must happen exactly once per round).
+        All four are pure functions of state covered by the cluster's version
+        stamps, so one entry serves every round until the job's allocation
+        or the cluster membership changes -- the same delta the rest of a
+        full round iterates over.  Recomputed on every call when the overhead
+        model has per-round jitter (the RNG draw must happen exactly once per
+        job per round).
         """
-        if not self._rates_cacheable:
-            return (
-                self.effective_rate(job, cluster_state),
-                len(cluster_state.nodes_for_job(job.job_id)) > 1,
-                cluster_state.num_gpus_for_job(job.job_id),
-            )
+        job_id = job.job_id
         membership = cluster_state.membership_version
-        alloc = cluster_state.alloc_version(job.job_id)
-        entry = self._rate_cache.get(job.job_id)
-        if (
-            entry is not None
-            and entry[0] is cluster_state
-            and entry[1] == membership
-            and entry[2] == alloc
-        ):
-            return entry[3], entry[4], entry[5]
-        rate = self.effective_rate(job, cluster_state)
-        fragmented = len(cluster_state.nodes_for_job(job.job_id)) > 1
-        num_gpus = cluster_state.num_gpus_for_job(job.job_id)
-        self._rate_cache[job.job_id] = (
-            cluster_state, membership, alloc, rate, fragmented, num_gpus
+        alloc = cluster_state.alloc_version(job_id)
+        if self._rates_cacheable:
+            entry = self._rate_cache.get(job_id)
+            if (
+                entry is not None
+                and entry.cluster is cluster_state
+                and entry.membership_version == membership
+                and entry.alloc_version == alloc
+                and entry.job is job
+            ):
+                return entry
+        entry = _Facts(
+            cluster_state,
+            membership,
+            alloc,
+            self.effective_rate(job, cluster_state),
+            len(cluster_state.nodes_for_job(job_id)) > 1,
+            cluster_state.num_gpus_for_job(job_id),
+            self.termination.work_target(job),
+            job,
         )
-        return rate, fragmented, num_gpus
+        if self._rates_cacheable:
+            self._rate_cache[job_id] = entry
+        return entry
+
+    def cached_rate(self, job: Job, cluster_state: ClusterState) -> Tuple[float, bool, int]:
+        """``(effective_rate, is_fragmented, num_gpus)``, memoized per allocation."""
+        facts = self._facts(job, cluster_state)
+        return facts.rate, facts.fragmented, facts.num_gpus
 
     def forget(self, job_id: int) -> None:
-        """Drop the cached rate of a job that was pruned."""
+        """Drop the cached facts of a job that was pruned."""
         self._rate_cache.pop(job_id, None)
 
     # ------------------------------------------------------------------
     # Round advancement
     # ------------------------------------------------------------------
+
+    def advance_running(
+        self,
+        jobs: Iterable[Job],
+        cluster_state: ClusterState,
+        round_start: float,
+        round_duration: float,
+    ) -> None:
+        """Advance the running set across one round of wall-clock time.
+
+        ``jobs`` must be RUNNING and in ascending job id (the order
+        ``JobState.running_jobs()`` yields): that order is the jitter-RNG
+        draw order, the progress-observer notification order and the order in
+        which completions flip status.  Updates ``work_done``,
+        ``attained_service`` and ``pending_overhead``; a job that reaches its
+        termination target is marked completed with a sub-round-accurate
+        completion time.  The five application metrics are *owed*, not
+        written, unless the job completes (observers of the transition may
+        read them) or stalls; see :meth:`publish_owed_metrics`.
+
+        This is the one per-round fold: :meth:`advance` is its one-job call,
+        and :meth:`advance_steady` / :meth:`steady_scan` replay exactly these
+        floating-point operations in this order.
+        """
+        facts = self._facts
+        owed = self._owed
+        running = JobStatus.RUNNING
+        for job in jobs:
+            if job.status is not running:
+                raise SimulationError(
+                    f"cannot advance job {job.job_id} in status {job.status}"
+                )
+            job_id = job.job_id
+            entry = facts(job, cluster_state)
+            rate = entry.rate
+            num_gpus = entry.num_gpus
+            if not num_gpus:
+                raise SimulationError(f"running job {job_id} holds no GPUs")
+            if entry.fragmented:
+                job.metrics["was_fragmented"] = True
+
+            pending = job.pending_overhead
+            if pending:
+                overhead_used = min(pending, round_duration)
+                job.pending_overhead = pending - overhead_used
+                available = round_duration - overhead_used
+            else:
+                overhead_used = 0.0
+                available = round_duration
+
+            remaining = entry.work_target - job.work_done
+            if not remaining > 0.0:
+                remaining = 0.0
+
+            completed = False
+            if rate <= 0:
+                compute_seconds = 0.0
+                work = 0.0
+            else:
+                time_to_finish = remaining / rate
+                if time_to_finish <= available:
+                    compute_seconds = time_to_finish
+                    work = remaining
+                    completed = True
+                else:
+                    compute_seconds = available
+                    work = available * rate
+
+            job.add_progress(work, num_gpus * (compute_seconds + overhead_used))
+
+            if rate > 0 and not completed:
+                owed[job_id] = entry
+                continue
+            self._publish(job, rate)
+            if completed:
+                # completion_time first: the status setter notifies JobState
+                # observers, which read the JCT off the job.
+                job.completion_time = round_start + overhead_used + compute_seconds
+                job.status = JobStatus.COMPLETED
 
     def advance(
         self,
@@ -139,53 +250,37 @@ class ExecutionModel:
         round_start: float,
         round_duration: float,
     ) -> bool:
-        """Advance one running job across one round of wall-clock time.
+        """Advance one running job across one round; returns whether it completed.
 
-        Updates ``work_done``, ``attained_service`` and application metrics on
-        the job; marks it completed (with a sub-round-accurate completion time)
-        if it reaches its termination target during the round.  Returns
-        whether the job completed.
+        The one-job call of :meth:`advance_running`.  A lone caller reads the
+        job straight afterwards, so its metrics are published, not owed.
         """
-        if job.status != JobStatus.RUNNING:
-            raise SimulationError(f"cannot advance job {job.job_id} in status {job.status}")
-        rate, fragmented, num_gpus = self.cached_rate(job, cluster_state)
-        if not num_gpus:
-            raise SimulationError(f"running job {job.job_id} holds no GPUs")
-        if fragmented:
-            job.metrics["was_fragmented"] = True
-        available = round_duration
+        self.advance_running((job,), cluster_state, round_start, round_duration)
+        self.publish_owed_metrics()
+        return job.status is JobStatus.COMPLETED
 
-        overhead_used = min(job.pending_overhead, available)
-        job.pending_overhead -= overhead_used
-        available -= overhead_used
+    def publish_owed_metrics(self) -> None:
+        """Write the application metrics :meth:`advance_running` still owes.
 
-        target = self.termination.work_target(job)
-        remaining = max(0.0, target - job.work_done)
+        The values are pure functions of each job's current progress and the
+        rate of its latest round, neither of which moves between rounds, so
+        writing them late yields exactly what a per-round write would have
+        left.  The scheduling loop calls this before metric collectors run
+        and whenever it returns.
+        """
+        if self._owed:
+            for entry in self._owed.values():
+                self._update_app_metrics(entry.job, entry.rate)
+            self._owed.clear()
 
-        completed = False
-        if rate <= 0:
-            compute_seconds = 0.0
-            work = 0.0
-        else:
-            time_to_finish = remaining / rate
-            if time_to_finish <= available:
-                compute_seconds = time_to_finish
-                work = remaining
-                completed = True
-            else:
-                compute_seconds = available
-                work = available * rate
-
-        job.work_done += work
-        job.attained_service += num_gpus * (compute_seconds + overhead_used)
+    def _publish(self, job: Job, rate: float) -> None:
+        """Write one job's application metrics now, settling any older debt."""
+        older = self._owed.pop(job.job_id, None)
+        if older is not None and rate <= 0:
+            # A stalled round reports no iteration time or throughput; the
+            # last progressing round's must stand, as if written back then.
+            self._update_app_metrics(job, older.rate)
         self._update_app_metrics(job, rate)
-
-        if completed:
-            # completion_time first: the status setter notifies JobState
-            # observers, which read the JCT off the job.
-            job.completion_time = round_start + overhead_used + compute_seconds
-            job.status = JobStatus.COMPLETED
-        return completed
 
     @staticmethod
     def steady_scan(
@@ -263,8 +358,9 @@ class ExecutionModel:
         the sub-round completion time if the job finishes in the stride's
         final round (callers size strides with :meth:`steady_scan` so a
         completion can only fall there).  The application metrics are pure
-        functions of the final state and the constant rate, so they are
-        flushed once at the end instead of per round.
+        functions of the final state and the constant rate, so they are owed
+        exactly as :meth:`advance_running` owes them (written here only on a
+        completion or a stall; see :meth:`publish_owed_metrics`).
 
         ``final_round_start`` is the wall-clock start of the stride's *last*
         round, taken from the manager's clock so a completion time
@@ -274,13 +370,13 @@ class ExecutionModel:
         """
         if job.status != JobStatus.RUNNING:
             raise SimulationError(f"cannot advance job {job.job_id} in status {job.status}")
-        rate, fragmented, num_gpus = self.cached_rate(job, cluster_state)
+        facts = self._facts(job, cluster_state)
+        rate, num_gpus, target = facts.rate, facts.num_gpus, facts.work_target
         if not num_gpus:
             raise SimulationError(f"running job {job.job_id} holds no GPUs")
-        if fragmented:
+        if facts.fragmented:
             job.metrics["was_fragmented"] = True
 
-        target = self.termination.work_target(job)
         work = job.work_done
         attained = job.attained_service
         pending = job.pending_overhead
@@ -356,7 +452,10 @@ class ExecutionModel:
         job.work_done = work
         job.attained_service = attained
         job.pending_overhead = pending
-        self._update_app_metrics(job, rate)
+        if rate > 0 and not completed:
+            self._owed[job.job_id] = facts
+        else:
+            self._publish(job, rate)
         if completed:
             job.completion_time = final_round_start + overhead_used + compute_seconds
             job.status = JobStatus.COMPLETED

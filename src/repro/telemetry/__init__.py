@@ -34,16 +34,33 @@ from repro.telemetry.events import (
     merge_events,
     run_metadata,
 )
-from repro.telemetry.recorder import TelemetryObserver, TraceRecorder
-from repro.telemetry.sinks import (
-    JsonlSink,
-    RingBufferSink,
-    SqliteSink,
-    TraceFollower,
-    TraceSink,
-    open_sink,
-    read_trace,
-)
+#: Names served lazily (PEP 562).  Every engine imports event-kind constants
+#: from :mod:`repro.telemetry.events`, which runs this file first; importing
+#: the recorder and the sinks here would make each simulation process pay for
+#: ``sqlite3`` and ``orjson`` although only a recording run builds a sink.
+_LAZY = {
+    "TelemetryObserver": "repro.telemetry.recorder",
+    "TraceRecorder": "repro.telemetry.recorder",
+    "JsonlSink": "repro.telemetry.sinks",
+    "RingBufferSink": "repro.telemetry.sinks",
+    "SqliteSink": "repro.telemetry.sinks",
+    "TraceFollower": "repro.telemetry.sinks",
+    "TraceSink": "repro.telemetry.sinks",
+    "open_sink": "repro.telemetry.sinks",
+    "read_trace": "repro.telemetry.sinks",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "SCHEMA_VERSION",

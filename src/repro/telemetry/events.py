@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import platform
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -189,7 +188,11 @@ def run_metadata(
     clock itself so recorded payloads stay deterministic.
     """
     # Imported lazily: repro/__init__ imports the engine, which imports this
-    # module -- a top-level "from repro import __version__" would be circular.
+    # module -- a top-level "from repro import __version__" would be circular
+    # -- and ``platform`` is needed by artifact writers only, not by every
+    # process that imports an event-kind constant.
+    import platform
+
     from repro import __version__
 
     return {

@@ -18,12 +18,14 @@ untraced one.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.core.job import Job, JobStatus
 from repro.core.job_state import JobStateObserver
 from repro.telemetry.events import EVENT_JOB, TraceHeader
-from repro.telemetry.sinks import TraceSink
+
+if TYPE_CHECKING:  # the sink is handed in; importing sinks pulls sqlite3/orjson
+    from repro.telemetry.sinks import TraceSink
 
 #: Emit one rpc-faults counter snapshot every this many RPC calls.
 DEFAULT_RPC_STATS_INTERVAL = 1024

@@ -27,11 +27,13 @@ Three modes cover the repo's execution paths:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.telemetry.events import TraceFormatError, TraceHeader, run_metadata
-from repro.telemetry.recorder import TraceRecorder
-from repro.telemetry.sinks import TraceSink
+
+if TYPE_CHECKING:  # a spec builds unrecorded runs too; those need neither
+    from repro.telemetry.recorder import TraceRecorder
+    from repro.telemetry.sinks import TraceSink
 
 MODES = ("core", "runtime", "federation")
 #: Values of the retired ``engine`` spec field that old trace headers carry.
@@ -164,7 +166,11 @@ class RunSpec:
         placement = PLACEMENT_POLICIES[self.placement]
 
         def recorder(source: str) -> Optional[TraceRecorder]:
-            return None if sink is None else TraceRecorder(sink, source=source)
+            if sink is None:
+                return None
+            from repro.telemetry.recorder import TraceRecorder
+
+            return TraceRecorder(sink, source=source)
 
         if self.mode == "federation":
             from repro.federation.engine import FederationEngine

@@ -9,13 +9,15 @@ on the *same* round boundary must replay the stepping loop
 (``fast_forward=False``) bit-identically.
 """
 
+import pickle
+
 import pytest
 
 from repro.cluster.builder import build_cluster
 from repro.core.blox_manager import BloxManager
 from repro.core.job import Job, JobStatus
 from repro.policies.placement.consolidated import ConsolidatedPlacement
-from repro.policies.scheduling import PolluxScheduling
+from repro.policies.scheduling import PolluxScheduling, TiresiasScheduling
 from repro.policies.scheduling.fifo import FifoScheduling
 from repro.scenarios.registry import get_scenario
 from repro.simulator.engine import Simulator
@@ -135,40 +137,64 @@ def test_manager_overriding_advance_time_takes_the_light_loop():
 # ----------------------------------------------------------------------
 
 
+def per_job_state(sim):
+    """Every id-keyed container a run keeps, by name."""
+    policy = sim.scheduling_policy
+    return {
+        "probes": sim._event_core._probes,
+        "rates": sim.execution_model._rate_cache,
+        "owed": sim.execution_model._owed,
+        "entries": policy._index._entries,
+        "wait clock": getattr(policy, "_last_run_time", {}),
+    }
+
+
 def test_completion_probes_are_dropped_when_their_job_is_pruned():
     """Pollux + churn takes the decision-stable path, which used to leak.
 
-    The execution model's rate cache has the same lifetime and the same
-    single prune site, so it is held to the same bound.
+    Every other piece of per-job state has the same lifetime -- nothing
+    outlives its job, everything is empty after a drained run and survives
+    pickling at a pause -- so it is held to the same bound here: the
+    execution model's rate cache and owed application metrics, the
+    registry's newly-finished ids, and (under Tiresias, a gang policy) the
+    priority index's reused schedule entries and the policy's wait clock.
     """
-    compiled = get_scenario("failure-storm", smoke=True).compile(seed=5)
-    sim = Simulator(
-        cluster_state=compiled.build_cluster(),
-        jobs=compiled.trace.fresh_jobs(),
-        scheduling_policy=PolluxScheduling(),
-        placement_policy=ConsolidatedPlacement(),
-        round_duration=compiled.spec.round_duration,
-        cluster_manager=compiled.make_cluster_manager(),
-        tracked_job_ids=compiled.trace.tracked_ids(),
-    )
-    probes = sim._event_core._probes
-    rates = sim.execution_model._rate_cache
-    probed = 0
-    rated = 0
-    last_arrival = max(job.arrival_time for job in sim.jobs)
-    for step in range(1, 9):
-        sim._advance_loop(step * last_arrival / 8)
-        probed = max(probed, len(probes))
-        rated = max(rated, len(rates))
-        unfinished = {job.job_id for job in sim.job_state.active_jobs()}
-        assert set(probes) <= unfinished
-        assert set(rates) <= unfinished
-    assert sim._advance_loop(None) is True
-    assert probed > 0
-    assert rated > 0
-    assert not sim.job_state.count_with_status(JobStatus.RUNNING)
-    assert not probes
-    assert not rates
+    for scheduling in (PolluxScheduling(), TiresiasScheduling()):
+        compiled = get_scenario("failure-storm", smoke=True).compile(seed=5)
+        sim = Simulator(
+            cluster_state=compiled.build_cluster(),
+            jobs=compiled.trace.fresh_jobs(),
+            scheduling_policy=scheduling,
+            placement_policy=ConsolidatedPlacement(),
+            round_duration=compiled.spec.round_duration,
+            cluster_manager=compiled.make_cluster_manager(),
+            tracked_job_ids=compiled.trace.tracked_ids(),
+        )
+        peak = {name: 0 for name in per_job_state(sim)}
+        last_arrival = max(job.arrival_time for job in sim.jobs)
+        resumed = None
+        for step in range(1, 9):
+            sim._advance_loop(step * last_arrival / 8)
+            unfinished = {job.job_id for job in sim.job_state.active_jobs()}
+            for name, kept in per_job_state(sim).items():
+                peak[name] = max(peak[name], len(kept))
+                assert set(kept) <= unfinished, name
+            # A pause hands control back: nothing is owed, nothing unpruned.
+            assert not sim.execution_model._owed
+            assert not sim.job_state._newly_finished
+            if step == 4:
+                resumed = pickle.loads(pickle.dumps(sim))
+        assert sim._advance_loop(None) is True
+        assert resumed._advance_loop(None) is True
+        assert_identical(sim.build_result(), resumed.build_result())
+        assert peak["probes"] > 0 and peak["rates"] > 0
+        if isinstance(scheduling, TiresiasScheduling):
+            assert peak["entries"] > 0 and peak["wait clock"] > 0
+        for drained in (sim, resumed):
+            assert not drained.job_state.count_with_status(JobStatus.RUNNING)
+            assert not drained.job_state._newly_finished
+            for name, kept in per_job_state(drained).items():
+                assert not kept, name
 
 
 # ----------------------------------------------------------------------

@@ -87,9 +87,11 @@ def step_reference(seed):
 
 def replay(seed, rounds):
     job, cluster, rd = make_case(seed)
-    completed = ExecutionModel().advance_steady(
+    model = ExecutionModel()
+    completed = model.advance_steady(
         job, cluster, (BASE_ROUND + rounds - 1) * rd, rd, rounds
     )
+    model.publish_owed_metrics()  # a stride owes its metrics like a round does
     return job, completed
 
 
@@ -179,14 +181,22 @@ def test_zero_rate_job_is_a_no_op_of_any_length(pending):
 
 
 def test_simulation_path_never_imports_numpy():
-    """README: no third-party runtime dependencies -- even where numpy is installed."""
+    """README: no third-party runtime dependencies -- even where numpy is installed.
+
+    Nor anything that only a recording run needs: the sinks' ``sqlite3`` and
+    ``orjson`` and the artifact header's ``platform`` stay out of every
+    unrecorded core, runtime and federation run (each benchmark child, sweep
+    worker and spawned shard worker pays for what this path imports).
+    """
     code = (
         "import sys\n"
         "import repro.simulator.engine, repro.runtime.central_scheduler\n"
         "import repro.federation.engine\n"
         "from repro.telemetry.runspec import RunSpec\n"
-        "RunSpec().build().run()\n"
-        "assert 'numpy' not in sys.modules\n"
+        "for mode in ('core', 'runtime', 'federation'):\n"
+        "    RunSpec(mode=mode).build().run()\n"
+        "loaded = [m for m in ('numpy', 'sqlite3', 'orjson', 'platform') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
     )
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     proc = subprocess.run(
