@@ -1,41 +1,9 @@
-"""Performance benchmarks for the scheduler core and policy layer.
+"""The parity-gate matrix behind ``python -m repro.bench``.
 
-``python -m repro.bench`` runs two benchmarks over the seeded 256-GPU
-Philly-style workload and writes ``BENCH_core.json``:
-
-* the **core** benchmark: the workload simulated on the pre-refactor
-  ("legacy") state layer (full-scan queries, no event skipping) and on the
-  indexed, event-skipping core;
-* the **policy matrix**: each scheduling policy (fifo, srtf, las, tiresias,
-  gavel, pollux) x placement cell simulated with its pre-refactor
-  implementation (on the pre-refactor engine cost model) and with the current
-  incremental implementation.
-
-Every comparison carries a schedule-parity verdict proving the paired runs
-made identical scheduling decisions, so the reported speedups are pure
-hot-path work.  The JSON is committed so the perf trajectory is measurable PR
-over PR.
-
-``python -m repro.bench --runtime`` instead runs the **runtime** benchmark
-(``BENCH_runtime.json``): every registry scenario through the deployment
-path (CentralScheduler, fast-forward on and off) and plain simulation with
-identical deterministic overheads -- schedule-parity checked -- plus the
-Fig. 19 lease-scaling sweep comparing central vs optimistic renewal.
-
-``python -m repro.bench --chaos`` runs the **chaos** benchmark: kill-one-
-worker recovery parity for the supervised parallel federation and the
-``chaos`` scenario under seeded RPC fault injection, merging a ``"chaos"``
-section into ``BENCH_federation.json`` and ``BENCH_runtime.json``.
+Every mode is a list of cells (:mod:`repro.bench.cells`): one ``RunSpec``
+executed by several legs, every later leg compared to the first with
+``schedule_diff``, plus the few measurements that are a mode's own.  All
+modes write one artifact shape and exit 1 iff an enforced gate is false;
+``docs/architecture.md`` ("Benchmarks") lists them.  How fast any of this
+runs is ``benchmarks/run.py``'s question, against the parent commit.
 """
-
-from repro.bench.chaos_bench import run_chaos_bench
-from repro.bench.core_bench import run_core_bench
-from repro.bench.policy_bench import run_policy_bench
-from repro.bench.runtime_bench import run_runtime_bench
-
-__all__ = [
-    "run_chaos_bench",
-    "run_core_bench",
-    "run_policy_bench",
-    "run_runtime_bench",
-]

@@ -1,52 +1,41 @@
-"""The chaos benchmark: control-plane faults with recovery, parity-gated.
+"""The chaos bench: control-plane faults whose recovery must not show.
 
-``python -m repro.bench --chaos`` exercises both halves of the robustness
-subsystem (see ``docs/robustness.md``) and *gates* on the property that makes
-it trustworthy: fault recovery is invisible in the schedule.
+``python -m repro.bench --chaos`` gates the property that makes the
+robustness subsystem (``docs/robustness.md``) trustworthy: fault recovery is
+invisible in the schedule.
 
-* **Federation leg** -- the 2-shard parallel federation run with a
-  :class:`~repro.federation.parallel.SupervisorConfig` armed; a
-  :class:`~repro.federation.parallel.WorkerKillPlan` SIGKILLs one worker
-  mid-``advance`` (both before the broadcast and between broadcast and
-  collect), the supervisor respawns it and replays from the last checkpoint,
-  and the result must be **bit-identical** to the fault-free serial run.
-  A degradation cell kills a worker with restarts exhausted
-  (``on_unrecoverable="degrade"``) and checks job conservation: every job is
-  either finished on a surviving shard or counted in ``lost_jobs``.
-* **Runtime leg** -- the ``chaos`` scenario (node failures + spot waves)
-  through the :class:`~repro.runtime.central_scheduler.CentralScheduler`
-  with a seeded :class:`~repro.runtime.rpc.FaultPlan` dropping, delaying,
-  duplicating and losing replies on every lease RPC.  With retries and
-  idempotency tokens on, each seed must reproduce the fault-free schedule
-  exactly, leak zero leases, and record nonzero retry/recovery counters
-  (proof the faults actually fired).
+* **Federation cell** -- the 2-shard federation, serial first, then one
+  ``killed(when, at)`` leg per kill point on the supervised multiprocess
+  engine: a :class:`~repro.federation.parallel.WorkerKillPlan` SIGKILLs a
+  worker before the broadcast or between broadcast and collect, the
+  supervisor respawns it and replays from the last checkpoint.  This module's
+  own is the degradation run: restarts exhausted
+  (``on_unrecoverable="degrade"``), every job finished on a surviving shard
+  or counted in ``lost_jobs``.
+* **Runtime cell** -- the ``chaos`` scenario through the deployment path,
+  fault-free first, then one ``faulted(seed)`` leg per seed with a
+  :class:`~repro.runtime.rpc.FaultPlan` dropping, delaying, duplicating and
+  losing replies on every lease RPC: same schedule, zero leaked leases, and
+  nonzero retry/recovery counters (proof the faults fired).
 
-Results are *merged* into the existing ``BENCH_federation.json`` and
-``BENCH_runtime.json`` under a ``"chaos"`` key (read-modify-write), so the
-chaos sections live next to the benchmarks they extend.
+Each half is the ``chaos`` section of the artifact it extends.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import replace
+from dataclasses import asdict, replace
+from functools import partial
 from typing import Dict, Optional, Tuple
 
-from repro.bench import workload
-from repro.bench.federation_bench import run_parallel
+from repro.bench import cells, workload
+from repro.bench.cells import Cell, Gate, Leg, LegRun, built, timed
+from repro.bench.runtime_bench import deployment_facts, runtime_spec
 from repro.federation.parallel import SupervisorConfig, WorkerKillPlan
-from repro.metrics.parity import schedule_diff
-from repro.policies.scheduling.tiresias import TiresiasScheduling
-from repro.runtime.central_scheduler import CentralScheduler
 from repro.runtime.rpc import FaultPlan, FaultSpec, RetryPolicy
-from repro.scenarios.registry import get_scenario
-from repro.scenarios.runner import SCENARIO_SEED
-from repro.simulator.overheads import OverheadModel
+from repro.telemetry.runspec import RunSpec
 
-#: The federation chaos shape: 2 shards x 2 workers (one shard per worker),
-#: queue-delay routing -- the CI shape named in the issue.
-CHAOS_SHARDS = 2
+#: The federation chaos shape: 2 shards (the ``RunSpec`` default) x 2 workers,
+#: one shard per worker, queue-delay routing.
 CHAOS_WORKERS = 2
 CHAOS_ROUTER = "queue-delay"
 
@@ -56,12 +45,12 @@ CHAOS_ROUTER = "queue-delay"
 KILL_POINTS_SMOKE: Tuple[int, ...] = (1, 5)
 KILL_POINTS_FULL: Tuple[int, ...] = (3, 17)
 
-#: RPC fault seeds of the runtime leg (the property-test seeds 0-4; smoke
+#: RPC fault seeds of the runtime cell (the property-test seeds 0-4; smoke
 #: trims to keep CI in seconds).
 FAULT_SEEDS_SMOKE: Tuple[int, ...] = (0, 1, 2)
 FAULT_SEEDS_FULL: Tuple[int, ...] = (0, 1, 2, 3, 4)
 
-#: Per-call fault probabilities of the runtime leg.  With ~5% drop and ~5%
+#: Per-call fault probabilities of the runtime cell.  With ~5% drop and ~5%
 #: lost-reply per delivery and 8 attempts, the chance any call in a run
 #: exhausts its retries is negligible (~1e-8 per call) -- exhaustion would
 #: abort the run, which is itself a gate failure.
@@ -71,220 +60,146 @@ FAULT_SPEC = FaultSpec(
 RETRY_POLICY = RetryPolicy(max_attempts=8)
 
 
-# ----------------------------------------------------------------------
-# Federation leg: kill-one-worker recovery parity + degradation
-# ----------------------------------------------------------------------
-
-
 def _supervisor(smoke: bool, **overrides) -> SupervisorConfig:
-    base = dict(
-        checkpoint_interval=4 if smoke else 8,
-        backoff_base_s=0.01,
-        backoff_max_s=0.1,
+    return SupervisorConfig(
+        checkpoint_interval=4 if smoke else 8, backoff_base_s=0.01, backoff_max_s=0.1, **overrides
     )
-    base.update(overrides)
-    return SupervisorConfig(**base)
 
 
-def run_federation_chaos(smoke: bool = False) -> Dict[str, object]:
-    """Kill-one-worker parity cells plus the degradation cell."""
+def _recovery_facts(engine, result) -> Dict[str, object]:
+    return {"fault_stats": result.fault_stats.as_dict()}
+
+
+def killed(when: str, at: int, smoke: bool) -> Leg:
+    """The supervised parallel run with worker 0 SIGKILLed at advance ``at``."""
+    return built(
+        f"killed({when}, {at})",
+        facts=_recovery_facts,
+        workers=CHAOS_WORKERS,
+        supervisor=_supervisor(smoke),
+        kill_plan=WorkerKillPlan(kills=((at, 0),), when=when),
+    )
+
+
+def run_federation_chaos(smoke: bool = False, started_at: Optional[float] = None) -> Dict:
+    """The kill-one-worker cell plus the degradation run, as a section."""
     spec = replace(
-        workload.SMOKE if smoke else workload.FULL,
-        mode="federation",
-        router=CHAOS_ROUTER,
-        shards=CHAOS_SHARDS,
+        workload.SMOKE if smoke else workload.FULL, mode="federation", router=CHAOS_ROUTER
     )
-    total_nodes, num_jobs = spec.num_nodes, spec.num_jobs
     kill_points = KILL_POINTS_SMOKE if smoke else KILL_POINTS_FULL
-    reference = spec.build().run()
-
-    cells: Dict[str, object] = {}
-    all_parity = True
-    all_recovered = True
-    for when in ("before", "after"):
-        for kill_at in kill_points:
-            result = run_parallel(
-                spec,
-                CHAOS_WORKERS,
-                supervisor=_supervisor(smoke),
-                kill_plan=WorkerKillPlan(kills=((kill_at, 0),), when=when),
-            )
-            stats = result.fault_stats
-            parity = schedule_diff(reference, result).identical
-            all_parity = all_parity and parity
-            all_recovered = all_recovered and stats.worker_restarts >= 1
-            cells[f"kill-{when}/advance{kill_at}"] = {
-                "kill_when": when,
-                "kill_at_advance": kill_at,
-                "schedule_parity": parity,
-                "worker_restarts": stats.worker_restarts,
-                "checkpoints": stats.checkpoints,
-                "replayed_commands": stats.replayed_commands,
-                "wall_time_s": round(result.wall_time_s, 4),
-            }
+    cell = Cell(
+        "kill-one-worker",
+        spec,
+        (
+            cells.DEFAULT,
+            *(killed(when, at, smoke) for when in ("before", "after") for at in kill_points),
+        ),
+    )
+    rows = {cell.name: cells.run_cell(cell)}
+    unrecovered = [
+        name
+        for name, facts in rows[cell.name]["legs"].items()
+        if "fault_stats" in facts and facts["fault_stats"]["worker_restarts"] < 1
+    ]
 
     # Degradation: restarts exhausted immediately, the dead shard's
     # queued-but-unrouted jobs re-route to the survivor.
     degrade_at = kill_points[-1]
-    degraded = run_parallel(
-        spec,
-        CHAOS_WORKERS,
+    degraded = spec.build(
+        workers=CHAOS_WORKERS,
         supervisor=_supervisor(smoke, max_restarts=0, on_unrecoverable="degrade"),
         kill_plan=WorkerKillPlan(kills=((degrade_at, 1),), when="before"),
-    )
-    dstats = degraded.fault_stats
+    ).run()
+    stats = degraded.fault_stats
     finished = sum(len(shard.jobs) for shard in degraded.shard_results)
-    conserved = finished + dstats.lost_jobs == num_jobs
-    degrade_cell = {
+    degrade = {
         "kill_at_advance": degrade_at,
-        "dead_shards": dstats.dead_shards,
-        "rerouted_jobs": dstats.rerouted_jobs,
-        "lost_jobs": dstats.lost_jobs,
+        "fault_stats": stats.as_dict(),
         "finished_jobs": finished,
-        "total_jobs": num_jobs,
-        "jobs_conserved": conserved,
+        "total_jobs": spec.num_jobs,
         "jobs_per_shard": degraded.jobs_per_shard(),
     }
-
-    return {
-        "shape": {
-            "num_shards": CHAOS_SHARDS,
-            "workers": CHAOS_WORKERS,
-            "router": CHAOS_ROUTER,
-            "total_nodes": total_nodes,
-            "num_jobs": num_jobs,
-            "checkpoint_interval": 4 if smoke else 8,
-        },
-        "cells": cells,
-        "degrade": degrade_cell,
-        "all_kill_parity": all_parity,
-        "all_kills_recovered": all_recovered,
-        "degrade_ok": conserved and dstats.dead_shards >= 1,
-        "ok": all_parity and all_recovered and conserved and dstats.dead_shards >= 1,
-    }
-
-
-# ----------------------------------------------------------------------
-# Runtime leg: lease protocol under seeded RPC faults
-# ----------------------------------------------------------------------
-
-
-def _deployment_run(compiled, fault_seed: Optional[int]):
-    """Run the compiled scenario; returns ``(scheduler, result)``."""
-    scheduler = CentralScheduler(
-        cluster_state=compiled.build_cluster(),
-        jobs=compiled.trace.fresh_jobs(),
-        scheduling_policy=TiresiasScheduling(),
-        round_duration=compiled.spec.round_duration,
-        lease_protocol="optimistic",
-        overhead_model=OverheadModel(),
-        cluster_manager=compiled.make_cluster_manager(),
-        tracked_job_ids=compiled.trace.tracked_ids(),
-        fault_plan=None if fault_seed is None else FaultPlan(FAULT_SPEC, seed=fault_seed),
-        retry_policy=None if fault_seed is None else RETRY_POLICY,
-    )
-    return scheduler, scheduler.run()
-
-
-def run_runtime_chaos(smoke: bool = False, seed: int = SCENARIO_SEED) -> Dict[str, object]:
-    """The ``chaos`` scenario under per-seed RPC fault plans, parity-gated."""
-    compiled = get_scenario("chaos", smoke=smoke).compile(seed)
-    fault_seeds = FAULT_SEEDS_SMOKE if smoke else FAULT_SEEDS_FULL
-    ref_scheduler, ref_result = _deployment_run(compiled, fault_seed=None)
-
-    cells: Dict[str, object] = {}
-    all_parity = True
-    all_zero_leak = True
-    all_recovered = True
-    for fault_seed in fault_seeds:
-        faulty, faulty_result = _deployment_run(compiled, fault_seed=fault_seed)
-        stats = faulty.fault_stats()
-        leaked = faulty.leaked_leases()
-        parity = schedule_diff(ref_result, faulty_result).identical
-        all_parity = all_parity and parity
-        all_zero_leak = all_zero_leak and leaked == 0
-        all_recovered = all_recovered and stats.any_recovery()
-        cells[f"seed{fault_seed}"] = {
-            "fault_seed": fault_seed,
-            "schedule_parity": parity,
-            "leaked_leases": leaked,
-            "rpc_calls": stats.rpc_calls,
-            "faults_injected": stats.faults_injected,
-            "retries": stats.retries,
-            "duplicates_suppressed": stats.duplicates_suppressed,
-            "exhausted": stats.exhausted,
-        }
-
-    return {
-        "scenario": "chaos",
-        "scenario_seed": seed,
-        "policy": "tiresias",
-        "lease_protocol": "optimistic",
-        "fault_spec": {
-            "drop_rate": FAULT_SPEC.drop_rate,
-            "lose_reply_rate": FAULT_SPEC.lose_reply_rate,
-            "duplicate_rate": FAULT_SPEC.duplicate_rate,
-            "delay_rate": FAULT_SPEC.delay_rate,
-            "delay_ms": FAULT_SPEC.delay_ms,
-        },
-        "retry_policy": {
-            "max_attempts": RETRY_POLICY.max_attempts,
-            "backoff_base_ms": RETRY_POLICY.backoff_base_ms,
-            "backoff_max_ms": RETRY_POLICY.backoff_max_ms,
-        },
-        "rounds": ref_result.rounds,
-        "reference_leaked_leases": ref_scheduler.leaked_leases(),
-        "cells": cells,
-        "all_schedule_parity": all_parity,
-        "zero_leaked_leases": all_zero_leak,
-        "recovery_counters_nonzero": all_recovered,
-        "ok": all_parity and all_zero_leak and all_recovered,
-    }
-
-
-# ----------------------------------------------------------------------
-# Driver: merge the sections into the two existing bench reports
-# ----------------------------------------------------------------------
-
-
-def _merge_section(path: Optional[str], section: Dict[str, object]) -> None:
-    """Read-modify-write ``path``, setting its ``"chaos"`` key."""
-    if not path:
-        return
-    report: Dict[str, object] = {}
-    if os.path.exists(path):
-        with open(path) as handle:
-            report = json.load(handle)
-    report["chaos"] = section
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def run_chaos_bench(
-    smoke: bool = False,
-    federation_out: Optional[str] = "BENCH_federation.json",
-    runtime_out: Optional[str] = "BENCH_runtime.json",
-    seed: int = SCENARIO_SEED,
-    started_at: Optional[float] = None,
-) -> Dict[str, object]:
-    """Run both chaos legs and merge their sections into the bench reports."""
-    from repro.telemetry.events import run_metadata
-
-    federation = run_federation_chaos(smoke=smoke)
-    runtime = run_runtime_chaos(smoke=smoke, seed=seed)
-    metadata = run_metadata(
-        seed, {"benchmark": "chaos", "smoke": smoke}, started_at
-    )
-    federation["metadata"] = metadata
-    runtime["metadata"] = metadata
-    _merge_section(federation_out, federation)
-    _merge_section(runtime_out, runtime)
-    return {
-        "benchmark": "chaos",
+    gates = [
+        cells.parity_gate("kill parity", rows),
+        Gate(
+            "kills recovered",
+            not unrecovered,
+            reason=f"legs without a worker restart: {unrecovered}",
+        ),
+        Gate(
+            "degrade conservation",
+            finished + stats.lost_jobs == spec.num_jobs and stats.dead_shards >= 1,
+            reason=f"{finished} finished + {stats.lost_jobs} lost of {spec.num_jobs} jobs, "
+            f"{stats.dead_shards} dead shard(s)",
+        ),
+    ]
+    config = {
         "smoke": smoke,
-        "federation": federation,
-        "runtime": runtime,
-        "metadata": metadata,
-        "ok": bool(federation["ok"]) and bool(runtime["ok"]),
+        "workers": CHAOS_WORKERS,
+        "kill_points": list(kill_points),
+        "supervisor": asdict(_supervisor(smoke)),
+    }
+    return cells.artifact(
+        "federation-chaos", spec.seed, config, gates, rows, started_at, degrade=degrade
+    )
+
+
+def _faulted_facts(scheduler, result) -> Dict[str, object]:
+    stats = scheduler.fault_stats()
+    return {
+        **deployment_facts(scheduler, result),
+        "fault_stats": stats.as_dict(),
+        "any_recovery": stats.any_recovery(),
+    }
+
+
+def _run_faulted(spec: RunSpec, seed: int) -> LegRun:
+    # A plan owns its RNG and counters, so each run draws a fresh one.
+    return timed(
+        spec.build(fault_plan=FaultPlan(FAULT_SPEC, seed=seed), retry_policy=RETRY_POLICY),
+        _faulted_facts,
+    )
+
+
+def faulted(seed: int) -> Leg:
+    """The deployment run with every lease RPC under fault plan ``seed``."""
+    return Leg(f"faulted({seed})", partial(_run_faulted, seed=seed))
+
+
+def run_runtime_chaos(smoke: bool = False, started_at: Optional[float] = None) -> Dict:
+    """The ``chaos`` scenario under per-seed RPC fault plans, as a section."""
+    spec = runtime_spec("chaos", smoke)
+    seeds = FAULT_SEEDS_SMOKE if smoke else FAULT_SEEDS_FULL
+    cell = Cell(
+        "rpc-faults",
+        spec,
+        (built("default", facts=deployment_facts), *(faulted(seed) for seed in seeds)),
+    )
+    rows = {cell.name: cells.run_cell(cell)}
+    legs = rows[cell.name]["legs"]
+    leaking = [name for name, facts in legs.items() if facts["leaked_leases"]]
+    quiet = [name for name, facts in legs.items() if facts.get("any_recovery") is False]
+    gates = [
+        cells.parity_gate("faulted parity", rows),
+        Gate("zero leaked leases", not leaking, reason=f"legs leaking leases: {leaking}"),
+        Gate(
+            "recovery counters non-zero",
+            not quiet,
+            reason=f"faulted legs that never retried or deduplicated: {quiet}",
+        ),
+    ]
+    config = {
+        "smoke": smoke,
+        "fault_seeds": list(seeds),
+        "fault_spec": asdict(FAULT_SPEC),
+        "retry_policy": asdict(RETRY_POLICY),
+    }
+    return cells.artifact("runtime-chaos", spec.seed, config, gates, rows, started_at)
+
+
+def run_chaos_bench(smoke: bool = False, started_at: Optional[float] = None) -> Dict[str, Dict]:
+    """Run both halves; returns ``{artifact path: {"sections": {"chaos": ...}}}``."""
+    return {
+        "BENCH_federation.json": {"sections": {"chaos": run_federation_chaos(smoke, started_at)}},
+        "BENCH_runtime.json": {"sections": {"chaos": run_runtime_chaos(smoke, started_at)}},
     }

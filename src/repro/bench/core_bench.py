@@ -1,230 +1,119 @@
-"""The core benchmark: indexed + event-skipping loop vs. the seed baseline.
+"""The core bench: the 256-GPU Philly cell, four ways, plus recording overhead.
 
-Runs the seeded 256-GPU Philly-style workload (see
-:mod:`repro.bench.workload`) through FIFO + consolidated placement twice:
-
-* **baseline** -- :class:`~repro.bench.legacy.LegacySimulator`: seed-cost state
-  queries (full scans) and no event skipping, i.e. the pre-refactor core;
-* **indexed** -- the current :class:`~repro.simulator.engine.Simulator` on the
-  indexed state with fast-forward enabled.
-
-Both runs must produce *identical* per-job completion times and round logs
-(the benchmark fails loudly otherwise), so the speedup is pure bookkeeping,
-not a change in scheduling behaviour.  Results are written to
-``BENCH_core.json``.
+The seeded Philly workload (:mod:`repro.bench.workload`) under FIFO +
+consolidated placement, run by ``default``, ``stepping``, ``scan-state`` and
+``traced``; all four must produce one schedule.  This module's own is the
+telemetry-overhead measurement (traced vs untraced CPU time, gated at
+``TELEMETRY_OVERHEAD_GATE`` on the full configuration).  The artifact also
+carries the skip-executor section and the policy matrix.
 """
 
 from __future__ import annotations
 
 import gc
-import json
-import os
-import platform
-import tempfile
-import time
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.bench import workload
-from repro.bench.legacy import LegacySimulator
-from repro.metrics.parity import schedule_diff
-from repro.policies.placement import PLACEMENT_POLICIES
-from repro.policies.scheduling import SCHEDULING_POLICIES
-from repro.simulator.engine import SimulationResult
-from repro.telemetry.events import run_metadata
-from repro.telemetry.runspec import RunSpec
-from repro.telemetry.sinks import JsonlSink
+from repro.bench import cells, workload
+from repro.bench.cells import Cell, Gate, LegRun
+from repro.bench.event_bench import run_event_bench
+from repro.bench.policy_bench import policy_cells
 
-#: Recording a run may cost at most this fraction of the untraced wall time
+#: Recording a run may cost at most this fraction of the untraced CPU time
 #: (gated on the full configuration; smoke timings are noise-dominated).
 TELEMETRY_OVERHEAD_GATE = 0.05
-#: Timing repetitions per leg for the overhead measurement (best-of).
+#: Interleaved timing repetitions per leg for the overhead measurement, on
+#: top of the cell's own traced and untraced runs (best-of).
 _OVERHEAD_REPS = 5
 
 
-def _run_case(
-    spec: RunSpec, indexed: bool, trace_path: Optional[str] = None
-) -> Dict[str, object]:
-    sink = JsonlSink(trace_path) if trace_path is not None else None
-    if indexed:
-        simulator = spec.build(sink)
-    else:
-        simulator = LegacySimulator(
-            cluster_state=spec.cluster(),
-            jobs=spec.trace().fresh_jobs(),
-            scheduling_policy=SCHEDULING_POLICIES[spec.policy](),
-            placement_policy=PLACEMENT_POLICIES[spec.placement](),
-            round_duration=spec.round_duration,
-        )
-    start = time.perf_counter()
-    cpu_start = time.process_time()
-    result = simulator.run()
-    cpu_time = time.process_time() - cpu_start
-    wall_time = time.perf_counter() - start
-    if sink is not None:
-        sink.close()
-    return {
-        "result": result,
-        "wall_time_s": wall_time,
-        "cpu_time_s": cpu_time,
-        "rounds": result.rounds,
-        "rounds_per_sec": result.rounds / wall_time if wall_time > 0 else float("inf"),
-    }
-
-
 def _telemetry_overhead(
-    spec: RunSpec, smoke: bool, untraced: Dict[str, object]
-) -> Dict[str, object]:
-    """Measure recording cost: traced vs untraced indexed legs, best-of-N.
+    cell: Cell, runs: Sequence[LegRun], smoke: bool
+) -> Tuple[Dict[str, object], Gate]:
+    """Recording cost: traced vs untraced default legs, best-of-N.
 
-    Both legs repeat ``_OVERHEAD_REPS`` times interleaved and the ratio is
-    taken between the per-leg minima, which is what makes a ~5% gate
-    meaningful on a sub-second run.  The gate binds on **process CPU time**:
-    recording cost is pure CPU (encode + write to page cache), while wall
-    time also absorbs scheduler preemption from whatever else the machine is
-    running, which a bench run cannot control (wall numbers are still
-    reported).  The traced run must also keep schedule parity with the
-    untraced one -- recording that changed the schedule would be a
-    correctness bug, not an overhead problem.
+    The ratio is taken between per-leg minima over interleaved repetitions,
+    which is what makes a ~5% gate meaningful on a sub-second run.  The gate
+    binds on **process CPU time**: recording cost is pure CPU (encode + write
+    to page cache), while wall time also absorbs scheduler preemption from
+    whatever else the machine is running (wall numbers are still reported).
+    That recording leaves the schedule alone is the cell's ``traced`` parity.
     """
-    fd, trace_path = tempfile.mkstemp(suffix=".jsonl", prefix="bench-trace-")
-    os.close(fd)
-    # Freeze the heap the earlier bench legs accumulated: without this, the
-    # traced leg's extra allocations trigger collections that scan the whole
-    # bench heap, billing unrelated GC work to the recording overhead (the
-    # effect is context-dependent, which is worse than being slow).
+    untraced, traced = [runs[0]], [runs[-1]]
+    # Freeze the heap the earlier legs accumulated: without this, the traced
+    # leg's extra allocations trigger collections that scan the whole bench
+    # heap, billing unrelated GC work to the recording overhead (the effect
+    # is context-dependent, which is worse than being slow).
     gc.collect()
     gc.freeze()
     try:
-        untraced_runs = [untraced]
-        traced_runs = []
         for _ in range(_OVERHEAD_REPS):
-            traced_runs.append(_run_case(spec, indexed=True, trace_path=trace_path))
-            untraced_runs.append(_run_case(spec, indexed=True))
+            traced.append(cells.TRACED.run(cell.spec))
+            untraced.append(cells.DEFAULT.run(cell.spec))
             gc.collect()
-        events = sum(1 for _ in open(trace_path)) - 1  # minus header line
     finally:
         gc.unfreeze()
-        os.remove(trace_path)
-    parity = schedule_diff(untraced["result"], traced_runs[-1]["result"])
-    traced_cpu = min(run["cpu_time_s"] for run in traced_runs)
-    untraced_cpu = min(run["cpu_time_s"] for run in untraced_runs)
+    traced_cpu = min(run.cpu_s for run in traced)
+    untraced_cpu = min(run.cpu_s for run in untraced)
     overhead = traced_cpu / untraced_cpu - 1 if untraced_cpu > 0 else 0.0
-    return {
-        "events": events,
+    section = {
+        "events": traced[0].facts["events"],
         "traced_cpu_time_s": round(traced_cpu, 4),
         "untraced_cpu_time_s": round(untraced_cpu, 4),
-        "traced_wall_time_s": round(min(r["wall_time_s"] for r in traced_runs), 4),
-        "untraced_wall_time_s": round(min(r["wall_time_s"] for r in untraced_runs), 4),
+        "traced_wall_time_s": round(min(run.wall_s for run in traced), 4),
+        "untraced_wall_time_s": round(min(run.wall_s for run in untraced), 4),
         "overhead_fraction": round(overhead, 4),
         "overhead_gate": TELEMETRY_OVERHEAD_GATE,
-        # The gate binds on the full configuration only: the smoke run
-        # finishes in tens of milliseconds, where timer noise dwarfs any
-        # real recording cost.
-        "gated": not smoke,
-        "overhead_ok": smoke or overhead <= TELEMETRY_OVERHEAD_GATE,
-        "schedule_parity": parity.identical,
     }
+    # The smoke run finishes in tens of milliseconds, where timer noise
+    # dwarfs any real recording cost.
+    gate = Gate(
+        "telemetry overhead",
+        overhead <= TELEMETRY_OVERHEAD_GATE,
+        enforced=not smoke,
+        reason=f"{overhead:+.2%} CPU against the {TELEMETRY_OVERHEAD_GATE:.0%} gate"
+        + ("; smoke timings are noise" if smoke else ""),
+    )
+    return section, gate
 
 
 def run_core_bench(
-    smoke: bool = False,
-    out_path: Optional[str] = "BENCH_core.json",
-    policies: bool = True,
-    started_at: Optional[float] = None,
-) -> Dict[str, object]:
-    """Run baseline + indexed benchmark, verify parity, write the JSON report.
-
-    With ``policies=True`` (the default) the report also carries the
-    policy x placement matrix of :mod:`repro.bench.policy_bench`, comparing
-    each incremental scheduling policy against its pre-refactor
-    implementation, plus the telemetry recording-overhead leg (traced vs
-    untraced indexed run; gated at ``TELEMETRY_OVERHEAD_GATE`` on the full
-    configuration).  ``started_at`` is the caller's wall-clock stamp for the
-    report metadata (the CLI passes ``time.time()``).
-    """
-    from repro.bench.policy_bench import run_policy_bench
-
-    scale = "smoke" if smoke else "full"
-    spec = workload.SMOKE if smoke else workload.FULL
-    total_gpus = spec.num_nodes * spec.gpus_per_node
-    baseline = _run_case(spec, indexed=False)
-    indexed = _run_case(spec, indexed=True)
-    parity = schedule_diff(baseline["result"], indexed["result"])
-
-    def _case_report(case: Dict[str, object]) -> Dict[str, object]:
-        result: SimulationResult = case["result"]
-        return {
-            "wall_time_s": round(case["wall_time_s"], 4),
-            "rounds": case["rounds"],
-            "rounds_per_sec": round(case["rounds_per_sec"], 1),
-            "finished_jobs": len(result.finished_jobs()),
-            "avg_jct_s": round(result.avg_jct(), 2),
-        }
-
-    report = {
-        "benchmark": f"core-{scale}-{total_gpus}gpu-philly-fifo-consolidated",
-        "config": {
-            "scale": scale,
-            "seed": spec.seed,
-            "num_nodes": spec.num_nodes,
-            "gpus_per_node": spec.gpus_per_node,
-            "total_gpus": total_gpus,
-            "num_jobs": spec.num_jobs,
-            "jobs_per_hour": spec.jobs_per_hour,
-            "round_duration_s": spec.round_duration,
-            "python": platform.python_version(),
-        },
-        "baseline": _case_report(baseline),
-        "indexed": _case_report(indexed),
-        "speedup_rounds_per_sec": round(
-            indexed["rounds_per_sec"] / baseline["rounds_per_sec"], 2
-        ),
-        "speedup_wall_time": round(
-            baseline["wall_time_s"] / indexed["wall_time_s"], 2
-        )
-        if indexed["wall_time_s"] > 0
-        else float("inf"),
-        "parity": {
-            **parity.as_dict(),
-            "mismatched_job_ids": list(parity.mismatched_job_ids),
-        },
+    smoke: bool = False, policies: bool = True, started_at: Optional[float] = None
+) -> Dict[str, Dict]:
+    """Run the core cell, the overhead measurement, the skip-executor section
+    and (``policies``) the policy matrix; returns ``{artifact path: artifact}``."""
+    cell = Cell(
+        "core",
+        workload.SMOKE if smoke else workload.FULL,
+        (cells.DEFAULT, cells.STEPPING, cells.SCAN_STATE, cells.TRACED),
+    )
+    runs = cells.run_legs(cell)
+    rows = {cell.name: cells.run_cell(cell, runs)}
+    gates = [
+        cells.parity_gate("core parity", rows, "stepping"),
+        cells.parity_gate("scan-state parity", rows, "scan-state"),
+        cells.parity_gate("traced parity", rows, "traced"),
+    ]
+    telemetry, overhead_gate = _telemetry_overhead(cell, runs, smoke)
+    gates.append(overhead_gate)
+    matrix = policy_cells(smoke) if policies else ()
+    if matrix:
+        policy_rows = {c.name: cells.run_cell(c) for c in matrix}
+        gates.append(cells.parity_gate("policy-matrix parity", policy_rows))
+        rows.update(policy_rows)
+    config = {
+        "scale": "smoke" if smoke else "full",
+        "policy_matrix": [c.name for c in matrix],
+        "overhead_reps": _OVERHEAD_REPS,
     }
-    report["metadata"] = run_metadata(spec.seed, report["config"], started_at)
-    report["schedule_parity"] = parity.identical
-
-    report["telemetry"] = _telemetry_overhead(spec, smoke, indexed)
-
-    # Skip executor vs the stepping loop on the long-horizon cell (raises on
-    # divergence or a missed speedup gate -- see repro.bench.event_bench).
-    from repro.bench.event_bench import run_event_bench
-
-    report["event_core"] = run_event_bench(smoke=smoke)
-
-    if policies:
-        report["policies"] = run_policy_bench(smoke=smoke)
-
-    if out_path:
-        with open(out_path, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=False)
-            handle.write("\n")
-
-    if not parity.identical:
-        raise AssertionError(
-            f"baseline and indexed runs diverged: {parity.first_divergence}"
+    return {
+        "BENCH_core.json": cells.artifact(
+            "core",
+            cell.spec.seed,
+            config,
+            gates,
+            rows,
+            started_at,
+            telemetry=telemetry,
+            event_core=run_event_bench(smoke, started_at),
         )
-    if not report["telemetry"]["schedule_parity"]:
-        raise AssertionError(
-            "recording changed the schedule: traced and untraced runs diverged"
-        )
-    if policies and not report["policies"]["all_schedule_parity"]:
-        raise AssertionError(
-            "a policy benchmark cell diverged from its pre-refactor baseline: "
-            + str(
-                {
-                    name: cell
-                    for name, cell in report["policies"]["cells"].items()
-                    if not cell["schedule_parity"]
-                }
-            )
-        )
-    return report
+    }

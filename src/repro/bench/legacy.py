@@ -1,32 +1,23 @@
-"""Pre-refactor reference implementations used as the benchmark baseline.
+"""Independent reference implementations the parity gates compare against.
 
-These subclasses reproduce the *seed* cost model of the state layer so the
-benchmark can report an honest before/after comparison from a single build:
+Kept because they share no logic with the code under test, not because they
+are slow (the speed baseline is ``benchmarks/run.py`` on the parent commit):
 
-* :class:`LegacyClusterState` answers every query by scanning all GPU rows
-  (O(total GPUs)), exactly like the seed ``ClusterState`` did.  Mutations
-  still maintain the new indexes (they are simply ignored by the overridden
-  queries), which keeps mutation costs comparable to the seed's.
-* :class:`LegacyJobState` answers every view by scanning and sorting the whole
-  registry (O(total jobs)), like the seed ``JobState``.
-* :class:`LegacyBloxManager` re-scans every finished job (and each one's GPUs)
-  when pruning, the seed's O(finished x total GPUs) behaviour.
-* :class:`LegacySimulator` wires the three together and disables the
-  event-skipping fast-forward, executing every round like the seed loop.
-
-The scheduling *decisions* are identical either way -- the benchmark asserts
-this -- only the bookkeeping costs differ.
-
-The ``Legacy*Scheduling`` classes below likewise preserve the *policy-layer*
-hot path as it stood before the incremental policy refactor: full re-sorts of
-the runnable set every round, Pollux's O(capacity x jobs) water-filling scan,
-Gavel's per-job rebuild of the cluster GPU-type set, Tiresias' comparator
-side effect, and the pre-refactor fast-forward opt-outs
-(``steady_state_safe = False`` on tiresias/gavel, no ``next_policy_event_time``
-bounds anywhere).  The policy benchmark matrix
-(:mod:`repro.bench.policy_bench`) runs them against the incremental
-implementations on identical workloads and asserts schedule parity cell by
-cell.
+* :class:`LegacySimulator` -- the stepping loop on *scan state*:
+  :class:`LegacyClusterState` answers every query by scanning all GPU rows,
+  :class:`LegacyJobState` every view by scanning and sorting the registry,
+  :class:`LegacyBloxManager` prunes by re-scanning every finished job.
+  Mutations still maintain the indexes (the overridden queries ignore them),
+  so it is an oracle for the indexed state layer: the ``scan-state`` leg of
+  the core bench cell and ``tests/test_schedule_parity.py``.
+* the six sort-based ``Legacy*Scheduling`` policies -- full re-sorts of the
+  runnable set every round, Pollux's O(capacity x jobs) water-filling scan,
+  Gavel's per-job rebuild of the cluster GPU-type set, Tiresias' impure
+  comparator.  They are the oracle for the incremental policies and run on
+  the stepping engine only (``fast_forward=False``; they declare no
+  ``steady_state_safe`` / ``next_policy_event_time`` and validate nothing):
+  the ``reference-policy`` leg of the policy matrix and
+  ``tests/test_policy_incremental.py``.
 """
 
 from __future__ import annotations
@@ -38,7 +29,7 @@ from repro.cluster.node import GPU
 from repro.core.abstractions import ScheduleEntry, SchedulingPolicy
 from repro.core.blox_manager import BloxManager
 from repro.core.cluster_state import ClusterState, gpu_type_key
-from repro.core.exceptions import ConfigurationError, UnknownNodeError
+from repro.core.exceptions import UnknownNodeError
 from repro.core.job import Job, JobStatus
 from repro.core.job_state import JobState
 from repro.policies.scheduling.tiresias import DEFAULT_QUEUE_THRESHOLDS
@@ -142,42 +133,20 @@ class LegacyBloxManager(BloxManager):
         return finished_holding_gpus
 
 
-# ----------------------------------------------------------------------
-# Pre-refactor scheduling policies (the policy-layer benchmark baselines)
-# ----------------------------------------------------------------------
-
-
 class LegacyFifoScheduling(SchedulingPolicy):
     """Seed FIFO: full re-sort of the runnable set every round."""
 
     name = "fifo"
-    steady_state_safe = True
-
-    def __init__(self, hol_blocking: bool = False) -> None:
-        self.hol_blocking = hol_blocking
 
     def schedule(self, job_state: JobState, cluster_state: ClusterState) -> List[ScheduleEntry]:
         ordered = sorted(job_state.runnable_jobs(), key=lambda j: (j.arrival_time, j.job_id))
-        if not self.hol_blocking:
-            return [ScheduleEntry(job_id=j.job_id, gpu_demand=j.num_gpus) for j in ordered]
-        capacity = sum(
-            node.num_gpus for node in cluster_state.nodes.values() if not node.failed
-        )
-        entries: List[ScheduleEntry] = []
-        remaining = capacity
-        for job in ordered:
-            if job.num_gpus > remaining:
-                break
-            entries.append(ScheduleEntry(job_id=job.job_id, gpu_demand=job.num_gpus))
-            remaining -= job.num_gpus
-        return entries
+        return [ScheduleEntry(job_id=j.job_id, gpu_demand=j.num_gpus) for j in ordered]
 
 
 class LegacySrtfScheduling(SchedulingPolicy):
     """Seed SRTF: full re-sort of the runnable set every round."""
 
     name = "srtf"
-    steady_state_safe = True
 
     def schedule(self, job_state: JobState, cluster_state: ClusterState) -> List[ScheduleEntry]:
         ordered = sorted(
@@ -191,7 +160,6 @@ class LegacyLasScheduling(SchedulingPolicy):
     """Seed LAS: full re-sort of the runnable set every round."""
 
     name = "las"
-    steady_state_safe = True
 
     def schedule(self, job_state: JobState, cluster_state: ClusterState) -> List[ScheduleEntry]:
         ordered = sorted(
@@ -205,19 +173,13 @@ class LegacyTiresiasScheduling(SchedulingPolicy):
     """Seed Tiresias: impure comparator, full re-sort, no event bounds."""
 
     name = "tiresias"
-    steady_state_safe = False  # pre-refactor: comparator side effect per round
 
     def __init__(
         self,
         queue_thresholds: Sequence[float] = DEFAULT_QUEUE_THRESHOLDS,
         starvation_promote_after: float = float("inf"),
     ) -> None:
-        thresholds = list(queue_thresholds)
-        if any(t <= 0 for t in thresholds):
-            raise ConfigurationError("queue thresholds must be positive")
-        if thresholds != sorted(thresholds):
-            raise ConfigurationError("queue thresholds must be increasing")
-        self.queue_thresholds = thresholds
+        self.queue_thresholds = list(queue_thresholds)
         self.starvation_promote_after = starvation_promote_after
         self._last_run_time: Dict[int, float] = {}
 
@@ -248,7 +210,6 @@ class LegacyGavelScheduling(SchedulingPolicy):
     """Seed Gavel: rebuilds the cluster GPU-type set per job per round."""
 
     name = "gavel"
-    steady_state_safe = False  # pre-refactor: schedule() mutated job metrics
 
     @staticmethod
     def job_throughput_on(job: Job, gpu_type_name: str) -> float:
@@ -295,10 +256,6 @@ class LegacyPolluxScheduling(SchedulingPolicy):
     name = "pollux"
 
     def __init__(self, efficiency_decay: float = 0.03, restart_penalty: float = 0.05) -> None:
-        if efficiency_decay < 0:
-            raise ConfigurationError("efficiency_decay must be >= 0")
-        if restart_penalty < 0:
-            raise ConfigurationError("restart_penalty must be >= 0")
         self.efficiency_decay = efficiency_decay
         self.restart_penalty = restart_penalty
 
@@ -367,8 +324,8 @@ class LegacyPolluxScheduling(SchedulingPolicy):
         ]
 
 
-#: Registry name -> pre-refactor implementation, for the policies the policy
-#: benchmark pairs against their current (``SCHEDULING_POLICIES``) selves.
+#: Registry name -> reference implementation, for the policies the policy
+#: matrix pairs against their current (``SCHEDULING_POLICIES``) selves.
 LEGACY_SCHEDULING = {
     "fifo": LegacyFifoScheduling,
     "srtf": LegacySrtfScheduling,
@@ -377,82 +334,6 @@ LEGACY_SCHEDULING = {
     "gavel": LegacyGavelScheduling,
     "pollux": LegacyPolluxScheduling,
 }
-
-
-class PrePolicyRefactorJobState(JobState):
-    """Job registry with the pre-policy-refactor view costs.
-
-    Identical indexes to the current :class:`JobState`, but every view sorts
-    its id-set on each call -- the cost the status-indexed registry had before
-    this PR added the memoized sorted views.
-    """
-
-    def jobs_with_status(self, *statuses: JobStatus) -> List[Job]:
-        ids: List[int] = []
-        for status in dict.fromkeys(statuses):
-            ids.extend(self._by_status[status])
-        return [self._jobs[i] for i in sorted(ids)]
-
-
-class PrePolicyRefactorBloxManager(BloxManager):
-    """Manager with the pre-policy-refactor costs: per-round prune scans (no
-    O(1) early-out) and the double-sort lease-renewal check in exec_jobs."""
-
-    def prune_completed_jobs(self, cluster_state, job_state):
-        finished_holding_gpus = [
-            job_state.get(job_id)
-            for job_id in cluster_state.jobs_with_allocations()
-            if job_id in job_state and job_state.get(job_id).is_finished
-        ]
-        for job in finished_holding_gpus:
-            cluster_state.release_job(job.job_id)
-            job.allocated_gpus = []
-        return finished_holding_gpus
-
-    def exec_jobs(self, decision, cluster_state, job_state):
-        for job_id in decision.to_suspend:
-            job = job_state.get(job_id)
-            self.preemptor.preempt(job, cluster_state, self.current_time)
-        for job_id in sorted(decision.to_launch):
-            gpu_ids = decision.to_launch[job_id]
-            job = job_state.get(job_id)
-            if job.is_finished:
-                continue
-            if job.status == JobStatus.RUNNING and sorted(gpu_ids) == sorted(job.allocated_gpus):
-                continue
-            if job.status == JobStatus.RUNNING:
-                self.preemptor.preempt(job, cluster_state, self.current_time)
-            self.launcher.launch(job, gpu_ids, cluster_state, self.current_time)
-
-
-class LegacyPolicySimulator(Simulator):
-    """The scheduling loop as it stood before the incremental policy refactor.
-
-    The policy-layer benchmark baseline: indexed state (the previous PR's
-    refactor is kept) but none of this PR's hot-path machinery --
-
-    * no steady-mode strides or chained drain skipping (classic per-round
-      light loops only; decision-stable skipping never triggers because the
-      legacy policies define no ``next_policy_event_time`` bound);
-    * per-round effective-rate recomputation (no version-stamped rate cache);
-    * per-call view sorting in ``JobState`` and per-round prune scans.
-
-    Combined with the ``Legacy*Scheduling`` policies above this reproduces the
-    pre-PR cost model from a single build, the same way
-    :class:`LegacyClusterState` reproduces the seed's.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        kwargs.setdefault("job_state", PrePolicyRefactorJobState())
-        super().__init__(*args, **kwargs)
-        self.execution_model._rates_cacheable = False
-        self._stride_accelerable = False
-        self.manager = PrePolicyRefactorBloxManager(
-            trace_jobs=self.jobs,
-            round_duration=self.manager.round_duration,
-            execution_model=self.execution_model,
-            cluster_manager=self.manager.cluster_manager,
-        )
 
 
 class LegacySimulator(Simulator):

@@ -21,12 +21,17 @@ timing columns move.
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 from typing import Sequence
 
-from repro.bench import workload
-from repro.bench.federation_bench import federation_spec, run_parallel
 from repro.experiments.harness import ExperimentTable
 from repro.federation.router import router_names
+from repro.telemetry.runspec import RunSpec
+
+#: The seeded Philly benchmark workload as a federation: 600 jobs at 8/h on
+#: 64 nodes; the smoke run is ``RunSpec``'s default 60 jobs at 4/h on 16.
+FULL = RunSpec(mode="federation", num_jobs=600, jobs_per_hour=8.0, num_nodes=64)
+SMOKE = RunSpec(mode="federation", num_nodes=16)
 
 DEFAULT_SHARD_COUNTS = (1, 2, 4, 8)
 DEFAULT_ROUTERS = ("round-robin", "queue-delay")
@@ -47,10 +52,10 @@ def run_federation_point(
     multiprocess engine with that many worker processes (``1`` degenerates to
     the serial path by design).
     """
-    spec = federation_spec(smoke, router, num_shards, total_nodes)
-    if workers >= 1:
-        return run_parallel(spec, min(workers, num_shards))
-    return spec.build().run()
+    spec = replace(
+        SMOKE if smoke else FULL, router=router, shards=num_shards, num_nodes=total_nodes
+    )
+    return spec.build(workers=min(workers, num_shards) if workers >= 1 else None).run()
 
 
 def run_federation_scaling(
@@ -68,11 +73,11 @@ def run_federation_scaling(
     """
     shard_counts = sorted(set(shard_counts))
     workers = sorted(set(workers))
-    total_nodes = 16 if smoke else 64
+    total_nodes = (SMOKE if smoke else FULL).num_nodes
     table = ExperimentTable(
         name="fig-federation-scaling",
         description=(
-            f"Sharded federation on the {total_nodes * workload.FULL.gpus_per_node}-GPU "
+            f"Sharded federation on the {total_nodes * RunSpec.gpus_per_node}-GPU "
             "Philly benchmark workload: aggregate rounds/s and schedule quality "
             "vs shard count and worker processes (total capacity held constant; "
             "workers=0 is the in-process serial engine)."

@@ -160,22 +160,25 @@ class SweepTask:
     spec: PolicySpec
     run_kwargs: Dict[str, object] = field(default_factory=dict)
 
+    def __call__(self) -> Tuple[str, SimulationResult]:
+        return self.label, run_policy(self.trace, self.spec, **self.run_kwargs)
 
-def _execute_sweep_task(task: SweepTask) -> Tuple[str, SimulationResult]:
-    return task.label, run_policy(task.trace, task.spec, **task.run_kwargs)
+
+def _execute_sweep_task(task: Callable[[], object]) -> object:
+    return task()
 
 
-def run_sweep(
-    tasks: Sequence[SweepTask],
-    processes: Optional[int] = None,
-) -> List[Tuple[str, SimulationResult]]:
+def run_sweep(tasks: Sequence[Callable[[], object]], processes: Optional[int] = None) -> List:
     """Run a sweep of independent simulations, in parallel across processes.
 
-    Each task is one ``run_policy`` invocation (policy/parameter combination of
-    a load sweep such as the paper's Fig. 8-9).  Results are returned as
-    ``(label, result)`` pairs in task order.  ``processes`` defaults to one
-    worker per task, capped at the CPU count; pass ``1`` (or supply tasks that
-    cannot be pickled) to run serially in-process.
+    A task is a picklable zero-argument callable: a :class:`SweepTask` (one
+    ``run_policy`` invocation, e.g. a policy/parameter combination of a load
+    sweep such as the paper's Fig. 8-9; returns a ``(label, result)`` pair)
+    or a ``partial`` of a module-level function (the scenario matrix ships
+    one leg of a ``RunSpec`` cell that way).  What the tasks return comes
+    back as a list in task order.  ``processes`` defaults to one worker per
+    task, capped at the CPU count; pass ``1`` (or supply tasks that cannot be
+    pickled) to run serially in-process.
     """
     tasks = list(tasks)
     if not tasks:

@@ -49,7 +49,6 @@ from repro.federation.engine import (
     ScenarioManagerFactory,
     ShardBackend,
     UniformShardFactory,
-    build_uniform_shards,
     drive_federation,
 )
 from repro.federation.parallel import (
@@ -100,7 +99,6 @@ __all__ = [
     "UniformShardFactory",
     "WorkerKillPlan",
     "WorkerPoolBackend",
-    "build_uniform_shards",
     "default_worker_count",
     "drive_federation",
     "make_router",

@@ -76,7 +76,6 @@ __all__ = [
     "LocalShardBackend",
     "UniformShardFactory",
     "ScenarioManagerFactory",
-    "build_uniform_shards",
     "drive_federation",
     "DriveStats",
 ]
@@ -587,44 +586,3 @@ class UniformShardFactory:
         if num_shards < 1:
             raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
         return [self.build(shard_id) for shard_id in range(num_shards)]
-
-
-def build_uniform_shards(
-    num_shards: int,
-    nodes_per_shard: int,
-    scheduling_factory: Callable,
-    placement_factory: Optional[Callable] = None,
-    admission_factory: Optional[Callable] = None,
-    gpus_per_node: int = 4,
-    gpu_type: str = "v100",
-    network_bw_gbps: float = 10.0,
-    round_duration: float = 300.0,
-    fast_forward: bool = True,
-    cluster_manager_factory: Optional[Callable[[int], Optional[ClusterManager]]] = None,
-    max_rounds: int = 200_000,
-) -> List[ShardSimulator]:
-    """Build ``num_shards`` identical shards with fresh policy instances.
-
-    Convenience wrapper over :class:`UniformShardFactory` for in-process use;
-    parallel engines take the factory itself (it must cross the pipe).
-
-    ``cluster_manager_factory`` receives the shard index and may return a
-    per-shard manager (e.g. a fresh scenario
-    :class:`~repro.scenarios.timeline.TimelineClusterManager`) or ``None``
-    for static membership; managers are stateful, so the factory must build a
-    new instance per shard.
-    """
-    factory = UniformShardFactory(
-        nodes_per_shard=nodes_per_shard,
-        scheduling_factory=scheduling_factory,
-        placement_factory=placement_factory,
-        admission_factory=admission_factory,
-        gpus_per_node=gpus_per_node,
-        gpu_type=gpu_type,
-        network_bw_gbps=network_bw_gbps,
-        round_duration=round_duration,
-        fast_forward=fast_forward,
-        cluster_manager_factory=cluster_manager_factory,
-        max_rounds=max_rounds,
-    )
-    return factory.build_all(num_shards)

@@ -127,13 +127,17 @@ _POLL_INTERVAL_S = 0.2
 _DEFAULT_TIMEOUT = object()
 
 
+def usable_cores() -> int:
+    """Cores this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def default_worker_count(num_shards: int) -> int:
     """Workers to use when unspecified: one per shard, capped at usable cores."""
-    try:
-        usable = len(os.sched_getaffinity(0))
-    except AttributeError:
-        usable = os.cpu_count() or 1
-    return max(1, min(num_shards, usable))
+    return max(1, min(num_shards, usable_cores()))
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import argparse
-import json
-import sys
 import time
 
+from repro.bench.cells import finish
 from repro.scenarios.registry import scenario_names
 from repro.scenarios.runner import SCENARIO_SEED, run_scenario_matrix
 
@@ -49,23 +48,16 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    report = run_scenario_matrix(
-        smoke=args.smoke,
-        seed=args.seed,
-        scenarios=args.scenario,
-        processes=args.processes,
-        started_at=time.time(),
+    return finish(
+        run_scenario_matrix(
+            smoke=args.smoke,
+            seed=args.seed,
+            scenarios=args.scenario,
+            processes=args.processes,
+            started_at=time.time(),
+        ),
+        args.out,
     )
-    if args.out != "-":
-        with open(args.out, "w") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-    json.dump(report, sys.stdout, indent=2)
-    print()
-    if not report["all_schedule_parity"]:
-        print("SCHEDULE PARITY FAILED", file=sys.stderr)
-        return 1
-    return 0
 
 
 if __name__ == "__main__":

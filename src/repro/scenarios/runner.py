@@ -1,34 +1,29 @@
-"""The scenario matrix runner behind ``python -m repro.scenarios``.
+"""The scenario matrix behind ``python -m repro.scenarios``.
 
-Fans the policy x placement x scenario matrix out through the multi-process
-sweep harness (:func:`repro.experiments.harness.run_sweep`).  Every cell is
-simulated twice from the same compiled scenario:
-
-* **fast-forward on** -- the event-skipping engine, with the scenario
-  timeline bounding ``next_event_time`` so skipping stays active between
-  churn events;
-* **stepping** -- the same engine with ``fast_forward=False``, executing
-  every round (what per-round failure injection used to force).
-
-Both runs must produce identical per-job completion times, round logs,
-round counts and end times (``schedule_parity``) -- scenario dynamics are
-scheduled state changes, not noise, so fast-forward remains a pure
-performance feature under churn.  The report also carries per-scenario summaries: JCT distribution
-(avg/median/p95/p99), policy preemptions, event-driven evictions and the
-capacity-weighted utilisation integrated over the run.
+One cell per policy x placement x scenario: a core-mode ``RunSpec`` naming
+the scenario, executed with fast-forward on (the scenario timeline bounds
+``next_event_time``, so skipping stays active between churn events) and by
+the stepping loop (what per-round failure injection used to force).  Both
+must produce one schedule -- scenario dynamics are scheduled state changes,
+not noise, so fast-forward remains a pure performance feature under churn.
+The ``(spec, leg)`` tasks fan out through
+:func:`repro.experiments.harness.run_sweep`; each ships a run description,
+never a live cluster.  The per-cell scenario summaries (JCT distribution,
+policy preemptions, event-driven evictions, capacity-weighted utilisation
+integrated over the run) are this module's own.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.harness import PolicySpec, SweepTask, run_sweep
-from repro.metrics.parity import schedule_diff
+from repro.bench import cells
+from repro.bench.cells import Cell
+from repro.experiments.harness import run_sweep
 from repro.metrics.summary import scenario_summary
-from repro.policies.placement import PLACEMENT_POLICIES
-from repro.policies.scheduling import SCHEDULING_POLICIES
 from repro.scenarios.registry import SMOKE_SCENARIOS, get_scenario, scenario_names
-from repro.telemetry.events import run_metadata
+from repro.telemetry.runspec import RunSpec
 
 #: Seed every scenario in the checked-in matrix is compiled with.
 SCENARIO_SEED = 20240701
@@ -51,6 +46,29 @@ SMOKE_COMBOS: Tuple[Tuple[str, str], ...] = (
 )
 
 
+def scenario_cells(
+    smoke: bool,
+    seed: int,
+    scenarios: Sequence[str],
+    combos: Sequence[Tuple[str, str]],
+) -> List[Cell]:
+    return [
+        Cell(
+            f"{scenario}/{policy}/{placement}",
+            RunSpec(
+                policy=policy,
+                placement=placement,
+                seed=seed,
+                scenario=scenario,
+                scenario_smoke=smoke,
+            ),
+            (cells.DEFAULT, cells.STEPPING),
+        )
+        for scenario in scenarios
+        for policy, placement in combos
+    ]
+
+
 def run_scenario_matrix(
     smoke: bool = False,
     seed: int = SCENARIO_SEED,
@@ -58,8 +76,8 @@ def run_scenario_matrix(
     combos: Optional[Sequence[Tuple[str, str]]] = None,
     processes: Optional[int] = None,
     started_at: Optional[float] = None,
-) -> Dict[str, object]:
-    """Run the scenario matrix; returns the ``BENCH_scenarios.json`` payload.
+) -> Dict[str, Dict]:
+    """Run the scenario matrix; returns ``{"BENCH_scenarios.json": artifact}``.
 
     ``started_at`` is the caller's wall-clock stamp for the report metadata
     (the CLI passes ``time.time()``); the library never reads the clock.
@@ -68,106 +86,54 @@ def run_scenario_matrix(
         scenarios = SMOKE_SCENARIOS if smoke else scenario_names()
     if combos is None:
         combos = SMOKE_COMBOS if smoke else FULL_COMBOS
-
+    matrix = scenario_cells(smoke, seed, scenarios, combos)
+    runs = iter(
+        run_sweep(
+            [partial(leg.run, cell.spec) for cell in matrix for leg in cell.legs],
+            processes=processes,
+        )
+    )
     compiled = {name: get_scenario(name, smoke=smoke).compile(seed) for name in scenarios}
 
-    tasks: List[SweepTask] = []
-    for scenario_name in scenarios:
-        scenario = compiled[scenario_name]
-        for policy_name, placement_name in combos:
-            for mode in ("fastforward", "stepping"):
-                spec = PolicySpec(
-                    label=f"{scenario_name}/{policy_name}/{placement_name}/{mode}",
-                    scheduling=SCHEDULING_POLICIES[policy_name],
-                    placement=PLACEMENT_POLICIES[placement_name],
-                )
-                tasks.append(
-                    SweepTask(
-                        label=spec.label,
-                        trace=scenario.trace,
-                        spec=spec,
-                        run_kwargs={
-                            # num_nodes is unused because a fresh cluster is
-                            # passed explicitly, but run_policy requires it.
-                            "num_nodes": scenario.spec.cluster.num_nodes,
-                            "cluster": scenario.build_cluster(),
-                            "cluster_manager": scenario.make_cluster_manager(),
-                            "round_duration": scenario.spec.round_duration,
-                            "fast_forward": mode == "fastforward",
-                        },
-                    )
-                )
-
-    results = dict(run_sweep(tasks, processes=processes))
-
-    cells: Dict[str, object] = {}
-    all_parity = True
-    max_speedup = 0.0
-    for scenario_name in scenarios:
-        scenario = compiled[scenario_name]
-        for policy_name, placement_name in combos:
-            base = f"{scenario_name}/{policy_name}/{placement_name}"
-            fastforward = results[f"{base}/fastforward"]
-            stepping = results[f"{base}/stepping"]
-            parity = schedule_diff(fastforward, stepping).identical
-            all_parity = all_parity and parity
-            ff_rps = (
-                fastforward.rounds / fastforward.wall_time_s
-                if fastforward.wall_time_s > 0
-                else float("inf")
-            )
-            step_rps = (
-                stepping.rounds / stepping.wall_time_s
-                if stepping.wall_time_s > 0
-                else float("inf")
-            )
-            speedup = ff_rps / step_rps if step_rps > 0 else None
-            if speedup is not None:
-                max_speedup = max(max_speedup, speedup)
-            summary = scenario_summary(
-                fastforward.jobs,
-                fastforward.tracked_job_ids,
-                fastforward.round_log,
-                eviction_count=fastforward.eviction_count,
-            )
-            cells[base] = {
-                "scenario": scenario_name,
-                "policy": policy_name,
-                "placement": placement_name,
-                "schedule_parity": parity,
-                "rounds": fastforward.rounds,
-                "cluster_events": len(scenario.events),
-                "fastforward_wall_s": round(fastforward.wall_time_s, 4),
-                "stepping_wall_s": round(stepping.wall_time_s, 4),
-                "fastforward_rounds_per_sec": round(ff_rps, 1),
-                "stepping_rounds_per_sec": round(step_rps, 1),
-                "speedup_rounds_per_sec": round(speedup, 2) if speedup else None,
-                "summary": {
-                    key: (round(value, 4) if isinstance(value, float) else value)
-                    for key, value in summary.as_dict().items()
-                },
-            }
+    rows: Dict[str, Dict] = {}
+    for cell in matrix:
+        cell_runs = [next(runs) for _ in cell.legs]
+        result = cell_runs[0].result
+        summary = scenario_summary(
+            result.jobs,
+            result.tracked_job_ids,
+            result.round_log,
+            eviction_count=result.eviction_count,
+        )
+        rows[cell.name] = {
+            **cells.run_cell(cell, cell_runs),
+            "cluster_events": len(compiled[cell.spec.scenario].events),
+            "summary": {
+                key: (round(value, 4) if isinstance(value, float) else value)
+                for key, value in summary.as_dict().items()
+            },
+        }
 
     config = {
-        "seed": seed,
         "smoke": smoke,
         "scenarios": sorted(scenarios),
         "combos": [f"{policy}/{placement}" for policy, placement in combos],
     }
     return {
-        "seed": seed,
-        "smoke": smoke,
-        "metadata": run_metadata(seed, config, started_at),
-        "scenarios": {
-            name: {
-                "description": compiled[name].spec.description,
-                "cluster_events": len(compiled[name].events),
-                "jobs": len(compiled[name].trace),
-            }
-            for name in scenarios
-        },
-        "matrix": sorted(cells),
-        "all_schedule_parity": all_parity,
-        "max_speedup_rounds_per_sec": round(max_speedup, 2),
-        "cells": cells,
+        "BENCH_scenarios.json": cells.artifact(
+            "scenarios",
+            seed,
+            config,
+            [cells.parity_gate("scenario-matrix parity", rows)],
+            rows,
+            started_at,
+            scenarios={
+                name: {
+                    "description": compiled[name].spec.description,
+                    "cluster_events": len(compiled[name].events),
+                    "jobs": len(compiled[name].trace),
+                }
+                for name in scenarios
+            },
+        )
     }

@@ -21,7 +21,8 @@ Three modes cover the repo's execution paths:
   (:class:`~repro.runtime.central_scheduler.CentralScheduler`, optimistic
   leases, deterministic overheads), adding lease + rpc-faults events;
 * ``federation`` -- the serial federation engine, adding per-shard round
-  streams plus routing events.
+  streams plus routing events; ``build(workers=N)`` is the same federation
+  on the multiprocess engine.
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ class RunSpec:
     #: router name from the router registry.
     shards: int = 2
     router: str = "round-robin"
-    #: Core mode only: run under a named scenario from the scenario registry.
-    #: The scenario then supplies cluster, workload, round duration and the
-    #: churn timeline (whose firings record as ``cluster`` events);
+    #: Core and runtime modes: run under a named scenario from the scenario
+    #: registry.  The scenario then supplies cluster, workload, round duration
+    #: and the churn timeline (whose firings record as ``cluster`` events);
     #: ``num_jobs``/``num_nodes``/... above are ignored.  ``scenario_smoke``
     #: selects the registry's shrunk smoke variant.
     scenario: Optional[str] = None
@@ -91,10 +92,10 @@ class RunSpec:
         if self.scenario is not None:
             from repro.scenarios.registry import scenario_names
 
-            if self.mode != "core":
+            if self.mode == "federation":
                 raise TraceFormatError(
-                    "scenario runs are core-mode only (the runtime/federation "
-                    "paths wire their own scenario managers)"
+                    "scenario runs are core/runtime only (federation shards "
+                    "take per-shard managers from their shard factory)"
                 )
             if self.scenario not in scenario_names():
                 raise TraceFormatError(
@@ -152,12 +153,22 @@ class RunSpec:
             network_bw_gbps=10.0,
         )
 
-    def build(self, sink: Optional[TraceSink] = None, **engine_kwargs):
+    def build(
+        self,
+        sink: Optional[TraceSink] = None,
+        workers: Optional[int] = None,
+        **engine_kwargs,
+    ):
         """The unstarted engine for this spec's mode; ``.run()`` executes it.
 
         ``sink`` turns recording on.  ``engine_kwargs`` reach the engine
         constructor (every shard's, in federation mode), so the stepping
         reference of any spec is ``spec.build(fast_forward=False)``.
+        ``workers`` (federation mode only) selects the multiprocess engine
+        with that many worker processes: keywords naming a
+        :class:`~repro.federation.engine.UniformShardFactory` field configure
+        the shards the workers build, the rest (``supervisor``, ``kill_plan``,
+        a lazy ``jobs`` stream, ...) reach the parallel engine.
         """
         from repro.policies.placement import PLACEMENT_POLICIES
         from repro.policies.scheduling import SCHEDULING_POLICIES
@@ -171,6 +182,36 @@ class RunSpec:
             from repro.telemetry.recorder import TraceRecorder
 
             return TraceRecorder(sink, source=source)
+
+        if workers is not None:
+            if self.mode != "federation":
+                raise TraceFormatError("build(workers=...) needs a federation-mode spec")
+            from repro.federation.engine import UniformShardFactory
+            from repro.federation.parallel import ParallelFederationEngine
+            from repro.federation.router import make_router
+
+            shard_fields = {f.name for f in fields(UniformShardFactory)}
+            factory = UniformShardFactory(
+                nodes_per_shard=self.num_nodes // self.shards,
+                scheduling_factory=scheduling,
+                placement_factory=placement,
+                gpus_per_node=self.gpus_per_node,
+                round_duration=self.round_duration,
+                **{k: engine_kwargs.pop(k) for k in shard_fields & engine_kwargs.keys()},
+            )
+            if "jobs" not in engine_kwargs:
+                trace = self.trace()
+                engine_kwargs.update(
+                    jobs=trace.fresh_jobs(), tracked_job_ids=trace.tracked_ids()
+                )
+            return ParallelFederationEngine(
+                factory=factory,
+                num_shards=self.shards,
+                router=make_router(self.router),
+                workers=workers,
+                recorder=recorder("federation"),
+                **engine_kwargs,
+            )
 
         if self.mode == "federation":
             from repro.federation.engine import FederationEngine
@@ -201,6 +242,11 @@ class RunSpec:
         if self.scenario is not None:
             from repro.scenarios.registry import get_scenario
 
+            if "cluster_manager" in engine_kwargs:
+                raise TraceFormatError(
+                    f"scenario {self.scenario!r} supplies the cluster manager; "
+                    "build(cluster_manager=...) would be replaced by it"
+                )
             compiled = get_scenario(self.scenario, smoke=self.scenario_smoke).compile(
                 seed=self.seed
             )

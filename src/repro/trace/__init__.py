@@ -66,8 +66,8 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scenario",
         default=defaults.scenario,
-        help="core mode: run under this named scenario (records its churn "
-        "timeline as `cluster` events)",
+        help="core/runtime mode: run under this named scenario (records its "
+        "churn timeline as `cluster` events)",
     )
     parser.add_argument(
         "--scenario-smoke",

@@ -226,9 +226,11 @@ def test_plain_core_run_emits_no_cluster_events():
 # ---------------------------------------------------------------------------
 
 
-def test_runspec_rejects_scenario_outside_core_mode():
-    with pytest.raises(TraceFormatError):
-        RunSpec(mode="runtime", scenario="failure-storm")
+def test_runspec_rejects_scenario_in_federation_mode():
+    # Core and runtime specs take a scenario (tests/test_run_registry.py runs
+    # both); federation shards get managers from their shard factory.
+    with pytest.raises(TraceFormatError, match="core/runtime only"):
+        RunSpec(mode="federation", scenario="failure-storm")
 
 
 def test_runspec_rejects_unknown_scenario():

@@ -16,7 +16,7 @@ import json
 import pytest
 
 from repro.cluster.builder import build_cluster
-from repro.federation.engine import FederationEngine, build_uniform_shards
+from repro.federation.engine import FederationEngine, UniformShardFactory
 from repro.federation.router import make_router
 from repro.policies.placement.consolidated import ConsolidatedPlacement
 from repro.policies.scheduling import FifoScheduling, SrtfScheduling, TiresiasScheduling
@@ -102,14 +102,13 @@ def test_pause_points_match_stepping():
 
 def _run_federation(fast_forward, scheduling=FifoScheduling, router_name="round-robin"):
     trace = small_trace(num_jobs=40, seed=7)
-    shards = build_uniform_shards(
-        2,
+    shards = UniformShardFactory(
         4,
         scheduling,
         ConsolidatedPlacement,
         round_duration=ROUND,
         fast_forward=fast_forward,
-    )
+    ).build_all(2)
     engine = FederationEngine(
         shards,
         make_router(router_name),

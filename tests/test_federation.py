@@ -32,7 +32,7 @@ from repro.federation import (
     RoundRobinRouter,
     ShardSimulator,
     ShardViewSummary,
-    build_uniform_shards,
+    UniformShardFactory,
     make_router,
     router_names,
     summarize_shard,
@@ -54,15 +54,14 @@ def small_trace(num_jobs=40, seed=7, jobs_per_hour=6.0):
 
 def make_federation(num_shards, router, trace, fast_forward=True, nodes_per_shard=4,
                     scheduling=FifoScheduling, cluster_manager_factory=None):
-    shards = build_uniform_shards(
-        num_shards,
+    shards = UniformShardFactory(
         nodes_per_shard,
         scheduling,
         ConsolidatedPlacement,
         round_duration=ROUND,
         fast_forward=fast_forward,
         cluster_manager_factory=cluster_manager_factory,
-    )
+    ).build_all(num_shards)
     engine = FederationEngine(
         shards, router, trace.fresh_jobs(), tracked_job_ids=trace.tracked_ids()
     )
@@ -208,7 +207,7 @@ def test_result_accessors():
 def test_infeasible_gang_raises():
     # 2 nodes x 4 GPUs per shard = 8 GPUs; a 16-GPU gang fits nowhere.
     jobs = [Job(arrival_time=0.0, num_gpus=16, duration=3600.0, job_id=1)]
-    shards = build_uniform_shards(2, 2, FifoScheduling, round_duration=ROUND)
+    shards = UniformShardFactory(2, FifoScheduling, round_duration=ROUND).build_all(2)
     engine = FederationEngine(shards, RoundRobinRouter(), jobs)
     with pytest.raises(SimulationError, match="no feasible routing"):
         engine.run()
@@ -242,7 +241,7 @@ def test_oversized_gangs_skip_small_shards():
 
 
 def test_engine_rejects_misnumbered_shards():
-    shards = build_uniform_shards(2, 2, FifoScheduling, round_duration=ROUND)
+    shards = UniformShardFactory(2, FifoScheduling, round_duration=ROUND).build_all(2)
     shards[1].shard_id = 7
     with pytest.raises(ConfigurationError, match="shard ids must equal"):
         FederationEngine(shards, RoundRobinRouter(), small_trace(num_jobs=5).fresh_jobs())
@@ -268,14 +267,14 @@ def test_engine_rejects_mixed_round_durations():
 
 
 def test_engine_rejects_empty_workload():
-    shards = build_uniform_shards(1, 2, FifoScheduling, round_duration=ROUND)
+    shards = UniformShardFactory(2, FifoScheduling, round_duration=ROUND).build_all(1)
     with pytest.raises(ConfigurationError, match="empty workload"):
         FederationEngine(shards, RoundRobinRouter(), [])
 
 
 def test_submit_after_finish_raises():
     jobs = [Job(arrival_time=0.0, num_gpus=1, duration=600.0, job_id=1)]
-    shards = build_uniform_shards(1, 1, FifoScheduling, round_duration=ROUND)
+    shards = UniformShardFactory(1, FifoScheduling, round_duration=ROUND).build_all(1)
     FederationEngine(shards, RoundRobinRouter(), jobs).run()
     with pytest.raises(SimulationError, match="draining"):
         shards[0].submit(Job(arrival_time=0.0, num_gpus=1, duration=600.0, job_id=2))

@@ -2,9 +2,10 @@
 
 The incremental implementations (heap-based Pollux, priority-index ordering
 for FIFO/SRTF/LAS/Tiresias/Gavel, observer-maintained wait clocks) must make
-bit-identical decisions to the pre-refactor implementations kept in
-``repro.bench.legacy`` -- and the event-aware fast-forward the new policies
-opt into must be invisible in the results.  Parity runs use a 256-GPU
+bit-identical decisions to the sort-based reference implementations kept in
+``repro.bench.legacy``, run on the stepping engine (``fast_forward=False``)
+-- and the event-aware fast-forward the new policies opt into must be
+invisible in the results.  Parity runs use a 256-GPU
 Philly-style workload (the benchmark cluster shape) so both the contended and
 the drain regimes are exercised.
 """
@@ -15,7 +16,6 @@ from repro.bench.legacy import (
     LegacyFifoScheduling,
     LegacyGavelScheduling,
     LegacyLasScheduling,
-    LegacyPolicySimulator,
     LegacyPolluxScheduling,
     LegacySrtfScheduling,
     LegacyTiresiasScheduling,
@@ -47,8 +47,8 @@ def trace():
     return generate_philly_trace(num_jobs=120, jobs_per_hour=10.0, seed=2024)
 
 
-def run(trace, scheduling_policy, simulator_cls=Simulator, **kwargs):
-    sim = simulator_cls(
+def run(trace, scheduling_policy, **kwargs):
+    sim = Simulator(
         cluster_state=build_256gpu_cluster(),
         jobs=trace.fresh_jobs(),
         scheduling_policy=scheduling_policy,
@@ -68,8 +68,8 @@ def assert_identical(first, second):
 
 
 # ----------------------------------------------------------------------
-# Old-vs-new schedule parity (pre-refactor policy + engine cost model vs.
-# incremental policy + event-aware engine)
+# Reference-vs-incremental schedule parity (sort-based policy on the stepping
+# engine vs. incremental policy on the event-aware engine)
 # ----------------------------------------------------------------------
 
 
@@ -87,7 +87,7 @@ def assert_identical(first, second):
 )
 def test_incremental_policy_matches_legacy(trace, new_factory, old_factory):
     new = run(trace, new_factory())
-    old = run(trace, old_factory(), simulator_cls=LegacyPolicySimulator)
+    old = run(trace, old_factory(), fast_forward=False)
     assert_identical(old, new)
     assert len(new.finished_jobs()) == 120
 
@@ -95,7 +95,7 @@ def test_incremental_policy_matches_legacy(trace, new_factory, old_factory):
 def test_tiresias_starvation_promotion_matches_legacy(trace):
     kwargs = dict(queue_thresholds=(900.0, 3600.0), starvation_promote_after=1800.0)
     new = run(trace, TiresiasScheduling(**kwargs))
-    old = run(trace, LegacyTiresiasScheduling(**kwargs), simulator_cls=LegacyPolicySimulator)
+    old = run(trace, LegacyTiresiasScheduling(**kwargs), fast_forward=False)
     assert_identical(old, new)
 
 

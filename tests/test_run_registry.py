@@ -16,12 +16,14 @@ from types import SimpleNamespace
 import pytest
 
 import repro.policies.scheduling as scheduling_pkg
-from repro.core.abstractions import PlacementPolicy, SchedulingPolicy
+from repro.core.abstractions import ClusterManager, PlacementPolicy, SchedulingPolicy
+from repro.federation.parallel import ParallelFederationEngine
 from repro.metrics.parity import MISMATCH_LIMIT, schedule_diff
 from repro.policies.placement import PLACEMENT_POLICIES
 from repro.policies.scheduling import SCHEDULING_POLICIES
 from repro.telemetry.diff import diff_streams
-from repro.telemetry.events import NONDETERMINISTIC_KINDS
+from repro.simulator.overheads import OverheadModel
+from repro.telemetry.events import NONDETERMINISTIC_KINDS, TraceFormatError
 from repro.telemetry.runspec import MODES, RunSpec, run_recorded
 from repro.telemetry.sinks import RingBufferSink
 
@@ -97,6 +99,43 @@ def test_build_forwards_engine_kwargs_in_every_mode():
         stepping = spec.build(fast_forward=False).run()
         diff = schedule_diff(default, stepping)
         assert diff.identical, (mode, diff.first_divergence)
+
+
+def test_scenario_specs_build_in_core_and_runtime_modes():
+    results = {
+        mode: RunSpec(
+            mode=mode, policy="tiresias", scenario="failure-storm", scenario_smoke=True
+        )
+        .build(overhead_model=OverheadModel())
+        .run()
+        for mode in ("core", "runtime")
+    }
+    diff = schedule_diff(results["runtime"], results["core"])
+    assert diff.identical, diff.first_divergence
+    assert results["core"].eviction_count > 0
+
+
+def test_build_refuses_to_replace_a_callers_cluster_manager():
+    spec = RunSpec(scenario="failure-storm", scenario_smoke=True)
+    with pytest.raises(TraceFormatError, match="supplies the cluster manager"):
+        spec.build(cluster_manager=ClusterManager())
+    # Without a scenario the caller's manager is the engine's.
+    manager = ClusterManager()
+    assert RunSpec(num_jobs=5).build(cluster_manager=manager).manager.cluster_manager is manager
+
+
+def test_build_workers_returns_the_multiprocess_federation():
+    spec = RunSpec(mode="federation", num_jobs=20, num_nodes=8, shards=2)
+    engine = spec.build(workers=2, fast_forward=False, collect_timeout_s=60.0)
+    assert isinstance(engine, ParallelFederationEngine)
+    # Shard-recipe keywords configure the shards, the rest the engine.
+    assert engine.factory.fast_forward is False and engine.collect_timeout_s == 60.0
+    parallel = engine.run()
+    assert parallel.workers == 2
+    diff = schedule_diff(spec.build().run(), parallel)
+    assert diff.identical, diff.first_divergence
+    with pytest.raises(TraceFormatError, match="federation-mode"):
+        RunSpec().build(workers=2)
 
 
 # ----------------------------------------------------------------------

@@ -257,10 +257,11 @@ def test_scenario_matrix_runner_smoke():
         scenarios=["failure-storm"],
         combos=[("fifo", "consolidated")],
         processes=1,
-    )
-    assert report["all_schedule_parity"] is True
+    )["BENCH_scenarios.json"]
+    assert report["gates"]["scenario-matrix parity"]["ok"] is True
     cell = report["cells"]["failure-storm/fifo/consolidated"]
-    assert cell["schedule_parity"] is True
+    assert set(cell["legs"]) == {"default", "stepping"}
+    assert cell["parity"]["identical"] is True
     assert cell["cluster_events"] > 0
     summary = cell["summary"]
     for key in (

@@ -28,7 +28,14 @@ Checks, for ``README.md`` and every ``docs/*.md``:
   the registry that resolves those names (``SCHEDULING_POLICIES``,
   ``PLACEMENT_POLICIES``, ``ROUTER_FACTORIES``), in both directions, so a
   documented name is always one ``RunSpec`` / ``python -m repro.trace record``
-  accepts and a registered policy is always documented.
+  accepts and a registered policy is always documented;
+* **bench artifacts** -- every checked-in ``BENCH_*.json`` has the one shape
+  ``repro.bench.cells.write_artifact`` writes: exactly the top-level keys
+  ``benchmark``/``machine``/``metadata``/``config``/``gates``/``cells``/
+  ``sections``, every gate with ``ok``/``enforced``/``reason``, every cell
+  with ``legs`` and a ``parity`` block, and the same again for every section
+  a separate command produced -- so the numbers the docs quote are read from
+  one place in one shape.
 
 External ``http(s)://`` / ``mailto:`` links are skipped (CI has no network
 guarantee).  Exit status is the number of broken references; the CLI smoke
@@ -38,6 +45,7 @@ CI docs job.
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from pathlib import Path
@@ -228,6 +236,55 @@ def check_policy_names() -> List[str]:
     return errors
 
 
+#: The one top-level key set of a ``BENCH_*.json`` (and of a section that a
+#: separate command produced, recognisable by its own ``gates``).
+ARTIFACT_KEYS = ("benchmark", "machine", "metadata", "config", "gates", "cells", "sections")
+
+
+def validate_artifact(block: object, where: str) -> List[str]:
+    """Shape errors of one artifact (or separately-run section), recursively."""
+    if not isinstance(block, dict):
+        return [f"{where}: not a JSON object"]
+    errors = [f"{where}: missing key `{key}`" for key in ARTIFACT_KEYS if key not in block]
+    errors.extend(
+        f"{where}: unexpected top-level key `{key}` (named data belongs under `sections`)"
+        for key in sorted(set(block) - set(ARTIFACT_KEYS))
+    )
+    for name, gate in block.get("gates", {}).items():
+        ok = (
+            isinstance(gate, dict)
+            and isinstance(gate.get("ok"), bool)
+            and isinstance(gate.get("enforced"), bool)
+            and isinstance(gate.get("reason"), str)
+        )
+        if not ok:
+            errors.append(f"{where}: gate `{name}` needs boolean ok/enforced and a reason string")
+    for name, cell in block.get("cells", {}).items():
+        legs = cell.get("legs") if isinstance(cell, dict) else None
+        parity = cell.get("parity") if isinstance(cell, dict) else None
+        if not (isinstance(legs, dict) and legs):
+            errors.append(f"{where}: cell `{name}` has no `legs`")
+        if not (isinstance(parity, dict) and isinstance(parity.get("identical"), bool)):
+            errors.append(f"{where}: cell `{name}` has no `parity` block")
+    for name, section in block.get("sections", {}).items():
+        if isinstance(section, dict) and "gates" in section:
+            errors.extend(validate_artifact(section, f"{where}#sections.{name}"))
+    return errors
+
+
+def check_bench_artifacts() -> List[str]:
+    """Every checked-in ``BENCH_*.json`` parses and has the one shape."""
+    errors: List[str] = []
+    for path in sorted(REPO_ROOT.glob("BENCH_*.json")):
+        try:
+            block = json.loads(path.read_text())
+        except ValueError as exc:
+            errors.append(f"{path.name}: not valid JSON ({exc})")
+            continue
+        errors.extend(validate_artifact(block, path.name))
+    return errors
+
+
 def main() -> int:
     files = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
     missing = [f for f in files if not f.exists()]
@@ -239,6 +296,7 @@ def main() -> int:
             errors.extend(check_file(md_path))
     errors.extend(check_lint_rule_ids())
     errors.extend(check_policy_names())
+    errors.extend(check_bench_artifacts())
     if errors:
         print(f"check_docs: {len(errors)} broken reference(s)", file=sys.stderr)
         for error in errors:
