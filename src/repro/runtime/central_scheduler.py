@@ -21,7 +21,7 @@ Three pieces tie the lease lifecycle and cluster dynamics together:
   update, so scale-out registers fresh workers and scale-in deregisters dead
   ones instead of the first ``ScaleOut`` raising ``LeaseError``;
 * :class:`~repro.runtime.metrics.WorkerMetricsAggregator` -- wires the
-  worker-side metric stores (``push_metric``/``pull_metrics``) into the
+  worker-side metric stores (``push_metrics``/``pull_metrics`` deltas) into the
   shared :class:`~repro.core.abstractions.MetricCollector` abstraction.
 """
 
@@ -208,9 +208,7 @@ class CentralScheduler:
         collectors = list(metric_collectors)
         self.worker_metrics: Optional[WorkerMetricsAggregator] = None
         if collect_worker_metrics:
-            self.worker_metrics = WorkerMetricsAggregator(
-                self.channel, self.lease_manager.workers
-            )
+            self.worker_metrics = WorkerMetricsAggregator(self.channel, self.lease_manager)
             collectors.append(self.worker_metrics)
 
         self._simulator = Simulator(

@@ -35,8 +35,7 @@ class WorkerMetricsCollector:
         self.worker.push_metric(self.job_id, key, value)
 
     def push_many(self, metrics: Dict[str, object]) -> None:
-        for key, value in metrics.items():
-            self.push(key, value)
+        self.worker.push_metrics(self.job_id, metrics)
 
 
 @dataclass

@@ -218,7 +218,9 @@ class InMemoryRpcChannel:
         self.cost_model = cost_model
         self.fault_plan = fault_plan
         self.retry_policy = retry_policy
-        self._handlers: Dict[Tuple[str, str], Callable[[Any], Any]] = {}
+        #: endpoint -> method -> handler: one nested lookup per message, and
+        #: an endpoint leaves the cluster as one key.
+        self._handlers: Dict[str, Dict[str, Callable[[Any], Any]]] = {}
         self.call_log: List[RpcCall] = []
         #: Total busy time per endpoint in milliseconds, used to compute the
         #: critical-path latency of a round of lease traffic.
@@ -250,15 +252,14 @@ class InMemoryRpcChannel:
 
     def register(self, endpoint: str, method: str, handler: Callable[[Any], Any]) -> None:
         """Register a handler for ``method`` on ``endpoint``."""
-        self._handlers[(endpoint, method)] = handler
+        self._handlers.setdefault(endpoint, {})[method] = handler
 
     def unregister_endpoint(self, endpoint: str) -> None:
         """Drop every handler of ``endpoint`` (the node left the cluster)."""
-        for key in [k for k in self._handlers if k[0] == endpoint]:
-            del self._handlers[key]
+        self._handlers.pop(endpoint, None)
 
     def has_endpoint(self, endpoint: str) -> bool:
-        return any(key[0] == endpoint for key in self._handlers)
+        return endpoint in self._handlers
 
     # ------------------------------------------------------------------
     # Delivery
@@ -271,15 +272,16 @@ class InMemoryRpcChannel:
             self.endpoint_busy_ms.get(endpoint, 0.0) + cost_ms
         )
 
-    def _execute(self, key: Tuple[str, str], payload: Any, token: str) -> Any:
+    def _execute(
+        self, endpoint: str, handler: Callable[[Any], Any], payload: Any, token: str
+    ) -> Any:
         """Run the handler at most once per token; duplicates hit the cache."""
         if token in self._dedup:
             self.duplicates_suppressed += 1
             return self._dedup[token]
-        endpoint = key[0]
         self._context.append(endpoint)
         try:
-            result = self._handlers[key](payload)
+            result = handler(payload)
         finally:
             self._context.pop()
         self._dedup[token] = result
@@ -310,9 +312,12 @@ class InMemoryRpcChannel:
         still protects them against the channel's own retries and injected
         duplicates.
         """
-        key = (endpoint, method)
-        if key not in self._handlers:
-            raise ConfigurationError(f"no handler registered for {method!r} on {endpoint!r}")
+        try:
+            handler = self._handlers[endpoint][method]
+        except KeyError:
+            raise ConfigurationError(
+                f"no handler registered for {method!r} on {endpoint!r}"
+            ) from None
         if caller is None and self._context:
             caller = self._context[-1]
         self.total_calls += 1
@@ -328,12 +333,17 @@ class InMemoryRpcChannel:
                 RpcCall(target=endpoint, method=method, payload=payload, caller=caller)
             )
         if self.fault_plan is None and idempotency_token is None:
-            # Fault-free fast path: byte-for-byte the historical channel.
-            self._bill(caller, self.cost_model.base_ms)
-            self._bill(endpoint, self.cost_model.server_ms)
+            # Fault-free fast path: what ``_bill`` does, in the same order
+            # (caller first, so the float sums are the historical ones).
+            busy = self.endpoint_busy_ms
+            cost = self.cost_model
+            if caller is not None and cost.base_ms != 0.0:
+                busy[caller] = busy.get(caller, 0.0) + cost.base_ms
+            if cost.server_ms != 0.0:
+                busy[endpoint] = busy.get(endpoint, 0.0) + cost.server_ms
             self._context.append(endpoint)
             try:
-                return self._handlers[key](payload)
+                return handler(payload)
             finally:
                 self._context.pop()
         if idempotency_token is None:
@@ -358,13 +368,13 @@ class InMemoryRpcChannel:
                 if fault == "delay":
                     self._bill(caller, self.fault_plan.spec.delay_ms)
                 self._bill(endpoint, self.cost_model.server_ms)
-                result = self._execute(key, payload, idempotency_token)
+                result = self._execute(endpoint, handler, payload, idempotency_token)
                 if fault == "duplicate":
                     # Second copy of the same message arrives: it costs the
                     # server another handling slot, but the token suppresses
                     # re-execution.
                     self._bill(endpoint, self.cost_model.server_ms)
-                    self._execute(key, payload, idempotency_token)
+                    self._execute(endpoint, handler, payload, idempotency_token)
                 # A lost reply executed the handler; the caller just cannot
                 # know that -- only a deduplicated retry can surface the
                 # cached result.

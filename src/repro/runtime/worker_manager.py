@@ -16,7 +16,7 @@ fanning out itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.runtime.rpc import InMemoryRpcChannel
 
@@ -35,8 +35,13 @@ class WorkerManager:
     job_iterations: Dict[int, int] = field(default_factory=dict)
     metrics: Dict[int, Dict[str, object]] = field(default_factory=dict)
     running_jobs: List[int] = field(default_factory=list)
+    endpoint_name: str = field(init=False)
+    #: Jobs whose metric entry was written since the last pull, in write
+    #: order: ``pull_metrics`` ships exactly these and forgets them.
+    _unpulled: Dict[int, None] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
+        self.endpoint_name = f"worker-{self.node_id}"
         if self.channel is not None:
             endpoint = self.endpoint_name
             self.channel.register(endpoint, "launch", self._handle_launch)
@@ -45,10 +50,6 @@ class WorkerManager:
             self.channel.register(endpoint, "job_finished", self._handle_job_finished)
             self.channel.register(endpoint, "push_metric", self._handle_push_metric)
             self.channel.register(endpoint, "pull_metrics", self._handle_pull_metrics)
-
-    @property
-    def endpoint_name(self) -> str:
-        return f"worker-{self.node_id}"
 
     # ------------------------------------------------------------------
     # RPC handlers (the channel calls these); they can also be used directly.
@@ -117,12 +118,11 @@ class WorkerManager:
         return True
 
     def _handle_push_metric(self, payload) -> bool:
-        job_id = payload["job_id"]
-        self.metrics.setdefault(job_id, {})[payload["key"]] = payload["value"]
+        self.push_metric(payload["job_id"], payload["key"], payload["value"])
         return True
 
     def _handle_pull_metrics(self, payload) -> Dict[int, Dict[str, object]]:
-        return {job_id: dict(values) for job_id, values in self.metrics.items()}
+        return self.pull_metrics()
 
     # ------------------------------------------------------------------
     # Local API used by the client library (no RPC: the point of optimism)
@@ -140,7 +140,27 @@ class WorkerManager:
         self.job_iterations[job_id] = iteration
 
     def push_metric(self, job_id: int, key: str, value: object) -> None:
-        self.metrics.setdefault(job_id, {})[key] = value
+        self.push_metrics(job_id, {key: value})
+
+    def push_metrics(self, job_id: int, values: Mapping[str, object]) -> None:
+        """One batched local write of a job's metrics; marks the job unpulled."""
+        entry = self.metrics.get(job_id)
+        if entry is None:
+            entry = self.metrics[job_id] = {}
+        entry.update(values)
+        self._unpulled[job_id] = None
+
+    def pull_metrics(self) -> Dict[int, Dict[str, object]]:
+        """The delta: copies of the entries written since the last pull.
+
+        Pulling clears the marks, so an entry travels once per write burst --
+        a preempted job's entry stays in the store until ``job_finished`` but
+        is never shipped (or merged over fresher values) again.  The copies
+        are the caller's: neither the store nor a later write shows through.
+        """
+        unpulled, self._unpulled = self._unpulled, {}
+        metrics = self.metrics
+        return {job_id: dict(metrics[job_id]) for job_id in unpulled}
 
     def job_finished(self, job_id: int) -> None:
         """Clear all local state for a job that exited."""
@@ -148,5 +168,6 @@ class WorkerManager:
         self.exit_iterations.pop(job_id, None)
         self.job_iterations.pop(job_id, None)
         self.metrics.pop(job_id, None)
+        self._unpulled.pop(job_id, None)
         if job_id in self.running_jobs:
             self.running_jobs.remove(job_id)

@@ -10,6 +10,8 @@ fault-free run, with zero leaked leases.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cluster.builder import build_cluster
@@ -18,6 +20,7 @@ from repro.policies.scheduling import FifoScheduling
 from repro.runtime.central_scheduler import CentralScheduler
 from repro.runtime.client_library import BloxDataLoader
 from repro.runtime.lease import OptimisticLeaseManager, build_lease_setup
+from repro.runtime.metrics import WorkerMetricsAggregator
 from repro.runtime.rpc import (
     FaultPlan,
     FaultSpec,
@@ -242,7 +245,7 @@ def test_loader_exit_propagation_is_monotonic():
 # ----------------------------------------------------------------------
 
 
-def _deployment_fingerprint(fault_seed=None):
+def _deployment_fingerprint(fault_seed=None, methods=None):
     jobs = generate_philly_trace(num_jobs=30, jobs_per_hour=20.0, seed=13).jobs
     scheduler = CentralScheduler(
         cluster_state=build_cluster(num_nodes=4),
@@ -260,6 +263,7 @@ def _deployment_fingerprint(fault_seed=None):
                 delay_rate=0.05,
             ),
             seed=fault_seed,
+            methods=methods,
         ),
         retry_policy=None if fault_seed is None else RetryPolicy(max_attempts=8),
     )
@@ -282,3 +286,65 @@ def test_schedule_parity_under_injected_faults(fault_seed):
     assert stats.faults_injected > 0
     assert stats.any_recovery()
     assert stats.exhausted == 0
+
+
+# ----------------------------------------------------------------------
+# The metric delta under faults: a pull clears what it ships, so the reply
+# must never be lost for good and never be shared with its receiver
+# ----------------------------------------------------------------------
+
+
+def test_lost_pull_reply_surfaces_the_cached_delta_not_an_empty_second_one():
+    channel = InMemoryRpcChannel(RpcCostModel(), ScriptedPlan(["lose_reply"]), RetryPolicy())
+    worker = WorkerManager(node_id=0, channel=channel)
+    worker.push_metrics(7, {"work_done": 10.0})
+    # The first delivery ran the handler (marks cleared) and lost the reply;
+    # re-running it on the retry would answer {}.
+    assert channel.call(worker.endpoint_name, "pull_metrics") == {7: {"work_done": 10.0}}
+    assert channel.retries == 1 and channel.duplicates_suppressed == 1
+    assert channel.call(worker.endpoint_name, "pull_metrics") == {}
+
+
+def test_dropped_and_duplicated_pulls_ship_each_delta_once():
+    channel = InMemoryRpcChannel(
+        RpcCostModel(), ScriptedPlan(["drop", "duplicate", "delay"]), RetryPolicy()
+    )
+    worker = WorkerManager(node_id=0, channel=channel)
+    worker.push_metrics(7, {"work_done": 10.0})
+    assert channel.call(worker.endpoint_name, "pull_metrics") == {7: {"work_done": 10.0}}
+    worker.push_metrics(7, {"work_done": 11.0})
+    assert channel.call(worker.endpoint_name, "pull_metrics") == {7: {"work_done": 11.0}}
+    assert channel.call(worker.endpoint_name, "pull_metrics") == {}
+
+
+def test_aggregate_shares_no_dict_with_worker_store_or_dedup_cache():
+    jobs = generate_philly_trace(num_jobs=2, jobs_per_hour=20.0, seed=13).jobs
+    channel = InMemoryRpcChannel(RpcCostModel(), FaultPlan(FaultSpec()), RetryPolicy())
+    workers = [WorkerManager(node_id=i, channel=channel) for i in range(2)]
+    manager = OptimisticLeaseManager(workers, channel)
+    aggregator = WorkerMetricsAggregator(channel, manager)
+    for job, worker in zip(jobs, workers):
+        manager.grant(job.job_id, [worker.node_id])
+        job.work_done = 5.0
+    aggregator.collect(SimpleNamespace(running_jobs=lambda: jobs), None, 0.0)
+    cached = [r for r in channel._dedup.values() if isinstance(r, dict)]
+    assert len(cached) == 2  # an armed plan keeps every pull reply for dedup
+    for job, worker, reply in zip(jobs, workers, cached):
+        aggregator.latest[job.job_id]["work_done"] = -1.0
+        assert worker.metrics[job.job_id]["work_done"] == 5.0
+        assert reply == {job.job_id: {"work_done": 5.0}}
+        reply[job.job_id]["work_done"] = -2.0
+        worker.metrics[job.job_id]["work_done"] = -3.0
+        assert aggregator.latest[job.job_id]["work_done"] == -1.0
+
+
+@pytest.mark.parametrize("fault_seed", [0, 1, 2, 3, 4])
+def test_pulled_metrics_under_faulty_pulls_equal_the_fault_free_run(fault_seed):
+    reference, clean = _deployment_fingerprint()
+    faulty, scheduler = _deployment_fingerprint(fault_seed, methods=("pull_metrics",))
+    assert faulty == reference
+    assert scheduler.worker_metrics.latest == clean.worker_metrics.latest
+    assert len(scheduler.worker_metrics.latest) == 30
+    plan = scheduler.channel.fault_plan
+    assert min(plan.drops, plan.lost_replies, plan.duplicates, plan.delays) > 0
+    assert scheduler.fault_stats().exhausted == 0

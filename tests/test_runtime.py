@@ -6,11 +6,14 @@ RPC cost accounting behind Fig. 19, membership dynamics under scenario churn,
 and schedule parity between the deployment path and the plain simulator.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cluster.builder import ClusterSpec, build_cluster
 from repro.core.abstractions import ClusterManager
-from repro.core.exceptions import LeaseError
+from repro.core.exceptions import ConfigurationError, LeaseError
+from repro.core.job import Job
 from repro.experiments.fig19_lease_scaling import measure_lease_round
 from repro.experiments.harness import PolicySpec, run_policy
 from repro.policies.scheduling.fifo import FifoScheduling
@@ -24,11 +27,15 @@ from repro.runtime import (
     OptimisticLeaseManager,
     RpcCostModel,
     WorkerManager,
+    WorkerMetricsAggregator,
+    WorkerMetricsCollector,
     build_lease_setup,
 )
 from repro.runtime.lease import SCHEDULER_ENDPOINT
+from repro.scenarios.registry import scenario_names
 from repro.scenarios.spec import FailNodes, ScaleIn, ScaleOut, ScenarioSpec, WorkloadSpec
 from repro.simulator.overheads import OverheadModel
+from repro.telemetry.runspec import RunSpec
 from repro.workloads.philly import generate_philly_trace
 
 
@@ -71,6 +78,23 @@ class TestRpcAccounting:
         assert channel.has_endpoint(worker.endpoint_name)
         channel.unregister_endpoint(worker.endpoint_name)
         assert not channel.has_endpoint(worker.endpoint_name)
+
+    def test_unregistering_one_endpoint_leaves_the_others_routable(self):
+        channel = InMemoryRpcChannel()
+        gone, kept = (WorkerManager(node_id=n, channel=channel) for n in (3, 4))
+        channel.unregister_endpoint(gone.endpoint_name)
+        channel.unregister_endpoint(gone.endpoint_name)  # already gone: no-op
+        assert channel.call(kept.endpoint_name, "pull_metrics") == {}
+        with pytest.raises(
+            ConfigurationError,
+            match="no handler registered for 'pull_metrics' on 'worker-3'",
+        ):
+            channel.call(gone.endpoint_name, "pull_metrics")
+        with pytest.raises(
+            ConfigurationError, match="no handler registered for 'nope' on 'worker-4'"
+        ):
+            channel.call(kept.endpoint_name, "nope")
+        assert channel.total_calls == 1  # an unroutable message is never counted
 
     def test_unlogged_calls_still_count_and_bill(self):
         channel = InMemoryRpcChannel()
@@ -417,6 +441,210 @@ class TestCentralScheduler:
         assert set(aggregator.latest) == {j.job_id for j in finished}
         for job in finished:
             assert aggregator.latest_for(job.job_id)["work_done"] > 0
+
+
+# ----------------------------------------------------------------------
+# Worker metrics travel as deltas
+# ----------------------------------------------------------------------
+
+
+def _Running(*jobs):
+    """A stand-in for the one ``JobState`` method the aggregator reads."""
+    return SimpleNamespace(running_jobs=lambda: list(jobs))
+
+
+def _job(job_id, work_done=0.0):
+    job = Job(arrival_time=0.0, num_gpus=1, duration=3600.0, job_id=job_id)
+    job.work_done = work_done
+    return job
+
+
+def metric_setup(num_nodes=4):
+    channel = InMemoryRpcChannel()
+    workers = [WorkerManager(node_id=i, channel=channel) for i in range(num_nodes)]
+    manager = OptimisticLeaseManager(workers, channel)
+    return manager, workers, channel, WorkerMetricsAggregator(channel, manager)
+
+
+def spy_on_collect(scheduler, before=None, after=None):
+    """Run ``before``/``after`` around every ``collect`` of a scheduler."""
+    aggregator = scheduler.worker_metrics
+    collect = aggregator.collect
+
+    def spied(job_state, cluster_state, current_time):
+        if before is not None:
+            before(job_state, cluster_state)
+        collect(job_state, cluster_state, current_time)
+        if after is not None:
+            after(job_state, cluster_state)
+
+    aggregator.collect = spied
+    return aggregator
+
+
+class TestWorkerMetricsDelta:
+    def test_pull_returns_what_was_written_since_the_last_pull(self):
+        worker = WorkerManager(node_id=0)
+        worker.push_metrics(1, {"loss": 0.5, "work_done": 10.0})
+        worker.push_metric(2, "loss", 0.9)
+        assert worker.pull_metrics() == {1: {"loss": 0.5, "work_done": 10.0}, 2: {"loss": 0.9}}
+        assert worker.pull_metrics() == {}
+        # The store keeps the whole entry; a new write ships the whole entry.
+        WorkerMetricsCollector(job_id=1, worker=worker).push_many({"work_done": 20.0})
+        assert worker.pull_metrics() == {1: {"loss": 0.5, "work_done": 20.0}}
+        assert worker.metrics[2] == {"loss": 0.9}
+
+    def test_pulled_entries_are_copies(self):
+        worker = WorkerManager(node_id=0)
+        worker.push_metrics(1, {"work_done": 10.0})
+        delta = worker.pull_metrics()
+        delta[1]["work_done"] = -1.0
+        assert worker.metrics[1] == {"work_done": 10.0}
+        worker.push_metrics(1, {"work_done": 11.0})
+        assert delta[1] == {"work_done": -1.0}
+
+    def test_job_finished_drops_the_unpulled_mark(self):
+        worker = WorkerManager(node_id=0)
+        worker.push_metrics(1, {"work_done": 10.0})
+        worker.job_finished(1)
+        assert worker.pull_metrics() == {}
+
+    def test_migrated_job_follows_its_current_worker(self):
+        # Preempted off node 3, relaunched on node 0: node 3 keeps the old
+        # entry until completion, and pulls merge in node order -- a full
+        # pull would let node 3's stale value overwrite node 0's every round.
+        manager, workers, _channel, aggregator = metric_setup()
+        job = _job(500, work_done=10.0)
+        manager.grant(500, [3])
+        aggregator.collect(_Running(job), None, 0.0)
+        assert aggregator.latest_for(500)["work_done"] == 10.0
+        manager.renewal_round([500])
+        manager.grant(500, [0])
+        for work_done in (20.0, 30.0):
+            job.work_done = work_done
+            aggregator.collect(_Running(job), None, 300.0)
+            assert aggregator.latest_for(500)["work_done"] == work_done
+        assert workers[3].metrics[500] == {"work_done": 10.0}  # still held, never re-shipped
+
+    def test_only_reporting_workers_are_pulled(self):
+        manager, _workers, channel, aggregator = metric_setup(num_nodes=8)
+        manager.grant(1, [2, 5])  # a gang reports through its first node
+        manager.grant(2, [2])
+        manager.grant(3, [6])
+        channel.reset_accounting()
+        aggregator.collect(_Running(_job(1, 1.0), _job(2, 2.0), _job(3, 3.0)), None, 0.0)
+        assert channel.total_calls == 2  # worker-2 and worker-6, not all eight
+        assert channel.busy_ms("worker-5") == 0.0
+        assert {j: v["work_done"] for j, v in aggregator.latest.items()} == {1: 1.0, 2: 2.0, 3: 3.0}
+        assert aggregator.pull_rounds == 1
+        aggregator.collect(_Running(), None, 300.0)  # nothing runs: nothing is pulled
+        assert channel.total_calls == 2
+        assert aggregator.pull_rounds == 2
+
+    def test_worker_registered_mid_run_is_pulled_once_it_hosts_a_reporting_job(self):
+        manager, _workers, channel, aggregator = metric_setup(num_nodes=2)
+        manager.register_worker(WorkerManager(node_id=9, channel=channel))
+        aggregator.collect(_Running(), None, 0.0)
+        assert channel.busy_ms("worker-9") == 0.0
+        manager.grant(7, [9])
+        aggregator.collect(_Running(_job(7, 5.0)), None, 300.0)
+        assert aggregator.latest_for(7) == {"work_done": 5.0}
+
+    def test_deregistered_worker_takes_its_unpulled_entries_with_it(self):
+        manager, workers, _channel, aggregator = metric_setup(num_nodes=2)
+        manager.grant(7, [1])
+        workers[1].push_metrics(7, {"work_done": 5.0})  # written, never pulled
+        manager.deregister_worker(1)
+        aggregator.collect(_Running(_job(7, 6.0)), None, 0.0)  # reporting worker gone
+        assert aggregator.latest == {}
+
+    def test_pulled_work_done_tracks_the_last_push_over_a_contended_run(self):
+        # The runtime-leases benchmark shape at scale 0.2: 1.4x load, ~2 000
+        # preemptions per 4 000 jobs, so most migrations leave a stale entry
+        # behind on a former worker.
+        jobs = generate_philly_trace(
+            num_jobs=800,
+            jobs_per_hour=60.0,
+            seed=7,
+            median_duration_hours=2.0,
+            duration_sigma=0.7,
+            max_duration_hours=6.0,
+        ).jobs
+        scheduler = CentralScheduler(
+            cluster_state=build_cluster(num_nodes=64),
+            jobs=jobs,
+            scheduling_policy=TiresiasScheduling(),
+            overhead_model=OverheadModel(),
+        )
+        pushed, pulled, decreased = {}, {}, []
+
+        def record_pushes(job_state, cluster_state):
+            for job in job_state.running_jobs():
+                pushed[job.job_id] = job.work_done
+
+        def check_pulls(job_state, cluster_state):
+            for job_id, values in aggregator.latest.items():
+                if values["work_done"] < pulled.get(job_id, 0.0):
+                    decreased.append(job_id)
+                pulled[job_id] = values["work_done"]
+
+        aggregator = spy_on_collect(scheduler, record_pushes, check_pulls)
+        scheduler.run()
+        assert len(scheduler.lease_latencies_ms()) > 100  # contended: many migrations
+        assert decreased == []
+        assert len(pushed) == 800
+        stale = [j for j, value in pushed.items() if aggregator.latest[j]["work_done"] != value]
+        assert stale == []
+
+    @pytest.mark.parametrize("policy", ["tiresias", "pollux"])
+    @pytest.mark.parametrize("scenario", scenario_names())
+    def test_lease_assignment_names_the_nodes_of_every_running_job(self, scenario, policy):
+        # The aggregator takes a job's reporting worker from its lease
+        # assignment instead of rebuilding ``nodes_for_job`` per job per
+        # round; that is only sound while the two agree at collect time.
+        scheduler = RunSpec(
+            mode="runtime", policy=policy, scenario=scenario, scenario_smoke=True
+        ).build()
+        assignments = scheduler.lease_manager.assignments
+        checked, mismatches = 0, []
+
+        def compare(job_state, cluster_state):
+            nonlocal checked
+            for job in job_state.running_jobs():
+                checked += 1
+                assignment = assignments.get(job.job_id)
+                nodes = cluster_state.nodes_for_job(job.job_id)
+                if assignment is None or assignment.node_ids != nodes:
+                    mismatches.append((job.job_id, assignment, nodes))
+
+        spy_on_collect(scheduler, before=compare)
+        scheduler.run()
+        assert checked > 1000
+        assert mismatches == []
+
+    @pytest.mark.parametrize("scenario", ["scale-cycle", "chaos"])
+    def test_stepping_run_pulls_the_same_deltas_as_the_default_run(self, scenario):
+        spec = RunSpec(mode="runtime", policy="tiresias", scenario=scenario)
+        default, stepping = spec.build(), spec.build(fast_forward=False)
+        default.run()
+        stepping.run()
+        if scenario == "scale-cycle":  # workers join and leave mid-run
+            assert len(default.lease_manager.membership_log) > 8
+        assert default.worker_metrics.latest == stepping.worker_metrics.latest
+        assert default.worker_metrics.pull_rounds == stepping.worker_metrics.pull_rounds
+        assert default.channel.lifetime_calls == stepping.channel.lifetime_calls
+
+    def test_control_traffic_of_a_seeded_run_is_pinned(self):
+        # Counted work, not wall time: 455 lease messages plus one pull per
+        # reporting worker per round.  Polling all 8 workers every round
+        # reads 455 + 8 x 730 = 6 295.
+        scheduler = RunSpec(
+            mode="runtime", policy="tiresias", seed=11, num_jobs=40, jobs_per_hour=12.0
+        ).build()
+        result = scheduler.run()
+        assert result.completion_fraction() == 1.0
+        assert scheduler.worker_metrics.pull_rounds == result.rounds == 730
+        assert scheduler.channel.lifetime_calls == 3071
 
 
 class TestFidelityRunner:
