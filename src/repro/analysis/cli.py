@@ -2,8 +2,7 @@
 
 Exit codes: 0 clean, 1 findings, 2 usage/environment error -- CI gates on
 them directly.  ``--diff <ref>`` keeps the CI job O(changed files) as the
-repo grows; ``--write-baseline`` exists for downstream adopters (this
-repo's checked-in baseline is empty and must stay so).
+repo grows.
 """
 
 from __future__ import annotations
@@ -13,16 +12,13 @@ import json
 import subprocess
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.runner import (
     LintResult,
     changed_files_since,
     lint_paths,
 )
-
-DEFAULT_BASELINE = "tools/lint_baseline.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,22 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(renames follow the new path, deletions are skipped)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=DEFAULT_BASELINE,
-        help=f"grandfathered-findings file (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file entirely",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
         "--root",
         default=".",
         help="repo root paths are reported relative to (default: cwd)",
@@ -82,13 +62,8 @@ def _render_text(result: LintResult, stream) -> None:
     summary = (
         f"{len(result.findings)} finding(s) in {result.files_checked} file(s)"
     )
-    extras: List[str] = []
     if result.suppressed:
-        extras.append(f"{result.suppressed} suppressed")
-    if result.baselined:
-        extras.append(f"{result.baselined} baselined")
-    if extras:
-        summary += f" ({', '.join(extras)})"
+        summary += f" ({result.suppressed} suppressed)"
     print(summary, file=stream)
 
 
@@ -98,7 +73,6 @@ def _render_json(result: LintResult, stream) -> None:
             "findings": [f.as_record() for f in result.findings],
             "files_checked": result.files_checked,
             "suppressed": result.suppressed,
-            "baselined": result.baselined,
         },
         stream,
         indent=2,
@@ -109,15 +83,6 @@ def _render_json(result: LintResult, stream) -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     root = Path(args.root).resolve()
-
-    baseline: Optional[Baseline] = None
-    baseline_path = root / args.baseline
-    if not args.no_baseline and not args.write_baseline and baseline_path.exists():
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (ValueError, OSError) as exc:
-            print(f"error: cannot read baseline {baseline_path}: {exc}", file=sys.stderr)
-            return 2
 
     if args.diff:
         try:
@@ -141,27 +106,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not files:
             print("0 finding(s) in 0 file(s) (no changed files)", file=sys.stdout)
             return 0
-        result = lint_paths(files, root=root, baseline=baseline)
+        result = lint_paths(files, root=root)
     else:
-        result = lint_paths(
-            [Path(p) for p in args.paths], root=root, baseline=baseline
-        )
-
-    if args.write_baseline:
-        pairs = []
-        for finding in result.findings:
-            source_path = root / finding.path
-            try:
-                lines = source_path.read_text(encoding="utf-8").splitlines()
-                text = lines[finding.line - 1] if finding.line <= len(lines) else ""
-            except OSError:
-                text = ""
-            pairs.append((finding, text))
-        Baseline.from_findings(pairs).dump(baseline_path)
-        print(
-            f"wrote {len(pairs)} finding(s) to {baseline_path}", file=sys.stdout
-        )
-        return 0
+        result = lint_paths([Path(p) for p in args.paths], root=root)
 
     if args.format == "json":
         _render_json(result, sys.stdout)

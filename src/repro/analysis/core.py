@@ -57,15 +57,6 @@ class Finding:
             "hint": self.hint,
         }
 
-    def baseline_key(self, line_text: str) -> Tuple[str, str, str]:
-        """Identity used by the grandfathering baseline.
-
-        Keyed on the *content* of the flagged line rather than its number, so
-        unrelated edits above a grandfathered finding do not un-grandfather
-        it; see :mod:`repro.analysis.baseline`.
-        """
-        return (self.rule, self.path, line_text.strip())
-
 
 class Rule:
     """Base class for one lint rule.

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.core import Finding, Pipeline, ProjectState
 from repro.analysis.manifest import LintManifest, default_manifest
 from repro.analysis.suppressions import FileSuppressions
@@ -27,7 +26,6 @@ class LintResult:
     findings: List[Finding] = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
-    baselined: int = 0
 
     @property
     def exit_code(self) -> int:
@@ -113,7 +111,6 @@ def lint_sources(
     root: Optional[Path] = None,
     manifest: Optional[LintManifest] = None,
     rules=None,
-    baseline: Optional[Baseline] = None,
 ) -> LintResult:
     """Lint an in-memory ``{relative path: source}`` tree."""
     manifest = manifest or default_manifest()
@@ -124,13 +121,11 @@ def lint_sources(
 
     contexts = []
     suppressions: Dict[str, FileSuppressions] = {}
-    line_cache: Dict[str, List[str]] = {}
     for rel in sorted(sources):
         source = sources[rel]
         ctx = pipeline.run_file(root / rel, rel, source, manifest, project)
         contexts.append(ctx)
         suppressions[rel] = FileSuppressions(rel, source)
-        line_cache[rel] = ctx.lines
         result.files_checked += 1
 
     raw: List[Finding] = []
@@ -143,11 +138,6 @@ def lint_sources(
         table = suppressions.get(finding.path)
         if table is not None and table.suppresses(finding):
             result.suppressed += 1
-            continue
-        lines = line_cache.get(finding.path, [])
-        text = lines[finding.line - 1] if 1 <= finding.line <= len(lines) else ""
-        if baseline is not None and baseline.contains(finding, text):
-            result.baselined += 1
             continue
         gating.append(finding)
 
@@ -176,7 +166,6 @@ def lint_paths(
     paths: Sequence[Path],
     root: Optional[Path] = None,
     manifest: Optional[LintManifest] = None,
-    baseline: Optional[Baseline] = None,
     rules=None,
 ) -> LintResult:
     """Lint files/directories on disk (the CLI entry path)."""
@@ -191,6 +180,4 @@ def lint_paths(
             # Unreadable file (permissions, raced delete): skip rather than
             # crash the whole run; --diff mode already filters deletions.
             continue
-    return lint_sources(
-        sources, root=root, manifest=manifest, rules=rules, baseline=baseline
-    )
+    return lint_sources(sources, root=root, manifest=manifest, rules=rules)

@@ -42,6 +42,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.bench.legacy import LEGACY_SCHEDULING, LegacySimulator
 from repro.federation.parallel import usable_cores
 from repro.metrics.parity import schedule_diff
+from repro.policies.admission import ADMISSION_POLICIES
 from repro.policies.placement import PLACEMENT_POLICIES
 from repro.policies.scheduling import SCHEDULING_POLICIES
 from repro.simulator.engine import Simulator
@@ -101,6 +102,7 @@ def _run_reference(spec: RunSpec, engine_cls, policies, **engine_kwargs) -> LegR
             jobs=trace.fresh_jobs(),
             scheduling_policy=policies[spec.policy](),
             placement_policy=PLACEMENT_POLICIES[spec.placement](),
+            admission_policy=ADMISSION_POLICIES[spec.admission](),
             round_duration=spec.round_duration,
             tracked_job_ids=trace.tracked_ids(),
             **engine_kwargs,

@@ -49,12 +49,10 @@ class BloxManager:
         launcher: Optional[SimulatedLauncher] = None,
         preemptor: Optional[SimulatedPreemption] = None,
         cluster_manager: Optional[ClusterManager] = None,
-        simulate: bool = True,
     ) -> None:
         if round_duration <= 0:
             raise ConfigurationError(f"round_duration must be > 0, got {round_duration}")
         self.round_duration = float(round_duration)
-        self.simulate = simulate
         self.current_time = 0.0
         self.round_number = 0
         self.execution = execution_model if execution_model is not None else ExecutionModel()
@@ -65,7 +63,6 @@ class BloxManager:
         self._wait_queue: Deque[Job] = deque(
             sorted(trace_jobs, key=lambda j: (j.arrival_time, j.job_id))
         )
-        self.terminate = False
 
     # ------------------------------------------------------------------
     # Loop steps (names follow Figure 2 in the paper)
@@ -105,9 +102,8 @@ class BloxManager:
                 released.append(job)
         return released
 
-    def pop_wait_queue(self, simulate: Optional[bool] = None) -> List[Job]:
+    def pop_wait_queue(self) -> List[Job]:
         """Return jobs whose arrival time has passed since the previous round."""
-        del simulate  # kept for signature parity with the paper's example
         arrived: List[Job] = []
         while self._wait_queue and self._wait_queue[0].arrival_time <= self.current_time:
             arrived.append(self._wait_queue.popleft())

@@ -6,20 +6,19 @@ nearly free.  On V100 nodes with 10 Gbps links (more compute, less network)
 fragmenting *any* distributed job hurts, so a blanket consolidated placement
 wins at higher loads.  This experiment sweeps load on the Philly trace and
 compares the two placement policies under the same (Tiresias) scheduling
-policy, optionally on both hardware generations.
+policy.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
-from repro.experiments.harness import ExperimentTable, PolicySpec, run_policy
-from repro.policies.placement.consolidated import ConsolidatedPlacement
-from repro.policies.placement.tiresias_placement import TiresiasPlacement
-from repro.policies.scheduling.tiresias import TiresiasScheduling
-from repro.workloads.philly import generate_philly_trace
+from repro.experiments.harness import ExperimentTable
+from repro.telemetry.runspec import RunSpec
 
 DEFAULT_LOADS = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
+PLACEMENTS = ("tiresias-placement", "consolidated")
 
 
 def run_fig10(
@@ -27,8 +26,6 @@ def run_fig10(
     num_jobs: int = 400,
     tracked_window: tuple = (80, 220),
     num_nodes: int = 32,
-    gpu_type: str = "v100",
-    network_bw_gbps: float = 10.0,
     seed: int = 11,
     round_duration: float = 300.0,
 ) -> ExperimentTable:
@@ -37,36 +34,27 @@ def run_fig10(
         name="fig10-placement-hardware",
         description=(
             "Average JCT (hours) of the Tiresias skew-heuristic placement vs consolidated "
-            f"placement on a {gpu_type.upper()}/{network_bw_gbps:g} Gbps cluster as load varies."
+            "placement on a V100/10 Gbps cluster as load varies."
         ),
-        metadata={"gpu_type": gpu_type, "network_bw_gbps": network_bw_gbps},
     )
-    placements = {
-        "tiresias-placement": TiresiasPlacement,
-        "consolidated": ConsolidatedPlacement,
-    }
+    base = RunSpec(
+        policy="tiresias",
+        seed=seed,
+        num_jobs=num_jobs,
+        num_nodes=num_nodes,
+        round_duration=round_duration,
+        workload_params=(("tracked_window", tracked_window),),
+    )
     for load in loads_jobs_per_hour:
-        trace = generate_philly_trace(
-            num_jobs=num_jobs, jobs_per_hour=load, seed=seed, tracked_window=tracked_window
-        )
-        for name, placement_factory in placements.items():
-            result = run_policy(
-                trace,
-                PolicySpec(
-                    label=name, scheduling=TiresiasScheduling, placement=placement_factory
-                ),
-                num_nodes=num_nodes,
-                gpu_type=gpu_type,
-                network_bw_gbps=network_bw_gbps,
-                round_duration=round_duration,
-            )
+        for placement in PLACEMENTS:
+            result = replace(base, jobs_per_hour=load, placement=placement).build().run()
             fragmented = sum(
                 1
                 for job in result.tracked_jobs()
                 if job.metrics.get("was_fragmented", False)
             )
             table.add_row(
-                placement=name,
+                placement=placement,
                 jobs_per_hour=load,
                 avg_jct_hours=result.avg_jct() / 3600.0,
                 avg_responsiveness_hours=result.avg_responsiveness() / 3600.0,

@@ -9,15 +9,15 @@ shifts and its advantage over the heuristic grows.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
-from repro.experiments.harness import ExperimentTable, PolicySpec, run_policy
-from repro.policies.placement.profile_placement import ProfilePlacement
-from repro.policies.placement.tiresias_placement import TiresiasPlacement
-from repro.policies.scheduling.tiresias import TiresiasScheduling
-from repro.workloads.philly import generate_philly_trace
+from repro.experiments.harness import ExperimentTable
+from repro.telemetry.runspec import RunSpec
 
 DEFAULT_SENSITIVE_COUNTS = (5, 6, 7, 8)
+#: Row label -> placement registry name.
+PLACEMENTS = {"tiresias": "tiresias-placement", "tiresias+": "tiresias-plus"}
 
 
 def run_fig11(
@@ -26,7 +26,6 @@ def run_fig11(
     num_jobs: int = 400,
     tracked_window: tuple = (80, 220),
     num_nodes: int = 32,
-    network_bw_gbps: float = 10.0,
     seed: int = 13,
     round_duration: float = 300.0,
 ) -> ExperimentTable:
@@ -38,27 +37,20 @@ def run_fig11(
             "the number of placement-sensitive workloads grows from 5/8 to 8/8."
         ),
     )
-    placements = {"tiresias": TiresiasPlacement, "tiresias+": ProfilePlacement}
+    base = RunSpec(
+        policy="tiresias",
+        seed=seed,
+        num_jobs=num_jobs,
+        jobs_per_hour=jobs_per_hour,
+        num_nodes=num_nodes,
+        round_duration=round_duration,
+    )
     for count in sensitive_counts:
-        trace = generate_philly_trace(
-            num_jobs=num_jobs,
-            jobs_per_hour=jobs_per_hour,
-            seed=seed,
-            tracked_window=tracked_window,
-            placement_sensitive_count=count,
-        )
-        for name, placement_factory in placements.items():
-            result = run_policy(
-                trace,
-                PolicySpec(
-                    label=name, scheduling=TiresiasScheduling, placement=placement_factory
-                ),
-                num_nodes=num_nodes,
-                network_bw_gbps=network_bw_gbps,
-                round_duration=round_duration,
-            )
+        params = (("tracked_window", tracked_window), ("placement_sensitive_count", count))
+        for label, placement in PLACEMENTS.items():
+            result = replace(base, workload_params=params, placement=placement).build().run()
             table.add_row(
-                placement=name,
+                placement=label,
                 placement_sensitive_models=f"{count}/8",
                 avg_jct_hours=result.avg_jct() / 3600.0,
             )

@@ -10,31 +10,17 @@ spike of 16 short jobs during one hour of every day.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from dataclasses import replace
+from typing import Sequence
 
-from repro.experiments.harness import ExperimentTable, PolicySpec, run_policy
-from repro.policies.admission.accept_all import AcceptAll
-from repro.policies.admission.threshold import ThresholdAdmission
-from repro.policies.placement.consolidated import ConsolidatedPlacement
-from repro.policies.scheduling.las import LasScheduling
-from repro.workloads.bursty import add_daily_spike
-from repro.workloads.philly import generate_philly_trace
+from repro.experiments.harness import ExperimentTable
+from repro.telemetry.runspec import RunSpec
 
-DEFAULT_THRESHOLDS = (None, 1.5, 1.2, 1.0)  # None means Accept-All
-
-
-def _admission_factory(threshold: Optional[float]):
-    if threshold is None:
-        return AcceptAll
-    return lambda: ThresholdAdmission(threshold_factor=threshold)
-
-
-def _label(threshold: Optional[float]) -> str:
-    return "accept-all" if threshold is None else f"accept-{threshold:g}x"
+DEFAULT_ADMISSIONS = ("accept-all", "accept-1.5x", "accept-1.2x", "accept-1x")
 
 
 def run_fig12_13(
-    thresholds: Sequence[Optional[float]] = DEFAULT_THRESHOLDS,
+    admissions: Sequence[str] = DEFAULT_ADMISSIONS,
     jobs_per_hour: float = 8.0,
     num_jobs: int = 400,
     tracked_window: tuple = (80, 250),
@@ -53,41 +39,34 @@ def run_fig12_13(
             "of short jobs (Fig. 13)."
         ),
     )
-    base_trace = generate_philly_trace(
+    philly = RunSpec(
+        policy="las",
+        seed=seed,
         num_jobs=num_jobs,
         jobs_per_hour=jobs_per_hour,
-        seed=seed,
-        tracked_window=tracked_window,
-        median_duration_hours=2.5,
-        duration_sigma=1.8,
+        num_nodes=num_nodes,
+        round_duration=round_duration,
+        workload_params=(
+            ("tracked_window", tracked_window),
+            ("median_duration_hours", 2.5),
+            ("duration_sigma", 1.8),
+        ),
     )
-    # Track the same steady-state jobs in both workloads: spike jobs change the
-    # arrival order, so index-based windows no longer select the right jobs.
-    tracked_ids = base_trace.tracked_ids()
-    workloads = {"philly": base_trace}
+    workloads = {"philly": philly}
     if with_spikes:
-        workloads["philly+spikes"] = add_daily_spike(
-            base_trace, jobs_per_spike=spike_jobs, seed=seed
+        # ``philly-spikes`` tracks the base trace's window by job id, so both
+        # workloads report the same steady-state jobs.
+        workloads["philly+spikes"] = replace(
+            philly,
+            workload="philly-spikes",
+            workload_params=philly.workload_params + (("jobs_per_spike", spike_jobs),),
         )
-
-    for workload_name, trace in workloads.items():
-        for threshold in thresholds:
-            spec = PolicySpec(
-                label=f"las/{_label(threshold)}",
-                scheduling=LasScheduling,
-                placement=ConsolidatedPlacement,
-                admission=_admission_factory(threshold),
-            )
-            result = run_policy(
-                trace,
-                spec,
-                num_nodes=num_nodes,
-                round_duration=round_duration,
-                tracked_job_ids=tracked_ids,
-            )
+    for workload_name, workload in workloads.items():
+        for admission in admissions:
+            result = replace(workload, admission=admission).build().run()
             table.add_row(
                 workload=workload_name,
-                admission=_label(threshold),
+                admission=admission,
                 avg_jct_hours=result.avg_jct() / 3600.0,
                 avg_responsiveness_hours=result.avg_responsiveness() / 3600.0,
             )

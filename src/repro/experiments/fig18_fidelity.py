@@ -14,25 +14,19 @@ per cent (the paper reports <~5% average-JCT error).
 from __future__ import annotations
 
 import argparse
-from typing import Dict, Optional, Sequence
+from dataclasses import replace
+from typing import Optional, Sequence
 
-from repro.cluster.builder import build_cluster
-from repro.experiments.harness import ExperimentTable, PolicySpec, run_policy
+from repro.experiments.harness import ExperimentTable
 from repro.metrics.summary import percentile
-from repro.policies.placement.tiresias_placement import TiresiasPlacement
-from repro.policies.scheduling.fifo import FifoScheduling
-from repro.policies.scheduling.srtf import SrtfScheduling
-from repro.policies.scheduling.tiresias import TiresiasScheduling
-from repro.runtime.central_scheduler import CentralScheduler
 from repro.simulator.overheads import ClusterOverheadModel
-from repro.workloads.philly import generate_philly_trace
+from repro.telemetry.runspec import RunSpec
 
-POLICIES: Dict[str, PolicySpec] = {
-    "fifo": PolicySpec(label="fifo", scheduling=FifoScheduling),
-    "srtf": PolicySpec(label="srtf", scheduling=SrtfScheduling),
-    "tiresias": PolicySpec(
-        label="tiresias", scheduling=TiresiasScheduling, placement=TiresiasPlacement
-    ),
+#: Scheduling policy -> the placement it runs with.
+POLICIES = {
+    "fifo": "consolidated",
+    "srtf": "consolidated",
+    "tiresias": "tiresias-placement",
 }
 
 
@@ -55,26 +49,19 @@ def run_fig18(
             "overheads and jitter; relative deviation per policy."
         ),
     )
-    trace = generate_philly_trace(num_jobs=num_jobs, jobs_per_hour=jobs_per_hour, seed=seed)
+    base = RunSpec(
+        seed=seed,
+        num_jobs=num_jobs,
+        jobs_per_hour=jobs_per_hour,
+        num_nodes=num_nodes,
+        round_duration=round_duration,
+    )
     for name in policies:
-        spec = POLICIES[name]
-        sim = run_policy(
-            trace,
-            spec,
-            num_nodes=num_nodes,
-            round_duration=round_duration,
-        )
-        deployment = CentralScheduler(
-            cluster_state=build_cluster(
-                num_nodes=num_nodes, gpus_per_node=4, gpu_type="v100"
-            ),
-            jobs=trace.fresh_jobs(),
-            scheduling_policy=spec.scheduling(),
-            placement_policy=spec.placement() if spec.placement else None,
-            round_duration=round_duration,
+        spec = replace(base, policy=name, placement=POLICIES[name])
+        sim = spec.build().run()
+        deployment = replace(spec, mode="runtime").build(
             lease_protocol=lease_protocol,
             overhead_model=ClusterOverheadModel(seed=jitter_seed),
-            tracked_job_ids=trace.tracked_ids(),
         )
         cluster = deployment.run()
         sim_jcts, cluster_jcts = sim.jcts(), cluster.jcts()

@@ -10,14 +10,13 @@ implementation" is the independent reference simulator in
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
 from repro.baselines.pollux_reference import simulate_pollux_reference
 from repro.baselines.reference import average_jct
-from repro.experiments.harness import ExperimentTable, PolicySpec, run_policy
-from repro.policies.placement.consolidated import ConsolidatedPlacement
-from repro.policies.scheduling.pollux import PolluxScheduling
-from repro.workloads.pollux_trace import generate_pollux_trace
+from repro.experiments.harness import ExperimentTable
+from repro.telemetry.runspec import RunSpec
 
 DEFAULT_INTERVALS_MINUTES = (1.0, 2.0, 4.0, 8.0)
 
@@ -37,22 +36,21 @@ def run_fig3(
             "reference implementation while varying the scheduling interval."
         ),
     )
-    trace = generate_pollux_trace(num_jobs=num_jobs, jobs_per_hour=jobs_per_hour, seed=seed)
-    total_gpus = num_nodes * 4
+    base = RunSpec(
+        policy="pollux",
+        workload="pollux",
+        seed=seed,
+        num_jobs=num_jobs,
+        jobs_per_hour=jobs_per_hour,
+        num_nodes=num_nodes,
+    )
     for minutes in intervals_minutes:
-        round_duration = minutes * 60.0
-        blox_result = run_policy(
-            trace,
-            PolicySpec(
-                label="pollux-blox",
-                scheduling=PolluxScheduling,
-                placement=ConsolidatedPlacement,
-            ),
-            num_nodes=num_nodes,
-            round_duration=round_duration,
-        )
+        spec = replace(base, round_duration=minutes * 60.0)
+        blox_result = spec.build().run()
         reference_jobs = simulate_pollux_reference(
-            trace.fresh_jobs(), total_gpus=total_gpus, round_duration=round_duration
+            spec.trace().fresh_jobs(),
+            total_gpus=spec.num_nodes * spec.gpus_per_node,
+            round_duration=spec.round_duration,
         )
         blox_jct_h = blox_result.avg_jct() / 3600.0
         reference_jct_h = average_jct(reference_jobs) / 3600.0

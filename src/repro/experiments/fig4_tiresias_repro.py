@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from repro.baselines.reference import jct_list
 from repro.baselines.tiresias_reference import simulate_tiresias_reference
-from repro.experiments.harness import ExperimentTable, PolicySpec, run_policy
+from repro.experiments.harness import ExperimentTable
 from repro.metrics.summary import percentile
-from repro.policies.placement.tiresias_placement import TiresiasPlacement
-from repro.policies.scheduling.tiresias import TiresiasScheduling
-from repro.workloads.tiresias_trace import generate_tiresias_trace
+from repro.telemetry.runspec import RunSpec
 
 QUANTILES = (25.0, 50.0, 75.0, 90.0)
 
@@ -34,19 +32,21 @@ def run_fig4(
             "discrete-LAS reference simulator on a Tiresias-style trace."
         ),
     )
-    trace = generate_tiresias_trace(num_jobs=num_jobs, jobs_per_hour=jobs_per_hour, seed=seed)
-    blox_result = run_policy(
-        trace,
-        PolicySpec(
-            label="tiresias-blox",
-            scheduling=TiresiasScheduling,
-            placement=TiresiasPlacement,
-        ),
+    spec = RunSpec(
+        policy="tiresias",
+        placement="tiresias-placement",
+        workload="tiresias",
+        seed=seed,
+        num_jobs=num_jobs,
+        jobs_per_hour=jobs_per_hour,
         num_nodes=num_nodes,
         round_duration=round_duration,
     )
+    blox_result = spec.build().run()
     reference_jobs = simulate_tiresias_reference(
-        trace.fresh_jobs(), total_gpus=num_nodes * 4, round_duration=round_duration
+        spec.trace().fresh_jobs(),
+        total_gpus=spec.num_nodes * spec.gpus_per_node,
+        round_duration=spec.round_duration,
     )
     blox_jcts = blox_result.jcts()
     reference_jcts = jct_list(reference_jobs)

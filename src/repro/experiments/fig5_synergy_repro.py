@@ -9,13 +9,13 @@ and from the independent reference simulator.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.baselines.reference import jct_list
 from repro.baselines.synergy_reference import simulate_synergy_reference
-from repro.experiments.harness import ExperimentTable, PolicySpec, run_policy
+from repro.experiments.harness import ExperimentTable
 from repro.metrics.summary import average, percentile
-from repro.policies.placement.synergy_placement import SynergyPlacement
-from repro.policies.scheduling.synergy import SynergyScheduling
-from repro.workloads.philly import generate_philly_trace
+from repro.telemetry.runspec import RunSpec
 
 
 def run_fig5(
@@ -33,23 +33,22 @@ def run_fig5(
             "Blox implementation against an independent reference implementation."
         ),
     )
-    trace = generate_philly_trace(num_jobs=num_jobs, jobs_per_hour=jobs_per_hour, seed=seed)
+    base = RunSpec(
+        policy="synergy",
+        seed=seed,
+        num_jobs=num_jobs,
+        jobs_per_hour=jobs_per_hour,
+        num_nodes=num_nodes,
+        round_duration=round_duration,
+    )
     for mode in ("proportional", "tune"):
-        blox_result = run_policy(
-            trace,
-            PolicySpec(
-                label=f"synergy-{mode}",
-                scheduling=SynergyScheduling,
-                placement=lambda mode=mode: SynergyPlacement(mode=mode),
-            ),
-            num_nodes=num_nodes,
-            round_duration=round_duration,
-        )
+        spec = replace(base, placement=f"synergy-{mode}")
+        blox_result = spec.build().run()
         reference_jobs = simulate_synergy_reference(
-            trace.fresh_jobs(),
-            total_gpus=num_nodes * 4,
+            spec.trace().fresh_jobs(),
+            total_gpus=spec.num_nodes * spec.gpus_per_node,
             mode=mode,
-            round_duration=round_duration,
+            round_duration=spec.round_duration,
         )
         blox_jcts = blox_result.jcts()
         reference_jcts = jct_list(reference_jobs)

@@ -10,35 +10,33 @@ far the worst at high load -- are what the matching benchmark asserts.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from functools import partial
 from typing import Dict, Sequence
 
-from repro.experiments.harness import ExperimentTable, PolicySpec, run_policy
-from repro.policies.placement.consolidated import ConsolidatedPlacement
-from repro.policies.scheduling.fifo import FifoScheduling
-from repro.policies.scheduling.optimus import OptimusScheduling
-from repro.policies.scheduling.tiresias import TiresiasScheduling
-from repro.workloads.philly import generate_philly_trace
+from repro.experiments.harness import ExperimentTable, run_sweep
+from repro.telemetry.runspec import RunSpec
 
 DEFAULT_LOADS = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0)
+POLICIES = ("fifo", "tiresias", "optimus")
 
 #: Heavy-tailed duration parameters used for this sweep: long jobs carry enough
 #: of the total work for the preemption-vs-ordering trade-off between FIFO and
 #: LAS-style policies to be visible at high load (see DESIGN.md).
-TRACE_KWARGS = {"median_duration_hours": 2.5, "duration_sigma": 1.8}
+HEAVY_TAIL = (("median_duration_hours", 2.5), ("duration_sigma", 1.8))
 
 
-def default_policies() -> Dict[str, PolicySpec]:
-    return {
-        "fifo": PolicySpec(
-            label="fifo", scheduling=FifoScheduling, placement=ConsolidatedPlacement
-        ),
-        "tiresias": PolicySpec(
-            label="tiresias", scheduling=TiresiasScheduling, placement=ConsolidatedPlacement
-        ),
-        "optimus": PolicySpec(
-            label="optimus", scheduling=OptimusScheduling, placement=ConsolidatedPlacement
-        ),
-    }
+def run_cell(spec: RunSpec) -> Dict[str, object]:
+    """One (policy, load) point of the grid, as its table row."""
+    result = spec.build().run()
+    tracked = result.tracked_jobs()
+    return dict(
+        policy=spec.policy,
+        jobs_per_hour=spec.jobs_per_hour,
+        avg_jct_hours=result.avg_jct() / 3600.0,
+        avg_responsiveness_hours=result.avg_responsiveness() / 3600.0,
+        avg_preemptions=sum(j.num_preemptions for j in tracked) / max(1, len(tracked)),
+    )
 
 
 def run_fig6_7(
@@ -48,9 +46,11 @@ def run_fig6_7(
     num_nodes: int = 32,
     seed: int = 7,
     round_duration: float = 300.0,
-    policies: Dict[str, PolicySpec] = None,
 ) -> ExperimentTable:
-    """Average JCT and responsiveness per (policy, load) pair."""
+    """Average JCT and responsiveness per (policy, load) pair.
+
+    The grid's cells are independent, so they fan out through :func:`run_sweep`.
+    """
     table = ExperimentTable(
         name="fig6-7-policy-comparison",
         description=(
@@ -58,25 +58,19 @@ def run_fig6_7(
             "Philly-like trace as the arrival rate varies (128-GPU cluster by default)."
         ),
     )
-    policies = policies or default_policies()
-    for load in loads_jobs_per_hour:
-        trace = generate_philly_trace(
-            num_jobs=num_jobs,
-            jobs_per_hour=load,
-            seed=seed,
-            tracked_window=tracked_window,
-            **TRACE_KWARGS,
-        )
-        for name, spec in policies.items():
-            result = run_policy(trace, spec, num_nodes=num_nodes, round_duration=round_duration)
-            table.add_row(
-                policy=name,
-                jobs_per_hour=load,
-                avg_jct_hours=result.avg_jct() / 3600.0,
-                avg_responsiveness_hours=result.avg_responsiveness() / 3600.0,
-                avg_preemptions=sum(j.num_preemptions for j in result.tracked_jobs())
-                / max(1, len(result.tracked_jobs())),
-            )
+    base = RunSpec(
+        seed=seed,
+        num_jobs=num_jobs,
+        num_nodes=num_nodes,
+        round_duration=round_duration,
+        workload_params=(("tracked_window", tracked_window),) + HEAVY_TAIL,
+    )
+    specs = [
+        replace(base, jobs_per_hour=load, policy=policy)
+        for load in loads_jobs_per_hour
+        for policy in POLICIES
+    ]
+    table.rows = run_sweep([partial(run_cell, spec) for spec in specs])
     return table
 
 

@@ -10,30 +10,14 @@ FIFO, while LAS keeps responsiveness low by preempting long jobs.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from dataclasses import replace
+from typing import Sequence
 
-from repro.experiments.harness import ExperimentTable, PolicySpec, run_policy
-from repro.policies.placement.consolidated import ConsolidatedPlacement
-from repro.policies.scheduling.fifo import FifoScheduling
-from repro.policies.scheduling.las import LasScheduling
-from repro.policies.scheduling.pollux import PolluxScheduling
-from repro.workloads.pollux_trace import generate_pollux_trace
+from repro.experiments.harness import ExperimentTable
+from repro.telemetry.runspec import RunSpec
 
 DEFAULT_LOADS = (5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
-
-
-def default_policies() -> Dict[str, PolicySpec]:
-    return {
-        "fifo": PolicySpec(
-            label="fifo", scheduling=FifoScheduling, placement=ConsolidatedPlacement
-        ),
-        "las": PolicySpec(
-            label="las", scheduling=LasScheduling, placement=ConsolidatedPlacement
-        ),
-        "pollux": PolicySpec(
-            label="pollux", scheduling=PolluxScheduling, placement=ConsolidatedPlacement
-        ),
-    }
+POLICIES = ("fifo", "las", "pollux")
 
 
 def run_fig8_9(
@@ -43,7 +27,6 @@ def run_fig8_9(
     num_nodes: int = 16,
     seed: int = 3,
     round_duration: float = 300.0,
-    policies: Dict[str, PolicySpec] = None,
 ) -> ExperimentTable:
     """Average JCT and responsiveness per (policy, load) pair on the Pollux trace."""
     table = ExperimentTable(
@@ -53,15 +36,19 @@ def run_fig8_9(
             "trace while varying load on a 64-GPU cluster."
         ),
     )
-    policies = policies or default_policies()
+    base = RunSpec(
+        workload="pollux",
+        seed=seed,
+        num_jobs=num_jobs,
+        num_nodes=num_nodes,
+        round_duration=round_duration,
+        workload_params=(("tracked_window", tracked_window),),
+    )
     for load in loads_jobs_per_hour:
-        trace = generate_pollux_trace(
-            num_jobs=num_jobs, jobs_per_hour=load, seed=seed, tracked_window=tracked_window
-        )
-        for name, spec in policies.items():
-            result = run_policy(trace, spec, num_nodes=num_nodes, round_duration=round_duration)
+        for policy in POLICIES:
+            result = replace(base, jobs_per_hour=load, policy=policy).build().run()
             table.add_row(
-                policy=name,
+                policy=policy,
                 jobs_per_hour=load,
                 avg_jct_hours=result.avg_jct() / 3600.0,
                 avg_responsiveness_hours=result.avg_responsiveness() / 3600.0,

@@ -1,50 +1,20 @@
 """Shared plumbing for the per-figure experiment runners.
 
-The runners all follow the same pattern: build a trace, build a cluster, run
-one simulation per policy/parameter combination, and report a small table of
-rows (the series the corresponding figure plots).  :func:`run_policy` performs
-one such simulation; :class:`ExperimentTable` is the common result container
-with a text rendering used by the examples and the ``__main__`` blocks.
+A figure is a list of :class:`~repro.telemetry.runspec.RunSpec` values: each
+runner sweeps ``dataclasses.replace`` over one base spec, runs every point
+through ``spec.build().run()`` and reports a small table of rows (the series
+the corresponding figure plots).  :class:`ExperimentTable` is the common
+result container with a text rendering used by the ``__main__`` blocks;
+:func:`run_sweep` fans a multi-cell figure out across processes.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-from repro.core.abstractions import (
-    AdmissionPolicy,
-    ClusterManager,
-    MetricCollector,
-    PlacementPolicy,
-    SchedulingPolicy,
-    TerminationPolicy,
-)
-from repro.core.cluster_state import ClusterState
-from repro.cluster.builder import build_cluster
-from repro.simulator.engine import SimulationResult, Simulator
-from repro.simulator.overheads import OverheadModel
-from repro.workloads.trace import Trace
-
-
-@dataclass
-class PolicySpec:
-    """Factories for the policy modules one simulation composes.
-
-    Factories (rather than instances) are used because policies carry internal
-    state (admission queues, Tiresias' starvation clock) that must not leak
-    between runs.
-    """
-
-    label: str
-    scheduling: Callable[[], SchedulingPolicy]
-    placement: Optional[Callable[[], PlacementPolicy]] = None
-    admission: Optional[Callable[[], AdmissionPolicy]] = None
-    termination: Optional[Callable[[], TerminationPolicy]] = None
+from typing import Callable, Dict, List, Optional, Sequence
 
 
 @dataclass
@@ -91,94 +61,22 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def run_policy(
-    trace: Trace,
-    spec: PolicySpec,
-    num_nodes: int,
-    gpus_per_node: int = 4,
-    gpu_type: str = "v100",
-    network_bw_gbps: float = 10.0,
-    round_duration: float = 300.0,
-    overhead_model: Optional[OverheadModel] = None,
-    metric_collectors: Sequence[MetricCollector] = (),
-    cluster: Optional[ClusterState] = None,
-    tracked_job_ids: Optional[Sequence[int]] = None,
-    max_rounds: int = 200_000,
-    cluster_manager: Optional[ClusterManager] = None,
-    fast_forward: bool = True,
-) -> SimulationResult:
-    """Run one simulation of ``trace`` under ``spec`` on a fresh cluster.
-
-    ``tracked_job_ids`` overrides the trace's own tracked window; experiments
-    that augment a trace (e.g. spike injection) use it to keep reporting the
-    original steady-state jobs.  ``cluster_manager`` injects scheduled
-    membership dynamics (e.g. a scenario timeline manager); like policy
-    state, managers are stateful, so hand each run a fresh instance.
-    """
-    if cluster is None:
-        cluster = build_cluster(
-            num_nodes=num_nodes,
-            gpus_per_node=gpus_per_node,
-            gpu_type=gpu_type,
-            network_bw_gbps=network_bw_gbps,
-        )
-    simulator = Simulator(
-        cluster_state=cluster,
-        jobs=trace.fresh_jobs(),
-        scheduling_policy=spec.scheduling(),
-        placement_policy=spec.placement() if spec.placement else None,
-        admission_policy=spec.admission() if spec.admission else None,
-        termination_policy=spec.termination() if spec.termination else None,
-        round_duration=round_duration,
-        overhead_model=overhead_model,
-        metric_collectors=metric_collectors,
-        tracked_job_ids=list(tracked_job_ids) if tracked_job_ids is not None else trace.tracked_ids(),
-        max_rounds=max_rounds,
-        cluster_manager=cluster_manager,
-        fast_forward=fast_forward,
-    )
-    return simulator.run()
-
-
 # ----------------------------------------------------------------------
 # Multi-process sweep runner
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class SweepTask:
-    """One simulation of a sweep: a trace, a policy spec and run_policy kwargs.
-
-    For the sweep to run across processes the task must be picklable, which in
-    practice means ``spec`` must be built from module-level factories (classes
-    or named functions), not lambdas or closures; tasks that fail to pickle
-    make the whole sweep fall back to serial execution.
-    """
-
-    label: str
-    trace: Trace
-    spec: PolicySpec
-    run_kwargs: Dict[str, object] = field(default_factory=dict)
-
-    def __call__(self) -> Tuple[str, SimulationResult]:
-        return self.label, run_policy(self.trace, self.spec, **self.run_kwargs)
-
-
-def _execute_sweep_task(task: Callable[[], object]) -> object:
-    return task()
-
-
 def run_sweep(tasks: Sequence[Callable[[], object]], processes: Optional[int] = None) -> List:
     """Run a sweep of independent simulations, in parallel across processes.
 
-    A task is a picklable zero-argument callable: a :class:`SweepTask` (one
-    ``run_policy`` invocation, e.g. a policy/parameter combination of a load
-    sweep such as the paper's Fig. 8-9; returns a ``(label, result)`` pair)
-    or a ``partial`` of a module-level function (the scenario matrix ships
-    one leg of a ``RunSpec`` cell that way).  What the tasks return comes
-    back as a list in task order.  ``processes`` defaults to one worker per
-    task, capped at the CPU count; pass ``1`` (or supply tasks that cannot be
-    pickled) to run serially in-process.
+    A task is a picklable zero-argument callable -- a ``partial`` of a
+    module-level function over plain data, typically one frozen
+    :class:`~repro.telemetry.runspec.RunSpec` (one cell of a figure's grid,
+    one leg of a scenario-matrix cell).  What the tasks return comes back as
+    a list in task order.  ``processes`` defaults to one worker per task,
+    capped at the CPU count; pass ``1`` to run serially in-process.  A task
+    that cannot be pickled is a bug in the caller (a closure where a registry
+    name belongs) and raises, naming its index.
     """
     tasks = list(tasks)
     if not tasks:
@@ -187,24 +85,15 @@ def run_sweep(tasks: Sequence[Callable[[], object]], processes: Optional[int] = 
         processes = min(len(tasks), os.cpu_count() or 1)
     if processes > 1 and len(tasks) > 1:
         # Probe picklability up front so a submission failure is cleanly
-        # distinguished from errors raised *inside* worker simulations (which
-        # must propagate, not trigger a silent serial rerun).  The extra
-        # serialization pass is bounded by the pool's own shipping cost.
-        try:
-            for task in tasks:
+        # distinguished from errors raised *inside* worker simulations.
+        for index, task in enumerate(tasks):
+            try:
                 pickle.dumps(task)
-        except Exception as exc:
-            # Unpicklable tasks (lambda factories, closures) cannot be shipped
-            # to workers; running serially is correct because simulations are
-            # pure, but say so -- a silently serial "parallel" sweep reads as a
-            # performance regression otherwise.
-            warnings.warn(
-                f"sweep tasks could not be sent to worker processes ({exc!r}); "
-                "falling back to serial execution",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        else:
-            with ProcessPoolExecutor(max_workers=processes) as executor:
-                return list(executor.map(_execute_sweep_task, tasks))
-    return [_execute_sweep_task(task) for task in tasks]
+            except Exception as exc:
+                raise ValueError(
+                    f"sweep task {index} ({task!r}) cannot be sent to a worker process: {exc!r}"
+                ) from exc
+        with ProcessPoolExecutor(max_workers=processes) as executor:
+            futures = [executor.submit(task) for task in tasks]
+            return [future.result() for future in futures]
+    return [task() for task in tasks]

@@ -4,7 +4,7 @@ Subpackages:
 
 * :mod:`repro.policies.admission` -- accept-all, threshold (Accept-Nx), quota.
 * :mod:`repro.policies.scheduling` -- FIFO, LAS, SRTF, Tiresias, Optimus, Gavel,
-  Pollux, Themis, Synergy, Nexus-style inference scheduling.
+  Pollux, Themis, Synergy.
 * :mod:`repro.policies.placement` -- first-free, consolidated, Tiresias skew
   heuristic, profile-based (Tiresias+), Synergy-aware, bandwidth-aware
   intra-node placement.

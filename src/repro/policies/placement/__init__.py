@@ -1,5 +1,7 @@
 """Job placement policies: mapping prioritised jobs to concrete GPUs."""
 
+from functools import partial
+
 from repro.policies.placement.base import BasePlacementPolicy, AvailabilityView
 from repro.policies.placement.first_free import FirstFreePlacement
 from repro.policies.placement.consolidated import ConsolidatedPlacement
@@ -19,14 +21,15 @@ __all__ = [
     "IntraNodeBandwidthPlacement",
 ]
 
-#: Placement-policy registry: name -> zero-argument factory.  The two
-#: mode-parameterised placements register under their default mode's name
-#: (the ``name`` a default-constructed instance reports).
+#: Placement-policy registry: name -> zero-argument factory, keyed by the
+#: ``name`` the built instance reports.  Synergy registers both of its modes
+#: (Fig. 5 compares them); the intra-node placement its default mode only.
 PLACEMENT_POLICIES = {
     FirstFreePlacement.name: FirstFreePlacement,
     ConsolidatedPlacement.name: ConsolidatedPlacement,
     TiresiasPlacement.name: TiresiasPlacement,
     ProfilePlacement.name: ProfilePlacement,
     "synergy-tune": SynergyPlacement,
+    "synergy-proportional": partial(SynergyPlacement, mode="proportional"),
     "intra-node-bandwidth-aware": IntraNodeBandwidthPlacement,
 }

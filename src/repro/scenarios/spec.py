@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.cluster.builder import ClusterSpec, build_cluster_from_spec
 from repro.cluster.failures import FailureInjector
@@ -36,10 +36,8 @@ from repro.scenarios.events import (
     ScaleOutEvent,
 )
 from repro.scenarios.timeline import TimelineClusterManager
+from repro.workloads import WorkloadSpec
 from repro.workloads.bursty import add_spike
-from repro.workloads.philly import generate_philly_trace
-from repro.workloads.pollux_trace import generate_pollux_trace
-from repro.workloads.tiresias_trace import generate_tiresias_trace
 from repro.workloads.trace import Trace
 
 __all__ = [
@@ -58,45 +56,6 @@ __all__ = [
     "ScenarioSpec",
     "CompiledScenario",
 ]
-
-#: Workload generator registry: name -> callable(num_jobs, jobs_per_hour, seed).
-WORKLOAD_GENERATORS: Dict[str, Callable[..., Trace]] = {
-    "philly": generate_philly_trace,
-    "pollux": generate_pollux_trace,
-    "tiresias": generate_tiresias_trace,
-}
-
-
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """Reference to a trace generator plus its sizing parameters."""
-
-    generator: str = "philly"
-    num_jobs: int = 120
-    jobs_per_hour: float = 8.0
-    #: Extra generator kwargs as a tuple of (name, value) pairs so the spec
-    #: stays hashable/frozen.
-    params: Tuple[Tuple[str, object], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.generator not in WORKLOAD_GENERATORS:
-            known = ", ".join(sorted(WORKLOAD_GENERATORS))
-            raise ConfigurationError(
-                f"unknown workload generator {self.generator!r}; known: {known}"
-            )
-        if self.num_jobs < 1:
-            raise ConfigurationError(f"num_jobs must be >= 1, got {self.num_jobs}")
-        if self.jobs_per_hour <= 0:
-            raise ConfigurationError(f"jobs_per_hour must be > 0, got {self.jobs_per_hour}")
-
-    def build(self, seed: int) -> Trace:
-        return WORKLOAD_GENERATORS[self.generator](
-            num_jobs=self.num_jobs,
-            jobs_per_hour=self.jobs_per_hour,
-            seed=seed,
-            **dict(self.params),
-        )
-
 
 @dataclass(frozen=True)
 class CompileContext:

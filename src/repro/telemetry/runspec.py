@@ -1,10 +1,11 @@
 """Replayable run descriptions: record once, re-drive bit-identically.
 
-A :class:`RunSpec` is a plain-data description of a run -- mode, policy and
-placement names (any key of ``SCHEDULING_POLICIES`` / ``PLACEMENT_POLICIES``,
-never pickled objects), seed, workload size, cluster shape, federation
-layout -- and :meth:`RunSpec.build` is the one place that turns a description
-into an engine.  It is stored in every
+A :class:`RunSpec` is a plain-data description of a run -- mode, policy,
+placement, admission and workload names (any key of ``SCHEDULING_POLICIES`` /
+``PLACEMENT_POLICIES`` / ``ADMISSION_POLICIES`` / ``WORKLOAD_GENERATORS``,
+never pickled objects), seed, workload size and generator parameters, cluster
+shape, federation layout -- and :meth:`RunSpec.build` is the one place that
+turns a description into an engine.  It is stored in every
 recorded trace's header, which makes the trace *self-replaying*:
 ``python -m repro.trace replay trace.jsonl`` rebuilds the exact run from the
 header and diffs the fresh event stream against the recorded one.  Because
@@ -18,8 +19,9 @@ Three modes cover the repo's execution paths:
 
 * ``core`` -- the plain :class:`~repro.simulator.engine.Simulator`;
 * ``runtime`` -- the deployment path
-  (:class:`~repro.runtime.central_scheduler.CentralScheduler`, optimistic
-  leases, deterministic overheads), adding lease + rpc-faults events;
+  (:class:`~repro.runtime.central_scheduler.CentralScheduler`; optimistic
+  leases and deterministic overheads unless ``build()`` is handed a
+  ``lease_protocol`` / ``overhead_model``), adding lease + rpc-faults events;
 * ``federation`` -- the serial federation engine, adding per-shard round
   streams plus routing events; ``build(workers=N)`` is the same federation
   on the multiprocess engine.
@@ -28,7 +30,7 @@ Three modes cover the repo's execution paths:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.telemetry.events import TraceFormatError, TraceHeader, run_metadata
 
@@ -37,8 +39,14 @@ if TYPE_CHECKING:  # a spec builds unrecorded runs too; those need neither
     from repro.telemetry.sinks import TraceSink
 
 MODES = ("core", "runtime", "federation")
-#: Values of the retired ``engine`` spec field that old trace headers carry.
-_LEGACY_ENGINES = ("rounds", "events")
+
+
+def _freeze(value):
+    """Lists (what JSON makes of tuples) back to tuples, recursively, so a spec
+    read from a trace header equals, and hashes like, the one recorded."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_freeze(item) for item in value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -65,24 +73,49 @@ class RunSpec:
     #: selects the registry's shrunk smoke variant.
     scenario: Optional[str] = None
     scenario_smoke: bool = False
+    #: Trace generator name (``WORKLOAD_GENERATORS``) and its extra keyword
+    #: arguments as ``(name, value)`` pairs -- ``WorkloadSpec.params``' shape,
+    #: e.g. ``(("tracked_window", (80, 220)),)``.  Ignored under ``scenario``.
+    workload: str = "philly"
+    workload_params: Tuple[Tuple[str, object], ...] = ()
+    #: Admission policy name (``ADMISSION_POLICIES``), every mode.
+    admission: str = "accept-all"
 
     def __post_init__(self) -> None:
         from repro.federation.router import ROUTER_FACTORIES
+        from repro.policies.admission import ADMISSION_POLICIES
         from repro.policies.placement import PLACEMENT_POLICIES
         from repro.policies.scheduling import SCHEDULING_POLICIES
+        from repro.workloads import WORKLOAD_GENERATORS, workload_param_names
 
         if self.mode not in MODES:
             raise TraceFormatError(f"unknown run mode {self.mode!r}; expected {MODES}")
-        if self.policy not in SCHEDULING_POLICIES:
+        for kind, name, registry in (
+            ("policy", self.policy, SCHEDULING_POLICIES),
+            ("placement", self.placement, PLACEMENT_POLICIES),
+            ("admission", self.admission, ADMISSION_POLICIES),
+            ("workload", self.workload, WORKLOAD_GENERATORS),
+        ):
+            if name not in registry:
+                raise TraceFormatError(
+                    f"unknown {kind} {name!r}; expected one of {sorted(registry)}"
+                )
+        params = _freeze(self.workload_params)
+        if not all(
+            isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[0], str)
+            for pair in params
+        ):
             raise TraceFormatError(
-                f"unknown policy {self.policy!r}; expected one of "
-                f"{sorted(SCHEDULING_POLICIES)}"
+                f"workload_params must be (name, value) pairs, got {self.workload_params!r}"
             )
-        if self.placement not in PLACEMENT_POLICIES:
+        names = [name for name, _ in params]
+        unknown = set(names) - workload_param_names(self.workload)
+        if unknown or len(set(names)) < len(names):
             raise TraceFormatError(
-                f"unknown placement {self.placement!r}; expected one of "
-                f"{sorted(PLACEMENT_POLICIES)}"
+                f"workload_params names {names} must be distinct and among "
+                f"{sorted(workload_param_names(self.workload))} for workload {self.workload!r}"
             )
+        object.__setattr__(self, "workload_params", params)
         if self.num_jobs < 1 or self.num_nodes < 1 or self.gpus_per_node < 1:
             raise TraceFormatError("num_jobs, num_nodes and gpus_per_node must be >= 1")
         # Specs arrive from the CLI and from trace headers: reject here what
@@ -118,10 +151,6 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, record: Dict[str, object]) -> "RunSpec":
-        if record.get("engine") in _LEGACY_ENGINES:
-            # Headers recorded while two skip engines existed name one; the
-            # two were bit-identical by contract, so the key is discarded.
-            record = {k: v for k, v in record.items() if k != "engine"}
         known = {f.name for f in fields(cls)}
         unknown = set(record) - known
         if unknown:
@@ -134,12 +163,12 @@ class RunSpec:
     # ------------------------------------------------------------------
 
     def trace(self):
-        """The seeded Philly-style workload this spec describes."""
-        from repro.workloads.philly import generate_philly_trace
+        """The seeded workload this spec describes."""
+        from repro.workloads import WorkloadSpec
 
-        return generate_philly_trace(
-            num_jobs=self.num_jobs, jobs_per_hour=self.jobs_per_hour, seed=self.seed
-        )
+        return WorkloadSpec(
+            self.workload, self.num_jobs, self.jobs_per_hour, self.workload_params
+        ).build(self.seed)
 
     def cluster(self, num_nodes: Optional[int] = None):
         """A fresh homogeneous V100 cluster (``num_nodes`` overrides the
@@ -170,11 +199,13 @@ class RunSpec:
         the shards the workers build, the rest (``supervisor``, ``kill_plan``,
         a lazy ``jobs`` stream, ...) reach the parallel engine.
         """
+        from repro.policies.admission import ADMISSION_POLICIES
         from repro.policies.placement import PLACEMENT_POLICIES
         from repro.policies.scheduling import SCHEDULING_POLICIES
 
         scheduling = SCHEDULING_POLICIES[self.policy]
         placement = PLACEMENT_POLICIES[self.placement]
+        admission = ADMISSION_POLICIES[self.admission]
 
         def recorder(source: str) -> Optional[TraceRecorder]:
             if sink is None:
@@ -195,6 +226,7 @@ class RunSpec:
                 nodes_per_shard=self.num_nodes // self.shards,
                 scheduling_factory=scheduling,
                 placement_factory=placement,
+                admission_factory=admission,
                 gpus_per_node=self.gpus_per_node,
                 round_duration=self.round_duration,
                 **{k: engine_kwargs.pop(k) for k in shard_fields & engine_kwargs.keys()},
@@ -224,6 +256,7 @@ class RunSpec:
                     cluster_state=self.cluster(self.num_nodes // self.shards),
                     scheduling_policy=scheduling(),
                     placement_policy=placement(),
+                    admission_policy=admission(),
                     round_duration=self.round_duration,
                     recorder=recorder(f"shard{shard_id}"),
                     **engine_kwargs,
@@ -261,7 +294,8 @@ class RunSpec:
             from repro.simulator.overheads import OverheadModel
 
             engine_cls, source = CentralScheduler, "runtime"
-            engine_kwargs.update(lease_protocol="optimistic", overhead_model=OverheadModel())
+            engine_kwargs.setdefault("lease_protocol", "optimistic")
+            engine_kwargs.setdefault("overhead_model", OverheadModel())
         else:
             from repro.simulator.engine import Simulator
 
@@ -271,6 +305,7 @@ class RunSpec:
             jobs=trace.fresh_jobs(),
             scheduling_policy=scheduling(),
             placement_policy=placement(),
+            admission_policy=admission(),
             round_duration=round_duration,
             tracked_job_ids=trace.tracked_ids(),
             recorder=recorder(source),

@@ -22,12 +22,14 @@ import time
 from typing import List, Optional
 
 from repro.federation.router import ROUTER_FACTORIES
+from repro.policies.admission import ADMISSION_POLICIES
 from repro.policies.placement import PLACEMENT_POLICIES
 from repro.policies.scheduling import SCHEDULING_POLICIES
 from repro.telemetry.diff import diff_streams
 from repro.telemetry.events import NONDETERMINISTIC_KINDS, TraceFormatError, merge_events
 from repro.telemetry.runspec import MODES, RunSpec, run_recorded
 from repro.telemetry.sinks import RingBufferSink, open_sink, read_trace
+from repro.workloads import WORKLOAD_GENERATORS
 
 
 def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
@@ -44,6 +46,18 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
         choices=sorted(PLACEMENT_POLICIES),
         default=defaults.placement,
         help="placement policy name",
+    )
+    parser.add_argument(
+        "--admission",
+        choices=sorted(ADMISSION_POLICIES),
+        default=defaults.admission,
+        help="admission policy name",
+    )
+    parser.add_argument(
+        "--workload",
+        choices=sorted(WORKLOAD_GENERATORS),
+        default=defaults.workload,
+        help="trace generator name",
     )
     parser.add_argument("--seed", type=int, default=defaults.seed)
     parser.add_argument("--jobs", type=int, default=defaults.num_jobs, help="workload size")
@@ -81,6 +95,8 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
         mode=args.mode,
         policy=args.policy,
         placement=args.placement,
+        admission=args.admission,
+        workload=args.workload,
         seed=args.seed,
         num_jobs=args.jobs,
         jobs_per_hour=args.jobs_per_hour,

@@ -17,7 +17,7 @@ from typing import List
 from repro.core.exceptions import ConfigurationError
 from repro.core.job import Job
 from repro.workloads.models import get_model, model_names
-from repro.workloads.philly import PhillyTraceGenerator
+from repro.workloads.philly import PhillyTraceGenerator, generate_philly_trace
 from repro.workloads.trace import Trace
 
 
@@ -81,6 +81,18 @@ def add_daily_spike(
                 next_id += 1
         day += 1
     return Trace(jobs=jobs, name=f"{trace.name}-spiked", tracked_job_ids=_kept_tracking(trace))
+
+
+def generate_spiked_philly_trace(
+    seed: int = 0, jobs_per_spike: int = 16, **philly_params
+) -> Trace:
+    """The Philly trace plus :func:`add_daily_spike` from the same seed (Fig. 13).
+
+    Registered as the ``philly-spikes`` workload; the tracked population is
+    the base trace's, so a spec and its spiked variant report the same jobs.
+    """
+    base = generate_philly_trace(seed=seed, **philly_params)
+    return add_daily_spike(base, jobs_per_spike=jobs_per_spike, seed=seed)
 
 
 def add_spike(

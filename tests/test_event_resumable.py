@@ -205,21 +205,19 @@ def test_recorded_event_stream_matches_stepping(build):
 
 
 # ----------------------------------------------------------------------
-# Trace record / replay / diff, and headers from before the engine merge
+# Trace record / replay / diff
 # ----------------------------------------------------------------------
 
 
-def test_runspec_discards_legacy_engine_field():
+def test_runspec_rejects_the_retired_engine_field():
     spec = RunSpec()
     assert "engine" not in spec.as_dict()
     assert RunSpec.from_dict(spec.as_dict()) == spec
-    # Traces recorded while RunSpec had an ``engine`` field still load: the
-    # two values it could take were bit-identical by contract.
-    for legacy in ("rounds", "events"):
-        assert RunSpec.from_dict({**spec.as_dict(), "engine": legacy}) == spec
-    # Anything else is still an unknown field, legacy key included.
-    with pytest.raises(TraceFormatError, match="unknown fields"):
-        RunSpec.from_dict({**spec.as_dict(), "engine": "instant"})
+    # ``engine`` was a spec field while two skip engines existed; no checked-in
+    # trace carries it any more, so it is an unknown field like any other.
+    for value in ("rounds", "events", "instant"):
+        with pytest.raises(TraceFormatError, match="unknown fields"):
+            RunSpec.from_dict({**spec.as_dict(), "engine": value})
     with pytest.raises(TraceFormatError, match="unknown fields"):
         RunSpec.from_dict({**spec.as_dict(), "turbo": True})
 
@@ -237,30 +235,18 @@ def test_trace_record_replay_diff(tmp_path, mode_args):
     assert trace_main(["replay", recorded]) == 0
     assert trace_main(["diff", recorded, recorded]) == 0
 
-    with open(recorded) as handle:
-        lines = handle.readlines()
-    header = json.loads(lines[0])
-    assert "engine" not in header["spec"]
-
-    # A header carrying either legacy engine value replays bit-identically.
-    for legacy in ("rounds", "events"):
-        header["spec"]["engine"] = legacy
-        legacy_path = str(tmp_path / f"legacy-{legacy}.jsonl")
-        with open(legacy_path, "w") as handle:
-            handle.write(json.dumps(header) + "\n")
-            handle.writelines(lines[1:])
-        assert trace_main(["replay", legacy_path]) == 0
-        assert trace_main(["diff", recorded, legacy_path]) == 0
-
 
 def test_trace_replay_rejects_unknown_engine(tmp_path):
     recorded = str(tmp_path / "recorded.jsonl")
     assert trace_main(["record", "--jobs", "6", "--nodes", "4", "--out", recorded]) == 0
     with open(recorded) as handle:
         lines = handle.readlines()
-    header = json.loads(lines[0])
-    header["spec"]["engine"] = "instant"
-    with open(recorded, "w") as handle:
-        handle.write(json.dumps(header) + "\n")
-        handle.writelines(lines[1:])
-    assert trace_main(["replay", recorded]) == 2
+    # A retired field and a generator keyword that does not exist: both are
+    # header errors (exit 2), not tracebacks from inside the run.
+    for field, value in (("engine", "rounds"), ("workload_params", [["bogus", 1]])):
+        header = json.loads(lines[0])
+        header["spec"][field] = value
+        with open(recorded, "w") as handle:
+            handle.write(json.dumps(header) + "\n")
+            handle.writelines(lines[1:])
+        assert trace_main(["replay", recorded]) == 2

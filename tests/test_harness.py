@@ -1,51 +1,42 @@
 """Tests for the experiment harness sweep runner."""
 
-from repro.experiments.harness import PolicySpec, SweepTask, run_sweep
-from repro.policies.scheduling.fifo import FifoScheduling
-from repro.policies.scheduling.srtf import SrtfScheduling
-from repro.workloads.philly import generate_philly_trace
+from dataclasses import replace
+from functools import partial
+
+import pytest
+
+from repro.experiments.harness import run_sweep
+from repro.telemetry.runspec import RunSpec
+
+
+def run_spec(spec):
+    result = spec.build().run()
+    return spec.policy, result.rounds, result.avg_jct()
 
 
 def make_tasks():
-    trace = generate_philly_trace(num_jobs=20, jobs_per_hour=6.0, seed=17)
-    return [
-        SweepTask(
-            label="fifo",
-            trace=trace,
-            spec=PolicySpec(label="fifo", scheduling=FifoScheduling),
-            run_kwargs={"num_nodes": 4},
-        ),
-        SweepTask(
-            label="srtf",
-            trace=trace,
-            spec=PolicySpec(label="srtf", scheduling=SrtfScheduling),
-            run_kwargs={"num_nodes": 4},
-        ),
-    ]
+    base = RunSpec(num_jobs=20, jobs_per_hour=6.0, num_nodes=4, seed=17)
+    return [partial(run_spec, replace(base, policy=policy)) for policy in ("fifo", "srtf")]
 
 
 def test_run_sweep_serial_and_parallel_agree():
     serial = run_sweep(make_tasks(), processes=1)
     parallel = run_sweep(make_tasks(), processes=2)
-    assert [label for label, _ in serial] == ["fifo", "srtf"]
-    assert [label for label, _ in parallel] == ["fifo", "srtf"]
-    for (label_s, result_s), (label_p, result_p) in zip(serial, parallel):
-        assert label_s == label_p
-        assert result_s.rounds == result_p.rounds
-        assert result_s.avg_jct() == result_p.avg_jct()
+    assert [label for label, _, _ in serial] == ["fifo", "srtf"]
+    assert serial == parallel
+    assert all(rounds > 0 for _, rounds, _ in serial)
 
 
-def test_run_sweep_falls_back_to_serial_for_unpicklable_specs():
-    import pytest
-
+def test_run_sweep_names_the_unpicklable_task():
     tasks = make_tasks()
-    # A lambda factory cannot be pickled; the sweep must still complete, but
-    # loudly, so a "parallel" sweep never degrades to serial in silence.
-    tasks[0].spec = PolicySpec(label="fifo", scheduling=lambda: FifoScheduling())
-    with pytest.warns(RuntimeWarning, match="falling back to serial"):
-        results = run_sweep(tasks, processes=2)
-    assert len(results) == 2
-    assert all(result.rounds > 0 for _, result in results)
+    # A lambda cannot cross the process boundary; with every figure task a
+    # partial over a frozen spec that is a caller bug, not a reason to rerun
+    # the sweep serially.
+    tasks.append(lambda: None)
+    with pytest.raises(ValueError, match="sweep task 2 "):
+        run_sweep(tasks, processes=2)
+    # In-process execution never pickles.
+    assert len(run_sweep(tasks, processes=1)) == 3
 
 
 def test_run_sweep_empty():

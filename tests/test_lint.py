@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import ALL_RULES, lint_source, lint_sources, rule_catalog
-from repro.analysis.baseline import Baseline
 from repro.analysis.manifest import LintManifest, default_manifest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -581,49 +580,6 @@ def test_suppression_only_covers_named_rule():
     )
     # The D101 still fires and the D104 marker is unused.
     assert sorted(rules_of(findings)) == ["D101", "L101"]
-
-
-# ---------------------------------------------------------------------------
-# Baseline
-# ---------------------------------------------------------------------------
-
-
-def test_baseline_grandfathers_by_content(tmp_path):
-    source = textwrap.dedent(
-        """
-        import random
-
-        def jitter():
-            return random.random()
-        """
-    )
-    dirty = lint_sources({NONSIM: source}, root=tmp_path)
-    assert rules_of(dirty.findings) == ["D101"]
-
-    line_text = source.splitlines()[dirty.findings[0].line - 1]
-    baseline = Baseline.from_findings([(dirty.findings[0], line_text)])
-    clean = lint_sources({NONSIM: source}, root=tmp_path, baseline=baseline)
-    assert clean.findings == []
-    assert clean.baselined == 1
-
-    # Baselines key on line *content*: edits above must not resurrect it.
-    shifted = "ARRIVALS = 7\n" + source
-    still_clean = lint_sources({NONSIM: shifted}, root=tmp_path, baseline=baseline)
-    assert still_clean.findings == []
-
-
-def test_baseline_roundtrip(tmp_path):
-    baseline = Baseline({("D101", "src/x.py", "random.random()")})
-    path = tmp_path / "baseline.json"
-    baseline.dump(path)
-    assert Baseline.load(path).keys == baseline.keys
-
-
-def test_checked_in_baseline_is_empty():
-    data = json.loads(
-        (REPO_ROOT / "tools" / "lint_baseline.json").read_text(encoding="utf-8")
-    )
-    assert data["findings"] == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,31 +1,43 @@
 """One registry, one comparator, one builder.
 
-* ``SCHEDULING_POLICIES`` / ``PLACEMENT_POLICIES`` are keyed by the name the
-  built instance reports and cover exactly the exported stock policies;
+* ``SCHEDULING_POLICIES`` / ``PLACEMENT_POLICIES`` / ``ADMISSION_POLICIES``
+  are keyed by the name the built instance reports and cover exactly the
+  exported stock policies;
 * every registered name is a valid :class:`RunSpec` and records -> replays
   bit-identically through ``run_recorded`` (every scheduling policy in all
-  three modes, every placement in core mode);
+  three modes, every admission in all three modes, every placement and
+  workload in core mode);
 * :func:`repro.metrics.parity.schedule_diff` reports each kind of divergence
   -- one completion time, one round record, the round count, the end time,
   one federation routing assignment -- and names exactly that one.
 """
 
 import dataclasses
+import json
 from types import SimpleNamespace
 
 import pytest
 
 import repro.policies.scheduling as scheduling_pkg
-from repro.core.abstractions import ClusterManager, PlacementPolicy, SchedulingPolicy
+from repro.bench.cells import DEFAULT, REFERENCE_POLICY, SCAN_STATE, STEPPING, Cell, run_cell
+from repro.core.abstractions import (
+    AdmissionPolicy,
+    ClusterManager,
+    PlacementPolicy,
+    SchedulingPolicy,
+)
 from repro.federation.parallel import ParallelFederationEngine
 from repro.metrics.parity import MISMATCH_LIMIT, schedule_diff
+from repro.policies.admission import ADMISSION_POLICIES
 from repro.policies.placement import PLACEMENT_POLICIES
 from repro.policies.scheduling import SCHEDULING_POLICIES
 from repro.telemetry.diff import diff_streams
-from repro.simulator.overheads import OverheadModel
+from repro.runtime import CentralLeaseManager, OptimisticLeaseManager
+from repro.simulator.overheads import ClusterOverheadModel, OverheadModel
 from repro.telemetry.events import NONDETERMINISTIC_KINDS, TraceFormatError
 from repro.telemetry.runspec import MODES, RunSpec, run_recorded
 from repro.telemetry.sinks import RingBufferSink
+from repro.workloads import WORKLOAD_GENERATORS
 
 # ----------------------------------------------------------------------
 # Registry shape
@@ -36,6 +48,7 @@ def test_registries_are_keyed_by_instance_name():
     for registry, base in (
         (SCHEDULING_POLICIES, SchedulingPolicy),
         (PLACEMENT_POLICIES, PlacementPolicy),
+        (ADMISSION_POLICIES, AdmissionPolicy),
     ):
         for name, factory in registry.items():
             policy = factory()
@@ -48,17 +61,58 @@ def test_scheduling_registry_is_the_export_list():
     exported = {getattr(scheduling_pkg, name) for name in scheduling_pkg.__all__}
     assert set(SCHEDULING_POLICIES.values()) == exported
     assert len(SCHEDULING_POLICIES) == len(exported) == 9
-    assert len(PLACEMENT_POLICIES) == 6
+    assert len(PLACEMENT_POLICIES) == 7
+    assert len(ADMISSION_POLICIES) == 5
+    assert sorted(WORKLOAD_GENERATORS) == ["philly", "philly-spikes", "pollux", "tiresias"]
 
 
 def test_runspec_keeps_its_fields():
-    # The builder and the wider registry added no field: what varies between
-    # engine legs (fast_forward, round_log_limit, ...) goes through
-    # ``build(**engine_kwargs)``, not into the recorded spec.
+    # What varies between engine legs (fast_forward, round_log_limit, ...)
+    # goes through ``build(**engine_kwargs)``, not into the recorded spec; the
+    # last three fields are what a figure varies and nothing else could say.
     assert [f.name for f in dataclasses.fields(RunSpec)] == (
         "mode policy placement seed num_jobs jobs_per_hour num_nodes "
-        "gpus_per_node round_duration shards router scenario scenario_smoke"
+        "gpus_per_node round_duration shards router scenario scenario_smoke "
+        "workload workload_params admission"
     ).split()
+
+
+def test_runspec_round_trips_through_json_with_nested_params():
+    spec = RunSpec(
+        workload="philly-spikes",
+        admission="accept-1.2x",
+        workload_params=(
+            ("tracked_window", (5, 30)),
+            ("median_duration_hours", 2.5),
+            ("jobs_per_spike", 4),
+        ),
+    )
+    loaded = RunSpec.from_dict(json.loads(json.dumps(spec.as_dict())))
+    assert loaded == spec and hash(loaded) == hash(spec)
+    assert loaded.workload_params[0] == ("tracked_window", (5, 30))
+    assert loaded.trace().tracked_ids() == spec.trace().tracked_ids()
+    # Headers recorded before the three fields existed load as the defaults.
+    old = {k: v for k, v in RunSpec().as_dict().items() if k not in (
+        "workload", "workload_params", "admission")}
+    assert RunSpec.from_dict(old) == RunSpec()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"workload": "imagenet"},
+        {"admission": "accept-2x"},
+        {"workload_params": (("tracked_window",),)},
+        {"workload_params": ((5, 30),)},
+        {"workload_params": (("bogus", 1),)},
+        {"workload_params": (("seed", 1),)},
+        {"workload_params": (("duration_sigma", 1.0), ("duration_sigma", 2.0))},
+        {"workload": "pollux", "workload_params": (("jobs_per_spike", 4),)},
+    ],
+)
+def test_runspec_rejects_unknown_workload_and_admission(bad):
+    with pytest.raises(TraceFormatError):
+        RunSpec(**bad)
 
 
 # ----------------------------------------------------------------------
@@ -90,6 +144,79 @@ def test_every_scheduling_policy_records_and_replays(policy, mode):
 @pytest.mark.parametrize("placement", sorted(PLACEMENT_POLICIES))
 def test_every_placement_records_and_replays(placement):
     _assert_replays(RunSpec(placement=placement, num_jobs=30, num_nodes=8))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("admission", sorted(ADMISSION_POLICIES))
+def test_every_admission_records_and_replays(admission, mode):
+    # Over-subscribed on purpose (30 jobs at 20/h on 16 GPUs, the trace's
+    # widest gang, per cluster or shard) so the thresholds and the per-user
+    # quota actually hold jobs back.
+    spec = RunSpec(
+        mode=mode, policy="las", admission=admission, num_jobs=30,
+        jobs_per_hour=20.0, num_nodes=8 if mode == "federation" else 4,
+    )
+    _assert_replays(spec)
+    # ... and the named policy is what every build() branch hands its engine.
+    engine = spec.build()
+    if mode == "federation":
+        built = [shard.admission_policy for shard in engine.shards]
+        built.append(spec.build(workers=1).factory.admission_factory())
+    else:
+        built = [getattr(engine, "_simulator", engine).admission_policy]
+    assert [policy.name for policy in built] == [admission] * len(built)
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_GENERATORS))
+def test_every_workload_records_and_replays(workload):
+    _assert_replays(RunSpec(workload=workload, num_jobs=30, num_nodes=8))
+
+
+def test_admission_changes_the_schedule_it_gates():
+    base = RunSpec(policy="las", num_jobs=30, jobs_per_hour=20.0, num_nodes=4)
+    open_door = base.build().run()
+    gated = dataclasses.replace(base, admission="accept-1x").build().run()
+    assert not schedule_diff(open_door, gated).identical
+    assert gated.avg_responsiveness() > open_door.avg_responsiveness()
+
+
+def test_pollux_workload_matches_the_stepping_reference():
+    spec = RunSpec(
+        policy="pollux", workload="pollux", admission="accept-1.5x",
+        num_jobs=40, jobs_per_hour=20.0, num_nodes=4,
+        workload_params=(("tracked_window", (5, 30)),),
+    )
+    assert spec.trace().name.startswith("pollux-")
+    diff = schedule_diff(spec.build().run(), spec.build(fast_forward=False).run())
+    assert diff.identical, diff.first_divergence
+
+
+def test_a_figure_spec_is_a_bench_cell_with_every_reference_leg():
+    # A Fig. 13 point (LAS behind a threshold, spiked Philly) taken as-is by
+    # the cell runner; the two hand-built reference legs gate admission too.
+    spec = RunSpec(
+        policy="las", admission="accept-1x", workload="philly-spikes",
+        num_jobs=30, jobs_per_hour=2.0, num_nodes=4,
+        workload_params=(("tracked_window", (5, 25)), ("jobs_per_spike", 4)),
+    )
+    # 30 jobs at 2 jobs/h span hour 10 of day 0, where the spike lands.
+    assert len(spec.trace()) == 34
+    row = run_cell(Cell("fig13", spec, (DEFAULT, STEPPING, REFERENCE_POLICY, SCAN_STATE)))
+    assert row["parity"]["identical"], row["parity"]["legs"]
+    assert row["finished_jobs"] == 20 and row["spec"] == spec.as_dict()
+
+
+def test_runtime_build_keeps_a_callers_overhead_model_and_protocol():
+    spec = RunSpec(mode="runtime", num_jobs=12, num_nodes=4)
+    model = ClusterOverheadModel(seed=1)
+    engine = spec.build(overhead_model=model, lease_protocol="central")
+    assert engine.manager.execution.overheads is model
+    assert isinstance(engine.lease_manager, CentralLeaseManager)
+    # The no-argument build is what it always was.
+    default = spec.build()
+    assert type(default.manager.execution.overheads) is OverheadModel
+    assert isinstance(default.lease_manager, OptimisticLeaseManager)
+    assert not schedule_diff(default.run(), engine.run()).identical
 
 
 def test_build_forwards_engine_kwargs_in_every_mode():

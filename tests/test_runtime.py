@@ -15,7 +15,6 @@ from repro.core.abstractions import ClusterManager
 from repro.core.exceptions import ConfigurationError, LeaseError
 from repro.core.job import Job
 from repro.experiments.fig19_lease_scaling import measure_lease_round
-from repro.experiments.harness import PolicySpec, run_policy
 from repro.policies.scheduling.fifo import FifoScheduling
 from repro.policies.scheduling.tiresias import TiresiasScheduling
 from repro.runtime import (
@@ -34,6 +33,7 @@ from repro.runtime import (
 from repro.runtime.lease import SCHEDULER_ENDPOINT
 from repro.scenarios.registry import scenario_names
 from repro.scenarios.spec import FailNodes, ScaleIn, ScaleOut, ScenarioSpec, WorkloadSpec
+from repro.simulator.engine import Simulator
 from repro.simulator.overheads import OverheadModel
 from repro.telemetry.runspec import RunSpec
 from repro.workloads.philly import generate_philly_trace
@@ -362,12 +362,13 @@ class TestCentralScheduler:
             tracked_job_ids=trace.tracked_ids(),
         )
         deployment = scheduler.run()
-        simulation = run_policy(
-            trace,
-            PolicySpec(label="fifo", scheduling=FifoScheduling),
-            num_nodes=4,
+        simulation = Simulator(
+            cluster_state=build_cluster(num_nodes=4),
+            jobs=trace.fresh_jobs(),
+            scheduling_policy=FifoScheduling(),
             overhead_model=OverheadModel(scale=0),
-        )
+            tracked_job_ids=trace.tracked_ids(),
+        ).run()
         assert {j.job_id: j.completion_time for j in deployment.jobs} == {
             j.job_id: j.completion_time for j in simulation.jobs
         }
@@ -404,14 +405,14 @@ class TestCentralScheduler:
             tracked_job_ids=compiled.trace.tracked_ids(),
         )
         deployment = scheduler.run()
-        simulation = run_policy(
-            compiled.trace,
-            PolicySpec(label="tiresias", scheduling=TiresiasScheduling),
-            num_nodes=compiled.spec.cluster.num_nodes,
-            cluster=compiled.build_cluster(),
+        simulation = Simulator(
+            cluster_state=compiled.build_cluster(),
+            jobs=compiled.trace.fresh_jobs(),
+            scheduling_policy=TiresiasScheduling(),
             cluster_manager=compiled.make_cluster_manager(),
             round_duration=compiled.spec.round_duration,
-        )
+            tracked_job_ids=compiled.trace.tracked_ids(),
+        ).run()
         assert {j.job_id: j.completion_time for j in deployment.jobs} == {
             j.job_id: j.completion_time for j in simulation.jobs
         }

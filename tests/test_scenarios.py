@@ -11,7 +11,6 @@ import pytest
 
 from repro.cluster.builder import ClusterSpec, build_cluster
 from repro.core.exceptions import ConfigurationError
-from repro.experiments.harness import PolicySpec, run_policy
 from repro.metrics.summary import capacity_weighted_utilization, scenario_summary
 from repro.policies.scheduling import FifoScheduling, SrtfScheduling, TiresiasScheduling
 from repro.scenarios import (
@@ -27,6 +26,7 @@ from repro.scenarios import (
     scenario_names,
 )
 from repro.scenarios.runner import run_scenario_matrix
+from repro.simulator.engine import Simulator
 
 
 # ----------------------------------------------------------------------
@@ -143,7 +143,6 @@ def test_timeline_manager_applies_due_events_and_bounds_skipping():
 
 
 def test_timeline_manager_keeps_fast_forward_enabled():
-    from repro.simulator.engine import Simulator
     from repro.workloads.philly import generate_philly_trace
 
     trace = generate_philly_trace(num_jobs=5, jobs_per_hour=6.0, seed=1)
@@ -163,16 +162,15 @@ def test_timeline_manager_keeps_fast_forward_enabled():
 
 
 def _run_scenario(compiled, scheduling_factory, fast_forward):
-    spec = PolicySpec(label="t", scheduling=scheduling_factory)
-    return run_policy(
-        compiled.trace,
-        spec,
-        num_nodes=compiled.spec.cluster.num_nodes,
-        cluster=compiled.build_cluster(),
+    return Simulator(
+        cluster_state=compiled.build_cluster(),
+        jobs=compiled.trace.fresh_jobs(),
+        scheduling_policy=scheduling_factory(),
         cluster_manager=compiled.make_cluster_manager(),
         round_duration=compiled.spec.round_duration,
+        tracked_job_ids=compiled.trace.tracked_ids(),
         fast_forward=fast_forward,
-    )
+    ).run()
 
 
 def assert_identical(first, second):

@@ -24,9 +24,10 @@ Checks, for ``README.md`` and every ``docs/*.md``:
   and every registered rule is documented there, so the rule catalog and its
   reference page cannot drift apart;
 * **policy names** -- the "Name" column of each registry-backed table in
-  ``docs/policies.md`` (scheduling, placement, routers) equals the keys of
-  the registry that resolves those names (``SCHEDULING_POLICIES``,
-  ``PLACEMENT_POLICIES``, ``ROUTER_FACTORIES``), in both directions, so a
+  ``docs/policies.md`` (scheduling, placement, admission, workloads, routers)
+  equals the keys of the registry that resolves those names
+  (``SCHEDULING_POLICIES``, ``PLACEMENT_POLICIES``, ``ADMISSION_POLICIES``,
+  ``WORKLOAD_GENERATORS``, ``ROUTER_FACTORIES``), in both directions, so a
   documented name is always one ``RunSpec`` / ``python -m repro.trace record``
   accepts and a registered policy is always documented;
 * **bench artifacts** -- every checked-in ``BENCH_*.json`` has the one shape
@@ -193,6 +194,8 @@ def check_lint_rule_ids() -> List[str]:
 POLICY_REGISTRIES = {
     "## Scheduling policies": ("repro.policies.scheduling", "SCHEDULING_POLICIES"),
     "## Placement policies": ("repro.policies.placement", "PLACEMENT_POLICIES"),
+    "## Admission policies": ("repro.policies.admission", "ADMISSION_POLICIES"),
+    "## Workloads": ("repro.workloads", "WORKLOAD_GENERATORS"),
     "## Federation routers": ("repro.federation.router", "ROUTER_FACTORIES"),
 }
 #: First cell of a table row: ``| `name` | ...``.
