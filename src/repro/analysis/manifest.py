@@ -65,6 +65,10 @@ PICKLE_REGISTRY: Dict[str, str] = {
     "ShardViewSummary": "repro/federation/router.py",
     "UniformShardFactory": "repro/federation/engine.py",
     "ScenarioManagerFactory": "repro/federation/engine.py",
+    # What the worker protocol's ``finish`` reply ships back.
+    "SimulationResult": "repro/simulator/engine.py",
+    "RoundRecord": "repro/simulator/engine.py",
+    "ShardFinishStats": "repro/federation/engine.py",
     "TimelineClusterManager": "repro/scenarios/timeline.py",
     "ClusterEvent": "repro/scenarios/events.py",
     "NodeFailureEvent": "repro/scenarios/events.py",

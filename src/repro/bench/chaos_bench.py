@@ -5,8 +5,8 @@ robustness subsystem (``docs/robustness.md``) trustworthy: fault recovery is
 invisible in the schedule.
 
 * **Federation cell** -- the 2-shard federation, serial first, then one
-  ``killed(when, at)`` leg per kill point on the supervised multiprocess
-  engine: a :class:`~repro.federation.parallel.WorkerKillPlan` SIGKILLs a
+  ``killed(when, at)`` leg per kill point on the supervised worker
+  pool: a :class:`~repro.federation.parallel.WorkerKillPlan` SIGKILLs a
   worker before the broadcast or between broadcast and collect, the
   supervisor respawns it and replays from the last checkpoint.  This module's
   own is the degradation run: restarts exhausted

@@ -53,7 +53,7 @@ STREAM = replace(FULL, router="queue-delay", shards=64, num_nodes=256, jobs_per_
 def shard_invariants(engine, result) -> Dict[str, object]:
     """Facts of a serial federation leg: every shard's recomputed indexes."""
     violations = []
-    for shard in engine.shards:
+    for shard in engine.backend.shards:
         try:
             shard.cluster_state.check_invariants()
         except AssertionError as exc:

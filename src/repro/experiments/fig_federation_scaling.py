@@ -10,9 +10,9 @@ shards -- higher aggregate rounds/s) and what it costs (loss of global
 placement freedom -- makespan/JCT inflation), and how much of that cost a
 predictive router recovers over the static baseline.
 
-``--workers`` adds the cores axis: the same sweep executed on the
-multiprocess :class:`~repro.federation.parallel.ParallelFederationEngine`
-with the given worker count(s) (``0`` = the in-process serial engine), so
+``--workers`` adds the cores axis: the same sweep executed on a
+:class:`~repro.federation.parallel.WorkerPoolBackend` with the given worker
+count(s) (``0`` = shards in this process), so
 one table shows how wall clock scales with processes at fixed shards --
 results are bit-identical across the workers axis by construction, only the
 timing columns move.
@@ -35,7 +35,7 @@ SMOKE = RunSpec(mode="federation", num_nodes=16)
 
 DEFAULT_SHARD_COUNTS = (1, 2, 4, 8)
 DEFAULT_ROUTERS = ("round-robin", "queue-delay")
-#: Default workers axis: serial engine only (the historical sweep).
+#: Default workers axis: in-process shards only (the historical sweep).
 DEFAULT_WORKERS = (0,)
 
 
@@ -48,9 +48,8 @@ def run_federation_point(
 ):
     """One sweep point: a fresh federation of ``num_shards`` equal shards.
 
-    ``workers=0`` runs the in-process serial engine; ``workers>=1`` the
-    multiprocess engine with that many worker processes (``1`` degenerates to
-    the serial path by design).
+    ``workers=0`` runs the shards in this process; ``workers>=1`` in that
+    many worker processes (at most one per shard).
     """
     spec = replace(
         SMOKE if smoke else FULL, router=router, shards=num_shards, num_nodes=total_nodes
@@ -80,7 +79,7 @@ def run_federation_scaling(
             f"Sharded federation on the {total_nodes * RunSpec.gpus_per_node}-GPU "
             "Philly benchmark workload: aggregate rounds/s and schedule quality "
             "vs shard count and worker processes (total capacity held constant; "
-            "workers=0 is the in-process serial engine)."
+            "workers=0 runs the shards in-process)."
         ),
         metadata={"total_nodes": total_nodes, "smoke": smoke, "workers": list(workers)},
     )
@@ -150,8 +149,8 @@ def main(argv=None) -> int:
         type=int,
         action="append",
         help=(
-            "worker-process count to sweep; repeatable; 0 = in-process serial "
-            "engine (default: 0 only)"
+            "worker-process count to sweep; repeatable; 0 = in-process shards "
+            "(default: 0 only)"
         ),
     )
     args = parser.parse_args(argv)

@@ -4,9 +4,10 @@ The horizontal-scaling layer of the reproduction (see ``docs/federation.md``):
 N independent shards -- each a full cluster + policy stack, optionally with
 its own scenario timeline -- coordinated by a pluggable
 :class:`~repro.federation.router.FederationRouter` that assigns each incoming
-gang to a shard.  Shards run either in-process (serial lockstep,
-:class:`FederationEngine`) or as worker processes behind a message-passing
-protocol (:class:`ParallelFederationEngine`) with bit-identical results.
+gang to a shard.  One :class:`FederationEngine` runs the shards either
+in-process (serial lockstep, :class:`LocalShardBackend`) or as worker
+processes behind a message-passing protocol (:class:`WorkerPoolBackend`) with
+bit-identical results.
 Per-shard event-skipping fast-forward stays active between routing events,
 and every per-shard schedule is parity-checked against per-round stepping and
 serial-vs-parallel execution (``python -m repro.bench --federation``).
@@ -45,16 +46,15 @@ class FatalWorkerError(FederationWorkerError):
 from repro.federation.engine import (
     FederationEngine,
     FederationResult,
+    FederationStreamResult,
     LocalShardBackend,
     ScenarioManagerFactory,
     ShardBackend,
+    ShardFinishStats,
     UniformShardFactory,
     drive_federation,
 )
 from repro.federation.parallel import (
-    FederationStreamResult,
-    ParallelFederationEngine,
-    ShardFinishStats,
     SupervisorConfig,
     WorkerKillPlan,
     WorkerPoolBackend,
@@ -85,7 +85,6 @@ __all__ = [
     "GpuTypeAffinityRouter",
     "LeastLoadedRouter",
     "LocalShardBackend",
-    "ParallelFederationEngine",
     "QueueDelayRouter",
     "ROUTER_FACTORIES",
     "RetryableWorkerError",

@@ -43,8 +43,8 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.builder import build_cluster
 from repro.core.abstractions import ClusterManager
@@ -72,6 +72,8 @@ from repro.telemetry.recorder import DEFAULT_FEDERATION_INTERVAL, TraceRecorder
 __all__ = [
     "FederationEngine",
     "FederationResult",
+    "FederationStreamResult",
+    "ShardFinishStats",
     "ShardBackend",
     "LocalShardBackend",
     "UniformShardFactory",
@@ -101,8 +103,8 @@ class FederationResult:
     #: ``advance`` plus the final ``finish``); in parallel mode this is the
     #: parent's wait, bounded below by the slowest shard per step.
     advance_time_s: float = 0.0
-    #: Worker processes that executed the shards; 0 means the in-process
-    #: serial engine.
+    #: Worker processes that executed the shards; 0 means they ran in the
+    #: driver's own process.
     workers: int = 0
     #: Fault-injection/recovery counters when the run was supervised
     #: (``docs/robustness.md``); ``None`` for unsupervised runs.
@@ -167,6 +169,133 @@ class FederationResult:
         )
 
 
+@dataclass(frozen=True)
+class ShardFinishStats:
+    """Compact in-worker reduction of one shard's finished run.
+
+    The streaming finish payload: everything the parent reports without
+    holding the shard's jobs or round log (a 64-shard, 100k-job run would
+    otherwise ship every job object back through the pipes it just avoided
+    keeping).
+    """
+
+    shard_id: int
+    rounds: int
+    jobs: int
+    finished_jobs: int
+    eviction_count: int
+    preemption_count: int
+    stats: SummaryStats
+    wall_time_s: float
+
+
+def summarize_finished(shard_id: int, result: SimulationResult) -> ShardFinishStats:
+    """The streaming ``finish`` reduction: one shard result to statistics."""
+    return ShardFinishStats(
+        shard_id=shard_id,
+        rounds=result.rounds,
+        jobs=len(result.jobs),
+        finished_jobs=sum(1 for j in result.jobs if j.completion_time is not None),
+        eviction_count=result.eviction_count,
+        preemption_count=sum(j.num_preemptions for j in result.jobs),
+        stats=jct_summary(result.jobs),
+        wall_time_s=result.wall_time_s,
+    )
+
+
+@dataclass
+class FederationStreamResult:
+    """Result of a streaming (memory-bounded) federation run.
+
+    Unlike :class:`~repro.federation.engine.FederationResult` this never holds
+    job objects or round logs: per-shard statistics are reduced where the
+    shard lives and only :class:`ShardFinishStats` crosses back.  Percentile
+    metrics therefore exist per shard but not pooled (percentiles are not
+    mergeable); the pooled numbers below are the exactly mergeable ones.
+    """
+
+    shard_stats: List[ShardFinishStats]
+    jobs_per_shard: List[int]
+    router_name: str
+    round_duration: float
+    total_jobs: int
+    wall_time_s: float
+    routing_time_s: float
+    advance_time_s: float
+    workers: int
+    #: Parent-process peak RSS at the end of the run, in MiB (the streaming
+    #: claim under test: independent of trace length).
+    peak_rss_mib: float = 0.0
+    #: Recovery counters when the run was supervised; None otherwise.
+    fault_stats: Optional[FaultStats] = None
+
+    @property
+    def num_shards(self) -> int:
+        return len(self.shard_stats)
+
+    def total_rounds(self) -> int:
+        return sum(s.rounds for s in self.shard_stats)
+
+    def finished_jobs(self) -> int:
+        return sum(s.finished_jobs for s in self.shard_stats)
+
+    def avg_jct(self) -> float:
+        """Exact pooled mean JCT (count-weighted merge of per-shard means)."""
+        finished = self.finished_jobs()
+        if finished == 0:
+            return 0.0
+        weighted = sum(s.stats.avg_jct * s.finished_jobs for s in self.shard_stats)
+        return weighted / finished
+
+    def makespan(self) -> float:
+        """Upper bound on the pooled makespan: max over per-shard makespans."""
+        if not self.shard_stats:
+            return 0.0
+        return max(s.stats.makespan for s in self.shard_stats)
+
+    def as_dict(self) -> dict:
+        return {
+            "router": self.router_name,
+            "num_shards": self.num_shards,
+            "workers": self.workers,
+            "total_jobs": self.total_jobs,
+            "finished_jobs": self.finished_jobs(),
+            "jobs_per_shard": list(self.jobs_per_shard),
+            "total_rounds": self.total_rounds(),
+            "avg_jct": self.avg_jct(),
+            "makespan": self.makespan(),
+            "wall_time_s": self.wall_time_s,
+            "routing_time_s": self.routing_time_s,
+            "advance_time_s": self.advance_time_s,
+            "peak_rss_mib": self.peak_rss_mib,
+            "fault_stats": (
+                self.fault_stats.as_dict() if self.fault_stats is not None else None
+            ),
+            "shards": [
+                {
+                    "shard_id": s.shard_id,
+                    "rounds": s.rounds,
+                    "jobs": s.jobs,
+                    "finished_jobs": s.finished_jobs,
+                    "eviction_count": s.eviction_count,
+                    "preemption_count": s.preemption_count,
+                    "wall_time_s": s.wall_time_s,
+                    **{f"stats_{k}": v for k, v in s.stats.as_dict().items()},
+                }
+                for s in self.shard_stats
+            ],
+        }
+
+
+def _peak_rss_mib() -> float:
+    try:
+        import resource
+
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    except Exception:
+        return 0.0
+
+
 # ----------------------------------------------------------------------
 # Backend abstraction: how the drive loop talks to its shards
 # ----------------------------------------------------------------------
@@ -180,10 +309,17 @@ class ShardBackend:
     worker processes behind pipes).  The loop only ever sees
     :class:`~repro.federation.router.ShardViewSummary` values, never live
     shard state, which is what makes the two interchangeable bit-for-bit.
+    A backend is a context manager: ``__enter__`` is :meth:`start`,
+    ``__exit__`` is :meth:`close`.
     """
 
     num_shards: int
     round_duration: float
+    #: Worker processes executing the shards; 0 means this process.
+    workers: int = 0
+
+    def start(self) -> None:
+        """Acquire backend resources (spawn workers) before the first advance."""
 
     def advance(self, stop_time: float) -> List[ShardViewSummary]:
         """Advance every shard to the pause point before ``stop_time``.
@@ -196,8 +332,13 @@ class ShardBackend:
         """Queue ``job`` on a paused shard (applied before its next advance)."""
         raise NotImplementedError
 
-    def finish(self) -> List[SimulationResult]:
-        """Drain every shard to completion and collect its result."""
+    def finish(self, reduce: Optional[Callable] = None) -> List:
+        """Drain every shard to completion and collect its result.
+
+        ``reduce``, a module-level ``(shard_id, SimulationResult) -> object``,
+        is applied where the shard lives and its value collected instead
+        (streaming runs: the full result never reaches the parent).
+        """
         raise NotImplementedError
 
     def take_orphans(self) -> List[Tuple[Job, int]]:
@@ -214,8 +355,26 @@ class ShardBackend:
         """Shards marked dead by graceful degradation (empty when healthy)."""
         return frozenset()
 
+    def fault_stats(self) -> Optional[FaultStats]:
+        """Recovery counters of the run; ``None`` where nothing can fail."""
+        return None
+
     def close(self) -> None:
         """Release backend resources (terminate workers); idempotent."""
+
+    def __enter__(self) -> "ShardBackend":
+        self.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+def finish_shards(shards: Iterable[ShardSimulator], reduce: Optional[Callable]) -> List:
+    """Drain ``shards`` one by one; the body of every backend's ``finish``."""
+    if reduce is None:
+        return [shard.finish() for shard in shards]
+    return [reduce(shard.shard_id, shard.finish()) for shard in shards]
 
 
 class LocalShardBackend(ShardBackend):
@@ -223,8 +382,21 @@ class LocalShardBackend(ShardBackend):
 
     def __init__(self, shards: Sequence[ShardSimulator]) -> None:
         self.shards = list(shards)
+        if not self.shards:
+            raise ConfigurationError("a federation needs at least one shard")
+        for index, shard in enumerate(self.shards):
+            if shard.shard_id != index:
+                raise ConfigurationError(
+                    f"shard at position {index} has shard_id {shard.shard_id}; "
+                    "shard ids must equal their position (routers return indexes)"
+                )
+        durations = {shard.manager.round_duration for shard in self.shards}
+        if len(durations) != 1:
+            raise ConfigurationError(
+                f"shards must share one round_duration for lockstep routing, got {sorted(durations)}"
+            )
         self.num_shards = len(self.shards)
-        self.round_duration = self.shards[0].manager.round_duration
+        self.round_duration = durations.pop()
 
     def advance(self, stop_time: float) -> List[ShardViewSummary]:
         for shard in self.shards:
@@ -234,8 +406,8 @@ class LocalShardBackend(ShardBackend):
     def submit(self, shard_id: int, job: Job) -> None:
         self.shards[shard_id].submit(job)
 
-    def finish(self) -> List[SimulationResult]:
-        return [shard.finish() for shard in self.shards]
+    def finish(self, reduce: Optional[Callable] = None) -> List:
+        return finish_shards(self.shards, reduce)
 
 
 # ----------------------------------------------------------------------
@@ -422,60 +594,89 @@ def drive_federation(
 
 
 class FederationEngine:
-    """Runs a sharded federation of scheduling loops to completion."""
+    """Runs a sharded federation of scheduling loops to completion.
+
+    Backend-agnostic, like the drive loop: the same engine runs shards in
+    this process (:class:`LocalShardBackend`) or in worker processes
+    (:class:`~repro.federation.parallel.WorkerPoolBackend`).  Building one
+    starts nothing; :meth:`run` / :meth:`run_stream` start the backend, so
+    their ``wall_time_s`` covers worker spawn and handshake.
+    """
 
     def __init__(
         self,
-        shards: Sequence[ShardSimulator],
+        backend: ShardBackend,
         router: FederationRouter,
         jobs: Iterable[Job],
         tracked_job_ids: Optional[Sequence[int]] = None,
         recorder: Optional[TraceRecorder] = None,
     ) -> None:
-        self.recorder = recorder
-        self.shards = list(shards)
-        if not self.shards:
-            raise ConfigurationError("a federation needs at least one shard")
-        for index, shard in enumerate(self.shards):
-            if shard.shard_id != index:
-                raise ConfigurationError(
-                    f"shard at position {index} has shard_id {shard.shard_id}; "
-                    "shard ids must equal their position (routers return indexes)"
-                )
-        durations = {shard.manager.round_duration for shard in self.shards}
-        if len(durations) != 1:
-            raise ConfigurationError(
-                f"shards must share one round_duration for lockstep routing, got {sorted(durations)}"
-            )
+        self.backend = backend
         self.router = router
-        self._arrivals = sorted(jobs, key=lambda j: (j.arrival_time, j.job_id))
-        if not self._arrivals:
-            raise ConfigurationError("cannot federate an empty workload")
-        if tracked_job_ids is None:
-            self.tracked_job_ids = [job.job_id for job in self._arrivals]
-        else:
-            self.tracked_job_ids = list(tracked_job_ids)
+        self.recorder = recorder
+        self._jobs = jobs
+        self._tracked_job_ids = tracked_job_ids
 
-    def run(self) -> FederationResult:
-        """Route every gang, drain every shard, return the combined result."""
+    def _drive(self, arrivals: Iterable[Job], record_assignments: bool, reduce):
+        """Start the backend, route ``arrivals``, drain; the shared run body.
+
+        Returns the drive statistics, the per-shard ``finish(reduce)`` payload
+        and the result fields :class:`FederationResult` and
+        :class:`FederationStreamResult` have in common.
+        """
         wall_start = time.perf_counter()
-        backend = LocalShardBackend(self.shards)
-        stats = drive_federation(
-            backend, self.router, self._arrivals, recorder=self.recorder
-        )
-        started = time.perf_counter()
-        shard_results = backend.finish()
-        advance_time = stats.advance_time_s + (time.perf_counter() - started)
-        return FederationResult(
-            shard_results=shard_results,
-            assignments=stats.assignments or {},
-            tracked_job_ids=self.tracked_job_ids,
+        with self.backend as backend:
+            stats = drive_federation(
+                backend, self.router, arrivals, record_assignments, self.recorder
+            )
+            started = time.perf_counter()
+            finished = backend.finish(reduce)
+            advance_time = stats.advance_time_s + (time.perf_counter() - started)
+        common = dict(
             router_name=self.router.name,
             round_duration=backend.round_duration,
             wall_time_s=time.perf_counter() - wall_start,
             routing_time_s=stats.routing_time_s,
             advance_time_s=advance_time,
-            workers=0,
+            workers=backend.workers,
+            fault_stats=backend.fault_stats(),
+        )
+        return stats, finished, common
+
+    def run(self) -> FederationResult:
+        """Route every gang, drain every shard, return the combined result."""
+        arrivals = sorted(self._jobs, key=lambda j: (j.arrival_time, j.job_id))
+        stats, shard_results, common = self._drive(arrivals, True, None)
+        return FederationResult(
+            shard_results=shard_results,
+            assignments=stats.assignments,
+            tracked_job_ids=(
+                [job.job_id for job in arrivals]
+                if self._tracked_job_ids is None
+                else list(self._tracked_job_ids)
+            ),
+            **common,
+        )
+
+    def run_stream(self) -> FederationStreamResult:
+        """Memory-bounded run over a lazy, pre-sorted arrival stream.
+
+        ``jobs`` may be a generator ordered by ``(arrival_time, job_id)``
+        (enforced as the stream drains); the parent holds one lookahead job
+        and per-shard counters, never the trace, and each shard's result is
+        reduced to :class:`ShardFinishStats` where the shard lives -- inside
+        the worker on a pool, which is what makes 64-shard, 100k-job runs fit
+        a bounded parent process.  Under supervision the checkpoint blobs add
+        O(shard state) parent memory -- still independent of trace length,
+        since the command log truncates at every checkpoint.
+        """
+        stats, shard_stats, common = self._drive(self._jobs, False, summarize_finished)
+        return FederationStreamResult(
+            shard_stats=shard_stats,
+            jobs_per_shard=stats.jobs_per_shard,
+            total_jobs=stats.total_jobs,
+            peak_rss_mib=_peak_rss_mib(),
+            **common,
         )
 
 
@@ -525,23 +726,26 @@ class UniformShardFactory:
     placement_factory: Optional[Callable] = None
     admission_factory: Optional[Callable] = None
     gpus_per_node: int = 4
-    gpu_type: str = "v100"
-    network_bw_gbps: float = 10.0
     round_duration: float = 300.0
-    fast_forward: bool = True
     cluster_manager_factory: Optional[Callable[[int], Optional[ClusterManager]]] = None
-    max_rounds: int = 200_000
-    #: Bound each shard's per-round log (None keeps everything, 0 disables);
-    #: streaming runs set 0 so worker memory stays flat over millions of jobs.
-    round_log_limit: Optional[int] = None
     #: When set, each built shard streams telemetry to
     #: ``<trace_dir>/shard-<id>.jsonl``.  The sink is opened *inside*
     #: ``build`` -- i.e. inside the worker process in parallel mode -- so
     #: fork and spawn contexts produce the same per-shard streams.
     trace_dir: Optional[str] = None
+    #: Extra :class:`~repro.federation.shard.ShardSimulator` keywords, the
+    #: same for every shard: ``fast_forward=False`` is the stepping
+    #: reference, ``round_log_limit=0`` keeps a streaming shard's memory flat.
+    engine_kwargs: Mapping[str, object] = field(default_factory=dict)
 
-    def build(self, shard_id: int) -> ShardSimulator:
-        """Build the single shard ``shard_id`` with fresh policy instances."""
+    def build(
+        self, shard_id: int, recorder: Optional[TraceRecorder] = None
+    ) -> ShardSimulator:
+        """Build the single shard ``shard_id`` with fresh policy instances.
+
+        ``recorder`` is the caller's (in-process recording); without one,
+        ``trace_dir`` opens the shard's own.
+        """
         if self.nodes_per_shard < 1:
             raise ConfigurationError(
                 f"nodes_per_shard must be >= 1, got {self.nodes_per_shard}"
@@ -551,8 +755,7 @@ class UniformShardFactory:
             if self.cluster_manager_factory
             else None
         )
-        recorder = None
-        if self.trace_dir is not None:
+        if recorder is None and self.trace_dir is not None:
             from repro.telemetry.sinks import JsonlSink  # pulls sqlite3/orjson
 
             os.makedirs(self.trace_dir, exist_ok=True)
@@ -568,18 +771,14 @@ class UniformShardFactory:
             cluster_state=build_cluster(
                 num_nodes=self.nodes_per_shard,
                 gpus_per_node=self.gpus_per_node,
-                gpu_type=self.gpu_type,
-                network_bw_gbps=self.network_bw_gbps,
             ),
             scheduling_policy=self.scheduling_factory(),
             placement_policy=self.placement_factory() if self.placement_factory else None,
             admission_policy=self.admission_factory() if self.admission_factory else None,
             cluster_manager=manager,
             round_duration=self.round_duration,
-            fast_forward=self.fast_forward,
-            max_rounds=self.max_rounds,
-            round_log_limit=self.round_log_limit,
             recorder=recorder,
+            **self.engine_kwargs,
         )
 
     def build_all(self, num_shards: int) -> List[ShardSimulator]:

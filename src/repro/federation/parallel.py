@@ -1,7 +1,9 @@
 """Truly parallel federation: shard worker processes behind pipes.
 
-:class:`ParallelFederationEngine` runs the exact routing loop of the serial
-:class:`~repro.federation.engine.FederationEngine` -- same
+:class:`WorkerPoolBackend` is the multiprocess
+:class:`~repro.federation.engine.ShardBackend`: a
+:class:`~repro.federation.engine.FederationEngine` built on it runs the exact
+routing loop of an in-process one -- same
 :func:`~repro.federation.engine.drive_federation`, same routers, same global
 ``(arrival_time, job_id)`` order -- but executes the shards in worker
 processes, so an N-shard federation uses up to N cores instead of one.
@@ -22,11 +24,11 @@ bit-exact).  Over its duplex pipe a worker answers:
   routing summaries, in owned-shard order;
 * ``("submit", shard_id, job)`` -- queue a routed gang; fire-and-forget, the
   pipe's FIFO ordering guarantees it is applied before the next ``advance``;
-* ``("finish",)`` -> ``("ok", [SimulationResult, ...])`` -- drain the owned
-  shards to completion and ship back their full results;
-* ``("finish_stats",)`` -> ``("ok", [ShardFinishStats, ...])`` -- same drain,
-  but reduce each result to compact statistics *inside the worker* (streaming
-  runs: the parent never holds a full shard result);
+* ``("finish", reduce)`` -> ``("ok", [SimulationResult, ...])`` -- drain the
+  owned shards to completion and ship back their full results, or, given a
+  module-level ``reduce(shard_id, result)``, what it makes of each *inside
+  the worker* (streaming runs reduce to ``ShardFinishStats``: the parent
+  never holds a full shard result);
 * ``("checkpoint",)`` -> ``("ok", [bytes, ...])`` -- pickle every owned shard
   and ship the blobs (supervision only);
 * ``("restore", [blob_or_None, ...])`` -> ``("ok", None)`` -- rebuild owned
@@ -70,11 +72,11 @@ are reported lost via :class:`~repro.metrics.summary.FaultStats`.
 Determinism
 -----------
 
-Bit-identical to the serial engine by construction: routing consumes only
+Bit-identical to the in-process backend by construction: routing consumes only
 ``ShardViewSummary`` messages, which workers compute with the same
 :meth:`~repro.federation.shard.ShardSimulator.view_summary` the serial
 backend calls in-process, and same-round refreshes happen parent-side via
-``with_queued`` in both engines.  Shards never observe anything but their own
+``with_queued`` on both backends.  Shards never observe anything but their own
 submitted gangs and clock bounds, so their schedules -- and hence the round
 logs, job timings and results -- match the serial run exactly.
 ``python -m repro.bench --federation`` gates on this parity, and
@@ -91,31 +93,22 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.exceptions import ConfigurationError, SimulationError
 from repro.core.job import Job
 from repro.federation import FatalWorkerError, RetryableWorkerError
-from repro.federation.engine import (
-    FederationEngine,
-    FederationResult,
-    ShardBackend,
-    UniformShardFactory,
-    drive_federation,
-)
-from repro.federation.router import FederationRouter, ShardViewSummary
-from repro.metrics.summary import FaultStats, SummaryStats, jct_summary
+from repro.federation.engine import ShardBackend, UniformShardFactory, finish_shards
+from repro.federation.router import ShardViewSummary
+from repro.metrics.summary import FaultStats
 from repro.simulator.engine import SimulationResult
 from repro.telemetry.events import EVENT_SUPERVISOR
 from repro.telemetry.recorder import TraceRecorder
 
 __all__ = [
-    "ParallelFederationEngine",
     "SupervisorConfig",
     "WorkerKillPlan",
     "WorkerPoolBackend",
-    "ShardFinishStats",
-    "FederationStreamResult",
     "default_worker_count",
 ]
 
@@ -179,9 +172,17 @@ class SupervisorConfig:
                 "on_unrecoverable must be 'raise' or 'degrade', got "
                 f"{self.on_unrecoverable!r}"
             )
-        if self.max_restarts < 0:
+        for name in ("max_restarts", "checkpoint_interval", "backoff_base_s", "backoff_max_s"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
+        # A zero interval is a busy-looping heartbeat thread; a zero timeout
+        # declares every worker silent at once.
+        if self.heartbeat_interval_s <= 0 or (
+            self.heartbeat_timeout_s is not None and self.heartbeat_timeout_s <= 0
+        ):
             raise ConfigurationError(
-                f"max_restarts must be >= 0, got {self.max_restarts}"
+                "heartbeat_interval_s and heartbeat_timeout_s (unless None) must be "
+                f"positive, got {self.heartbeat_interval_s} and {self.heartbeat_timeout_s}"
             )
 
 
@@ -205,39 +206,6 @@ class WorkerKillPlan:
             raise ConfigurationError(
                 f"kill plan 'when' must be 'before' or 'after', got {self.when!r}"
             )
-
-
-@dataclass(frozen=True)
-class ShardFinishStats:
-    """Compact in-worker reduction of one shard's finished run.
-
-    The streaming finish payload: everything the parent reports without
-    holding the shard's jobs or round log (a 64-shard, 100k-job run would
-    otherwise ship every job object back through the pipes it just avoided
-    keeping).
-    """
-
-    shard_id: int
-    rounds: int
-    jobs: int
-    finished_jobs: int
-    eviction_count: int
-    preemption_count: int
-    stats: SummaryStats
-    wall_time_s: float
-
-
-def _finish_stats(shard_id: int, result: SimulationResult) -> ShardFinishStats:
-    return ShardFinishStats(
-        shard_id=shard_id,
-        rounds=result.rounds,
-        jobs=len(result.jobs),
-        finished_jobs=sum(1 for j in result.jobs if j.completion_time is not None),
-        eviction_count=result.eviction_count,
-        preemption_count=sum(j.num_preemptions for j in result.jobs),
-        stats=jct_summary(result.jobs),
-        wall_time_s=result.wall_time_s,
-    )
 
 
 def _worker_main(
@@ -316,11 +284,7 @@ def _worker_main(
                 }
                 send(("ok", None))
             elif command == "finish":
-                send(("ok", [shards[s].finish() for s in shard_ids]))
-            elif command == "finish_stats":
-                send(
-                    ("ok", [_finish_stats(s, shards[s].finish()) for s in shard_ids])
-                )
+                send(("ok", finish_shards((shards[s] for s in shard_ids), message[1])))
             elif command == "hang":
                 time.sleep(message[1])
             elif command == "close":
@@ -375,7 +339,9 @@ class WorkerPoolBackend(ShardBackend):
     so :func:`~repro.federation.engine.drive_federation` runs on it unchanged.
     Shard ``i`` lives on worker ``i % workers``, which keeps any number of
     shards runnable on a fixed pool (the 64-shard demo on an 8-worker pool)
-    and spreads the lockstep load evenly for uniform shards.
+    and spreads the lockstep load evenly for uniform shards.  Constructing
+    one validates and allocates bookkeeping only; :meth:`start` (or ``with``)
+    spawns the workers, :meth:`close` ends them.
 
     With ``supervisor=None`` (the default) behavior is exactly the
     pre-supervision backend: no heartbeats, no checkpoints, no command log,
@@ -414,8 +380,16 @@ class WorkerPoolBackend(ShardBackend):
             )
         self.num_shards = num_shards
         self.workers = min(workers, num_shards)
+        for _, worker_index in kill_plan.kills if kill_plan is not None else ():
+            if not 0 <= worker_index < self.workers:
+                # _inject_kills would never fire: a chaos leg could "pass"
+                # without killing anything.
+                raise ConfigurationError(
+                    f"kill plan names worker {worker_index}, but the pool has "
+                    f"workers 0..{self.workers - 1}"
+                )
         self.collect_timeout_s = collect_timeout_s
-        self._factory = factory
+        self.factory = factory
         self._supervisor = supervisor
         self._kill_plan = kill_plan
         self._handshake_timeout_s = handshake_timeout_s
@@ -428,6 +402,7 @@ class WorkerPoolBackend(ShardBackend):
         self._phase: List[str] = ["spawn"] * self.workers
         self._last_beat: List[float] = [0.0] * self.workers
         self._restarts: List[int] = [0] * self.workers
+        self._started = False
         self._closed = False
         # Supervision state: per-shard checkpoint blobs (None = build fresh
         # from the factory), plus the global command log since the last
@@ -451,10 +426,16 @@ class WorkerPoolBackend(ShardBackend):
         # last advanced-to simulated time.
         self._recorder = recorder
         self._now = 0.0
+
+    def start(self) -> None:
+        """Spawn the workers and wait for their handshakes."""
+        if self._started:
+            raise ConfigurationError("a WorkerPoolBackend starts once; build one per run")
+        self._started = True
         try:
             for worker_index in range(self.workers):
                 self._spawn(worker_index, build=True)
-            self.round_duration = self._handshake(handshake_timeout_s)
+            self.round_duration = self._handshake(self._handshake_timeout_s)
         except BaseException:
             self.close()
             raise
@@ -472,7 +453,7 @@ class WorkerPoolBackend(ShardBackend):
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self._factory, self._owned[worker_index], build, heartbeat),
+            args=(child_conn, self.factory, self._owned[worker_index], build, heartbeat),
             name=f"federation-shard-worker-{worker_index}",
             daemon=True,
         )
@@ -556,7 +537,7 @@ class WorkerPoolBackend(ShardBackend):
             if deadline is not None and time.monotonic() > deadline:
                 raise RetryableWorkerError(
                     f"{self._describe(worker_index)} did not reply within "
-                    f"{timeout_s:.0f}s (collect timeout)"
+                    f"{timeout_s:g}s (collect timeout)"
                 )
             if (
                 cfg is not None
@@ -566,7 +547,7 @@ class WorkerPoolBackend(ShardBackend):
             ):
                 raise RetryableWorkerError(
                     f"{self._describe(worker_index)} went silent (no heartbeat "
-                    f"for {cfg.heartbeat_timeout_s:.0f}s)"
+                    f"for {cfg.heartbeat_timeout_s:g}s)"
                 )
         tag, payload = reply
         if tag == "error":
@@ -737,7 +718,7 @@ class WorkerPoolBackend(ShardBackend):
         for advance_index, worker_index in plan.kills:
             if advance_index != self._advance_index:
                 continue
-            if worker_index >= self.workers or worker_index in self._dead_workers:
+            if worker_index in self._dead_workers:
                 continue
             proc = self._procs[worker_index]
             if proc is not None and proc.pid is not None and proc.is_alive():
@@ -847,24 +828,13 @@ class WorkerPoolBackend(ShardBackend):
     def dead_shard_ids(self) -> frozenset:
         return frozenset(self._dead_shards)
 
-    def finish(self) -> List[SimulationResult]:
-        by_shard = self._gather(("finish",))
-        return [
-            by_shard[shard_id]
-            if shard_id in by_shard
-            else _empty_result(shard_id, self.round_duration)
-            for shard_id in range(self.num_shards)
-        ]
-
-    def finish_stats(self) -> List[ShardFinishStats]:
-        """Streaming drain: per-shard statistics reduced inside the workers."""
-        by_shard = self._gather(("finish_stats",))
-        return [
-            by_shard[shard_id]
-            if shard_id in by_shard
-            else _finish_stats(shard_id, _empty_result(shard_id, self.round_duration))
-            for shard_id in range(self.num_shards)
-        ]
+    def finish(self, reduce: Optional[Callable] = None) -> List:
+        by_shard = self._gather(("finish", reduce))
+        for shard_id in range(self.num_shards):
+            if shard_id not in by_shard:  # dead shard (degraded runs)
+                empty = _empty_result(shard_id, self.round_duration)
+                by_shard[shard_id] = empty if reduce is None else reduce(shard_id, empty)
+        return [by_shard[shard_id] for shard_id in range(self.num_shards)]
 
     def fault_stats(self) -> FaultStats:
         """Recovery counters of this run (federation half of the record)."""
@@ -898,253 +868,3 @@ class WorkerPoolBackend(ShardBackend):
         for conn in self._conns:
             if conn is not None:
                 conn.close()
-
-
-@dataclass
-class FederationStreamResult:
-    """Result of a streaming (memory-bounded) parallel federation run.
-
-    Unlike :class:`~repro.federation.engine.FederationResult` this never holds
-    job objects or round logs: per-shard statistics are reduced inside the
-    workers and only :class:`ShardFinishStats` crosses back.  Percentile
-    metrics therefore exist per shard but not pooled (percentiles are not
-    mergeable); the pooled numbers below are the exactly mergeable ones.
-    """
-
-    shard_stats: List[ShardFinishStats]
-    jobs_per_shard: List[int]
-    router_name: str
-    round_duration: float
-    total_jobs: int
-    wall_time_s: float
-    routing_time_s: float
-    advance_time_s: float
-    workers: int
-    #: Parent-process peak RSS at the end of the run, in MiB (the streaming
-    #: claim under test: independent of trace length).
-    peak_rss_mib: float = 0.0
-    #: Recovery counters when the run was supervised; None otherwise.
-    fault_stats: Optional[FaultStats] = None
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.shard_stats)
-
-    def total_rounds(self) -> int:
-        return sum(s.rounds for s in self.shard_stats)
-
-    def finished_jobs(self) -> int:
-        return sum(s.finished_jobs for s in self.shard_stats)
-
-    def avg_jct(self) -> float:
-        """Exact pooled mean JCT (count-weighted merge of per-shard means)."""
-        finished = self.finished_jobs()
-        if finished == 0:
-            return 0.0
-        weighted = sum(s.stats.avg_jct * s.finished_jobs for s in self.shard_stats)
-        return weighted / finished
-
-    def makespan(self) -> float:
-        """Upper bound on the pooled makespan: max over per-shard makespans."""
-        if not self.shard_stats:
-            return 0.0
-        return max(s.stats.makespan for s in self.shard_stats)
-
-    def as_dict(self) -> dict:
-        return {
-            "router": self.router_name,
-            "num_shards": self.num_shards,
-            "workers": self.workers,
-            "total_jobs": self.total_jobs,
-            "finished_jobs": self.finished_jobs(),
-            "jobs_per_shard": list(self.jobs_per_shard),
-            "total_rounds": self.total_rounds(),
-            "avg_jct": self.avg_jct(),
-            "makespan": self.makespan(),
-            "wall_time_s": self.wall_time_s,
-            "routing_time_s": self.routing_time_s,
-            "advance_time_s": self.advance_time_s,
-            "peak_rss_mib": self.peak_rss_mib,
-            "fault_stats": (
-                self.fault_stats.as_dict() if self.fault_stats is not None else None
-            ),
-            "shards": [
-                {
-                    "shard_id": s.shard_id,
-                    "rounds": s.rounds,
-                    "jobs": s.jobs,
-                    "finished_jobs": s.finished_jobs,
-                    "eviction_count": s.eviction_count,
-                    "preemption_count": s.preemption_count,
-                    "wall_time_s": s.wall_time_s,
-                    **{f"stats_{k}": v for k, v in s.stats.as_dict().items()},
-                }
-                for s in self.shard_stats
-            ],
-        }
-
-
-def _peak_rss_mib() -> float:
-    try:
-        import resource
-
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    except Exception:
-        return 0.0
-
-
-class ParallelFederationEngine:
-    """Drop-in parallel counterpart of :class:`FederationEngine`.
-
-    Takes the shard *recipe* (a picklable
-    :class:`~repro.federation.engine.UniformShardFactory`) rather than built
-    shards, because the shards are constructed inside the workers.  With
-    ``workers=1`` and no supervision, no processes are spawned at all: the
-    engine builds the shards in-process and delegates to the serial engine,
-    which the parallel path is bit-identical to by construction -- so
-    ``workers`` is purely a throughput knob.  Supervision (``supervisor``) or
-    fault injection (``kill_plan``) force the worker-pool path even for a
-    single worker: there is nothing to supervise in-process.
-    """
-
-    def __init__(
-        self,
-        factory: UniformShardFactory,
-        num_shards: int,
-        router: FederationRouter,
-        jobs: Iterable[Job],
-        tracked_job_ids: Optional[Sequence[int]] = None,
-        workers: Optional[int] = None,
-        mp_context: Optional[str] = None,
-        collect_timeout_s: Optional[float] = None,
-        supervisor: Optional[SupervisorConfig] = None,
-        kill_plan: Optional[WorkerKillPlan] = None,
-        recorder: Optional[TraceRecorder] = None,
-    ) -> None:
-        if num_shards < 1:
-            raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
-        self.recorder = recorder
-        self.factory = factory
-        self.num_shards = num_shards
-        self.router = router
-        self.workers = (
-            default_worker_count(num_shards) if workers is None else workers
-        )
-        if self.workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
-        self.mp_context = mp_context
-        self.collect_timeout_s = collect_timeout_s
-        self.supervisor = supervisor
-        self.kill_plan = kill_plan
-        self._jobs = jobs
-        self._tracked_job_ids = tracked_job_ids
-
-    # ------------------------------------------------------------------
-
-    def _make_backend(self) -> WorkerPoolBackend:
-        return WorkerPoolBackend(
-            self.factory,
-            self.num_shards,
-            self.workers,
-            self.mp_context,
-            collect_timeout_s=self.collect_timeout_s,
-            supervisor=self.supervisor,
-            kill_plan=self.kill_plan,
-            recorder=self.recorder,
-        )
-
-    def run(self) -> FederationResult:
-        """Route every gang, drain every shard, return the combined result.
-
-        Returns the same :class:`FederationResult` as the serial engine --
-        worker shard results cross back whole, so downstream summaries and
-        parity checks treat both engines interchangeably.
-        """
-        arrivals = sorted(self._jobs, key=lambda j: (j.arrival_time, j.job_id))
-        if not arrivals:
-            raise ConfigurationError("cannot federate an empty workload")
-        tracked = (
-            [job.job_id for job in arrivals]
-            if self._tracked_job_ids is None
-            else list(self._tracked_job_ids)
-        )
-        if self.workers == 1 and self.supervisor is None and self.kill_plan is None:
-            engine = FederationEngine(
-                shards=self.factory.build_all(self.num_shards),
-                router=self.router,
-                jobs=arrivals,
-                tracked_job_ids=tracked,
-                recorder=self.recorder,
-            )
-            result = engine.run()
-            result.workers = 1
-            return result
-        wall_start = time.perf_counter()
-        backend = self._make_backend()
-        try:
-            stats = drive_federation(
-                backend, self.router, arrivals, recorder=self.recorder
-            )
-            started = time.perf_counter()
-            shard_results = backend.finish()
-            advance_time = stats.advance_time_s + (time.perf_counter() - started)
-        finally:
-            backend.close()
-        return FederationResult(
-            shard_results=shard_results,
-            assignments=stats.assignments or {},
-            tracked_job_ids=tracked,
-            router_name=self.router.name,
-            round_duration=backend.round_duration,
-            wall_time_s=time.perf_counter() - wall_start,
-            routing_time_s=stats.routing_time_s,
-            advance_time_s=advance_time,
-            workers=backend.workers,
-            fault_stats=backend.fault_stats(),
-        )
-
-    def run_stream(self) -> FederationStreamResult:
-        """Memory-bounded run over a lazy, pre-sorted arrival stream.
-
-        ``jobs`` may be a generator ordered by ``(arrival_time, job_id)``
-        (enforced as the stream drains); the parent holds one lookahead job
-        and per-shard counters, never the trace, and workers reduce their
-        finished shards to :class:`ShardFinishStats` before replying -- this
-        is what makes 64-shard, 100k-job runs fit a bounded parent process.
-        Requires ``workers >= 2`` (a streaming run that fits one process has
-        no reason not to use :meth:`run`).  Under supervision the checkpoint
-        blobs add O(shard state) parent memory -- still independent of trace
-        length, since the command log truncates at every checkpoint.
-        """
-        if self.workers < 2:
-            raise ConfigurationError(
-                "run_stream needs workers >= 2; use run() for in-process runs"
-            )
-        wall_start = time.perf_counter()
-        backend = self._make_backend()
-        try:
-            stats = drive_federation(
-                backend,
-                self.router,
-                self._jobs,
-                record_assignments=False,
-                recorder=self.recorder,
-            )
-            started = time.perf_counter()
-            shard_stats = backend.finish_stats()
-            advance_time = stats.advance_time_s + (time.perf_counter() - started)
-        finally:
-            backend.close()
-        return FederationStreamResult(
-            shard_stats=shard_stats,
-            jobs_per_shard=stats.jobs_per_shard,
-            router_name=self.router.name,
-            round_duration=backend.round_duration,
-            total_jobs=stats.total_jobs,
-            wall_time_s=time.perf_counter() - wall_start,
-            routing_time_s=stats.routing_time_s,
-            advance_time_s=advance_time,
-            workers=backend.workers,
-            peak_rss_mib=_peak_rss_mib(),
-            fault_stats=backend.fault_stats(),
-        )

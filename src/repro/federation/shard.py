@@ -158,10 +158,9 @@ class ShardSimulator(Simulator):
     def view_summary(self) -> ShardViewSummary:
         """Routing digest of this shard at its current pause point.
 
-        Serial and parallel federation engines both feed routers exactly this
-        -- the serial engine reads it in-process, a parallel worker sends it
-        back over the pipe -- so routing inputs are bit-identical in both
-        modes.  At a pause the arrival queue is always empty (the preceding
+        Both federation backends feed routers exactly this -- the local one
+        reads it in-process, a pool worker sends it back over the pipe -- so
+        routing inputs are bit-identical in both modes.  At a pause the arrival queue is always empty (the preceding
         arrival round popped every previously routed gang), so the queue terms
         start at zero and the engine layers same-round gangs on via
         :meth:`ShardViewSummary.with_queued`.

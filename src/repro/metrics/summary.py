@@ -237,8 +237,8 @@ class FederationTiming:
     shard per lockstep step.  ``shard_busy_time_s`` is each shard's own
     in-loop execution time; its max/sum ratio bounds the achievable parallel
     speedup (the lockstep barrier waits for the slowest shard at every routing
-    event).  ``workers`` is the number of worker processes (0 = in-process
-    serial engine).
+    event).  ``workers`` is the number of worker processes (0 = shards ran
+    in the driver's process).
     """
 
     wall_time_s: float

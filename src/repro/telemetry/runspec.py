@@ -22,9 +22,9 @@ Three modes cover the repo's execution paths:
   (:class:`~repro.runtime.central_scheduler.CentralScheduler`; optimistic
   leases and deterministic overheads unless ``build()`` is handed a
   ``lease_protocol`` / ``overhead_model``), adding lease + rpc-faults events;
-* ``federation`` -- the serial federation engine, adding per-shard round
-  streams plus routing events; ``build(workers=N)`` is the same federation
-  on the multiprocess engine.
+* ``federation`` -- the federation engine over in-process shards, adding
+  per-shard round streams plus routing events; ``build(workers=N)`` is the
+  same federation with the shards in N worker processes.
 """
 
 from __future__ import annotations
@@ -39,6 +39,16 @@ if TYPE_CHECKING:  # a spec builds unrecorded runs too; those need neither
     from repro.telemetry.sinks import TraceSink
 
 MODES = ("core", "runtime", "federation")
+
+#: ``build()`` keywords that configure the federation worker pool
+#: (:class:`~repro.federation.parallel.WorkerPoolBackend`), not the shards.
+_POOL_KEYWORDS = (
+    "mp_context",
+    "handshake_timeout_s",
+    "collect_timeout_s",
+    "supervisor",
+    "kill_plan",
+)
 
 
 def _freeze(value):
@@ -170,17 +180,11 @@ class RunSpec:
             self.workload, self.num_jobs, self.jobs_per_hour, self.workload_params
         ).build(self.seed)
 
-    def cluster(self, num_nodes: Optional[int] = None):
-        """A fresh homogeneous V100 cluster (``num_nodes`` overrides the
-        spec's node count, e.g. for one federation shard)."""
+    def cluster(self):
+        """A fresh homogeneous V100 cluster."""
         from repro.cluster.builder import build_cluster
 
-        return build_cluster(
-            num_nodes=num_nodes if num_nodes is not None else self.num_nodes,
-            gpus_per_node=self.gpus_per_node,
-            gpu_type="v100",
-            network_bw_gbps=10.0,
-        )
+        return build_cluster(num_nodes=self.num_nodes, gpus_per_node=self.gpus_per_node)
 
     def build(
         self,
@@ -193,11 +197,13 @@ class RunSpec:
         ``sink`` turns recording on.  ``engine_kwargs`` reach the engine
         constructor (every shard's, in federation mode), so the stepping
         reference of any spec is ``spec.build(fast_forward=False)``.
-        ``workers`` (federation mode only) selects the multiprocess engine
-        with that many worker processes: keywords naming a
-        :class:`~repro.federation.engine.UniformShardFactory` field configure
-        the shards the workers build, the rest (``supervisor``, ``kill_plan``,
-        a lazy ``jobs`` stream, ...) reach the parallel engine.
+        ``workers`` (federation mode only) runs the same shards in that many
+        worker processes instead of in this one; only then may keywords name
+        a :class:`~repro.federation.parallel.WorkerPoolBackend` parameter
+        (``supervisor``, ``kill_plan``, ``collect_timeout_s``, ...).  On both
+        backends ``jobs`` / ``tracked_job_ids`` replace the spec's trace (a
+        lazy stream for ``run_stream()``) and ``cluster_manager_factory`` /
+        ``trace_dir`` are shard-recipe fields.
         """
         from repro.policies.admission import ADMISSION_POLICIES
         from repro.policies.placement import PLACEMENT_POLICIES
@@ -214,14 +220,23 @@ class RunSpec:
 
             return TraceRecorder(sink, source=source)
 
-        if workers is not None:
-            if self.mode != "federation":
-                raise TraceFormatError("build(workers=...) needs a federation-mode spec")
-            from repro.federation.engine import UniformShardFactory
-            from repro.federation.parallel import ParallelFederationEngine
+        if self.mode == "federation":
+            from repro.federation.engine import (
+                FederationEngine,
+                LocalShardBackend,
+                UniformShardFactory,
+            )
             from repro.federation.router import make_router
 
-            shard_fields = {f.name for f in fields(UniformShardFactory)}
+            def take(*names: str) -> Dict[str, object]:
+                return {k: engine_kwargs.pop(k) for k in names if k in engine_kwargs}
+
+            jobs = engine_kwargs.pop("jobs", None)
+            tracked = engine_kwargs.pop("tracked_job_ids", None)
+            if jobs is None:
+                trace = self.trace()
+                jobs, tracked = trace.fresh_jobs(), trace.tracked_ids()
+            pool_kwargs = take(*_POOL_KEYWORDS)
             factory = UniformShardFactory(
                 nodes_per_shard=self.num_nodes // self.shards,
                 scheduling_factory=scheduling,
@@ -229,48 +244,29 @@ class RunSpec:
                 admission_factory=admission,
                 gpus_per_node=self.gpus_per_node,
                 round_duration=self.round_duration,
-                **{k: engine_kwargs.pop(k) for k in shard_fields & engine_kwargs.keys()},
+                **take("cluster_manager_factory", "trace_dir"),
+                engine_kwargs=engine_kwargs,
             )
-            if "jobs" not in engine_kwargs:
-                trace = self.trace()
-                engine_kwargs.update(
-                    jobs=trace.fresh_jobs(), tracked_job_ids=trace.tracked_ids()
-                )
-            return ParallelFederationEngine(
-                factory=factory,
-                num_shards=self.shards,
-                router=make_router(self.router),
-                workers=workers,
-                recorder=recorder("federation"),
-                **engine_kwargs,
-            )
+            if workers is not None:
+                from repro.federation.parallel import WorkerPoolBackend
 
-        if self.mode == "federation":
-            from repro.federation.engine import FederationEngine
-            from repro.federation.router import make_router
-            from repro.federation.shard import ShardSimulator
-
-            shards = [
-                ShardSimulator(
-                    shard_id=shard_id,
-                    cluster_state=self.cluster(self.num_nodes // self.shards),
-                    scheduling_policy=scheduling(),
-                    placement_policy=placement(),
-                    admission_policy=admission(),
-                    round_duration=self.round_duration,
-                    recorder=recorder(f"shard{shard_id}"),
-                    **engine_kwargs,
+                backend = WorkerPoolBackend(
+                    factory, self.shards, workers, recorder=recorder("federation"), **pool_kwargs
                 )
-                for shard_id in range(self.shards)
-            ]
-            trace = self.trace()
+            elif pool_kwargs:
+                raise TraceFormatError(
+                    f"build() keywords {sorted(pool_kwargs)} configure the worker "
+                    "pool; pass workers= as well"
+                )
+            else:
+                backend = LocalShardBackend(
+                    [factory.build(i, recorder(f"shard{i}")) for i in range(self.shards)]
+                )
             return FederationEngine(
-                shards,
-                make_router(self.router),
-                trace.fresh_jobs(),
-                tracked_job_ids=trace.tracked_ids(),
-                recorder=recorder("federation"),
+                backend, make_router(self.router), jobs, tracked, recorder("federation")
             )
+        if workers is not None:
+            raise TraceFormatError("build(workers=...) needs a federation-mode spec")
 
         if self.scenario is not None:
             from repro.scenarios.registry import get_scenario

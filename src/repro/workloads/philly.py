@@ -137,7 +137,7 @@ class PhillyTraceGenerator:
 
         Identical RNG draw sequence to :meth:`generate` -- the two produce the
         same jobs bit-for-bit -- but O(1) memory: streaming federation runs
-        (``ParallelFederationEngine.run_stream``) consume million-job traces
+        (``FederationEngine.run_stream``) consume million-job traces
         through this without the parent process ever holding the trace.
         """
         rng = random.Random(self.seed)

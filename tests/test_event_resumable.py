@@ -5,7 +5,7 @@ the loop's pausability must match the stepping loop (``fast_forward=False``):
 
 * ``_advance_loop(stop_time)`` pause/resume on a plain simulator;
 * federation shards (``run_until``/``submit``/``finish`` driven by the
-  serial engine);
+  engine over a ``LocalShardBackend``);
 * the deployment path (:class:`CentralScheduler` composes the simulator);
 * trace record -> replay -> diff round-trips, including headers recorded
   while the spec still carried an ``engine`` field.
@@ -16,7 +16,7 @@ import json
 import pytest
 
 from repro.cluster.builder import build_cluster
-from repro.federation.engine import FederationEngine, UniformShardFactory
+from repro.federation.engine import FederationEngine, LocalShardBackend, UniformShardFactory
 from repro.federation.router import make_router
 from repro.policies.placement.consolidated import ConsolidatedPlacement
 from repro.policies.scheduling import FifoScheduling, SrtfScheduling, TiresiasScheduling
@@ -107,10 +107,10 @@ def _run_federation(fast_forward, scheduling=FifoScheduling, router_name="round-
         scheduling,
         ConsolidatedPlacement,
         round_duration=ROUND,
-        fast_forward=fast_forward,
+        engine_kwargs={"fast_forward": fast_forward},
     ).build_all(2)
     engine = FederationEngine(
-        shards,
+        LocalShardBackend(shards),
         make_router(router_name),
         trace.fresh_jobs(),
         tracked_job_ids=trace.tracked_ids(),

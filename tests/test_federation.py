@@ -28,6 +28,7 @@ from repro.federation import (
     FederationRouter,
     GpuTypeAffinityRouter,
     LeastLoadedRouter,
+    LocalShardBackend,
     QueueDelayRouter,
     RoundRobinRouter,
     ShardSimulator,
@@ -59,11 +60,14 @@ def make_federation(num_shards, router, trace, fast_forward=True, nodes_per_shar
         scheduling,
         ConsolidatedPlacement,
         round_duration=ROUND,
-        fast_forward=fast_forward,
         cluster_manager_factory=cluster_manager_factory,
+        engine_kwargs={"fast_forward": fast_forward},
     ).build_all(num_shards)
     engine = FederationEngine(
-        shards, router, trace.fresh_jobs(), tracked_job_ids=trace.tracked_ids()
+        LocalShardBackend(shards),
+        router,
+        trace.fresh_jobs(),
+        tracked_job_ids=trace.tracked_ids(),
     )
     return engine, shards
 
@@ -208,7 +212,7 @@ def test_infeasible_gang_raises():
     # 2 nodes x 4 GPUs per shard = 8 GPUs; a 16-GPU gang fits nowhere.
     jobs = [Job(arrival_time=0.0, num_gpus=16, duration=3600.0, job_id=1)]
     shards = UniformShardFactory(2, FifoScheduling, round_duration=ROUND).build_all(2)
-    engine = FederationEngine(shards, RoundRobinRouter(), jobs)
+    engine = FederationEngine(LocalShardBackend(shards), RoundRobinRouter(), jobs)
     with pytest.raises(SimulationError, match="no feasible routing"):
         engine.run()
 
@@ -235,7 +239,7 @@ def test_oversized_gangs_skip_small_shards():
             round_duration=ROUND,
         ),
     ]
-    result = FederationEngine(shards, RoundRobinRouter(), jobs).run()
+    result = FederationEngine(LocalShardBackend(shards), RoundRobinRouter(), jobs).run()
     assert result.assignments[1] == 0
     assert result.assignments[2] == 0
 
@@ -244,7 +248,7 @@ def test_engine_rejects_misnumbered_shards():
     shards = UniformShardFactory(2, FifoScheduling, round_duration=ROUND).build_all(2)
     shards[1].shard_id = 7
     with pytest.raises(ConfigurationError, match="shard ids must equal"):
-        FederationEngine(shards, RoundRobinRouter(), small_trace(num_jobs=5).fresh_jobs())
+        LocalShardBackend(shards)
 
 
 def test_engine_rejects_mixed_round_durations():
@@ -263,19 +267,19 @@ def test_engine_rejects_mixed_round_durations():
         ),
     ]
     with pytest.raises(ConfigurationError, match="round_duration"):
-        FederationEngine(shards, RoundRobinRouter(), small_trace(num_jobs=5).fresh_jobs())
+        LocalShardBackend(shards)
 
 
 def test_engine_rejects_empty_workload():
     shards = UniformShardFactory(2, FifoScheduling, round_duration=ROUND).build_all(1)
     with pytest.raises(ConfigurationError, match="empty workload"):
-        FederationEngine(shards, RoundRobinRouter(), [])
+        FederationEngine(LocalShardBackend(shards), RoundRobinRouter(), []).run()
 
 
 def test_submit_after_finish_raises():
     jobs = [Job(arrival_time=0.0, num_gpus=1, duration=600.0, job_id=1)]
     shards = UniformShardFactory(1, FifoScheduling, round_duration=ROUND).build_all(1)
-    FederationEngine(shards, RoundRobinRouter(), jobs).run()
+    FederationEngine(LocalShardBackend(shards), RoundRobinRouter(), jobs).run()
     with pytest.raises(SimulationError, match="draining"):
         shards[0].submit(Job(arrival_time=0.0, num_gpus=1, duration=600.0, job_id=2))
 

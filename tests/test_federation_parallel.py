@@ -2,8 +2,9 @@
 
 The contracts under test:
 
-* a :class:`ParallelFederationEngine` run is **bit-identical** to the serial
-  :class:`FederationEngine` on the same factory/trace -- assignments,
+* a :class:`FederationEngine` on a :class:`WorkerPoolBackend` is
+  **bit-identical** to the same engine on a :class:`LocalShardBackend` for the
+  same factory/trace -- assignments,
   per-shard completion times, round logs and round counts -- for every stock
   router, including under per-shard failure-storm scenario timelines (worker
   processes are an execution detail, never a semantic one);
@@ -13,11 +14,13 @@ The contracts under test:
   pickle boundary intact;
 * a worker that dies mid-run surfaces as a clean ``SimulationError`` in the
   parent -- no hang, no partial result;
-* ``workers=1`` degenerates to the serial engine without spawning processes;
+* building an engine spawns nothing, ``workers=1`` is a real one-process pool,
+  and a run that raises leaves no child process behind;
 * streaming mode (``run_stream``) conserves jobs and reproduces the pooled
-  statistics of the equivalent in-memory run.
+  statistics of the equivalent in-memory run, on either backend.
 """
 
+import multiprocessing
 import os
 import pickle
 
@@ -30,9 +33,9 @@ from repro.core.job_state import JobState
 from repro.federation import (
     FederationEngine,
     LocalShardBackend,
-    ParallelFederationEngine,
     ScenarioManagerFactory,
     UniformShardFactory,
+    WorkerPoolBackend,
     drive_federation,
     make_router,
     router_names,
@@ -41,6 +44,9 @@ from repro.metrics.parity import schedule_diff
 from repro.policies.placement.consolidated import ConsolidatedPlacement
 from repro.policies.scheduling import FifoScheduling, SrtfScheduling
 from repro.scenarios.registry import get_scenario
+from repro.simulator.overheads import OverheadModel
+from repro.telemetry.events import TraceFormatError
+from repro.telemetry.runspec import RunSpec
 from repro.workloads.philly import PhillyTraceGenerator, generate_philly_trace
 
 ROUND = 300.0
@@ -61,27 +67,19 @@ def bench_factory(nodes_per_shard=4, scheduling=FifoScheduling,
     )
 
 
+def make_engine(backend, router_name, jobs, tracked_job_ids=None):
+    """The one engine; only the backend differs between serial and parallel."""
+    return FederationEngine(backend, make_router(router_name), jobs, tracked_job_ids)
+
+
 def run_serial(factory, num_shards, router_name, trace):
-    engine = FederationEngine(
-        factory.build_all(num_shards),
-        make_router(router_name),
-        trace.fresh_jobs(),
-        tracked_job_ids=trace.tracked_ids(),
-    )
-    return engine.run()
+    backend = LocalShardBackend(factory.build_all(num_shards))
+    return make_engine(backend, router_name, trace.fresh_jobs(), trace.tracked_ids()).run()
 
 
 def run_parallel(factory, num_shards, router_name, trace, workers=2, **kwargs):
-    engine = ParallelFederationEngine(
-        factory=factory,
-        num_shards=num_shards,
-        router=make_router(router_name),
-        jobs=trace.fresh_jobs(),
-        tracked_job_ids=trace.tracked_ids(),
-        workers=workers,
-        **kwargs,
-    )
-    return engine.run()
+    backend = WorkerPoolBackend(factory, num_shards, workers, **kwargs)
+    return make_engine(backend, router_name, trace.fresh_jobs(), trace.tracked_ids()).run()
 
 
 # ----------------------------------------------------------------------
@@ -154,23 +152,75 @@ def test_parallel_timing_breakdown_populated():
 
 
 # ----------------------------------------------------------------------
-# workers=1 degenerates to the serial path
+# Process lifecycle: building spawns nothing, one worker is a real pool
 # ----------------------------------------------------------------------
 
+SPEC = RunSpec(mode="federation", num_jobs=20, num_nodes=8, shards=2, seed=5)
 
-def test_workers_one_uses_serial_engine(monkeypatch):
-    import repro.federation.parallel as parallel_mod
 
-    def forbid(*args, **kwargs):
-        raise AssertionError("workers=1 must not build a worker pool")
+def test_workers_one_runs_one_worker_process(monkeypatch):
+    spawned = []
+    spawn = WorkerPoolBackend._spawn
 
-    monkeypatch.setattr(parallel_mod, "WorkerPoolBackend", forbid)
-    trace = small_trace(num_jobs=15, seed=2)
-    factory = bench_factory()
-    serial = run_serial(factory, 2, "queue-delay", trace)
-    degenerate = run_parallel(factory, 2, "queue-delay", trace, workers=1)
-    assert schedule_diff(serial, degenerate).identical
-    assert degenerate.workers == 1
+    def counting_spawn(self, worker_index, build):
+        spawned.append(worker_index)
+        return spawn(self, worker_index, build)
+
+    monkeypatch.setattr(WorkerPoolBackend, "_spawn", counting_spawn)
+    single = SPEC.build(workers=1).run()
+    assert spawned == [0]
+    assert single.workers == 1
+    assert schedule_diff(SPEC.build().run(), single).identical
+
+
+def test_building_an_engine_starts_no_process():
+    engine = SPEC.build(workers=2)
+    assert multiprocessing.active_children() == []
+    # ... so a pooled run's wall time covers spawn and handshake.
+    assert engine.run().wall_time_s > 0
+    assert multiprocessing.active_children() == []
+
+
+class ExplodingRouter:
+    name = "exploding"
+
+    def route(self, job, summaries):
+        raise RuntimeError("router blew up mid-drive")
+
+
+def test_failed_drive_leaves_no_child_alive():
+    engine = SPEC.build(workers=2)
+    engine.router = ExplodingRouter()
+    with pytest.raises(RuntimeError, match="mid-drive"):
+        engine.run()
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_pool_starts_once():
+    backend = WorkerPoolBackend(bench_factory(), num_shards=2, workers=2)
+    with backend:
+        pass
+    with pytest.raises(ConfigurationError, match="starts once"):
+        backend.start()
+
+
+def test_build_kwargs_reach_every_shard_on_both_backends():
+    # One shard recipe: any engine keyword the in-process shards take, the
+    # shards a worker builds take too.
+    default = SPEC.build().run()
+    for model in (OverheadModel(), OverheadModel(scale=0.0)):
+        serial = SPEC.build(overhead_model=model).run()
+        pooled = SPEC.build(workers=2, overhead_model=model).run()
+        diff = schedule_diff(serial, pooled)
+        assert diff.identical, diff.first_divergence
+        # Free launches change the schedule: the keyword is not just tolerated.
+        assert schedule_diff(default, serial).identical == (model.scale == 1.0)
+
+
+def test_pool_keywords_need_workers():
+    with pytest.raises(TraceFormatError, match="collect_timeout_s.*workers="):
+        SPEC.build(collect_timeout_s=1.0)
+    assert SPEC.build(workers=2, collect_timeout_s=1.0).backend.collect_timeout_s == 1.0
 
 
 # ----------------------------------------------------------------------
@@ -298,19 +348,11 @@ def test_shard_view_summary_pickles_and_with_queued():
 def test_run_stream_conserves_jobs_and_stats():
     generator = PhillyTraceGenerator(num_jobs=30, jobs_per_hour=6.0, seed=7)
     factory = bench_factory()
-    reference = ParallelFederationEngine(
-        factory=factory,
-        num_shards=2,
-        router=make_router("round-robin"),
-        jobs=generator.generate().fresh_jobs(),
-        workers=2,
+    reference = make_engine(
+        WorkerPoolBackend(factory, 2, 2), "round-robin", generator.generate().fresh_jobs()
     ).run()
-    stream = ParallelFederationEngine(
-        factory=factory,
-        num_shards=2,
-        router=make_router("round-robin"),
-        jobs=generator.iter_jobs(),
-        workers=2,
+    stream = make_engine(
+        WorkerPoolBackend(factory, 2, 2), "round-robin", generator.iter_jobs()
     ).run_stream()
     assert stream.total_jobs == 30
     assert stream.jobs_per_shard == reference.jobs_per_shard()
@@ -320,17 +362,22 @@ def test_run_stream_conserves_jobs_and_stats():
     assert stream.peak_rss_mib > 0
 
 
-def test_run_stream_requires_two_workers():
+def test_run_stream_in_process_matches_pooled_stream():
+    # The drain reduces each result where the shard lives, on either backend.
+    generator = PhillyTraceGenerator(num_jobs=30, jobs_per_hour=6.0, seed=7)
     factory = bench_factory()
-    engine = ParallelFederationEngine(
-        factory=factory,
-        num_shards=2,
-        router=make_router("round-robin"),
-        jobs=iter([]),
-        workers=1,
-    )
-    with pytest.raises(ConfigurationError, match="workers >= 2"):
-        engine.run_stream()
+    local = make_engine(
+        LocalShardBackend(factory.build_all(2)), "queue-delay", generator.iter_jobs()
+    ).run_stream()
+    pooled = make_engine(
+        WorkerPoolBackend(factory, 2, 2), "queue-delay", generator.iter_jobs()
+    ).run_stream()
+    assert (local.workers, pooled.workers) == (0, 2)
+    assert local.fault_stats is None
+    assert local.jobs_per_shard == pooled.jobs_per_shard
+    assert local.finished_jobs() == pooled.finished_jobs() == 30
+    assert local.avg_jct() == pooled.avg_jct()
+    assert local.total_rounds() == pooled.total_rounds()
 
 
 def test_drive_federation_rejects_unsorted_stream():

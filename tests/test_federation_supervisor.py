@@ -20,13 +20,13 @@ from repro.federation import (
     FatalWorkerError,
     FederationEngine,
     FederationWorkerError,
-    ParallelFederationEngine,
+    LocalShardBackend,
     RetryableWorkerError,
     SupervisorConfig,
     UniformShardFactory,
     WorkerKillPlan,
+    WorkerPoolBackend,
 )
-from repro.federation.parallel import WorkerPoolBackend
 from repro.federation.router import make_router
 from repro.metrics.parity import schedule_diff
 from repro.policies.placement.consolidated import ConsolidatedPlacement
@@ -51,25 +51,22 @@ def bench_factory(nodes_per_shard=4):
     )
 
 
-def run_serial(trace, num_shards=2):
+def run_on(backend, trace):
+    """The one engine; serial and supervised runs differ in the backend only."""
     return FederationEngine(
-        bench_factory().build_all(num_shards),
+        backend,
         make_router("queue-delay"),
         trace.fresh_jobs(),
         tracked_job_ids=trace.tracked_ids(),
     ).run()
 
 
+def run_serial(trace, num_shards=2):
+    return run_on(LocalShardBackend(bench_factory().build_all(num_shards)), trace)
+
+
 def run_supervised(trace, num_shards=2, workers=2, **kwargs):
-    return ParallelFederationEngine(
-        factory=bench_factory(),
-        num_shards=num_shards,
-        router=make_router("queue-delay"),
-        jobs=trace.fresh_jobs(),
-        tracked_job_ids=trace.tracked_ids(),
-        workers=workers,
-        **kwargs,
-    ).run()
+    return run_on(WorkerPoolBackend(bench_factory(), num_shards, workers, **kwargs), trace)
 
 
 def supervisor(**overrides):
@@ -137,10 +134,9 @@ def _first_boundary(trace):
 
 
 def test_hung_worker_unsupervised_raises_with_context():
-    backend = WorkerPoolBackend(
+    with WorkerPoolBackend(
         bench_factory(), num_shards=2, workers=2, collect_timeout_s=0.5
-    )
-    try:
+    ) as backend:
         backend._conns[0].send(("hang", 30.0))
         with pytest.raises(RetryableWorkerError, match="collect timeout") as excinfo:
             backend.advance(ROUND)
@@ -148,53 +144,44 @@ def test_hung_worker_unsupervised_raises_with_context():
         assert "shards [0]" in message
         assert "pid" in message
         assert "phase" in message
-    finally:
-        backend.close()
+        # The bound is reported as configured, not rounded to "0s".
+        assert "did not reply within 0.5s" in message
 
 
 def test_hung_worker_supervised_recovers():
-    backend = WorkerPoolBackend(
+    with WorkerPoolBackend(
         bench_factory(),
         num_shards=2,
         workers=2,
         collect_timeout_s=0.5,
         supervisor=supervisor(),
-    )
-    try:
+    ) as backend:
         backend._conns[0].send(("hang", 30.0))
         summaries = backend.advance(ROUND)
         assert len(summaries) == 2
         assert backend.fault_stats().worker_restarts == 1
-    finally:
-        backend.close()
 
 
 def test_silent_worker_detected_by_heartbeat_timeout():
-    backend = WorkerPoolBackend(
+    with WorkerPoolBackend(
         bench_factory(),
         num_shards=2,
         workers=2,
         supervisor=supervisor(
             heartbeat_interval_s=0.05, heartbeat_timeout_s=0.5
         ),
-    )
-    try:
+    ) as backend:
         os.kill(backend._procs[0].pid, signal.SIGSTOP)
         summaries = backend.advance(ROUND)
         assert len(summaries) == 2
         assert backend.fault_stats().worker_restarts == 1
-    finally:
-        backend.close()
 
 
 def test_unsupervised_kill_keeps_historical_error_shape():
-    backend = WorkerPoolBackend(bench_factory(), num_shards=2, workers=2)
-    try:
+    with WorkerPoolBackend(bench_factory(), num_shards=2, workers=2) as backend:
         os.kill(backend._procs[1].pid, signal.SIGKILL)
         with pytest.raises(SimulationError, match="died|closed its pipe"):
             backend.advance(ROUND)
-    finally:
-        backend.close()
 
 
 # ----------------------------------------------------------------------
@@ -206,13 +193,12 @@ def test_submit_to_freshly_killed_worker_is_not_lost():
     trace = small_trace(num_jobs=4)
     jobs = trace.fresh_jobs()
     first = jobs[0]
-    backend = WorkerPoolBackend(
+    with WorkerPoolBackend(
         bench_factory(),
         num_shards=2,
         workers=2,
         supervisor=supervisor(checkpoint_interval=1000),
-    )
-    try:
+    ) as backend:
         backend.advance(first.arrival_time)
         backend.submit(0, first)
         os.kill(backend._procs[0].pid, signal.SIGKILL)
@@ -222,8 +208,6 @@ def test_submit_to_freshly_killed_worker_is_not_lost():
         results = backend.finish()
         assert first.job_id in {j.job_id for j in results[0].jobs}
         assert backend.fault_stats().worker_restarts == 1
-    finally:
-        backend.close()
 
 
 # ----------------------------------------------------------------------
@@ -276,6 +260,30 @@ def test_supervisor_config_validation():
         SupervisorConfig(max_restarts=-1)
     with pytest.raises(ConfigurationError):
         WorkerKillPlan(kills=((0, 0),), when="sometime")
+    for bad in (
+        dict(checkpoint_interval=-1),
+        dict(heartbeat_interval_s=0.0),  # a busy-looping heartbeat thread
+        dict(heartbeat_timeout_s=0.0),
+        dict(backoff_base_s=-0.1),  # time.sleep would raise mid-recovery
+        dict(backoff_max_s=-1.0),
+    ):
+        with pytest.raises(ConfigurationError, match=next(iter(bad))):
+            SupervisorConfig(**bad)
+    SupervisorConfig(checkpoint_interval=0, heartbeat_timeout_s=None, backoff_base_s=0.0)
+
+
+@pytest.mark.parametrize("worker_index", [-1, 2, 5])
+def test_kill_plan_must_name_a_pool_worker(worker_index):
+    # 2 shards cap the pool at min(workers, num_shards) = 2 workers: an entry
+    # for any other index would never fire, and a chaos leg would pass without a kill.
+    with pytest.raises(ConfigurationError, match=f"worker {worker_index}"):
+        WorkerPoolBackend(
+            bench_factory(),
+            num_shards=2,
+            workers=4,
+            supervisor=supervisor(),
+            kill_plan=WorkerKillPlan(kills=((1, 0), (2, worker_index))),
+        )
 
 
 def test_collect_timeout_validation():

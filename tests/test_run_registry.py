@@ -13,6 +13,7 @@
 """
 
 import dataclasses
+import inspect
 import json
 from types import SimpleNamespace
 
@@ -26,7 +27,7 @@ from repro.core.abstractions import (
     PlacementPolicy,
     SchedulingPolicy,
 )
-from repro.federation.parallel import ParallelFederationEngine
+from repro.federation import FederationEngine, WorkerPoolBackend
 from repro.metrics.parity import MISMATCH_LIMIT, schedule_diff
 from repro.policies.admission import ADMISSION_POLICIES
 from repro.policies.placement import PLACEMENT_POLICIES
@@ -35,7 +36,7 @@ from repro.telemetry.diff import diff_streams
 from repro.runtime import CentralLeaseManager, OptimisticLeaseManager
 from repro.simulator.overheads import ClusterOverheadModel, OverheadModel
 from repro.telemetry.events import NONDETERMINISTIC_KINDS, TraceFormatError
-from repro.telemetry.runspec import MODES, RunSpec, run_recorded
+from repro.telemetry.runspec import _POOL_KEYWORDS, MODES, RunSpec, run_recorded
 from repro.telemetry.sinks import RingBufferSink
 from repro.workloads import WORKLOAD_GENERATORS
 
@@ -160,8 +161,8 @@ def test_every_admission_records_and_replays(admission, mode):
     # ... and the named policy is what every build() branch hands its engine.
     engine = spec.build()
     if mode == "federation":
-        built = [shard.admission_policy for shard in engine.shards]
-        built.append(spec.build(workers=1).factory.admission_factory())
+        built = [shard.admission_policy for shard in engine.backend.shards]
+        built.append(spec.build(workers=1).backend.factory.admission_factory())
     else:
         built = [getattr(engine, "_simulator", engine).admission_policy]
     assert [policy.name for policy in built] == [admission] * len(built)
@@ -254,9 +255,15 @@ def test_build_refuses_to_replace_a_callers_cluster_manager():
 def test_build_workers_returns_the_multiprocess_federation():
     spec = RunSpec(mode="federation", num_jobs=20, num_nodes=8, shards=2)
     engine = spec.build(workers=2, fast_forward=False, collect_timeout_s=60.0)
-    assert isinstance(engine, ParallelFederationEngine)
-    # Shard-recipe keywords configure the shards, the rest the engine.
-    assert engine.factory.fast_forward is False and engine.collect_timeout_s == 60.0
+    assert isinstance(engine, FederationEngine)
+    backend = engine.backend
+    assert isinstance(backend, WorkerPoolBackend)
+    # Pool keywords configure the pool, the rest every shard the workers build.
+    assert backend.collect_timeout_s == 60.0
+    assert backend.factory.engine_kwargs == {"fast_forward": False}
+    # build()'s pool-keyword list is every pool parameter it does not set itself.
+    pool_params = set(inspect.signature(WorkerPoolBackend).parameters)
+    assert set(_POOL_KEYWORDS) == pool_params - {"factory", "num_shards", "workers", "recorder"}
     parallel = engine.run()
     assert parallel.workers == 2
     diff = schedule_diff(spec.build().run(), parallel)

@@ -27,8 +27,9 @@ from repro.core.exceptions import ConfigurationError
 from repro.dashboard import DashboardAggregator, percentile
 from repro.federation import (
     FederationEngine,
-    ParallelFederationEngine,
+    LocalShardBackend,
     UniformShardFactory,
+    WorkerPoolBackend,
     make_router,
 )
 from repro.policies.placement.consolidated import ConsolidatedPlacement
@@ -233,23 +234,17 @@ def test_parallel_shard_traces_deterministic(tmp_path, start_method):
             round_duration=ROUND,
             trace_dir=str(tmp_path / mode_dir),
         )
-        if parallel:
-            ParallelFederationEngine(
-                factory=factory,
-                num_shards=2,
-                router=make_router("round-robin"),
-                jobs=trace.fresh_jobs(),
-                tracked_job_ids=trace.tracked_ids(),
-                workers=2,
-                mp_context=start_method,
-            ).run()
-        else:
-            FederationEngine(
-                factory.build_all(2),
-                make_router("round-robin"),
-                trace.fresh_jobs(),
-                tracked_job_ids=trace.tracked_ids(),
-            ).run()
+        backend = (
+            WorkerPoolBackend(factory, 2, 2, mp_context=start_method)
+            if parallel
+            else LocalShardBackend(factory.build_all(2))
+        )
+        FederationEngine(
+            backend,
+            make_router("round-robin"),
+            trace.fresh_jobs(),
+            tracked_job_ids=trace.tracked_ids(),
+        ).run()
 
     run("serial", parallel=False)
     run("parallel", parallel=True)
