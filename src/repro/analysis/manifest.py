@@ -103,6 +103,13 @@ HOT_PATH_FUNCTIONS: FrozenSet[str] = frozenset(
         # round-record choke point, so telemetry emission belongs there.
         "repro/simulator/event_core.py::EventCore._completion_event_round",
         "repro/simulator/event_core.py::EventCore._rounds_until",
+        # A full round's schedule -> place path: the priority stream, the
+        # elastic water-fills and the placement walk that pulls from them.
+        "repro/policies/scheduling/priority_index.py::RunnablePriorityIndex.ordered",
+        "repro/policies/scheduling/priority_index.py::RunnablePriorityIndex.gang_entries",
+        "repro/policies/scheduling/pollux.py::PolluxScheduling.schedule",
+        "repro/policies/scheduling/optimus.py::OptimusScheduling.schedule",
+        "repro/policies/placement/base.py::BasePlacementPolicy.place",
     }
 )
 

@@ -21,7 +21,7 @@ these interfaces, which is what makes policies reusable across both paths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.cluster_state import ClusterState
 from repro.core.job import Job
@@ -122,6 +122,15 @@ class AdmissionPolicy:
 class SchedulingPolicy:
     """Orders runnable jobs by priority and decides their GPU demand for the round.
 
+    ``schedule`` returns the priority list as any iterable of
+    :class:`ScheduleEntry` -- a list, or a lazy stream, which the stock gang
+    policies return so that a round costs what placement reads rather than
+    the backlog's length.  The caller reads it at most once, in the same
+    round, before any job's status or allocation changes; it may stop
+    early.  So anything the policy must do every round (index upkeep,
+    promotions, metric writes) happens when ``schedule`` is called, not as
+    the stream is read.
+
     Progress (``work_done``, ``attained_service``, ``pending_overhead``) is
     current on every job when ``schedule`` runs.  The five application metrics
     the execution model derives from it (``job.metrics["loss" | "progress" |
@@ -150,7 +159,7 @@ class SchedulingPolicy:
     #: (FIFO, SRTF, LAS) opt in.
     steady_state_safe = False
 
-    def schedule(self, job_state: JobState, cluster_state: ClusterState) -> List[ScheduleEntry]:
+    def schedule(self, job_state: JobState, cluster_state: ClusterState) -> Iterable[ScheduleEntry]:
         raise NotImplementedError
 
     def next_policy_event_time(
@@ -164,7 +173,7 @@ class SchedulingPolicy:
         The contract: assuming no *external* event occurs in the meantime --
         no arrival, completion, admission release or cluster membership change
         -- the policy guarantees that every ``schedule()`` call at a time
-        strictly before the returned value produces exactly the list it
+        strictly before the returned value produces exactly the entries it
         produced this round.  The simulator uses this (together with the
         observation that applying an unchanged schedule to unchanged state is
         a no-op) to fast-forward elastic and discretised policies through
@@ -184,7 +193,13 @@ class SchedulingPolicy:
 
 
 class PlacementPolicy:
-    """Maps the priority list to concrete GPUs and decides which jobs to suspend."""
+    """Maps the priority list to concrete GPUs and decides which jobs to suspend.
+
+    ``place`` receives what :meth:`SchedulingPolicy.schedule` returned this
+    round: an iterable it may read once, in priority order, and stop reading
+    whenever the rest cannot change the decision.  It must finish reading
+    before it changes any job or cluster state.
+    """
 
     name = "placement"
 
@@ -197,7 +212,7 @@ class PlacementPolicy:
 
     def place(
         self,
-        schedule: Sequence[ScheduleEntry],
+        schedule: Iterable[ScheduleEntry],
         cluster_state: ClusterState,
         job_state: JobState,
     ) -> PlacementDecision:

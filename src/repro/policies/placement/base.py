@@ -12,7 +12,7 @@ placement.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.cluster.node import GPU
 from repro.core.abstractions import PlacementDecision, PlacementPolicy, ScheduleEntry
@@ -101,9 +101,10 @@ class BasePlacementPolicy(PlacementPolicy):
 
     The placement proceeds in three steps:
 
-    1. *Selection*: walk the priority list and select jobs while GPUs remain
+    1. *Selection*: pull from the schedule and select jobs while GPUs remain
        (the scheduling policy controls ordering and may itself truncate the
-       list, e.g. strict FIFO).
+       stream, e.g. strict FIFO).  The schedule is read once and only as far
+       as the healthy GPUs last; nothing is mutated before the walk ends.
     2. *Suspension*: running jobs that were not selected, or whose GPU demand
        changed, are suspended; their GPUs become available.
     3. *Allocation*: selected jobs that are not already running with the right
@@ -126,7 +127,7 @@ class BasePlacementPolicy(PlacementPolicy):
 
     def place(
         self,
-        schedule: Sequence[ScheduleEntry],
+        schedule: Iterable[ScheduleEntry],
         cluster_state: ClusterState,
         job_state: JobState,
     ) -> PlacementDecision:
@@ -135,7 +136,8 @@ class BasePlacementPolicy(PlacementPolicy):
         for entry in schedule:
             if remaining == 0:
                 # Every later entry demands at least one GPU (or is skipped),
-                # so the rest of the list cannot change the decision.
+                # so the rest of the stream cannot change the decision and
+                # is never pulled.
                 break
             demand = entry.gpu_demand
             if demand <= 0 or entry.job_id in selected:

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterator, Optional
 
 from repro.core.abstractions import ScheduleEntry, SchedulingPolicy
 from repro.core.cluster_state import ClusterState
+from repro.core.job import Job
 from repro.core.job_state import JobState
 from repro.policies.scheduling.priority_index import RunnablePriorityIndex, arrival_key
 
@@ -47,16 +48,19 @@ class FifoScheduling(SchedulingPolicy):
         # it can only change on external events.
         return None
 
-    def schedule(self, job_state: JobState, cluster_state: ClusterState) -> List[ScheduleEntry]:
+    def schedule(self, job_state: JobState, cluster_state: ClusterState) -> Iterator[ScheduleEntry]:
         self._index.bind(job_state)
         ordered = self._index.ordered(running_key=arrival_key)
         if self.hol_blocking:
-            # Strict head-of-line blocking: the list ends at the first job
-            # whose gang does not fit what the jobs before it leave.
-            remaining = cluster_state.healthy_gpus()
-            for count, job in enumerate(ordered):
-                if job.num_gpus > remaining:
-                    del ordered[count:]
-                    break
-                remaining -= job.num_gpus
+            ordered = _head_of_line(ordered, cluster_state.healthy_gpus())
         return self._index.gang_entries(ordered)
+
+
+def _head_of_line(ordered: Iterator[Job], remaining: int) -> Iterator[Job]:
+    """Strict head-of-line blocking: the stream ends at the first job whose
+    gang does not fit what the jobs before it leave."""
+    for job in ordered:
+        if job.num_gpus > remaining:
+            return
+        remaining -= job.num_gpus
+        yield job

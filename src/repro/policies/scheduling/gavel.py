@@ -24,7 +24,7 @@ so only the running tier is re-sorted each round.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, Iterator, Optional
 
 from repro.core.abstractions import ScheduleEntry, SchedulingPolicy
 from repro.core.cluster_state import ClusterState
@@ -55,8 +55,9 @@ class GavelScheduling(SchedulingPolicy):
 
     def _on_transition(self, job: Job, old) -> None:
         # old=None means the job was (re)tracked: a replacement object may
-        # carry different per-type throughputs, so its memoized type must go.
-        if old is None:
+        # carry different per-type throughputs, so its memoized type must go;
+        # a finished job's goes with it (nothing outlives its job).
+        if old is None or job.is_finished:
             self._best_type_by_job.pop(job.job_id, None)
 
     @staticmethod
@@ -140,7 +141,7 @@ class GavelScheduling(SchedulingPolicy):
 
     # ------------------------------------------------------------------
 
-    def schedule(self, job_state: JobState, cluster_state: ClusterState) -> List[ScheduleEntry]:
+    def schedule(self, job_state: JobState, cluster_state: ClusterState) -> Iterator[ScheduleEntry]:
         self._index.bind(job_state)
         self._refresh_present_types(cluster_state)
 
@@ -152,12 +153,8 @@ class GavelScheduling(SchedulingPolicy):
                 type_name = self._cached_best_type(job) or "v100"
             return self._priority_key(job, type_name)
 
-        ordered = self._index.ordered(running_key=running_key)
-        return [
-            ScheduleEntry(
-                job_id=job.job_id,
-                gpu_demand=job.num_gpus,
-                gpu_type=self._cached_best_type(job),
-            )
-            for job in ordered
-        ]
+        entry_for = self._index.entry_for
+        return (
+            entry_for(job, job.num_gpus, self._cached_best_type(job))
+            for job in self._index.ordered(running_key=running_key)
+        )

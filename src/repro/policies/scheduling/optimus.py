@@ -11,7 +11,8 @@ pushed by the metric collector to estimate convergence progress.
 
 from __future__ import annotations
 
-from typing import Dict, List
+import heapq
+from typing import Dict, List, Tuple
 
 from repro.core.abstractions import ScheduleEntry, SchedulingPolicy
 from repro.core.cluster_state import ClusterState
@@ -76,7 +77,6 @@ class OptimusScheduling(SchedulingPolicy):
         capacity = cluster_state.healthy_gpus()
 
         allocation: Dict[int, int] = {j.job_id: 0 for j in jobs}
-        by_id = {j.job_id: j for j in jobs}
 
         # Phase 1: one GPU per job in convergence order.
         remaining = capacity
@@ -86,21 +86,29 @@ class OptimusScheduling(SchedulingPolicy):
             allocation[job.job_id] = 1
             remaining -= 1
 
-        # Phase 2: greedily hand out the rest by largest marginal gain.
-        while remaining > 0:
-            best_job_id = None
-            best_gain = 0.0
-            for job_id, gpus in allocation.items():
-                if gpus == 0:
-                    continue
-                gain = self.marginal_gain(by_id[job_id], gpus)
-                if gain > best_gain:
-                    best_gain = gain
-                    best_job_id = job_id
-            if best_job_id is None:
-                break
-            allocation[best_job_id] += 1
+        # Phase 2: greedily hand out the rest by largest marginal gain, first
+        # maximum in convergence order on ties.  A max-heap keyed by (-gain,
+        # position) pops exactly that job; a job's gain changes only when it
+        # receives a GPU, so each job has at most one (current) entry, and a
+        # gain that is not > 0 (NaN included) is never pushed -- the scan it
+        # replaces never picked one.
+        heap: List[Tuple[float, int]] = []
+        if remaining > 0:
+            for position, job in enumerate(jobs):
+                gain = self.marginal_gain(job, allocation[job.job_id])
+                if gain > 0.0:
+                    heap.append((-gain, position))
+            heapq.heapify(heap)
+        while remaining > 0 and heap:
+            position = heap[0][1]
+            job = jobs[position]
+            allocation[job.job_id] += 1
             remaining -= 1
+            gain = self.marginal_gain(job, allocation[job.job_id])
+            if gain > 0.0:
+                heapq.heapreplace(heap, (-gain, position))
+            else:
+                heapq.heappop(heap)
 
         return [
             ScheduleEntry(job_id=job.job_id, gpu_demand=allocation[job.job_id])

@@ -17,21 +17,23 @@ effective batch, the less useful each example).  Allocation is water-filling
 over marginal goodput, with running jobs guaranteed at least one GPU (no
 preemption) and queued jobs served in arrival order.
 
-The water-filling is implemented as a lazy max-heap over marginal goodput --
+The water-filling is implemented as a max-heap over marginal goodput --
 O(capacity log jobs) per round instead of the seed's O(capacity x jobs) full
-rescan per GPU -- and each job's goodput curve is memoized: it depends only on
-the job's static profile ``(scaling, num_gpus, max_batch_scale)``, so it is
-computed once per job and invalidated via :meth:`invalidate_profile` if a
-profiler updates the job mid-run.  Because a job's marginal goodput changes
-only when *that job* receives a GPU, the heap pop (after discarding stale
-entries) is always the true argmax, and ties break on the lower job id exactly
-as the seed's first-strictly-greater scan did: the schedule is bit-identical.
+rescan per GPU -- over memoized *gain tables*: ``gains[g]`` is the goodput
+added by a ``g+1``-th GPU (the seed's ``goodput(g+1) - goodput(g)``, the same
+float subtraction), which depends only on the job's static profile
+``(scaling, num_gpus, max_batch_scale)``, so it is computed once per job and
+invalidated via :meth:`invalidate_profile` if a profiler updates the job
+mid-run.  Because a job's marginal goodput changes only when *that job*
+receives a GPU, the heap holds at most one entry per job and its pop is always
+the true argmax; ties break on the lower job id exactly as the seed's
+first-strictly-greater scan did: the schedule is bit-identical.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.abstractions import ScheduleEntry, SchedulingPolicy
 from repro.core.cluster_state import ClusterState
@@ -43,16 +45,6 @@ from repro.policies.scheduling.priority_index import RunnablePriorityIndex, arri
 #: Minimum marginal goodput for which another GPU is still worth handing out
 #: (matches the seed's strictly-greater comparison against this epsilon).
 _MIN_GAIN = 1e-12
-
-
-class _GoodputCurve:
-    """Memoized goodput-by-GPU-count curve for one job's static profile."""
-
-    __slots__ = ("cap", "values")
-
-    def __init__(self, cap: int, values: List[float]) -> None:
-        self.cap = cap  #: GPUs beyond which the marginal goodput is zero.
-        self.values = values  #: ``values[g]`` = goodput on ``g`` GPUs, g in [0, cap].
 
 
 class PolluxScheduling(SchedulingPolicy):
@@ -67,20 +59,23 @@ class PolluxScheduling(SchedulingPolicy):
             raise ConfigurationError("restart_penalty must be >= 0")
         self.efficiency_decay = efficiency_decay
         self.restart_penalty = restart_penalty
-        self._curves: Dict[int, _GoodputCurve] = {}
+        #: job id -> gain table (see the module docstring); one per runnable
+        #: job that has been scheduled, dropped when the job finishes.
+        self._gain_tables: Dict[int, List[float]] = {}
         #: Running and waiting tiers both order by (arrival, id) -- static
         #: keys -- so the index keeps the waiting queue permanently sorted.
         self._index = RunnablePriorityIndex(
             idle_key=arrival_key,
-            on_rebuild=self._curves.clear,
+            on_rebuild=self._gain_tables.clear,
             on_transition=self._on_transition,
         )
 
     def _on_transition(self, job: Job, old) -> None:
         # old=None means the job was (re)tracked: a replacement object may
-        # carry a different profile, so its memoized curve must go.
-        if old is None:
-            self._curves.pop(job.job_id, None)
+        # carry a different profile, so its memoized table must go; a
+        # finished job's goes with it (nothing outlives its job).
+        if old is None or job.is_finished:
+            self._gain_tables.pop(job.job_id, None)
 
     # ------------------------------------------------------------------
     # Goodput model
@@ -98,29 +93,30 @@ class PolluxScheduling(SchedulingPolicy):
             return 0.0
         return job.scaling.speedup(num_gpus) * self.statistical_efficiency(job, num_gpus)
 
-    def _curve(self, job: Job) -> _GoodputCurve:
-        curve = self._curves.get(job.job_id)
-        if curve is None:
+    def _gains(self, job: Job) -> List[float]:
+        """``gains[g]`` = goodput added by a ``g+1``-th GPU; empty past the cap."""
+        gains = self._gain_tables.get(job.job_id)
+        if gains is None:
             cap = min(job.scaling.max_useful_gpus, job.num_gpus * max(1, job.max_batch_scale))
             values = [self.goodput(job, g) for g in range(cap + 1)]
-            curve = _GoodputCurve(cap, values)
-            self._curves[job.job_id] = curve
-        return curve
+            gains = [values[g + 1] - values[g] for g in range(cap)]
+            self._gain_tables[job.job_id] = gains
+        return gains
 
     def invalidate_profile(self, job_id: int) -> None:
-        """Drop the memoized goodput curve after a job's profile changed.
+        """Drop the memoized gain table after a job's profile changed.
 
-        The curve depends only on ``(scaling, num_gpus, max_batch_scale)``;
+        The table depends only on ``(scaling, num_gpus, max_batch_scale)``;
         callers that update any of these mid-run (an online profiler) must
-        invalidate so the next round recomputes the curve.
+        invalidate so the next round recomputes it.
         """
-        self._curves.pop(job_id, None)
+        self._gain_tables.pop(job_id, None)
 
     def marginal_goodput(self, job: Job, num_gpus: int) -> float:
-        curve = self._curve(job)
-        if num_gpus >= curve.cap:
+        gains = self._gains(job)
+        if num_gpus >= len(gains):
             return 0.0
-        gain = curve.values[num_gpus + 1] - curve.values[num_gpus]
+        gain = gains[num_gpus]
         if num_gpus == 0 and job.status != JobStatus.RUNNING:
             # Starting a brand-new job costs a checkpoint-restore; bias very
             # slightly towards growing existing jobs, as Pollux's re-allocation
@@ -138,56 +134,52 @@ class PolluxScheduling(SchedulingPolicy):
 
     # ------------------------------------------------------------------
 
-    def schedule(self, job_state: JobState, cluster_state: ClusterState) -> List[ScheduleEntry]:
+    def schedule(self, job_state: JobState, cluster_state: ClusterState) -> Iterator[ScheduleEntry]:
         self._index.bind(job_state)
-        running = sorted(
-            ((arrival_key(job), job) for job in self._index.running_jobs()),
-            key=lambda entry: entry[0],
-        )
-        waiting = self._index.idle_entries()
-        if not running and not waiting:
-            return []
-        capacity = cluster_state.healthy_gpus()
+        running = sorted(self._index.running_jobs(), key=arrival_key)
+        waiting = [job for _, job in self._index.idle_entries()]
+        gains_of = self._gains
 
+        # Running jobs are never preempted: they keep at least one GPU.  The
+        # heap is what ``marginal_goodput`` would say, read off the tables
+        # inline: (-gain, job id, GPUs so far, gains).  The running tier is
+        # RUNNING, so the restart penalty falls on waiting jobs only, at 0
+        # GPUs.  Gains not worth a GPU are never pushed: the heap's top is
+        # then the seed's argmax for as long as the seed kept granting.
         allocation: Dict[int, int] = {}
-        # Running jobs are never preempted: they keep at least one GPU.
-        remaining = capacity
-        for _, job in running:
-            if remaining <= 0:
-                allocation[job.job_id] = 0
-                continue
-            allocation[job.job_id] = 1
-            remaining -= 1
-        for _, job in waiting:
-            allocation[job.job_id] = 0
-
-        # Remaining GPUs go to whichever job has the highest marginal goodput;
-        # queued jobs compete here and receive their first GPU when idle
+        heap: List[Tuple[float, int, int, List[float]]] = []
+        remaining = cluster_state.healthy_gpus()
+        for job in running:
+            gpus = 0
+            if remaining > 0:
+                gpus = allocation[job.job_id] = 1
+                remaining -= 1
+            gains = gains_of(job)
+            if gpus < len(gains) and gains[gpus] > _MIN_GAIN:
+                heap.append((-gains[gpus], job.job_id, gpus, gains))
+        # Queued jobs compete here and receive their first GPU when idle
         # capacity exists (low load) but queue behind running jobs otherwise.
-        # Lazy max-heap: one live entry per job (its gain changes only when it
-        # receives a GPU); stale entries are discarded on pop.
-        by_id = {job.job_id: job for _, job in running}
-        by_id.update((job.job_id, job) for _, job in waiting)
-        heap: List[Tuple[float, int, int]] = [
-            (-self.marginal_goodput(by_id[job_id], gpus), job_id, gpus)
-            for job_id, gpus in allocation.items()
-        ]
+        if remaining > 0:
+            penalty = self.restart_penalty
+            for job in waiting:
+                gains = gains_of(job)
+                if gains and gains[0] - penalty > _MIN_GAIN:
+                    heap.append((-(gains[0] - penalty), job.job_id, 0, gains))
         heapq.heapify(heap)
+        # A job's gain changes only when it receives a GPU, so the heap holds
+        # one entry per job and the top is always current.
         while remaining > 0 and heap:
-            neg_gain, job_id, gpus = heapq.heappop(heap)
-            if allocation[job_id] != gpus:
-                continue  # stale entry from before this job's last grant
-            if -neg_gain <= _MIN_GAIN:
-                break  # the best remaining marginal gain is not worth a GPU
-            allocation[job_id] = gpus + 1
+            _, job_id, gpus, gains = heap[0]
+            gpus = allocation[job_id] = gpus + 1
             remaining -= 1
-            heapq.heappush(
-                heap,
-                (-self.marginal_goodput(by_id[job_id], gpus + 1), job_id, gpus + 1),
-            )
+            if gpus < len(gains) and gains[gpus] > _MIN_GAIN:
+                heapq.heapreplace(heap, (-gains[gpus], job_id, gpus, gains))
+            else:
+                heapq.heappop(heap)
 
-        return [
-            ScheduleEntry(job_id=job.job_id, gpu_demand=allocation[job.job_id])
-            for _, job in (*running, *waiting)
-            if allocation[job.job_id] > 0
-        ]
+        entry_for = self._index.entry_for
+        return (
+            entry_for(job, allocation[job.job_id])
+            for job in (*running, *waiting)
+            if job.job_id in allocation
+        )

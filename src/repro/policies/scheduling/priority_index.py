@@ -16,24 +16,31 @@ hooks:
   keys, by subclassing and overriding ``on_progress``;
 * the **running tier** is small (bounded by cluster capacity, not queue
   length) and its keys drift every round, so it is sorted fresh at schedule
-  time and merged with the idle tier in O(running log running + n).
+  time and merged with the idle tier *lazily*: the merge yields jobs as the
+  consumer pulls them, so a round costs O(running log running + read) where
+  ``read`` is how far placement gets before the healthy GPUs run out.
 
 Keys must be tuples whose *last* component is the job id, making them a total
-order; the two sorted tiers then merge deterministically into exactly the list
-``sorted(runnable_jobs(), key=...)`` would produce, which is what the
-schedule-parity tests assert policy by policy.
+order; the two sorted tiers then merge deterministically into exactly the
+order ``sorted(runnable_jobs(), key=...)`` would produce, which is what the
+schedule-parity tests assert policy by policy.  A stream from :meth:`ordered`
+or :meth:`gang_entries` reads the live tiers, so it must be consumed in the
+round it was made, before any job changes status (the
+:class:`~repro.core.abstractions.SchedulingPolicy` contract).
 
 The index binds lazily to whichever :class:`~repro.core.job_state.JobState` the
 policy is called with; rebinding (a shadow simulation, a fresh run reusing the
 policy object) detaches from the old registry and rebuilds from scratch, and
 notifies the owner through the ``on_rebuild`` callback so per-job memo caches
-(goodput curves, preferred GPU types) can be dropped with it.
+(goodput gain tables, preferred GPU types) can be dropped with it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Callable, Dict, List, Optional, Tuple
+from itertools import islice
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.abstractions import ScheduleEntry
 from repro.core.job import Job, JobStatus
@@ -81,7 +88,7 @@ class RunnablePriorityIndex(JobStateObserver):
         self._idle: List[Tuple[PriorityKey, Job]] = []
         self._idle_keys: Dict[int, PriorityKey] = {}
         self._running: Dict[int, Job] = {}
-        #: job id -> the frozen entry :meth:`gang_entries` last emitted for it;
+        #: job id -> the frozen entry :meth:`entry_for` last returned for it;
         #: dropped when the job leaves the index, so it never outlives the job.
         self._entries: Dict[int, ScheduleEntry] = {}
 
@@ -221,37 +228,43 @@ class RunnablePriorityIndex(JobStateObserver):
     def idle_key_of(self, job_id: int) -> Optional[PriorityKey]:
         return self._idle_keys.get(job_id)
 
-    def ordered(self, running_key: KeyFn) -> List[Job]:
-        """All runnable jobs, ordered as a full sort by key would order them.
+    def ordered(self, running_key: KeyFn) -> Iterator[Job]:
+        """All runnable jobs, lazily, in the order a full sort by key gives.
 
         ``running_key`` computes the (drifting) keys of the running tier; they
         must be tuples comparable with the idle keys and ending in the job id.
+        The running tier is keyed and sorted now; the merge with the idle
+        tier runs as the stream is read, so jobs behind the last one read
+        cost nothing.
         """
         running = sorted(
             ((running_key(job), job) for job in self._running.values()),
-            key=lambda entry: entry[0],
+            key=itemgetter(0),
         )
-        return merge_by_key(self._idle, running)
+        return _merge_jobs(self._idle, running)
 
-    def gang_entries(self, ordered: List[Job]) -> List[ScheduleEntry]:
+    def gang_entries(self, ordered: Iterable[Job]) -> Iterator[ScheduleEntry]:
         """One entry per job of ``ordered``, each asking for its requested gang.
 
-        The schedule of every gang policy.  An entry is frozen, so the one
-        built for a job is reused round after round while the job's request
-        is unchanged; most of a backlog's entries are never looked at by
-        placement, and none of them is rebuilt.  ``ordered`` must hold jobs
-        of the bound registry's runnable set (what :meth:`ordered` returns).
+        The schedule of every gang policy, yielded as it is read.  ``ordered``
+        must hold jobs of the bound registry's runnable set (what
+        :meth:`ordered` returns).
         """
-        cache = self._entries
-        entries = []
+        entry_for = self.entry_for
         for job in ordered:
-            entry = cache.get(job.job_id)
-            if entry is None or entry.gpu_demand != job.num_gpus:
-                entry = cache[job.job_id] = ScheduleEntry(
-                    job_id=job.job_id, gpu_demand=job.num_gpus
-                )
-            entries.append(entry)
-        return entries
+            yield entry_for(job, job.num_gpus)
+
+    def entry_for(self, job: Job, demand: int, gpu_type: Optional[str] = None) -> ScheduleEntry:
+        """The frozen entry giving ``job`` ``demand`` GPUs (of ``gpu_type``).
+
+        The one construction site of a policy's entries: the entry built for
+        a job is reused round after round while its demand and type are
+        unchanged, and dropped when the job leaves the index.
+        """
+        entry = self._entries.get(job.job_id)
+        if entry is None or entry.gpu_demand != demand or entry.gpu_type != gpu_type:
+            entry = self._entries[job.job_id] = ScheduleEntry(job.job_id, demand, gpu_type)
+        return entry
 
     def check_invariants(self) -> None:
         """Assert the tiers exactly mirror the bound registry (test support)."""
@@ -272,23 +285,19 @@ class RunnablePriorityIndex(JobStateObserver):
         assert set(self._entries) <= members, "entry cached for a job that left"
 
 
-def merge_by_key(
+def _merge_jobs(
     first: List[Tuple[PriorityKey, Job]],
     second: List[Tuple[PriorityKey, Job]],
-) -> List[Job]:
-    """Merge two key-sorted (key, job) lists into one job list.
+) -> Iterator[Job]:
+    """Yield the jobs of two key-sorted (key, job) lists in merged key order.
 
-    Keys are unique (they end in the job id), so the merge is deterministic.
+    Keys are unique (they end in the job id), so the merge is deterministic;
+    ties would go to ``first``.
     """
-    out: List[Job] = []
-    i = j = 0
-    while i < len(first) and j < len(second):
-        if first[i][0] <= second[j][0]:
-            out.append(first[i][1])
+    i, n = 0, len(first)
+    for key, job in second:
+        while i < n and first[i][0] <= key:
+            yield first[i][1]
             i += 1
-        else:
-            out.append(second[j][1])
-            j += 1
-    out.extend(job for _, job in first[i:])
-    out.extend(job for _, job in second[j:])
-    return out
+        yield job
+    yield from map(itemgetter(1), islice(first, i, None))

@@ -13,7 +13,7 @@ sorted and each round only re-sorts the running tier -- O(running log running
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterator
 
 from repro.core.abstractions import ScheduleEntry, SchedulingPolicy
 from repro.core.cluster_state import ClusterState
@@ -39,7 +39,6 @@ class SrtfScheduling(SchedulingPolicy):
     def __init__(self) -> None:
         self._index = RunnablePriorityIndex(idle_key=_srtf_key)
 
-    def schedule(self, job_state: JobState, cluster_state: ClusterState) -> List[ScheduleEntry]:
+    def schedule(self, job_state: JobState, cluster_state: ClusterState) -> Iterator[ScheduleEntry]:
         self._index.bind(job_state)
-        ordered = self._index.ordered(running_key=_srtf_key)
-        return self._index.gang_entries(ordered)
+        return self._index.gang_entries(self._index.ordered(running_key=_srtf_key))

@@ -12,7 +12,7 @@ auxiliary demands so experiments can inspect them.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterator
 
 from repro.core.abstractions import ScheduleEntry, SchedulingPolicy
 from repro.core.cluster_state import ClusterState
@@ -31,9 +31,11 @@ class SynergyScheduling(SchedulingPolicy):
     def __init__(self) -> None:
         self._index = RunnablePriorityIndex(idle_key=arrival_key)
 
-    def schedule(self, job_state: JobState, cluster_state: ClusterState) -> List[ScheduleEntry]:
+    def schedule(self, job_state: JobState, cluster_state: ClusterState) -> Iterator[ScheduleEntry]:
         self._index.bind(job_state)
-        ordered = self._index.ordered(running_key=arrival_key)
+        # Materialised: the demand metrics are written for every runnable
+        # job at call time, however far placement reads.
+        ordered = list(self._index.ordered(running_key=arrival_key))
         for job in ordered:
             job.metrics["cpu_demand"] = job.cpu_demand_per_gpu * job.num_gpus
             job.metrics["mem_demand"] = job.mem_demand_per_gpu * job.num_gpus

@@ -12,7 +12,7 @@ Themis only needs the scheduling policy and metric collection modules).
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import Iterator
 
 from repro.core.abstractions import ScheduleEntry, SchedulingPolicy
 from repro.core.cluster_state import ClusterState
@@ -49,13 +49,13 @@ class ThemisScheduling(SchedulingPolicy):
         shared = (now - job.arrival_time) + job.remaining_work
         return max(0.0, shared) / ideal
 
-    def schedule(self, job_state: JobState, cluster_state: ClusterState) -> List[ScheduleEntry]:
+    def schedule(self, job_state: JobState, cluster_state: ClusterState) -> Iterator[ScheduleEntry]:
         now = getattr(job_state, "current_time", 0.0)
         index = self._index
         index.bind(job_state)
         jobs = index.idle_jobs() + index.running_jobs()
-        if not jobs:
-            return []
+        # Every job's rho is written now, at call time, however far the
+        # stream is read.
         scored = []
         for job in jobs:
             rho = self.finish_time_fairness(job, now)

@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_right
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.abstractions import ScheduleEntry, SchedulingPolicy
 from repro.core.cluster_state import ClusterState
@@ -97,11 +98,12 @@ class TiresiasScheduling(SchedulingPolicy):
     # ------------------------------------------------------------------
 
     def queue_index(self, job: Job) -> int:
-        """The discrete priority queue a job currently belongs to (0 = highest)."""
-        for index, threshold in enumerate(self.queue_thresholds):
-            if job.attained_service < threshold:
-                return index
-        return len(self.queue_thresholds)
+        """The discrete priority queue a job currently belongs to (0 = highest).
+
+        The number of thresholds the job's attained service has reached: the
+        first queue whose threshold it is still below.
+        """
+        return bisect_right(self.queue_thresholds, job.attained_service)
 
     def _waited(self, job: Job, now: float) -> float:
         return now - self._last_run_time.get(job.job_id, job.arrival_time)
@@ -174,7 +176,7 @@ class TiresiasScheduling(SchedulingPolicy):
     # Scheduling
     # ------------------------------------------------------------------
 
-    def schedule(self, job_state: JobState, cluster_state: ClusterState) -> List[ScheduleEntry]:
+    def schedule(self, job_state: JobState, cluster_state: ClusterState) -> Iterator[ScheduleEntry]:
         now = getattr(job_state, "current_time", 0.0)
         self._index.bind(job_state)
         self._apply_due_promotions(now)
@@ -182,8 +184,7 @@ class TiresiasScheduling(SchedulingPolicy):
         def running_key(job: Job):
             return (self.queue_index(job), job.arrival_time, job.job_id)
 
-        ordered = self._index.ordered(running_key=running_key)
-        return self._index.gang_entries(ordered)
+        return self._index.gang_entries(self._index.ordered(running_key=running_key))
 
     # ------------------------------------------------------------------
     # Event-aware fast-forward support

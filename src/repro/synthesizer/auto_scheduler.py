@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.abstractions import (
     AdmissionPolicy,
@@ -244,7 +244,7 @@ class AutoSchedulerSynthesizer(SchedulingPolicy, AdmissionPolicy):
     def pending_jobs(self):
         return self._current_admission.pending_jobs()
 
-    def schedule(self, job_state: JobState, cluster_state: ClusterState) -> List[ScheduleEntry]:
+    def schedule(self, job_state: JobState, cluster_state: ClusterState) -> Iterable[ScheduleEntry]:
         self._maybe_switch(job_state, cluster_state)
         self._round_counter += 1
         return self._current_scheduling.schedule(job_state, cluster_state)

@@ -209,7 +209,7 @@ def test_priority_index_tracks_status_transitions():
     assert len(index) == 4
     # Full ordering equals a fresh sort.
     expected = sorted(job_state.runnable_jobs(), key=las_key)
-    assert index.ordered(las_key) == expected
+    assert list(index.ordered(las_key)) == expected
 
 
 def test_priority_index_rebinds_and_rebuilds():
@@ -277,7 +277,7 @@ def test_pollux_goodput_memoization_and_invalidation():
     first = policy.marginal_goodput(job, 1)
     legacy = LegacyPolluxScheduling()
     assert first == legacy.marginal_goodput(job, 1)
-    assert job.job_id in policy._curves
+    assert job.job_id in policy._gain_tables
     # Profile change: stale until invalidated, fresh afterwards.
     job.max_batch_scale = 1
     assert policy.marginal_goodput(job, 1) == first
@@ -290,7 +290,7 @@ def test_gavel_entries_carry_preferred_type_without_metric_writes():
     cluster = build_cluster(num_nodes=2, gpus_per_node=2, gpu_type="v100")
     job = make_job(gpus=1)
     job_state.add_new_jobs([job])
-    entries = GavelScheduling().schedule(job_state, cluster)
+    entries = list(GavelScheduling().schedule(job_state, cluster))
     assert entries[0].gpu_type == "v100"
     assert "preferred_gpu_type" not in job.metrics
 
@@ -305,13 +305,13 @@ def test_tiresias_rejects_bad_configuration():
 
 
 def test_schedule_is_pure_under_repeated_calls(trace):
-    """Calling schedule() twice in a row must return the same list (no
+    """Calling schedule() twice in a row must yield the same entries (no
     comparator side effects)."""
     job_state = JobState()
     cluster = build_256gpu_cluster()
     job_state.add_new_jobs([make_job(arrival=i, gpus=2) for i in range(6)])
     job_state.current_time = 500.0
     policy = TiresiasScheduling(queue_thresholds=(900.0,), starvation_promote_after=1800.0)
-    first = policy.schedule(job_state, cluster)
-    second = policy.schedule(job_state, cluster)
+    first = list(policy.schedule(job_state, cluster))
+    second = list(policy.schedule(job_state, cluster))
     assert first == second
