@@ -247,8 +247,9 @@ class PolicyDocRule(Rule):
     """C103: every registered policy appears in ``docs/policies.md``.
 
     The policy reference is the contract users pick policies by; a policy
-    missing from it is unreviewable.  Scope: concrete classes under
-    ``repro.policies`` plus federation routers.  Skipped silently when the
+    missing from it is unreviewable.  Scope: concrete classes under the
+    manifest's policy packages (``repro.policies``, ``repro.synthesizer``)
+    plus federation routers.  Skipped silently when the
     doc file is absent (linting a fixture tree) -- the CLI always runs from
     the repo root where it exists.
     """
@@ -267,7 +268,9 @@ class PolicyDocRule(Rule):
         for fact in project.policy_classes:
             if fact.name.startswith("_"):
                 continue
-            in_scope = fact.module.startswith("repro.policies") or fact.is_router
+            in_scope = fact.is_router or fact.module.startswith(
+                project.manifest.policy_package_prefixes
+            )
             if not in_scope:
                 continue
             if fact.name in doc_text:

@@ -1,7 +1,7 @@
 """The automatic scheduler synthesizer (Blox §5.2 and Appendix A)."""
 
 from repro.synthesizer.objectives import Objective, AverageJct, AverageResponsiveness, CombinedObjective
-from repro.synthesizer.auto_scheduler import AutoSchedulerSynthesizer, PolicyCombination
+from repro.synthesizer.auto_scheduler import AutoSchedulerSynthesizer
 
 __all__ = [
     "Objective",
@@ -9,5 +9,4 @@ __all__ = [
     "AverageResponsiveness",
     "CombinedObjective",
     "AutoSchedulerSynthesizer",
-    "PolicyCombination",
 ]

@@ -3,10 +3,16 @@
 Different scheduling/admission combinations win under different arrival
 patterns, and no single static choice is best across a day of cluster
 operation.  The synthesizer exploits Blox's modularity: every ``evaluate_every``
-rounds it forks the live ``JobState``/``ClusterState`` into shadow simulations,
-one per combination in its policy grid, runs each forward over a short horizon
-with the jobs currently on the cluster, scores them with the operator's
-objective, and switches the live scheduler to the winning combination.
+rounds it forks the live system into one shadow run per ``(policy,
+admission)`` pair of its grid, scores each with the operator's objective, and
+switches the live scheduler to the winner.
+
+A shadow run is an ordinary :class:`~repro.simulator.engine.Simulator` over
+``snapshot()``s of the live ``JobState`` and ``ClusterState``, with fresh
+registry-built policies and fast-forward on.  It enters the live round after
+that round's progress was applied, admits no new arrivals apart from the jobs
+the live admission policy is still holding, and pauses after
+``horizon_rounds`` rounds (or earlier, once every job it tracks finished).
 
 The synthesizer itself implements the scheduling-policy and admission-policy
 interfaces, so it drops into the ordinary scheduling loop unchanged -- the
@@ -16,112 +22,51 @@ composition trick the paper highlights.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.abstractions import (
-    AdmissionPolicy,
-    PlacementPolicy,
-    ScheduleEntry,
-    SchedulingPolicy,
-)
+from repro.core.abstractions import AdmissionPolicy, ScheduleEntry, SchedulingPolicy
+from repro.core.blox_manager import BloxManager
 from repro.core.cluster_state import ClusterState
 from repro.core.exceptions import ConfigurationError
-from repro.core.job import Job, JobStatus
+from repro.core.job import Job
 from repro.core.job_state import JobState
-from repro.core.mechanisms import SimulatedLauncher, SimulatedPreemption
-from repro.simulator.execution import ExecutionModel
-from repro.simulator.overheads import OverheadModel
+from repro.policies.admission import ADMISSION_POLICIES
+from repro.policies.placement import PLACEMENT_POLICIES
+from repro.policies.scheduling import SCHEDULING_POLICIES
+from repro.simulator.engine import Simulator
 from repro.synthesizer.objectives import AverageJct, Objective
 
-
-#: A factory returns a *fresh* policy instance; shadow simulations and the live
-#: loop must never share mutable policy state.
-PolicyFactory = Callable[[], SchedulingPolicy]
-AdmissionFactory = Callable[[], AdmissionPolicy]
+#: One cell of the search grid: ``(policy, admission)`` registry names.
+Combination = Tuple[str, str]
 
 
-@dataclass(frozen=True)
-class PolicyCombination:
-    """One cell of the synthesizer's search grid."""
+class _ForkManager(BloxManager):
+    """A shadow run's manager: its clock starts at the live round.
 
-    scheduling_name: str
-    admission_name: str
-    scheduling_factory: PolicyFactory
-    admission_factory: AdmissionFactory
+    The fork enters the live round after that round's progress was applied,
+    so its first ``update_metrics`` is a no-op, as round 0's is in a fresh
+    run.  The horizon is reported as the next arrival, so every skip path
+    stops short of it and the loop pauses exactly there.
+    """
 
-    @property
-    def label(self) -> str:
-        return f"{self.scheduling_name}/{self.admission_name}"
+    def __init__(self, start_round: int, horizon_rounds: int, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.round_number = self._start_round = start_round
+        self.current_time = start_round * self.round_duration
+        self.stop_time = (start_round + horizon_rounds) * self.round_duration
 
+    def update_metrics(self, cluster_state: ClusterState, job_state: JobState) -> None:
+        if self.round_number != self._start_round:
+            super().update_metrics(cluster_state, job_state)
 
-class _ShadowSimulator:
-    """Runs one policy combination forward from a snapshot of the live state."""
-
-    def __init__(
-        self,
-        combination: PolicyCombination,
-        placement_factory: Callable[[], PlacementPolicy],
-        round_duration: float,
-        horizon_rounds: int,
-    ) -> None:
-        self.combination = combination
-        self.placement_factory = placement_factory
-        self.round_duration = round_duration
-        self.horizon_rounds = horizon_rounds
-
-    def run(
-        self,
-        job_state: JobState,
-        cluster_state: ClusterState,
-        start_time: float,
-    ) -> Tuple[List[Job], float]:
-        """Simulate ``horizon_rounds`` rounds; returns (jobs, horizon_end_time)."""
-        jobs = job_state.snapshot()
-        cluster = cluster_state.snapshot()
-        scheduling = self.combination.scheduling_factory()
-        admission = self.combination.admission_factory()
-        placement = self.placement_factory()
-        overheads = OverheadModel()
-        execution = ExecutionModel(overhead_model=overheads)
-        launcher = SimulatedLauncher(overheads)
-        preemptor = SimulatedPreemption(overheads)
-
-        time = start_time
-        for round_index in range(self.horizon_rounds):
-            if round_index > 0:
-                for job in jobs.running_jobs():
-                    execution.advance(job, cluster, time - self.round_duration, self.round_duration)
-            for job in jobs.finished_jobs():
-                if cluster.gpus_for_job(job.job_id):
-                    cluster.release_job(job.job_id)
-                    job.allocated_gpus = []
-            if not jobs.active_jobs() and not jobs.waiting_admission_jobs():
-                break
-            jobs.current_time = time
-            # The shadow run only considers jobs already on the cluster (no new
-            # arrivals), mirroring the paper's description of the synthesizer.
-            accepted = admission.accept(jobs.waiting_admission_jobs(), cluster, jobs)
-            jobs.add_new_jobs(accepted, time)
-            schedule = scheduling.schedule(jobs, cluster)
-            decision = placement.place(schedule, cluster, jobs)
-            for job_id in decision.to_suspend:
-                preemptor.preempt(jobs.get(job_id), cluster, time)
-            for job_id, gpu_ids in sorted(decision.to_launch.items()):
-                job = jobs.get(job_id)
-                if job.is_finished:
-                    continue
-                if job.status == JobStatus.RUNNING and sorted(gpu_ids) == sorted(job.allocated_gpus):
-                    continue
-                if job.status == JobStatus.RUNNING:
-                    preemptor.preempt(job, cluster, time)
-                launcher.launch(job, gpu_ids, cluster, time)
-            time += self.round_duration
-        return jobs.all_jobs(), time
+    def next_arrival_time(self) -> Optional[float]:
+        arrival = super().next_arrival_time()
+        return self.stop_time if arrival is None else min(arrival, self.stop_time)
 
 
 class AutoSchedulerSynthesizer(SchedulingPolicy, AdmissionPolicy):
-    """Switches between policy combinations at runtime based on shadow simulations."""
+    """Switches between policy combinations at runtime based on shadow runs."""
 
     name = "auto-synthesizer"
 
@@ -133,104 +78,132 @@ class AutoSchedulerSynthesizer(SchedulingPolicy, AdmissionPolicy):
 
     def __init__(
         self,
-        combinations: Sequence[PolicyCombination],
-        placement_factory: Callable[[], PlacementPolicy] = None,
+        grid: Sequence[Combination],
+        placement: str = "consolidated",
         objective: Optional[Objective] = None,
         evaluate_every: int = 10,
         horizon_rounds: int = 48,
         round_duration: float = 300.0,
     ) -> None:
-        from repro.policies.placement.consolidated import ConsolidatedPlacement
-
-        if not combinations:
+        self.grid: List[Combination] = []
+        checks = [("placement", placement, PLACEMENT_POLICIES)]
+        for policy, admission in grid:
+            self.grid.append((policy, admission))
+            checks.append(("policy", policy, SCHEDULING_POLICIES))
+            checks.append(("admission", admission, ADMISSION_POLICIES))
+        if not self.grid:
             raise ConfigurationError("the synthesizer needs at least one policy combination")
+        for kind, name, registry in checks:
+            if name not in registry:
+                raise ConfigurationError(
+                    f"unknown {kind} {name!r}; expected one of {sorted(registry)}"
+                )
         if evaluate_every < 1 or horizon_rounds < 1:
             raise ConfigurationError("evaluate_every and horizon_rounds must be >= 1")
-        self.combinations = list(combinations)
-        self.placement_factory = placement_factory or ConsolidatedPlacement
+        self.placement = placement
         self.objective = objective or AverageJct()
         self.evaluate_every = evaluate_every
         self.horizon_rounds = horizon_rounds
         self.round_duration = round_duration
 
         self._round_counter = 0
-        self._current = self.combinations[0]
-        self._current_scheduling = self._current.scheduling_factory()
-        self._current_admission = self._current.admission_factory()
+        self._switch_to(self.grid[0])
         self._carryover: List[Job] = []
-        #: (round_index, combination_label) history, used to reproduce Fig. 15/21.
-        self.choice_log: List[Tuple[int, str]] = [(0, self._current.label)]
-
-    # ------------------------------------------------------------------
+        #: (round_index, combination_label) history: the §5.2 switching trace.
+        self.choice_log: List[Tuple[int, str]] = [(0, self.current_name)]
 
     @classmethod
     def from_grid(
-        cls,
-        scheduling_factories: Sequence[Tuple[str, PolicyFactory]],
-        admission_factories: Sequence[Tuple[str, AdmissionFactory]],
-        **kwargs,
+        cls, policies: Sequence[str], admissions: Sequence[str], **kwargs
     ) -> "AutoSchedulerSynthesizer":
-        """Build the full cross-product grid of scheduling x admission policies."""
-        combinations = [
-            PolicyCombination(
-                scheduling_name=s_name,
-                admission_name=a_name,
-                scheduling_factory=s_factory,
-                admission_factory=a_factory,
-            )
-            for (s_name, s_factory), (a_name, a_factory) in itertools.product(
-                scheduling_factories, admission_factories
-            )
-        ]
-        return cls(combinations, **kwargs)
+        """Build the full cross-product grid of scheduling x admission names."""
+        return cls(list(itertools.product(policies, admissions)), **kwargs)
 
     @property
     def current_name(self) -> str:
         """Label of the combination currently driving the live cluster."""
-        return self._current.label
-
-    @property
-    def current_combination(self) -> PolicyCombination:
-        return self._current
+        return "/".join(self._current)
 
     # ------------------------------------------------------------------
-    # Policy switching
+    # Shadow runs and policy switching
     # ------------------------------------------------------------------
 
-    def _evaluate_combinations(
+    def _fork(
+        self, combination: Combination, job_state: JobState, cluster_state: ClusterState
+    ) -> Simulator:
+        """A shadow ``Simulator`` over snapshots of the live state, not yet run.
+
+        Jobs the live admission policy holds are submitted to the fork's wait
+        queue, so its first round hands them to its own admission policy.
+        """
+        now = job_state.current_time
+        start_round = round(now / self.round_duration)
+        if start_round * self.round_duration != now:
+            raise ConfigurationError(
+                f"live time {now} is not a round boundary of round_duration "
+                f"{self.round_duration}; it must equal the live simulator's"
+            )
+        jobs = job_state.snapshot()
+        tracked = [job.job_id for job in jobs.all_jobs() if not job.is_finished]
+        policy, admission = combination
+        fork = Simulator(
+            cluster_state=cluster_state.snapshot(),
+            jobs=(),
+            scheduling_policy=SCHEDULING_POLICIES[policy](),
+            placement_policy=PLACEMENT_POLICIES[self.placement](),
+            admission_policy=ADMISSION_POLICIES[admission](),
+            round_duration=self.round_duration,
+            tracked_job_ids=tracked,
+            max_rounds=start_round + self.horizon_rounds + 1,
+            job_state=jobs,
+            manager_factory=partial(_ForkManager, start_round, self.horizon_rounds),
+            allow_empty_workload=True,
+            round_log_limit=0,
+        )
+        held = sorted(self.pending_jobs(), key=lambda j: (j.arrival_time, j.job_id))
+        for job in held:
+            fork.manager.submit_job(job.snapshot())
+            fork.tracked_job_ids.append(job.job_id)
+        return fork
+
+    def _shadow_score(
+        self, combination: Combination, job_state: JobState, cluster_state: ClusterState
+    ) -> float:
+        fork = self._fork(combination, job_state, cluster_state)
+        fork._advance_loop(stop_time=fork.manager.stop_time)
+        jobs = fork.job_state.all_jobs() + fork.admission_policy.pending_jobs()
+        return self.objective.score(jobs, fork.manager.current_time)
+
+    def _best_combination(
         self, job_state: JobState, cluster_state: ClusterState
-    ) -> PolicyCombination:
-        start_time = getattr(job_state, "current_time", 0.0)
+    ) -> Combination:
         best = self._current
         best_score = float("inf")
-        for combination in self.combinations:
-            shadow = _ShadowSimulator(
-                combination,
-                self.placement_factory,
-                self.round_duration,
-                self.horizon_rounds,
-            )
-            jobs, horizon_end = shadow.run(job_state, cluster_state, start_time)
-            score = self.objective.score(jobs, horizon_end)
+        for combination in self.grid:
+            score = self._shadow_score(combination, job_state, cluster_state)
             if score < best_score - 1e-9:
                 best_score = score
                 best = combination
         return best
 
+    def _switch_to(self, combination: Combination) -> None:
+        policy, admission = combination
+        self._current = combination
+        self._current_scheduling = SCHEDULING_POLICIES[policy]()
+        self._current_admission = ADMISSION_POLICIES[admission]()
+
     def _maybe_switch(self, job_state: JobState, cluster_state: ClusterState) -> None:
         if self._round_counter % self.evaluate_every != 0:
             return
-        if not job_state.active_jobs() and not job_state.waiting_admission_jobs():
+        if not job_state.count_active() and not self.pending_jobs():
             return
-        best = self._evaluate_combinations(job_state, cluster_state)
-        if best.label != self._current.label:
+        best = self._best_combination(job_state, cluster_state)
+        if best != self._current:
             # Jobs queued inside the outgoing admission policy must not be lost
             # on a switch; they are re-submitted to the incoming policy.
             self._carryover.extend(self._current_admission.pending_jobs())
-            self._current = best
-            self._current_scheduling = best.scheduling_factory()
-            self._current_admission = best.admission_factory()
-        self.choice_log.append((self._round_counter, self._current.label))
+            self._switch_to(best)
+        self.choice_log.append((self._round_counter, self.current_name))
 
     # ------------------------------------------------------------------
     # AdmissionPolicy / SchedulingPolicy interfaces (delegation)

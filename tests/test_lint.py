@@ -462,6 +462,14 @@ def test_c103_undocumented_policy(tmp_path):
     result = lint_sources({POLICY_PATH: documented}, root=tmp_path)
     assert "C103" not in rules_of(result.findings)
 
+    # The synthesizer package is in scope too; its private helpers are not.
+    synth_path = "src/repro/synthesizer/fixture.py"
+    result = lint_sources({synth_path: source}, root=tmp_path)
+    assert "C103" in rules_of(result.findings)
+    private = source.replace("GhostScheduling", "_GhostScheduling")
+    result = lint_sources({synth_path: private}, root=tmp_path)
+    assert "C103" not in rules_of(result.findings)
+
 
 # ---------------------------------------------------------------------------
 # H101 / H102: hot-path hygiene

@@ -67,11 +67,10 @@ def test_fast_forward_parity_under_srtf(trace):
 
 def test_fast_forward_disabled_for_unsafe_policies(trace):
     """Policies that opt out must force every round to execute."""
-    from repro.policies.admission.accept_all import AcceptAll
     from repro.synthesizer.auto_scheduler import AutoSchedulerSynthesizer
 
     synth = AutoSchedulerSynthesizer.from_grid(
-        [("fifo", FifoScheduling)], [("all", AcceptAll)], evaluate_every=10, horizon_rounds=4
+        ["fifo"], ["accept-all"], evaluate_every=10, horizon_rounds=4
     )
     sim = Simulator(
         cluster_state=build_cluster(num_nodes=4, gpus_per_node=4),
