@@ -67,6 +67,7 @@ PICKLE_REGISTRY: Dict[str, str] = {
     "ScenarioManagerFactory": "repro/federation/engine.py",
     # What the worker protocol's ``finish`` reply ships back.
     "SimulationResult": "repro/simulator/engine.py",
+    "RoundLog": "repro/simulator/engine.py",
     "RoundRecord": "repro/simulator/engine.py",
     "ShardFinishStats": "repro/federation/engine.py",
     "TimelineClusterManager": "repro/scenarios/timeline.py",
@@ -99,6 +100,9 @@ HOT_PATH_FUNCTIONS: FrozenSet[str] = frozenset(
         "repro/simulator/execution.py::ExecutionModel.advance_running",
         "repro/simulator/execution.py::ExecutionModel.advance_steady",
         "repro/simulator/execution.py::ExecutionModel.steady_scan",
+        "repro/simulator/execution.py::ExecutionModel.adopt_steady",
+        "repro/simulator/engine.py::RoundLog.append",
+        "repro/simulator/engine.py::RoundLog.append_run",
         # _append_records is deliberately absent: it *is* the batched
         # round-record choke point, so telemetry emission belongs there.
         "repro/simulator/event_core.py::EventCore._completion_event_round",

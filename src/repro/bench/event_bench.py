@@ -1,12 +1,11 @@
 """The skip-executor section: the default simulator vs the stepping loop.
 
 The 30-day low-load Philly workload (:mod:`repro.bench.workload`
-``LONG_HORIZON``) as two cells, each default vs ``fast_forward=False`` (the
-paper's section-3 round abstraction and the reference every skip must
-match): ``long-horizon/streaming`` with the round log disabled (the
-streaming configuration, where skipped segments are O(1)), timed best-of-N
-and speedup-gated on the full configuration, and ``long-horizon/logged``
-with the full round log, which proves the logs bit-identical too.
+``LONG_HORIZON``) as one cell, ``long-horizon``: default vs
+``fast_forward=False`` (the paper's section-3 round abstraction and the
+reference every skip must match), run best-of-N for timing, speedup-gated on
+the full configuration, and parity-gated -- completions, round log, round
+count and end time -- on every repetition.
 
 Per-scenario and per-policy fast-forward-vs-stepping parity is recorded by
 ``BENCH_scenarios.json`` and the policy matrix; it is not repeated here.
@@ -14,50 +13,39 @@ Per-scenario and per-policy fast-forward-vs-stepping parity is recorded by
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.bench import cells, workload
-from repro.bench.cells import Cell, Gate, built
+from repro.bench.cells import Cell, Gate
 
 #: The long-horizon cell must run at least this many times faster with skips
 #: than stepping (full configuration only; the smoke cell finishes in
 #: milliseconds, where timer noise dominates).
 EVENT_SPEEDUP_GATE = 5.0
-#: Timing repetitions of the streaming cell (best-of per leg).
+#: Timing repetitions of the cell (best-of per leg).
 _TIMING_REPS = 3
 
 
-def event_cells(smoke: bool) -> Tuple[Cell, Cell]:
-    """The ``(streaming, logged)`` pair."""
+def event_cell(smoke: bool) -> Cell:
     spec = workload.LONG_HORIZON_SMOKE if smoke else workload.LONG_HORIZON
-    return (
-        Cell(
-            "long-horizon/streaming",
-            spec,
-            (
-                built("default", round_log_limit=0),
-                built("stepping", fast_forward=False, round_log_limit=0),
-            ),
-        ),
-        Cell("long-horizon/logged", spec, (cells.DEFAULT, cells.STEPPING)),
-    )
+    return Cell("long-horizon", spec, (cells.DEFAULT, cells.STEPPING))
 
 
 def run_event_bench(smoke: bool = False, started_at: Optional[float] = None) -> Dict[str, object]:
-    """Run both cells; returns the ``event_core`` section of ``BENCH_core.json``."""
-    streaming, logged = event_cells(smoke)
-    reps = [cells.run_cell(streaming) for _ in range(_TIMING_REPS)]
+    """Run the cell; returns the ``event_core`` section of ``BENCH_core.json``."""
+    cell = event_cell(smoke)
+    reps = [cells.run_cell(cell) for _ in range(_TIMING_REPS)]
     row = reps[-1]
     for leg in row["legs"]:
         best = min(rep["legs"][leg]["wall_s"] for rep in reps)
         row["legs"][leg] = {"wall_s": best, "rounds_per_sec": round(row["rounds"] / best, 1)}
     speedup = row["legs"]["stepping"]["wall_s"] / row["legs"]["default"]["wall_s"]
-    rows = {streaming.name: row, logged.name: cells.run_cell(logged)}
+    rows = {cell.name: row}
     gates = [
         cells.parity_gate(
             "event-core timed parity", {f"rep{i}": rep for i, rep in enumerate(reps)}
         ),
-        cells.parity_gate("event-core round-log parity", {logged.name: rows[logged.name]}),
+        cells.parity_gate("event-core round-log parity", rows),
         Gate(
             "event-core speedup",
             speedup >= EVENT_SPEEDUP_GATE,
@@ -73,13 +61,13 @@ def run_event_bench(smoke: bool = False, started_at: Optional[float] = None) -> 
     }
     return cells.artifact(
         "event-core",
-        streaming.spec.seed,
+        cell.spec.seed,
         config,
         gates,
         rows,
         started_at,
         long_horizon={
-            "horizon_days": round(row["rounds"] * streaming.spec.round_duration / 86400.0, 2),
+            "horizon_days": round(row["rounds"] * cell.spec.round_duration / 86400.0, 2),
             "speedup_rounds_per_sec": round(speedup, 2),
         },
     )

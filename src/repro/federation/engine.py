@@ -735,7 +735,7 @@ class UniformShardFactory:
     trace_dir: Optional[str] = None
     #: Extra :class:`~repro.federation.shard.ShardSimulator` keywords, the
     #: same for every shard: ``fast_forward=False`` is the stepping
-    #: reference, ``round_log_limit=0`` keeps a streaming shard's memory flat.
+    #: reference.
     engine_kwargs: Mapping[str, object] = field(default_factory=dict)
 
     def build(

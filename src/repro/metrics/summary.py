@@ -8,6 +8,7 @@ benchmarks and tests without importing the whole simulator.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -103,10 +104,10 @@ def jct_summary(jobs: Sequence[Job], tracked_ids: Optional[Sequence[int]] = None
     )
 
 
-def capacity_weighted_utilization(round_log: Sequence[object]) -> float:
+def capacity_weighted_utilization(round_log: Iterable[object]) -> float:
     """Time-integrated busy capacity over time-integrated healthy capacity.
 
-    ``round_log`` is a sequence of round records carrying ``busy_capacity``
+    ``round_log`` is an iterable of round records carrying ``busy_capacity``
     and ``healthy_capacity`` (see
     :class:`~repro.simulator.engine.RoundRecord`; duck-typed here to keep
     this module free of simulator imports).  Weighting by per-round healthy
@@ -341,9 +342,9 @@ def federation_summary(
     )
     pooled_jobs = [job for jobs in shard_jobs for job in jobs]
     pooled = jct_summary(pooled_jobs, tracked_ids)
-    # Concatenating the logs pools the busy/healthy integrals: the helper
-    # sums both across all records before dividing.
-    pooled_log = [record for round_log in shard_round_logs for record in round_log]
+    # Chaining the logs pools the busy/healthy integrals: the helper sums
+    # both across all records, row by row, before dividing.
+    pooled_log = itertools.chain.from_iterable(shard_round_logs)
     counts = tuple(len(jobs) for jobs in shard_jobs)
     mean_count = sum(counts) / len(counts) if counts else 0.0
     imbalance = max(counts) / mean_count if mean_count > 0 else 0.0

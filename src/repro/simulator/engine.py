@@ -11,16 +11,18 @@ preemption mechanisms change.
 
 from __future__ import annotations
 
+import collections.abc
 import math
 import time
-from collections import deque
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Callable,
     Iterable,
+    Iterator,
     List,
-    MutableSequence,
     Optional,
     Sequence,
     Tuple,
@@ -56,11 +58,11 @@ if TYPE_CHECKING:  # imported where a recorder is attached, not by every run
 
 @dataclass(slots=True)
 class RoundRecord:
-    """One row of the per-round log kept by the simulator.
+    """One row of the per-round log: what one simulated round looked like.
 
-    Slotted: a long-horizon run keeps one row per simulated round, so the
-    per-instance ``__dict__`` was most of the log's memory.  The event core
-    builds skipped rounds' rows positionally -- keep the field order.
+    The simulator stores rows as runs (see :class:`RoundLog`), so a row is
+    materialised only when the log is read.  Positional construction is
+    part of the contract -- keep the field order.
     """
 
     round_number: int
@@ -78,6 +80,126 @@ class RoundRecord:
     healthy_capacity: float = 0.0
 
 
+def _payload(record: RoundRecord) -> tuple:
+    """The seven fields a run's rows share (everything but number and time)."""
+    return (
+        record.running_jobs,
+        record.queued_jobs,
+        record.utilization,
+        record.scheduler_name,
+        record.admission_name,
+        record.busy_capacity,
+        record.healthy_capacity,
+    )
+
+
+class RoundLog(collections.abc.Sequence):
+    """The simulator's round log: one :class:`RoundRecord` row per round, stored as runs.
+
+    A run is ``(first round, count, payload)``: ``count`` consecutive rounds
+    whose rows differ only in the round number and its computed time
+    ``round_number * round_duration``.  A run is kept as its first row plus
+    one entry of a cumulative row-count array, so a skipped segment of any
+    length costs one append and a one-round run about what a row costs.
+
+    A row joins the previous run only when it follows that run directly, its
+    payload fields are equal and its time is on the computed clock.  Joining
+    is greedy and decided per adjacent pair of rows, so equal rows always
+    make equal runs, however the rows were batched on the way in.
+
+    As a sequence it is the rows: ``len``, lazy iteration, int and slice
+    indexing (a slice is a list), and ``==`` against another log or any
+    sequence of rows.  It pickles as its runs.
+    """
+
+    __slots__ = ("round_duration", "_heads", "_ends", "_next_round")
+
+    def __init__(self, round_duration: float) -> None:
+        self.round_duration = round_duration
+        #: The first row of each run.
+        self._heads: List[RoundRecord] = []
+        #: Rows through the end of each run (cumulative counts).
+        self._ends = array("q")
+        #: The round number a row must carry to extend the last run.
+        self._next_round: Optional[int] = None
+
+    def append(self, record: RoundRecord) -> None:
+        """Add one round's row."""
+        self.append_run(record, 1)
+
+    def append_run(self, record: RoundRecord, count: int) -> None:
+        """Add ``record`` and the ``count - 1`` rounds after it, same payload."""
+        number = record.round_number
+        heads = self._heads
+        ends = self._ends
+        if (
+            number == self._next_round
+            and record.time == number * self.round_duration
+            and _payload(record) == _payload(heads[-1])
+        ):
+            ends[-1] += count
+        else:
+            heads.append(record)
+            ends.append(ends[-1] + count if ends else count)
+        self._next_round = number + count
+
+    def runs(self) -> Iterator[Tuple[RoundRecord, int]]:
+        """``(first row, count)`` per run, in order."""
+        start = 0
+        for head, end in zip(self._heads, self._ends):
+            yield head, end - start
+            start = end
+
+    def copy(self) -> "RoundLog":
+        """An independent log with the same rows, in O(runs)."""
+        clone = RoundLog(self.round_duration)
+        clone._heads = self._heads.copy()
+        clone._ends = self._ends[:]
+        clone._next_round = self._next_round
+        return clone
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __iter__(self) -> Iterator[RoundRecord]:
+        rd = self.round_duration
+        for head, count in self.runs():
+            yield head
+            if count > 1:
+                payload = _payload(head)
+                first = head.round_number
+                for number in range(first + 1, first + count):
+                    yield RoundRecord(number, number * rd, *payload)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        size = len(self)
+        if index < 0:
+            index += size
+        if not 0 <= index < size:
+            raise IndexError("round log index out of range")
+        run = bisect_right(self._ends, index)
+        head = self._heads[run]
+        offset = index - (self._ends[run - 1] if run else 0)
+        if not offset:
+            return head
+        number = head.round_number + offset
+        return RoundRecord(number, number * self.round_duration, *_payload(head))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RoundLog) and other.round_duration == self.round_duration:
+            # Runs are canonical (see the class docstring), so equal rows
+            # are equal runs.
+            return self._heads == other._heads and self._ends == other._ends
+        if not isinstance(other, collections.abc.Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"RoundLog(rows={len(self)}, runs={len(self._heads)})"
+
+
 @dataclass
 class SimulationResult:
     """Everything an experiment needs after a simulation finished."""
@@ -87,7 +209,8 @@ class SimulationResult:
     round_duration: float
     rounds: int
     end_time: float
-    round_log: List[RoundRecord] = field(default_factory=list)
+    #: The simulator's :class:`RoundLog` (any sequence of rows compares).
+    round_log: Sequence[RoundRecord] = field(default_factory=list)
     #: Wall-clock seconds :meth:`Simulator.run` took; lets sweep workers
     #: report rounds/s without timing around the process boundary.  Never
     #: part of parity comparisons.
@@ -167,7 +290,6 @@ class Simulator:
         manager_factory: Optional[Callable[..., BloxManager]] = None,
         allow_empty_workload: bool = False,
         recorder: Optional["TraceRecorder"] = None,
-        round_log_limit: Optional[int] = None,
     ) -> None:
         from repro.policies.admission.accept_all import AcceptAll
         from repro.policies.placement.consolidated import ConsolidatedPlacement
@@ -280,20 +402,7 @@ class Simulator:
         # routing events, submits routed jobs, and resumes it -- see
         # :meth:`_advance_loop`.  ``run()`` still drives a single
         # start-to-finish pass over this state.
-        #
-        # ``round_log_limit`` bounds the per-round history: N keeps the last N
-        # records (a deque ring), 0 disables the log entirely.  Streaming
-        # federation workers use this so 64-shard million-job runs do not
-        # accumulate unbounded per-round rows; the limit never changes what
-        # rounds execute, only what is retained.
-        if round_log_limit is not None and round_log_limit < 0:
-            raise ConfigurationError(
-                f"round_log_limit must be >= 0 or None, got {round_log_limit}"
-            )
-        self._round_log_limit = round_log_limit
-        self._round_log: MutableSequence[RoundRecord] = (
-            deque(maxlen=round_log_limit) if round_log_limit is not None else []
-        )
+        self._round_log = RoundLog(round_duration)
         self._eviction_count = 0
         self._wall_time = 0.0
 
@@ -459,7 +568,7 @@ class Simulator:
         bounds = [t for t in (next_event, next_arrival) if t is not None]
         return min(bounds) if bounds else math.inf
 
-    def _fast_forward(self, round_log: List[RoundRecord]) -> bool:
+    def _fast_forward(self, round_log: RoundLog) -> bool:
         """Skip rounds during which no scheduling decision can change.
 
         Called at the end of a full round, *before* ``advance_time``.  While no
@@ -573,7 +682,7 @@ class Simulator:
         self,
         horizon: float,
         running: int,
-        round_log: List[RoundRecord],
+        round_log: RoundLog,
     ) -> bool:
         """The per-round light loop: advance + log, nothing else.
 
@@ -725,18 +834,19 @@ class Simulator:
                 flush()
 
     def build_result(self) -> SimulationResult:
-        """Snapshot the loop state into a :class:`SimulationResult`."""
+        """Snapshot the loop state into a :class:`SimulationResult`.
+
+        The round log is copied (O(runs)), so a result built at a pause does
+        not grow when the loop resumes.
+        """
         mgr = self.manager
-        round_log = self._round_log
-        if self._round_log_limit is not None:
-            round_log = list(round_log)
         return SimulationResult(
             jobs=self.job_state.all_jobs(),
             tracked_job_ids=self.tracked_job_ids,
             round_duration=mgr.round_duration,
             rounds=mgr.round_number,
             end_time=mgr.current_time,
-            round_log=round_log,
+            round_log=self._round_log.copy(),
             wall_time_s=self._wall_time,
             eviction_count=self._eviction_count,
         )

@@ -16,12 +16,13 @@ and hands the sanctioned skip here.  The clock then jumps from event to event:
   events** are boundaries -- rounds at which the full loop must run again;
 * the rounds *between* events carry no decisions by construction, so their
   observable product -- the round log, the clock, and each running job's
-  progress accounting -- is materialised in batch: constant-field
-  :class:`~repro.simulator.engine.RoundRecord` rows, a computed clock jump,
-  and :meth:`~repro.simulator.execution.ExecutionModel.advance_steady`
-  constant-delta folds.  With the round log disabled
-  (``round_log_limit=0``) and no trace recorder attached, a whole segment is
-  literally O(1).
+  progress accounting -- is materialised in batch: one run of the
+  :class:`~repro.simulator.engine.RoundLog` per segment, a computed clock
+  jump, and per job one fold -- the probe's own, written back at a chain's
+  end (:meth:`~repro.simulator.execution.ExecutionModel.adopt_steady`), or
+  an :meth:`~repro.simulator.execution.ExecutionModel.advance_steady`
+  replay elsewhere.  With no trace recorder attached, a segment's records
+  are O(1).
 
 The reference is the plain stepping loop (``fast_forward=False``), and
 bit-identity with it rests on three mechanisms the parity fuzz harness
@@ -60,9 +61,11 @@ class _CompletionProbe:
     holds, because every execution path replays the same per-round fold from
     the same history.  So the probe is taken once per allocation epoch,
     scanning lazily only as far as the caller's current horizon needs, and
-    resumed from its saved ``(work, pending)`` state when a later call needs
-    to see further.  It lives until the job is pruned
-    (:meth:`EventCore.forget`).
+    resumed from its saved ``(work, pending, attained)`` state when a later
+    call needs to see further.  For the same reason that state *is* the
+    job's state after round ``scanned_through``, which lets the drain chain
+    write it back instead of replaying the rounds.  It lives until the job
+    is pruned (:meth:`EventCore.forget`).
     """
 
     __slots__ = (
@@ -74,6 +77,7 @@ class _CompletionProbe:
         "scanned_through",
         "work",
         "pending",
+        "attained",
     )
 
     def __init__(
@@ -85,6 +89,7 @@ class _CompletionProbe:
         scanned_through: int,
         work: float,
         pending: float,
+        attained: float,
     ) -> None:
         self.membership = membership
         self.alloc = alloc
@@ -95,6 +100,7 @@ class _CompletionProbe:
         self.scanned_through = scanned_through
         self.work = work
         self.pending = pending
+        self.attained = attained
 
 
 class EventCore:
@@ -140,25 +146,22 @@ class EventCore:
     # ------------------------------------------------------------------
 
     def _append_records(self, rounds: int) -> None:
-        """Advance ``rounds`` skipped rounds: clock, log rows, trace events.
+        """Advance ``rounds`` skipped rounds: clock, log run, trace events.
 
         Nothing observable changes between events, so every row shares one
         set of counts/utilisation values; only the round number and its
-        computed time vary.  With the log disabled and no recorder the whole
-        segment collapses to the O(1) clock jump.
+        computed time vary -- which is exactly one run of the round log, an
+        O(1) append.  A trace recorder still gets one event per round.
         """
         if rounds <= 0:
             return
         sim = self.sim
         mgr = sim.manager
-        log = sim._round_log
         recorder = sim._recorder
         rd = mgr.round_duration
         first = mgr.round_number + 1
         mgr.round_number += rounds
         mgr.current_time = mgr.round_number * rd
-        if recorder is None and getattr(log, "maxlen", None) == 0:
-            return
         job_state = sim.job_state
         running = job_state.count_with_status(JobStatus.RUNNING)
         queued = job_state.count_active() - running
@@ -175,28 +178,17 @@ class EventCore:
         )
         from repro.simulator.engine import RoundRecord
 
-        # Rows are built positionally -- RoundRecord(round_number, time,
-        # running_jobs, queued_jobs, utilization, scheduler_name,
-        # admission_name, busy_capacity, healthy_capacity) -- and the
-        # recorder-free loop is split from the recording one: on a long-horizon run
-        # this is where nearly every row of the log is made.
+        sim._round_log.append_run(
+            RoundRecord(
+                first, first * rd, running, queued, utilization,
+                scheduler_name, admission_name, busy, healthy,
+            ),
+            rounds,
+        )
         if recorder is None:
-            log.extend(  # a generator: a bounded ring never holds the segment
-                RoundRecord(
-                    number, number * rd, running, queued, utilization,
-                    scheduler_name, admission_name, busy, healthy,
-                )
-                for number in range(first, first + rounds)
-            )
             return
         for number in range(first, first + rounds):
             clock = number * rd
-            log.append(
-                RoundRecord(
-                    number, clock, running, queued, utilization,
-                    scheduler_name, admission_name, busy, healthy,
-                )
-            )
             recorder.emit(
                 EVENT_ROUND,
                 clock,
@@ -214,20 +206,19 @@ class EventCore:
     # Completion events
     # ------------------------------------------------------------------
 
-    def _completion_event_round(
-        self, job: Job, rate: float, cap_round: int
-    ) -> Optional[int]:
+    def _completion_event_round(self, job: Job, cap_round: int) -> Optional[int]:
         """Absolute round in which ``job`` completes, or None if past ``cap_round``.
 
         Cache-validated against the job's version stamps; scans resume from
         the cached state, so across a whole run each round of a job's life is
         probed at most once per allocation epoch.
         """
-        if rate <= 0:
-            return None
         sim = self.sim
         execution = sim.execution_model
         cluster = sim.cluster_state
+        rate, _, num_gpus = execution.cached_rate(job, cluster)
+        if rate <= 0:
+            return None
         target = execution.termination.work_target(job)
         membership = cluster.membership_version
         alloc = cluster.alloc_version(job.job_id)
@@ -247,15 +238,18 @@ class EventCore:
                 scanned_through=sim.manager.round_number,
                 work=job.work_done,
                 pending=job.pending_overhead,
+                attained=job.attained_service,
             )
             self._probes[job.job_id] = probe
         if probe.event_round is None and cap_round > probe.scanned_through:
-            completing, work, pending = execution.steady_scan(
+            completing, work, pending, attained = execution.steady_scan(
                 target,
                 rate,
                 sim.manager.round_duration,
+                num_gpus,
                 probe.work,
                 probe.pending,
+                probe.attained,
                 cap_round - probe.scanned_through,
             )
             if completing is not None:
@@ -264,6 +258,7 @@ class EventCore:
                 probe.scanned_through = cap_round
                 probe.work = work
                 probe.pending = pending
+                probe.attained = attained
         if probe.event_round is not None and probe.event_round <= cap_round:
             return probe.event_round
         return None
@@ -299,8 +294,7 @@ class EventCore:
         base = mgr.round_number
         advancing = job_state.running_jobs()
         for job in advancing:
-            rate = execution.cached_rate(job, sim.cluster_state)[0]
-            completing = self._completion_event_round(job, rate, base + rounds)
+            completing = self._completion_event_round(job, base + rounds)
             if completing is not None:
                 rounds = min(rounds, completing - base - 1)
         if rounds <= 0:
@@ -340,6 +334,10 @@ class EventCore:
           other job's accounting is flushed once, when the chain exits at the
           first boundary (arrival, cluster event or the round budget).
 
+        The probes scan exactly to the chain's last round, so a flush there
+        writes each probe's folded state back (``adopt_steady``) instead of
+        replaying the rounds; a flush anywhere else replays them.
+
         A completion tied with a boundary round is not materialised here: the
         chain stops one round short and the boundary's full round applies it.
         """
@@ -350,26 +348,20 @@ class EventCore:
         rd = mgr.round_duration
         entry_round = mgr.round_number
 
-        probe_cap = sim.max_rounds - 1 - entry_round
-        if probe_cap <= 0:
-            return False
         # The chain cannot extend past the first arrival or cluster event, so
-        # probing beyond that horizon is wasted work.  An upper bound is
-        # enough: completions probed past the chain's actual end are simply
-        # never reached.
-        if horizon != math.inf:
-            to_horizon = int((horizon - mgr.current_time) / rd) + 2
-            probe_cap = min(probe_cap, max(1, to_horizon))
+        # that is where probing stops.
+        chain_end = entry_round + self._rounds_until(
+            horizon, sim.max_rounds - 1 - entry_round
+        )
+        if chain_end == entry_round:
+            return False
 
         jobs = job_state.running_jobs()
         by_id: Dict[int, Job] = {}
         completions: List[Tuple[int, int]] = []
         for job in jobs:
-            rate = execution.cached_rate(job, sim.cluster_state)[0]
             by_id[job.job_id] = job
-            completing = self._completion_event_round(
-                job, rate, entry_round + probe_cap
-            )
+            completing = self._completion_event_round(job, chain_end)
             if completing is not None:
                 completions.append((completing, job.job_id))
         heapq.heapify(completions)
@@ -377,19 +369,33 @@ class EventCore:
         def flush_running() -> None:
             # Jobs materialised mid-chain are exactly the completed ones, so
             # every still-running job owes the same span.
-            owed = mgr.round_number - entry_round
+            flush_round = mgr.round_number
+            owed = flush_round - entry_round
             if owed > 0:
                 final_round_start = mgr.current_time - rd
                 for job in jobs:
-                    if job.status == JobStatus.RUNNING:
+                    if job.status != JobStatus.RUNNING:
+                        continue
+                    probe = self._probes.get(job.job_id)
+                    if (
+                        probe is not None
+                        and probe.event_round is None
+                        and probe.scanned_through == flush_round
+                    ):
+                        execution.adopt_steady(
+                            job, sim.cluster_state, probe.work, probe.pending, probe.attained
+                        )
+                    else:
                         execution.advance_steady(
                             job, sim.cluster_state, final_round_start, rd, owed
                         )
             job_state.current_time = mgr.current_time
 
         while True:
-            segment_cap = self._rounds_until(
-                horizon, sim.max_rounds - 1 - mgr.round_number
+            # Never past the probed rounds, should the horizon move out.
+            segment_cap = min(
+                self._rounds_until(horizon, sim.max_rounds - 1 - mgr.round_number),
+                chain_end - mgr.round_number,
             )
             if not completions or completions[0][0] > mgr.round_number + segment_cap:
                 # The next event is a boundary (or the round budget): skip

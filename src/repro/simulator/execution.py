@@ -287,23 +287,25 @@ class ExecutionModel:
         target: float,
         rate: float,
         round_duration: float,
+        num_gpus: int,
         work: float,
         pending: float,
+        attained: float,
         max_rounds: int,
-    ) -> Tuple[Optional[int], float, float]:
+    ) -> Tuple[Optional[int], float, float, float]:
         """Pure, resumable probe for the round in which a job would complete.
 
         Replays up to ``max_rounds`` rounds of the per-round accounting from
-        the explicit ``(work, pending)`` state -- without touching any job --
-        and returns
-        ``(completing_round, work, pending)`` where ``completing_round`` is
-        1-based within *this* scan or ``None``.  When no completion is found
-        the returned state is exactly the state after ``max_rounds`` rounds,
-        so a caller can resume the scan later from where it stopped -- the
-        event core's completion-probe cache uses this to amortise probing
-        across fast-forward entries (each round of a job's life is scanned at
-        most once per allocation epoch).  On a completion the returned state
-        is mid-round and must not be resumed from.
+        the explicit ``(work, pending, attained)`` state -- without touching
+        any job -- and returns ``(completing_round, work, pending, attained)``
+        where ``completing_round`` is 1-based within *this* scan or ``None``.
+        When no completion is found the returned state is exactly the state
+        after ``max_rounds`` rounds: a caller can resume the scan later from
+        where it stopped -- the event core's completion-probe cache uses this
+        to amortise probing across fast-forward entries (each round of a
+        job's life is scanned at most once per allocation epoch) -- or write
+        it to the job (:meth:`adopt_steady`).  On a completion the returned
+        state is mid-round and must not be used.
 
         The per-round operations are identical, in identical order, to
         :meth:`advance` under a constant rate -- that identity is what lets a
@@ -312,7 +314,7 @@ class ExecutionModel:
         deferred flushes) replays this same fold.
         """
         if rate <= 0:
-            return None, work, pending
+            return None, work, pending, attained
         # General fold only while overhead is draining; once pending hits
         # exactly 0.0 every later round has overhead_used == 0.0 and
         # available == round_duration, so the loop switches to a fast fold
@@ -325,19 +327,50 @@ class ExecutionModel:
             available = round_duration - overhead_used
             remaining = max(0.0, target - work)
             if remaining / rate <= available:
-                return i, work, pending
+                return i, work, pending, attained
             work += available * rate
+            attained += num_gpus * (available + overhead_used)
             i += 1
         work_delta = round_duration * rate
+        service_delta = num_gpus * (round_duration + 0.0)
         while i <= max_rounds:
             remaining = target - work
             if remaining < 0.0:
                 remaining = 0.0
             if remaining / rate <= round_duration:
-                return i, work, pending
+                return i, work, pending, attained
             work += work_delta
+            attained += service_delta
             i += 1
-        return None, work, pending
+        return None, work, pending, attained
+
+    def adopt_steady(
+        self,
+        job: Job,
+        cluster_state: ClusterState,
+        work: float,
+        pending: float,
+        attained: float,
+    ) -> None:
+        """Write a non-completing k-round fold :meth:`steady_scan` already made.
+
+        ``(work, pending, attained)`` must be a scan's state after exactly
+        the rounds the job is owed, with no completion among them; the job
+        then ends where :meth:`advance_steady` over those rounds would leave
+        it, without folding them a second time.  The application metrics are
+        owed as that replay would owe them.
+        """
+        if job.status is not JobStatus.RUNNING:
+            raise SimulationError(f"cannot advance job {job.job_id} in status {job.status}")
+        facts = self._facts(job, cluster_state)
+        if not facts.num_gpus:
+            raise SimulationError(f"running job {job.job_id} holds no GPUs")
+        if facts.fragmented:
+            job.metrics["was_fragmented"] = True
+        job.work_done = work
+        job.attained_service = attained
+        job.pending_overhead = pending
+        self._owed[job.job_id] = facts
 
     def advance_steady(
         self,

@@ -158,7 +158,6 @@ class AutoSchedulerSynthesizer(SchedulingPolicy, AdmissionPolicy):
             job_state=jobs,
             manager_factory=partial(_ForkManager, start_round, self.horizon_rounds),
             allow_empty_workload=True,
-            round_log_limit=0,
         )
         held = sorted(self.pending_jobs(), key=lambda j: (j.arrival_time, j.job_id))
         for job in held:

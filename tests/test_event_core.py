@@ -273,23 +273,22 @@ def test_simultaneous_events_parity_without_churn():
 
 
 # ----------------------------------------------------------------------
-# Streaming configuration
+# Run-length round log
 # ----------------------------------------------------------------------
 
 
-def test_round_log_disabled_parity():
-    """round_log_limit=0 (the streaming configuration) keeps parity with stepping."""
+def test_round_log_parity_is_run_for_run():
+    """Skips append whole runs, stepping appends rows: the runs still agree."""
     trace = generate_philly_trace(num_jobs=30, jobs_per_hour=5.0, seed=17)
     default, stepping = (
-        make_sim(trace.fresh_jobs(), round_log_limit=0, fast_forward=fast_forward).run()
+        make_sim(trace.fresh_jobs(), fast_forward=fast_forward).run()
         for fast_forward in (True, False)
     )
-    assert {j.job_id: j.completion_time for j in default.jobs} == {
-        j.job_id: j.completion_time for j in stepping.jobs
-    }
-    assert default.rounds == stepping.rounds
-    assert default.end_time == stepping.end_time
-    assert list(default.round_log) == list(stepping.round_log) == []
+    assert_identical(default, stepping)
+    assert list(default.round_log.runs()) == list(stepping.round_log.runs())
+    assert list(default.round_log) == list(stepping.round_log)
+    assert len(default.round_log) == default.rounds
+    assert len(list(default.round_log.runs())) < default.rounds / 2
 
 
 def test_default_run_is_deterministic():

@@ -107,21 +107,27 @@ def test_replay_and_probe_match_stepping_bit_for_bit(seed):
 
     job, cluster, rd = make_case(seed)
     model = ExecutionModel()
-    rate = model.cached_rate(job, cluster)[0]
-    found, work, pending = model.steady_scan(
+    rate, _, num_gpus = model.cached_rate(job, cluster)
+    found, work, pending, attained = model.steady_scan(
         model.termination.work_target(job),
         rate,
         rd,
+        num_gpus,
         job.work_done,
         job.pending_overhead,
+        job.attained_service,
         MAX_ROUNDS,
     )
     assert found == completing
     if completing is None:
         # A scan that found nothing is resumable: it holds the stepped state
-        # (a zero-rate job is never probed, so its scan does not even drain).
+        # (a zero-rate job is never probed, so its scan does not even drain),
+        # and adopting it leaves the job exactly where stepping does.
         if rate > 0:
-            assert (work.hex(), pending.hex()) == (states[-1][0], states[-1][2])
+            assert (work.hex(), attained.hex(), pending.hex()) == states[-1][:3]
+            model.adopt_steady(job, cluster, work, pending, attained)
+            model.publish_owed_metrics()
+            assert snapshot(job) == states[-1]
     else:
         # A stride sized one round past the completion must not be applied.
         with pytest.raises(SimulationError, match="sized past its completion"):

@@ -68,7 +68,7 @@ def test_scheduling_registry_is_the_export_list():
 
 
 def test_runspec_keeps_its_fields():
-    # What varies between engine legs (fast_forward, round_log_limit, ...)
+    # What varies between engine legs (fast_forward, max_rounds, ...)
     # goes through ``build(**engine_kwargs)``, not into the recorded spec; the
     # last three fields are what a figure varies and nothing else could say.
     assert [f.name for f in dataclasses.fields(RunSpec)] == (

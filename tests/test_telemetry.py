@@ -23,7 +23,6 @@ import pickle
 
 import pytest
 
-from repro.core.exceptions import ConfigurationError
 from repro.dashboard import DashboardAggregator, percentile
 from repro.federation import (
     FederationEngine,
@@ -285,16 +284,24 @@ def test_traced_run_matches_untraced(scheduling):
     assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
 
 
-def test_round_log_limit_bounds_history():
-    full = build_simulator(FifoScheduling).run()
-    bounded = build_simulator(FifoScheduling, round_log_limit=5).run()
-    disabled = build_simulator(FifoScheduling, round_log_limit=0).run()
-    assert bounded.rounds == full.rounds
-    assert bounded.round_log == full.round_log[-5:]
-    assert disabled.round_log == []
-    assert completions(bounded) == completions(full)
-    with pytest.raises(ConfigurationError):
-        build_simulator(FifoScheduling, round_log_limit=-1)
+def test_round_log_keeps_every_round_in_fewer_runs():
+    """The whole history is kept; skipped stretches cost one run each."""
+    sink = RingBufferSink()
+    result = build_simulator(
+        FifoScheduling, recorder=TraceRecorder(sink, source="sim")
+    ).run()
+    log = result.round_log
+    assert len(log) == result.rounds
+    assert [r.round_number for r in log] == list(range(result.rounds))
+    runs = list(log.runs())
+    assert sum(count for _, count in runs) == len(log)
+    assert len(runs) < len(log) / 2
+    # The recorder still sees one event per row, with the row's values.
+    rounds = [e for e in sink.events() if e.kind == EVENT_ROUND]
+    assert [(e.time, e.payload["round"], e.payload["running"]) for e in rounds] == [
+        (r.time, r.round_number, r.running_jobs) for r in log
+    ]
+    assert log[-5:] == list(log)[-5:]
 
 
 # ----------------------------------------------------------------------
