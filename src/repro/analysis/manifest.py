@@ -98,7 +98,6 @@ HOT_PATH_FUNCTIONS: FrozenSet[str] = frozenset(
         "repro/core/job_state.py::JobState._reindex_status",
         "repro/simulator/execution.py::ExecutionModel.advance",
         "repro/simulator/execution.py::ExecutionModel.advance_running",
-        "repro/simulator/execution.py::ExecutionModel.advance_steady",
         "repro/simulator/execution.py::ExecutionModel.steady_scan",
         "repro/simulator/execution.py::ExecutionModel.adopt_steady",
         "repro/simulator/engine.py::RoundLog.append",
@@ -106,6 +105,8 @@ HOT_PATH_FUNCTIONS: FrozenSet[str] = frozenset(
         # _append_records is deliberately absent: it *is* the batched
         # round-record choke point, so telemetry emission belongs there.
         "repro/simulator/event_core.py::EventCore._completion_event_round",
+        "repro/simulator/event_core.py::EventCore._catch_up",
+        "repro/simulator/event_core.py::EventCore.skip",
         "repro/simulator/event_core.py::EventCore._rounds_until",
         # A full round's schedule -> place path: the priority stream, the
         # elastic water-fills and the placement walk that pulls from them.

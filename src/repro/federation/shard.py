@@ -4,7 +4,7 @@ A shard is a full Blox scheduling loop -- its own
 :class:`~repro.core.cluster_state.ClusterState`, policy composition and
 (optionally) scenario timeline -- that the federation engine can *pause* at
 routing events and *resume* after submitting routed gangs.  Everything about
-the loop (full rounds, light rounds, steady strides, the gang drain chain,
+the loop (full rounds, light rounds, the event core's skips,
 ``check_invariants``) is inherited unchanged from
 :class:`~repro.simulator.engine.Simulator`; the shard adds exactly three
 things:
@@ -53,7 +53,7 @@ class BoundedClusterManager(ClusterManager):
     shard cannot see the global arrival stream, so without the bound it would
     skip straight past the round in which a routed gang must be admitted.
     Advertising the routing event as a cluster event makes every skip path
-    (light rounds, steady strides, the drain chain) stop one round
+    (light rounds, the event core's skips) stop one round
     short of it for free, with no changes to the engine.
     """
 

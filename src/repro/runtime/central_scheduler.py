@@ -95,8 +95,8 @@ class RpcPreemption(SimulatedPreemption):
 class DeploymentBloxManager(BloxManager):
     """BloxManager whose prune step retires finished jobs' leases.
 
-    Every path through the engine -- full rounds, light fast-forward rounds,
-    steady strides and the gang chain -- prunes through this method, so a
+    Every path through the engine -- full rounds, light fast-forward rounds
+    and the event core's skips -- prunes through this method, so a
     completed job always releases its lease and clears worker-local state in
     the same round it frees its GPUs.
     """

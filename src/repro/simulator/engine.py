@@ -366,21 +366,16 @@ class Simulator:
             and getattr(self.admission_policy, "steady_state_safe", True)
             and self._jitter_free
         )
-        # Batched strides additionally require that nothing observes the
+        # Batched skips additionally require that nothing observes the
         # intermediate rounds: collectors sample per round by contract, and a
         # BloxManager subclass overriding advance_time expects one call per
-        # round, so either keeps the per-round light loop.
-        manager_type = type(self.manager)
+        # round (the contract for a manager whose update_metrics or
+        # prune_completed_jobs needs per-round calls), so either keeps the
+        # per-round light loop.
         self._stride_accelerable = (
             self._jitter_free
             and not self.metric_collectors
-            and manager_type.advance_time is BloxManager.advance_time
-        )
-        # Batched idle segments also skip the per-round update_metrics/prune
-        # no-ops, so a manager overriding either keeps those per-round too.
-        self._idle_batchable = (
-            manager_type.update_metrics is BloxManager.update_metrics
-            and manager_type.prune_completed_jobs is BloxManager.prune_completed_jobs
+            and type(self.manager).advance_time is BloxManager.advance_time
         )
         #: Whether the most recent full round's placement decision was a pure
         #: lease renewal (nothing suspended, nothing newly launched).  The
@@ -406,9 +401,8 @@ class Simulator:
         self._eviction_count = 0
         self._wall_time = 0.0
 
-        # Sanctioned skips that are batchable (idle segments, decision-stable
-        # strides, the gang drain chain) execute in the event core; everything
-        # else takes the per-round light loop below.
+        # Sanctioned skips that are batchable execute in the event core's one
+        # skip; everything else takes the per-round light loop below.
         self._event_core = EventCore(self)
 
         # Telemetry is opt-in and read-only: the recorder hooks only observe
@@ -486,9 +480,10 @@ class Simulator:
             busy_capacity=self.cluster_state.busy_capacity(),
             healthy_capacity=self.cluster_state.healthy_capacity(),
         )
-        # Every appended RoundRecord -- full rounds, light rounds, steady
-        # strides, the drain chain -- is built here, so this is the single
-        # choke point that makes the traced round stream equal the round log.
+        # Every single-row RoundRecord -- full rounds, light rounds, a skip's
+        # completion rounds -- is built here, and the skipped runs in
+        # EventCore._append_records, so those two emit the traced round
+        # stream that equals the round log.
         if self._recorder is not None:
             self._recorder.emit(
                 EVENT_ROUND,
@@ -573,13 +568,13 @@ class Simulator:
 
         Called at the end of a full round, *before* ``advance_time``.  While no
         arrival, cluster event, admission release or scheduling change can
-        occur, the only per-round work is advancing running jobs and logging --
-        so we run exactly those steps ("light rounds") and skip the cluster
-        update, admission, scheduling, placement and launch steps, which are
-        guaranteed no-ops.  Light rounds execute the same ``advance`` calls in
-        the same order as full rounds, so work/overhead accounting, completion
-        times, metric collection and the round log stay bit-identical to a run
-        with fast-forward disabled.
+        occur, the only per-round work is advancing running jobs and logging;
+        the cluster update, admission, scheduling, placement and launch steps
+        are guaranteed no-ops.  An accelerable skip runs in batch in
+        :meth:`EventCore.skip`; any other runs exactly those steps round by
+        round (``_fast_forward_light``).  Both keep work/overhead accounting,
+        completion times, metric collection and the round log bit-identical to
+        a run with fast-forward disabled.
 
         Returns ``True`` when every tracked job finished during the skip (the
         caller must then stop exactly as the full loop would).
@@ -601,81 +596,55 @@ class Simulator:
         boundary = self._boundary_horizon()
         policy_bound: Optional[float] = None
         running = job_state.count_with_status(JobStatus.RUNNING)
-        active = job_state.count_active()
-        # A stride can run in *steady* mode -- per-job tight-loop accounting
-        # via ExecutionModel.advance_steady plus batched round records -- when
-        # per-round observation is provably equivalent to batched observation:
-        # no metric collectors sample intermediate rounds, the rate model is
-        # drift-free (no per-round jitter RNG), and the stride is bounded to
-        # end strictly before the earliest completion.
-        steady_mode = False
-        if active:
-            # Rounds with active jobs can be skipped on one of two witnesses.
-            # Gang steady state: audited policies, every active job already
-            # running, and each holding exactly its requested gang.
-            gang_steady = self._gang_steady_witness()
-            if gang_steady:
-                # The chain's deferred bookkeeping (one probe + one flush per
-                # job) only pays for itself on long strides; near an arrival
-                # or cluster event the per-round light loop is cheaper and
-                # bit-identical, so short windows fall through to it.
-                if (
-                    self._stride_accelerable
-                    and boundary - mgr.current_time > mgr.round_duration
-                ):
-                    return self._event_core.chain(boundary)
-                # Not accelerable (collectors, jitter or a manager with its
-                # own advance_time), or a short window: fall through to the
-                # per-round light loop, which breaks at completions.
-            else:
-                # Decision-stable (elastic/discretised policies): this round's
-                # decision was a pure lease renewal, and the policy guarantees
-                # -- via next_policy_event_time -- that absent external events
-                # it re-emits the same schedule until the returned time.  An
-                # unchanged schedule against unchanged state places the same
-                # no-op, so the skipped rounds are provably identical.
-                if not (self._policy_event_aware and self._last_decision_noop):
+        # With no active job, or under the gang witness -- audited policies,
+        # every active job already running, each holding exactly its
+        # requested gang -- a completion cannot change any decision, so a
+        # skip runs through completions to the next arrival or cluster event.
+        through_completions = True
+        if job_state.count_active() and not self._gang_steady_witness():
+            # Decision-stable (elastic/discretised policies): this round's
+            # decision was a pure lease renewal, and the policy guarantees
+            # -- via next_policy_event_time -- that absent external events
+            # it re-emits the same schedule until the returned time.  An
+            # unchanged schedule against unchanged state places the same
+            # no-op, so the skipped rounds are provably identical.
+            if not (self._policy_event_aware and self._last_decision_noop):
+                return False
+            bound = self.scheduling_policy.next_policy_event_time(
+                job_state, self.cluster_state, mgr.current_time
+            )
+            if bound is not None:
+                # One-round safety margin: the policy computes its next
+                # internal event in closed form, and the accumulated
+                # floating-point state it predicts may cross a threshold
+                # up to one ulp away from the closed form.  Resuming a
+                # round early costs one cheap full round and removes the
+                # risk of skipping a round whose decision differed.
+                policy_bound = bound - mgr.round_duration
+                if policy_bound <= mgr.current_time:
                     return False
-                bound = self.scheduling_policy.next_policy_event_time(
-                    job_state, self.cluster_state, mgr.current_time
-                )
-                if bound is not None:
-                    # One-round safety margin: the policy computes its next
-                    # internal event in closed form, and the accumulated
-                    # floating-point state it predicts may cross a threshold
-                    # up to one ulp away from the closed form.  Resuming a
-                    # round early costs one cheap full round and removes the
-                    # risk of skipping a round whose decision differed.
-                    policy_bound = bound - mgr.round_duration
-                    if policy_bound <= mgr.current_time:
+            # Unlike the gang path (where nothing is waiting for GPUs), a
+            # completion here frees GPUs that a queued job must receive in
+            # that very round -- so the skip must stop *before* the first
+            # completion, not merely break at it.  The event core stops at
+            # the round before the first probed completion; the light loop
+            # (collectors present) bounds the horizon by the closed-form
+            # completion estimate with a one-round safety margin.
+            through_completions = False
+            if not self._stride_accelerable:
+                completion = self._earliest_completion_bound()
+                if completion is not None:
+                    completion -= mgr.round_duration
+                    if completion <= mgr.current_time:
                         return False
-                # Unlike the gang path (where nothing is waiting for GPUs and
-                # a completion therefore cannot change the next decision), a
-                # completion here frees GPUs that a queued job must receive in
-                # that very round -- so the stride must stop *before* the
-                # first completion, not merely break at it.  Steady strides
-                # enforce this by excluding the completing round from the
-                # probe-sized stride; the light loop (collectors present)
-                # bounds the horizon by the closed-form completion estimate
-                # with a one-round safety margin.
-                steady_mode = self._stride_accelerable
-                if not steady_mode:
-                    completion = self._earliest_completion_bound()
-                    if completion is not None:
-                        completion -= mgr.round_duration
-                        if completion <= mgr.current_time:
-                            return False
-                        if policy_bound is None or completion < policy_bound:
-                            policy_bound = completion
+                    if policy_bound is None or completion < policy_bound:
+                        policy_bound = completion
 
         # Nothing may fire before the next arrival or cluster event (or, on
         # the decision-stable path, the policy's own next event).
         horizon = boundary if policy_bound is None else min(boundary, policy_bound)
-
-        if steady_mode:
-            return self._event_core.steady(horizon)
-        if not active and self._stride_accelerable and self._idle_batchable:
-            return self._event_core.idle(horizon)
+        if self._stride_accelerable:
+            return self._event_core.skip(horizon, through_completions)
         return self._fast_forward_light(horizon, running, round_log)
 
     def _fast_forward_light(
@@ -686,11 +655,10 @@ class Simulator:
     ) -> bool:
         """The per-round light loop: advance + log, nothing else.
 
-        Handles the skip cases the event core does not claim: idle stretches
-        observed by collectors, short gang-steady windows (where the chain's
-        bookkeeping costs more than it saves) and every stride that is not
-        accelerable.  Breaks back to the full loop as soon as a completion
-        changes the steady state.
+        Handles the skips the event core does not claim: those observed by
+        metric collectors, jittered rates, or a manager that overrides
+        ``advance_time``.  Breaks back to the full loop as soon as a
+        completion changes the steady state.
         """
         mgr = self.manager
         job_state = self.job_state

@@ -1,16 +1,17 @@
-"""The skip executor: heap-organised strides, batched accounting.
+"""The skip executor: heap-organised segments, batched accounting.
 
 :class:`EventCore` executes every batchable skip of
-:class:`~repro.simulator.engine.Simulator`.  The round loop keeps making every
-*decision* -- full rounds run the eight steps of Figure 2, and
-``Simulator._fast_forward`` decides *whether* a skip is sanctioned
-(witnesses, policy bounds, admission quiescence) and how far it may reach --
-and hands the sanctioned skip here.  The clock then jumps from event to event:
+:class:`~repro.simulator.engine.Simulator` through one method,
+:meth:`EventCore.skip`.  The round loop keeps making every *decision* -- full
+rounds run the eight steps of Figure 2, and ``Simulator._fast_forward``
+decides *whether* a skip is sanctioned (witnesses, policy bounds, admission
+quiescence) and how far it may reach -- and hands the sanctioned skip here.
+The clock then jumps from event to event:
 
-* upcoming **completions** are probed once per (job, allocation epoch) via the
-  exact replay of :meth:`~repro.simulator.execution.ExecutionModel.steady_scan`
-  and cached (resumably) in :class:`_CompletionProbe` entries; the gang chain
-  keeps them in a ``heapq`` of ``(round, job_id)`` tuples;
+* upcoming **completions** are probed once per (job, allocation epoch) with
+  :meth:`~repro.simulator.execution.ExecutionModel.steady_scan`, the one
+  multi-round fold, and cached (resumably) in :class:`_CompletionProbe`
+  entries; a skip keeps them in a ``heapq`` of ``(round, job_id, job)`` tuples;
 * **arrivals**, **cluster/timeline churn** (including federation routing
   bounds surfaced through ``ClusterManager.next_event_time``) and **policy
   events** are boundaries -- rounds at which the full loop must run again;
@@ -18,11 +19,12 @@ and hands the sanctioned skip here.  The clock then jumps from event to event:
   observable product -- the round log, the clock, and each running job's
   progress accounting -- is materialised in batch: one run of the
   :class:`~repro.simulator.engine.RoundLog` per segment, a computed clock
-  jump, and per job one fold -- the probe's own, written back at a chain's
-  end (:meth:`~repro.simulator.execution.ExecutionModel.adopt_steady`), or
-  an :meth:`~repro.simulator.execution.ExecutionModel.advance_steady`
-  replay elsewhere.  With no trace recorder attached, a segment's records
-  are O(1).
+  jump, and per job one fold written back
+  (:meth:`~repro.simulator.execution.ExecutionModel.adopt_steady`): the
+  probe's own when it stopped at the round the job is owed up to, a fresh
+  ``steady_scan`` from the job's state otherwise.  A completing round is one
+  ordinary ``advance_running`` round.  With no trace recorder attached, a
+  segment's records are O(1).
 
 The reference is the plain stepping loop (``fast_forward=False``), and
 bit-identity with it rests on three mechanisms the parity fuzz harness
@@ -33,9 +35,10 @@ exercises:
    jump of any length lands on the float the stepping loop reaches, and "how
    many rounds fit before this horizon" is one comparison per candidate round
    against that same product;
-2. **progress accounting** -- deferred/batched advancement replays the exact
-   per-round float fold of ``ExecutionModel.advance`` (same values, same
-   order), so completion times agree to the last bit;
+2. **progress accounting** -- the fold replays the exact per-round float
+   operations of ``ExecutionModel.advance_running`` (same values, same
+   order), and a completing round *is* one of its rounds, so completion
+   times agree to the last bit;
 3. **tie-breaking** -- a completion in the same round as a boundary is left to
    that round's full pass through the loop (advance -> prune -> admit ->
    schedule), and completions sharing a round materialise in ascending job id,
@@ -63,9 +66,10 @@ class _CompletionProbe:
     scanning lazily only as far as the caller's current horizon needs, and
     resumed from its saved ``(work, pending, attained)`` state when a later
     call needs to see further.  For the same reason that state *is* the
-    job's state after round ``scanned_through``, which lets the drain chain
-    write it back instead of replaying the rounds.  It lives until the job
-    is pruned (:meth:`EventCore.forget`).
+    job's state after round ``scanned_through`` -- once the completion is
+    found, the round before it -- which lets a skip write it back instead
+    of folding the rounds again.  It lives until the job is pruned
+    (:meth:`EventCore.forget`).
     """
 
     __slots__ = (
@@ -209,16 +213,15 @@ class EventCore:
     def _completion_event_round(self, job: Job, cap_round: int) -> Optional[int]:
         """Absolute round in which ``job`` completes, or None if past ``cap_round``.
 
-        Cache-validated against the job's version stamps; scans resume from
-        the cached state, so across a whole run each round of a job's life is
-        probed at most once per allocation epoch.
+        Every running job is probed, whatever its rate.  Cache-validated
+        against the job's version stamps; scans resume from the cached
+        state, so across a whole run each round of a job's life is probed at
+        most once per allocation epoch.
         """
         sim = self.sim
         execution = sim.execution_model
         cluster = sim.cluster_state
         rate, _, num_gpus = execution.cached_rate(job, cluster)
-        if rate <= 0:
-            return None
         target = execution.termination.work_target(job)
         membership = cluster.membership_version
         alloc = cluster.alloc_version(job.job_id)
@@ -242,7 +245,7 @@ class EventCore:
             )
             self._probes[job.job_id] = probe
         if probe.event_round is None and cap_round > probe.scanned_through:
-            completing, work, pending, attained = execution.steady_scan(
+            completing, probe.work, probe.pending, probe.attained = execution.steady_scan(
                 target,
                 rate,
                 sim.manager.round_duration,
@@ -252,94 +255,80 @@ class EventCore:
                 probe.attained,
                 cap_round - probe.scanned_through,
             )
-            if completing is not None:
-                probe.event_round = probe.scanned_through + completing
-            else:
+            if completing is None:
                 probe.scanned_through = cap_round
-                probe.work = work
-                probe.pending = pending
-                probe.attained = attained
+            else:
+                probe.event_round = probe.scanned_through + completing
+                probe.scanned_through = probe.event_round - 1
         if probe.event_round is not None and probe.event_round <= cap_round:
             return probe.event_round
         return None
 
-    # ------------------------------------------------------------------
-    # Skip executors (dispatch targets of Simulator._fast_forward)
-    # ------------------------------------------------------------------
+    def _catch_up(self, job: Job, from_round: int, through_round: int) -> None:
+        """Write a running job's skipped rounds ``from_round + 1 .. through_round``.
 
-    def idle(self, horizon: float) -> bool:
-        """Idle segments: no active jobs, so only the log rows accumulate."""
-        sim = self.sim
-        mgr = sim.manager
-        rounds = self._rounds_until(horizon, sim.max_rounds - 1 - mgr.round_number)
-        if rounds > 0:
-            self._append_records(rounds)
-            sim.job_state.current_time = mgr.current_time
-        return False
-
-    def steady(self, horizon: float) -> bool:
-        """Decision-stable strides: batched records + one replay per job.
-
-        The stride length is the smaller of the horizon and one round *short
-        of* the earliest completing round: a completion frees GPUs that the
-        next full round must be able to hand to a queued job.
+        The job's own state is that of ``from_round``.  Adopts the probe's
+        fold when the probe stopped exactly at ``through_round``; otherwise
+        folds the rounds again from the job's own state, and that fold must
+        not complete.
         """
+        if through_round == from_round:
+            return
         sim = self.sim
-        mgr = sim.manager
-        job_state = sim.job_state
         execution = sim.execution_model
-        rounds = self._rounds_until(horizon, sim.max_rounds - 1 - mgr.round_number)
-        if rounds == 0:
-            return False
-        base = mgr.round_number
-        advancing = job_state.running_jobs()
-        for job in advancing:
-            completing = self._completion_event_round(job, base + rounds)
-            if completing is not None:
-                rounds = min(rounds, completing - base - 1)
-        if rounds <= 0:
-            return False
-        # The final round's record is appended after completions are applied
-        # and pruned, mirroring the per-round order of operations.
-        self._append_records(rounds - 1)
-        mgr.advance_time()
-        final_round_start = mgr.current_time - mgr.round_duration
-        for job in advancing:
-            execution.advance_steady(
-                job, sim.cluster_state, final_round_start, mgr.round_duration, rounds
+        probe = self._probes[job.job_id]
+        if probe.scanned_through == through_round:
+            work, pending, attained = probe.work, probe.pending, probe.attained
+        else:
+            _, _, num_gpus = execution.cached_rate(job, sim.cluster_state)
+            completing, work, pending, attained = execution.steady_scan(
+                probe.target,
+                probe.rate,
+                sim.manager.round_duration,
+                num_gpus,
+                job.work_done,
+                job.pending_overhead,
+                job.attained_service,
+                through_round - from_round,
             )
-        sim._prune_completed_jobs()
-        if sim._tracked_all_finished():
-            return True
-        job_state.current_time = mgr.current_time
-        sim._round_log.append(sim._round_record())
-        return False
+            if completing is not None:
+                raise SimulationError(
+                    f"job {job.job_id} completed in skipped round "
+                    f"{from_round + completing}, before round {through_round}; "
+                    "event-core accounting diverged"
+                )
+        execution.adopt_steady(job, sim.cluster_state, work, pending, attained)
 
-    def chain(self, horizon: float) -> bool:
-        """Chained gang-steady strides with deferred per-job advancement.
+    # ------------------------------------------------------------------
+    # The skip executor (dispatch target of Simulator._fast_forward)
+    # ------------------------------------------------------------------
 
-        Entered with the gang witness held (every active job RUNNING on
-        exactly its requested gang, all composed policies steady-state safe),
-        the stride accelerable and ``horizon`` the next arrival or cluster
-        event as of the entry round.  Under the witness a completion cannot
-        change any scheduling decision -- the remaining jobs simply keep
-        their gangs -- so whole drain phases collapse into one chain:
+    def skip(self, horizon: float, through_completions: bool = True) -> bool:
+        """Skip the sanctioned rounds before ``horizon`` in batch.
 
-        * every running job's completion round (cache-amortised probes) seeds
-          a min-heap of ``(round, job_id)``;
+        Entered at the end of a full round whose skip ``_fast_forward``
+        sanctioned, with ``horizon`` the first round that must run in full
+        (arrival, cluster event or policy event).  Returns whether every
+        tracked job finished inside the skip.
+
+        * every running job's completion round (cache-amortised probes)
+          seeds a min-heap of ``(round, job_id, job)``;
         * between completion rounds nothing observable changes: the round
-          records are appended in batch and job advancement is *deferred*;
-        * at each completion round exactly the completing jobs are
-          materialised (advanced through the round, completed, pruned); every
-          other job's accounting is flushed once, when the chain exits at the
-          first boundary (arrival, cluster event or the round budget).
+          records are appended in batch and job accounting is *deferred*;
+        * with ``through_completions`` (the gang witness: a completion cannot
+          change a decision, so the skip chains on), at each completion
+          round exactly the completing jobs are materialised -- caught up to
+          the round before, then one ordinary ``advance_running`` round in
+          ascending job id -- and pruned;
+        * without it (the decision-stable witness: freed GPUs must go to a
+          queued job in that very round), the skip ends at the round before
+          the first completion;
+        * every still-running job is caught up once, when the skip ends
+          (arrival, cluster event, policy event or the round budget).
 
-        The probes scan exactly to the chain's last round, so a flush there
-        writes each probe's folded state back (``adopt_steady``) instead of
-        replaying the rounds; a flush anywhere else replays them.
-
-        A completion tied with a boundary round is not materialised here: the
-        chain stops one round short and the boundary's full round applies it.
+        With no running job only the round records accumulate.  A completion
+        tied with a boundary round is not materialised here: the skip stops
+        one round short and the boundary's full round applies it.
         """
         sim = self.sim
         mgr = sim.manager
@@ -348,75 +337,60 @@ class EventCore:
         rd = mgr.round_duration
         entry_round = mgr.round_number
 
-        # The chain cannot extend past the first arrival or cluster event, so
+        # The skip cannot extend past the horizon as of the entry round, so
         # that is where probing stops.
-        chain_end = entry_round + self._rounds_until(
-            horizon, sim.max_rounds - 1 - entry_round
-        )
-        if chain_end == entry_round:
+        end = entry_round + self._rounds_until(horizon, sim.max_rounds - 1 - entry_round)
+        if end == entry_round:
             return False
 
         jobs = job_state.running_jobs()
-        by_id: Dict[int, Job] = {}
-        completions: List[Tuple[int, int]] = []
+        completions: List[Tuple[int, int, Job]] = []
         for job in jobs:
-            by_id[job.job_id] = job
-            completing = self._completion_event_round(job, chain_end)
+            completing = self._completion_event_round(job, end)
             if completing is not None:
-                completions.append((completing, job.job_id))
+                completions.append((completing, job.job_id, job))
+        if completions and not through_completions:
+            end = min(completions)[0] - 1
+            if end == entry_round:
+                return False
+            completions = []
         heapq.heapify(completions)
 
-        def flush_running() -> None:
-            # Jobs materialised mid-chain are exactly the completed ones, so
+        def finish() -> None:
+            # Jobs materialised mid-skip are exactly the completed ones, so
             # every still-running job owes the same span.
-            flush_round = mgr.round_number
-            owed = flush_round - entry_round
-            if owed > 0:
-                final_round_start = mgr.current_time - rd
-                for job in jobs:
-                    if job.status != JobStatus.RUNNING:
-                        continue
-                    probe = self._probes.get(job.job_id)
-                    if (
-                        probe is not None
-                        and probe.event_round is None
-                        and probe.scanned_through == flush_round
-                    ):
-                        execution.adopt_steady(
-                            job, sim.cluster_state, probe.work, probe.pending, probe.attained
-                        )
-                    else:
-                        execution.advance_steady(
-                            job, sim.cluster_state, final_round_start, rd, owed
-                        )
+            for job in jobs:
+                if job.status is JobStatus.RUNNING:
+                    self._catch_up(job, entry_round, mgr.round_number)
             job_state.current_time = mgr.current_time
 
         while True:
             # Never past the probed rounds, should the horizon move out.
             segment_cap = min(
                 self._rounds_until(horizon, sim.max_rounds - 1 - mgr.round_number),
-                chain_end - mgr.round_number,
+                end - mgr.round_number,
             )
             if not completions or completions[0][0] > mgr.round_number + segment_cap:
                 # The next event is a boundary (or the round budget): skip
                 # straight to it and hand the loop back.
                 self._append_records(segment_cap)
-                flush_running()
+                finish()
                 return False
             boundary = completions[0][0]
             self._append_records(boundary - 1 - mgr.round_number)
             mgr.advance_time()
+            completing_jobs = []
             while completions and completions[0][0] == boundary:
-                _, job_id = heapq.heappop(completions)
-                if not execution.advance_steady(
-                    by_id[job_id],
-                    sim.cluster_state,
-                    mgr.current_time - rd,
-                    rd,
-                    boundary - entry_round,
-                ):
+                job = heapq.heappop(completions)[2]
+                self._catch_up(job, entry_round, boundary - 1)
+                completing_jobs.append(job)
+            execution.advance_running(
+                completing_jobs, sim.cluster_state, mgr.current_time - rd, rd
+            )
+            for job in completing_jobs:
+                if job.status is not JobStatus.COMPLETED:
                     raise SimulationError(
-                        f"job {job_id} did not complete in its probed "
+                        f"job {job.job_id} did not complete in its probed "
                         f"round {boundary}; event-core accounting diverged"
                     )
             sim._prune_completed_jobs()
@@ -424,12 +398,12 @@ class EventCore:
                 # The simulation ends at this round exactly as the full loop
                 # would; materialise the remaining jobs' deferred rounds so
                 # their work/service accounting matches a per-round run.
-                flush_running()
+                finish()
                 return True
             job_state.current_time = mgr.current_time
             sim._round_log.append(sim._round_record())
             if not job_state.count_active():
-                flush_running()
+                finish()
                 return False
             # The gang witness is preserved by construction (the remaining
             # jobs keep running on their exact gangs), so chain directly into

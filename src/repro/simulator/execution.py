@@ -31,6 +31,19 @@ from repro.simulator.overheads import OverheadModel
 REFERENCE_NETWORK_BW_GBPS = 40.0
 
 
+def _blind_rounds(gap: float, rate: float, round_duration: float, left: int) -> int:
+    """How many of ``left`` drained rounds :meth:`ExecutionModel.steady_scan` folds untested.
+
+    The closed-form count of rounds a job ``gap`` work short of its target
+    at ``rate`` cannot complete in, one round short (the test of the last
+    blind round then has a whole round of slack against float drift), capped
+    at ``left``; ``<= 0`` means none.  A wrong estimate costs time, not
+    exactness: the scan tests the last blind round and refolds if it
+    completes.  NaN and infinite gaps fold everything or nothing, never raise.
+    """
+    return int(max(0.0, min(left + 1.0, gap / rate / round_duration))) - 1
+
+
 class _Facts(NamedTuple):
     """What a round needs of one job that only changes with its allocation.
 
@@ -184,8 +197,8 @@ class ExecutionModel:
         read them) or stalls; see :meth:`publish_owed_metrics`.
 
         This is the one per-round fold: :meth:`advance` is its one-job call,
-        and :meth:`advance_steady` / :meth:`steady_scan` replay exactly these
-        floating-point operations in this order.
+        and :meth:`steady_scan` replays exactly these floating-point
+        operations in this order.
         """
         facts = self._facts
         owed = self._owed
@@ -293,51 +306,63 @@ class ExecutionModel:
         attained: float,
         max_rounds: int,
     ) -> Tuple[Optional[int], float, float, float]:
-        """Pure, resumable probe for the round in which a job would complete.
+        """Fold up to ``max_rounds`` constant-rate rounds: the one multi-round fold.
 
-        Replays up to ``max_rounds`` rounds of the per-round accounting from
-        the explicit ``(work, pending, attained)`` state -- without touching
-        any job -- and returns ``(completing_round, work, pending, attained)``
+        Replays the per-round accounting of :meth:`advance_running` from the
+        explicit ``(work, pending, attained)`` state -- without touching any
+        job -- and returns ``(completing_round, work, pending, attained)``
         where ``completing_round`` is 1-based within *this* scan or ``None``.
-        When no completion is found the returned state is exactly the state
-        after ``max_rounds`` rounds: a caller can resume the scan later from
-        where it stopped -- the event core's completion-probe cache uses this
-        to amortise probing across fast-forward entries (each round of a
-        job's life is scanned at most once per allocation epoch) -- or write
-        it to the job (:meth:`adopt_steady`).  On a completion the returned
-        state is mid-round and must not be used.
+        The returned state is always a real job state: after ``max_rounds``
+        rounds when nothing completes, else after the rounds *before* the
+        completing one.  A caller can resume the scan from it later -- the
+        event core's completion probes amortise probing this way -- write it
+        to the job (:meth:`adopt_steady`), and execute a completing round
+        with :meth:`advance_running`.
 
         The per-round operations are identical, in identical order, to
-        :meth:`advance` under a constant rate -- that identity is what lets a
-        probe taken rounds ago still name the exact absolute completion
-        round, because every execution path (full rounds, steady strides,
-        deferred flushes) replays this same fold.
+        :meth:`advance_running` under a constant rate, so the fold is
+        bit-identical to stepping.  A non-positive rate only drains overhead:
+        once ``pending`` is exactly 0.0 each of its rounds adds 0.0, a no-op
+        of any length, so the scan returns there.
         """
-        if rate <= 0:
-            return None, work, pending, attained
-        # General fold only while overhead is draining; once pending hits
-        # exactly 0.0 every later round has overhead_used == 0.0 and
-        # available == round_duration, so the loop switches to a fast fold
-        # with constant operands and no min/max calls -- identical values,
-        # identical float-operation order.
+        # advance_running's completion test is ``remaining / rate <=
+        # available`` with ``remaining`` clamped at 0.0; since ``available``
+        # is never negative, ``not gap / rate > available`` decides the same.
         i = 1
         while i <= max_rounds and pending != 0.0:
             overhead_used = min(pending, round_duration)
-            pending -= overhead_used
             available = round_duration - overhead_used
-            remaining = max(0.0, target - work)
-            if remaining / rate <= available:
+            if rate <= 0:
+                available = 0.0  # a stalled round computes nothing
+            elif not (target - work) / rate > available:
                 return i, work, pending, attained
+            pending -= overhead_used
             work += available * rate
             attained += num_gpus * (available + overhead_used)
             i += 1
+        if rate <= 0:
+            return None, work, pending, attained
+        # Drained: every round has overhead_used == 0.0 and available ==
+        # round_duration, so a non-completing round is two adds with constant
+        # operands.  The rounds that cannot complete are folded blind and
+        # only the last of them is tested: the test is monotone (work never
+        # decreases, so the gap never grows), so its passing proves every
+        # blind round took the no-completion arm.  If it fails, the estimate
+        # overshot and the checked loop runs from the saved state.
         work_delta = round_duration * rate
         service_delta = num_gpus * (round_duration + 0.0)
+        blind = _blind_rounds(target - work, rate, round_duration, max_rounds - i + 1)
+        if blind > 0:
+            blind_work, blind_attained = work, attained
+            for _ in range(blind - 1):
+                blind_work += work_delta
+                blind_attained += service_delta
+            if (target - blind_work) / rate > round_duration:
+                work = blind_work + work_delta
+                attained = blind_attained + service_delta
+                i += blind
         while i <= max_rounds:
-            remaining = target - work
-            if remaining < 0.0:
-                remaining = 0.0
-            if remaining / rate <= round_duration:
+            if not (target - work) / rate > round_duration:
                 return i, work, pending, attained
             work += work_delta
             attained += service_delta
@@ -352,13 +377,13 @@ class ExecutionModel:
         pending: float,
         attained: float,
     ) -> None:
-        """Write a non-completing k-round fold :meth:`steady_scan` already made.
+        """Write a non-completing fold :meth:`steady_scan` made to the job.
 
         ``(work, pending, attained)`` must be a scan's state after exactly
         the rounds the job is owed, with no completion among them; the job
-        then ends where :meth:`advance_steady` over those rounds would leave
-        it, without folding them a second time.  The application metrics are
-        owed as that replay would owe them.
+        then ends where that many :meth:`advance_running` rounds would leave
+        it.  The application metrics are owed, or for a stalled job written,
+        as those rounds would leave them.
         """
         if job.status is not JobStatus.RUNNING:
             raise SimulationError(f"cannot advance job {job.job_id} in status {job.status}")
@@ -370,129 +395,10 @@ class ExecutionModel:
         job.work_done = work
         job.attained_service = attained
         job.pending_overhead = pending
-        self._owed[job.job_id] = facts
-
-    def advance_steady(
-        self,
-        job: Job,
-        cluster_state: ClusterState,
-        final_round_start: float,
-        round_duration: float,
-        rounds: int,
-    ) -> bool:
-        """Advance one running job across ``rounds`` steady-state rounds at once.
-
-        The one k-round replay: used by the skip executor when the job's
-        allocation, placement and rate are constant across the stride.  The
-        per-round work/overhead/service accounting is replayed with exactly
-        the floating-point operations :meth:`advance` would perform (same
-        values, same order), so the job's state after the call is
-        bit-identical to ``rounds`` individual ``advance`` calls -- including
-        the sub-round completion time if the job finishes in the stride's
-        final round (callers size strides with :meth:`steady_scan` so a
-        completion can only fall there).  The application metrics are pure
-        functions of the final state and the constant rate, so they are owed
-        exactly as :meth:`advance_running` owes them (written here only on a
-        completion or a stall; see :meth:`publish_owed_metrics`).
-
-        ``final_round_start`` is the wall-clock start of the stride's *last*
-        round, taken from the manager's clock so a completion time
-        assigned here is bit-identical to the one ``advance`` would assign.
-        Returns whether the job completed; a completion before the final
-        round raises :class:`SimulationError` before any progress is written.
-        """
-        if job.status != JobStatus.RUNNING:
-            raise SimulationError(f"cannot advance job {job.job_id} in status {job.status}")
-        facts = self._facts(job, cluster_state)
-        rate, num_gpus, target = facts.rate, facts.num_gpus, facts.work_target
-        if not num_gpus:
-            raise SimulationError(f"running job {job.job_id} holds no GPUs")
-        if facts.fragmented:
-            job.metrics["was_fragmented"] = True
-
-        work = job.work_done
-        attained = job.attained_service
-        pending = job.pending_overhead
-        completed = False
-        overhead_used = 0.0
-        compute_seconds = 0.0
-        # General fold while overhead drains.  A non-positive rate needs no
-        # more than that: once pending is exactly 0.0 each of its rounds adds
-        # 0.0 work and 0.0 service, a no-op of any length.
-        index = 0
-        while index < rounds and pending != 0.0:
-            overhead_used = min(pending, round_duration)
-            pending -= overhead_used
-            available = round_duration - overhead_used
-            remaining = max(0.0, target - work)
-            if rate <= 0:
-                compute_seconds = 0.0
-                work_delta = 0.0
-            else:
-                time_to_finish = remaining / rate
-                if time_to_finish <= available:
-                    compute_seconds = time_to_finish
-                    work_delta = remaining
-                    completed = True
-                else:
-                    compute_seconds = available
-                    work_delta = available * rate
-            work += work_delta
-            attained += num_gpus * (compute_seconds + overhead_used)
-            if completed:
-                if index != rounds - 1:
-                    raise SimulationError(
-                        f"job {job.job_id} completed in stride round {index + 1} "
-                        f"of {rounds}; the stride was sized past its completion"
-                    )
-                break
-            index += 1
-        if rate > 0 and index < rounds and not completed:
-            # Overhead drained, positive rate: every round has overhead_used
-            # == 0.0 and available == round_duration, so a non-completing
-            # round is two adds with constant operands.  All rounds but the
-            # last are folded blind; the per-round completion test
-            # ``remaining / rate <= round_duration`` is monotone along the
-            # stride (work never decreases, so remaining never increases), so
-            # one test on the round before the last, with the exact operands
-            # the per-round loop would use there, proves every blind round
-            # took the no-completion arm.
-            work_delta = round_duration * rate
-            service_delta = num_gpus * (round_duration + 0.0)
-            overhead_used = 0.0
-            blind = rounds - index - 1
-            if blind > 0:
-                for _ in range(blind - 1):
-                    work += work_delta
-                    attained += service_delta
-                if max(0.0, target - work) / rate <= round_duration:
-                    raise SimulationError(
-                        f"job {job.job_id} completed before the final round of "
-                        f"its {rounds}-round stride; the stride was sized past "
-                        "its completion"
-                    )
-                work += work_delta
-                attained += service_delta
-            remaining = max(0.0, target - work)
-            compute_seconds = remaining / rate
-            if compute_seconds <= round_duration:
-                completed = True
-                work += remaining
-                attained += num_gpus * (compute_seconds + 0.0)
-            else:
-                work += work_delta
-                attained += service_delta
-        job.work_done = work
-        job.attained_service = attained
-        job.pending_overhead = pending
-        if rate > 0 and not completed:
+        if facts.rate > 0:
             self._owed[job.job_id] = facts
         else:
-            self._publish(job, rate)
-        if completed:
-            job.completion_time = final_round_start + overhead_used + compute_seconds
-            job.status = JobStatus.COMPLETED
-        return completed
+            self._publish(job, facts.rate)
 
     def _update_app_metrics(self, job: Job, rate: float) -> None:
         """Push the application-level metrics the paper's schedulers consume."""

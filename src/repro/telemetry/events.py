@@ -49,8 +49,8 @@ SCHEMA_VERSION = 2
 # ---------------------------------------------------------------------------
 
 #: One per appended :class:`~repro.simulator.engine.RoundRecord` (full rounds,
-#: light fast-forward rounds, steady strides and the drain chain all pass
-#: through the same choke point, so traced round streams equal ``round_log``).
+#: light fast-forward rounds and the event core's skips all emit it, so
+#: traced round streams equal ``round_log``).
 EVENT_ROUND = "round"
 #: Job lifecycle transition, emitted from the ``JobStateObserver`` hooks.
 EVENT_JOB = "job"

@@ -3,10 +3,11 @@
 Covers the computed clock (``current_time == round_number * round_duration``
 through skips of any length, horizon counting against that product), the
 manager-subclass rule (an overridden ``advance_time`` keeps the per-round
-light loop), the completion-probe lifetime, and the simultaneous-event
-regression: an arrival, a completion and a cluster-churn firing all landing
-on the *same* round boundary must replay the stepping loop
-(``fast_forward=False``) bit-identically.
+light loop), the completion-probe lifetime, the one skip's accounting (each
+skipped job-round folded once, a completion one ordinary round), and the
+simultaneous-event regression: an arrival, a completion and a cluster-churn
+firing all landing on the *same* round boundary must replay the stepping
+loop (``fast_forward=False``) bit-identically.
 """
 
 import pickle
@@ -21,6 +22,7 @@ from repro.policies.scheduling import PolluxScheduling, TiresiasScheduling
 from repro.policies.scheduling.fifo import FifoScheduling
 from repro.scenarios.registry import get_scenario
 from repro.simulator.engine import Simulator
+from repro.telemetry.runspec import RunSpec
 from repro.workloads.philly import generate_philly_trace
 
 ROUND = 300.0
@@ -195,6 +197,139 @@ def test_completion_probes_are_dropped_when_their_job_is_pruned():
             assert not drained.job_state._newly_finished
             for name, kept in per_job_state(drained).items():
                 assert not kept, name
+
+
+# ----------------------------------------------------------------------
+# The one skip: each skipped job-round folded once
+# ----------------------------------------------------------------------
+
+
+def trace_skips(sim):
+    """Wrap ``sim``'s skip executor; returns what its skips did.
+
+    ``skips``: ``(through_completions, end round, earliest probed completion
+    of a still-running job)`` per skip.  ``catch_ups``: ``(completes next
+    round, refolded)`` per job caught up, where refolded means a fresh
+    ``steady_scan`` instead of the probe's fold.  ``completed`` /
+    ``advanced``: the ids that completed inside a skip, and that
+    ``advance_running`` ran inside one.
+    """
+    core, execution = sim._event_core, sim.execution_model
+    skip, catch_up = core.skip, core._catch_up
+    scan, advance_running = execution.steady_scan, execution.advance_running
+    trace = {"skips": [], "catch_ups": [], "completed": set(), "advanced": set()}
+    scans = []  # one list per open skip / catch-up
+
+    def completed():
+        return {
+            job.job_id
+            for job in sim.job_state.all_jobs()
+            if job.status is JobStatus.COMPLETED
+        }
+
+    def traced_skip(horizon, through_completions=True):
+        before = completed()
+        scans.append([])
+        try:
+            return skip(horizon, through_completions)
+        finally:
+            scans.pop()
+            trace["completed"] |= completed() - before
+            # A skip with no round to skip returns before probing.
+            probes = [core._probes.get(job.job_id) for job in sim.job_state.running_jobs()]
+            upcoming = [p.event_round for p in probes if p and p.event_round is not None]
+            trace["skips"].append(
+                (through_completions, sim.manager.round_number, min(upcoming, default=None))
+            )
+
+    def traced_catch_up(job, from_round, through_round):
+        completes_next = core._probes[job.job_id].event_round == through_round + 1
+        scans.append([])
+        try:
+            catch_up(job, from_round, through_round)
+        finally:
+            trace["catch_ups"].append((completes_next, bool(scans.pop())))
+
+    def traced_scan(*args):
+        if scans:
+            scans[-1].append(args)
+        return scan(*args)
+
+    def traced_advance_running(jobs, *args):
+        jobs = list(jobs)
+        if scans:
+            trace["advanced"].update(job.job_id for job in jobs)
+        advance_running(jobs, *args)
+
+    core.skip, core._catch_up = traced_skip, traced_catch_up
+    execution.steady_scan = traced_scan
+    execution.advance_running = traced_advance_running
+    return trace
+
+
+def accounting(result):
+    return {
+        job.job_id: (
+            job.work_done.hex(),
+            job.attained_service.hex(),
+            job.pending_overhead.hex(),
+            None if job.completion_time is None else job.completion_time.hex(),
+        )
+        for job in result.jobs
+    }
+
+
+def test_low_load_skips_fold_each_job_round_once():
+    """Gang skips run through completions with no refold.
+
+    Every catch-up adopts its probe's fold, and every job that completes
+    inside a skip completes in an ordinary ``advance_running`` round.
+    """
+
+    def low_load_fifo(fast_forward=True):
+        return Simulator(
+            cluster_state=build_cluster(num_nodes=16, gpus_per_node=4),
+            jobs=generate_philly_trace(num_jobs=40, jobs_per_hour=0.5, seed=11).fresh_jobs(),
+            scheduling_policy=FifoScheduling(),
+            placement_policy=ConsolidatedPlacement(),
+            round_duration=ROUND,
+            fast_forward=fast_forward,
+        )
+
+    sim = low_load_fifo()
+    trace = trace_skips(sim)
+    result = sim.run()
+    stepping = low_load_fifo(fast_forward=False).run()
+    assert all(through for through, _, _ in trace["skips"])
+    assert trace["catch_ups"]
+    assert not any(refolded for _, refolded in trace["catch_ups"])
+    assert trace["completed"] and trace["completed"] == trace["advanced"]
+    assert accounting(result) == accounting(stepping)
+    assert result.round_log == stepping.round_log
+
+
+@pytest.mark.parametrize("policy", ["pollux", "tiresias"])
+def test_decision_stable_skip_stops_before_the_first_completion(policy):
+    """The skip ends at the round before the first probed completion.
+
+    The job completing next adopts its probe's fold (the probe stopped at
+    the round before its completion); jobs whose probes scanned on refold
+    from their own state.
+    """
+    spec = RunSpec(policy=policy, seed=3)
+    sim = spec.build()
+    trace = trace_skips(sim)
+    result = sim.run()
+    stable = [(end, upcoming) for through, end, upcoming in trace["skips"] if not through]
+    assert stable
+    assert all(upcoming is None or upcoming > end for end, upcoming in stable)
+    assert any(upcoming == end + 1 for end, upcoming in stable)
+    assert any(completes_next for completes_next, _ in trace["catch_ups"])
+    assert not any(refolded for completes_next, refolded in trace["catch_ups"] if completes_next)
+    assert any(refolded for _, refolded in trace["catch_ups"])
+    stepping = spec.build(fast_forward=False).run()
+    assert accounting(result) == accounting(stepping)
+    assert result.round_log == stepping.round_log
 
 
 # ----------------------------------------------------------------------

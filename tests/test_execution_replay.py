@@ -1,10 +1,12 @@
-"""Direct differential tests for the k-round replay of ``ExecutionModel``.
+"""Direct differential tests for the one multi-round fold of ``ExecutionModel``.
 
-``advance`` (one round) is the stepping reference; ``advance_steady`` is the
-one k-round replay the skip executor uses and ``steady_scan`` the pure probe
-that sizes its strides.  The end-to-end parity suites compare whole runs;
-these compare the three folds job by job on seeded random states, bit for
-bit, and keep numpy off the simulation path.
+``advance`` (one round) is the stepping reference; ``steady_scan`` is the one
+multi-round fold the skip executor uses -- as a completion probe, and written
+back with ``adopt_steady`` -- and a completing round is one ordinary
+``advance_running`` round.  The end-to-end parity suites compare whole runs;
+these compare the fold with stepping job by job on seeded random states, bit
+for bit (3,000 seeds under ``pytest --fuzz``), and keep numpy off the
+simulation path.
 """
 
 import os
@@ -16,15 +18,16 @@ from pathlib import Path
 import pytest
 
 from repro.cluster.builder import build_cluster
-from repro.core.exceptions import SimulationError
 from repro.core.job import Job, JobStatus
-from repro.simulator.execution import ExecutionModel
+from repro.simulator.execution import ExecutionModel, _blind_rounds
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 ROUND_DURATIONS = (300.0, 60.0, 287.5, 299.25, 100.1)
 MAX_ROUNDS = 160
-BASE_ROUND = 7  # strides start mid-run, so completion times are not round-relative
+BASE_ROUND = 7  # folds start mid-run, so completion times are not round-relative
+SEEDS = range(300)
+FUZZ_SEEDS = range(300, 3000)
 
 
 def make_case(seed):
@@ -61,7 +64,7 @@ def make_case(seed):
 
 
 def snapshot(job):
-    """Every field the replay writes, floats as hex so -0.0 and ulps show."""
+    """Every field the fold writes, floats as hex so -0.0 and ulps show."""
     return (
         job.work_done.hex(),
         job.attained_service.hex(),
@@ -85,30 +88,9 @@ def step_reference(seed):
     return states, None
 
 
-def replay(seed, rounds):
-    job, cluster, rd = make_case(seed)
-    model = ExecutionModel()
-    completed = model.advance_steady(
-        job, cluster, (BASE_ROUND + rounds - 1) * rd, rd, rounds
-    )
-    model.publish_owed_metrics()  # a stride owes its metrics like a round does
-    return job, completed
-
-
-@pytest.mark.parametrize("seed", range(300))
-def test_replay_and_probe_match_stepping_bit_for_bit(seed):
-    states, completing = step_reference(seed)
-    rng = random.Random(seed ^ 0x5EED)
-    strides = {1, len(states), rng.randint(1, len(states)), rng.randint(1, len(states))}
-    for rounds in sorted(strides):
-        job, completed = replay(seed, rounds)
-        assert snapshot(job) == states[rounds - 1], (seed, rounds)
-        assert completed == (rounds == completing)
-
-    job, cluster, rd = make_case(seed)
-    model = ExecutionModel()
+def scan(model, job, cluster, rd, rounds):
     rate, _, num_gpus = model.cached_rate(job, cluster)
-    found, work, pending, attained = model.steady_scan(
+    return model.steady_scan(
         model.termination.work_target(job),
         rate,
         rd,
@@ -116,32 +98,85 @@ def test_replay_and_probe_match_stepping_bit_for_bit(seed):
         job.work_done,
         job.pending_overhead,
         job.attained_service,
-        MAX_ROUNDS,
+        rounds,
     )
-    assert found == completing
-    if completing is None:
-        # A scan that found nothing is resumable: it holds the stepped state
-        # (a zero-rate job is never probed, so its scan does not even drain),
-        # and adopting it leaves the job exactly where stepping does.
-        if rate > 0:
-            assert (work.hex(), attained.hex(), pending.hex()) == states[-1][:3]
-            model.adopt_steady(job, cluster, work, pending, attained)
-            model.publish_owed_metrics()
-            assert snapshot(job) == states[-1]
-    else:
-        # A stride sized one round past the completion must not be applied.
-        with pytest.raises(SimulationError, match="sized past its completion"):
-            model.advance_steady(
-                job, cluster, (BASE_ROUND + completing) * rd, rd, completing + 1
-            )
-        assert snapshot(job)[:3] == snapshot(make_case(seed)[0])[:3]
-        assert job.status == JobStatus.RUNNING and job.completion_time is None
+
+
+def fold(seed, rounds):
+    """``rounds`` rounds as the skip executor runs them: scan, adopt, and one
+    ``advance_running`` round if the last of them completes."""
+    job, cluster, rd = make_case(seed)
+    model = ExecutionModel()
+    found, work, pending, attained = scan(model, job, cluster, rd, rounds)
+    assert found in (None, rounds)
+    if found != 1:
+        model.adopt_steady(job, cluster, work, pending, attained)
+    if found is not None:
+        model.advance_running([job], cluster, (BASE_ROUND + rounds - 1) * rd, rd)
+    model.publish_owed_metrics()  # a fold owes its metrics like a round does
+    return job
+
+
+def check_fold_matches_stepping(seed):
+    states, completing = step_reference(seed)
+    # stepped[r] is the state after r rounds.
+    stepped = [snapshot(make_case(seed)[0])] + states
+    rng = random.Random(seed ^ 0x5EED)
+    last = len(states)
+    for rounds in sorted({1, last, max(1, last - 1), rng.randint(1, last), rng.randint(1, last)}):
+        assert snapshot(fold(seed, rounds)) == stepped[rounds], (seed, rounds)
+
+    # A full-length scan names the completing round and holds the stepped
+    # state of the round before it (of its last round when none completes).
+    job, cluster, rd = make_case(seed)
+    found, work, pending, attained = scan(ExecutionModel(), job, cluster, rd, MAX_ROUNDS)
+    assert found == completing, seed
+    expected = stepped[MAX_ROUNDS if found is None else found - 1]
+    assert (work.hex(), attained.hex(), pending.hex()) == expected[:3], seed
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_replay_and_probe_match_stepping_bit_for_bit(seed):
+    check_fold_matches_stepping(seed)
+
+
+@pytest.mark.fuzz
+def test_fold_matches_stepping_wide_sweep():
+    for seed in FUZZ_SEEDS:
+        check_fold_matches_stepping(seed)
+
+
+def drained_arm(seed):
+    """Which arm a full-length scan of ``seed`` takes once overhead drained.
+
+    ``"blind"``: rounds folded untested, the last one's test accepted them;
+    ``"overshoot"``: that test found a completion; ``"per-round"``: no blind
+    rounds, every round tested.  ``None`` when the scan never gets there.
+    """
+    job, cluster, rd = make_case(seed)
+    rate, _, _ = ExecutionModel().cached_rate(job, cluster)
+    states, completing = step_reference(seed)
+    stepped = [snapshot(job)] + states
+    drained = next(
+        (r for r, state in enumerate(stepped) if float.fromhex(state[2]) == 0.0), None
+    )
+    if rate <= 0 or drained is None or drained == MAX_ROUNDS:
+        return None
+    if completing is not None and completing <= drained:
+        return None
+    gap = job.duration - float.fromhex(stepped[drained][0])
+    blind = _blind_rounds(gap, rate, rd, MAX_ROUNDS - drained)
+    if blind <= 0:
+        return "per-round"
+    if completing is not None and completing <= drained + blind:
+        return "overshoot"
+    return "blind"
 
 
 def test_sweep_covers_every_arm_of_the_replay():
-    """The seeds above must reach each shape the replay distinguishes."""
-    seen = set()
-    for seed in range(300):
+    """The seeds above must reach each shape the fold distinguishes."""
+    seen, arms = set(), set()
+    for seed in SEEDS:
         job, _cluster, rd = make_case(seed)
         _states, completing = step_reference(seed)
         zero_rate = job.metrics.get("cpu_throughput_factor") == 0.0
@@ -156,10 +191,48 @@ def test_sweep_covers_every_arm_of_the_replay():
                 "completes" if completing is not None else "runs-on",
             )
         )
+        arms.add(drained_arm(seed))
     for overhead in ("no-overhead", "sub-round", "multi-round"):
         assert ("positive-rate", overhead, "completes") in seen
         assert ("positive-rate", overhead, "runs-on") in seen
         assert ("zero-rate", overhead, "runs-on") in seen
+    assert {"blind", "per-round"} <= arms
+
+
+def test_blind_overshoot_falls_back_to_the_checked_loop():
+    """A closed-form estimate float rounding defeats: the guard must catch it.
+
+    At ``work_done == 1e16`` one ulp is 2.0, so each round's work delta of
+    1.5 rounds up to 2.0 and the job completes in round 76, while the
+    estimate (150 / 1.5 rounds of work to go) folds 99 rounds blind.
+    """
+    def overshooting_job():
+        cluster = build_cluster(num_nodes=1, gpus_per_node=4)
+        job = Job(arrival_time=0.0, num_gpus=1, duration=1e16 + 150.0, job_id=1)
+        cluster.assign(job.job_id, [0])
+        job.status = JobStatus.RUNNING
+        job.work_done = 1e16
+        job.metrics["cpu_throughput_factor"] = 0.5
+        return job, cluster
+
+    rd = 3.0
+    stepped, cluster = overshooting_job()
+    model = ExecutionModel()
+    rate = model.cached_rate(stepped, cluster)[0]
+    assert rd * rate == 1.5 and 1e16 + 1.5 == 1e16 + 2.0
+    completing = next(
+        index for index in range(1, 200) if model.advance(stepped, cluster, index * rd, rd)
+    )
+    assert completing == 76
+    assert _blind_rounds(150.0, rate, rd, 1000) >= completing  # the estimate overshoots
+
+    job, cluster = overshooting_job()
+    model = ExecutionModel()
+    found, work, pending, attained = scan(model, job, cluster, rd, 1000)
+    assert found == completing
+    model.adopt_steady(job, cluster, work, pending, attained)
+    model.advance_running([job], cluster, completing * rd, rd)
+    assert snapshot(job) == snapshot(stepped)
 
 
 @pytest.mark.parametrize("pending", [0.0, 450.0])
@@ -178,9 +251,14 @@ def test_zero_rate_job_is_a_no_op_of_any_length(pending):
     model = ExecutionModel()
     for index in range(50):
         assert model.advance(stepped, cluster, index * 300.0, 300.0) is False
-    for rounds in (50, 10**9):  # the long stride must not cost a loop per round
+    # A zero-rate scan drains the overhead and returns: the long scan must
+    # not cost a loop per round.
+    for rounds in (50, 10**9):
         job, cluster = zero_rate_job()
-        assert ExecutionModel().advance_steady(job, cluster, 0.0, 300.0, rounds) is False
+        model = ExecutionModel()
+        found, work, pending_left, attained = scan(model, job, cluster, 300.0, rounds)
+        assert found is None
+        model.adopt_steady(job, cluster, work, pending_left, attained)
         assert snapshot(job) == snapshot(stepped)
     assert stepped.work_done == 1234.5
     assert stepped.attained_service == 2 * pending

@@ -1,13 +1,12 @@
-"""The run-length round log and the chain's one-fold flush.
+"""The run-length round log.
 
 ``RoundLog`` stores the per-round rows of a run as runs: a row joins the
 previous run only when it follows it directly, has equal payload fields and
 sits on the computed clock.  These tests pin the coalescing rules, the
 sequence facade (length, iteration, indexing, equality, pickling), that the
 default engine and the stepping loop build the same *runs*, and that a
-drain chain's flush writes the completion probe's fold back instead of
-replaying it -- so ``advance_steady`` runs only for jobs that complete, and
-every job's accounting stays bit-equal to stepping.
+result built at a pause keeps its log.  (What a skip does to job accounting
+is pinned in ``test_event_core.py``.)
 """
 
 import itertools
@@ -193,45 +192,6 @@ def low_load_fifo(fast_forward=True):
         round_duration=RD,
         fast_forward=fast_forward,
     )
-
-
-def accounting(result):
-    return {
-        job.job_id: (
-            job.work_done.hex(),
-            job.attained_service.hex(),
-            job.pending_overhead.hex(),
-            None if job.completion_time is None else job.completion_time.hex(),
-        )
-        for job in result.jobs
-    }
-
-
-def test_chain_flushes_adopt_the_probe_fold():
-    """``advance_steady`` only materialises completions; the rest is adopted."""
-    sim = low_load_fifo()
-    execution = sim.execution_model
-    replays, adopted = [], []
-    advance_steady, adopt_steady = execution.advance_steady, execution.adopt_steady
-
-    def counting_replay(job, *args):
-        completed = advance_steady(job, *args)
-        replays.append((job.job_id, completed))
-        return completed
-
-    def counting_adopt(job, *args):
-        adopted.append(job.job_id)
-        return adopt_steady(job, *args)
-
-    execution.advance_steady = counting_replay
-    execution.adopt_steady = counting_adopt
-    result = sim.run()
-    stepping = low_load_fifo(fast_forward=False).run()
-
-    assert replays and all(completed for _, completed in replays), replays
-    assert len(adopted) > len(replays)
-    assert accounting(result) == accounting(stepping)
-    assert result.round_log == stepping.round_log
 
 
 def test_paused_result_keeps_its_log():
