@@ -77,9 +77,6 @@ class PlacementDecision:
     to_launch: Dict[int, List[int]] = field(default_factory=dict)
     to_suspend: List[int] = field(default_factory=list)
 
-    def launched_job_ids(self) -> List[int]:
-        return sorted(self.to_launch)
-
 
 class AdmissionPolicy:
     """Decides which newly submitted jobs are allowed to enter the schedulable pool.
@@ -316,5 +313,3 @@ class TerminationPolicy:
         """
         raise NotImplementedError
 
-    def is_complete(self, job: Job) -> bool:
-        return job.work_done >= self.work_target(job) - 1e-9

@@ -178,11 +178,6 @@ class BloxManager:
     # Introspection helpers
     # ------------------------------------------------------------------
 
-    @property
-    def pending_arrivals(self) -> int:
-        """Number of trace jobs that have not arrived yet."""
-        return len(self._wait_queue)
-
     def next_arrival_time(self) -> Optional[float]:
         """Arrival time of the next queued trace job, or ``None`` if all arrived."""
         return self._wait_queue[0].arrival_time if self._wait_queue else None

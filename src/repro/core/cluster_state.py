@@ -423,22 +423,6 @@ class ClusterState:
     # Tabular view (the Blox GPU dataframe)
     # ------------------------------------------------------------------
 
-    def gpu_table(self) -> List[Dict[str, object]]:
-        """Return the per-GPU table as a list of dicts (one row per GPU)."""
-        rows = []
-        for gpu in sorted(self.gpus.values(), key=lambda g: g.gpu_id):
-            rows.append(
-                {
-                    "node_id": gpu.node_id,
-                    "gpu_id": gpu.gpu_id,
-                    "local_gpu_id": gpu.local_gpu_id,
-                    "gpu_type": gpu.gpu_type.name,
-                    "state": gpu.state,
-                    "job_id": gpu.job_id,
-                }
-            )
-        return rows
-
     def snapshot(self) -> "ClusterState":
         """Deep copy used by shadow simulations (synthesizer).
 

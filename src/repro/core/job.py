@@ -165,10 +165,6 @@ class ScalingProfile:
         effective = min(num_gpus, self.max_useful_gpus)
         return effective / (1.0 + self.alpha * (effective - 1))
 
-    def marginal_speedup(self, num_gpus: int) -> float:
-        """Speedup gained by going from ``num_gpus`` to ``num_gpus + 1`` GPUs."""
-        return self.speedup(num_gpus + 1) - self.speedup(num_gpus)
-
 
 @dataclass
 class Job:
@@ -274,21 +270,9 @@ class Job:
         return self.duration / self.iteration_time
 
     @property
-    def total_work(self) -> float:
-        """Total GPU-normalised work in seconds on the requested allocation."""
-        return self.duration
-
-    @property
     def remaining_work(self) -> float:
         """Seconds of work left assuming the requested allocation."""
         return max(0.0, self.duration - self.work_done)
-
-    @property
-    def progress_fraction(self) -> float:
-        """Fraction of the requested work already completed, in ``[0, 1]``."""
-        if self.duration <= 0:
-            return 1.0
-        return min(1.0, self.work_done / self.duration)
 
     @property
     def is_running(self) -> bool:
@@ -297,11 +281,6 @@ class Job:
     @property
     def is_finished(self) -> bool:
         return self.status.is_terminal
-
-    @property
-    def is_distributed(self) -> bool:
-        """Whether the job requests more than one GPU."""
-        return self.num_gpus > 1
 
     def job_completion_time(self) -> Optional[float]:
         """JCT = completion time minus arrival time, or ``None`` if unfinished."""

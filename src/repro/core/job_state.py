@@ -346,18 +346,6 @@ class JobState:
     # Aggregates used by policies and experiments
     # ------------------------------------------------------------------
 
-    def total_demand_gpus(self, statuses: Optional[Iterable[JobStatus]] = None) -> int:
-        """Sum of requested GPUs across jobs in the given statuses (active by default)."""
-        if statuses is None:
-            jobs = self.active_jobs()
-        else:
-            jobs = self.jobs_with_status(*statuses)
-        return sum(j.num_gpus for j in jobs)
-
-    def update_metric(self, job_id: int, key: str, value: object) -> None:
-        """Record an application-level metric for a job (loss, iteration time, ...)."""
-        self.get(job_id).metrics[key] = value
-
     def snapshot(self) -> "JobState":
         """Deep copy of the registry used by shadow simulations."""
         clone = JobState()

@@ -32,13 +32,6 @@ class ExperimentTable:
     def column(self, key: str) -> List[object]:
         return [row.get(key) for row in self.rows]
 
-    def rows_where(self, **criteria: object) -> List[Dict[str, object]]:
-        out = []
-        for row in self.rows:
-            if all(row.get(k) == v for k, v in criteria.items()):
-                out.append(row)
-        return out
-
     def to_text(self) -> str:
         """Render the table as aligned plain text (used by examples and __main__)."""
         lines = [f"== {self.name} ==", self.description]

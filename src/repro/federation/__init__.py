@@ -72,10 +72,9 @@ from repro.federation.router import (
     router_names,
     summarize_shard,
 )
-from repro.federation.shard import BoundedClusterManager, ShardSimulator
+from repro.federation.shard import ShardSimulator
 
 __all__ = [
-    "BoundedClusterManager",
     "FatalWorkerError",
     "FederationEngine",
     "FederationResult",

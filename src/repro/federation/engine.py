@@ -15,9 +15,9 @@ shared round grid (all shards must use the same ``round_duration`` and start
 at time zero); for each pending arrival at time ``t`` the engine advances
 every shard to the top of the first round at or after ``t`` -- each shard
 fast-forwarding independently, bounded by its own scenario events *and* the
-routing event (the :class:`~repro.federation.shard.BoundedClusterManager`
-bound) -- then routes every gang whose arrival time has been reached, in
-global ``(arrival_time, job_id)`` order.  Once the stream is exhausted the
+routing event (the ``stop_time`` its engine pauses at) -- then routes every
+gang whose arrival time has been reached, in global ``(arrival_time,
+job_id)`` order.  Once the stream is exhausted the
 shards drain independently to their own completion times.
 
 The loop itself is written against a :class:`ShardBackend` -- ``advance``,
@@ -781,7 +781,3 @@ class UniformShardFactory:
             **self.engine_kwargs,
         )
 
-    def build_all(self, num_shards: int) -> List[ShardSimulator]:
-        if num_shards < 1:
-            raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
-        return [self.build(shard_id) for shard_id in range(num_shards)]

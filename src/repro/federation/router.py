@@ -102,9 +102,6 @@ class ShardViewSummary:
             return sum(self.free_gpus_by_type.values())
         return self.free_gpus_by_type.get(gpu_type_key(gpu_type), 0)
 
-    def owns_gpu_type(self, gpu_type) -> bool:
-        return gpu_type_key(gpu_type) in self.owned_gpu_types
-
     def with_queued(self, job: Job) -> "ShardViewSummary":
         """The summary after routing ``job`` to this shard (pure update).
 

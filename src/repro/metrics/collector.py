@@ -36,11 +36,6 @@ class UtilizationCollector(MetricCollector):
         active = len(job_state.active_jobs())
         self.queued_jobs.append(active - len(job_state.running_jobs()))
 
-    def average_utilization(self) -> float:
-        if not self.utilization:
-            return 0.0
-        return sum(self.utilization) / len(self.utilization)
-
 
 @dataclass
 class ApplicationMetricCollector(MetricCollector):

@@ -89,10 +89,6 @@ class TiresiasScheduling(SchedulingPolicy):
         self._last_run_time.clear()
         self._promote_heap.clear()
 
-    @property
-    def num_queues(self) -> int:
-        return len(self.queue_thresholds) + 1
-
     # ------------------------------------------------------------------
     # Priority model (pure -- safe to evaluate any number of times)
     # ------------------------------------------------------------------

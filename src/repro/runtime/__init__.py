@@ -32,11 +32,7 @@ from repro.runtime.lease import (
     build_lease_setup,
 )
 from repro.runtime.metrics import WorkerMetricsAggregator
-from repro.runtime.central_scheduler import (
-    CentralScheduler,
-    DeploymentBloxManager,
-    MembershipSyncManager,
-)
+from repro.runtime.central_scheduler import CentralScheduler, DeploymentBloxManager
 
 __all__ = [
     "FaultPlan",
@@ -53,5 +49,4 @@ __all__ = [
     "build_lease_setup",
     "CentralScheduler",
     "DeploymentBloxManager",
-    "MembershipSyncManager",
 ]

@@ -9,17 +9,17 @@ protocol.  Execution itself is still advanced by the shared execution model
 (optionally with the cluster overhead model that adds real-run jitter), which
 is what the fidelity experiment (Fig. 18) compares against plain simulation.
 
-Three pieces tie the lease lifecycle and cluster dynamics together:
+Two pieces tie the lease lifecycle and cluster dynamics together:
 
 * :class:`DeploymentBloxManager` -- the loop's prune step releases every
   finished job's lease and clears its worker-local state
   (``WorkerManager.job_finished``), so completion -- not just preemption --
-  retires leases;
-* :class:`MembershipSyncManager` -- wraps any
+  retires leases; and its ``update_cluster`` reconciles the WorkerManager
+  registry after every membership update of any
   :class:`~repro.core.abstractions.ClusterManager` (e.g. a compiled scenario
-  timeline) and reconciles the WorkerManager registry after every membership
-  update, so scale-out registers fresh workers and scale-in deregisters dead
-  ones instead of the first ``ScaleOut`` raising ``LeaseError``;
+  timeline, which the engine sees unwrapped), so scale-out registers fresh
+  workers and scale-in deregisters dead ones instead of the first
+  ``ScaleOut`` raising ``LeaseError``;
 * :class:`~repro.runtime.metrics.WorkerMetricsAggregator` -- wires the
   worker-side metric stores (``push_metrics``/``pull_metrics`` deltas) into the
   shared :class:`~repro.core.abstractions.MetricCollector` abstraction.
@@ -93,12 +93,17 @@ class RpcPreemption(SimulatedPreemption):
 
 
 class DeploymentBloxManager(BloxManager):
-    """BloxManager whose prune step retires finished jobs' leases.
+    """BloxManager that keeps the lease layer in step with the loop.
 
-    Every path through the engine -- full rounds, light fast-forward rounds
-    and the event core's skips -- prunes through this method, so a
-    completed job always releases its lease and clears worker-local state in
-    the same round it frees its GPUs.
+    * Its cluster update reconciles the lease manager's worker registry with
+      the cluster's node set after the cluster manager applied its events
+      (failures, recoveries, scale-out/in, upgrades), before the engine
+      evicts the affected jobs.
+    * Its prune step retires finished jobs' leases.  Every path through the
+      engine -- full rounds, light fast-forward rounds and the event core's
+      skips -- prunes through this method, so a completed job always
+      releases its lease and clears worker-local state in the same round it
+      frees its GPUs.
     """
 
     def __init__(self, *args, lease_manager: Optional[_LeaseManagerBase] = None, **kwargs) -> None:
@@ -107,6 +112,11 @@ class DeploymentBloxManager(BloxManager):
             raise ConfigurationError("DeploymentBloxManager needs a lease_manager")
         self.lease_manager = lease_manager
 
+    def update_cluster(self, cluster_state: ClusterState) -> List[int]:
+        affected = super().update_cluster(cluster_state)
+        self.lease_manager.sync_membership(cluster_state)
+        return affected
+
     def prune_completed_jobs(
         self, cluster_state: ClusterState, job_state: JobState
     ) -> List[Job]:
@@ -114,49 +124,6 @@ class DeploymentBloxManager(BloxManager):
         for job in finished:
             self.lease_manager.complete(job.job_id)
         return finished
-
-
-class MembershipSyncManager(ClusterManager):
-    """Wraps a ClusterManager and keeps the worker registry membership-true.
-
-    After the inner manager applies its events (failures, recoveries,
-    scale-out/in, upgrades), the lease manager's registry is reconciled with
-    the cluster's node set.  ``next_event_time`` delegates, so scenario
-    timelines keep fast-forward active through the deployment path; an inner
-    manager that overrides ``update`` without ``next_event_time`` (the
-    pre-migration contract) gets skipping disabled explicitly, mirroring the
-    engine's own migration check, which this wrapper would otherwise mask.
-    """
-
-    name = "membership-sync"
-
-    def __init__(
-        self,
-        inner: Optional[ClusterManager],
-        lease_manager: _LeaseManagerBase,
-    ) -> None:
-        self.inner = inner if inner is not None else ClusterManager()
-        self.lease_manager = lease_manager
-        inner_cls = type(self.inner)
-        self._inner_unmigrated = (
-            inner_cls.update is not ClusterManager.update
-            and inner_cls.next_event_time is ClusterManager.next_event_time
-        )
-
-    def update(self, cluster_state: ClusterState, current_time: float) -> List[int]:
-        affected = self.inner.update(cluster_state, current_time)
-        self.lease_manager.sync_membership(cluster_state)
-        return affected
-
-    def drain_applied(self):
-        # Without this delegation the timeline's firings would be invisible
-        # to telemetry on the deployment path.
-        return self.inner.drain_applied()
-
-    def next_event_time(self, current_time: float) -> Optional[float]:
-        if self._inner_unmigrated:
-            return current_time
-        return self.inner.next_event_time(current_time)
 
 
 class CentralScheduler:
@@ -222,7 +189,7 @@ class CentralScheduler:
             metric_collectors=collectors,
             tracked_job_ids=tracked_job_ids,
             max_rounds=max_rounds,
-            cluster_manager=MembershipSyncManager(cluster_manager, self.lease_manager),
+            cluster_manager=cluster_manager,
             fast_forward=fast_forward,
             manager_factory=partial(
                 DeploymentBloxManager, lease_manager=self.lease_manager

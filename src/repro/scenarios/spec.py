@@ -413,12 +413,6 @@ class CompiledScenario:
     def make_cluster_manager(self) -> TimelineClusterManager:
         return TimelineClusterManager(self.events)
 
-    def with_seed(self, seed: int) -> "CompiledScenario":
-        return self.spec.compile(seed)
-
-    def event_times(self) -> List[float]:
-        return [event.time for event in self.events]
-
     def describe(self) -> str:
         cluster = self.spec.cluster
         return (

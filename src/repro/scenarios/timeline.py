@@ -94,6 +94,3 @@ class TimelineClusterManager(ClusterManager):
     def pending_events(self) -> int:
         return len(self._events) - self._next
 
-    @property
-    def total_events(self) -> int:
-        return len(self._events)

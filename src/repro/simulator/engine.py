@@ -41,7 +41,7 @@ from repro.core.cluster_state import ClusterState
 from repro.core.exceptions import ConfigurationError, SimulationError
 from repro.core.job import Job, JobStatus
 from repro.core.job_state import JobState
-from repro.metrics.summary import SummaryStats, average, cdf_points, jct_summary
+from repro.metrics.summary import SummaryStats, average, jct_summary
 from repro.simulator.event_core import EventCore
 from repro.simulator.execution import ExecutionModel
 from repro.simulator.overheads import OverheadModel
@@ -254,9 +254,6 @@ class SimulationResult:
             return 0.0
         return max(j.completion_time for j in finished) - min(j.arrival_time for j in finished)
 
-    def jct_cdf(self, tracked_only: bool = True) -> Tuple[List[float], List[float]]:
-        return cdf_points(self.jcts(tracked_only))
-
     def summary(self) -> SummaryStats:
         return jct_summary(self.jobs, self.tracked_job_ids)
 
@@ -355,16 +352,13 @@ class Simulator:
         # A drift-free execution rate (no per-round jitter RNG that strides
         # must not consume out of order) is required both for predicting
         # completion times and for batched per-job advancement.
-        self._jitter_free = (
-            type(self.execution_model.overheads).iteration_jitter
-            is OverheadModel.iteration_jitter
-        )
+        jitter_free = self.execution_model.jitter_free
         self._policy_event_aware = (
             type(self.scheduling_policy).next_policy_event_time
             is not SchedulingPolicy.next_policy_event_time
             and getattr(self.placement_policy, "steady_state_safe", False)
             and getattr(self.admission_policy, "steady_state_safe", True)
-            and self._jitter_free
+            and jitter_free
         )
         # Batched skips additionally require that nothing observes the
         # intermediate rounds: collectors sample per round by contract, and a
@@ -373,7 +367,7 @@ class Simulator:
         # prune_completed_jobs needs per-round calls), so either keeps the
         # per-round light loop.
         self._stride_accelerable = (
-            self._jitter_free
+            jitter_free
             and not self.metric_collectors
             and type(self.manager).advance_time is BloxManager.advance_time
         )
@@ -400,6 +394,9 @@ class Simulator:
         self._round_log = RoundLog(round_duration)
         self._eviction_count = 0
         self._wall_time = 0.0
+        #: Where the current ``_advance_loop`` call pauses (``None``: never);
+        #: every skip stops short of it, as of a cluster event.
+        self._stop_time: Optional[float] = None
 
         # Sanctioned skips that are batchable execute in the event core's one
         # skip; everything else takes the per-round light loop below.
@@ -556,11 +553,17 @@ class Simulator:
         return earliest
 
     def _boundary_horizon(self) -> float:
-        """Time of the next arrival or cluster event (``inf`` if neither)."""
+        """Time of the next arrival, cluster event or pause (``inf`` if none).
+
+        Every skip path reads its horizon here, so no skip crosses the
+        ``stop_time`` of the ``_advance_loop`` call that runs it.
+        """
         mgr = self.manager
         next_event = mgr.cluster_manager.next_event_time(mgr.current_time)
         next_arrival = mgr.next_arrival_time()
-        bounds = [t for t in (next_event, next_arrival) if t is not None]
+        bounds = [
+            t for t in (next_event, next_arrival, self._stop_time) if t is not None
+        ]
         return min(bounds) if bounds else math.inf
 
     def _fast_forward(self, round_log: RoundLog) -> bool:
@@ -599,7 +602,8 @@ class Simulator:
         # With no active job, or under the gang witness -- audited policies,
         # every active job already running, each holding exactly its
         # requested gang -- a completion cannot change any decision, so a
-        # skip runs through completions to the next arrival or cluster event.
+        # skip runs through completions to the next arrival, cluster event or
+        # pause.
         through_completions = True
         if job_state.count_active() and not self._gang_steady_witness():
             # Decision-stable (elastic/discretised policies): this round's
@@ -640,8 +644,8 @@ class Simulator:
                     if policy_bound is None or completion < policy_bound:
                         policy_bound = completion
 
-        # Nothing may fire before the next arrival or cluster event (or, on
-        # the decision-stable path, the policy's own next event).
+        # Nothing may fire before the next arrival, cluster event or pause
+        # (or, on the decision-stable path, the policy's own next event).
         horizon = boundary if policy_bound is None else min(boundary, policy_bound)
         if self._stride_accelerable:
             return self._event_core.skip(horizon, through_completions)
@@ -689,17 +693,21 @@ class Simulator:
         With ``stop_time=None`` this is the classic start-to-finish loop.
         With a bound, the loop *pauses* -- returns ``False`` -- at the top of
         the first round whose start time is ``>= stop_time``, before any of
-        that round's steps execute.  Because rounds are atomic and all loop
+        that round's steps execute.  The stop time bounds every skip
+        (:meth:`_boundary_horizon`), so a fast-forwarded run pauses at the
+        same round as a stepping one.  Because rounds are atomic and all loop
         state (clock, round log, eviction count) lives on the instance, a
         paused loop can be resumed (possibly with new jobs submitted to the
         manager's wait queue in between) and replays exactly the rounds a
         single uninterrupted run would: the federation layer relies on this to
-        interleave shard execution with routing decisions.  ``False`` with the
+        interleave shard execution with routing decisions, and the
+        synthesizer to end a shadow run at its horizon.  ``False`` with the
         round budget exhausted means the run did not finish (callers decide
         whether that is an error).
         """
         mgr = self.manager
         round_log = self._round_log
+        self._stop_time = stop_time
         wall_start = time.perf_counter()
         try:
             while mgr.round_number < self.max_rounds:

@@ -12,9 +12,10 @@ The clock then jumps from event to event:
   :meth:`~repro.simulator.execution.ExecutionModel.steady_scan`, the one
   multi-round fold, and cached (resumably) in :class:`_CompletionProbe`
   entries; a skip keeps them in a ``heapq`` of ``(round, job_id, job)`` tuples;
-* **arrivals**, **cluster/timeline churn** (including federation routing
-  bounds surfaced through ``ClusterManager.next_event_time``) and **policy
-  events** are boundaries -- rounds at which the full loop must run again;
+* **arrivals**, **cluster/timeline churn**, the **pause** of the running
+  ``_advance_loop(stop_time)`` call (a federation routing event, a shadow
+  run's horizon) and **policy events** are boundaries -- rounds at which the
+  full loop must run again or stop;
 * the rounds *between* events carry no decisions by construction, so their
   observable product -- the round log, the clock, and each running job's
   progress accounting -- is materialised in batch: one run of the
@@ -308,7 +309,7 @@ class EventCore:
 
         Entered at the end of a full round whose skip ``_fast_forward``
         sanctioned, with ``horizon`` the first round that must run in full
-        (arrival, cluster event or policy event).  Returns whether every
+        (arrival, cluster event or policy event) or pause.  Returns whether every
         tracked job finished inside the skip.
 
         * every running job's completion round (cache-amortised probes)
@@ -324,7 +325,7 @@ class EventCore:
           queued job in that very round), the skip ends at the round before
           the first completion;
         * every still-running job is caught up once, when the skip ends
-          (arrival, cluster event, policy event or the round budget).
+          (arrival, cluster event, pause, policy event or the round budget).
 
         With no running job only the round records accumulate.  A completion
         tied with a boundary round is not materialised here: the skip stops

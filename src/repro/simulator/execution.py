@@ -75,12 +75,12 @@ class ExecutionModel:
         self.termination = (
             termination_policy if termination_policy is not None else EpochBasedTermination()
         )
-        # A running job's effective rate is a pure function of its allocation
-        # and the cluster's membership, both covered by the cluster's version
-        # stamps -- unless the overhead model injects per-round jitter, whose
-        # RNG must be consumed exactly once per round.  The cache keys on the
-        # cluster object identity plus both stamps.
-        self._rates_cacheable = (
+        #: Whether rates are drift-free.  A running job's effective rate is
+        #: then a pure function of its allocation and the cluster's
+        #: membership, both covered by the cluster's version stamps; per-round
+        #: jitter's RNG must be consumed exactly once per round instead.  The
+        #: rate cache and the simulator's skips both require it.
+        self.jitter_free = (
             type(self.overheads).iteration_jitter is OverheadModel.iteration_jitter
         )
         #: job id -> the job's allocation facts (see :meth:`_facts`), valid
@@ -140,7 +140,7 @@ class ExecutionModel:
         job_id = job.job_id
         membership = cluster_state.membership_version
         alloc = cluster_state.alloc_version(job_id)
-        if self._rates_cacheable:
+        if self.jitter_free:
             entry = self._rate_cache.get(job_id)
             if (
                 entry is not None
@@ -160,7 +160,7 @@ class ExecutionModel:
             self.termination.work_target(job),
             job,
         )
-        if self._rates_cacheable:
+        if self.jitter_free:
             self._rate_cache[job_id] = entry
         return entry
 

@@ -46,8 +46,7 @@ class _ForkManager(BloxManager):
 
     The fork enters the live round after that round's progress was applied,
     so its first ``update_metrics`` is a no-op, as round 0's is in a fresh
-    run.  The horizon is reported as the next arrival, so every skip path
-    stops short of it and the loop pauses exactly there.
+    run.  ``stop_time`` is the horizon, for ``_advance_loop`` to pause at.
     """
 
     def __init__(self, start_round: int, horizon_rounds: int, **kwargs) -> None:
@@ -59,10 +58,6 @@ class _ForkManager(BloxManager):
     def update_metrics(self, cluster_state: ClusterState, job_state: JobState) -> None:
         if self.round_number != self._start_round:
             super().update_metrics(cluster_state, job_state)
-
-    def next_arrival_time(self) -> Optional[float]:
-        arrival = super().next_arrival_time()
-        return self.stop_time if arrival is None else min(arrival, self.stop_time)
 
 
 class AutoSchedulerSynthesizer(SchedulingPolicy, AdmissionPolicy):

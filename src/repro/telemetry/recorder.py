@@ -45,10 +45,6 @@ class TraceRecorder:
             sink.bind_emitter(source)
         )
 
-    def scoped(self, source: str) -> "TraceRecorder":
-        """A sibling recorder on the same sink with its own source + sequence."""
-        return TraceRecorder(self.sink, source=source)
-
     def write_header(self, header: TraceHeader) -> None:
         self.sink.write_header(header)
 

@@ -9,8 +9,8 @@ the same trace under several policies must use :meth:`Trace.fresh_jobs`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.core.exceptions import ConfigurationError
 from repro.core.job import Job
@@ -68,34 +68,9 @@ class Trace:
         start, end = self.tracked_range
         return [job.job_id for job in self.jobs[start:end]]
 
-    def with_tracked_range(self, start: int, end: int) -> "Trace":
-        return Trace(jobs=self.fresh_jobs(), name=self.name, tracked_range=(start, end))
-
     # ------------------------------------------------------------------
     # Aggregate statistics (used in tests and for sanity-checking generators)
     # ------------------------------------------------------------------
-
-    def duration_hours(self) -> float:
-        """Span between the first and last arrival, in hours."""
-        arrivals = [j.arrival_time for j in self.jobs]
-        return (max(arrivals) - min(arrivals)) / 3600.0
-
-    def average_gpu_demand(self) -> float:
-        return sum(j.num_gpus for j in self.jobs) / len(self.jobs)
-
-    def average_duration_hours(self) -> float:
-        return sum(j.duration for j in self.jobs) / len(self.jobs) / 3600.0
-
-    def offered_load(self, total_gpus: int) -> float:
-        """Average fraction of the cluster the trace demands (>1 means oversubscribed)."""
-        if total_gpus <= 0:
-            raise ConfigurationError("total_gpus must be > 0")
-        span_seconds = max(j.arrival_time for j in self.jobs) - min(
-            j.arrival_time for j in self.jobs
-        )
-        span_seconds = max(span_seconds, 1.0)
-        gpu_seconds = sum(j.num_gpus * j.duration for j in self.jobs)
-        return gpu_seconds / (span_seconds * total_gpus)
 
     def subset(self, max_jobs: int) -> "Trace":
         """First ``max_jobs`` jobs of the trace (used to scale experiments down)."""

@@ -3,16 +3,16 @@
 Covers the PR-8 follow-on from ROADMAP: `FailNodes`/`SpotWave`/`ScaleOut`
 timeline firings stream as first-class, schema-versioned, replay/diff-safe
 events -- from the drain API on :class:`TimelineClusterManager`, through the
-wrapper managers on the runtime/federation paths, up to recorded RunSpec
-runs being bit-identical across replays.
+core, runtime and federation-shard paths (each hands the engine the timeline
+itself), up to recorded RunSpec runs being bit-identical across replays.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.core.abstractions import ClusterManager
-from repro.core.cluster_state import ClusterState
 from repro.cluster.builder import build_cluster
-from repro.federation.shard import BoundedClusterManager
 from repro.scenarios.events import (
     GpuUpgradeEvent,
     NodeFailureEvent,
@@ -73,29 +73,6 @@ def test_drain_matches_applied_log():
 
 def test_default_manager_drains_nothing():
     assert ClusterManager().drain_applied() == []
-
-
-def test_bounded_wrapper_delegates_drain():
-    inner = TimelineClusterManager([NodeFailureEvent(time=10.0, node_ids=(0,))])
-    wrapper = BoundedClusterManager(inner=inner)
-    wrapper.update(_cluster(), 10.0)
-    drained = wrapper.drain_applied()
-    assert [e.kind for _, e, _ in drained] == ["NodeFailureEvent"]
-    assert wrapper.drain_applied() == []
-
-
-def test_membership_sync_wrapper_delegates_drain():
-    from repro.runtime.central_scheduler import MembershipSyncManager
-
-    class _StubLeases:
-        def sync_membership(self, cluster_state):
-            self.synced = True
-
-    inner = TimelineClusterManager([ScaleInEvent(time=5.0, num_nodes=1)])
-    wrapper = MembershipSyncManager(inner, _StubLeases())
-    wrapper.update(_cluster(), 5.0)
-    drained = wrapper.drain_applied()
-    assert [e.kind for _, e, _ in drained] == ["ScaleInEvent"]
 
 
 def test_drain_state_survives_pickle():
@@ -166,8 +143,7 @@ SCENARIO_SPEC = RunSpec(
 )
 
 
-def test_scenario_run_records_cluster_events():
-    events = _record(SCENARIO_SPEC)
+def _assert_cluster_events(events):
     cluster = [e for e in events if e.kind == EVENT_CLUSTER]
     assert cluster, "scenario run must emit cluster trace events"
     for event in cluster:
@@ -178,6 +154,39 @@ def test_scenario_run_records_cluster_events():
     eviction_times = {e.time for e in events if e.kind == "eviction"}
     cluster_times = {e.time for e in cluster}
     assert eviction_times <= cluster_times
+
+
+@pytest.mark.parametrize("mode", ["core", "runtime"])
+def test_scenario_run_records_cluster_events(mode):
+    _assert_cluster_events(_record(dataclasses.replace(SCENARIO_SPEC, mode=mode)))
+
+
+def test_shard_scenario_records_cluster_events():
+    from repro.federation.engine import (
+        FederationEngine,
+        LocalShardBackend,
+        ScenarioManagerFactory,
+        UniformShardFactory,
+    )
+    from repro.federation.router import make_router
+    from repro.policies.scheduling import FifoScheduling
+    from repro.telemetry.recorder import TraceRecorder
+    from repro.workloads.philly import generate_philly_trace
+
+    sink = RingBufferSink()
+    shard = UniformShardFactory(
+        nodes_per_shard=4,
+        scheduling_factory=FifoScheduling,
+        cluster_manager_factory=ScenarioManagerFactory("failure-storm", smoke=True),
+    ).build(0, TraceRecorder(sink, source="shard0"))
+    trace = generate_philly_trace(num_jobs=12, jobs_per_hour=6.0, seed=5)
+    FederationEngine(
+        LocalShardBackend([shard]),
+        make_router("round-robin"),
+        trace.fresh_jobs(),
+        tracked_job_ids=trace.tracked_ids(),
+    ).run()
+    _assert_cluster_events(sink.events())
 
 
 def test_scenario_run_replays_bit_identical():

@@ -12,6 +12,8 @@ the loop's pausability must match the stepping loop (``fast_forward=False``):
 """
 
 import json
+import math
+from functools import partial
 
 import pytest
 
@@ -80,15 +82,39 @@ def test_paused_and_resumed_loop_matches_uninterrupted_run(fast_forward):
     assert_identical(uninterrupted, paused.build_result())
 
 
-def test_pause_points_match_stepping():
-    """Default and stepping runs paused at one stop_time stand at the same round."""
-    trace = small_trace()
-    default = make_sim(trace)
-    stepping = make_sim(trace, fast_forward=False)
-    for stop_time in (1_500.0, 12_000.0):
+def _small_sim(**kwargs):
+    return make_sim(small_trace(), **kwargs)
+
+
+def _low_load_sim(policy, **kwargs):
+    # Hours between arrivals: long skips that end only at a pause, not at an
+    # arrival or completion.
+    spec = RunSpec(policy=policy, num_jobs=40, jobs_per_hour=0.5, num_nodes=8, seed=3)
+    return spec.build(**kwargs)
+
+
+#: Half a round past each hour mark, spread over the low-load arrival span.
+LOW_LOAD_STOPS = [h * 3600.0 + 150.0 for h in range(1, 80, 3)]
+
+
+@pytest.mark.parametrize(
+    "build, stops",
+    [
+        (_small_sim, (1_500.0, 12_000.0)),
+        *[(partial(_low_load_sim, p), LOW_LOAD_STOPS) for p in ("fifo", "tiresias", "pollux")],
+    ],
+    ids=["small-fifo", "low-load-fifo", "low-load-tiresias", "low-load-pollux"],
+)
+def test_pause_points_match_stepping(build, stops):
+    """Default and stepping runs paused at one stop_time stand at the same
+    round: the first whose start time is at or after it."""
+    default = build()
+    stepping = build(fast_forward=False)
+    for stop_time in stops:
         for sim in (default, stepping):
             assert sim._advance_loop(stop_time) is False
-        assert default.manager.round_number == stepping.manager.round_number
+        pause_round = math.ceil(stop_time / ROUND)
+        assert default.manager.round_number == stepping.manager.round_number == pause_round
         assert default.manager.current_time == stepping.manager.current_time
     for sim in (default, stepping):
         assert sim._advance_loop(None) is True
@@ -102,13 +128,14 @@ def test_pause_points_match_stepping():
 
 def _run_federation(fast_forward, scheduling=FifoScheduling, router_name="round-robin"):
     trace = small_trace(num_jobs=40, seed=7)
-    shards = UniformShardFactory(
+    factory = UniformShardFactory(
         4,
         scheduling,
         ConsolidatedPlacement,
         round_duration=ROUND,
         engine_kwargs={"fast_forward": fast_forward},
-    ).build_all(2)
+    )
+    shards = [factory.build(i) for i in range(2)]
     engine = FederationEngine(
         LocalShardBackend(shards),
         make_router(router_name),

@@ -55,14 +55,15 @@ def small_trace(num_jobs=40, seed=7, jobs_per_hour=6.0):
 
 def make_federation(num_shards, router, trace, fast_forward=True, nodes_per_shard=4,
                     scheduling=FifoScheduling, cluster_manager_factory=None):
-    shards = UniformShardFactory(
+    factory = UniformShardFactory(
         nodes_per_shard,
         scheduling,
         ConsolidatedPlacement,
         round_duration=ROUND,
         cluster_manager_factory=cluster_manager_factory,
         engine_kwargs={"fast_forward": fast_forward},
-    ).build_all(num_shards)
+    )
+    shards = [factory.build(i) for i in range(num_shards)]
     engine = FederationEngine(
         LocalShardBackend(shards),
         router,
@@ -211,7 +212,8 @@ def test_result_accessors():
 def test_infeasible_gang_raises():
     # 2 nodes x 4 GPUs per shard = 8 GPUs; a 16-GPU gang fits nowhere.
     jobs = [Job(arrival_time=0.0, num_gpus=16, duration=3600.0, job_id=1)]
-    shards = UniformShardFactory(2, FifoScheduling, round_duration=ROUND).build_all(2)
+    factory = UniformShardFactory(2, FifoScheduling, round_duration=ROUND)
+    shards = [factory.build(i) for i in range(2)]
     engine = FederationEngine(LocalShardBackend(shards), RoundRobinRouter(), jobs)
     with pytest.raises(SimulationError, match="no feasible routing"):
         engine.run()
@@ -245,7 +247,8 @@ def test_oversized_gangs_skip_small_shards():
 
 
 def test_engine_rejects_misnumbered_shards():
-    shards = UniformShardFactory(2, FifoScheduling, round_duration=ROUND).build_all(2)
+    factory = UniformShardFactory(2, FifoScheduling, round_duration=ROUND)
+    shards = [factory.build(i) for i in range(2)]
     shards[1].shard_id = 7
     with pytest.raises(ConfigurationError, match="shard ids must equal"):
         LocalShardBackend(shards)
@@ -271,14 +274,16 @@ def test_engine_rejects_mixed_round_durations():
 
 
 def test_engine_rejects_empty_workload():
-    shards = UniformShardFactory(2, FifoScheduling, round_duration=ROUND).build_all(1)
+    factory = UniformShardFactory(2, FifoScheduling, round_duration=ROUND)
+    shards = [factory.build(i) for i in range(1)]
     with pytest.raises(ConfigurationError, match="empty workload"):
         FederationEngine(LocalShardBackend(shards), RoundRobinRouter(), []).run()
 
 
 def test_submit_after_finish_raises():
     jobs = [Job(arrival_time=0.0, num_gpus=1, duration=600.0, job_id=1)]
-    shards = UniformShardFactory(1, FifoScheduling, round_duration=ROUND).build_all(1)
+    factory = UniformShardFactory(1, FifoScheduling, round_duration=ROUND)
+    shards = [factory.build(i) for i in range(1)]
     FederationEngine(LocalShardBackend(shards), RoundRobinRouter(), jobs).run()
     with pytest.raises(SimulationError, match="draining"):
         shards[0].submit(Job(arrival_time=0.0, num_gpus=1, duration=600.0, job_id=2))

@@ -73,7 +73,7 @@ def make_engine(backend, router_name, jobs, tracked_job_ids=None):
 
 
 def run_serial(factory, num_shards, router_name, trace):
-    backend = LocalShardBackend(factory.build_all(num_shards))
+    backend = LocalShardBackend([factory.build(i) for i in range(num_shards)])
     return make_engine(backend, router_name, trace.fresh_jobs(), trace.tracked_ids()).run()
 
 
@@ -367,7 +367,7 @@ def test_run_stream_in_process_matches_pooled_stream():
     generator = PhillyTraceGenerator(num_jobs=30, jobs_per_hour=6.0, seed=7)
     factory = bench_factory()
     local = make_engine(
-        LocalShardBackend(factory.build_all(2)), "queue-delay", generator.iter_jobs()
+        LocalShardBackend([factory.build(i) for i in range(2)]), "queue-delay", generator.iter_jobs()
     ).run_stream()
     pooled = make_engine(
         WorkerPoolBackend(factory, 2, 2), "queue-delay", generator.iter_jobs()
@@ -382,7 +382,7 @@ def test_run_stream_in_process_matches_pooled_stream():
 
 def test_drive_federation_rejects_unsorted_stream():
     factory = bench_factory()
-    backend = LocalShardBackend(factory.build_all(2))
+    backend = LocalShardBackend([factory.build(i) for i in range(2)])
     jobs = [
         Job(arrival_time=600.0, num_gpus=1, duration=600.0, job_id=2),
         Job(arrival_time=0.0, num_gpus=1, duration=600.0, job_id=1),

@@ -62,7 +62,8 @@ def run_on(backend, trace):
 
 
 def run_serial(trace, num_shards=2):
-    return run_on(LocalShardBackend(bench_factory().build_all(num_shards)), trace)
+    factory = bench_factory()
+    return run_on(LocalShardBackend([factory.build(i) for i in range(num_shards)]), trace)
 
 
 def run_supervised(trace, num_shards=2, workers=2, **kwargs):

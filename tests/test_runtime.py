@@ -22,7 +22,6 @@ from repro.runtime import (
     CentralLeaseManager,
     CentralScheduler,
     InMemoryRpcChannel,
-    MembershipSyncManager,
     OptimisticLeaseManager,
     RpcCostModel,
     WorkerManager,
@@ -660,20 +659,29 @@ class TestFidelityRunner:
             assert row["avg_jct_deviation"] < 0.10
 
 
-class TestMembershipSyncManager:
-    def test_unmigrated_inner_manager_disables_event_skipping(self):
+class TestDeploymentClusterManager:
+    """The engine sees the deployment path's cluster manager unwrapped."""
+
+    def _scheduler(self, compiled, cluster_manager):
+        return CentralScheduler(
+            cluster_state=compiled.build_cluster(),
+            jobs=compiled.trace.fresh_jobs(),
+            scheduling_policy=FifoScheduling(),
+            cluster_manager=cluster_manager,
+        )
+
+    def test_unmigrated_manager_disables_event_skipping(self):
         class LegacyManager(ClusterManager):
             def update(self, cluster_state, current_time):
                 return []
 
-        channel = InMemoryRpcChannel()
-        lease = OptimisticLeaseManager([WorkerManager(node_id=0, channel=channel)], channel)
-        sync = MembershipSyncManager(LegacyManager(), lease)
-        assert sync.next_event_time(123.0) == 123.0
+        scheduler = self._scheduler(churn_scenario(), LegacyManager())
+        assert scheduler._simulator.fast_forward is False
 
-    def test_timeline_inner_manager_keeps_event_bound(self):
+    def test_timeline_manager_keeps_event_bound(self):
         compiled = churn_scenario()
-        channel = InMemoryRpcChannel()
-        lease = OptimisticLeaseManager([WorkerManager(node_id=0, channel=channel)], channel)
-        sync = MembershipSyncManager(compiled.make_cluster_manager(), lease)
-        assert sync.next_event_time(0.0) == 3600.0
+        timeline = compiled.make_cluster_manager()
+        scheduler = self._scheduler(compiled, timeline)
+        assert scheduler._simulator.fast_forward is True
+        assert scheduler.manager.cluster_manager is timeline
+        assert timeline.next_event_time(0.0) == 3600.0

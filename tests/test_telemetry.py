@@ -236,7 +236,7 @@ def test_parallel_shard_traces_deterministic(tmp_path, start_method):
         backend = (
             WorkerPoolBackend(factory, 2, 2, mp_context=start_method)
             if parallel
-            else LocalShardBackend(factory.build_all(2))
+            else LocalShardBackend([factory.build(i) for i in range(2)])
         )
         FederationEngine(
             backend,
