@@ -115,6 +115,15 @@ HOT_PATH_FUNCTIONS: FrozenSet[str] = frozenset(
         "repro/policies/scheduling/pollux.py::PolluxScheduling.schedule",
         "repro/policies/scheduling/optimus.py::OptimusScheduling.schedule",
         "repro/policies/placement/base.py::BasePlacementPolicy.place",
+        # The free-count index and the placement view's reads of it: called
+        # per launch (queries) or per GPU assigned / freed (maintenance).
+        "repro/core/cluster_state.py::ClusterState._refile",
+        "repro/policies/placement/base.py::AvailabilityView._refile",
+        "repro/policies/placement/base.py::AvailabilityView._free_list",
+        "repro/policies/placement/base.py::AvailabilityView.best_fit",
+        "repro/policies/placement/base.py::AvailabilityView.nodes_by_free_count",
+        "repro/policies/placement/base.py::AvailabilityView.free_on_node",
+        "repro/policies/placement/base.py::AvailabilityView.take",
     }
 )
 

@@ -22,7 +22,7 @@ are slow (the speed baseline is ``benchmarks/run.py`` on the parent commit):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.cluster.gpu_types import GPU_TYPES
 from repro.cluster.node import GPU
@@ -54,13 +54,14 @@ class LegacyClusterState(ClusterState):
     def num_free_gpus(self, gpu_type=None) -> int:
         return len(self.free_gpus(gpu_type))
 
-    def free_gpus_by_node(self) -> Dict[int, List[GPU]]:
-        out: Dict[int, List[GPU]] = {}
+    def free_count_buckets(self) -> Dict[int, Set[int]]:
+        per_node: Dict[int, int] = {}
         for gpu in self.free_gpus():
-            out.setdefault(gpu.node_id, []).append(gpu)
-        for gpus in out.values():
-            gpus.sort(key=lambda g: g.local_gpu_id)
-        return out
+            per_node[gpu.node_id] = per_node.get(gpu.node_id, 0) + 1
+        buckets: Dict[int, Set[int]] = {}
+        for node_id, count in per_node.items():
+            buckets.setdefault(count, set()).add(node_id)
+        return buckets
 
     def gpus_on_node(self, node_id: int) -> List[GPU]:
         if node_id not in self.nodes:

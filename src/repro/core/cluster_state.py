@@ -7,19 +7,21 @@ query helpers used by placement policies, along with assignment bookkeeping
 that raises :class:`~repro.core.exceptions.AllocationError` on double
 allocation so inconsistent placement decisions are caught immediately.
 
-The state is *indexed*: per-node free-GPU sets, a job->GPU index and cached
-free/busy counters are updated invariantly by every mutation
-(``assign``/``release_job``/``add_node``/``remove_node``/``mark_node_failed``/
-``mark_node_recovered``), so the hot queries (``free_gpus``, ``gpus_for_job``,
-``gpus_on_node``, ``num_free_gpus``, ``utilization``) cost O(result) instead of
-O(total GPUs).  ``check_invariants`` recomputes everything from scratch and is
-used by the test suite to prove the indexes never drift from the ground truth.
+The state is *indexed*: per-node free-GPU sets, healthy nodes grouped by
+free-GPU count, a job->GPU index and cached free/busy counters are updated
+invariantly by every mutation (``assign``/``release_job``/``add_node``/
+``remove_node``/``mark_node_failed``/``mark_node_recovered``), so the hot
+queries (``free_gpus``, ``gpus_for_job``, ``gpus_on_node``, ``num_free_gpus``,
+``utilization``, ``free_count_buckets``) cost O(result) instead of O(total
+GPUs).  ``check_invariants`` recomputes everything from scratch and is used by
+the test suite to prove the indexes never drift from the ground truth.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
+from collections import defaultdict
+from typing import DefaultDict, Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from repro.cluster.gpu_types import GPUType
 from repro.cluster.node import GPU, Node
@@ -43,6 +45,11 @@ class ClusterState:
         self._node_gpu_ids: Dict[int, List[int]] = {}
         #: Free GPU ids per node (membership set; ordering comes from the list above).
         self._free_by_node: Dict[int, Set[int]] = {}
+        #: Free-GPU count -> ids of the healthy nodes with exactly that many
+        #: free GPUs (counts >= 1 only; an emptied bucket stays, empty).
+        #: This is what placement answers best fit and bucket-ordered walks
+        #: from.
+        self._nodes_by_free: DefaultDict[int, Set[int]] = defaultdict(set)
         #: job id -> set of GPU ids it currently holds.
         self._job_gpu_ids: Dict[int, Set[int]] = {}
         #: job id -> node ids where auxiliary CPU/memory is reserved for it.
@@ -115,8 +122,10 @@ class ClusterState:
             self._healthy_capacity += gpu.gpu_type.compute_factor
             self._healthy_gpu_count += 1
         if gpu.is_free:
-            self._free_by_node[gpu.node_id].add(gpu.gpu_id)
+            free = self._free_by_node[gpu.node_id]
+            free.add(gpu.gpu_id)
             if not node.failed:
+                self._refile(gpu.node_id, len(free) - 1, len(free))
                 self._free_healthy_count += 1
                 key = gpu_type_key(gpu.gpu_type)
                 self._free_healthy_by_type[key] = self._free_healthy_by_type.get(key, 0) + 1
@@ -158,6 +167,8 @@ class ClusterState:
                 if not nodes_for_job:
                     del self._aux_nodes_by_job[job_id]
         # Remove the node's (now all free) GPUs from the indexes.
+        if not node.failed:
+            self._refile(node_id, len(self._free_by_node[node_id]), 0)
         for gpu_id in self._node_gpu_ids[node_id]:
             del self.gpus[gpu_id]
             if not node.failed:
@@ -185,6 +196,7 @@ class ClusterState:
         if not node.failed:
             node.failed = True
             free_here = len(self._free_by_node[node_id])
+            self._refile(node_id, free_here, 0)
             self._free_healthy_count -= free_here
             key = gpu_type_key(node.gpu_type)
             self._free_healthy_by_type[key] = (
@@ -205,6 +217,7 @@ class ClusterState:
             return
         node.failed = False
         free_here = len(self._free_by_node[node_id])
+        self._refile(node_id, 0, free_here)
         self._free_healthy_count += free_here
         key = gpu_type_key(node.gpu_type)
         self._free_healthy_by_type[key] = self._free_healthy_by_type.get(key, 0) + free_here
@@ -214,6 +227,13 @@ class ClusterState:
         self._healthy_gpu_count += total_here
         self._busy_capacity += factor * (total_here - free_here)
         self.membership_version += 1
+
+    def _refile(self, node_id: int, old: int, new: int) -> None:
+        """Move a healthy node from free-count bucket ``old`` to ``new`` (0 = none)."""
+        if old:
+            self._nodes_by_free[old].remove(node_id)
+        if new:
+            self._nodes_by_free[new].add(node_id)
 
     def node(self, node_id: int) -> Node:
         if node_id not in self.nodes:
@@ -254,23 +274,14 @@ class ClusterState:
             return self._free_healthy_count
         return self._free_healthy_by_type.get(gpu_type_key(gpu_type), 0)
 
-    def free_gpus_by_node(self) -> Dict[int, List[GPU]]:
-        """Free GPUs on healthy nodes grouped per node, ordered by local GPU id.
+    def free_count_buckets(self) -> Dict[int, Set[int]]:
+        """Healthy nodes grouped by free-GPU count: count (>= 1) -> node ids.
 
-        This is the bulk query placement policies build their availability view
-        from; it costs O(free GPUs), not O(total GPUs).
+        The live index itself, O(1): callers read it and never mutate it
+        (the placement view copies a bucket before changing it).  A bucket
+        that emptied stays as an empty set.
         """
-        out: Dict[int, List[GPU]] = {}
-        for node_id, node in self.nodes.items():
-            if node.failed:
-                continue
-            free_ids = self._free_by_node[node_id]
-            if not free_ids:
-                continue
-            out[node_id] = [
-                self.gpus[g] for g in self._node_gpu_ids[node_id] if g in free_ids
-            ]
-        return out
+        return self._nodes_by_free
 
     def gpus_on_node(self, node_id: int) -> List[GPU]:
         if node_id not in self.nodes:
@@ -336,15 +347,21 @@ class ClusterState:
                 )
             seen.add(gpu_id)
         held = self._job_gpu_ids.setdefault(job_id, set())
+        buckets = self._nodes_by_free
         self._alloc_version[job_id] = self._alloc_version.get(job_id, 0) + 1
         for gpu_id in gpu_ids:
             gpu = self.gpus[gpu_id]
             gpu.job_id = job_id
             held.add(gpu_id)
-            self._free_by_node[gpu.node_id].discard(gpu_id)
+            node_id = gpu.node_id
+            free = self._free_by_node[node_id]
+            free.discard(gpu_id)
             self._busy_count += 1
-            node = self.nodes[gpu.node_id]
-            if not node.failed:
+            if not self.nodes[node_id].failed:
+                left = len(free)  # bucket move left + 1 -> left, inlined
+                buckets[left + 1].remove(node_id)
+                if left:
+                    buckets[left].add(node_id)
                 self._free_healthy_count -= 1
                 self._free_healthy_by_type[gpu_type_key(gpu.gpu_type)] -= 1
                 self._busy_capacity += gpu.gpu_type.compute_factor
@@ -366,19 +383,25 @@ class ClusterState:
         aux_nodes = self._aux_nodes_by_job.pop(job_id, set())
         if freed:
             self._alloc_version[job_id] = self._alloc_version.get(job_id, 0) + 1
+        buckets = self._nodes_by_free
         for gpu_id in freed:
             gpu = self.gpus[gpu_id]
             gpu.job_id = None
-            self._free_by_node[gpu.node_id].add(gpu_id)
+            node_id = gpu.node_id
+            free = self._free_by_node[node_id]
+            free.add(gpu_id)
             self._busy_count -= 1
-            node = self.nodes[gpu.node_id]
-            if not node.failed:
+            if not self.nodes[node_id].failed:
+                now = len(free)  # bucket move now - 1 -> now, inlined
+                if now > 1:
+                    buckets[now - 1].remove(node_id)
+                buckets[now].add(node_id)
                 self._free_healthy_count += 1
                 key = gpu_type_key(gpu.gpu_type)
                 self._free_healthy_by_type[key] = self._free_healthy_by_type.get(key, 0) + 1
                 self._busy_capacity -= gpu.gpu_type.compute_factor
             # Defensive: cover aux reserved outside reserve_aux on hosting nodes.
-            aux_nodes.add(gpu.node_id)
+            aux_nodes.add(node_id)
         for node_id in sorted(aux_nodes):
             if node_id in self.nodes:
                 self.nodes[node_id].release_aux(job_id)
@@ -471,6 +494,7 @@ class ClusterState:
         busy = 0
         free_healthy = 0
         free_by_type: Dict[str, int] = {}
+        free_per_node: Dict[int, int] = {}
         job_gpus: Dict[int, Set[int]] = {}
         healthy_capacity = 0.0
         healthy_gpus = 0
@@ -488,6 +512,7 @@ class ClusterState:
                     free_healthy += 1
                     key = gpu_type_key(gpu.gpu_type)
                     free_by_type[key] = free_by_type.get(key, 0) + 1
+                    free_per_node[gpu.node_id] = free_per_node.get(gpu.node_id, 0) + 1
             else:
                 busy += 1
                 job_gpus.setdefault(gpu.job_id, set()).add(gpu.gpu_id)
@@ -516,6 +541,12 @@ class ClusterState:
         assert job_gpus == {k: v for k, v in self._job_gpu_ids.items() if v}, (
             "job->GPU index drifted"
         )
+        buckets: Dict[int, Set[int]] = {}
+        for node_id, free_here in free_per_node.items():
+            buckets.setdefault(free_here, set()).add(node_id)
+        filed = {count: nodes for count, nodes in self._nodes_by_free.items() if nodes}
+        assert buckets == filed, f"free-count buckets {filed} != recomputed {buckets}"
+        assert all(count >= 1 for count in self._nodes_by_free), "bucket for 0 free GPUs"
         for node_id in self.nodes:
             listed = self._node_gpu_ids[node_id]
             actual = sorted(

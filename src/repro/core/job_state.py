@@ -66,6 +66,10 @@ class JobState:
     def __init__(self) -> None:
         self._jobs: Dict[int, Job] = {}
         self._by_status: Dict[JobStatus, Set[int]] = {s: set() for s in JobStatus}
+        #: The same sets, grouped, so the active / finished counts are a few
+        #: ``len`` calls with no status hashing (aliases: nothing to maintain).
+        self._active_sets = tuple(self._by_status[s] for s in ACTIVE_STATUSES)
+        self._finished_sets = tuple(self._by_status[s] for s in FINISHED_STATUSES)
         #: Observers are held weakly: an observer is typically owned by a
         #: scheduling policy, and policies may be swapped mid-run (the
         #: synthesizer does) without an unregister call -- a strong list would
@@ -311,6 +315,8 @@ class JobState:
 
     def count_with_status(self, *statuses: JobStatus) -> int:
         """O(1)-per-status count of jobs in the given statuses."""
+        if len(statuses) == 1:
+            return len(self._by_status[statuses[0]])
         return sum(len(self._by_status[s]) for s in dict.fromkeys(statuses))
 
     def active_jobs(self) -> List[Job]:
@@ -318,7 +324,7 @@ class JobState:
         return self.jobs_with_status(*ACTIVE_STATUSES)
 
     def count_active(self) -> int:
-        return self.count_with_status(*ACTIVE_STATUSES)
+        return sum(map(len, self._active_sets))
 
     def running_jobs(self) -> List[Job]:
         return self.jobs_with_status(JobStatus.RUNNING)
@@ -333,7 +339,7 @@ class JobState:
         return self.jobs_with_status(*FINISHED_STATUSES)
 
     def count_finished(self) -> int:
-        return self.count_with_status(*FINISHED_STATUSES)
+        return sum(map(len, self._finished_sets))
 
     def waiting_admission_jobs(self) -> List[Job]:
         return self.jobs_with_status(JobStatus.WAITING_ADMISSION)
@@ -371,6 +377,12 @@ class JobState:
                 assert job_id not in seen, f"job {job_id} indexed under two statuses"
                 seen.add(job_id)
         assert seen == set(self._jobs), "status index does not cover the registry"
+        for count, statuses in (
+            (self.count_active(), ACTIVE_STATUSES),
+            (self.count_finished(), FINISHED_STATUSES),
+        ):
+            recount = sum(1 for j in self._jobs.values() if j.status in statuses)
+            assert count == recount, f"count over {statuses} is {count}, recount {recount}"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -12,11 +12,12 @@ placement.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
 from repro.cluster.node import GPU
 from repro.core.abstractions import PlacementDecision, PlacementPolicy, ScheduleEntry
 from repro.core.cluster_state import ClusterState
+from repro.core.exceptions import AllocationError
 from repro.core.job import Job, JobStatus
 from repro.core.job_state import JobState
 
@@ -24,76 +25,131 @@ from repro.core.job_state import JobState
 class AvailabilityView:
     """Tracks which GPUs are available during one placement computation.
 
-    The view starts from the GPUs that are currently free on healthy nodes plus
-    the GPUs of jobs the policy has decided to suspend this round, and is
-    consumed as the policy hands out allocations.
+    The view holds the GPUs that are currently free on healthy nodes plus the
+    GPUs of jobs the policy has decided to suspend this round, and is consumed
+    as the policy hands out allocations.
 
-    Construction reads the cluster's per-node free-GPU index directly
-    (:meth:`ClusterState.free_gpus_by_node`), so building the view costs
-    O(free GPUs) instead of a full rescan of every GPU row, and :meth:`take`
-    only touches the nodes it removes from.
+    It is an overlay on the cluster's free-count index
+    (:meth:`ClusterState.free_count_buckets`): it keeps its own free list
+    only for the nodes this round touches -- nodes that get GPUs back from a
+    suspended job and nodes it takes from -- and its own copy of a bucket
+    only once it moves a node into or out of it.  Every other answer is read
+    from the cluster, which the view never mutates.  A round costs
+    O(touched nodes + buckets), and the queries walk buckets in count order
+    instead of sorting every node.
     """
 
     def __init__(self, cluster_state: ClusterState, extra_gpu_ids: Sequence[int] = ()) -> None:
         self.cluster_state = cluster_state
-        self._free_by_node: Dict[int, List[GPU]] = cluster_state.free_gpus_by_node()
-        self._total = sum(len(g) for g in self._free_by_node.values())
-        dirty = set()
-        for gpu_id in dict.fromkeys(extra_gpu_ids):
+        #: Free count -> node ids: the cluster's own sets, except for the
+        #: counts in ``_owned``, which :meth:`_refile` copied before a change.
+        self._buckets: Dict[int, Set[int]] = dict(cluster_state.free_count_buckets())
+        self._owned: Set[int] = set()
+        #: Free GPUs (local-id order) of the nodes this view has touched.
+        self._lists: Dict[int, List[GPU]] = {}
+        self._total = cluster_state.num_free_gpus()
+        returned: Dict[int, Set[int]] = {}
+        for gpu_id in extra_gpu_ids:
             gpu = cluster_state.gpu(gpu_id)
-            if cluster_state.node(gpu.node_id).failed:
-                continue
-            if gpu.is_free:
-                continue  # already present via the free index
-            self._free_by_node.setdefault(gpu.node_id, []).append(gpu)
-            self._total += 1
-            dirty.add(gpu.node_id)
-        for node_id in sorted(dirty):
-            self._free_by_node[node_id].sort(key=lambda g: g.local_gpu_id)
+            if gpu.is_free or cluster_state.node(gpu.node_id).failed:
+                continue  # already in the view, or never schedulable
+            returned.setdefault(gpu.node_id, set()).add(gpu_id)
+        for node_id, gpu_ids in returned.items():
+            gpus = [
+                g
+                for g in cluster_state.gpus_on_node(node_id)
+                if g.job_id is None or g.gpu_id in gpu_ids
+            ]
+            self._total += len(gpu_ids)
+            self._refile(node_id, len(gpus) - len(gpu_ids), len(gpus))
+            self._lists[node_id] = gpus
+
+    def _refile(self, node_id: int, old: int, new: int) -> None:
+        """Move a node between this view's buckets, copying each one first."""
+        for count in (old, new):
+            if count and count not in self._owned:
+                self._owned.add(count)
+                self._buckets[count] = set(self._buckets.get(count, ()))
+        if old:
+            self._buckets[old].discard(node_id)
+        if new:
+            self._buckets[new].add(node_id)
+
+    def _free_list(self, node_id: int) -> List[GPU]:
+        """The node's free GPUs in local-id order (the view's own list if touched)."""
+        gpus = self._lists.get(node_id)
+        if gpus is not None:
+            return gpus
+        node = self.cluster_state.nodes.get(node_id)
+        if node is None or node.failed:
+            return []
+        return self.cluster_state.free_gpus_on_node(node_id)
 
     def total_free(self) -> int:
         return self._total
 
     def node_ids(self) -> List[int]:
-        return sorted(self._free_by_node)
+        """Every node with a free GPU, ascending (a full sort: not per launch)."""
+        return sorted(n for bucket in self._buckets.values() for n in bucket)
 
     def free_on_node(self, node_id: int) -> List[GPU]:
-        return list(self._free_by_node.get(node_id, []))
+        return list(self._free_list(node_id))
 
     def free_count(self, node_id: int) -> int:
-        return len(self._free_by_node.get(node_id, []))
+        return len(self._free_list(node_id))
 
-    def nodes_by_free_count(self, descending: bool = True) -> List[int]:
-        """Node ids ordered by how many free GPUs they have (ties by node id)."""
-        return sorted(
-            self._free_by_node,
-            key=lambda n: (-self.free_count(n) if descending else self.free_count(n), n),
-        )
+    def best_fit(self, demand: int) -> Optional[int]:
+        """The node with the fewest free GPUs that still fits ``demand``.
 
-    def take(self, gpu_ids: Sequence[int]) -> None:
-        """Remove GPUs from the view after they have been handed to a job.
-
-        Only the nodes hosting the taken GPUs are touched, so the cost is
-        O(taken + free on those nodes) rather than a rebuild of the whole
-        view; a GPU on a node with nothing free costs one dict probe.
+        Ties go to the lowest node id; ``None`` when no single node fits.
         """
-        free_by_node = self._free_by_node
-        if not free_by_node:
-            return
+        fitting = [c for c, nodes in self._buckets.items() if c >= demand and nodes]
+        if not fitting:
+            return None
+        return min(self._buckets[min(fitting)])
+
+    def nodes_by_free_count(self, descending: bool = True) -> Iterator[int]:
+        """Node ids by free count, ties by node id, one bucket sorted at a time.
+
+        Lazy: a walk that stops early sorts only the buckets it reached.
+        Do not :meth:`take` while iterating.
+        """
+        for count in sorted(self._buckets, reverse=descending):
+            yield from sorted(self._buckets[count])
+
+    def take(self, job_id: int, gpu_ids: Sequence[int]) -> None:
+        """Remove GPUs from the view after they have been handed to ``job_id``.
+
+        Raises :class:`AllocationError` naming the GPU and the job when a GPU
+        is not in the view (busy, on a failed node, unknown, or handed out
+        twice), before anything is removed.  Only the nodes hosting the taken
+        GPUs are touched.
+        """
         gpu_rows = self.cluster_state.gpus
-        by_node: Dict[int, set] = {}
+        by_node: Dict[int, List[int]] = {}
         for gpu_id in gpu_ids:
-            node_id = gpu_rows[gpu_id].node_id
-            if node_id in free_by_node:
-                by_node.setdefault(node_id, set()).add(gpu_id)
+            gpu = gpu_rows.get(gpu_id)
+            if gpu is None:
+                raise AllocationError(f"job {job_id} was given unknown GPU {gpu_id}")
+            by_node.setdefault(gpu.node_id, []).append(gpu_id)
+        plan = []
         for node_id, taken in by_node.items():
-            gpus = free_by_node[node_id]
+            gpus = self._free_list(node_id)
             remaining = [g for g in gpus if g.gpu_id not in taken]
-            self._total -= len(gpus) - len(remaining)
-            if remaining:
-                free_by_node[node_id] = remaining
-            else:
-                del free_by_node[node_id]
+            if len(gpus) - len(remaining) != len(taken):
+                offered = {g.gpu_id for g in gpus}
+                for gpu_id in taken:
+                    if gpu_id not in offered:
+                        raise AllocationError(
+                            f"job {job_id} was given GPU {gpu_id}, which is not available "
+                            "in this round's placement view (busy, failed, or given twice)"
+                        )
+                    offered.discard(gpu_id)
+            plan.append((node_id, len(gpus), remaining))
+        for node_id, before, remaining in plan:
+            self._lists[node_id] = remaining
+            self._total -= before - len(remaining)
+            self._refile(node_id, before, len(remaining))
 
 
 class BasePlacementPolicy(PlacementPolicy):
@@ -167,7 +223,7 @@ class BasePlacementPolicy(PlacementPolicy):
             gpu_ids = self.select_gpus(job_state.get(job_id), demand, view, cluster_state)
             if gpu_ids is None or len(gpu_ids) != demand:
                 continue
-            view.take(gpu_ids)
+            view.take(job_id, gpu_ids)
             decision.to_launch[job_id] = sorted(gpu_ids)
 
         return decision
@@ -196,33 +252,17 @@ class BasePlacementPolicy(PlacementPolicy):
 
     @staticmethod
     def _take_first_free(demand: int, view: AvailabilityView) -> Optional[List[int]]:
-        """Take the lowest-numbered free GPUs regardless of node boundaries."""
-        picked: List[int] = []
-        for node_id in view.node_ids():
-            for gpu in view.free_on_node(node_id):
-                picked.append(gpu.gpu_id)
-                if len(picked) == demand:
-                    return picked
-        return picked if len(picked) == demand else None
+        """Take the free GPUs of the lowest-numbered nodes, ignoring node boundaries."""
+        return _fill(demand, view.node_ids(), view)
 
     @staticmethod
     def _take_consolidated(demand: int, view: AvailabilityView) -> Optional[List[int]]:
         """Pack the job on as few nodes as possible (best fit on a single node)."""
-        # Best fit: the node with the fewest free GPUs that still fits the job.
-        single_node_candidates = [
-            node_id for node_id in view.node_ids() if view.free_count(node_id) >= demand
-        ]
-        if single_node_candidates:
-            best = min(single_node_candidates, key=lambda n: (view.free_count(n), n))
+        best = view.best_fit(demand)
+        if best is not None:
             return [g.gpu_id for g in view.free_on_node(best)[:demand]]
         # Otherwise spread over the fewest nodes, preferring the emptiest ones.
-        picked: List[int] = []
-        for node_id in view.nodes_by_free_count(descending=True):
-            for gpu in view.free_on_node(node_id):
-                picked.append(gpu.gpu_id)
-                if len(picked) == demand:
-                    return picked
-        return picked if len(picked) == demand else None
+        return _fill(demand, view.nodes_by_free_count(descending=True), view)
 
     @staticmethod
     def _take_fragment_friendly(demand: int, view: AvailabilityView) -> Optional[List[int]]:
@@ -231,10 +271,15 @@ class BasePlacementPolicy(PlacementPolicy):
         Used for jobs that do not care about consolidation: they can absorb the
         scattered single GPUs, leaving contiguous blocks for jobs that do care.
         """
-        picked: List[int] = []
-        for node_id in view.nodes_by_free_count(descending=False):
-            for gpu in view.free_on_node(node_id):
-                picked.append(gpu.gpu_id)
-                if len(picked) == demand:
-                    return picked
-        return picked if len(picked) == demand else None
+        return _fill(demand, view.nodes_by_free_count(descending=False), view)
+
+
+def _fill(demand: int, node_ids: Iterable[int], view: AvailabilityView) -> Optional[List[int]]:
+    """Take free GPUs node by node, in the given node order, until ``demand``."""
+    picked: List[int] = []
+    for node_id in node_ids:
+        for gpu in view.free_on_node(node_id):
+            picked.append(gpu.gpu_id)
+            if len(picked) == demand:
+                return picked
+    return None

@@ -41,15 +41,12 @@ class IntraNodeBandwidthPlacement(BasePlacementPolicy):
         view: AvailabilityView,
         cluster_state: ClusterState,
     ) -> Optional[List[int]]:
-        single_node_candidates = [
-            node_id for node_id in view.node_ids() if view.free_count(node_id) >= demand
-        ]
-        if not single_node_candidates:
+        node_id = view.best_fit(demand)
+        if node_id is None:
             # Fall back to plain consolidation across nodes; intra-node link
             # choice is irrelevant once the job spans servers.
             return self._take_consolidated(demand, view)
 
-        node_id = min(single_node_candidates, key=lambda n: (view.free_count(n), n))
         node = cluster_state.node(node_id)
         free_gpus = view.free_on_node(node_id)
         free_local = [g.local_gpu_id for g in free_gpus]

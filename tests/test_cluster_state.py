@@ -14,6 +14,7 @@ from repro.cluster.builder import build_cluster
 from repro.cluster.node import Node
 from repro.core.cluster_state import ClusterState
 from repro.core.exceptions import AllocationError, UnknownNodeError
+from repro.policies.placement.base import AvailabilityView
 
 
 def test_add_node_assign_release_roundtrip():
@@ -123,15 +124,19 @@ def test_remove_node_evicts_jobs_and_releases_aux_everywhere():
         cluster.remove_node(1)
 
 
-def test_free_gpus_by_node_orders_by_local_id():
+def test_view_orders_free_gpus_by_local_id():
     cluster = build_cluster(num_nodes=2, gpus_per_node=4)
     cluster.assign(1, [0, 2])
-    by_node = cluster.free_gpus_by_node()
-    assert sorted(by_node) == [0, 1]
-    assert [g.local_gpu_id for g in by_node[0]] == [1, 3]
-    assert [g.local_gpu_id for g in by_node[1]] == [0, 1, 2, 3]
+    view = AvailabilityView(cluster)
+    assert view.node_ids() == [0, 1]
+    assert [g.local_gpu_id for g in view.free_on_node(0)] == [1, 3]
+    assert [g.local_gpu_id for g in view.free_on_node(1)] == [0, 1, 2, 3]
+    # A suspended job's GPUs rejoin in local-id order, not in the order given.
+    returned = AvailabilityView(cluster, extra_gpu_ids=[2, 0])
+    assert [g.local_gpu_id for g in returned.free_on_node(0)] == [0, 1, 2, 3]
     cluster.mark_node_failed(1)
-    assert sorted(cluster.free_gpus_by_node()) == [0]
+    assert AvailabilityView(cluster).node_ids() == [0]
+    assert AvailabilityView(cluster).free_on_node(1) == []
 
 
 def test_snapshot_is_deep_and_uses_public_node_state():

@@ -123,3 +123,25 @@ def test_pickle_roundtrip_preserves_indexing():
     clone.get(1).status = JobStatus.COMPLETED
     clone.check_invariants()
     assert [j.job_id for j in clone.finished_jobs()] == [1]
+
+
+def test_status_counts_match_a_recount_through_transitions_and_pickle():
+    state = JobState()
+    state.add_new_jobs([make_job(i) for i in range(6)])
+    statuses = list(JobStatus)
+
+    def recount(*wanted):
+        return sum(1 for j in state.all_jobs() if j.status in wanted)
+
+    for step, job_id in enumerate([0, 1, 2, 0, 3, 4, 5, 1, 2]):
+        state.set_status(job_id, statuses[(step * 3) % len(statuses)])
+        if step == 4:
+            state = pickle.loads(pickle.dumps(state))  # the grouped sets must still alias
+        assert state.count_active() == recount(*(s for s in statuses if s.is_active))
+        assert state.count_finished() == recount(*(s for s in statuses if s.is_terminal))
+        for status in statuses:
+            assert state.count_with_status(status) == recount(status)
+        # Several statuses, one repeated: each counted once.
+        pair = (JobStatus.RUNNING, JobStatus.COMPLETED, JobStatus.RUNNING)
+        assert state.count_with_status(*pair) == recount(*pair)
+        state.check_invariants()

@@ -31,7 +31,7 @@ def test_availability_view_tracks_totals_and_take():
     assert view.total_free() == 10
     assert view.node_ids() == [0, 1, 2]
     assert [g.local_gpu_id for g in view.free_on_node(0)] == [2, 3]
-    view.take([2, 4, 5, 6, 7])
+    view.take(2, [2, 4, 5, 6, 7])
     assert view.total_free() == 5
     assert view.node_ids() == [0, 2]
     assert view.free_count(1) == 0
