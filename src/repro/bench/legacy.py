@@ -214,8 +214,6 @@ class LegacyGavelScheduling(SchedulingPolicy):
 
     @staticmethod
     def job_throughput_on(job: Job, gpu_type_name: str) -> float:
-        if gpu_type_name in job.per_gpu_throughput:
-            return max(1e-9, float(job.per_gpu_throughput[gpu_type_name]))
         gpu_type = GPU_TYPES.get(gpu_type_name)
         return gpu_type.compute_factor if gpu_type is not None else 1.0
 
@@ -245,9 +243,7 @@ class LegacyGavelScheduling(SchedulingPolicy):
         for job in ordered:
             preferred = self.best_gpu_type(job, cluster_state)
             job.metrics["preferred_gpu_type"] = preferred
-            entries.append(
-                ScheduleEntry(job_id=job.job_id, gpu_demand=job.num_gpus, gpu_type=preferred)
-            )
+            entries.append(ScheduleEntry(job_id=job.job_id, gpu_demand=job.num_gpus))
         return entries
 
 

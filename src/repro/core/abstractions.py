@@ -49,12 +49,10 @@ class ScheduleEntry:
     ``gpu_demand`` is the number of GPUs the policy wants to give the job this
     round.  For gang-scheduled policies this equals the job's request; elastic
     policies (Optimus, Pollux) may ask for more or fewer GPUs.
-    ``gpu_type`` optionally pins the job to a GPU type (Gavel).
     """
 
     job_id: int
     gpu_demand: int
-    gpu_type: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.gpu_demand < 0:
@@ -72,10 +70,15 @@ class PlacementDecision:
     A running job named in neither keeps exactly the GPUs it holds.  The
     stock placements list nothing else; a policy may still list a kept job
     under its current GPUs (a lease renewal), which ``exec_jobs`` skips.
+
+    ``aux_per_gpu`` maps a launched job id -> the ``(CPU cores, host memory
+    GB)`` per GPU the launcher reserves for it (Synergy).  A launch not listed
+    reserves the job's full demand and runs at full CPU speed.
     """
 
     to_launch: Dict[int, List[int]] = field(default_factory=dict)
     to_suspend: List[int] = field(default_factory=list)
+    aux_per_gpu: Dict[int, Tuple[float, float]] = field(default_factory=dict)
 
 
 class AdmissionPolicy:
@@ -125,7 +128,7 @@ class SchedulingPolicy:
     the backlog's length.  The caller reads it at most once, in the same
     round, before any job's status or allocation changes; it may stop
     early.  So anything the policy must do every round (index upkeep,
-    promotions, metric writes) happens when ``schedule`` is called, not as
+    promotions) happens when ``schedule`` is called, not as
     the stream is read.
 
     Progress (``work_done``, ``attained_service``, ``pending_overhead``) is
@@ -269,6 +272,8 @@ class JobLauncher:
 
     In simulation this only updates job state and charges a launch overhead; the
     deployment runtime instead instructs the per-node WorkerManager.
+    ``aux_per_gpu`` is the decision's per-GPU ``(CPU cores, host memory GB)``
+    request for the job (see :class:`PlacementDecision`), ``None`` if none.
     """
 
     name = "job-launch"
@@ -279,6 +284,7 @@ class JobLauncher:
         gpu_ids: Sequence[int],
         cluster_state: ClusterState,
         current_time: float,
+        aux_per_gpu: Optional[Tuple[float, float]] = None,
     ) -> None:
         raise NotImplementedError
 

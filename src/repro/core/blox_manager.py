@@ -138,7 +138,9 @@ class BloxManager:
             if job.status == JobStatus.RUNNING:
                 # Placement changed without an explicit suspend: treat as a move.
                 self.preemptor.preempt(job, cluster_state, self.current_time)
-            self.launcher.launch(job, gpu_ids, cluster_state, self.current_time)
+            self.launcher.launch(
+                job, gpu_ids, cluster_state, self.current_time, decision.aux_per_gpu.get(job_id)
+            )
             launched.append((job_id, gpu_ids))
         return launched
 

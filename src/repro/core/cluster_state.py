@@ -54,6 +54,9 @@ class ClusterState:
         self._job_gpu_ids: Dict[int, Set[int]] = {}
         #: job id -> node ids where auxiliary CPU/memory is reserved for it.
         self._aux_nodes_by_job: Dict[int, Set[int]] = {}
+        #: job id -> granted fraction of its CPU demand, for jobs launched on
+        #: a CPU request (Synergy); part of the allocation, so it goes with it.
+        self._cpu_share: Dict[int, float] = {}
         #: Cached counters kept in sync by every mutation.
         self._busy_count = 0
         self._free_healthy_count = 0
@@ -72,8 +75,9 @@ class ClusterState:
         #: membership version bumps on any node add/remove/health change, a
         #: job's allocation version bumps whenever its GPU set changes.  A
         #: job's effective rate is a pure function of state covered by these
-        #: two stamps (its GPUs, their types, its nodes' bandwidths), so a
-        #: cache entry is valid exactly while both are unchanged.
+        #: two stamps (its GPUs, their types, its nodes' bandwidths, its CPU
+        #: share -- set only at launch, right after ``assign``), so a cache
+        #: entry is valid exactly while both are unchanged.
         self.membership_version = 0
         self._alloc_version: Dict[int, int] = {}
         if nodes is not None:
@@ -314,6 +318,10 @@ class ClusterState:
         """Ids of jobs currently holding at least one GPU, sorted."""
         return sorted(self._job_gpu_ids)
 
+    def cpu_share(self, job_id: int) -> Optional[float]:
+        """Granted fraction of the job's CPU demand; ``None`` if not throttled."""
+        return self._cpu_share.get(job_id)
+
     def alloc_version(self, job_id: int) -> int:
         """Monotonic stamp of a job's allocation (bumps on assign/release)."""
         return self._alloc_version.get(job_id, 0)
@@ -377,10 +385,17 @@ class ClusterState:
         self.node(node_id).allocate_aux(job_id, cpus, mem_gb)
         self._aux_nodes_by_job.setdefault(job_id, set()).add(node_id)
 
+    def set_cpu_share(self, job_id: int, share: float) -> None:
+        """Record the CPU share a job was launched with; freed by :meth:`release_job`."""
+        if not self._job_gpu_ids.get(job_id):
+            raise AllocationError(f"job {job_id} holds no GPUs, cannot record a CPU share")
+        self._cpu_share[job_id] = share
+
     def release_job(self, job_id: int) -> List[int]:
         """Free every GPU (and auxiliary resources) held by a job; returns freed GPU ids."""
         freed = sorted(self._job_gpu_ids.pop(job_id, set()))
         aux_nodes = self._aux_nodes_by_job.pop(job_id, set())
+        self._cpu_share.pop(job_id, None)
         if freed:
             self._alloc_version[job_id] = self._alloc_version.get(job_id, 0) + 1
         buckets = self._nodes_by_free
@@ -479,6 +494,7 @@ class ClusterState:
         clone._aux_nodes_by_job = {
             job_id: set(node_ids) for job_id, node_ids in self._aux_nodes_by_job.items()
         }
+        clone._cpu_share = dict(self._cpu_share)
         return clone
 
     # ------------------------------------------------------------------
@@ -559,6 +575,9 @@ class ClusterState:
                 assert node_id in self.nodes, (
                     f"aux index references removed node {node_id} for job {job_id}"
                 )
+        for job_id, share in self._cpu_share.items():
+            assert job_id in job_gpus, f"CPU share kept for job {job_id} holding no GPUs"
+            assert 0.0 <= share <= 1.0, f"CPU share {share} of job {job_id} outside [0, 1]"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -208,8 +208,9 @@ class Job:
     num_preemptions: int = 0
     num_launches: int = 0
     pending_overhead: float = 0.0
+    #: The application-metric bus: the five metrics the execution model
+    #: publishes, plus ``was_fragmented`` and ``admission_rejected``.
     metrics: Dict[str, object] = field(default_factory=dict)
-    per_gpu_throughput: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.num_gpus < 1:
@@ -337,7 +338,6 @@ class Job:
             max_batch_scale=self.max_batch_scale,
             user=self.user,
             metadata=dict(self.metadata),
-            per_gpu_throughput=dict(self.per_gpu_throughput),
         )
 
     def snapshot(self) -> "Job":

@@ -10,7 +10,7 @@ modules that differs between simulation and cluster runs.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from repro.core.abstractions import JobLauncher, PreemptionMechanism
 from repro.core.cluster_state import ClusterState
@@ -33,11 +33,12 @@ class SimulatedLauncher(JobLauncher):
         gpu_ids: Sequence[int],
         cluster_state: ClusterState,
         current_time: float,
+        aux_per_gpu: Optional[Tuple[float, float]] = None,
     ) -> None:
         if not gpu_ids:
             raise AllocationError(f"cannot launch job {job.job_id} with an empty allocation")
         cluster_state.assign(job.job_id, gpu_ids)
-        self._reserve_aux_resources(job, cluster_state)
+        self._reserve_aux_resources(job, cluster_state, aux_per_gpu)
         job.allocated_gpus = sorted(gpu_ids)
         job.status = JobStatus.RUNNING
         job.pending_overhead += self.overheads.launch_overhead(job)
@@ -45,22 +46,21 @@ class SimulatedLauncher(JobLauncher):
         if job.first_schedule_time is None:
             job.first_schedule_time = current_time
 
-    def _reserve_aux_resources(self, job: Job, cluster_state: ClusterState) -> None:
+    def _reserve_aux_resources(
+        self,
+        job: Job,
+        cluster_state: ClusterState,
+        aux_per_gpu: Optional[Tuple[float, float]],
+    ) -> None:
         """Reserve CPU cores and host memory alongside the GPUs.
 
-        Resource-sensitive placement (Synergy) records the per-GPU CPU share it
-        wants for the job in ``job.metrics["cpu_alloc_per_gpu"]``; other
-        policies leave it unset, in which case the job gets its full demand and
-        no throughput throttling.  The resulting CPU throughput factor is
-        published back into the job's metrics for the execution model.
+        Resource-sensitive placement (Synergy) puts the per-GPU ``(cpu, mem)``
+        it wants for the job on the decision; without one the job gets its
+        full demand and no throttling.  A requested launch records the
+        granted share of the job's CPU demand with its allocation, which is
+        what the execution model's rate reads.
         """
-        cpu_per_gpu = job.metrics.get("cpu_alloc_per_gpu")
-        mem_per_gpu = job.metrics.get("mem_alloc_per_gpu")
-        throttle = cpu_per_gpu is not None
-        if cpu_per_gpu is None:
-            cpu_per_gpu = job.cpu_demand_per_gpu
-        if mem_per_gpu is None:
-            mem_per_gpu = job.mem_demand_per_gpu
+        cpu_per_gpu, mem_per_gpu = aux_per_gpu or (job.cpu_demand_per_gpu, job.mem_demand_per_gpu)
 
         gpus = cluster_state.gpus_for_job(job.job_id)
         total_cpu_granted = 0.0
@@ -78,14 +78,10 @@ class SimulatedLauncher(JobLauncher):
             cluster_state.reserve_aux(job.job_id, node_id, cpu_granted, mem_granted)
             total_cpu_granted += cpu_granted
 
-        if throttle:
+        if aux_per_gpu is not None:
             demand = job.cpu_demand_per_gpu * max(1, len(gpus))
             share = 1.0 if demand <= 0 else min(1.0, total_cpu_granted / demand)
-            # CPU starvation slows the input pipeline: model a linear slowdown
-            # bounded below so a job never fully stalls on CPU alone.
-            job.metrics["cpu_throughput_factor"] = 0.4 + 0.6 * share
-        else:
-            job.metrics["cpu_throughput_factor"] = 1.0
+            cluster_state.set_cpu_share(job.job_id, share)
 
 
 class SimulatedPreemption(PreemptionMechanism):
@@ -105,4 +101,3 @@ class SimulatedPreemption(PreemptionMechanism):
             # The checkpoint save plus the restore on the next launch are both
             # paid when the job next runs.
             job.pending_overhead += self.overheads.preemption_overhead(job)
-        job.metrics.pop("cpu_throughput_factor", None)

@@ -12,7 +12,7 @@ placement.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.node import GPU
 from repro.core.abstractions import PlacementDecision, PlacementPolicy, ScheduleEntry
@@ -220,11 +220,15 @@ class BasePlacementPolicy(PlacementPolicy):
         for job_id, demand in selected.items():
             if view.total_free() < demand:
                 continue
-            gpu_ids = self.select_gpus(job_state.get(job_id), demand, view, cluster_state)
+            job = job_state.get(job_id)
+            gpu_ids = self.select_gpus(job, demand, view, cluster_state)
             if gpu_ids is None or len(gpu_ids) != demand:
                 continue
             view.take(job_id, gpu_ids)
             decision.to_launch[job_id] = sorted(gpu_ids)
+            request = self.aux_request(job, gpu_ids, cluster_state)
+            if request is not None:
+                decision.aux_per_gpu[job_id] = request
 
         return decision
 
@@ -245,6 +249,17 @@ class BasePlacementPolicy(PlacementPolicy):
         job then waits for the next round.
         """
         raise NotImplementedError
+
+    def aux_request(
+        self, job: Job, gpu_ids: List[int], cluster_state: ClusterState
+    ) -> Optional[Tuple[float, float]]:
+        """Per-GPU ``(CPU cores, host memory GB)`` to reserve when launching
+        ``job`` on ``gpu_ids`` (as :meth:`select_gpus` returned them).
+
+        ``None`` (the default) reserves the job's full demand, unthrottled;
+        see :class:`~repro.core.abstractions.PlacementDecision`.
+        """
+        return None
 
     # ------------------------------------------------------------------
     # Reusable allocation strategies for subclasses

@@ -4,8 +4,7 @@ Within a server, GPU pairs are connected by NVLink links of different widths;
 on a p3.8xlarge the "diagonal" pairs enjoy roughly double the bandwidth of the
 others.  For multi-GPU single-node jobs this policy picks the subset of free
 GPUs that maximises the aggregate pairwise bandwidth; the baseline mode picks a
-(seeded) random subset, matching the "Random" row of Table 4.  The observed
-aggregate bandwidth is recorded on the job so experiments can average it.
+(seeded) random subset, matching the "Random" row of Table 4.
 """
 
 from __future__ import annotations
@@ -58,8 +57,4 @@ class IntraNodeBandwidthPlacement(BasePlacementPolicy):
             chosen_local = node.topology.best_subset(free_local, demand)
         else:
             chosen_local = self._rng.sample(free_local, demand)
-
-        if demand > 1:
-            observed = node.topology.aggregate_bandwidth(chosen_local)
-            job.metrics["intra_node_bandwidth_gbps"] = observed
         return [by_local[local] for local in chosen_local]

@@ -10,14 +10,14 @@ reproduced from the paper's Figure 5 experiment:
   whenever the node can supply it, with CPU-light jobs implicitly donating
   their unused share.
 
-The requested per-GPU CPU/memory allocation is written into the job's metrics;
-the launch mechanism reserves it on the nodes and derives the CPU throughput
-factor consumed by the execution model.
+The requested per-GPU CPU/memory allocation travels on the placement decision;
+the launch mechanism reserves it on the nodes and records the granted CPU
+share with the allocation, which the execution model's rate reads.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.cluster_state import ClusterState
 from repro.core.exceptions import ConfigurationError
@@ -44,21 +44,13 @@ class SynergyPlacement(BasePlacementPolicy):
         view: AvailabilityView,
         cluster_state: ClusterState,
     ) -> Optional[List[int]]:
-        gpu_ids = self._take_consolidated(demand, view)
-        if gpu_ids is None:
-            return None
-        self._record_aux_request(job, gpu_ids, cluster_state)
-        return gpu_ids
+        return self._take_consolidated(demand, view)
 
-    def _record_aux_request(self, job: Job, gpu_ids: List[int], cluster_state: ClusterState) -> None:
-        """Record the per-GPU CPU/memory share the launcher should reserve."""
-        first_node = cluster_state.gpu(gpu_ids[0]).node_id
-        node = cluster_state.node(first_node)
-        proportional_cpu = node.cpu_cores / node.num_gpus
-        proportional_mem = node.mem_gb / node.num_gpus
-        if self.mode == PROPORTIONAL:
-            job.metrics["cpu_alloc_per_gpu"] = proportional_cpu
-            job.metrics["mem_alloc_per_gpu"] = proportional_mem
-        else:
-            job.metrics["cpu_alloc_per_gpu"] = job.cpu_demand_per_gpu
-            job.metrics["mem_alloc_per_gpu"] = job.mem_demand_per_gpu
+    def aux_request(
+        self, job: Job, gpu_ids: List[int], cluster_state: ClusterState
+    ) -> Tuple[float, float]:
+        """The per-GPU CPU/memory share the launcher should reserve."""
+        if self.mode == TUNE:
+            return job.cpu_demand_per_gpu, job.mem_demand_per_gpu
+        node = cluster_state.node(cluster_state.gpu(gpu_ids[0]).node_id)
+        return node.cpu_cores / node.num_gpus, node.mem_gb / node.num_gpus

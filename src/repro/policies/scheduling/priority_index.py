@@ -32,7 +32,7 @@ The index binds lazily to whichever :class:`~repro.core.job_state.JobState` the
 policy is called with; rebinding (a shadow simulation, a fresh run reusing the
 policy object) detaches from the old registry and rebuilds from scratch, and
 notifies the owner through the ``on_rebuild`` callback so per-job memo caches
-(goodput gain tables, preferred GPU types) can be dropped with it.
+(goodput gain tables, starvation clocks) can be dropped with it.
 """
 
 from __future__ import annotations
@@ -254,16 +254,16 @@ class RunnablePriorityIndex(JobStateObserver):
         for job in ordered:
             yield entry_for(job, job.num_gpus)
 
-    def entry_for(self, job: Job, demand: int, gpu_type: Optional[str] = None) -> ScheduleEntry:
-        """The frozen entry giving ``job`` ``demand`` GPUs (of ``gpu_type``).
+    def entry_for(self, job: Job, demand: int) -> ScheduleEntry:
+        """The frozen entry giving ``job`` ``demand`` GPUs.
 
         The one construction site of a policy's entries: the entry built for
-        a job is reused round after round while its demand and type are
-        unchanged, and dropped when the job leaves the index.
+        a job is reused round after round while its demand is unchanged, and
+        dropped when the job leaves the index.
         """
         entry = self._entries.get(job.job_id)
-        if entry is None or entry.gpu_demand != demand or entry.gpu_type != gpu_type:
-            entry = self._entries[job.job_id] = ScheduleEntry(job.job_id, demand, gpu_type)
+        if entry is None or entry.gpu_demand != demand:
+            entry = self._entries[job.job_id] = ScheduleEntry(job.job_id, demand)
         return entry
 
     def check_invariants(self) -> None:

@@ -4,8 +4,7 @@ Themis defines a job's fairness metric rho as the ratio between its projected
 finish time under the shared cluster and its finish time had it run alone on
 its requested allocation.  Each round, Themis offers resources to the
 worst-off jobs (largest rho) -- a fraction controlled by the fairness knob
-``f`` -- which equalises rho across jobs over time.  The fair-share estimate
-for each job is recorded in its metrics every round (the paper's Table 7 notes
+``f`` -- which equalises rho across jobs over time (the paper's Table 7 notes
 Themis only needs the scheduling policy and metric collection modules).
 """
 
@@ -54,13 +53,7 @@ class ThemisScheduling(SchedulingPolicy):
         index = self._index
         index.bind(job_state)
         jobs = index.idle_jobs() + index.running_jobs()
-        # Every job's rho is written now, at call time, however far the
-        # stream is read.
-        scored = []
-        for job in jobs:
-            rho = self.finish_time_fairness(job, now)
-            job.metrics["finish_time_fairness"] = rho
-            scored.append((rho, job))
+        scored = [(self.finish_time_fairness(job, now), job) for job in jobs]
         scored.sort(key=lambda pair: (-pair[0], pair[1].arrival_time, pair[1].job_id))
 
         # The auction is only among the worst-off (1 - f) fraction of jobs;

@@ -70,10 +70,10 @@ class RpcLauncher(SimulatedLauncher):
         self.lease_manager = lease_manager
         self._cluster_state = cluster_state
 
-    def launch(self, job, gpu_ids, cluster_state, current_time) -> None:
+    def launch(self, job, gpu_ids, cluster_state, current_time, aux_per_gpu=None) -> None:
         node_ids = sorted({cluster_state.gpu(g).node_id for g in gpu_ids})
         self.lease_manager.grant(job.job_id, node_ids)
-        super().launch(job, gpu_ids, cluster_state, current_time)
+        super().launch(job, gpu_ids, cluster_state, current_time, aux_per_gpu)
 
 
 class RpcPreemption(SimulatedPreemption):

@@ -116,14 +116,24 @@ class ExecutionModel:
         return 1.0 / (1.0 + penalty)
 
     def effective_rate(self, job: Job, cluster_state: ClusterState) -> float:
-        """Progress in requested-allocation seconds per wall-clock second."""
+        """Progress in requested-allocation seconds per wall-clock second.
+
+        The one definition of how fast an allocation runs: the job's scaling
+        on its GPU count, times the slowest held GPU type's compute factor,
+        times the cross-node placement efficiency, times the CPU factor of a
+        throttled launch, times the overhead model's jitter.  A launch on a
+        CPU request records the granted share of the job's CPU demand with
+        the allocation; CPU starvation slows the input pipeline linearly,
+        bounded below so a job never fully stalls on CPU alone.
+        """
         gpus = cluster_state.gpus_for_job(job.job_id)
         if not gpus:
             return 0.0
         scaling = job.throughput_factor(len(gpus))
         compute_factor = min(g.gpu_type.compute_factor for g in gpus)
         placement = self.placement_efficiency(job, cluster_state)
-        cpu_factor = float(job.metrics.get("cpu_throughput_factor", 1.0))
+        share = cluster_state.cpu_share(job.job_id)
+        cpu_factor = 1.0 if share is None else 0.4 + 0.6 * share
         jitter = self.overheads.iteration_jitter(job)
         return scaling * compute_factor * placement * cpu_factor * jitter
 

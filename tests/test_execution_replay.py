@@ -30,8 +30,19 @@ SEEDS = range(300)
 FUZZ_SEEDS = range(300, 3000)
 
 
+class ScaledRateModel(ExecutionModel):
+    """The stock rate times a per-job factor: 0.0 stalls a job on its GPUs."""
+
+    def __init__(self, factors):
+        super().__init__()
+        self.factors = factors
+
+    def effective_rate(self, job, cluster_state):
+        return super().effective_rate(job, cluster_state) * self.factors.get(job.job_id, 1.0)
+
+
 def make_case(seed):
-    """One seeded ``(job, cluster, round_duration)``; same seed, equal copies."""
+    """One seeded ``(job, cluster, round_duration, model)``; same seed, equal copies."""
     rng = random.Random(seed)
     round_duration = rng.choice(ROUND_DURATIONS)
     cluster = build_cluster(num_nodes=4, gpus_per_node=4)
@@ -58,9 +69,9 @@ def make_case(seed):
             rng.uniform(round_duration, 3.5 * round_duration),  # spans several
         )
     )
-    if rng.random() < 0.1:
-        job.metrics["cpu_throughput_factor"] = 0.0  # zero rate: never completes
-    return job, cluster, round_duration
+    stalled = rng.random() < 0.1  # zero rate: never completes
+    model = ScaledRateModel({job.job_id: 0.0} if stalled else {})
+    return job, cluster, round_duration, model
 
 
 def snapshot(job):
@@ -77,8 +88,7 @@ def snapshot(job):
 
 def step_reference(seed):
     """Snapshots after each ``advance`` call, and the completing round (or None)."""
-    job, cluster, rd = make_case(seed)
-    model = ExecutionModel()
+    job, cluster, rd, model = make_case(seed)
     states = []
     for index in range(1, MAX_ROUNDS + 1):
         completed = model.advance(job, cluster, (BASE_ROUND + index - 1) * rd, rd)
@@ -105,8 +115,7 @@ def scan(model, job, cluster, rd, rounds):
 def fold(seed, rounds):
     """``rounds`` rounds as the skip executor runs them: scan, adopt, and one
     ``advance_running`` round if the last of them completes."""
-    job, cluster, rd = make_case(seed)
-    model = ExecutionModel()
+    job, cluster, rd, model = make_case(seed)
     found, work, pending, attained = scan(model, job, cluster, rd, rounds)
     assert found in (None, rounds)
     if found != 1:
@@ -128,8 +137,8 @@ def check_fold_matches_stepping(seed):
 
     # A full-length scan names the completing round and holds the stepped
     # state of the round before it (of its last round when none completes).
-    job, cluster, rd = make_case(seed)
-    found, work, pending, attained = scan(ExecutionModel(), job, cluster, rd, MAX_ROUNDS)
+    job, cluster, rd, model = make_case(seed)
+    found, work, pending, attained = scan(model, job, cluster, rd, MAX_ROUNDS)
     assert found == completing, seed
     expected = stepped[MAX_ROUNDS if found is None else found - 1]
     assert (work.hex(), attained.hex(), pending.hex()) == expected[:3], seed
@@ -153,8 +162,8 @@ def drained_arm(seed):
     ``"overshoot"``: that test found a completion; ``"per-round"``: no blind
     rounds, every round tested.  ``None`` when the scan never gets there.
     """
-    job, cluster, rd = make_case(seed)
-    rate, _, _ = ExecutionModel().cached_rate(job, cluster)
+    job, cluster, rd, model = make_case(seed)
+    rate, _, _ = model.cached_rate(job, cluster)
     states, completing = step_reference(seed)
     stepped = [snapshot(job)] + states
     drained = next(
@@ -177,9 +186,9 @@ def test_sweep_covers_every_arm_of_the_replay():
     """The seeds above must reach each shape the fold distinguishes."""
     seen, arms = set(), set()
     for seed in SEEDS:
-        job, _cluster, rd = make_case(seed)
+        job, _cluster, rd, model = make_case(seed)
         _states, completing = step_reference(seed)
-        zero_rate = job.metrics.get("cpu_throughput_factor") == 0.0
+        zero_rate = model.factors.get(job.job_id) == 0.0
         seen.add(
             (
                 "zero-rate" if zero_rate else "positive-rate",
@@ -212,12 +221,14 @@ def test_blind_overshoot_falls_back_to_the_checked_loop():
         cluster.assign(job.job_id, [0])
         job.status = JobStatus.RUNNING
         job.work_done = 1e16
-        job.metrics["cpu_throughput_factor"] = 0.5
         return job, cluster
+
+    def half_rate():
+        return ScaledRateModel({1: 0.5})
 
     rd = 3.0
     stepped, cluster = overshooting_job()
-    model = ExecutionModel()
+    model = half_rate()
     rate = model.cached_rate(stepped, cluster)[0]
     assert rd * rate == 1.5 and 1e16 + 1.5 == 1e16 + 2.0
     completing = next(
@@ -227,7 +238,7 @@ def test_blind_overshoot_falls_back_to_the_checked_loop():
     assert _blind_rounds(150.0, rate, rd, 1000) >= completing  # the estimate overshoots
 
     job, cluster = overshooting_job()
-    model = ExecutionModel()
+    model = half_rate()
     found, work, pending, attained = scan(model, job, cluster, rd, 1000)
     assert found == completing
     model.adopt_steady(job, cluster, work, pending, attained)
@@ -244,18 +255,20 @@ def test_zero_rate_job_is_a_no_op_of_any_length(pending):
         job.status = JobStatus.RUNNING
         job.work_done = 1234.5
         job.pending_overhead = pending
-        job.metrics["cpu_throughput_factor"] = 0.0
         return job, cluster
 
+    def stalled():
+        return ScaledRateModel({1: 0.0})
+
     stepped, cluster = zero_rate_job()
-    model = ExecutionModel()
+    model = stalled()
     for index in range(50):
         assert model.advance(stepped, cluster, index * 300.0, 300.0) is False
     # A zero-rate scan drains the overhead and returns: the long scan must
     # not cost a loop per round.
     for rounds in (50, 10**9):
         job, cluster = zero_rate_job()
-        model = ExecutionModel()
+        model = stalled()
         found, work, pending_left, attained = scan(model, job, cluster, 300.0, rounds)
         assert found is None
         model.adopt_steady(job, cluster, work, pending_left, attained)

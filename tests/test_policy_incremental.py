@@ -285,14 +285,13 @@ def test_pollux_goodput_memoization_and_invalidation():
     assert policy.marginal_goodput(job, 1) == legacy.marginal_goodput(job, 1)
 
 
-def test_gavel_entries_carry_preferred_type_without_metric_writes():
+def test_gavel_schedules_without_metric_writes():
     job_state = JobState()
     cluster = build_cluster(num_nodes=2, gpus_per_node=2, gpu_type="v100")
     job = make_job(gpus=1)
     job_state.add_new_jobs([job])
-    entries = list(GavelScheduling().schedule(job_state, cluster))
-    assert entries[0].gpu_type == "v100"
-    assert "preferred_gpu_type" not in job.metrics
+    list(GavelScheduling().schedule(job_state, cluster))
+    assert job.metrics == {}
 
 
 def test_tiresias_rejects_bad_configuration():

@@ -7,7 +7,10 @@ recorded at the commit *before* the allocation delta became the unit of a
 full round (``0106a45``; the nine ``synergy-proportional`` cells in the PR
 that registered that placement) and every later commit must reproduce them --
 each is a sha256 over every job's completion time, progress accounting, launch and
-preemption counts and its whole ``metrics`` dictionary.
+preemption counts and its whole ``metrics`` dictionary.  They were re-recorded
+once, with no schedule change, when the scheduler-internal keys left
+``job.metrics``: each equals the old run's hash with those keys dropped.  The
+same test pins that bus: a job's metrics hold only the keys of ``METRIC_BUS``.
 
 Tier-1 runs nine policies x two placements plus the twelve mode/scenario
 cases; ``pytest --fuzz`` runs all 75.  To re-record after an *intended*
@@ -87,81 +90,81 @@ def job_state_hash(jobs) -> str:
 
 
 GOLDEN = {
-    "fifo/first-free": "c668515a681e8e8242a2314295463ee2dced47bc42646567b83b79ac96ecd5ad",
-    "fifo/consolidated": "7ce90681cd4710432e625d10938c91223ff65729200bc99200f11eb3b0820532",
-    "fifo/tiresias-placement": "3fab631d5ea2633028e359cd09c2b6653fe189092218397299ad2bce7f3e89d4",
-    "fifo/tiresias-plus": "f6d02dee10a6d9687a3af50a37b41936fe8864c800f805c54938946a378e4d5c",
-    "fifo/synergy-tune": "4f53feebcddc945a605ac63a43eeeabd504a29d8f96f5814c62a5e96baf2af75",
-    "fifo/synergy-proportional": "b2c5ffe80e5f8860d6be8379f848ad0d52769738ef8d7e40adc6260e1ab17b62",
-    "fifo/intra-node-bandwidth-aware": "d18762d8d445b57575cd4c40a2b4a95f299e3442d502737e14cd77094c8c0f22",
-    "las/first-free": "18d89c53ebe907c81ba4150a2f33fed8c356cd004f32b9f48fd095a48717cb3e",
-    "las/consolidated": "8d4fad8f046be50746019481ed6c88c7fa51086cd550bb16dc5548a994fe1bab",
-    "las/tiresias-placement": "8bdaf21a0e96306e59649f9d4c6171b1f5be209a453cfb8d4245c04667b99e2e",
-    "las/tiresias-plus": "b035c8b4ff71f9504910e03d8146275ead032b6f7b9012579d31c53cb87de0ef",
-    "las/synergy-tune": "6c28ac1b0c3d024d8367e97a63f8fc9a75c26db84f7aa4d4747e8953b684b48e",
-    "las/synergy-proportional": "b0ee22bf358a3daa7e0e4d5e84e59059f6e83b92634facf7eecc4a7a84dc1f1a",
-    "las/intra-node-bandwidth-aware": "e3d9d0b9c98a3a3c6088b328cb9b03f9967f3166197180eedeaa426b799e7730",
-    "srtf/first-free": "6b14780d51647486f4bcd84bb66c377ea59312385c170d4939f7b1d7f329485d",
-    "srtf/consolidated": "3a11e451f02a01961923a820444e7db26cb9aaed6cb84d42cbd808b32e06e192",
-    "srtf/tiresias-placement": "911414320e76325d6ea49276d09d2244ae3e55c1e5e7c7f31a336ce856563f13",
-    "srtf/tiresias-plus": "db77a43cbf4beebec67b76d771b0ca519c40a6054fcd8f5185cf6ea9c811c43f",
-    "srtf/synergy-tune": "b45d6b20452c27cf4d6e3b761a47b03e28eb62466266634690d95118061b62f7",
-    "srtf/synergy-proportional": "07ac69c449128ac3dcf9bb7a5ee5fa85fa16167f8e2a8b1d980cf5edd4fad036",
-    "srtf/intra-node-bandwidth-aware": "f43e13385a1f46a247eaeab07c4f002be11cb6d29cdea87fb78afd3fdf64440b",
-    "tiresias/first-free": "b3a40899b64044e5a1ebfe99fd975b0ac1e39cc97cd2be18c350de86730e65fc",
-    "tiresias/consolidated": "6c5b18bab6e4d8ec2dcfdbbb2bd29fc351805a81d68223b712e7580f925f1544",
-    "tiresias/tiresias-placement": "d9207db716fc4ef4865556c6787ed9a2b34833f91fe95bf8e045b8a1d7f64898",
-    "tiresias/tiresias-plus": "c1d29aba3dbfd16dab8b391b919f972bc82e8f4ce9aa936803567c10b9fcf86e",
-    "tiresias/synergy-tune": "d98ee1070708f00f91764b0c03d504be4057d9c55d9c6d00d55a0a103061a08e",
-    "tiresias/synergy-proportional": "67b69b8e81aba0b00a76efd13be8c5a8b5028fc4116ba14e55e4dc72d39a631a",
-    "tiresias/intra-node-bandwidth-aware": "914d56bcdc56ca9d36ad985ac0c28a331f9412caa6f80fea2b358229667a02ed",
-    "optimus/first-free": "0283fe00f300376d48f70ed2dd5f941e5b696bcc8c3075d10ec6447a576d1d18",
-    "optimus/consolidated": "36f589a7f75bb273e09d0a91d31b0f99fee142add00a37b5a83230a440342715",
-    "optimus/tiresias-placement": "e0258fd89d2c8d097d7075dca6c571612e03cc8478c6543c5d3fd3abd5a0f9d0",
-    "optimus/tiresias-plus": "d21fbb27f19bbbd17c9a2ca755cbbfd6e9a36d731b59a31e85cde08b269310b0",
-    "optimus/synergy-tune": "46997e3f042950ce8ff6727dedecfd536d467c60053ccfd7d2a4a4b7082b1b99",
-    "optimus/synergy-proportional": "efc6d22531fa80f6a84c63705714e1d67f0cabf7d0d16c031e93b3a7cfa2f72e",
-    "optimus/intra-node-bandwidth-aware": "05459af361f11e9e9b9b0161d54b6a4abbcc588d2c4ecd45a92dbb11b348b6ba",
-    "gavel/first-free": "18d89c53ebe907c81ba4150a2f33fed8c356cd004f32b9f48fd095a48717cb3e",
-    "gavel/consolidated": "8d4fad8f046be50746019481ed6c88c7fa51086cd550bb16dc5548a994fe1bab",
-    "gavel/tiresias-placement": "8bdaf21a0e96306e59649f9d4c6171b1f5be209a453cfb8d4245c04667b99e2e",
-    "gavel/tiresias-plus": "b035c8b4ff71f9504910e03d8146275ead032b6f7b9012579d31c53cb87de0ef",
-    "gavel/synergy-tune": "6c28ac1b0c3d024d8367e97a63f8fc9a75c26db84f7aa4d4747e8953b684b48e",
-    "gavel/synergy-proportional": "b0ee22bf358a3daa7e0e4d5e84e59059f6e83b92634facf7eecc4a7a84dc1f1a",
-    "gavel/intra-node-bandwidth-aware": "e3d9d0b9c98a3a3c6088b328cb9b03f9967f3166197180eedeaa426b799e7730",
-    "pollux/first-free": "ea48a9abca316475099b9cc7e475c10f769b47913edd1966b3aaf75ca1887ce0",
-    "pollux/consolidated": "b61040335b031617473a068192a9af4378a3cb318980e02414ff5ab2b23de70f",
-    "pollux/tiresias-placement": "98d07184adcc912258fb4c6c8f12dcd9bef88043d09f4d3b0b950c6ece2f707f",
-    "pollux/tiresias-plus": "1a4f5a5f27e87a4d6d3e220702316da1f7298f4a4dbc0644a3e7bbdefce4c05f",
-    "pollux/synergy-tune": "5decfdb94ab84aa6c73bbb3807b2469b15699844e37356915620fa7e4829c829",
-    "pollux/synergy-proportional": "55a4eb5fce069897f605dd75df3af5a42a5d54e430e1fb7ddbfb62d365f451cf",
-    "pollux/intra-node-bandwidth-aware": "771b07d55332a3dfdfb0630b91d714cbd739cc7b772a289168431b36e5aacde3",
-    "themis/first-free": "c44736f5c7ece0f2f72274a13c675466b307af1b466e6a89fc652828053304bf",
-    "themis/consolidated": "cd26b5c0fbf3268ed3088054a4881bd6802d19a74b6f7ffad193d290e9a09416",
-    "themis/tiresias-placement": "25fac9c4539e3ee2d9074fad37f2b83c918ac4d9df9270c89852a7a6a1b3c963",
-    "themis/tiresias-plus": "1b950313cfc4a0b495c169747d6c2be6c8e3d0894ab03b09fc12b7c20f4f3281",
-    "themis/synergy-tune": "586b94b859fe5cdd92dd4e64a199d105d4a7d88b6f11364c4ffec6abca05fccd",
-    "themis/synergy-proportional": "e72da4fdbaf7f9920b2954dd51e59835cd9fc31ceaf2268d078d4191a16826c9",
-    "themis/intra-node-bandwidth-aware": "6f07dac90a6e2d6ef418bf6c22fe23d2a587026e911e61a78f06e3252b20b76c",
-    "synergy/first-free": "74b98093569c409945c8b9fcee373e69db323a3d356ba87550116ae942f903e2",
-    "synergy/consolidated": "00ae564e08c06895b5dba9d75de63e196039a8c11822c7e8a669ed08ecc33c8c",
-    "synergy/tiresias-placement": "2b9a26fb771d5b2e311cd7189425bafd3edf6a66fd55b2153736b4a2c369a531",
-    "synergy/tiresias-plus": "98612362ba3cf70024ad37292ddeb6554d535f2c4226aaa975c9bacb57a25727",
-    "synergy/synergy-tune": "a405fc511ea3b9bb62712d4ab5a1ed2bc0f289c106d22f2d2562570eeb2bd377",
-    "synergy/synergy-proportional": "a42fc7418ee118a0e1fc3f75a4ed722ba59ab3e9202c08b0fc8a56465e44cfd3",
-    "synergy/intra-node-bandwidth-aware": "de1997007a5c5677251b2507adca43f19adf014bce9c28ec36b5764162620eb1",
-    "pollux/failure-storm-smoke": "5afcdd7a35f9c20e7cc02329718493e6d19ad6f277fe52a0ef57277be2315834",
-    "pollux/spot-market-smoke": "b94daf4a5f31eb0d0f06e50fcb1345276f70e000ff9244116bcba3eb17f333f0",
-    "pollux/runtime": "b61040335b031617473a068192a9af4378a3cb318980e02414ff5ab2b23de70f",
-    "pollux/federation-2": "2c5b21501dcc29d4aaaca9e9b34d9617d4b5545857deb8c3e9c79d79c4d92b4e",
-    "tiresias/failure-storm-smoke": "57ae18bb06d65634eafd538bab7475e6904b977a02afda0fef9b0bc2c6c98329",
-    "tiresias/spot-market-smoke": "2b0c051a0a2833c9e5da9cac3346e630b4b9e5a58edbfd26f4c4e7fb73a4b902",
-    "tiresias/runtime": "6c5b18bab6e4d8ec2dcfdbbb2bd29fc351805a81d68223b712e7580f925f1544",
-    "tiresias/federation-2": "ef05c86ce5a58a0de8cdc9f6d4040f2f5059e4a85ff3f14ea6776e70f59b8f49",
-    "fifo/failure-storm-smoke": "c70dc3b3943da511f7f2f5f57bc1981e1321378101b944c7cb89f16f34ef5123",
-    "fifo/spot-market-smoke": "701dedc6312d3a5c8cda5bdce9a6b4185373609c5b26ccf8a19459957f0b01a2",
-    "fifo/runtime": "7ce90681cd4710432e625d10938c91223ff65729200bc99200f11eb3b0820532",
-    "fifo/federation-2": "80293424f366db239ae2f891c8ac3300fa83c8fb6d5abd663a4cefb8f6a27eaf",
+    "fifo/first-free": "b54a0b7ffb83279ccf8d14f531f3bc1546b187b70b74d4da76c6c6aa4d4d9956",
+    "fifo/consolidated": "33aae88042b6a69680b4d4c24240eb45aeb895922e8ef07b040d2c498ba48f40",
+    "fifo/tiresias-placement": "15d7f1776973b9c5dc3364755f07dabd36bce180a672a36b91d154f6a407a76a",
+    "fifo/tiresias-plus": "c265c7c5be5df044873a82d7588008ee31a53cf1cb53d9601deeab330f54d25e",
+    "fifo/synergy-tune": "07c7e1eb3fd7103e9d257d3788ab4dc610c810cde87c8cb5f30313bce0c9c81c",
+    "fifo/synergy-proportional": "0f11ad6f51527267bc07c3d85da4380e27c668a7bde59244ed916a64975d69d4",
+    "fifo/intra-node-bandwidth-aware": "33aae88042b6a69680b4d4c24240eb45aeb895922e8ef07b040d2c498ba48f40",
+    "las/first-free": "2c998debbfbd4147c500b1a8b77565e35abf54336a2c201584a1ce92a61cfaee",
+    "las/consolidated": "0dfc137ef26dfdd731e8d1e87280cf2f1f05b2e16dcfcb7ba3e0683293ed449c",
+    "las/tiresias-placement": "941f5a22c6f3fa42867e63171e73a381f0d2b9b6ae958136baf274bfa7482109",
+    "las/tiresias-plus": "c14fb647869769b5ed87b64263770710808b4f281da31c7a64996ccc72a91d27",
+    "las/synergy-tune": "460a34a1c69a1e6557382814b147ec95c5432e06ca891072ae27125e4bbf7a5f",
+    "las/synergy-proportional": "4d08ba39fc22166d502c4db17b11f96c89b2705b8d33d3dd7cf88f79b628237b",
+    "las/intra-node-bandwidth-aware": "0dfc137ef26dfdd731e8d1e87280cf2f1f05b2e16dcfcb7ba3e0683293ed449c",
+    "srtf/first-free": "b81d962807d8808fc9017fd49bb5fff31dd25dad8e3d201d680840899b0be9ca",
+    "srtf/consolidated": "389bc0b66b592f516bb6c766f29c7877bc39fffaed8421d64462d1ecba6d53be",
+    "srtf/tiresias-placement": "9c15b8cc8aa62dd0022a0cdd9e980c8a6b2e4c91cf6a2a5fdb3faa934e70b8ef",
+    "srtf/tiresias-plus": "50d9c30feea77a98f60e9d7624571a6b5ec4f439f892c5654a4bc449ba333751",
+    "srtf/synergy-tune": "de1e95a27ad651bc0c0e7184196e8bc8710e63f687fd3bea83ecfdb987cb1f18",
+    "srtf/synergy-proportional": "293928857cc144ac76aa0d703851eb2df07564b899c6d28982bd208e33970950",
+    "srtf/intra-node-bandwidth-aware": "389bc0b66b592f516bb6c766f29c7877bc39fffaed8421d64462d1ecba6d53be",
+    "tiresias/first-free": "4d0f5a74a160b492045c9d9a95782a276c7287b08e6c2b1adad1bd417ce94bad",
+    "tiresias/consolidated": "138430fcc25fcbbac84dca8ac0cf2d5432089a8ffef9fc13748b5ee23482630c",
+    "tiresias/tiresias-placement": "fa3830ebd14f4eb6998bac065983d4683e57b2d3ff442aae3cc095ebed926f44",
+    "tiresias/tiresias-plus": "cd4e0ce136e9b803cec6eb6935b2c437e7d0570df778f529f71a195673bdd2c5",
+    "tiresias/synergy-tune": "ef199354348cb9e7f2fd274570e875afbda7b73b5b66b91f620e682a38d2c26b",
+    "tiresias/synergy-proportional": "b66f7e2a6ba363a8c0715bf123fbf4f2d1e1f5798a54125288b039ecf69f3e4d",
+    "tiresias/intra-node-bandwidth-aware": "138430fcc25fcbbac84dca8ac0cf2d5432089a8ffef9fc13748b5ee23482630c",
+    "optimus/first-free": "d141cbc97021f14696aca1280f1e416c036b4b58d8deab518f74a4eb19d45b83",
+    "optimus/consolidated": "831b87f37f4d9494776bf546a050394a5a8aec6d3d224cf3fb8428e6e706b083",
+    "optimus/tiresias-placement": "39e1b9ed2bb829d4d0dceec72b3c020ec07bf587727a5fd2226280f1ddcb196b",
+    "optimus/tiresias-plus": "f659558da74672204a8833e4298678b9e9fb138072551f73dd49e906ac463e08",
+    "optimus/synergy-tune": "440ede67683b12db3bc5e226501f695321a9a2ee89bd0001f87359ad2fccb3f1",
+    "optimus/synergy-proportional": "8f80fd28d07ff48c041ec59619db1beef6c93287721eb6063d93d0e49064479c",
+    "optimus/intra-node-bandwidth-aware": "831b87f37f4d9494776bf546a050394a5a8aec6d3d224cf3fb8428e6e706b083",
+    "gavel/first-free": "2c998debbfbd4147c500b1a8b77565e35abf54336a2c201584a1ce92a61cfaee",
+    "gavel/consolidated": "0dfc137ef26dfdd731e8d1e87280cf2f1f05b2e16dcfcb7ba3e0683293ed449c",
+    "gavel/tiresias-placement": "941f5a22c6f3fa42867e63171e73a381f0d2b9b6ae958136baf274bfa7482109",
+    "gavel/tiresias-plus": "c14fb647869769b5ed87b64263770710808b4f281da31c7a64996ccc72a91d27",
+    "gavel/synergy-tune": "460a34a1c69a1e6557382814b147ec95c5432e06ca891072ae27125e4bbf7a5f",
+    "gavel/synergy-proportional": "4d08ba39fc22166d502c4db17b11f96c89b2705b8d33d3dd7cf88f79b628237b",
+    "gavel/intra-node-bandwidth-aware": "0dfc137ef26dfdd731e8d1e87280cf2f1f05b2e16dcfcb7ba3e0683293ed449c",
+    "pollux/first-free": "05e5dbc7053db47879a0eba1d09e497a7ee14af9e26c0ba84e4c8ec9cf05f72c",
+    "pollux/consolidated": "f4fcc565b57b9435e9c63e1cbb127bb265303157efb0517ff33043c83ed11347",
+    "pollux/tiresias-placement": "8390a0876fc278bc3a2fb07ce668fc5824da3e75975244bb8ddb17c13df8f88c",
+    "pollux/tiresias-plus": "49bffa04f330122d6c310b7fd9b9222908572c50a1ef5f2a6d9ce83fdfd0cd9a",
+    "pollux/synergy-tune": "994d5fbc24bd1a6cd8d17a86766bab95f3d26b269f010874631b03ce3dc889a5",
+    "pollux/synergy-proportional": "7685ba065ef6dfc1ed5f2e8d3378a380a052808c5e753712c760ac48c223256e",
+    "pollux/intra-node-bandwidth-aware": "f4fcc565b57b9435e9c63e1cbb127bb265303157efb0517ff33043c83ed11347",
+    "themis/first-free": "66d949503c20db7101c55b23e1ce2ba5c161c4e4903ba3c5b836f4447a4242fb",
+    "themis/consolidated": "87ab22efdb7a964ba443bbb4ab363e487bf97f6595e1f8649a3496b184503bcd",
+    "themis/tiresias-placement": "fa9f1fca38c9fe9a1c0aa2dd2e939381d39b45cb8bcfb46abf014a2c8befb9cd",
+    "themis/tiresias-plus": "13be3f75f1b9a3397246c893d770529ca05be49e6a178c8ea560f3681e188095",
+    "themis/synergy-tune": "a9ae270efe27bda57e189263b629b7507d5a9d94570858cef17ead90f1ab5752",
+    "themis/synergy-proportional": "77e3250dd76333bedb4c17b7dbd30a93fb14f4da35852d9decf9d780f7693f89",
+    "themis/intra-node-bandwidth-aware": "87ab22efdb7a964ba443bbb4ab363e487bf97f6595e1f8649a3496b184503bcd",
+    "synergy/first-free": "b54a0b7ffb83279ccf8d14f531f3bc1546b187b70b74d4da76c6c6aa4d4d9956",
+    "synergy/consolidated": "33aae88042b6a69680b4d4c24240eb45aeb895922e8ef07b040d2c498ba48f40",
+    "synergy/tiresias-placement": "15d7f1776973b9c5dc3364755f07dabd36bce180a672a36b91d154f6a407a76a",
+    "synergy/tiresias-plus": "c265c7c5be5df044873a82d7588008ee31a53cf1cb53d9601deeab330f54d25e",
+    "synergy/synergy-tune": "07c7e1eb3fd7103e9d257d3788ab4dc610c810cde87c8cb5f30313bce0c9c81c",
+    "synergy/synergy-proportional": "0f11ad6f51527267bc07c3d85da4380e27c668a7bde59244ed916a64975d69d4",
+    "synergy/intra-node-bandwidth-aware": "33aae88042b6a69680b4d4c24240eb45aeb895922e8ef07b040d2c498ba48f40",
+    "pollux/failure-storm-smoke": "44a2d5a7cdd7907508b801dbf724ef915daad3f302bab284a1c44b03495af480",
+    "pollux/spot-market-smoke": "67dbd52e150aa96def29f8f226e1ecb37678fa0c4f8c4b666b140b25024177e8",
+    "pollux/runtime": "f4fcc565b57b9435e9c63e1cbb127bb265303157efb0517ff33043c83ed11347",
+    "pollux/federation-2": "70a3dfae3efee8910f06b18bdc54c1136f93b45206d6edec7d318cd09d4cc42c",
+    "tiresias/failure-storm-smoke": "520ac4cfc13172d8379c1d0c43abe597fcc33aac85d146f5d808c2e71d1c6a67",
+    "tiresias/spot-market-smoke": "b97410abe83db65ef43ea3aa7d88206ec221b0f6f57dad8f8cc92c6febe6019a",
+    "tiresias/runtime": "138430fcc25fcbbac84dca8ac0cf2d5432089a8ffef9fc13748b5ee23482630c",
+    "tiresias/federation-2": "54ee1d9f3516f09019c2f8ee00b6eb18a4c105d88311decc198c1e7fe1045a04",
+    "fifo/failure-storm-smoke": "81683f6bfc7eda0cb92fbf61932a669988a50d5f09bfde0e33abf39c7de12b6e",
+    "fifo/spot-market-smoke": "ec13b865a12a8ed706e2ba7874ac794a38de39ae706ff4130eed3e081bb31fab",
+    "fifo/runtime": "33aae88042b6a69680b4d4c24240eb45aeb895922e8ef07b040d2c498ba48f40",
+    "fifo/federation-2": "c56a11a77d0d9e448a016be20923ae1523d79b72d872b8db29d166b378c4a5af",
 }
 
 
@@ -179,10 +182,20 @@ def test_every_case_has_a_recorded_hash():
     assert len(CASES) == 75
 
 
+#: What ``job.metrics`` may carry: the five application metrics the execution
+#: model publishes, its fragmentation flag, and an admission rejection.
+METRIC_BUS = frozenset(
+    ("loss", "progress", "iteration_time", "throughput", "attained_service",
+     "was_fragmented", "admission_rejected")
+)
+
+
 @pytest.mark.parametrize("case_id", _params())
 def test_schedule_matches_the_recorded_hash(case_id):
-    result = CASES[case_id].build().run()
-    assert job_state_hash(jobs_of(result)) == GOLDEN[case_id]
+    jobs = jobs_of(CASES[case_id].build().run())
+    assert job_state_hash(jobs) == GOLDEN[case_id]
+    for job in jobs:
+        assert set(job.metrics) <= METRIC_BUS, (job.job_id, sorted(set(job.metrics) - METRIC_BUS))
 
 
 # ----------------------------------------------------------------------

@@ -64,19 +64,19 @@ POLICIES = {
     "optimus": OptimusScheduling,
 }
 
-#: sha256 over every full round's (time, [(job id, demand, type), ...]).
+#: sha256 over every full round's (time, [(job id, demand), ...]).
 STREAM_DIGESTS = {
-    "fifo": "4af2a3d7eb24c045fa45036f9542768a1381ffadc53a57fc44e4d4786df46266",
-    "fifo-hol-blocking": "6e0bf7d01004d39f585115a7de05d93372af64793ed4fc8b68ec6f5c40f0efea",
-    "gavel": "9be3ee52da5599929caa36e598a0e2854371e7697ecc92891b4486a974e751e1",
-    "las": "b2f89feadda5b0ac0a11ab5c692b11022db70cc88415b3ce9a07cfd424d87267",
-    "optimus": "2e9153fb3a8b72a0197c170f98ed7bdfacffb2110dc95f256a34d79ef37a3bb8",
-    "pollux": "6ecd75a9ab8ad5c97050dce473fa00315e6fbffb0bb09c19b1335095a30a3594",
-    "srtf": "ea02a573ee31fc4725c03c1e01f2922a3ad87b3f4053bb12c1bf4104119fe589",
-    "synergy": "e238a87f60f7e0c4a1891d2f9954857012084484e30146e0129469acf7c67129",
-    "themis": "39ed22ea4b60817e0d39bb48caf277dcc567e35b2f509b7e53347933e5f33966",
-    "tiresias": "17f1f12efc6d989e4e54cef3c7c52468e6e23a91c284802c88e87390d0abd885",
-    "tiresias-starve": "23e71c18fd10c5b6494c17c06ca41c17edcd7dad6465197da1cd5a55cc13af58",
+    "fifo": "41243ec020d27e7df67eb13a759d0fa1d800342da6beeb8da08d451afa2840c5",
+    "fifo-hol-blocking": "2c916bfcc4fb289f576a48ef94d8dec85db0282a73ef67bc761f133358ac4942",
+    "gavel": "0deed6c90da646a2eca8efe1307bfea9d4ac14e59311e2c524f90b700daa5ed4",
+    "las": "49334c79d405b988b54556809dd06811d476cd76372b79ce8ef56d41b92d3ff6",
+    "optimus": "d19f496a6a50380ea0195e1204c82f185e0ef7c8da950d61ce76ce5a08de48de",
+    "pollux": "bc8ee4d654f49a20a204917e0aca9248efda45a9d8f0123cc297bab5540d0051",
+    "srtf": "fd9c286f39e8592e4d13e95b7e8c29ab57adabefc91503091d196502c027ac48",
+    "synergy": "41243ec020d27e7df67eb13a759d0fa1d800342da6beeb8da08d451afa2840c5",
+    "themis": "2041539e0f51f796342e087c2166ce3925d22a47f1279cdf9b360f37736c8bae",
+    "tiresias": "f658ec0bd6986452a6a4af559bf018557060b399f5bca9e59eadbcf32c912a41",
+    "tiresias-starve": "ad3ed5608806bf9c4e695713b5b312d8fdd159f40aa7801ae881c2f396051033",
 }
 
 
@@ -99,7 +99,7 @@ def schedule_digest(policy) -> str:
 
     def read_to_the_end(job_state, cluster_state):
         entries = list(schedule(job_state, cluster_state))
-        rows = [(e.job_id, e.gpu_demand, e.gpu_type) for e in entries]
+        rows = [(e.job_id, e.gpu_demand) for e in entries]
         digest.update(repr((job_state.current_time, rows)).encode())
         return entries
 
@@ -161,10 +161,9 @@ def test_tiresias_promotes_at_call_time_even_if_nothing_is_read():
     "factory,memo",
     [
         (PolluxScheduling, "_gain_tables"),
-        (GavelScheduling, "_best_type_by_job"),
         (TiresiasScheduling, "_last_run_time"),
     ],
-    ids=["pollux", "gavel", "tiresias"],
+    ids=["pollux", "tiresias"],
 )
 def test_per_job_memos_hold_runnable_jobs_only(factory, memo):
     policy = factory()
