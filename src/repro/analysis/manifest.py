@@ -92,26 +92,32 @@ ON_PROGRESS_ALLOWED: Tuple[str, ...] = ("repro/core/job_state.py",)
 HOT_PATH_FUNCTIONS: FrozenSet[str] = frozenset(
     {
         "repro/core/job.py::_StatusField.__set__",
+        "repro/core/job.py::_ProgressField.__get__",
         "repro/core/job.py::_ProgressField.__set__",
         "repro/core/job.py::Job.add_progress",
+        "repro/core/job.py::Job.store_progress",
         "repro/core/job_state.py::JobState._notify_progress",
         "repro/core/job_state.py::JobState._reindex_status",
         "repro/simulator/execution.py::ExecutionModel.advance",
         "repro/simulator/execution.py::ExecutionModel.advance_running",
         "repro/simulator/execution.py::ExecutionModel.steady_scan",
-        "repro/simulator/execution.py::ExecutionModel.adopt_steady",
+        # Deferred progress: the settle path every progress read may take,
+        # and the per-round fold / skip queries of the completion heap.
+        "repro/simulator/execution.py::_Epoch.settle",
+        "repro/simulator/execution.py::ExecutionModel._probe",
+        "repro/simulator/execution.py::ExecutionModel.fold_round",
+        "repro/simulator/execution.py::ExecutionModel.next_completion",
         "repro/simulator/engine.py::RoundLog.append",
         "repro/simulator/engine.py::RoundLog.append_run",
         # _append_records is deliberately absent: it *is* the batched
         # round-record choke point, so telemetry emission belongs there.
-        "repro/simulator/event_core.py::EventCore._completion_event_round",
-        "repro/simulator/event_core.py::EventCore._catch_up",
         "repro/simulator/event_core.py::EventCore.skip",
         "repro/simulator/event_core.py::EventCore._rounds_until",
         # A full round's schedule -> place path: the priority stream, the
         # elastic water-fills and the placement walk that pulls from them.
         "repro/policies/scheduling/priority_index.py::RunnablePriorityIndex.ordered",
         "repro/policies/scheduling/priority_index.py::RunnablePriorityIndex.gang_entries",
+        "repro/policies/scheduling/priority_index.py::_merge_entries",
         "repro/policies/scheduling/pollux.py::PolluxScheduling.schedule",
         "repro/policies/scheduling/optimus.py::OptimusScheduling.schedule",
         "repro/policies/placement/base.py::BasePlacementPolicy.place",

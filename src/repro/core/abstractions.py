@@ -131,8 +131,9 @@ class SchedulingPolicy:
     promotions) happens when ``schedule`` is called, not as
     the stream is read.
 
-    Progress (``work_done``, ``attained_service``, ``pending_overhead``) is
-    current on every job when ``schedule`` runs.  The five application metrics
+    Progress (``work_done``, ``attained_service``, ``pending_overhead``) reads
+    current on every job when ``schedule`` runs (a job whose progress is
+    deferred settles on the read).  The five application metrics
     the execution model derives from it (``job.metrics["loss" | "progress" |
     "iteration_time" | "throughput" | "attained_service"]``) are not: they
     are written when a metric collector runs, when a job completes or stalls

@@ -73,12 +73,18 @@ class BloxManager:
         return self.cluster_manager.update(cluster_state, self.current_time)
 
     def update_metrics(self, cluster_state: ClusterState, job_state: JobState) -> None:
-        """Advance every running job over the round that just elapsed."""
+        """Apply the progress of the round that just elapsed.
+
+        Every running job is folded, unless the run defers progress: then
+        only the jobs completing in this round are (see
+        :meth:`ExecutionModel.fold_round`).
+        """
         if self.round_number == 0:
             return
-        self.execution.advance_running(
-            job_state.running_jobs(),
+        self.execution.fold_round(
+            job_state,
             cluster_state,
+            self.round_number,
             self.current_time - self.round_duration,
             self.round_duration,
         )

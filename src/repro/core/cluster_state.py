@@ -21,7 +21,18 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import DefaultDict, Dict, Iterable, List, Optional, Sequence, Set, Union
+from typing import (
+    AbstractSet,
+    DefaultDict,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Union,
+)
 
 from repro.cluster.gpu_types import GPUType
 from repro.cluster.node import GPU, Node
@@ -300,6 +311,14 @@ class ClusterState:
 
     def gpus_for_job(self, job_id: int) -> List[GPU]:
         return [self.gpus[g] for g in sorted(self._job_gpu_ids.get(job_id, ()))]
+
+    def allocations(self) -> Mapping[int, AbstractSet[int]]:
+        """Job id -> the GPU ids it holds: the live index, read-only.
+
+        For walks that test many jobs (placement's kept check) without a
+        call per job; it changes with every assign and release.
+        """
+        return self._job_gpu_ids
 
     def num_gpus_for_job(self, job_id: int) -> int:
         """O(1) count of GPUs a job currently holds."""

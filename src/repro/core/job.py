@@ -86,24 +86,31 @@ class _StatusField:
 
 
 class _ProgressField:
-    """Data descriptor routing progress writes through the owning registry.
+    """Data descriptor for a job's progress: settled on read, observed on write.
+
+    ``work_done``, ``attained_service`` and ``pending_overhead`` are written
+    by the execution model (and the launch and preemption mechanisms).  While
+    a running job's progress is deferred, ``job.__dict__["_epoch"]`` holds
+    its epoch record (see :mod:`repro.simulator.execution`): a read first
+    settles the job up to the model's fold clock, and a write settles it,
+    stores the value and restarts the epoch from it.
 
     Scheduling policies keep ordered priority structures keyed on attained
     service / remaining work (see
     :class:`~repro.policies.scheduling.priority_index.RunnablePriorityIndex`).
     For those structures to stay correct, every write to ``attained_service``
-    and ``work_done`` -- the execution model updates both once per running job
-    per round -- notifies the registry recorded by ``JobState.track``, which
-    forwards to its observers.  Untracked jobs pay only a dict store.
+    and ``work_done`` notifies the registry recorded by ``JobState.track``,
+    which forwards to its observers.  Untracked jobs pay only a dict store.
 
-    The raw value lives in ``job.__dict__["_" + name]``; nothing outside this
-    module touches it there.  :meth:`Job.add_progress` is the one shortcut:
-    it stores both fields directly while the registry has no progress
-    observer (nobody to notify).
+    The raw value lives in ``job.__dict__["_" + name]``; only this module and
+    the execution model's folds touch it there (a fold reads it only where
+    no epoch is pending).  :meth:`Job.add_progress` and
+    :meth:`Job.store_progress` are the shortcuts the folds write through.
     """
 
-    def __init__(self, default: float = 0.0) -> None:
+    def __init__(self, default: float = 0.0, notify: bool = True) -> None:
         self._default = default
+        self._notify = notify
 
     def __set_name__(self, owner, name) -> None:
         self._name = name
@@ -114,20 +121,30 @@ class _ProgressField:
             # Dataclasses read the class attribute to obtain the __init__
             # default for the field.
             return self._default
-        return obj.__dict__[self._attr]
+        state = obj.__dict__
+        epoch = state.get("_epoch")
+        if epoch is not None:
+            epoch.settle()
+        return state[self._attr]
 
     def __set__(self, obj, value) -> None:
         state = obj.__dict__
+        epoch = state.get("_epoch")
+        if epoch is not None:
+            epoch.settle()
         old = state.get(self._attr)
         state[self._attr] = value
         registry = state.get("_registry")
         if (
-            registry is not None
+            self._notify
+            and registry is not None
             and registry._progress_observers
             and old is not None
             and old != value
         ):
             registry._notify_progress(obj, self._name, old, value)
+        if epoch is not None:
+            epoch.rebase()
 
 
 @dataclass
@@ -207,7 +224,7 @@ class Job:
     allocated_gpus: List[int] = field(default_factory=list)
     num_preemptions: int = 0
     num_launches: int = 0
-    pending_overhead: float = 0.0
+    pending_overhead: float = _ProgressField(0.0, notify=False)
     #: The application-metric bus: the five metrics the execution model
     #: publishes, plus ``was_fragmented`` and ``admission_rejected``.
     metrics: Dict[str, object] = field(default_factory=dict)
@@ -235,10 +252,16 @@ class Job:
         every other job in it) into every pickled job.  It is dropped here and
         restored by ``JobState.__setstate__`` on the registry side, so a job
         pickled *inside* its registry round-trips fully bound while a job
-        pickled alone arrives unbound (track it to re-bind).
+        pickled alone arrives unbound (track it to re-bind).  A deferred job
+        settles and publishes its application metrics first, and its epoch
+        record stays behind: no deferred state crosses a pickle.
         """
+        epoch = self.__dict__.get("_epoch")
+        if epoch is not None:
+            epoch.flush()
         state = self.__dict__.copy()
         state.pop("_registry", None)
+        state.pop("_epoch", None)
         return state
 
     def __setstate__(self, state) -> None:
@@ -262,6 +285,28 @@ class Job:
         else:
             state["_work_done"] += work
             state["_attained_service"] += service
+
+    def store_progress(self, work: float, pending: float, attained: float) -> None:
+        """Write all three progress fields at once: a settled epoch's write.
+
+        Same notifications as assigning ``work_done`` then
+        ``attained_service``; never settles (the caller is the settle).
+        """
+        state = self.__dict__
+        state["_pending_overhead"] = pending
+        registry = state.get("_registry")
+        if registry is not None and registry._progress_observers:
+            for attr, name, value in (
+                ("_work_done", "work_done", work),
+                ("_attained_service", "attained_service", attained),
+            ):
+                old = state[attr]
+                state[attr] = value
+                if old != value:
+                    registry._notify_progress(self, name, old, value)
+        else:
+            state["_work_done"] = work
+            state["_attained_service"] = attained
 
     # --- derived quantities ---------------------------------------------
 

@@ -17,7 +17,7 @@ an index instead of scanning and re-sorting the whole registry every round.
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import AbstractSet, Callable, Dict, Iterable, List, Optional, Set
 
 from repro.core.exceptions import UnknownJobError
 from repro.core.job import Job, JobStatus
@@ -42,8 +42,11 @@ class JobStateObserver:
     * :meth:`on_status_change` -- a status transition, fired both by
       :meth:`JobState.set_status` and by direct ``job.status = ...`` writes
       (the status descriptor routes them here);
-    * :meth:`on_progress` -- ``attained_service`` or ``work_done`` changed
-      (the execution model writes both once per running job per round).
+    * :meth:`on_progress` -- ``attained_service`` or ``work_done`` changed.
+      It fires when progress is *written*: per round where the execution
+      model folds eagerly, but under deferred progress once per settle (when
+      a job completes, leaves RUNNING, or has its progress read), covering
+      every round folded since the last one.
 
     Hooks fire *after* the registry's own indexes are updated, so observers may
     query the registry from inside a hook.  Observers must not mutate job
@@ -312,6 +315,13 @@ class JobState:
             self._view_cache[statuses] = cached
         # Return a copy: callers may hold the list across transitions.
         return list(cached)
+
+    def ids_with_status(self, status: JobStatus) -> AbstractSet[int]:
+        """The ids of the jobs in one status: the live index set, read-only.
+
+        It changes with every transition; copy it to keep it across one.
+        """
+        return self._by_status[status]
 
     def count_with_status(self, *statuses: JobStatus) -> int:
         """O(1)-per-status count of jobs in the given statuses."""

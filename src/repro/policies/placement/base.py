@@ -162,7 +162,9 @@ class BasePlacementPolicy(PlacementPolicy):
        stream, e.g. strict FIFO).  The schedule is read once and only as far
        as the healthy GPUs last; nothing is mutated before the walk ends.
     2. *Suspension*: running jobs that were not selected, or whose GPU demand
-       changed, are suspended; their GPUs become available.
+       changed, are suspended; their GPUs become available.  The walk
+       already knows which selected jobs are kept, so this is a set
+       difference, not a second pass over the running set.
     3. *Allocation*: selected jobs that are not already running with the right
        allocation receive concrete GPUs via :meth:`select_gpus`.
 
@@ -187,7 +189,11 @@ class BasePlacementPolicy(PlacementPolicy):
         cluster_state: ClusterState,
         job_state: JobState,
     ) -> PlacementDecision:
+        # Selected jobs: running ones kept at the GPUs they hold (not part of
+        # this round's delta), and the rest with their demands.
+        kept: Set[int] = set()
         selected: Dict[int, int] = {}
+        held_gpus = cluster_state.allocations().get
         remaining = cluster_state.healthy_gpus()
         for entry in schedule:
             if remaining == 0:
@@ -196,21 +202,23 @@ class BasePlacementPolicy(PlacementPolicy):
                 # is never pulled.
                 break
             demand = entry.gpu_demand
-            if demand <= 0 or entry.job_id in selected:
+            job_id = entry.job_id
+            if demand <= 0 or job_id in selected or job_id in kept:
                 continue
             if demand <= remaining:
-                selected[entry.job_id] = demand
                 remaining -= demand
+                # Only running jobs hold GPUs while placement runs.
+                held = held_gpus(job_id)
+                if held is not None and len(held) == demand:
+                    kept.add(job_id)
+                else:
+                    selected[job_id] = demand
 
         decision = PlacementDecision()
+        decision.to_suspend = sorted(job_state.ids_with_status(JobStatus.RUNNING) - kept)
         suspended_gpus: List[int] = []
-        for job in job_state.running_jobs():
-            if selected.get(job.job_id) == len(job.allocated_gpus):
-                # Kept exactly as it runs: not part of this round's delta.
-                del selected[job.job_id]
-            else:
-                decision.to_suspend.append(job.job_id)
-                suspended_gpus.extend(job.allocated_gpus)
+        for job_id in decision.to_suspend:
+            suspended_gpus.extend(job_state.get(job_id).allocated_gpus)
         if not selected:
             return decision
 

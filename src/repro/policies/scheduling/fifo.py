@@ -38,7 +38,8 @@ class FifoScheduling(SchedulingPolicy):
 
     def __init__(self, hol_blocking: bool = False) -> None:
         self.hol_blocking = hol_blocking
-        self._index = RunnablePriorityIndex(idle_key=arrival_key)
+        # Arrival keys never change: both tiers are kept sorted.
+        self._index = RunnablePriorityIndex(idle_key=arrival_key, running_key=arrival_key)
 
     def next_policy_event_time(
         self, job_state: JobState, cluster_state: ClusterState, now: float
@@ -50,10 +51,10 @@ class FifoScheduling(SchedulingPolicy):
 
     def schedule(self, job_state: JobState, cluster_state: ClusterState) -> Iterator[ScheduleEntry]:
         self._index.bind(job_state)
-        ordered = self._index.ordered(running_key=arrival_key)
         if self.hol_blocking:
-            ordered = _head_of_line(ordered, cluster_state.healthy_gpus())
-        return self._index.gang_entries(ordered)
+            ordered = _head_of_line(self._index.ordered(), cluster_state.healthy_gpus())
+            return self._index.gang_entries(ordered)
+        return self._index.gang_entries()
 
 
 def _head_of_line(ordered: Iterator[Job], remaining: int) -> Iterator[Job]:

@@ -63,9 +63,10 @@ class PolluxScheduling(SchedulingPolicy):
         #: job that has been scheduled, dropped when the job finishes.
         self._gain_tables: Dict[int, List[float]] = {}
         #: Running and waiting tiers both order by (arrival, id) -- static
-        #: keys -- so the index keeps the waiting queue permanently sorted.
+        #: keys -- so the index keeps both permanently sorted.
         self._index = RunnablePriorityIndex(
             idle_key=arrival_key,
+            running_key=arrival_key,
             on_rebuild=self._gain_tables.clear,
             on_transition=self._on_transition,
         )
@@ -136,7 +137,7 @@ class PolluxScheduling(SchedulingPolicy):
 
     def schedule(self, job_state: JobState, cluster_state: ClusterState) -> Iterator[ScheduleEntry]:
         self._index.bind(job_state)
-        running = sorted(self._index.running_jobs(), key=arrival_key)
+        running = [job for _, job in self._index.running_entries()]
         waiting = [job for _, job in self._index.idle_entries()]
         gains_of = self._gains
 

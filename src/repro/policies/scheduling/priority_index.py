@@ -15,10 +15,15 @@ hooks:
   used by Tiresias' starvation promotions) or, for continuously drifting
   keys, by subclassing and overriding ``on_progress``;
 * the **running tier** is small (bounded by cluster capacity, not queue
-  length) and its keys drift every round, so it is sorted fresh at schedule
-  time and merged with the idle tier *lazily*: the merge yields jobs as the
-  consumer pulls them, so a round costs O(running log running + read) where
-  ``read`` is how far placement gets before the healthy GPUs run out.
+  length).  By default its keys drift every round (attained service,
+  remaining work), so it is sorted fresh at schedule time; a policy whose
+  running keys change only at its own events passes a ``running_key`` at
+  construction instead, and the tier is kept sorted -- insorted on entering
+  RUNNING, removed on leaving, repositioned where the policy says a key
+  changed.  Either way it is merged with the idle tier *lazily*: the merge
+  yields jobs as the consumer pulls them, so a round costs at most
+  O(running log running + read) where ``read`` is how far placement gets
+  before the healthy GPUs run out.
 
 Keys must be tuples whose *last* component is the job id, making them a total
 order; the two sorted tiers then merge deterministically into exactly the
@@ -59,25 +64,31 @@ def arrival_key(job: Job) -> PriorityKey:
 
 
 class RunnablePriorityIndex(JobStateObserver):
-    """Tiered (idle sorted / running unsorted) view of the runnable jobs."""
+    """Tiered view of the runnable jobs: idle sorted, running sorted on demand or kept sorted."""
 
     def __init__(
         self,
         idle_key: KeyFn,
+        running_key: Optional[KeyFn] = None,
         on_rebuild: Optional[Callable[[], None]] = None,
         on_transition: Optional[Callable[[Job, Optional[JobStatus]], None]] = None,
         on_idle_enter: Optional[Callable[[Job], None]] = None,
+        on_running_enter: Optional[Callable[[Job], None]] = None,
     ) -> None:
-        #: ``on_rebuild`` fires before a wholesale rebuild (drop memo caches);
-        #: ``on_transition(job, old_status)`` fires on every tracked
-        #: status change *before* the tiers are updated, so owners can refresh
-        #: state the idle key depends on (Tiresias' wait clock);
-        #: ``on_idle_enter(job)`` fires after a job is inserted into the idle
-        #: tier (its key is available via :meth:`idle_key_of`).
+        #: ``running_key``, if given, promises running keys that change only
+        #: where the owner calls :meth:`reposition`: the running tier is then
+        #: kept sorted.  ``on_rebuild`` fires before a wholesale rebuild (drop
+        #: memo caches); ``on_transition(job, old_status)`` fires on every
+        #: tracked status change *before* the tiers are updated, so owners
+        #: can refresh state the idle key depends on (Tiresias' wait clock);
+        #: ``on_idle_enter(job)`` / ``on_running_enter(job)`` fire after a
+        #: job is inserted into the idle / running tier.
         self._idle_key_fn = idle_key
+        self._running_key_fn = running_key
         self._on_rebuild = on_rebuild
         self._on_transition = on_transition
         self._on_idle_enter = on_idle_enter
+        self._on_running_enter = on_running_enter
         self._job_state: Optional[JobState] = None
         #: ``bind_epoch`` of the bound registry at attach time; a mismatch
         #: means the registry crossed a pickle boundary (which drops observer
@@ -88,6 +99,9 @@ class RunnablePriorityIndex(JobStateObserver):
         self._idle: List[Tuple[PriorityKey, Job]] = []
         self._idle_keys: Dict[int, PriorityKey] = {}
         self._running: Dict[int, Job] = {}
+        #: With a ``running_key``: sorted list of (key, job) for RUNNING jobs.
+        self._running_sorted: List[Tuple[PriorityKey, Job]] = []
+        self._running_keys: Dict[int, PriorityKey] = {}
         #: job id -> the frozen entry :meth:`entry_for` last returned for it;
         #: dropped when the job leaves the index, so it never outlives the job.
         self._entries: Dict[int, ScheduleEntry] = {}
@@ -124,6 +138,8 @@ class RunnablePriorityIndex(JobStateObserver):
         self._idle = []
         self._idle_keys = {}
         self._running = {}
+        self._running_sorted = []
+        self._running_keys = {}
         self._entries = {}
         if self._on_rebuild is not None:
             self._on_rebuild()
@@ -131,10 +147,11 @@ class RunnablePriorityIndex(JobStateObserver):
             return
         for job in self._job_state.runnable_jobs():
             if job.status == JobStatus.RUNNING:
-                self._running[job.job_id] = job
+                self._insert_running(job)
             else:
                 self._insert_idle(job)
-        self._idle.sort(key=lambda entry: entry[0])
+        self._idle.sort(key=itemgetter(0))
+        self._running_sorted.sort(key=itemgetter(0))
 
     # ------------------------------------------------------------------
     # Observer hooks
@@ -154,12 +171,13 @@ class RunnablePriorityIndex(JobStateObserver):
 
     # NOTE: the index deliberately does NOT override on_progress.  Idle keys
     # are frozen by construction -- attained service and remaining work only
-    # change while a job is RUNNING, and the running tier is re-keyed at
-    # schedule time -- and JobState skips the progress dispatch entirely for
-    # observers that leave on_progress unimplemented, keeping the execution
-    # model's two writes per running job per round off the notification path.
-    # A policy whose idle keys do drift (a continuously-keyed structure)
-    # should subclass and override on_progress to call reposition().
+    # change while a job is RUNNING -- drifting running keys are computed at
+    # schedule time, and a kept-sorted running tier moves only where its
+    # owner repositions it.  JobState skips the progress dispatch entirely
+    # for observers that leave on_progress unimplemented, keeping progress
+    # writes off the notification path.  A policy whose idle keys do drift
+    # (a continuously-keyed structure) should subclass and override
+    # on_progress to call reposition().
 
     # ------------------------------------------------------------------
     # Mutation helpers
@@ -167,45 +185,48 @@ class RunnablePriorityIndex(JobStateObserver):
 
     def _admit(self, job: Job) -> None:
         if job.status == JobStatus.RUNNING:
-            self._running[job.job_id] = job
+            self._insert_running(job, sort=True)
         elif job.status in _IDLE_STATUSES:
             self._insert_idle(job, sort=True)
         else:
             self._entries.pop(job.job_id, None)
 
     def _insert_idle(self, job: Job, sort: bool = False) -> None:
-        key = self._idle_key_fn(job)
-        self._idle_keys[job.job_id] = key
-        if sort:
-            insort(self._idle, (key, job), key=lambda entry: entry[0])
-        else:
-            self._idle.append((key, job))
+        _insert(self._idle, self._idle_keys, self._idle_key_fn(job), job, sort)
         if self._on_idle_enter is not None:
             self._on_idle_enter(job)
 
-    def _remove_idle(self, job_id: int) -> None:
-        key = self._idle_keys.pop(job_id)
-        index = bisect_left(self._idle, key, key=lambda entry: entry[0])
-        while index < len(self._idle) and self._idle[index][1].job_id != job_id:
-            index += 1
-        if index < len(self._idle):
-            del self._idle[index]
+    def _insert_running(self, job: Job, sort: bool = False) -> None:
+        self._running[job.job_id] = job
+        if self._running_key_fn is not None:
+            key = self._running_key_fn(job)
+            _insert(self._running_sorted, self._running_keys, key, job, sort)
+        if self._on_running_enter is not None:
+            self._on_running_enter(job)
 
     def _discard(self, job_id: int) -> None:
-        self._running.pop(job_id, None)
-        if job_id in self._idle_keys:
-            self._remove_idle(job_id)
+        if self._running.pop(job_id, None) is not None:
+            if job_id in self._running_keys:
+                _remove(self._running_sorted, self._running_keys, job_id)
+        elif job_id in self._idle_keys:
+            _remove(self._idle, self._idle_keys, job_id)
 
     def reposition(self, job: Job) -> None:
-        """Recompute an idle job's key and move it to its new position.
+        """Recompute a job's key and move it to its new position in its tier.
 
-        Used for key changes driven by wall-clock time rather than job state
-        (Tiresias' starvation promotions).  No-op for jobs outside the idle
-        tier.
+        Used for key changes the observer hooks cannot see: wall-clock
+        driven ones in the idle tier (Tiresias' starvation promotions) and,
+        in a kept-sorted running tier, the owner's own events (Tiresias'
+        demotions).  No-op for jobs outside both sorted tiers.
         """
-        if job.job_id in self._idle_keys:
-            self._remove_idle(job.job_id)
-            self._insert_idle(job, sort=True)
+        job_id = job.job_id
+        if job_id in self._idle_keys:
+            _remove(self._idle, self._idle_keys, job_id)
+            _insert(self._idle, self._idle_keys, self._idle_key_fn(job), job, True)
+        elif job_id in self._running_keys:
+            _remove(self._running_sorted, self._running_keys, job_id)
+            key = self._running_key_fn(job)  # type: ignore[misc]
+            _insert(self._running_sorted, self._running_keys, key, job, True)
 
     # ------------------------------------------------------------------
     # Views
@@ -225,31 +246,48 @@ class RunnablePriorityIndex(JobStateObserver):
         """The running tier (unordered)."""
         return list(self._running.values())
 
+    def running_entries(self) -> List[Tuple[PriorityKey, Job]]:
+        """The kept-sorted running tier, by key (the live list; do not mutate)."""
+        return self._running_sorted
+
     def idle_key_of(self, job_id: int) -> Optional[PriorityKey]:
         return self._idle_keys.get(job_id)
 
-    def ordered(self, running_key: KeyFn) -> Iterator[Job]:
+    def running_key_of(self, job_id: int) -> Optional[PriorityKey]:
+        """A running job's key in the kept-sorted tier (as last positioned)."""
+        return self._running_keys.get(job_id)
+
+    def ordered(self, running_key: Optional[KeyFn] = None) -> Iterator[Job]:
         """All runnable jobs, lazily, in the order a full sort by key gives.
 
-        ``running_key`` computes the (drifting) keys of the running tier; they
-        must be tuples comparable with the idle keys and ending in the job id.
-        The running tier is keyed and sorted now; the merge with the idle
-        tier runs as the stream is read, so jobs behind the last one read
-        cost nothing.
+        Built with a ``running_key``, the index merges its two sorted tiers
+        and takes no argument.  Otherwise ``running_key`` computes the
+        (drifting) keys of the running tier; they must be tuples comparable
+        with the idle keys and ending in the job id, and the running tier is
+        keyed and sorted now.  The merge with the idle tier runs as the
+        stream is read, so jobs behind the last one read cost nothing.
         """
+        if self._running_key_fn is not None:
+            return _merge_jobs(self._idle, self._running_sorted)
         running = sorted(
-            ((running_key(job), job) for job in self._running.values()),
+            ((running_key(job), job) for job in self._running.values()),  # type: ignore[misc]
             key=itemgetter(0),
         )
         return _merge_jobs(self._idle, running)
 
-    def gang_entries(self, ordered: Iterable[Job]) -> Iterator[ScheduleEntry]:
+    def gang_entries(self, ordered: Optional[Iterable[Job]] = None) -> Iterator[ScheduleEntry]:
         """One entry per job of ``ordered``, each asking for its requested gang.
 
         The schedule of every gang policy, yielded as it is read.  ``ordered``
         must hold jobs of the bound registry's runnable set (what
-        :meth:`ordered` returns).
+        :meth:`ordered` returns); omitted, it is the merged tiers of an index
+        built with a ``running_key``, read without a second stream.
         """
+        if ordered is None:
+            return _merge_entries(self._idle, self._running_sorted, self._entries)
+        return self._entries_of(ordered)
+
+    def _entries_of(self, ordered: Iterable[Job]) -> Iterator[ScheduleEntry]:
         entry_for = self.entry_for
         for job in ordered:
             yield entry_for(job, job.num_gpus)
@@ -283,6 +321,69 @@ class RunnablePriorityIndex(JobStateObserver):
             assert job.status in _IDLE_STATUSES, f"job {job.job_id} mis-tiered"
             assert self._idle_keys[job.job_id] == key, "idle key cache drifted"
         assert set(self._entries) <= members, "entry cached for a job that left"
+        if self._running_key_fn is not None:
+            fresh = sorted(
+                ((self._running_key_fn(job), job.job_id) for job in self._running.values()),
+                key=itemgetter(0),
+            )
+            kept = [(key, job.job_id) for key, job in self._running_sorted]
+            assert kept == fresh, "running tier differs from a fresh sort by running_key"
+            assert set(self._running_keys) == set(self._running), "running key cache drifted"
+
+
+def _insert(
+    tier: List[Tuple[PriorityKey, Job]],
+    keys: Dict[int, PriorityKey],
+    key: PriorityKey,
+    job: Job,
+    sort: bool,
+) -> None:
+    """Add ``job`` under ``key`` to a sorted tier (appended when ``sort`` is off)."""
+    keys[job.job_id] = key
+    if sort:
+        insort(tier, (key, job), key=itemgetter(0))
+    else:
+        tier.append((key, job))
+
+
+def _remove(
+    tier: List[Tuple[PriorityKey, Job]], keys: Dict[int, PriorityKey], job_id: int
+) -> None:
+    """Drop a job from a sorted tier, found by its cached key."""
+    key = keys.pop(job_id)
+    index = bisect_left(tier, key, key=itemgetter(0))
+    while index < len(tier) and tier[index][1].job_id != job_id:
+        index += 1
+    if index < len(tier):
+        del tier[index]
+
+
+def _merge_entries(
+    first: List[Tuple[PriorityKey, Job]],
+    second: List[Tuple[PriorityKey, Job]],
+    entries: Dict[int, ScheduleEntry],
+) -> Iterator[ScheduleEntry]:
+    """The gang entries of two key-sorted tiers, in merged key order.
+
+    :func:`_merge_jobs` and :meth:`RunnablePriorityIndex.entry_for` in one
+    generator: each job's cached entry is yielded directly (ties would go to
+    ``first``).
+    """
+    i, n = 0, len(first)
+    j, m = 0, len(second)
+    while True:
+        if i < n and (j == m or first[i][0] <= second[j][0]):
+            job = first[i][1]
+            i += 1
+        elif j < m:
+            job = second[j][1]
+            j += 1
+        else:
+            return
+        entry = entries.get(job.job_id)
+        if entry is None or entry.gpu_demand != job.num_gpus:
+            entry = entries[job.job_id] = ScheduleEntry(job.job_id, job.num_gpus)
+        yield entry
 
 
 def _merge_jobs(

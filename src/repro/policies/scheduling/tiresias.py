@@ -21,12 +21,16 @@ Implementation notes (the incremental hot path):
   frozen while idle (service only accrues while RUNNING); the only
   time-driven change, starvation promotion, is applied by popping due
   deadlines from a heap and repositioning just those jobs;
-* the policy can bound, in closed form, when its decision next changes:
-  queue-demotion crossings of running jobs (service accrues at exactly
-  ``len(allocated_gpus)`` GPU-seconds per second between completions) and
-  promotion deadlines of waiting jobs.  :meth:`next_policy_event_time`
-  reports the earliest, letting the simulator fast-forward through the
-  rounds in between.
+* running jobs live in a kept-sorted tier too.  A running job's queue
+  changes only when its attained service crosses a threshold, and service
+  accrues at most ``len(allocated_gpus)`` GPU-seconds per second, so the
+  crossing time computed in closed form when the job starts running is a
+  lower bound.  Those bounds sit in a demotion heap; ``schedule`` checks
+  (reading, and so settling, their service) only the jobs whose bound has
+  come, and repositions the ones whose queue changed;
+* the earliest valid demotion bound and promotion deadline is when the
+  decision may next change: :meth:`next_policy_event_time` reports it,
+  letting the simulator fast-forward through the rounds in between.
 """
 
 from __future__ import annotations
@@ -46,6 +50,12 @@ from repro.policies.scheduling.priority_index import RunnablePriorityIndex
 #: Default queue thresholds in GPU-seconds: jobs move to a lower-priority queue
 #: after 1 GPU-hour and again after 8 GPU-hours of attained service.
 DEFAULT_QUEUE_THRESHOLDS = (3600.0, 8 * 3600.0)
+
+#: Slack, relative to the clock, by which a demotion bound is checked early.
+#: Float drift between the closed-form bound and the accumulated service is
+#: at most ``rounds x 2**-52`` relative, so this covers any run of fewer than
+#: ``2**32`` rounds (checking early only costs a settle).
+_DEMOTION_SLACK = 2.0**-20
 
 
 class TiresiasScheduling(SchedulingPolicy):
@@ -78,16 +88,26 @@ class TiresiasScheduling(SchedulingPolicy):
         self._last_run_time: Dict[int, float] = {}
         #: (deadline, job_id) promotion heap for jobs in the idle tier.
         self._promote_heap: List[Tuple[float, int]] = []
+        #: (bound, job_id) demotion heap for jobs in the running tier, and
+        #: each running job's current bound (an entry is valid iff it
+        #: matches): the earliest time its service may cross the next
+        #: threshold.
+        self._demote_heap: List[Tuple[float, int]] = []
+        self._demote_at: Dict[int, float] = {}
         self._index = RunnablePriorityIndex(
             idle_key=self._idle_key,
+            running_key=self._running_key,
             on_rebuild=self._reset_clocks,
             on_transition=self._record_transition,
             on_idle_enter=self._push_promotion_deadline,
+            on_running_enter=self._push_demotion_bound,
         )
 
     def _reset_clocks(self) -> None:
         self._last_run_time.clear()
         self._promote_heap.clear()
+        self._demote_heap.clear()
+        self._demote_at.clear()
 
     # ------------------------------------------------------------------
     # Priority model (pure -- safe to evaluate any number of times)
@@ -124,6 +144,9 @@ class TiresiasScheduling(SchedulingPolicy):
     def _idle_key(self, job: Job):
         return (self._effective_queue(job, self._now()), job.arrival_time, job.job_id)
 
+    def _running_key(self, job: Job):
+        return (self.queue_index(job), job.arrival_time, job.job_id)
+
     # ------------------------------------------------------------------
     # Observer-driven clock and promotion bookkeeping
     # ------------------------------------------------------------------
@@ -135,6 +158,8 @@ class TiresiasScheduling(SchedulingPolicy):
         seed recorded for a job was the schedule time of the round in which it
         stopped running, which is exactly the transition time captured here.
         """
+        if old == JobStatus.RUNNING:
+            self._demote_at.pop(job.job_id, None)
         if job.is_finished:
             self._last_run_time.pop(job.job_id, None)  # nothing outlives its job
         elif old == JobStatus.RUNNING and job.status != JobStatus.RUNNING:
@@ -168,6 +193,44 @@ class TiresiasScheduling(SchedulingPolicy):
                 continue  # clock advanced since this entry; a fresh one exists
             self._index.reposition(job)
 
+    def _push_demotion_bound(self, job: Job) -> None:
+        """Called when a job enters the running tier (or was checked): bound its next crossing.
+
+        Service accrues at most ``len(allocated_gpus)`` GPU-seconds per
+        second, so ``now + (threshold - attained) / gpus`` is the earliest
+        time the job can reach the next threshold.
+        """
+        attained = job.attained_service
+        queue = bisect_right(self.queue_thresholds, attained)
+        gpus = len(job.allocated_gpus)
+        if queue == len(self.queue_thresholds) or gpus <= 0:
+            return  # already in the last queue: no demotion left
+        bound = self._now() + (self.queue_thresholds[queue] - attained) / gpus
+        self._demote_at[job.job_id] = bound
+        heapq.heappush(self._demote_heap, (bound, job.job_id))
+
+    def _apply_due_demotions(self, now: float) -> None:
+        """Check the running jobs whose demotion bound has come (see ``_DEMOTION_SLACK``).
+
+        Each is settled by reading its service, repositioned if its queue
+        changed, and bounded afresh.
+        """
+        heap = self._demote_heap
+        horizon = now + abs(now) * _DEMOTION_SLACK
+        due = []
+        while heap and heap[0][0] <= horizon:
+            bound, job_id = heapq.heappop(heap)
+            if self._demote_at.get(job_id) == bound:
+                del self._demote_at[job_id]
+                due.append(job_id)
+        index = self._index
+        job_state = index.job_state
+        for job_id in due:
+            job = job_state.get(job_id)  # type: ignore[union-attr]
+            if index.running_key_of(job_id)[0] != self.queue_index(job):  # type: ignore[index]
+                index.reposition(job)
+            self._push_demotion_bound(job)
+
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
@@ -176,11 +239,8 @@ class TiresiasScheduling(SchedulingPolicy):
         now = getattr(job_state, "current_time", 0.0)
         self._index.bind(job_state)
         self._apply_due_promotions(now)
-
-        def running_key(job: Job):
-            return (self.queue_index(job), job.arrival_time, job.job_id)
-
-        return self._index.gang_entries(self._index.ordered(running_key=running_key))
+        self._apply_due_demotions(now)
+        return self._index.gang_entries()
 
     # ------------------------------------------------------------------
     # Event-aware fast-forward support
@@ -189,31 +249,29 @@ class TiresiasScheduling(SchedulingPolicy):
     def next_policy_event_time(
         self, job_state: JobState, cluster_state: ClusterState, now: float
     ) -> Optional[float]:
-        """Earliest queue-demotion crossing or starvation-promotion deadline.
+        """Earliest queue-demotion bound or starvation-promotion deadline.
 
-        Running jobs accrue attained service at exactly ``len(allocated_gpus)``
-        GPU-seconds per wall-clock second (a completion, which ends the
-        accrual, also ends the fast-forward stretch), so the crossing into the
-        next queue is closed-form.  Promotion deadlines come from the idle
-        heap.
+        Demotion bounds come from the running tier's heap (closed-form lower
+        bounds on each running job's next threshold crossing), promotion
+        deadlines from the idle heap.
         """
         if self._index.job_state is not job_state:
             return now  # not bound to this registry; no cached state to trust
-        earliest: Optional[float] = None
-        for job in self._index.running_jobs():
-            gpus = len(job.allocated_gpus)
-            if gpus <= 0:
-                continue
-            for threshold in self.queue_thresholds:
-                if job.attained_service < threshold:
-                    crossing = now + (threshold - job.attained_service) / gpus
-                    if earliest is None or crossing < earliest:
-                        earliest = crossing
-                    break
+        earliest = self._next_demotion_bound()
         promotion = self._next_promotion_deadline()
         if promotion is not None and (earliest is None or promotion < earliest):
             earliest = promotion
         return earliest
+
+    def _next_demotion_bound(self) -> Optional[float]:
+        """Peek the earliest still-valid demotion bound (pops stale entries)."""
+        heap = self._demote_heap
+        while heap:
+            bound, job_id = heap[0]
+            if self._demote_at.get(job_id) == bound:
+                return bound
+            heapq.heappop(heap)  # left the running tier, or re-bounded
+        return None
 
     def _next_promotion_deadline(self) -> Optional[float]:
         """Peek the earliest still-valid promotion deadline (pops stale entries)."""

@@ -399,8 +399,16 @@ class Simulator:
         self._stop_time: Optional[float] = None
 
         # Sanctioned skips that are batchable execute in the event core's one
-        # skip; everything else takes the per-round light loop below.
+        # skip; everything else takes the per-round light loop below.  Where
+        # the skip may run, running jobs' progress is deferred too: a full
+        # round then folds only the jobs whose completion round has come.
         self._event_core = EventCore(self)
+        self.execution_model.attach(
+            self.job_state,
+            self.manager.round_number,
+            self.manager.round_duration,
+            defer=self.fast_forward and self._stride_accelerable,
+        )
 
         # Telemetry is opt-in and read-only: the recorder hooks only observe
         # state (never draw RNG or mutate anything), so a traced run stays
@@ -443,14 +451,6 @@ class Simulator:
         if self.job_state.count_with_status(JobStatus.WAITING_ADMISSION):
             return False
         return True
-
-    def _prune_completed_jobs(self) -> List[Job]:
-        """Step 3 of the loop; a pruned job also gives up its probe and cached rate."""
-        released = self.manager.prune_completed_jobs(self.cluster_state, self.job_state)
-        for job in released:
-            self._event_core.forget(job.job_id)
-            self.execution_model.forget(job.job_id)
-        return released
 
     def _collect_metrics(self) -> None:
         """Step 7 of the loop; collectors read the application metrics."""
@@ -542,11 +542,11 @@ class Simulator:
         mgr = self.manager
         earliest: Optional[float] = None
         for job in self.job_state.running_jobs():
-            rate = self.execution_model.cached_rate(job, self.cluster_state)[0]
+            epoch = self.execution_model.epoch(job, self.cluster_state)
+            rate = epoch.rate
             if rate <= 0:
                 continue
-            target = self.execution_model.termination.work_target(job)
-            remaining = max(0.0, target - job.work_done)
+            remaining = max(0.0, epoch.target - job.work_done)
             finish = mgr.current_time + job.pending_overhead + remaining / rate
             if earliest is None or finish < earliest:
                 earliest = finish
@@ -672,7 +672,7 @@ class Simulator:
         ):
             mgr.advance_time()
             mgr.update_metrics(self.cluster_state, job_state)
-            released = self._prune_completed_jobs()
+            released = mgr.prune_completed_jobs(self.cluster_state, job_state)
             if self._tracked_all_finished():
                 return True
             # Keep the sanctioned "now" side-channel fresh for collectors,
@@ -746,7 +746,7 @@ class Simulator:
 
                 # 2./3. Progress from the previous round, then free completed jobs.
                 mgr.update_metrics(self.cluster_state, self.job_state)
-                self._prune_completed_jobs()
+                mgr.prune_completed_jobs(self.cluster_state, self.job_state)
 
                 if self._tracked_all_finished():
                     return True
@@ -797,8 +797,8 @@ class Simulator:
             return False
         finally:
             # Whoever regains control (a caller reading results, a federation
-            # pause, a checkpoint pickling this object) sees every job's
-            # application metrics written.
+            # pause, a checkpoint pickling this object) sees every job
+            # settled and its application metrics written.
             self.execution_model.publish_owed_metrics()
             self._wall_time += time.perf_counter() - wall_start
 

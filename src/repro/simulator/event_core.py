@@ -8,24 +8,22 @@ decides *whether* a skip is sanctioned (witnesses, policy bounds, admission
 quiescence) and how far it may reach -- and hands the sanctioned skip here.
 The clock then jumps from event to event:
 
-* upcoming **completions** are probed once per (job, allocation epoch) with
-  :meth:`~repro.simulator.execution.ExecutionModel.steady_scan`, the one
-  multi-round fold, and cached (resumably) in :class:`_CompletionProbe`
-  entries; a skip keeps them in a ``heapq`` of ``(round, job_id, job)`` tuples;
+* upcoming **completions** come from the execution model's completion heap:
+  each running job's epoch (see :mod:`repro.simulator.execution`) carries a
+  resumable probe -- :meth:`~repro.simulator.execution.ExecutionModel.steady_scan`,
+  the one multi-round fold -- that scans only as far as a skip needs;
 * **arrivals**, **cluster/timeline churn**, the **pause** of the running
   ``_advance_loop(stop_time)`` call (a federation routing event, a shadow
   run's horizon) and **policy events** are boundaries -- rounds at which the
   full loop must run again or stop;
 * the rounds *between* events carry no decisions by construction, so their
-  observable product -- the round log, the clock, and each running job's
-  progress accounting -- is materialised in batch: one run of the
-  :class:`~repro.simulator.engine.RoundLog` per segment, a computed clock
-  jump, and per job one fold written back
-  (:meth:`~repro.simulator.execution.ExecutionModel.adopt_steady`): the
-  probe's own when it stopped at the round the job is owed up to, a fresh
-  ``steady_scan`` from the job's state otherwise.  A completing round is one
-  ordinary ``advance_running`` round.  With no trace recorder attached, a
-  segment's records are O(1).
+  observable product -- the round log and the clock -- is materialised in
+  batch: one run of the :class:`~repro.simulator.engine.RoundLog` per
+  segment and a computed clock jump.  Running jobs' progress is deferred, so
+  a skip folds nothing: it advances the model's fold clock, and a job is
+  settled when something reads it.  A completing round is one ordinary
+  ``advance_running`` round over the completing jobs.  With no trace
+  recorder attached, a segment's records are O(1).
 
 The reference is the plain stepping loop (``fast_forward=False``), and
 bit-identity with it rests on three mechanisms the parity fuzz harness
@@ -48,64 +46,10 @@ exercises:
 
 from __future__ import annotations
 
-import heapq
 import math
-from typing import Dict, List, Optional, Tuple
 
-from repro.core.exceptions import SimulationError
-from repro.core.job import Job, JobStatus
+from repro.core.job import JobStatus
 from repro.telemetry.events import EVENT_ROUND
-
-
-class _CompletionProbe:
-    """Cached, resumable completion probe for one job.
-
-    The absolute round in which a running job completes is invariant while
-    its (membership version, allocation version, rate, work target) stamp
-    holds, because every execution path replays the same per-round fold from
-    the same history.  So the probe is taken once per allocation epoch,
-    scanning lazily only as far as the caller's current horizon needs, and
-    resumed from its saved ``(work, pending, attained)`` state when a later
-    call needs to see further.  For the same reason that state *is* the
-    job's state after round ``scanned_through`` -- once the completion is
-    found, the round before it -- which lets a skip write it back instead
-    of folding the rounds again.  It lives until the job is pruned
-    (:meth:`EventCore.forget`).
-    """
-
-    __slots__ = (
-        "membership",
-        "alloc",
-        "rate",
-        "target",
-        "event_round",
-        "scanned_through",
-        "work",
-        "pending",
-        "attained",
-    )
-
-    def __init__(
-        self,
-        membership: int,
-        alloc: int,
-        rate: float,
-        target: float,
-        scanned_through: int,
-        work: float,
-        pending: float,
-        attained: float,
-    ) -> None:
-        self.membership = membership
-        self.alloc = alloc
-        self.rate = rate
-        self.target = target
-        #: Absolute completion round once found; ``None`` while unknown.
-        self.event_round: Optional[int] = None
-        self.scanned_through = scanned_through
-        self.work = work
-        self.pending = pending
-        self.attained = attained
 
 
 class EventCore:
@@ -113,11 +57,6 @@ class EventCore:
 
     def __init__(self, sim) -> None:
         self.sim = sim
-        self._probes: Dict[int, _CompletionProbe] = {}
-
-    def forget(self, job_id: int) -> None:
-        """Drop the completion probe of a job that was pruned."""
-        self._probes.pop(job_id, None)
 
     # ------------------------------------------------------------------
     # Round arithmetic on the computed clock
@@ -208,99 +147,6 @@ class EventCore:
             )
 
     # ------------------------------------------------------------------
-    # Completion events
-    # ------------------------------------------------------------------
-
-    def _completion_event_round(self, job: Job, cap_round: int) -> Optional[int]:
-        """Absolute round in which ``job`` completes, or None if past ``cap_round``.
-
-        Every running job is probed, whatever its rate.  Cache-validated
-        against the job's version stamps; scans resume from the cached
-        state, so across a whole run each round of a job's life is probed at
-        most once per allocation epoch.
-        """
-        sim = self.sim
-        execution = sim.execution_model
-        cluster = sim.cluster_state
-        rate, _, num_gpus = execution.cached_rate(job, cluster)
-        target = execution.termination.work_target(job)
-        membership = cluster.membership_version
-        alloc = cluster.alloc_version(job.job_id)
-        probe = self._probes.get(job.job_id)
-        if (
-            probe is None
-            or probe.membership != membership
-            or probe.alloc != alloc
-            or probe.rate != rate
-            or probe.target != target
-        ):
-            probe = _CompletionProbe(
-                membership,
-                alloc,
-                rate,
-                target,
-                scanned_through=sim.manager.round_number,
-                work=job.work_done,
-                pending=job.pending_overhead,
-                attained=job.attained_service,
-            )
-            self._probes[job.job_id] = probe
-        if probe.event_round is None and cap_round > probe.scanned_through:
-            completing, probe.work, probe.pending, probe.attained = execution.steady_scan(
-                target,
-                rate,
-                sim.manager.round_duration,
-                num_gpus,
-                probe.work,
-                probe.pending,
-                probe.attained,
-                cap_round - probe.scanned_through,
-            )
-            if completing is None:
-                probe.scanned_through = cap_round
-            else:
-                probe.event_round = probe.scanned_through + completing
-                probe.scanned_through = probe.event_round - 1
-        if probe.event_round is not None and probe.event_round <= cap_round:
-            return probe.event_round
-        return None
-
-    def _catch_up(self, job: Job, from_round: int, through_round: int) -> None:
-        """Write a running job's skipped rounds ``from_round + 1 .. through_round``.
-
-        The job's own state is that of ``from_round``.  Adopts the probe's
-        fold when the probe stopped exactly at ``through_round``; otherwise
-        folds the rounds again from the job's own state, and that fold must
-        not complete.
-        """
-        if through_round == from_round:
-            return
-        sim = self.sim
-        execution = sim.execution_model
-        probe = self._probes[job.job_id]
-        if probe.scanned_through == through_round:
-            work, pending, attained = probe.work, probe.pending, probe.attained
-        else:
-            _, _, num_gpus = execution.cached_rate(job, sim.cluster_state)
-            completing, work, pending, attained = execution.steady_scan(
-                probe.target,
-                probe.rate,
-                sim.manager.round_duration,
-                num_gpus,
-                job.work_done,
-                job.pending_overhead,
-                job.attained_service,
-                through_round - from_round,
-            )
-            if completing is not None:
-                raise SimulationError(
-                    f"job {job.job_id} completed in skipped round "
-                    f"{from_round + completing}, before round {through_round}; "
-                    "event-core accounting diverged"
-                )
-        execution.adopt_steady(job, sim.cluster_state, work, pending, attained)
-
-    # ------------------------------------------------------------------
     # The skip executor (dispatch target of Simulator._fast_forward)
     # ------------------------------------------------------------------
 
@@ -312,20 +158,20 @@ class EventCore:
         (arrival, cluster event or policy event) or pause.  Returns whether every
         tracked job finished inside the skip.
 
-        * every running job's completion round (cache-amortised probes)
-          seeds a min-heap of ``(round, job_id, job)``;
+        * the execution model's completion heap names the next completion
+          round, resuming only the probes that have not scanned that far;
         * between completion rounds nothing observable changes: the round
-          records are appended in batch and job accounting is *deferred*;
+          records are appended in batch and progress stays deferred;
         * with ``through_completions`` (the gang witness: a completion cannot
           change a decision, so the skip chains on), at each completion
-          round exactly the completing jobs are materialised -- caught up to
-          the round before, then one ordinary ``advance_running`` round in
+          round exactly the completing jobs are folded -- settled to the
+          round before, then one ordinary ``advance_running`` round in
           ascending job id -- and pruned;
         * without it (the decision-stable witness: freed GPUs must go to a
           queued job in that very round), the skip ends at the round before
           the first completion;
-        * every still-running job is caught up once, when the skip ends
-          (arrival, cluster event, pause, policy event or the round budget).
+        * when the skip ends (arrival, cluster event, pause, policy event or
+          the round budget) the fold clock moves to its last round.
 
         With no running job only the round records accumulate.  A completion
         tied with a boundary round is not materialised here: the skip stops
@@ -334,77 +180,47 @@ class EventCore:
         sim = self.sim
         mgr = sim.manager
         job_state = sim.job_state
+        cluster = sim.cluster_state
         execution = sim.execution_model
         rd = mgr.round_duration
         entry_round = mgr.round_number
 
-        # The skip cannot extend past the horizon as of the entry round, so
-        # that is where probing stops.
+        # The skip cannot extend past the horizon as of the entry round.
         end = entry_round + self._rounds_until(horizon, sim.max_rounds - 1 - entry_round)
         if end == entry_round:
             return False
-
-        jobs = job_state.running_jobs()
-        completions: List[Tuple[int, int, Job]] = []
-        for job in jobs:
-            completing = self._completion_event_round(job, end)
-            if completing is not None:
-                completions.append((completing, job.job_id, job))
-        if completions and not through_completions:
-            end = min(completions)[0] - 1
-            if end == entry_round:
-                return False
-            completions = []
-        heapq.heapify(completions)
-
-        def finish() -> None:
-            # Jobs materialised mid-skip are exactly the completed ones, so
-            # every still-running job owes the same span.
-            for job in jobs:
-                if job.status is JobStatus.RUNNING:
-                    self._catch_up(job, entry_round, mgr.round_number)
-            job_state.current_time = mgr.current_time
+        if not through_completions:
+            first = execution.next_completion(end, cluster)
+            if first is not None:
+                end = first - 1
+                if end == entry_round:
+                    return False
 
         while True:
-            # Never past the probed rounds, should the horizon move out.
+            # Never past ``end``, should the horizon move out.
             segment_cap = min(
                 self._rounds_until(horizon, sim.max_rounds - 1 - mgr.round_number),
                 end - mgr.round_number,
             )
-            if not completions or completions[0][0] > mgr.round_number + segment_cap:
+            boundary = execution.next_completion(mgr.round_number + segment_cap, cluster)
+            if boundary is None:
                 # The next event is a boundary (or the round budget): skip
                 # straight to it and hand the loop back.
                 self._append_records(segment_cap)
-                finish()
+                execution.fold_through(mgr.round_number, cluster)
+                job_state.current_time = mgr.current_time
                 return False
-            boundary = completions[0][0]
             self._append_records(boundary - 1 - mgr.round_number)
             mgr.advance_time()
-            completing_jobs = []
-            while completions and completions[0][0] == boundary:
-                job = heapq.heappop(completions)[2]
-                self._catch_up(job, entry_round, boundary - 1)
-                completing_jobs.append(job)
-            execution.advance_running(
-                completing_jobs, sim.cluster_state, mgr.current_time - rd, rd
-            )
-            for job in completing_jobs:
-                if job.status is not JobStatus.COMPLETED:
-                    raise SimulationError(
-                        f"job {job.job_id} did not complete in its probed "
-                        f"round {boundary}; event-core accounting diverged"
-                    )
-            sim._prune_completed_jobs()
+            execution.fold_round(job_state, cluster, boundary, mgr.current_time - rd, rd)
+            mgr.prune_completed_jobs(cluster, job_state)
+            job_state.current_time = mgr.current_time
             if sim._tracked_all_finished():
                 # The simulation ends at this round exactly as the full loop
-                # would; materialise the remaining jobs' deferred rounds so
-                # their work/service accounting matches a per-round run.
-                finish()
+                # would; the remaining jobs settle when the loop returns.
                 return True
-            job_state.current_time = mgr.current_time
             sim._round_log.append(sim._round_record())
             if not job_state.count_active():
-                finish()
                 return False
             # The gang witness is preserved by construction (the remaining
             # jobs keep running on their exact gangs), so chain directly into

@@ -16,12 +16,14 @@ policies "on a common footing" as the paper argues.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, NamedTuple, Optional, Tuple
+import heapq
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.abstractions import TerminationPolicy
 from repro.core.cluster_state import ClusterState
 from repro.core.exceptions import SimulationError
 from repro.core.job import Job, JobStatus
+from repro.core.job_state import JobState, JobStateObserver
 from repro.simulator.overheads import OverheadModel
 
 #: Cross-node bandwidth (Gbps) at which a fragmented placement-sensitive job
@@ -44,25 +46,130 @@ def _blind_rounds(gap: float, rate: float, round_duration: float, left: int) -> 
     return int(max(0.0, min(left + 1.0, gap / rate / round_duration))) - 1
 
 
-class _Facts(NamedTuple):
-    """What a round needs of one job that only changes with its allocation.
+def _rounds_short(gap: float, rate: float, round_duration: float, target: float) -> int:
+    """Rounds from a state ``gap`` work short of ``target`` that surely cannot complete.
 
-    Valid for ``job`` on ``cluster`` while both version stamps hold; see
-    :meth:`ExecutionModel._facts`.
+    A round adds at most ``round_duration * rate`` work, and float rounding
+    can add to that and to the completion test at most a few ulps of
+    ``target``; both are covered by ``slack``, and one more round is given
+    up for the rounding of this bound itself.  Unlike :func:`_blind_rounds`
+    nothing tests the result afterwards, so it must hold even where each
+    add rounds up by a whole ulp.  A NaN gap gives none (probe now) and an
+    infinite one the cap; neither raises.
+    """
+    step = round_duration * rate
+    if not step > 0.0:
+        return 0
+    slack = (abs(target) + step) * 2.0**-50
+    return int(min(max(0.0, (gap - step - slack) / (step + slack)), 2.0**40)) - 1
+
+
+#: Rounds a completion probe scans past the round it was resumed for.  A probe
+#: is resumed only once its job could complete (:func:`_rounds_short`), so
+#: it usually finds the completion within these rounds.
+_PROBE_AHEAD = 16
+
+
+class _Epoch:
+    """What the model keeps of one running job for one allocation.
+
+    The facts a round needs that only change with the allocation -- rate,
+    fragmentation, GPU count, work target -- stamped with the job's
+    allocation version, and whether the application metrics of its latest
+    round are still owed.  A membership change reaches a running job only by
+    evicting it, which bumps that version, so the stamp alone keys the facts.
+
+    While the run defers progress (see :meth:`ExecutionModel.attach`) the
+    record is also the job's *epoch*, from the first fold after its launch
+    until it leaves RUNNING: the base state ``(work, pending, attained)`` it
+    had after fold round ``round``, and a resumable completion probe -- the
+    state after ``probe_round`` and, once found, the absolute round
+    ``completes`` in which it completes.  ``round`` is ``None`` for a record
+    whose job's fields are current (no deferral).  ``serial`` names the one
+    live completion-heap entry of the record (0: none).
     """
 
-    cluster: ClusterState
-    membership_version: int
-    alloc_version: int
-    rate: float
-    fragmented: bool
-    num_gpus: int
-    work_target: float
-    job: Job
+    __slots__ = (
+        "model", "job", "cluster", "alloc", "rate", "fragmented", "num_gpus",
+        "target", "owed", "round", "work", "pending", "attained", "probe_round",
+        "probe_work", "probe_pending", "probe_attained", "completes", "serial",
+    )
+
+    def __init__(self, model: "ExecutionModel", job: Job, cluster_state: ClusterState) -> None:
+        job_id = job.job_id
+        self.model = model
+        self.job = job
+        self.cluster = cluster_state
+        self.alloc = cluster_state.alloc_version(job_id)
+        self.rate = model.effective_rate(job, cluster_state)
+        self.fragmented = len(cluster_state.nodes_for_job(job_id)) > 1
+        self.num_gpus = cluster_state.num_gpus_for_job(job_id)
+        self.target = model.termination.work_target(job)
+        self.owed = False
+        self.round: Optional[int] = None
+        self.completes: Optional[int] = None
+        self.serial = 0
+
+    def settle(self) -> None:
+        """Bring the job's progress fields up to the fold clock (no-op when current).
+
+        The read path of a deferred job's ``work_done``,
+        ``attained_service`` and ``pending_overhead``.  Folds through
+        :meth:`ExecutionModel.steady_scan` (the probe's state when it stopped
+        exactly there), writes the three fields once, rebases the epoch, and
+        owes the application metrics as the folded rounds would, or --
+        stalled -- writes them.
+        """
+        model = self.model
+        fold_round = model._fold_round
+        if self.round == fold_round:
+            return
+        if self.probe_round == fold_round:
+            work, pending, attained = self.probe_work, self.probe_pending, self.probe_attained
+        else:
+            completing, work, pending, attained = model.steady_scan(
+                self.target,
+                self.rate,
+                model._round_duration,
+                self.num_gpus,
+                self.work,
+                self.pending,
+                self.attained,
+                fold_round - self.round,
+            )
+            if completing is not None:
+                raise SimulationError(
+                    f"job {self.job.job_id} completed in round {self.round + completing}, "
+                    f"before fold round {fold_round}; deferred progress diverged"
+                )
+        self.round = fold_round
+        self.work, self.pending, self.attained = work, pending, attained
+        self.job.store_progress(work, pending, attained)
+        if self.rate > 0:
+            self.owed = True
+        else:
+            model._publish(self.job, self.rate)
+
+    def rebase(self) -> None:
+        """Restart the epoch from the job's fields after a write to them."""
+        self.model._start(self, self.model._fold_round)
+
+    def flush(self) -> None:
+        """Settle the job and write the application metrics it is owed."""
+        if self.round is not None:
+            self.settle()
+        if self.owed:
+            self.owed = False
+            self.model._update_app_metrics(self.job, self.rate)
 
 
-class ExecutionModel:
-    """Advances running jobs through simulated time, one round at a time."""
+class ExecutionModel(JobStateObserver):
+    """Advances running jobs through simulated time.
+
+    Eagerly, one round at a time (:meth:`advance_running`), or -- attached to
+    a run that defers progress -- one epoch per running job, settled when
+    read (see :meth:`attach`).
+    """
 
     def __init__(
         self,
@@ -76,22 +183,37 @@ class ExecutionModel:
             termination_policy if termination_policy is not None else EpochBasedTermination()
         )
         #: Whether rates are drift-free.  A running job's effective rate is
-        #: then a pure function of its allocation and the cluster's
-        #: membership, both covered by the cluster's version stamps; per-round
-        #: jitter's RNG must be consumed exactly once per round instead.  The
-        #: rate cache and the simulator's skips both require it.
+        #: then a pure function of its allocation, so one record serves every
+        #: round of it; per-round jitter's RNG must be consumed exactly once
+        #: per round instead.  Deferred progress and the simulator's skips
+        #: both require it.
         self.jitter_free = (
             type(self.overheads).iteration_jitter is OverheadModel.iteration_jitter
         )
-        #: job id -> the job's allocation facts (see :meth:`_facts`), valid
-        #: until its allocation or the cluster membership changes.
-        self._rate_cache: Dict[int, _Facts] = {}
-        #: job id -> the facts of the job's latest round whose application
-        #: metrics :meth:`advance_running` has not written yet.  Nothing
-        #: reads those five values between rounds unless a collector runs or
-        #: the loop hands control back, so they are written then
-        #: (:meth:`publish_owed_metrics`) instead of once per job per round.
-        self._owed: Dict[int, _Facts] = {}
+        #: job id -> the record of the job's current allocation (see
+        #: :class:`_Epoch`); closed when the job leaves RUNNING.
+        self._records: Dict[int, _Epoch] = {}
+        #: job id -> the closed record whose application metrics are still
+        #: owed: nothing reads them before :meth:`publish_owed_metrics`, so
+        #: leaving RUNNING writes nothing.
+        self._owed: Dict[int, _Epoch] = {}
+        #: The registry this model observes, and its ``bind_epoch`` when it
+        #: last attached (a mismatch: the registry crossed a pickle).
+        self._job_state: Optional[JobState] = None
+        self._bound_epoch = -1
+        #: Whether progress on ``_job_state`` is deferred.
+        self._defer = False
+        #: The fold clock: the last round whose progress the eager loop would
+        #: have applied.  Settling folds a deferred job up to it.
+        self._fold_round = 0
+        self._round_duration = 0.0
+        #: Jobs that entered RUNNING since the last fold; their epochs open
+        #: at the next one.
+        self._opening: Dict[int, Job] = {}
+        #: Min-heap of ``(round, job_id, serial, record)``: a found completion
+        #: round, or the round by which a probe must scan further.
+        self._completions: List[Tuple[int, int, int, _Epoch]] = []
+        self._serial = 0
 
     # ------------------------------------------------------------------
     # Rate model
@@ -137,51 +259,294 @@ class ExecutionModel:
         jitter = self.overheads.iteration_jitter(job)
         return scaling * compute_factor * placement * cpu_factor * jitter
 
-    def _facts(self, job: Job, cluster_state: ClusterState) -> _Facts:
-        """The job's rate, fragmentation, GPU count and work target, memoized.
+    def epoch(self, job: Job, cluster_state: ClusterState) -> _Epoch:
+        """The record of the job's current allocation: rate, fragmentation, GPUs, target.
 
-        All four are pure functions of state covered by the cluster's version
-        stamps, so one entry serves every round until the job's allocation
-        or the cluster membership changes -- the same delta the rest of a
-        full round iterates over.  Recomputed on every call when the overhead
-        model has per-round jitter (the RNG draw must happen exactly once per
-        job per round).
+        One record serves every round until the job's allocation changes.
+        Recomputed on every call when the overhead model has per-round
+        jitter (the RNG draw must happen exactly once per job per round).
         """
         job_id = job.job_id
-        membership = cluster_state.membership_version
-        alloc = cluster_state.alloc_version(job_id)
-        if self.jitter_free:
-            entry = self._rate_cache.get(job_id)
-            if (
-                entry is not None
-                and entry.cluster is cluster_state
-                and entry.membership_version == membership
-                and entry.alloc_version == alloc
-                and entry.job is job
-            ):
-                return entry
-        entry = _Facts(
-            cluster_state,
-            membership,
-            alloc,
-            self.effective_rate(job, cluster_state),
-            len(cluster_state.nodes_for_job(job_id)) > 1,
-            cluster_state.num_gpus_for_job(job_id),
-            self.termination.work_target(job),
-            job,
+        record = self._records.get(job_id)
+        if (
+            record is not None
+            and record.job is job
+            and record.cluster is cluster_state
+            and record.alloc == cluster_state.alloc_version(job_id)
+            and self.jitter_free
+        ):
+            return record
+        if record is not None and record.owed:
+            self._owed[job_id] = record
+        record = self._records[job_id] = _Epoch(self, job, cluster_state)
+        return record
+
+    # ------------------------------------------------------------------
+    # The registry: where epochs open and close
+    # ------------------------------------------------------------------
+
+    def attach(
+        self, job_state: JobState, round_number: int, round_duration: float, defer: bool
+    ) -> None:
+        """Observe the run's registry, from fold round ``round_number`` on.
+
+        With ``defer`` (the simulator passes it where its skip executor may
+        run: drift-free rates, no metric collector, the stock clock), a
+        running job's progress is an epoch: one record and a completion-heap
+        entry, folded only when the job completes, leaves RUNNING or has its
+        progress read.  Otherwise :meth:`fold_round` folds every running job
+        every round.  Either way a job's record closes when it leaves
+        RUNNING, handing the application metrics it is owed to
+        :meth:`publish_owed_metrics`.
+        """
+        self.publish_owed_metrics()
+        for record in list(self._records.values()):
+            self._close(record)
+        if self._job_state is not None and self._job_state is not job_state:
+            self._job_state.remove_observer(self)
+        self._job_state = job_state
+        self._bound_epoch = -1
+        self._defer = defer and self.jitter_free
+        self._fold_round = round_number
+        self._round_duration = round_duration
+        self._opening = {}
+        self._completions = []
+        self._rebind()
+
+    def _rebind(self) -> None:
+        """Re-attach to the registry if it crossed a pickle (see ``bind_epoch``).
+
+        The copy holds no epoch (:meth:`__getstate__`), and every job was
+        settled as it was pickled, so each running job reopens one at the
+        next fold.
+        """
+        job_state = self._job_state
+        if job_state is None or job_state.bind_epoch == self._bound_epoch:
+            return
+        self._bound_epoch = job_state.bind_epoch
+        job_state.add_observer(self)
+        if self._defer:
+            for job in job_state.running_jobs():
+                if job.job_id not in self._records:
+                    self._opening[job.job_id] = job
+
+    def on_job_tracked(self, job: Job) -> None:
+        record = self._records.get(job.job_id)
+        if record is not None and record.job is not job:
+            self._close(record)
+        self._opening.pop(job.job_id, None)
+        if self._defer and job.status is JobStatus.RUNNING:
+            self._opening[job.job_id] = job
+
+    def on_status_change(self, job: Job, old: Optional[JobStatus], new: JobStatus) -> None:
+        if new is JobStatus.RUNNING:
+            if self._defer:
+                self._opening[job.job_id] = job
+        elif old is JobStatus.RUNNING:
+            self._opening.pop(job.job_id, None)
+            record = self._records.get(job.job_id)
+            if record is not None and record.job is job:
+                self._close(record)
+
+    def _close(self, record: _Epoch) -> None:
+        """End a record: settle its job, hand over what it is owed, forget it."""
+        job_id = record.job.job_id
+        if record.round is not None:
+            record.settle()
+            record.round = None
+            del record.job.__dict__["_epoch"]
+        record.serial = 0
+        if record.owed:
+            self._owed[job_id] = record
+        if self._records.get(job_id) is record:
+            del self._records[job_id]
+            if not self._records:
+                self._completions.clear()  # only stale entries are left
+
+    def __getstate__(self):
+        """No deferred state crosses a pickle.
+
+        Each job settles (and publishes) itself as it is pickled
+        (``Job.__getstate__``); the copy reopens the epochs when it next
+        folds (:meth:`_rebind`).
+        """
+        state = self.__dict__.copy()
+        if self._defer:
+            state["_records"] = {}
+            state["_opening"] = {}
+            state["_completions"] = []
+        return state
+
+    # ------------------------------------------------------------------
+    # Deferred epochs
+    # ------------------------------------------------------------------
+
+    def _open_pending(self, cluster_state: ClusterState) -> None:
+        """Open the epochs of the jobs that entered RUNNING since the last fold.
+
+        The base state is the job's own, at the fold clock; its launch
+        overhead is already in it.  Writes ``was_fragmented`` in the round
+        the eager loop first would.
+        """
+        if not self._opening:
+            return
+        fold_round = self._fold_round
+        records = self._records
+        for job_id, job in self._opening.items():
+            record = records.get(job_id)
+            if record is not None:
+                self._close(record)
+            record = records[job_id] = _Epoch(self, job, cluster_state)
+            if not record.num_gpus:
+                raise SimulationError(f"running job {job_id} holds no GPUs")
+            if record.fragmented:
+                job.metrics["was_fragmented"] = True
+            self._start(record, fold_round)
+            job.__dict__["_epoch"] = record
+        self._opening.clear()
+
+    def _start(self, record: _Epoch, fold_round: int) -> None:
+        """Base the epoch (and its probe) on the job's fields at ``fold_round``."""
+        state = record.job.__dict__  # current: the epoch is not open yet, or just settled
+        record.round = record.probe_round = fold_round
+        record.work = record.probe_work = state["_work_done"]
+        record.pending = record.probe_pending = state["_pending_overhead"]
+        record.attained = record.probe_attained = state["_attained_service"]
+        record.completes = None
+        self._wait(record)
+
+    def _wait(self, record: _Epoch) -> None:
+        """Queue the probe's resumption for the first round its job could complete.
+
+        A stalled job (non-positive rate) never completes and leaves the heap.
+        """
+        if record.rate <= 0:
+            record.serial = 0
+            return
+        short = _rounds_short(
+            record.target - record.probe_work, record.rate, self._round_duration, record.target
         )
-        if self.jitter_free:
-            self._rate_cache[job_id] = entry
-        return entry
+        self._push(record, record.probe_round + 1 + max(0, short))
 
-    def cached_rate(self, job: Job, cluster_state: ClusterState) -> Tuple[float, bool, int]:
-        """``(effective_rate, is_fragmented, num_gpus)``, memoized per allocation."""
-        facts = self._facts(job, cluster_state)
-        return facts.rate, facts.fragmented, facts.num_gpus
+    def _push(self, record: _Epoch, at: int) -> None:
+        self._serial += 1
+        record.serial = self._serial
+        heapq.heappush(self._completions, (at, record.job.job_id, self._serial, record))
 
-    def forget(self, job_id: int) -> None:
-        """Drop the cached facts of a job that was pruned."""
-        self._rate_cache.pop(job_id, None)
+    def _probe(self, record: _Epoch, through: int) -> None:
+        """Resume the record's completion probe up to round ``through``.
+
+        The probe's state is the job's state after ``probe_round``; once the
+        completion is found, after the round before it.
+        """
+        completing, record.probe_work, record.probe_pending, record.probe_attained = (
+            self.steady_scan(
+                record.target,
+                record.rate,
+                self._round_duration,
+                record.num_gpus,
+                record.probe_work,
+                record.probe_pending,
+                record.probe_attained,
+                through - record.probe_round,
+            )
+        )
+        if completing is not None:
+            record.completes = record.probe_round + completing
+            record.probe_round = record.completes - 1
+            self._push(record, record.completes)
+        else:
+            record.probe_round = through
+            self._wait(record)
+
+    def next_completion(self, cap_round: int, cluster_state: ClusterState) -> Optional[int]:
+        """The earliest round ``<= cap_round`` in which a running job completes.
+
+        ``None`` when no deferred job completes by then.  Opens pending
+        epochs and resumes only the probes that have not yet scanned that
+        far, so across a run each round of an epoch is probed at most once.
+        """
+        self._rebind()
+        self._open_pending(cluster_state)
+        heap = self._completions
+        while heap:
+            at, _, serial, record = heap[0]
+            if record.serial != serial:
+                heapq.heappop(heap)  # its job left RUNNING, or a newer entry exists
+            elif at > cap_round:
+                return None
+            elif record.completes is not None:
+                return at
+            else:
+                heapq.heappop(heap)
+                self._probe(record, cap_round)
+        return None
+
+    def fold_through(self, round_number: int, cluster_state: ClusterState) -> None:
+        """Advance the fold clock to ``round_number``; no job may complete by then."""
+        if self.next_completion(round_number, cluster_state) is not None:
+            raise SimulationError(
+                f"a job completes by round {round_number}; deferred progress diverged"
+            )
+        self._fold_round = round_number
+
+    def fold_round(
+        self,
+        job_state: JobState,
+        cluster_state: ClusterState,
+        round_number: int,
+        round_start: float,
+        round_duration: float,
+    ) -> None:
+        """Apply the progress of round ``round_number`` to the running set.
+
+        Eagerly, unless progress on ``job_state`` is deferred: then this
+        opens the epochs of jobs that entered RUNNING since the last fold,
+        settles each job whose probed completion round is ``round_number``
+        to the round before, and runs one ordinary :meth:`advance_running`
+        round over those jobs, in ascending id.  No other job is touched.
+        """
+        if job_state is self._job_state:
+            self._rebind()
+        if not self._defer or job_state is not self._job_state:
+            self.advance_running(
+                job_state.running_jobs(), cluster_state, round_start, round_duration
+            )
+            return
+        self._open_pending(cluster_state)
+        heap = self._completions
+        due: List[_Epoch] = []
+        while heap and heap[0][0] <= round_number:
+            at, _, serial, record = heapq.heappop(heap)
+            if record.serial != serial:
+                continue
+            if record.completes is None:
+                self._probe(record, round_number + _PROBE_AHEAD)
+            elif at == round_number:
+                due.append(record)
+            else:
+                raise SimulationError(
+                    f"job {record.job.job_id} completes in round {at}, already "
+                    f"folded (fold round {round_number}); deferred progress diverged"
+                )
+        if not due:
+            self._fold_round = round_number
+            return
+        self._fold_round = round_number - 1
+        for record in due:
+            record.settle()
+            record.round = None
+            record.serial = 0
+            del record.job.__dict__["_epoch"]
+        self._fold_round = round_number
+        jobs = [record.job for record in due]
+        self.advance_running(jobs, cluster_state, round_start, round_duration)
+        for job in jobs:
+            if job.status is not JobStatus.COMPLETED:
+                raise SimulationError(
+                    f"job {job.job_id} did not complete in its probed round "
+                    f"{round_number}; deferred progress diverged"
+                )
 
     # ------------------------------------------------------------------
     # Round advancement
@@ -194,24 +559,23 @@ class ExecutionModel:
         round_start: float,
         round_duration: float,
     ) -> None:
-        """Advance the running set across one round of wall-clock time.
+        """Advance jobs across one round of wall-clock time.
 
-        ``jobs`` must be RUNNING and in ascending job id (the order
-        ``JobState.running_jobs()`` yields): that order is the jitter-RNG
-        draw order, the progress-observer notification order and the order in
-        which completions flip status.  Updates ``work_done``,
-        ``attained_service`` and ``pending_overhead``; a job that reaches its
-        termination target is marked completed with a sub-round-accurate
-        completion time.  The five application metrics are *owed*, not
-        written, unless the job completes (observers of the transition may
-        read them) or stalls; see :meth:`publish_owed_metrics`.
+        ``jobs`` must be RUNNING, with current progress fields, and in
+        ascending job id (the order ``JobState.running_jobs()`` yields): that
+        order is the jitter-RNG draw order, the progress-observer
+        notification order and the order in which completions flip status.
+        Updates ``work_done``, ``attained_service`` and ``pending_overhead``;
+        a job that reaches its termination target is marked completed with
+        a sub-round-accurate completion time.  The five application metrics
+        are *owed*, not written, unless the job completes (observers of the
+        transition may read them) or stalls; see :meth:`publish_owed_metrics`.
 
         This is the one per-round fold: :meth:`advance` is its one-job call,
         and :meth:`steady_scan` replays exactly these floating-point
         operations in this order.
         """
-        facts = self._facts
-        owed = self._owed
+        epoch = self.epoch
         running = JobStatus.RUNNING
         for job in jobs:
             if job.status is not running:
@@ -219,24 +583,27 @@ class ExecutionModel:
                     f"cannot advance job {job.job_id} in status {job.status}"
                 )
             job_id = job.job_id
-            entry = facts(job, cluster_state)
-            rate = entry.rate
-            num_gpus = entry.num_gpus
+            record = epoch(job, cluster_state)
+            rate = record.rate
+            num_gpus = record.num_gpus
             if not num_gpus:
                 raise SimulationError(f"running job {job_id} holds no GPUs")
-            if entry.fragmented:
+            if record.fragmented:
                 job.metrics["was_fragmented"] = True
 
-            pending = job.pending_overhead
+            # The fold owns these jobs' progress (none is deferred), so it
+            # reads and writes the stored values without the descriptors.
+            state = job.__dict__
+            pending = state["_pending_overhead"]
             if pending:
                 overhead_used = min(pending, round_duration)
-                job.pending_overhead = pending - overhead_used
+                state["_pending_overhead"] = pending - overhead_used
                 available = round_duration - overhead_used
             else:
                 overhead_used = 0.0
                 available = round_duration
 
-            remaining = entry.work_target - job.work_done
+            remaining = record.target - state["_work_done"]
             if not remaining > 0.0:
                 remaining = 0.0
 
@@ -257,8 +624,9 @@ class ExecutionModel:
             job.add_progress(work, num_gpus * (compute_seconds + overhead_used))
 
             if rate > 0 and not completed:
-                owed[job_id] = entry
+                record.owed = True
                 continue
+            record.owed = False
             self._publish(job, rate)
             if completed:
                 # completion_time first: the status setter notifies JobState
@@ -283,7 +651,7 @@ class ExecutionModel:
         return job.status is JobStatus.COMPLETED
 
     def publish_owed_metrics(self) -> None:
-        """Write the application metrics :meth:`advance_running` still owes.
+        """Settle every deferred job and write the application metrics still owed.
 
         The values are pure functions of each job's current progress and the
         rate of its latest round, neither of which moves between rounds, so
@@ -291,10 +659,12 @@ class ExecutionModel:
         left.  The scheduling loop calls this before metric collectors run
         and whenever it returns.
         """
-        if self._owed:
-            for entry in self._owed.values():
-                self._update_app_metrics(entry.job, entry.rate)
-            self._owed.clear()
+        while self._owed:
+            _, record = self._owed.popitem()
+            record.owed = False
+            self._update_app_metrics(record.job, record.rate)
+        for record in list(self._records.values()):
+            record.flush()
 
     def _publish(self, job: Job, rate: float) -> None:
         """Write one job's application metrics now, settling any older debt."""
@@ -324,10 +694,10 @@ class ExecutionModel:
         where ``completing_round`` is 1-based within *this* scan or ``None``.
         The returned state is always a real job state: after ``max_rounds``
         rounds when nothing completes, else after the rounds *before* the
-        completing one.  A caller can resume the scan from it later -- the
-        event core's completion probes amortise probing this way -- write it
-        to the job (:meth:`adopt_steady`), and execute a completing round
-        with :meth:`advance_running`.
+        completing one.  A caller can resume the scan from it later -- an
+        epoch's completion probe amortises probing this way -- write it to
+        the job (settling an epoch), and execute a completing round with
+        :meth:`advance_running`.
 
         The per-round operations are identical, in identical order, to
         :meth:`advance_running` under a constant rate, so the fold is
@@ -361,7 +731,12 @@ class ExecutionModel:
         # overshot and the checked loop runs from the saved state.
         work_delta = round_duration * rate
         service_delta = num_gpus * (round_duration + 0.0)
-        blind = _blind_rounds(target - work, rate, round_duration, max_rounds - i + 1)
+        # With one round left the blind fold is the checked loop's one test.
+        blind = (
+            _blind_rounds(target - work, rate, round_duration, max_rounds - i + 1)
+            if i < max_rounds
+            else 0
+        )
         if blind > 0:
             blind_work, blind_attained = work, attained
             for _ in range(blind - 1):
@@ -378,37 +753,6 @@ class ExecutionModel:
             attained += service_delta
             i += 1
         return None, work, pending, attained
-
-    def adopt_steady(
-        self,
-        job: Job,
-        cluster_state: ClusterState,
-        work: float,
-        pending: float,
-        attained: float,
-    ) -> None:
-        """Write a non-completing fold :meth:`steady_scan` made to the job.
-
-        ``(work, pending, attained)`` must be a scan's state after exactly
-        the rounds the job is owed, with no completion among them; the job
-        then ends where that many :meth:`advance_running` rounds would leave
-        it.  The application metrics are owed, or for a stalled job written,
-        as those rounds would leave them.
-        """
-        if job.status is not JobStatus.RUNNING:
-            raise SimulationError(f"cannot advance job {job.job_id} in status {job.status}")
-        facts = self._facts(job, cluster_state)
-        if not facts.num_gpus:
-            raise SimulationError(f"running job {job.job_id} holds no GPUs")
-        if facts.fragmented:
-            job.metrics["was_fragmented"] = True
-        job.work_done = work
-        job.attained_service = attained
-        job.pending_overhead = pending
-        if facts.rate > 0:
-            self._owed[job.job_id] = facts
-        else:
-            self._publish(job, facts.rate)
 
     def _update_app_metrics(self, job: Job, rate: float) -> None:
         """Push the application-level metrics the paper's schedulers consume."""

@@ -3,8 +3,8 @@
 Covers the computed clock (``current_time == round_number * round_duration``
 through skips of any length, horizon counting against that product), the
 manager-subclass rule (an overridden ``advance_time`` keeps the per-round
-light loop), the completion-probe lifetime, the one skip's accounting (each
-skipped job-round folded once, a completion one ordinary round), and the
+light loop), the epoch lifetime, the one skip's accounting (nothing folded
+but completing jobs, each one ordinary round), and the
 simultaneous-event regression: an arrival, a completion and a cluster-churn
 firing all landing on the *same* round boundary must replay the stepping
 loop (``fast_forward=False``) bit-identically.
@@ -22,6 +22,7 @@ from repro.policies.scheduling import PolluxScheduling, TiresiasScheduling
 from repro.policies.scheduling.fifo import FifoScheduling
 from repro.scenarios.registry import get_scenario
 from repro.simulator.engine import Simulator
+from repro.simulator.execution import _Epoch
 from repro.telemetry.runspec import RunSpec
 from repro.workloads.philly import generate_philly_trace
 
@@ -135,31 +136,42 @@ def test_manager_overriding_advance_time_takes_the_light_loop():
 
 
 # ----------------------------------------------------------------------
-# Completion-probe lifetime
+# Epoch lifetime
 # ----------------------------------------------------------------------
+
+
+def live_heap_jobs(model):
+    """Job ids with a valid completion-heap entry (stale ones are popped lazily)."""
+    return {job_id for _, job_id, serial, epoch in model._completions if epoch.serial == serial}
 
 
 def per_job_state(sim):
     """Every id-keyed container a run keeps, by name."""
     policy = sim.scheduling_policy
+    model = sim.execution_model
     return {
-        "probes": sim._event_core._probes,
-        "rates": sim.execution_model._rate_cache,
-        "owed": sim.execution_model._owed,
+        "epochs": model._records,
+        "owed": model._owed,
+        "opening": model._opening,
+        "completion heap": live_heap_jobs(model),
         "entries": policy._index._entries,
         "wait clock": getattr(policy, "_last_run_time", {}),
+        "demotion bounds": getattr(policy, "_demote_at", {}),
     }
 
 
-def test_completion_probes_are_dropped_when_their_job_is_pruned():
+def test_epochs_are_dropped_when_their_job_leaves_running():
     """Pollux + churn takes the decision-stable path, which used to leak.
 
     Every other piece of per-job state has the same lifetime -- nothing
     outlives its job, everything is empty after a drained run and survives
     pickling at a pause -- so it is held to the same bound here: the
-    execution model's rate cache and owed application metrics, the
+    execution model's epoch records, queued opens and completion heap, the
     registry's newly-finished ids, and (under Tiresias, a gang policy) the
-    priority index's reused schedule entries and the policy's wait clock.
+    priority index's reused schedule entries and the policy's wait clock and
+    demotion bounds.  An epoch goes when its job leaves RUNNING -- evicted,
+    suspended or completed -- so at every pause the epochs are exactly the
+    running jobs.
     """
     for scheduling in (PolluxScheduling(), TiresiasScheduling()):
         compiled = get_scenario("failure-storm", smoke=True).compile(seed=5)
@@ -178,47 +190,61 @@ def test_completion_probes_are_dropped_when_their_job_is_pruned():
         for step in range(1, 9):
             sim._advance_loop(step * last_arrival / 8)
             unfinished = {job.job_id for job in sim.job_state.active_jobs()}
+            running = {job.job_id for job in sim.job_state.running_jobs()}
+            model = sim.execution_model
             for name, kept in per_job_state(sim).items():
                 peak[name] = max(peak[name], len(kept))
                 assert set(kept) <= unfinished, name
-            # A pause hands control back: nothing is owed, nothing unpruned.
-            assert not sim.execution_model._owed
+            assert set(model._records) | set(model._opening) == running
+            # A pause hands control back: everything settled, nothing owed,
+            # nothing unpruned.
+            assert not model._owed
+            assert not any(epoch.owed for epoch in model._records.values())
+            assert all(
+                epoch.round == model._fold_round for epoch in model._records.values()
+            )
             assert not sim.job_state._newly_finished
             if step == 4:
                 resumed = pickle.loads(pickle.dumps(sim))
+                assert not resumed.execution_model._records
+                assert all("_epoch" not in job.__dict__ for job in resumed.job_state.all_jobs())
         assert sim._advance_loop(None) is True
         assert resumed._advance_loop(None) is True
         assert_identical(sim.build_result(), resumed.build_result())
-        assert peak["probes"] > 0 and peak["rates"] > 0
+        assert peak["epochs"] > 0 and peak["completion heap"] > 0
         if isinstance(scheduling, TiresiasScheduling):
             assert peak["entries"] > 0 and peak["wait clock"] > 0
+            assert peak["demotion bounds"] > 0
         for drained in (sim, resumed):
             assert not drained.job_state.count_with_status(JobStatus.RUNNING)
             assert not drained.job_state._newly_finished
+            assert not drained.execution_model._completions
             for name, kept in per_job_state(drained).items():
                 assert not kept, name
 
 
 # ----------------------------------------------------------------------
-# The one skip: each skipped job-round folded once
+# The one skip: a skip folds nothing but completing jobs
 # ----------------------------------------------------------------------
 
 
-def trace_skips(sim):
+def trace_skips(sim, monkeypatch):
     """Wrap ``sim``'s skip executor; returns what its skips did.
 
     ``skips``: ``(through_completions, end round, earliest probed completion
-    of a still-running job)`` per skip.  ``catch_ups``: ``(completes next
-    round, refolded)`` per job caught up, where refolded means a fresh
-    ``steady_scan`` instead of the probe's fold.  ``completed`` /
-    ``advanced``: the ids that completed inside a skip, and that
-    ``advance_running`` ran inside one.
+    of a still-running job)`` per skip.  ``settles``: ``(skip, refolded)``
+    per settle, where ``skip`` is the ``through_completions`` of the skip it
+    ran in (``None``: outside one) and refolded means a fresh
+    ``steady_scan`` instead of the probe's state.  ``completed`` / ``advanced``: the ids
+    that completed inside a skip, and that ``advance_running`` ran inside
+    one.
     """
     core, execution = sim._event_core, sim.execution_model
-    skip, catch_up = core.skip, core._catch_up
+    skip, settle = core.skip, _Epoch.settle
     scan, advance_running = execution.steady_scan, execution.advance_running
-    trace = {"skips": [], "catch_ups": [], "completed": set(), "advanced": set()}
-    scans = []  # one list per open skip / catch-up
+    trace = {"skips": [], "settles": [], "completed": set(), "advanced": set()}
+    skipping = []
+    scans = []  # one list per open settle
 
     def completed():
         return {
@@ -229,26 +255,29 @@ def trace_skips(sim):
 
     def traced_skip(horizon, through_completions=True):
         before = completed()
-        scans.append([])
+        skipping.append(through_completions)
         try:
             return skip(horizon, through_completions)
         finally:
-            scans.pop()
+            skipping.pop()
             trace["completed"] |= completed() - before
-            # A skip with no round to skip returns before probing.
-            probes = [core._probes.get(job.job_id) for job in sim.job_state.running_jobs()]
-            upcoming = [p.event_round for p in probes if p and p.event_round is not None]
+            upcoming = [
+                epoch.completes
+                for epoch in execution._records.values()
+                if epoch.completes is not None and epoch.round is not None
+            ]
             trace["skips"].append(
                 (through_completions, sim.manager.round_number, min(upcoming, default=None))
             )
 
-    def traced_catch_up(job, from_round, through_round):
-        completes_next = core._probes[job.job_id].event_round == through_round + 1
+    def traced_settle(epoch):
+        if epoch.round == epoch.model._fold_round:
+            return  # already settled: nothing folds
         scans.append([])
         try:
-            catch_up(job, from_round, through_round)
+            settle(epoch)
         finally:
-            trace["catch_ups"].append((completes_next, bool(scans.pop())))
+            trace["settles"].append((skipping[-1] if skipping else None, bool(scans.pop())))
 
     def traced_scan(*args):
         if scans:
@@ -257,11 +286,12 @@ def trace_skips(sim):
 
     def traced_advance_running(jobs, *args):
         jobs = list(jobs)
-        if scans:
+        if skipping:
             trace["advanced"].update(job.job_id for job in jobs)
         advance_running(jobs, *args)
 
-    core.skip, core._catch_up = traced_skip, traced_catch_up
+    core.skip = traced_skip
+    monkeypatch.setattr(_Epoch, "settle", traced_settle)
     execution.steady_scan = traced_scan
     execution.advance_running = traced_advance_running
     return trace
@@ -279,11 +309,11 @@ def accounting(result):
     }
 
 
-def test_low_load_skips_fold_each_job_round_once():
-    """Gang skips run through completions with no refold.
+def test_low_load_skips_fold_only_completing_jobs(monkeypatch):
+    """Gang skips run through completions and fold nothing else.
 
-    Every catch-up adopts its probe's fold, and every job that completes
-    inside a skip completes in an ordinary ``advance_running`` round.
+    A job settles inside a skip only to complete, from its probe's state
+    (no refold), in an ordinary ``advance_running`` round.
     """
 
     def low_load_fifo(fast_forward=True):
@@ -297,36 +327,36 @@ def test_low_load_skips_fold_each_job_round_once():
         )
 
     sim = low_load_fifo()
-    trace = trace_skips(sim)
+    trace = trace_skips(sim, monkeypatch)
     result = sim.run()
     stepping = low_load_fifo(fast_forward=False).run()
     assert all(through for through, _, _ in trace["skips"])
-    assert trace["catch_ups"]
-    assert not any(refolded for _, refolded in trace["catch_ups"])
+    inside = [refolded for skip, refolded in trace["settles"] if skip is not None]
+    assert inside and not any(inside)
+    assert len(inside) == len(trace["completed"])
     assert trace["completed"] and trace["completed"] == trace["advanced"]
     assert accounting(result) == accounting(stepping)
     assert result.round_log == stepping.round_log
 
 
 @pytest.mark.parametrize("policy", ["pollux", "tiresias"])
-def test_decision_stable_skip_stops_before_the_first_completion(policy):
+def test_decision_stable_skip_stops_before_the_first_completion(policy, monkeypatch):
     """The skip ends at the round before the first probed completion.
 
-    The job completing next adopts its probe's fold (the probe stopped at
-    the round before its completion); jobs whose probes scanned on refold
-    from their own state.
+    Nothing is folded inside a decision-stable skip: the job completing next
+    settles in the full round after it, from its probe's state.
     """
     spec = RunSpec(policy=policy, seed=3)
     sim = spec.build()
-    trace = trace_skips(sim)
+    trace = trace_skips(sim, monkeypatch)
     result = sim.run()
     stable = [(end, upcoming) for through, end, upcoming in trace["skips"] if not through]
     assert stable
     assert all(upcoming is None or upcoming > end for end, upcoming in stable)
     assert any(upcoming == end + 1 for end, upcoming in stable)
-    assert any(completes_next for completes_next, _ in trace["catch_ups"])
-    assert not any(refolded for completes_next, refolded in trace["catch_ups"] if completes_next)
-    assert any(refolded for _, refolded in trace["catch_ups"])
+    assert not any(skip is False for skip, _ in trace["settles"])
+    assert any(not refolded for _, refolded in trace["settles"])
+    assert any(refolded for _, refolded in trace["settles"])
     stepping = spec.build(fast_forward=False).run()
     assert accounting(result) == accounting(stepping)
     assert result.round_log == stepping.round_log

@@ -1,9 +1,9 @@
 """Direct differential tests for the one multi-round fold of ``ExecutionModel``.
 
 ``advance`` (one round) is the stepping reference; ``steady_scan`` is the one
-multi-round fold the skip executor uses -- as a completion probe, and written
-back with ``adopt_steady`` -- and a completing round is one ordinary
-``advance_running`` round.  The end-to-end parity suites compare whole runs;
+multi-round fold deferred progress uses -- as an epoch's completion probe,
+and written back when the epoch settles -- and a completing round is one
+ordinary ``advance_running`` round.  The end-to-end parity suites compare whole runs;
 these compare the fold with stepping job by job on seeded random states, bit
 for bit (3,000 seeds under ``pytest --fuzz``), and keep numpy off the
 simulation path.
@@ -19,7 +19,8 @@ import pytest
 
 from repro.cluster.builder import build_cluster
 from repro.core.job import Job, JobStatus
-from repro.simulator.execution import ExecutionModel, _blind_rounds
+from repro.core.job_state import JobState
+from repro.simulator.execution import ExecutionModel, _blind_rounds, _rounds_short
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -99,12 +100,12 @@ def step_reference(seed):
 
 
 def scan(model, job, cluster, rd, rounds):
-    rate, _, num_gpus = model.cached_rate(job, cluster)
+    epoch = model.epoch(job, cluster)
     return model.steady_scan(
-        model.termination.work_target(job),
-        rate,
+        epoch.target,
+        epoch.rate,
         rd,
-        num_gpus,
+        epoch.num_gpus,
         job.work_done,
         job.pending_overhead,
         job.attained_service,
@@ -112,17 +113,23 @@ def scan(model, job, cluster, rd, rounds):
     )
 
 
-def fold(seed, rounds):
-    """``rounds`` rounds as the skip executor runs them: scan, adopt, and one
-    ``advance_running`` round if the last of them completes."""
-    job, cluster, rd, model = make_case(seed)
-    found, work, pending, attained = scan(model, job, cluster, rd, rounds)
-    assert found in (None, rounds)
-    if found != 1:
-        model.adopt_steady(job, cluster, work, pending, attained)
-    if found is not None:
-        model.advance_running([job], cluster, (BASE_ROUND + rounds - 1) * rd, rd)
-    model.publish_owed_metrics()  # a fold owes its metrics like a round does
+def defer(job, cluster, rd, model):
+    """Attach ``model`` to a registry holding ``job`` with progress deferred."""
+    job_state = JobState()
+    job_state.track(job)
+    model.attach(job_state, BASE_ROUND, rd, defer=True)
+    return job_state
+
+
+def fold(job, cluster, rd, model, rounds):
+    """``rounds`` rounds as deferred progress runs them: the fold clock moves
+    over the first ``rounds - 1``, the last is folded (one ``advance_running``
+    round if the job completes in it), and reading the job settles it."""
+    job_state = defer(job, cluster, rd, model)
+    if rounds > 1:
+        model.fold_through(BASE_ROUND + rounds - 1, cluster)
+    model.fold_round(job_state, cluster, BASE_ROUND + rounds, (BASE_ROUND + rounds - 1) * rd, rd)
+    model.publish_owed_metrics()  # a settled epoch owes its metrics like a round does
     return job
 
 
@@ -133,11 +140,16 @@ def check_fold_matches_stepping(seed):
     rng = random.Random(seed ^ 0x5EED)
     last = len(states)
     for rounds in sorted({1, last, max(1, last - 1), rng.randint(1, last), rng.randint(1, last)}):
-        assert snapshot(fold(seed, rounds)) == stepped[rounds], (seed, rounds)
+        assert snapshot(fold(*make_case(seed), rounds)) == stepped[rounds], (seed, rounds)
 
     # A full-length scan names the completing round and holds the stepped
     # state of the round before it (of its last round when none completes).
     job, cluster, rd, model = make_case(seed)
+    epoch = model.epoch(job, cluster)
+    if completing is not None:
+        # A probe resumes no later than the first round that could complete.
+        short = _rounds_short(epoch.target - job.work_done, epoch.rate, rd, epoch.target)
+        assert short < completing, (seed, short, completing)
     found, work, pending, attained = scan(model, job, cluster, rd, MAX_ROUNDS)
     assert found == completing, seed
     expected = stepped[MAX_ROUNDS if found is None else found - 1]
@@ -163,7 +175,7 @@ def drained_arm(seed):
     rounds, every round tested.  ``None`` when the scan never gets there.
     """
     job, cluster, rd, model = make_case(seed)
-    rate, _, _ = model.cached_rate(job, cluster)
+    rate = model.epoch(job, cluster).rate
     states, completing = step_reference(seed)
     stepped = [snapshot(job)] + states
     drained = next(
@@ -229,21 +241,24 @@ def test_blind_overshoot_falls_back_to_the_checked_loop():
     rd = 3.0
     stepped, cluster = overshooting_job()
     model = half_rate()
-    rate = model.cached_rate(stepped, cluster)[0]
+    rate = model.epoch(stepped, cluster).rate
     assert rd * rate == 1.5 and 1e16 + 1.5 == 1e16 + 2.0
     completing = next(
-        index for index in range(1, 200) if model.advance(stepped, cluster, index * rd, rd)
+        index
+        for index in range(1, 200)
+        if model.advance(stepped, cluster, (BASE_ROUND + index - 1) * rd, rd)
     )
     assert completing == 76
     assert _blind_rounds(150.0, rate, rd, 1000) >= completing  # the estimate overshoots
+    assert _rounds_short(150.0, rate, rd, 1e16 + 150.0) < completing  # the bound does not
 
     job, cluster = overshooting_job()
     model = half_rate()
-    found, work, pending, attained = scan(model, job, cluster, rd, 1000)
+    found, _, _, _ = scan(model, job, cluster, rd, 1000)
     assert found == completing
-    model.adopt_steady(job, cluster, work, pending, attained)
-    model.advance_running([job], cluster, completing * rd, rd)
-    assert snapshot(job) == snapshot(stepped)
+    # The epoch's probe and settle both scan past the overshoot.
+    job, cluster = overshooting_job()
+    assert snapshot(fold(job, cluster, rd, half_rate(), completing)) == snapshot(stepped)
 
 
 @pytest.mark.parametrize("pending", [0.0, 450.0])
@@ -264,15 +279,14 @@ def test_zero_rate_job_is_a_no_op_of_any_length(pending):
     model = stalled()
     for index in range(50):
         assert model.advance(stepped, cluster, index * 300.0, 300.0) is False
-    # A zero-rate scan drains the overhead and returns: the long scan must
+    # A zero-rate scan drains the overhead and returns: the long settle must
     # not cost a loop per round.
     for rounds in (50, 10**9):
         job, cluster = zero_rate_job()
         model = stalled()
-        found, work, pending_left, attained = scan(model, job, cluster, 300.0, rounds)
+        found, _, _, _ = scan(model, job, cluster, 300.0, rounds)
         assert found is None
-        model.adopt_steady(job, cluster, work, pending_left, attained)
-        assert snapshot(job) == snapshot(stepped)
+        assert snapshot(fold(job, cluster, 300.0, model, rounds)) == snapshot(stepped)
     assert stepped.work_done == 1234.5
     assert stepped.attained_service == 2 * pending
 

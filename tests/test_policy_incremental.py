@@ -30,6 +30,7 @@ from repro.policies.scheduling import (
     LasScheduling,
     PolluxScheduling,
     SrtfScheduling,
+    SynergyScheduling,
     TiresiasScheduling,
 )
 from repro.policies.scheduling.priority_index import RunnablePriorityIndex
@@ -121,6 +122,71 @@ def test_fast_forward_parity_for_event_aware_policies(trace, factory):
     with_skip = run(trace, factory(), fast_forward=True)
     without_skip = run(trace, factory(), fast_forward=False)
     assert_identical(without_skip, with_skip)
+
+
+# ----------------------------------------------------------------------
+# Kept-sorted running tiers (policies built with a running_key)
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        FifoScheduling,
+        SynergyScheduling,
+        PolluxScheduling,
+        TiresiasScheduling,
+        lambda: TiresiasScheduling(
+            queue_thresholds=(900.0, 3600.0), starvation_promote_after=1800.0
+        ),
+    ],
+    ids=["fifo", "synergy", "pollux", "tiresias", "tiresias-starve"],
+)
+def test_running_tier_equals_a_fresh_sort_after_every_schedule(trace, factory):
+    """``check_invariants`` re-sorts the running tier by ``running_key`` over
+    settled progress; a kept tier must equal it after every ``schedule()``."""
+    policy = factory()
+    index = policy._index
+    schedule = policy.schedule
+    repositioned = []
+    reposition = index.reposition
+
+    def checked_schedule(job_state, cluster_state):
+        entries = schedule(job_state, cluster_state)
+        index.check_invariants()
+        return entries
+
+    def counted_reposition(job):
+        repositioned.append(job.job_id in index._running_keys)
+        reposition(job)
+
+    policy.schedule = checked_schedule
+    index.reposition = counted_reposition
+    result = run(trace, policy)
+    assert len(result.finished_jobs()) == 120
+    if isinstance(policy, TiresiasScheduling):
+        assert any(repositioned), "no running job was demoted"
+
+
+def test_tiresias_checks_a_demotion_bound_with_slack():
+    """Float drift may carry accumulated service over a threshold a hair before
+    the closed-form bound; the check runs early enough to move the key."""
+    job_state = JobState()
+    cluster = build_256gpu_cluster()
+    policy = TiresiasScheduling(queue_thresholds=(1000.0,))
+    job, other = make_job(gpus=1), make_job(arrival=1.0, gpus=1)
+    job_state.add_new_jobs([job, other])
+    list(policy.schedule(job_state, cluster))
+    for running, gpu in ((job, 0), (other, 1)):
+        cluster.assign(running.job_id, [gpu])
+        running.allocated_gpus = [gpu]
+        running.status = JobStatus.RUNNING
+    assert policy.next_policy_event_time(job_state, cluster, 0.0) == 1000.0
+    job.attained_service = 1000.0  # drifted past the threshold ...
+    job_state.current_time = 1000.0 - 1e-9  # ... while the clock is short of the bound
+    order = [entry.job_id for entry in policy.schedule(job_state, cluster)]
+    policy._index.check_invariants()
+    assert order == [other.job_id, job.job_id]
 
 
 def test_fast_forward_parity_with_cluster_failure_under_tiresias(trace):

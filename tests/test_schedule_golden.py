@@ -204,11 +204,17 @@ def test_schedule_matches_the_recorded_hash(case_id):
 
 
 class EagerMetrics(ExecutionModel):
-    """Writes the application metrics once per job per round: the reference."""
+    """Settles every job and writes its application metrics every round: the reference."""
 
-    def advance_running(self, *args):
-        super().advance_running(*args)
+    def fold_round(self, *args):
+        super().fold_round(*args)
         self.publish_owed_metrics()
+
+
+def unwritten(model):
+    """Records whose application metrics may lag: owed, or progress deferred."""
+    open_epochs = model._records.values()
+    return len(model._owed) + sum(1 for epoch in open_epochs if epoch.owed or epoch.round is not None)
 
 
 def metrics_of(jobs):
@@ -224,7 +230,7 @@ class CompletionWitness(JobStateObserver):
         self.most_owed = 0
 
     def on_status_change(self, job, old, new):
-        self.most_owed = max(self.most_owed, len(self.model._owed))
+        self.most_owed = max(self.most_owed, unwritten(self.model))
         if new is JobStatus.COMPLETED:
             self.seen += metrics_of([job])
 
