@@ -114,18 +114,24 @@ HOT_PATH_FUNCTIONS: FrozenSet[str] = frozenset(
         "repro/simulator/event_core.py::EventCore.skip",
         "repro/simulator/event_core.py::EventCore._rounds_until",
         # A full round's schedule -> place path: the priority stream, the
-        # elastic water-fills and the placement walk that pulls from them.
+        # elastic water-fills, the schedules' own selections and the
+        # placement walk every other schedule takes.
         "repro/policies/scheduling/priority_index.py::RunnablePriorityIndex.ordered",
         "repro/policies/scheduling/priority_index.py::RunnablePriorityIndex.gang_entries",
+        "repro/policies/scheduling/priority_index.py::GangStream.select",
         "repro/policies/scheduling/priority_index.py::_merge_entries",
         "repro/policies/scheduling/pollux.py::PolluxScheduling.schedule",
+        "repro/policies/scheduling/pollux.py::_water_fill",
+        "repro/policies/scheduling/pollux.py::PolluxAllocation.select",
         "repro/policies/scheduling/optimus.py::OptimusScheduling.schedule",
         "repro/policies/placement/base.py::BasePlacementPolicy.place",
+        "repro/policies/placement/base.py::walk_schedule",
         # The free-count index and the placement view's reads of it: called
         # per launch (queries) or per GPU assigned / freed (maintenance).
         "repro/core/cluster_state.py::ClusterState._refile",
         "repro/policies/placement/base.py::AvailabilityView._refile",
         "repro/policies/placement/base.py::AvailabilityView._free_list",
+        "repro/policies/placement/base.py::AvailabilityView.node_ids",
         "repro/policies/placement/base.py::AvailabilityView.best_fit",
         "repro/policies/placement/base.py::AvailabilityView.nodes_by_free_count",
         "repro/policies/placement/base.py::AvailabilityView.free_on_node",

@@ -131,6 +131,17 @@ class SchedulingPolicy:
     promotions) happens when ``schedule`` is called, not as
     the stream is read.
 
+    A schedule that knows its own order may carry ``select(remaining,
+    held) -> (selected, suspended)``, placement's selection answered without
+    iterating: ``selected`` maps job id -> demand for the entries the
+    placement walk would take but not keep, in stream order (GPU choice
+    depends on launch order), and ``suspended`` holds the running ids it
+    would not keep.  It must equal
+    :func:`~repro.policies.placement.base.walk_schedule` over
+    ``iter(schedule)`` at the same ``remaining`` GPUs and ``held`` (job id
+    -> GPU ids held).  Placement calls it when present; a schedule wrapped
+    in a generator or any other iterable falls back to the walk.
+
     Progress (``work_done``, ``attained_service``, ``pending_overhead``) reads
     current on every job when ``schedule`` runs (a job whose progress is
     deferred settles on the read).  The five application metrics

@@ -1,18 +1,17 @@
 """Shared gang-placement machinery used by every placement policy.
 
-The placement abstraction receives the priority list produced by the scheduling
-policy and must answer two questions every round: which jobs run (given finite
-GPUs) and exactly which GPUs they run on.  The answer also implies which
-currently running jobs must be suspended.  :class:`BasePlacementPolicy`
-implements this round logic once; concrete policies only override
-:meth:`BasePlacementPolicy.select_gpus`, the part that differs between
-first-free, consolidated, skew-based, profile-based and bandwidth-aware
-placement.
+Every round placement answers which jobs run (given finite GPUs), which
+running jobs are suspended, and exactly which GPUs the rest run on.
+:class:`BasePlacementPolicy` implements this round once, with
+:func:`walk_schedule` as the reference selection; concrete policies only
+override :meth:`BasePlacementPolicy.select_gpus`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from bisect import bisect_left
+from typing import AbstractSet, Dict, Iterable, Iterator, List, Mapping
+from typing import Optional, Sequence, Set, Tuple
 
 from repro.cluster.node import GPU
 from repro.core.abstractions import PlacementDecision, PlacementPolicy, ScheduleEntry
@@ -25,10 +24,8 @@ from repro.core.job_state import JobState
 class AvailabilityView:
     """Tracks which GPUs are available during one placement computation.
 
-    The view holds the GPUs that are currently free on healthy nodes plus the
-    GPUs of jobs the policy has decided to suspend this round, and is consumed
-    as the policy hands out allocations.
-
+    The view holds the GPUs free on healthy nodes plus those of the jobs
+    suspended this round, and is consumed as allocations are handed out.
     It is an overlay on the cluster's free-count index
     (:meth:`ClusterState.free_count_buckets`): it keeps its own free list
     only for the nodes this round touches -- nodes that get GPUs back from a
@@ -47,6 +44,7 @@ class AvailabilityView:
         self._owned: Set[int] = set()
         #: Free GPUs (local-id order) of the nodes this view has touched.
         self._lists: Dict[int, List[GPU]] = {}
+        self._sorted: Optional[List[int]] = None  # see node_ids
         self._total = cluster_state.num_free_gpus()
         returned: Dict[int, Set[int]] = {}
         for gpu_id in extra_gpu_ids:
@@ -89,8 +87,11 @@ class AvailabilityView:
         return self._total
 
     def node_ids(self) -> List[int]:
-        """Every node with a free GPU, ascending (a full sort: not per launch)."""
-        return sorted(n for bucket in self._buckets.values() for n in bucket)
+        """Every node with a free GPU, ascending: the live list, sorted once
+        per view and shrunk by :meth:`take`.  Do not :meth:`take` while iterating."""
+        if self._sorted is None:
+            self._sorted = sorted(n for bucket in self._buckets.values() for n in bucket)
+        return self._sorted
 
     def free_on_node(self, node_id: int) -> List[GPU]:
         return list(self._free_list(node_id))
@@ -150,29 +151,24 @@ class AvailabilityView:
             self._lists[node_id] = remaining
             self._total -= before - len(remaining)
             self._refile(node_id, before, len(remaining))
+            if not remaining and self._sorted is not None:
+                del self._sorted[bisect_left(self._sorted, node_id)]
 
 
 class BasePlacementPolicy(PlacementPolicy):
     """Round logic shared by all placement policies.
 
-    The placement proceeds in three steps:
-
-    1. *Selection*: pull from the schedule and select jobs while GPUs remain
-       (the scheduling policy controls ordering and may itself truncate the
-       stream, e.g. strict FIFO).  The schedule is read once and only as far
-       as the healthy GPUs last; nothing is mutated before the walk ends.
-    2. *Suspension*: running jobs that were not selected, or whose GPU demand
-       changed, are suspended; their GPUs become available.  The walk
-       already knows which selected jobs are kept, so this is a set
-       difference, not a second pass over the running set.
-    3. *Allocation*: selected jobs that are not already running with the right
-       allocation receive concrete GPUs via :meth:`select_gpus`.
+    1. *Selection*: which jobs run -- the schedule's own ``select`` if it has
+       one, else :func:`walk_schedule` over it (a wrapped stream walks).
+       Nothing is mutated before it ends.
+    2. *Suspension*: running jobs not kept by the selection are suspended;
+       their GPUs become available.
+    3. *Allocation*: selected jobs receive concrete GPUs via
+       :meth:`select_gpus`, in selection order.
 
     The decision is the round's *delta*: a running job whose demand is
     unchanged keeps its GPUs by being named in neither ``to_suspend`` nor
-    ``to_launch`` (see :class:`~repro.core.abstractions.PlacementDecision`),
-    so a saturated steady round costs the selection walk over the jobs that
-    fit and nothing per kept job beyond one dictionary probe.
+    ``to_launch`` (see :class:`~repro.core.abstractions.PlacementDecision`).
     """
 
     name = "base-placement"
@@ -189,33 +185,16 @@ class BasePlacementPolicy(PlacementPolicy):
         cluster_state: ClusterState,
         job_state: JobState,
     ) -> PlacementDecision:
-        # Selected jobs: running ones kept at the GPUs they hold (not part of
-        # this round's delta), and the rest with their demands.
-        kept: Set[int] = set()
-        selected: Dict[int, int] = {}
-        held_gpus = cluster_state.allocations().get
         remaining = cluster_state.healthy_gpus()
-        for entry in schedule:
-            if remaining == 0:
-                # Every later entry demands at least one GPU (or is skipped),
-                # so the rest of the stream cannot change the decision and
-                # is never pulled.
-                break
-            demand = entry.gpu_demand
-            job_id = entry.job_id
-            if demand <= 0 or job_id in selected or job_id in kept:
-                continue
-            if demand <= remaining:
-                remaining -= demand
-                # Only running jobs hold GPUs while placement runs.
-                held = held_gpus(job_id)
-                if held is not None and len(held) == demand:
-                    kept.add(job_id)
-                else:
-                    selected[job_id] = demand
+        held = cluster_state.allocations()
+        select = getattr(schedule, "select", None)
+        if select is not None:
+            selected, suspended = select(remaining, held)
+        else:
+            running = job_state.ids_with_status(JobStatus.RUNNING)
+            selected, suspended = walk_schedule(schedule, remaining, held, running)
 
-        decision = PlacementDecision()
-        decision.to_suspend = sorted(job_state.ids_with_status(JobStatus.RUNNING) - kept)
+        decision = PlacementDecision(to_suspend=sorted(suspended))
         suspended_gpus: List[int] = []
         for job_id in decision.to_suspend:
             suspended_gpus.extend(job_state.get(job_id).allocated_gpus)
@@ -240,16 +219,10 @@ class BasePlacementPolicy(PlacementPolicy):
 
         return decision
 
-    # ------------------------------------------------------------------
-    # Hook for subclasses
-    # ------------------------------------------------------------------
+    # -- Hooks for subclasses --
 
     def select_gpus(
-        self,
-        job: Job,
-        demand: int,
-        view: AvailabilityView,
-        cluster_state: ClusterState,
+        self, job: Job, demand: int, view: AvailabilityView, cluster_state: ClusterState
     ) -> Optional[List[int]]:
         """Pick ``demand`` GPU ids from the availability view for ``job``.
 
@@ -262,16 +235,12 @@ class BasePlacementPolicy(PlacementPolicy):
         self, job: Job, gpu_ids: List[int], cluster_state: ClusterState
     ) -> Optional[Tuple[float, float]]:
         """Per-GPU ``(CPU cores, host memory GB)`` to reserve when launching
-        ``job`` on ``gpu_ids`` (as :meth:`select_gpus` returned them).
-
-        ``None`` (the default) reserves the job's full demand, unthrottled;
-        see :class:`~repro.core.abstractions.PlacementDecision`.
-        """
+        ``job`` on ``gpu_ids`` (as :meth:`select_gpus` returned them); ``None``
+        (the default) reserves its full demand, unthrottled
+        (see :class:`~repro.core.abstractions.PlacementDecision`)."""
         return None
 
-    # ------------------------------------------------------------------
-    # Reusable allocation strategies for subclasses
-    # ------------------------------------------------------------------
+    # -- Reusable allocation strategies for subclasses --
 
     @staticmethod
     def _take_first_free(demand: int, view: AvailabilityView) -> Optional[List[int]]:
@@ -295,6 +264,37 @@ class BasePlacementPolicy(PlacementPolicy):
         scattered single GPUs, leaving contiguous blocks for jobs that do care.
         """
         return _fill(demand, view.nodes_by_free_count(descending=False), view)
+
+
+def walk_schedule(
+    schedule: Iterable[ScheduleEntry], remaining: int,
+    held: Mapping[int, AbstractSet[int]], running: AbstractSet[int],
+) -> Tuple[Dict[int, int], Set[int]]:
+    """Placement's selection read off a schedule in order: the reference.
+
+    Pulls entries while GPUs remain (never the rest) and takes each that fits
+    what those before it left.  A taken job holding exactly its demand
+    (``held``: job id -> GPU ids) is kept.  Returns the others (job id ->
+    demand, stream order) and the ``running`` ids not kept: what a
+    schedule's own ``select`` must return."""
+    kept: Set[int] = set()
+    selected: Dict[int, int] = {}
+    held_gpus = held.get
+    for entry in schedule:
+        if remaining == 0:
+            break
+        demand = entry.gpu_demand
+        job_id = entry.job_id
+        if demand <= 0 or job_id in selected or job_id in kept:
+            continue
+        if demand <= remaining:
+            remaining -= demand
+            gpus = held_gpus(job_id)
+            if gpus is not None and len(gpus) == demand:
+                kept.add(job_id)
+            else:
+                selected[job_id] = demand
+    return selected, running - kept
 
 
 def _fill(demand: int, node_ids: Iterable[int], view: AvailabilityView) -> Optional[List[int]]:

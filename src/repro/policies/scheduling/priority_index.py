@@ -31,7 +31,9 @@ order ``sorted(runnable_jobs(), key=...)`` would produce, which is what the
 schedule-parity tests assert policy by policy.  A stream from :meth:`ordered`
 or :meth:`gang_entries` reads the live tiers, so it must be consumed in the
 round it was made, before any job changes status (the
-:class:`~repro.core.abstractions.SchedulingPolicy` contract).
+:class:`~repro.core.abstractions.SchedulingPolicy` contract).  The
+:class:`GangStream` of a kept-sorted index also answers placement's
+selection itself, from prefix sums of the running tier's gangs.
 
 The index binds lazily to whichever :class:`~repro.core.job_state.JobState` the
 policy is called with; rebinding (a shadow simulation, a fresh run reusing the
@@ -42,14 +44,15 @@ notifies the owner through the ``on_rebuild`` callback so per-job memo caches
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from itertools import islice
+from bisect import bisect_left, bisect_right, insort
+from itertools import accumulate, islice
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import AbstractSet, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.core.abstractions import ScheduleEntry
 from repro.core.job import Job, JobStatus
 from repro.core.job_state import JobState, JobStateObserver
+from repro.policies.placement.base import walk_schedule
 
 #: Key type: a tuple ending in the job id (total order over jobs).
 PriorityKey = Tuple
@@ -102,6 +105,12 @@ class RunnablePriorityIndex(JobStateObserver):
         #: With a ``running_key``: sorted list of (key, job) for RUNNING jobs.
         self._running_sorted: List[Tuple[PriorityKey, Job]] = []
         self._running_keys: Dict[int, PriorityKey] = {}
+        #: With a ``running_key``: the running jobs that entered RUNNING
+        #: holding other than ``num_gpus`` GPUs (an elastic policy placed
+        #: them), and the prefix sums of ``num_gpus`` over the sorted tier
+        #: (``None`` once the tier changed).  Both serve :class:`GangStream`.
+        self._inexact: Set[int] = set()
+        self._prefix: Optional[List[int]] = None
         #: job id -> the frozen entry :meth:`entry_for` last returned for it;
         #: dropped when the job leaves the index, so it never outlives the job.
         self._entries: Dict[int, ScheduleEntry] = {}
@@ -140,6 +149,8 @@ class RunnablePriorityIndex(JobStateObserver):
         self._running = {}
         self._running_sorted = []
         self._running_keys = {}
+        self._inexact = set()
+        self._prefix = None
         self._entries = {}
         if self._on_rebuild is not None:
             self._on_rebuild()
@@ -201,6 +212,9 @@ class RunnablePriorityIndex(JobStateObserver):
         if self._running_key_fn is not None:
             key = self._running_key_fn(job)
             _insert(self._running_sorted, self._running_keys, key, job, sort)
+            self._prefix = None
+            if len(job.allocated_gpus) != job.num_gpus:
+                self._inexact.add(job.job_id)
         if self._on_running_enter is not None:
             self._on_running_enter(job)
 
@@ -208,6 +222,8 @@ class RunnablePriorityIndex(JobStateObserver):
         if self._running.pop(job_id, None) is not None:
             if job_id in self._running_keys:
                 _remove(self._running_sorted, self._running_keys, job_id)
+                self._inexact.discard(job_id)
+                self._prefix = None
         elif job_id in self._idle_keys:
             _remove(self._idle, self._idle_keys, job_id)
 
@@ -227,6 +243,7 @@ class RunnablePriorityIndex(JobStateObserver):
             _remove(self._running_sorted, self._running_keys, job_id)
             key = self._running_key_fn(job)  # type: ignore[misc]
             _insert(self._running_sorted, self._running_keys, key, job, True)
+            self._prefix = None
 
     # ------------------------------------------------------------------
     # Views
@@ -275,16 +292,17 @@ class RunnablePriorityIndex(JobStateObserver):
         )
         return _merge_jobs(self._idle, running)
 
-    def gang_entries(self, ordered: Optional[Iterable[Job]] = None) -> Iterator[ScheduleEntry]:
+    def gang_entries(self, ordered: Optional[Iterable[Job]] = None) -> Iterable[ScheduleEntry]:
         """One entry per job of ``ordered``, each asking for its requested gang.
 
         The schedule of every gang policy, yielded as it is read.  ``ordered``
         must hold jobs of the bound registry's runnable set (what
         :meth:`ordered` returns); omitted, it is the merged tiers of an index
-        built with a ``running_key``, read without a second stream.
+        built with a ``running_key``, returned as a :class:`GangStream` that
+        also answers placement's selection without building entries.
         """
         if ordered is None:
-            return _merge_entries(self._idle, self._running_sorted, self._entries)
+            return GangStream(self)
         return self._entries_of(ordered)
 
     def _entries_of(self, ordered: Iterable[Job]) -> Iterator[ScheduleEntry]:
@@ -329,6 +347,99 @@ class RunnablePriorityIndex(JobStateObserver):
             kept = [(key, job.job_id) for key, job in self._running_sorted]
             assert kept == fresh, "running tier differs from a fresh sort by running_key"
             assert set(self._running_keys) == set(self._running), "running key cache drifted"
+            inexact = {
+                job_id
+                for job_id, job in self._running.items()
+                if len(job.allocated_gpus) != job.num_gpus
+            }
+            assert self._inexact == inexact, "held-count record drifted"
+
+
+class GangStream:
+    """The gang schedule of an index that keeps its running tier sorted.
+
+    Iterating yields one entry per runnable job, asking for its requested
+    gang, in merged key order.  :meth:`select` gives placement the same
+    answer as :func:`~repro.policies.placement.base.walk_schedule` over that
+    iteration, read off the tiers without building an entry: a round costs
+    one bisect per idle job placement reaches instead of one entry per job.
+    Like any stream, it is valid only in the round it was made.
+    """
+
+    __slots__ = ("_index",)
+
+    def __init__(self, index: RunnablePriorityIndex) -> None:
+        self._index = index
+
+    def __iter__(self) -> Iterator[ScheduleEntry]:
+        index = self._index
+        return _merge_entries(index._idle, index._running_sorted, index._entries)
+
+    def select(
+        self, remaining: int, held: Mapping[int, AbstractSet[int]]
+    ) -> Tuple[Dict[int, int], Iterable[int]]:
+        """Placement's selection: ``(selected demands, unkept running ids)``.
+
+        Walks the idle tier in key order.  The running jobs keyed before the
+        next idle job form a block; a block whose summed gangs fit is kept
+        whole (every running job holds its gang, see below), an idle job that
+        fits is selected.  The first entry that does not fit hands the rest
+        of the stream to the plain walk.  While a running job holds other
+        than its gang (placed by an elastic policy before a switch), the
+        whole selection is the plain walk.
+        """
+        index = self._index
+        if index._inexact:
+            return walk_schedule(self, remaining, held, index._running.keys())
+        running = index._running_sorted
+        prefix = index._prefix
+        if prefix is None:
+            prefix = index._prefix = list(
+                accumulate((job.num_gpus for _, job in running), initial=0)
+            )
+        idle = index._idle
+        n_idle, n_running = len(idle), len(running)
+        selected: Dict[int, int] = {}
+        first_key = itemgetter(0)
+        i = r = 0
+        while remaining:
+            if i < n_idle:
+                key, job = idle[i]
+                end = bisect_left(running, key, r, n_running, key=first_key)
+            else:
+                end = n_running
+            block = prefix[end] - prefix[r]
+            if block > remaining:
+                fit = bisect_right(prefix, prefix[r] + remaining, r, end) - 1
+                remaining -= prefix[fit] - prefix[r]
+                return self._walk_tail(selected, i, fit, remaining, held)
+            remaining -= block
+            r = end
+            if i == n_idle or not remaining:
+                break
+            demand = job.num_gpus
+            if demand > remaining:
+                return self._walk_tail(selected, i, r, remaining, held)
+            selected[job.job_id] = demand
+            remaining -= demand
+            i += 1
+        return selected, [job.job_id for _, job in islice(running, r, None)]
+
+    def _walk_tail(
+        self,
+        selected: Dict[int, int],
+        idle_from: int,
+        running_from: int,
+        remaining: int,
+        held: Mapping[int, AbstractSet[int]],
+    ) -> Tuple[Dict[int, int], Iterable[int]]:
+        """Finish a selection with the plain walk from the given tier offsets."""
+        index = self._index
+        tail = index._running_sorted[running_from:]
+        stream = _merge_entries(index._idle, tail, index._entries, idle_from)
+        more, suspended = walk_schedule(stream, remaining, held, {job.job_id for _, job in tail})
+        selected.update(more)
+        return selected, suspended
 
 
 def _insert(
@@ -362,14 +473,15 @@ def _merge_entries(
     first: List[Tuple[PriorityKey, Job]],
     second: List[Tuple[PriorityKey, Job]],
     entries: Dict[int, ScheduleEntry],
+    start: int = 0,
 ) -> Iterator[ScheduleEntry]:
     """The gang entries of two key-sorted tiers, in merged key order.
 
     :func:`_merge_jobs` and :meth:`RunnablePriorityIndex.entry_for` in one
     generator: each job's cached entry is yielded directly (ties would go to
-    ``first``).
+    ``first``).  ``start`` skips the head of ``first``.
     """
-    i, n = 0, len(first)
+    i, n = start, len(first)
     j, m = 0, len(second)
     while True:
         if i < n and (j == m or first[i][0] <= second[j][0]):

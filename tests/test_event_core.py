@@ -167,8 +167,8 @@ def test_epochs_are_dropped_when_their_job_leaves_running():
     outlives its job, everything is empty after a drained run and survives
     pickling at a pause -- so it is held to the same bound here: the
     execution model's epoch records, queued opens and completion heap, the
-    registry's newly-finished ids, and (under Tiresias, a gang policy) the
-    priority index's reused schedule entries and the policy's wait clock and
+    registry's newly-finished ids, the priority index's reused schedule
+    entries and (under Tiresias, a gang policy) the policy's wait clock and
     demotion bounds.  An epoch goes when its job leaves RUNNING -- evicted,
     suspended or completed -- so at every pause the epochs are exactly the
     running jobs.
@@ -195,6 +195,10 @@ def test_epochs_are_dropped_when_their_job_leaves_running():
             for name, kept in per_job_state(sim).items():
                 peak[name] = max(peak[name], len(kept))
                 assert set(kept) <= unfinished, name
+            # Placement asks the stream to select, which builds no entry;
+            # whatever entries were built belong to runnable jobs only.
+            runnable = {job.job_id for job in sim.job_state.runnable_jobs()}
+            assert set(scheduling._index._entries) <= runnable
             assert set(model._records) | set(model._opening) == running
             # A pause hands control back: everything settled, nothing owed,
             # nothing unpruned.
@@ -213,7 +217,7 @@ def test_epochs_are_dropped_when_their_job_leaves_running():
         assert_identical(sim.build_result(), resumed.build_result())
         assert peak["epochs"] > 0 and peak["completion heap"] > 0
         if isinstance(scheduling, TiresiasScheduling):
-            assert peak["entries"] > 0 and peak["wait clock"] > 0
+            assert peak["wait clock"] > 0
             assert peak["demotion bounds"] > 0
         for drained in (sim, resumed):
             assert not drained.job_state.count_with_status(JobStatus.RUNNING)

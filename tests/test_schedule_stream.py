@@ -137,6 +137,21 @@ def test_placement_reads_only_as_far_as_the_gpus_last():
     assert len(policy._index._entries) == pulled
 
 
+def test_an_unwrapped_stream_selects_without_building_entries():
+    """The twin of the test above, unwrapped: ``place`` asks the stream to
+    select, which reads the index's tiers and builds no entry at all."""
+    job_state = JobState()
+    cluster = build_cluster(num_nodes=4, gpus_per_node=4)
+    job_state.add_new_jobs(
+        [Job(arrival_time=float(i), num_gpus=1, duration=1000.0) for i in range(1000)]
+    )
+    policy = TiresiasScheduling()
+    stream = policy.schedule(job_state, cluster)
+    decision = ConsolidatedPlacement().place(stream, cluster, job_state)
+    assert len(decision.to_launch) == 16
+    assert not policy._index._entries
+
+
 def test_tiresias_promotes_at_call_time_even_if_nothing_is_read():
     job_state = JobState()
     cluster = build_cluster(num_nodes=1)
