@@ -4,18 +4,24 @@ A ``Job`` combines the static description found in a workload trace (arrival
 time, requested GPUs, model profile) with the dynamic state maintained by the
 scheduler across rounds (attained service, work completed, current allocation).
 Blox keeps all of this in a dictionary-style ``JobState``; we keep the per-job
-fields on a dataclass for readability and let
-:class:`~repro.core.job_state.JobState` own the collection.
+fields on a slotted dataclass -- a trace holds one per job, so a job carries
+no instance dict -- and let :class:`~repro.core.job_state.JobState` own the
+collection.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.exceptions import ConfigurationError
+
+if TYPE_CHECKING:
+    from repro.core.job_state import JobState
+    from repro.simulator.execution import _Epoch
 
 
 class JobStatus(enum.Enum):
@@ -37,6 +43,10 @@ class JobStatus(enum.Enum):
     COMPLETED = "completed"
     TERMINATED = "terminated"
     FAILED = "failed"
+
+    # Members are singletons: identity hashing is exact and runs in C, where
+    # ``Enum.__hash__`` is Python code run on every status-set move.
+    __hash__ = object.__hash__
 
     @property
     def is_terminal(self) -> bool:
@@ -63,24 +73,20 @@ class _StatusField:
     those indexes to stay correct *every* status write -- whether it goes
     through ``JobState.set_status`` or assigns ``job.status`` directly (as the
     launch/preemption mechanisms and the execution model do) -- must notify the
-    registry.  The descriptor stores the raw value in ``job.__dict__`` and
-    calls back into the registry recorded by ``JobState.track``.
+    registry.  The descriptor stores the raw value in the job's ``_status``
+    slot and calls back into the registry ``JobState.track`` recorded in its
+    ``_registry`` slot.
     """
-
-    def __set_name__(self, owner, name) -> None:
-        self._attr = "_" + name
 
     def __get__(self, obj, objtype=None):
         if obj is None:
-            # Dataclasses read the class attribute to obtain the __init__
-            # default for the field.
-            return JobStatus.SUBMITTED
-        return obj.__dict__[self._attr]
+            return self
+        return obj._status
 
     def __set__(self, obj, value) -> None:
-        old = obj.__dict__.get(self._attr)
-        obj.__dict__[self._attr] = value
-        registry = obj.__dict__.get("_registry")
+        old = obj._status
+        obj._status = value
+        registry = obj._registry
         if registry is not None and old is not value:
             registry._reindex_status(obj, old, value)
 
@@ -90,26 +96,25 @@ class _ProgressField:
 
     ``work_done``, ``attained_service`` and ``pending_overhead`` are written
     by the execution model (and the launch and preemption mechanisms).  While
-    a running job's progress is deferred, ``job.__dict__["_epoch"]`` holds
-    its epoch record (see :mod:`repro.simulator.execution`): a read first
-    settles the job up to the model's fold clock, and a write settles it,
-    stores the value and restarts the epoch from it.
+    a running job's progress is deferred, its ``_epoch`` slot holds its epoch
+    record (see :mod:`repro.simulator.execution`): a read first settles the
+    job up to the model's fold clock, and a write settles it, stores the
+    value and restarts the epoch from it.
 
     Scheduling policies keep ordered priority structures keyed on attained
     service / remaining work (see
     :class:`~repro.policies.scheduling.priority_index.RunnablePriorityIndex`).
     For those structures to stay correct, every write to ``attained_service``
     and ``work_done`` notifies the registry recorded by ``JobState.track``,
-    which forwards to its observers.  Untracked jobs pay only a dict store.
+    which forwards to its observers.  Untracked jobs pay only a slot store.
 
-    The raw value lives in ``job.__dict__["_" + name]``; only this module and
-    the execution model's folds touch it there (a fold reads it only where
-    no epoch is pending).  :meth:`Job.add_progress` and
+    The raw value lives in the job's ``"_" + name`` slot; only this module
+    and the execution model's folds touch it there (a fold reads it only
+    where no epoch is pending).  :meth:`Job.add_progress` and
     :meth:`Job.store_progress` are the shortcuts the folds write through.
     """
 
-    def __init__(self, default: float = 0.0, notify: bool = True) -> None:
-        self._default = default
+    def __init__(self, notify: bool = True) -> None:
         self._notify = notify
 
     def __set_name__(self, owner, name) -> None:
@@ -118,28 +123,24 @@ class _ProgressField:
 
     def __get__(self, obj, objtype=None):
         if obj is None:
-            # Dataclasses read the class attribute to obtain the __init__
-            # default for the field.
-            return self._default
-        state = obj.__dict__
-        epoch = state.get("_epoch")
+            return self
+        epoch = obj._epoch
         if epoch is not None:
             epoch.settle()
-        return state[self._attr]
+        return getattr(obj, self._attr)
 
     def __set__(self, obj, value) -> None:
-        state = obj.__dict__
-        epoch = state.get("_epoch")
+        epoch = obj._epoch
         if epoch is not None:
             epoch.settle()
-        old = state.get(self._attr)
-        state[self._attr] = value
-        registry = state.get("_registry")
+        attr = self._attr
+        old = getattr(obj, attr)
+        setattr(obj, attr, value)
+        registry = obj._registry
         if (
             self._notify
             and registry is not None
             and registry._progress_observers
-            and old is not None
             and old != value
         ):
             registry._notify_progress(obj, self._name, old, value)
@@ -147,7 +148,7 @@ class _ProgressField:
             epoch.rebase()
 
 
-@dataclass
+@dataclass(slots=True)
 class ScalingProfile:
     """How a job's throughput scales with the number of allocated GPUs.
 
@@ -183,7 +184,7 @@ class ScalingProfile:
         return effective / (1.0 + self.alpha * (effective - 1))
 
 
-@dataclass
+@dataclass(slots=True)
 class Job:
     """A DL training job as seen by the scheduler.
 
@@ -191,6 +192,14 @@ class Job:
     paper: arrival time, requested GPU count and isolated run time, plus the
     profile data (per-iteration time, scaling behaviour, placement sensitivity,
     resource demands, loss curve) associated with the model the job trains.
+
+    The record is slotted: a job carries no instance dict.  ``status``,
+    ``attained_service``, ``work_done`` and ``pending_overhead`` are data
+    descriptors over the private slots of the same name with a leading
+    underscore; a job starts ``SUBMITTED`` with no progress, and assigning
+    them afterwards notifies the owning registry.  ``_registry`` and
+    ``_epoch`` are runtime wiring, ``None`` when absent.  Equality compares
+    the stored slots, without settling a deferred job.
     """
 
     # --- static description -------------------------------------------------
@@ -208,26 +217,34 @@ class Job:
     cpu_demand_per_gpu: float = 3.0
     mem_demand_per_gpu: float = 16.0
     convergence_fraction: float = 1.0
-    loss_threshold: float = 0.0
-    batch_size: int = 32
     max_batch_scale: int = 8
     user: str = "default"
-    metadata: Dict[str, object] = field(default_factory=dict)
 
     # --- dynamic state ------------------------------------------------------
-    status: JobStatus = _StatusField()
+    _status: JobStatus = field(default=JobStatus.SUBMITTED, init=False, repr=False)
     admitted_time: Optional[float] = None
     first_schedule_time: Optional[float] = None
     completion_time: Optional[float] = None
-    attained_service: float = _ProgressField(0.0)
-    work_done: float = _ProgressField(0.0)
+    _attained_service: float = field(default=0.0, init=False, repr=False)
+    _work_done: float = field(default=0.0, init=False, repr=False)
     allocated_gpus: List[int] = field(default_factory=list)
     num_preemptions: int = 0
     num_launches: int = 0
-    pending_overhead: float = _ProgressField(0.0, notify=False)
+    _pending_overhead: float = field(default=0.0, init=False, repr=False)
     #: The application-metric bus: the five metrics the execution model
     #: publishes, plus ``was_fragmented`` and ``admission_rejected``.
     metrics: Dict[str, object] = field(default_factory=dict)
+
+    # --- runtime wiring (never compared, never pickled) ---------------------
+    #: The owning :class:`~repro.core.job_state.JobState`, set by ``track``.
+    _registry: Optional[JobState] = field(default=None, init=False, repr=False, compare=False)
+    #: The execution model's epoch record while the job's progress is deferred.
+    _epoch: Optional[_Epoch] = field(default=None, init=False, repr=False, compare=False)
+
+    status = _StatusField()
+    attained_service = _ProgressField()
+    work_done = _ProgressField()
+    pending_overhead = _ProgressField(notify=False)
 
     def __post_init__(self) -> None:
         if self.num_gpus < 1:
@@ -246,26 +263,26 @@ class Job:
     def __getstate__(self):
         """Pickle support (federation workers ship jobs across processes).
 
-        ``_registry`` is the backref to the owning
-        :class:`~repro.core.job_state.JobState` installed by ``track``; it is
-        runtime wiring, and keeping it would drag the entire registry (and
-        every other job in it) into every pickled job.  It is dropped here and
-        restored by ``JobState.__setstate__`` on the registry side, so a job
+        The state is the tuple of slot values, in ``__slots__`` order, less
+        the runtime wiring, which unpickles as ``None``.  ``_registry`` is
+        the backref to the owning :class:`~repro.core.job_state.JobState`
+        installed by ``track``; keeping it would drag the entire registry
+        (and every other job in it) into every pickled job.
+        ``JobState.__setstate__`` restores it on the registry side, so a job
         pickled *inside* its registry round-trips fully bound while a job
         pickled alone arrives unbound (track it to re-bind).  A deferred job
         settles and publishes its application metrics first, and its epoch
         record stays behind: no deferred state crosses a pickle.
         """
-        epoch = self.__dict__.get("_epoch")
+        epoch = self._epoch
         if epoch is not None:
             epoch.flush()
-        state = self.__dict__.copy()
-        state.pop("_registry", None)
-        state.pop("_epoch", None)
-        return state
+        return _job_state(self)
 
     def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
+        for name, value in zip(_STATE_SLOTS, state):
+            setattr(self, name, value)
+        self._registry = self._epoch = None
 
     # --- progress ---------------------------------------------------------
 
@@ -277,14 +294,13 @@ class Job:
         registry has no progress observer (nobody to notify) both sums are
         stored without the descriptor calls.
         """
-        state = self.__dict__
-        registry = state.get("_registry")
+        registry = self._registry
         if registry is not None and registry._progress_observers:
-            self.work_done = state["_work_done"] + work
-            self.attained_service = state["_attained_service"] + service
+            self.work_done = self._work_done + work
+            self.attained_service = self._attained_service + service
         else:
-            state["_work_done"] += work
-            state["_attained_service"] += service
+            self._work_done += work
+            self._attained_service += service
 
     def store_progress(self, work: float, pending: float, attained: float) -> None:
         """Write all three progress fields at once: a settled epoch's write.
@@ -292,21 +308,20 @@ class Job:
         Same notifications as assigning ``work_done`` then
         ``attained_service``; never settles (the caller is the settle).
         """
-        state = self.__dict__
-        state["_pending_overhead"] = pending
-        registry = state.get("_registry")
+        self._pending_overhead = pending
+        registry = self._registry
         if registry is not None and registry._progress_observers:
-            for attr, name, value in (
-                ("_work_done", "work_done", work),
-                ("_attained_service", "attained_service", attained),
-            ):
-                old = state[attr]
-                state[attr] = value
-                if old != value:
-                    registry._notify_progress(self, name, old, value)
+            old = self._work_done
+            self._work_done = work
+            if old != work:
+                registry._notify_progress(self, "work_done", old, work)
+            old = self._attained_service
+            self._attained_service = attained
+            if old != attained:
+                registry._notify_progress(self, "attained_service", old, attained)
         else:
-            state["_work_done"] = work
-            state["_attained_service"] = attained
+            self._work_done = work
+            self._attained_service = attained
 
     # --- derived quantities ---------------------------------------------
 
@@ -378,11 +393,8 @@ class Job:
             cpu_demand_per_gpu=self.cpu_demand_per_gpu,
             mem_demand_per_gpu=self.mem_demand_per_gpu,
             convergence_fraction=self.convergence_fraction,
-            loss_threshold=self.loss_threshold,
-            batch_size=self.batch_size,
             max_batch_scale=self.max_batch_scale,
             user=self.user,
-            metadata=dict(self.metadata),
         )
 
     def snapshot(self) -> "Job":
@@ -404,3 +416,8 @@ class Job:
         clone.pending_overhead = self.pending_overhead
         clone.metrics = dict(self.metrics)
         return clone
+
+
+#: The slots a pickled :class:`Job` carries: all but the runtime wiring.
+_STATE_SLOTS = tuple(name for name in Job.__slots__ if name not in ("_registry", "_epoch"))
+_job_state = operator.attrgetter(*_STATE_SLOTS)

@@ -188,7 +188,7 @@ class JobState:
         # same graph must notice and re-attach (see ``bind_epoch``).
         self.bind_epoch = state.get("bind_epoch", 0) + 1
         for job in self._jobs.values():
-            job.__dict__["_registry"] = self
+            job._registry = self
 
     # ------------------------------------------------------------------
     # Status index maintenance
@@ -247,7 +247,7 @@ class JobState:
         permanently stale, so it is rejected -- track a ``snapshot()`` or
         ``copy_static()`` of the job instead.
         """
-        foreign = job.__dict__.get("_registry")
+        foreign = job._registry
         if foreign is not None and foreign is not self:
             raise ValueError(
                 f"job {job.job_id} is already tracked by another JobState; "
@@ -256,9 +256,9 @@ class JobState:
         previous = self._jobs.get(job.job_id)
         if previous is not None and previous is not job:
             self._by_status[previous.status].discard(previous.job_id)
-            previous.__dict__.pop("_registry", None)
+            previous._registry = None
         self._jobs[job.job_id] = job
-        job.__dict__["_registry"] = self
+        job._registry = self
         self._by_status[job.status].add(job.job_id)
         if job.status in FINISHED_STATUSES:
             self._newly_finished.add(job.job_id)

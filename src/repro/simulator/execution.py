@@ -354,7 +354,7 @@ class ExecutionModel(JobStateObserver):
         if record.round is not None:
             record.settle()
             record.round = None
-            del record.job.__dict__["_epoch"]
+            record.job._epoch = None
         record.serial = 0
         if record.owed:
             self._owed[job_id] = record
@@ -402,16 +402,16 @@ class ExecutionModel(JobStateObserver):
             if record.fragmented:
                 job.metrics["was_fragmented"] = True
             self._start(record, fold_round)
-            job.__dict__["_epoch"] = record
+            job._epoch = record
         self._opening.clear()
 
     def _start(self, record: _Epoch, fold_round: int) -> None:
         """Base the epoch (and its probe) on the job's fields at ``fold_round``."""
-        state = record.job.__dict__  # current: the epoch is not open yet, or just settled
+        job = record.job  # current: the epoch is not open yet, or just settled
         record.round = record.probe_round = fold_round
-        record.work = record.probe_work = state["_work_done"]
-        record.pending = record.probe_pending = state["_pending_overhead"]
-        record.attained = record.probe_attained = state["_attained_service"]
+        record.work = record.probe_work = job._work_done
+        record.pending = record.probe_pending = job._pending_overhead
+        record.attained = record.probe_attained = job._attained_service
         record.completes = None
         self._wait(record)
 
@@ -537,7 +537,7 @@ class ExecutionModel(JobStateObserver):
             record.settle()
             record.round = None
             record.serial = 0
-            del record.job.__dict__["_epoch"]
+            record.job._epoch = None
         self._fold_round = round_number
         jobs = [record.job for record in due]
         self.advance_running(jobs, cluster_state, round_start, round_duration)
@@ -593,17 +593,16 @@ class ExecutionModel(JobStateObserver):
 
             # The fold owns these jobs' progress (none is deferred), so it
             # reads and writes the stored values without the descriptors.
-            state = job.__dict__
-            pending = state["_pending_overhead"]
+            pending = job._pending_overhead
             if pending:
                 overhead_used = min(pending, round_duration)
-                state["_pending_overhead"] = pending - overhead_used
+                job._pending_overhead = pending - overhead_used
                 available = round_duration - overhead_used
             else:
                 overhead_used = 0.0
                 available = round_duration
 
-            remaining = record.target - state["_work_done"]
+            remaining = record.target - job._work_done
             if not remaining > 0.0:
                 remaining = 0.0
 

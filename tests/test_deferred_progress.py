@@ -173,15 +173,15 @@ def test_a_deferred_job_read_mid_round_or_copied_is_settled():
             kind = ("read", "snapshot", "pickle")[index % 3]
             if kind == "snapshot":
                 copy = job.snapshot()
-                assert "_epoch" not in copy.__dict__
+                assert copy._epoch is None
             elif kind == "pickle":
                 copy = pickle.loads(pickle.dumps(job))
-                assert "_epoch" not in copy.__dict__ and "_epoch" in job.__dict__
+                assert copy._epoch is None and job._epoch is not None
             else:
                 copy = job
             assert progress(copy) == expected[job.job_id]
             fresh = job.copy_static()
-            assert "_epoch" not in fresh.__dict__ and fresh.work_done == 0.0
+            assert fresh._epoch is None and fresh.work_done == 0.0
             checked[kind] += 1
         return place(schedule, cluster_state, job_state)
 
@@ -201,7 +201,7 @@ def test_a_simulator_pickled_at_a_pause_carries_no_epoch():
         copy = pickle.loads(pickle.dumps(sim))
         assert not copy.execution_model._records and not copy.execution_model._completions
         for job in copy.job_state.all_jobs():
-            assert "_epoch" not in job.__dict__
+            assert job._epoch is None
             original = sim.job_state.get(job.job_id)
             assert (progress(job), metrics(job)) == (progress(original), metrics(original))
         # The copy reopens its epochs and finishes as stepping does.
@@ -228,7 +228,7 @@ def test_a_write_to_a_deferred_job_restarts_its_epoch():
                 chosen = [job_state.get(job_id) for r, job_id in script if r == round_number]
             for job in chosen:
                 writes.append((round_number, job.job_id))
-                if "_epoch" in job.__dict__:
+                if job._epoch is not None:
                     deferred.append(job.job_id)
                 job.pending_overhead += 450.0
             return place(schedule, cluster_state, job_state)

@@ -211,7 +211,7 @@ def test_epochs_are_dropped_when_their_job_leaves_running():
             if step == 4:
                 resumed = pickle.loads(pickle.dumps(sim))
                 assert not resumed.execution_model._records
-                assert all("_epoch" not in job.__dict__ for job in resumed.job_state.all_jobs())
+                assert all(job._epoch is None for job in resumed.job_state.all_jobs())
         assert sim._advance_loop(None) is True
         assert resumed._advance_loop(None) is True
         assert_identical(sim.build_result(), resumed.build_result())

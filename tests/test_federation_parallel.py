@@ -282,7 +282,7 @@ def test_job_pickles_without_dragging_registry():
     alone = pickle.loads(pickle.dumps(jobs[0]))
     assert alone.job_id == jobs[0].job_id
     assert alone.num_gpus == jobs[0].num_gpus
-    assert "_registry" not in alone.__dict__
+    assert alone._registry is None
     # An unbound job can be adopted by a fresh registry and live normally.
     fresh = JobState()
     fresh.track(alone)
@@ -297,7 +297,7 @@ def test_job_state_pickle_rebinds_jobs():
     clone = pickle.loads(pickle.dumps(state))
     assert len(clone.all_jobs()) == 3
     for job in clone.all_jobs():
-        assert job.__dict__["_registry"] is clone
+        assert job._registry is clone
     # Status writes on the clone keep the clone's indexes in sync.
     job = clone.all_jobs()[0]
     job.status = JobStatus.RUNNING
