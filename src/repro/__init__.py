@@ -15,7 +15,7 @@ The package mirrors the structure described in the Blox paper (EuroSys '24):
 * :mod:`repro.runtime` -- the deployment-path components (CentralScheduler,
   WorkerManager, BloxClientLibrary) with central and optimistic lease renewal.
 * :mod:`repro.synthesizer` -- the automatic scheduler synthesizer.
-* :mod:`repro.experiments` -- one runner per table/figure of the paper.
+* :mod:`repro.experiments` -- the paper's figures as one table of data.
 """
 
 from repro.core.job import Job, JobStatus

@@ -16,17 +16,13 @@ from typing import Dict, List, Optional
 
 from repro.bench import cells
 from repro.bench.cells import Cell, Gate, built
-from repro.experiments.fig19_lease_scaling import (
-    DEFAULT_REVOCATIONS,
-    DEFAULT_SIZES,
-    run_fig19,
-)
+from repro.experiments.figures import LEASE_REVOCATIONS, LEASE_SIZES, lease_grid, lease_row
 from repro.scenarios.registry import SMOKE_SCENARIOS, get_scenario, scenario_names
 from repro.scenarios.runner import SCENARIO_SEED
 from repro.telemetry.runspec import RunSpec
 
 #: Cluster sizes (nodes of 4 GPUs) of the CI lease sweep; the full bench
-#: uses the Fig. 19 runner's own defaults.
+#: uses Fig. 19's own sizes.
 LEASE_SIZES_SMOKE = (4, 16)
 
 POLICY_NAME = "tiresias"
@@ -67,12 +63,13 @@ def runtime_cells(smoke: bool) -> List[Cell]:
 
 
 def lease_scaling(smoke: bool) -> Dict[str, object]:
-    """The Fig. 19 sweep, via the experiment runner (single source of truth
+    """The Fig. 19 sweep, via the figure's own rows (single source of truth
     for the measurement and the node spread of revocations), and its claims."""
-    sizes = LEASE_SIZES_SMOKE if smoke else DEFAULT_SIZES
+    sizes = LEASE_SIZES_SMOKE if smoke else LEASE_SIZES
     rows = [
         {**row, "latency_ms": round(row["latency_ms"], 4)}
-        for row in run_fig19(sizes=sizes, revocations=DEFAULT_REVOCATIONS).rows
+        for point in lease_grid(sizes)
+        for row in lease_row(point)
     ]
     # Rows are ordered size-major, then protocol, then revocation count.
     central = [r for r in rows if r["protocol"] == "central"]
@@ -81,13 +78,13 @@ def lease_scaling(smoke: bool) -> Dict[str, object]:
         # Central latency strictly grows with cluster size (any revocation count).
         "central_grows_with_cluster": all(
             a["latency_ms"] < b["latency_ms"]
-            for a, b in zip(central, central[len(DEFAULT_REVOCATIONS) :])
+            for a, b in zip(central, central[len(LEASE_REVOCATIONS) :])
         ),
         # Optimistic latency is a function of the revocation count only.
         "optimistic_independent_of_cluster": len(
             {(r["revocations"], r["latency_ms"]) for r in optimistic}
         )
-        == len(DEFAULT_REVOCATIONS),
+        == len(LEASE_REVOCATIONS),
         "optimistic_grows_with_revocations": all(
             a["latency_ms"] < b["latency_ms"]
             for a, b in zip(optimistic, optimistic[1:])
@@ -96,7 +93,7 @@ def lease_scaling(smoke: bool) -> Dict[str, object]:
     }
     return {
         "sizes": list(sizes),
-        "revocations": list(DEFAULT_REVOCATIONS),
+        "revocations": list(LEASE_REVOCATIONS),
         "rows": rows,
         "claims": claims,
     }

@@ -1,12 +1,12 @@
-"""Experiment runners: one module per table/figure of the Blox paper.
+"""The Blox paper's figures, reproduced.
 
-Every runner is a plain function returning an
-:class:`repro.experiments.harness.ExperimentTable`, built from
-``RunSpec.build().run()`` results; ``tests/test_experiments.py`` runs each at
-a smoke size against pinned rows, while the module's ``main`` block prints
-the full-scale table.
+``repro.experiments.figures.FIGURES`` holds every figure as data: the claim,
+a full and a smoke grid of run descriptions, and one row function.
+:func:`~repro.experiments.harness.run_figure` runs any of them into an
+:class:`~repro.experiments.harness.ExperimentTable`; ``python -m
+repro.experiments [--smoke] [--only NAME ...]`` prints the tables.
 """
 
-from repro.experiments.harness import ExperimentTable, run_sweep
+from repro.experiments.harness import ExperimentTable, Figure, run_figure, run_sweep
 
-__all__ = ["ExperimentTable", "run_sweep"]
+__all__ = ["ExperimentTable", "Figure", "run_figure", "run_sweep"]

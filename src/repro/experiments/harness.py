@@ -1,11 +1,13 @@
-"""Shared plumbing for the per-figure experiment runners.
+"""What a figure is and how every figure runs.
 
-A figure is a list of :class:`~repro.telemetry.runspec.RunSpec` values: each
-runner sweeps ``dataclasses.replace`` over one base spec, runs every point
-through ``spec.build().run()`` and reports a small table of rows (the series
-the corresponding figure plots).  :class:`ExperimentTable` is the common
-result container with a text rendering used by the ``__main__`` blocks;
-:func:`run_sweep` fans a multi-cell figure out across processes.
+A :class:`Figure` is plain data: the paper's claim in words, a full and a
+smoke grid of picklable points (usually ``dataclasses.replace`` sweeps over
+one :class:`~repro.telemetry.runspec.RunSpec`), and one module-level
+``row(point)`` that turns a point into its table rows.  :func:`run_figure`
+runs any figure the same way -- every point through :func:`run_sweep`, rows
+flattened in point order -- into an :class:`ExperimentTable`, the common
+result container with the text rendering ``python -m repro.experiments``
+prints.
 """
 
 from __future__ import annotations
@@ -14,26 +16,23 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass
 class ExperimentTable:
-    """Rows of one reproduced table/figure plus free-form metadata."""
+    """Rows of one reproduced table/figure."""
 
     name: str
     description: str
     rows: List[Dict[str, object]] = field(default_factory=list)
-    metadata: Dict[str, object] = field(default_factory=dict)
 
     def add_row(self, **values: object) -> None:
         self.rows.append(dict(values))
 
-    def column(self, key: str) -> List[object]:
-        return [row.get(key) for row in self.rows]
-
     def to_text(self) -> str:
-        """Render the table as aligned plain text (used by examples and __main__)."""
+        """Render the table as aligned plain text."""
         lines = [f"== {self.name} ==", self.description]
         if not self.rows:
             lines.append("(no rows)")
@@ -54,6 +53,36 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
+@dataclass(frozen=True)
+class Figure:
+    """One reproduced figure of the paper, as data.
+
+    ``full`` is the figure's grid at the paper's scale, ``smoke`` the same
+    sweep shrunk to seconds.  ``row`` is a module-level function of one
+    point returning that point's rows.  A figure whose rows report wall-clock
+    time sets ``in_process``: its points then run serially in this process,
+    one at a time, so no point times another's work.
+    """
+
+    name: str
+    description: str
+    full: Tuple[object, ...]
+    smoke: Tuple[object, ...]
+    row: Callable[[object], List[Dict[str, object]]]
+    in_process: bool = False
+
+
+def run_figure(figure: Figure, smoke: bool = False) -> ExperimentTable:
+    """Every point of ``figure``'s grid, its rows in point order."""
+    points = figure.smoke if smoke else figure.full
+    table = ExperimentTable(figure.name, figure.description)
+    tasks = [partial(figure.row, point) for point in points]
+    for rows in run_sweep(tasks, processes=1 if figure.in_process else None):
+        for row in rows:
+            table.add_row(**row)
+    return table
+
+
 # ----------------------------------------------------------------------
 # Multi-process sweep runner
 # ----------------------------------------------------------------------
@@ -64,7 +93,7 @@ def run_sweep(tasks: Sequence[Callable[[], object]], processes: Optional[int] = 
 
     A task is a picklable zero-argument callable -- a ``partial`` of a
     module-level function over plain data, typically one frozen
-    :class:`~repro.telemetry.runspec.RunSpec` (one cell of a figure's grid,
+    :class:`~repro.telemetry.runspec.RunSpec` (one point of a figure's grid,
     one leg of a scenario-matrix cell).  What the tasks return comes back as
     a list in task order.  ``processes`` defaults to one worker per task,
     capped at the CPU count; pass ``1`` to run serially in-process.  A task

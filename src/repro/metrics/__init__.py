@@ -10,7 +10,7 @@ from repro.metrics.summary import (
     ScenarioSummary,
     SummaryStats,
 )
-from repro.metrics.collector import UtilizationCollector, ApplicationMetricCollector
+from repro.metrics.collector import UtilizationCollector
 
 __all__ = [
     "average",
@@ -22,5 +22,4 @@ __all__ = [
     "ScenarioSummary",
     "SummaryStats",
     "UtilizationCollector",
-    "ApplicationMetricCollector",
 ]

@@ -3,16 +3,13 @@
 Blox's metric collection abstraction aggregates server-centric and job-centric
 statistics for other modules to consume.  The simulator pushes application
 metrics (loss, iteration time, throughput) into each job's metrics dictionary;
-the collectors here aggregate cluster-level time series and per-job histories
-used by experiments and by policies such as Optimus (loss) and Themis (fair
-share estimates).
+the collector here aggregates a cluster-level time series.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List
+from typing import List
 
 from repro.core.abstractions import MetricCollector
 from repro.core.cluster_state import ClusterState
@@ -35,38 +32,3 @@ class UtilizationCollector(MetricCollector):
         self.running_jobs.append(len(job_state.running_jobs()))
         active = len(job_state.active_jobs())
         self.queued_jobs.append(active - len(job_state.running_jobs()))
-
-
-@dataclass
-class ApplicationMetricCollector(MetricCollector):
-    """Keeps a bounded history of selected application metrics per job.
-
-    Policies that need a trend rather than the latest value (e.g. Optimus'
-    convergence estimation or Pollux's goodput) read from these histories.
-    Each series is a ``deque(maxlen=max_history)``, so appending once the
-    window is full costs O(1) instead of the O(n) front-trim a list needs.
-    """
-
-    keys: tuple = ("loss", "throughput")
-    max_history: int = 100
-    name: str = "application-metric-collector"
-    history: Dict[int, Dict[str, Deque[float]]] = field(default_factory=dict)
-
-    def _new_series(self) -> Deque[float]:
-        return deque(maxlen=self.max_history)
-
-    def collect(self, job_state: JobState, cluster_state: ClusterState, current_time: float) -> None:
-        for job in job_state.running_jobs():
-            job_history = self.history.setdefault(
-                job.job_id, {k: self._new_series() for k in self.keys}
-            )
-            for key in self.keys:
-                if key in job.metrics:
-                    series = job_history.get(key)
-                    if series is None:
-                        series = job_history[key] = self._new_series()
-                    series.append(float(job.metrics[key]))
-
-    def latest(self, job_id: int, key: str, default: float = 0.0) -> float:
-        series = self.history.get(job_id, {}).get(key)
-        return series[-1] if series else default

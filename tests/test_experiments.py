@@ -1,15 +1,17 @@
-"""Every figure runner, at a smoke size, against rows recorded at the parent.
+"""Every figure of ``repro.experiments.figures.FIGURES``, at its smoke size,
+against rows recorded at the parent.
 
-Each ``experiments/fig*.py`` is a ``dataclasses.replace`` sweep over one
-:class:`~repro.telemetry.runspec.RunSpec`; ``PINNED`` holds the
-``ExperimentTable.rows`` the same arguments produced at ``d01b2be`` (the last
-commit where the runners built their engines by hand), float for float, so a
-change to a runner, a registry entry or a workload generator that moves a
-figure shows up here.  Re-record only for an intended schedule change:
-``PYTHONPATH=src python tests/test_experiments.py`` prints the table.
+Each figure is a grid of :class:`~repro.telemetry.runspec.RunSpec` points
+(``dataclasses.replace`` over one base spec) and one row function;
+``PINNED`` holds the ``ExperimentTable.rows`` its smoke grid produced at
+``d01b2be`` (the last commit where the runners built their engines by hand),
+float for float, so a change to a row function, a registry entry or a
+workload generator that moves a figure shows up here.  Re-record only for an
+intended schedule change: ``PYTHONPATH=src python tests/test_experiments.py``
+prints the table.
 """
 
-import importlib
+import pickle
 import pprint
 import re
 import time
@@ -20,42 +22,20 @@ from pathlib import Path
 import pytest
 
 import repro.experiments.harness as harness
-from repro.experiments.fig6_7_policy_comparison import HEAVY_TAIL, run_cell
+from repro.experiments.__main__ import main
+from repro.experiments.figures import FIGURES
 from repro.telemetry.runspec import RunSpec
 
-WINDOW = dict(num_jobs=40, tracked_window=(5, 30), num_nodes=4)
-#: figure -> (module, runner, smoke arguments).
-FIGURES = {
-    "fig3": ("fig3_pollux_repro", "run_fig3",
-             dict(intervals_minutes=(2.0, 8.0), num_jobs=24, num_nodes=4)),
-    "fig4": ("fig4_tiresias_repro", "run_fig4", dict(num_jobs=20, num_nodes=4)),
-    "fig5": ("fig5_synergy_repro", "run_fig5", dict(num_jobs=24, num_nodes=4)),
-    "fig6_7": ("fig6_7_policy_comparison", "run_fig6_7",
-               dict(loads_jobs_per_hour=(2.0, 6.0), **WINDOW)),
-    "fig8_9": ("fig8_9_pollux_load", "run_fig8_9",
-               dict(loads_jobs_per_hour=(10.0, 30.0), **WINDOW)),
-    "fig10": ("fig10_placement_hw", "run_fig10",
-              dict(loads_jobs_per_hour=(2.0, 6.0), **WINDOW)),
-    "fig11": ("fig11_placement_profiles", "run_fig11",
-              dict(sensitive_counts=(5, 8), **WINDOW)),
-    # 2 jobs/h stretches the 40 jobs past hour 10, where the daily spike lands.
-    "fig12_13": ("fig12_13_admission", "run_fig12_13", dict(jobs_per_hour=2.0, **WINDOW)),
-    "fig18": ("fig18_fidelity", "run_fig18", dict(num_jobs=12, num_nodes=4)),
-    "fig19": ("fig19_lease_scaling", "run_fig19", dict(sizes=(4, 8), revocations=(0, 2))),
-    "federation": ("fig_federation_scaling", "run_federation_scaling",
-                   dict(shard_counts=(1, 2), smoke=True)),
-}
 #: Seconds one smoke figure may take (the slowest is under 1 s).
 WALL_BUDGET_S = 10.0
 #: Wall-clock columns of the federation table; everything else is pinned.
-TIMING_COLUMNS = {"rounds_per_sec", "throughput_scaling", "wall_s", "routing_s", "advance_s"}
+TIMING_COLUMNS = {"wall_s_per_sim_day", "wall_s", "routing_s", "advance_s"}
 
 EXPERIMENTS_DIR = Path(harness.__file__).parent
 
 
-def run_figure(name):
-    module, runner, kwargs = FIGURES[name]
-    table = getattr(importlib.import_module(f"repro.experiments.{module}"), runner)(**kwargs)
+def smoke_rows(name):
+    table = harness.run_figure(FIGURES[name], smoke=True)
     return [{k: v for k, v in row.items() if k not in TIMING_COLUMNS} for row in table.rows]
 
 
@@ -309,25 +289,33 @@ PINNED = {'fig3': [{'interval_minutes': 2.0,
 
 
 def test_every_figure_module_is_covered():
-    modules = {path.stem for path in EXPERIMENTS_DIR.glob("fig*.py")}
-    assert modules == {module for module, _, _ in FIGURES.values()}
     assert set(PINNED) == set(FIGURES)
+    assert all(name == figure.name for name, figure in FIGURES.items())
 
 
 @pytest.mark.parametrize("name", sorted(FIGURES))
 def test_figure_rows_match_the_parent(name):
     started = time.perf_counter()
-    rows = run_figure(name)
+    rows = smoke_rows(name)
     elapsed = time.perf_counter() - started
     assert rows == PINNED[name]
     assert elapsed < WALL_BUDGET_S, f"{name} took {elapsed:.1f}s"
 
 
+@pytest.mark.parametrize("name", sorted(FIGURES))
+def test_every_point_pickles(name):
+    figure = FIGURES[name]
+    for point in figure.full + figure.smoke:
+        task = partial(figure.row, point)
+        assert pickle.loads(pickle.dumps(task)).args == (point,)
+
+
 def test_fig6_7_cells_cross_the_process_boundary():
-    base = RunSpec(seed=7, num_jobs=40, num_nodes=4, jobs_per_hour=2.0,
-                   workload_params=(("tracked_window", (5, 30)),) + HEAVY_TAIL)
-    tasks = [partial(run_cell, replace(base, policy=policy)) for policy in ("fifo", "tiresias")]
-    assert harness.run_sweep(tasks, processes=2) == PINNED["fig6_7"][:2]
+    figure = FIGURES["fig6_7"]
+    tasks = [partial(figure.row, point) for point in figure.smoke[:2]]
+    rows = [row for rows in harness.run_sweep(tasks, processes=2) for row in rows]
+    assert rows == PINNED["fig6_7"][:2]
+
 
 
 def test_fig13_smoke_reaches_the_spike_path():
@@ -353,10 +341,18 @@ def test_spec_build_is_the_only_engine_path_in_experiments():
         assert not hand_built.search(path.read_text()), path.name
     public = {name for name, value in vars(harness).items()
               if getattr(value, "__module__", None) == harness.__name__}
-    assert public == {"ExperimentTable", "_fmt", "run_sweep"}
+    assert public == {"ExperimentTable", "Figure", "_fmt", "run_figure", "run_sweep"}
+
+
+def test_cli_prints_the_selected_smoke_table(capsys):
+    assert main(["--smoke", "--only", "fig19"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("== fig19 ==")
+    assert out.count("== ") == 1
+    assert "optimistic  8" in out
 
 
 if __name__ == "__main__":
     print("PINNED = " + pprint.pformat(
-        {name: run_figure(name) for name in FIGURES}, width=96, sort_dicts=False, compact=True
+        {name: smoke_rows(name) for name in FIGURES}, width=96, sort_dicts=False, compact=True
     ))

@@ -14,7 +14,8 @@ from repro.cluster.builder import ClusterSpec, build_cluster
 from repro.core.abstractions import ClusterManager
 from repro.core.exceptions import ConfigurationError, LeaseError
 from repro.core.job import Job
-from repro.experiments.fig19_lease_scaling import measure_lease_round
+from repro.experiments.figures import FIGURES, measure_lease_round
+from repro.experiments.harness import run_figure
 from repro.policies.scheduling.fifo import FifoScheduling
 from repro.policies.scheduling.tiresias import TiresiasScheduling
 from repro.runtime import (
@@ -649,10 +650,8 @@ class TestWorkerMetricsDelta:
 
 class TestFidelityRunner:
     def test_fig18_deviation_is_small(self):
-        from repro.experiments.fig18_fidelity import run_fig18
-
-        table = run_fig18(policies=("fifo", "tiresias"), num_jobs=12, num_nodes=4)
-        assert len(table.rows) == 2
+        table = run_figure(FIGURES["fig18"], smoke=True)
+        assert [row["policy"] for row in table.rows] == ["fifo", "srtf", "tiresias"]
         for row in table.rows:
             # The deployment path with cluster jitter must track plain
             # simulation to within a few per cent (the Fig. 18 claim).
