@@ -4,7 +4,7 @@ The package mirrors the structure described in the Blox paper (EuroSys '24):
 
 * :mod:`repro.core` -- the seven scheduler abstractions, the ``JobState`` and
   ``ClusterState`` shared data structures and the composable scheduling loop.
-* :mod:`repro.cluster` -- the cluster substrate (nodes, GPUs, topology).
+* :mod:`repro.cluster` -- the cluster substrate (nodes, GPUs, cluster builders).
 * :mod:`repro.workloads` -- model profiles, trace schema and trace generators
   (Philly-like, Pollux-like, Tiresias-like, bursty).
 * :mod:`repro.policies` -- concrete instances of the admission, scheduling,

@@ -1,4 +1,4 @@
-"""Cluster substrate: GPU types, nodes, intra-node topology and cluster builders.
+"""Cluster substrate: GPU types, nodes and cluster builders.
 
 Only the dependency-free building blocks are re-exported here;
 :mod:`repro.cluster.builder` and :mod:`repro.cluster.failures` depend on
@@ -9,7 +9,6 @@ cycle between the two packages.
 
 from repro.cluster.gpu_types import GPUType, GPU_TYPES, get_gpu_type
 from repro.cluster.node import GPU, Node
-from repro.cluster.topology import IntraNodeTopology, p3_8xlarge_topology, uniform_topology
 
 __all__ = [
     "GPUType",
@@ -17,7 +16,4 @@ __all__ = [
     "get_gpu_type",
     "GPU",
     "Node",
-    "IntraNodeTopology",
-    "p3_8xlarge_topology",
-    "uniform_topology",
 ]

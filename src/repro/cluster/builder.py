@@ -9,10 +9,8 @@ in the original Tiresias study).  :func:`build_cluster` builds a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.cluster.node import Node
-from repro.cluster.topology import IntraNodeTopology, p3_8xlarge_topology, uniform_topology
 from repro.core.cluster_state import ClusterState
 from repro.core.exceptions import ConfigurationError
 
@@ -27,7 +25,6 @@ class ClusterSpec:
     network_bw_gbps: float = 10.0
     cpu_cores_per_node: float = 32.0
     mem_gb_per_node: float = 244.0
-    use_p3_topology: bool = True
 
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
@@ -47,17 +44,13 @@ def build_cluster(
     network_bw_gbps: float = 10.0,
     cpu_cores_per_node: float = 32.0,
     mem_gb_per_node: float = 244.0,
-    topology: Optional[IntraNodeTopology] = None,
 ) -> ClusterState:
     """Build a homogeneous cluster.
 
-    The default (4x V100 per node, 10 Gbps network, p3.8xlarge intra-node
-    topology) matches the main setup in the paper; the Tiresias placement study
-    instead uses P100 nodes with 100 Gbps links (pass ``gpu_type="p100"`` and
-    ``network_bw_gbps=100``).
+    The default (4x V100 per node, 10 Gbps network) matches the main setup in
+    the paper; the Tiresias placement study instead uses P100 nodes with
+    100 Gbps links (pass ``gpu_type="p100"`` and ``network_bw_gbps=100``).
     """
-    if topology is None:
-        topology = p3_8xlarge_topology() if gpus_per_node == 4 else uniform_topology(gpus_per_node)
     cluster = ClusterState()
     for node_id in range(num_nodes):
         cluster.add_node(
@@ -68,7 +61,6 @@ def build_cluster(
                 cpu_cores=cpu_cores_per_node,
                 mem_gb=mem_gb_per_node,
                 network_bw_gbps=network_bw_gbps,
-                topology=topology,
             )
         )
     return cluster
@@ -76,9 +68,6 @@ def build_cluster(
 
 def build_cluster_from_spec(spec: ClusterSpec) -> ClusterState:
     """Build a cluster from a :class:`ClusterSpec`."""
-    topology = None
-    if spec.use_p3_topology and spec.gpus_per_node == 4:
-        topology = p3_8xlarge_topology()
     return build_cluster(
         num_nodes=spec.num_nodes,
         gpus_per_node=spec.gpus_per_node,
@@ -86,5 +75,4 @@ def build_cluster_from_spec(spec: ClusterSpec) -> ClusterState:
         network_bw_gbps=spec.network_bw_gbps,
         cpu_cores_per_node=spec.cpu_cores_per_node,
         mem_gb_per_node=spec.mem_gb_per_node,
-        topology=topology,
     )

@@ -1,8 +1,8 @@
 """Node and GPU records that make up the cluster.
 
 A :class:`Node` holds fixed hardware facts (GPU type, CPU cores, memory,
-cross-node network bandwidth, intra-node GPU topology) plus mutable auxiliary
-resource accounting used by resource-sensitive schedulers such as Synergy.
+cross-node network bandwidth) plus mutable auxiliary resource accounting used
+by resource-sensitive schedulers such as Synergy.
 Per-GPU assignment state lives in :class:`~repro.core.cluster_state.ClusterState`.
 """
 
@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.cluster.gpu_types import GPUType, get_gpu_type
-from repro.cluster.topology import IntraNodeTopology, uniform_topology
 from repro.core.exceptions import AllocationError, ConfigurationError
 
 
@@ -21,7 +20,7 @@ class GPU:
     """One accelerator in the cluster.
 
     ``gpu_id`` is a cluster-global identifier; ``local_gpu_id`` is the index of
-    the GPU within its node, used by intra-node placement policies.
+    the GPU within its node.
     """
 
     gpu_id: int
@@ -50,7 +49,6 @@ class Node:
     cpu_cores: float = 32.0
     mem_gb: float = 244.0
     network_bw_gbps: float = 10.0
-    topology: Optional[IntraNodeTopology] = None
     failed: bool = False
     cpu_allocated: float = 0.0
     mem_allocated: float = 0.0
@@ -60,13 +58,6 @@ class Node:
     def __post_init__(self) -> None:
         if self.num_gpus < 1:
             raise ConfigurationError(f"node {self.node_id} has {self.num_gpus} GPUs")
-        if self.topology is None:
-            self.topology = uniform_topology(self.num_gpus)
-        if self.topology.num_gpus != self.num_gpus:
-            raise ConfigurationError(
-                f"node {self.node_id}: topology covers {self.topology.num_gpus} GPUs, "
-                f"node has {self.num_gpus}"
-            )
 
     @property
     def gpu_type(self) -> GPUType:
@@ -122,7 +113,6 @@ class Node:
             cpu_cores=self.cpu_cores,
             mem_gb=self.mem_gb,
             network_bw_gbps=self.network_bw_gbps,
-            topology=self.topology,
             failed=self.failed,
         )
         for job_id, (cpus, mem_gb) in self.aux_allocations().items():

@@ -49,7 +49,7 @@ class ExperimentTable:
 
 def _fmt(value: object) -> str:
     if isinstance(value, float):
-        return f"{value:.2f}"
+        return f"{value:.4g}"
     return str(value)
 
 

@@ -6,7 +6,6 @@ Subpackages:
 * :mod:`repro.policies.scheduling` -- FIFO, LAS, SRTF, Tiresias, Optimus, Gavel,
   Pollux, Themis, Synergy.
 * :mod:`repro.policies.placement` -- first-free, consolidated, Tiresias skew
-  heuristic, profile-based (Tiresias+), Synergy-aware, bandwidth-aware
-  intra-node placement.
+  heuristic, profile-based (Tiresias+), Synergy-aware.
 * :mod:`repro.policies.termination` -- epoch-based and loss-based termination.
 """

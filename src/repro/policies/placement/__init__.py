@@ -8,7 +8,6 @@ from repro.policies.placement.consolidated import ConsolidatedPlacement
 from repro.policies.placement.tiresias_placement import TiresiasPlacement
 from repro.policies.placement.profile_placement import ProfilePlacement
 from repro.policies.placement.synergy_placement import SynergyPlacement
-from repro.policies.placement.intra_node import IntraNodeBandwidthPlacement
 
 __all__ = [
     "BasePlacementPolicy",
@@ -18,12 +17,11 @@ __all__ = [
     "TiresiasPlacement",
     "ProfilePlacement",
     "SynergyPlacement",
-    "IntraNodeBandwidthPlacement",
 ]
 
 #: Placement-policy registry: name -> zero-argument factory, keyed by the
 #: ``name`` the built instance reports.  Synergy registers both of its modes
-#: (Fig. 5 compares them); the intra-node placement its default mode only.
+#: (Fig. 5 compares them).
 PLACEMENT_POLICIES = {
     FirstFreePlacement.name: FirstFreePlacement,
     ConsolidatedPlacement.name: ConsolidatedPlacement,
@@ -31,5 +29,4 @@ PLACEMENT_POLICIES = {
     ProfilePlacement.name: ProfilePlacement,
     "synergy-tune": SynergyPlacement,
     "synergy-proportional": partial(SynergyPlacement, mode="proportional"),
-    "intra-node-bandwidth-aware": IntraNodeBandwidthPlacement,
 }

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.cluster.node import Node
-from repro.cluster.topology import p3_8xlarge_topology, uniform_topology
 from repro.core.cluster_state import ClusterState
 from repro.core.exceptions import ConfigurationError
 
@@ -132,11 +131,6 @@ class ScaleOutEvent(ClusterEvent):
 
     def apply(self, cluster_state: ClusterState) -> List[int]:
         next_id = max(cluster_state.nodes, default=-1) + 1
-        topology = (
-            p3_8xlarge_topology()
-            if self.gpus_per_node == 4
-            else uniform_topology(self.gpus_per_node)
-        )
         for offset in range(self.num_nodes):
             cluster_state.add_node(
                 Node(
@@ -146,7 +140,6 @@ class ScaleOutEvent(ClusterEvent):
                     cpu_cores=self.cpu_cores_per_node,
                     mem_gb=self.mem_gb_per_node,
                     network_bw_gbps=self.network_bw_gbps,
-                    topology=topology,
                 )
             )
         return []
@@ -224,7 +217,6 @@ class GpuUpgradeEvent(ClusterEvent):
                     cpu_cores=old.cpu_cores,
                     mem_gb=old.mem_gb,
                     network_bw_gbps=old.network_bw_gbps,
-                    topology=old.topology,
                 )
             )
         return evicted

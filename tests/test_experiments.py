@@ -351,6 +351,14 @@ def test_cli_prints_the_selected_smoke_table(capsys):
     assert out.count("== ") == 1
     assert "optimistic  8" in out
 
+    assert main(["--smoke", "--only", "fig18"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = next(line for line in lines if line.startswith("policy "))
+    column = header.split().index("avg_jct_deviation")
+    fifo = next(line for line in lines if line.startswith("fifo "))
+    # 0.00036 must keep its digits, not print as 0.00.
+    assert float(fifo.split()[column]) == pytest.approx(0.00036, rel=1e-3)
+
 
 if __name__ == "__main__":
     print("PINNED = " + pprint.pformat(

@@ -62,7 +62,7 @@ def test_scheduling_registry_is_the_export_list():
     exported = {getattr(scheduling_pkg, name) for name in scheduling_pkg.__all__}
     assert set(SCHEDULING_POLICIES.values()) == exported
     assert len(SCHEDULING_POLICIES) == len(exported) == 9
-    assert len(PLACEMENT_POLICIES) == 7
+    assert len(PLACEMENT_POLICIES) == 6
     assert len(ADMISSION_POLICIES) == 5
     assert sorted(WORKLOAD_GENERATORS) == ["philly", "philly-spikes", "pollux", "tiresias"]
 

@@ -13,7 +13,9 @@ once, with no schedule change, when the scheduler-internal keys left
 same test pins that bus: a job's metrics hold only the keys of ``METRIC_BUS``.
 
 Tier-1 runs nine policies x two placements plus the twelve mode/scenario
-cases; ``pytest --fuzz`` runs all 75.  To re-record after an *intended*
+cases; ``pytest --fuzz`` runs all 66.  Fifteen cases repeat another's
+hash by construction; ``EQUIVALENT`` declares each, and any other pair of
+equal hashes fails.  To re-record after an *intended*
 schedule change: ``PYTHONPATH=src python tests/test_schedule_golden.py``.
 """
 
@@ -96,63 +98,54 @@ GOLDEN = {
     "fifo/tiresias-plus": "c265c7c5be5df044873a82d7588008ee31a53cf1cb53d9601deeab330f54d25e",
     "fifo/synergy-tune": "07c7e1eb3fd7103e9d257d3788ab4dc610c810cde87c8cb5f30313bce0c9c81c",
     "fifo/synergy-proportional": "0f11ad6f51527267bc07c3d85da4380e27c668a7bde59244ed916a64975d69d4",
-    "fifo/intra-node-bandwidth-aware": "33aae88042b6a69680b4d4c24240eb45aeb895922e8ef07b040d2c498ba48f40",
     "las/first-free": "2c998debbfbd4147c500b1a8b77565e35abf54336a2c201584a1ce92a61cfaee",
     "las/consolidated": "0dfc137ef26dfdd731e8d1e87280cf2f1f05b2e16dcfcb7ba3e0683293ed449c",
     "las/tiresias-placement": "941f5a22c6f3fa42867e63171e73a381f0d2b9b6ae958136baf274bfa7482109",
     "las/tiresias-plus": "c14fb647869769b5ed87b64263770710808b4f281da31c7a64996ccc72a91d27",
     "las/synergy-tune": "460a34a1c69a1e6557382814b147ec95c5432e06ca891072ae27125e4bbf7a5f",
     "las/synergy-proportional": "4d08ba39fc22166d502c4db17b11f96c89b2705b8d33d3dd7cf88f79b628237b",
-    "las/intra-node-bandwidth-aware": "0dfc137ef26dfdd731e8d1e87280cf2f1f05b2e16dcfcb7ba3e0683293ed449c",
     "srtf/first-free": "b81d962807d8808fc9017fd49bb5fff31dd25dad8e3d201d680840899b0be9ca",
     "srtf/consolidated": "389bc0b66b592f516bb6c766f29c7877bc39fffaed8421d64462d1ecba6d53be",
     "srtf/tiresias-placement": "9c15b8cc8aa62dd0022a0cdd9e980c8a6b2e4c91cf6a2a5fdb3faa934e70b8ef",
     "srtf/tiresias-plus": "50d9c30feea77a98f60e9d7624571a6b5ec4f439f892c5654a4bc449ba333751",
     "srtf/synergy-tune": "de1e95a27ad651bc0c0e7184196e8bc8710e63f687fd3bea83ecfdb987cb1f18",
     "srtf/synergy-proportional": "293928857cc144ac76aa0d703851eb2df07564b899c6d28982bd208e33970950",
-    "srtf/intra-node-bandwidth-aware": "389bc0b66b592f516bb6c766f29c7877bc39fffaed8421d64462d1ecba6d53be",
     "tiresias/first-free": "4d0f5a74a160b492045c9d9a95782a276c7287b08e6c2b1adad1bd417ce94bad",
     "tiresias/consolidated": "138430fcc25fcbbac84dca8ac0cf2d5432089a8ffef9fc13748b5ee23482630c",
     "tiresias/tiresias-placement": "fa3830ebd14f4eb6998bac065983d4683e57b2d3ff442aae3cc095ebed926f44",
     "tiresias/tiresias-plus": "cd4e0ce136e9b803cec6eb6935b2c437e7d0570df778f529f71a195673bdd2c5",
     "tiresias/synergy-tune": "ef199354348cb9e7f2fd274570e875afbda7b73b5b66b91f620e682a38d2c26b",
     "tiresias/synergy-proportional": "b66f7e2a6ba363a8c0715bf123fbf4f2d1e1f5798a54125288b039ecf69f3e4d",
-    "tiresias/intra-node-bandwidth-aware": "138430fcc25fcbbac84dca8ac0cf2d5432089a8ffef9fc13748b5ee23482630c",
     "optimus/first-free": "d141cbc97021f14696aca1280f1e416c036b4b58d8deab518f74a4eb19d45b83",
     "optimus/consolidated": "831b87f37f4d9494776bf546a050394a5a8aec6d3d224cf3fb8428e6e706b083",
     "optimus/tiresias-placement": "39e1b9ed2bb829d4d0dceec72b3c020ec07bf587727a5fd2226280f1ddcb196b",
     "optimus/tiresias-plus": "f659558da74672204a8833e4298678b9e9fb138072551f73dd49e906ac463e08",
     "optimus/synergy-tune": "440ede67683b12db3bc5e226501f695321a9a2ee89bd0001f87359ad2fccb3f1",
     "optimus/synergy-proportional": "8f80fd28d07ff48c041ec59619db1beef6c93287721eb6063d93d0e49064479c",
-    "optimus/intra-node-bandwidth-aware": "831b87f37f4d9494776bf546a050394a5a8aec6d3d224cf3fb8428e6e706b083",
     "gavel/first-free": "2c998debbfbd4147c500b1a8b77565e35abf54336a2c201584a1ce92a61cfaee",
     "gavel/consolidated": "0dfc137ef26dfdd731e8d1e87280cf2f1f05b2e16dcfcb7ba3e0683293ed449c",
     "gavel/tiresias-placement": "941f5a22c6f3fa42867e63171e73a381f0d2b9b6ae958136baf274bfa7482109",
     "gavel/tiresias-plus": "c14fb647869769b5ed87b64263770710808b4f281da31c7a64996ccc72a91d27",
     "gavel/synergy-tune": "460a34a1c69a1e6557382814b147ec95c5432e06ca891072ae27125e4bbf7a5f",
     "gavel/synergy-proportional": "4d08ba39fc22166d502c4db17b11f96c89b2705b8d33d3dd7cf88f79b628237b",
-    "gavel/intra-node-bandwidth-aware": "0dfc137ef26dfdd731e8d1e87280cf2f1f05b2e16dcfcb7ba3e0683293ed449c",
     "pollux/first-free": "05e5dbc7053db47879a0eba1d09e497a7ee14af9e26c0ba84e4c8ec9cf05f72c",
     "pollux/consolidated": "f4fcc565b57b9435e9c63e1cbb127bb265303157efb0517ff33043c83ed11347",
     "pollux/tiresias-placement": "8390a0876fc278bc3a2fb07ce668fc5824da3e75975244bb8ddb17c13df8f88c",
     "pollux/tiresias-plus": "49bffa04f330122d6c310b7fd9b9222908572c50a1ef5f2a6d9ce83fdfd0cd9a",
     "pollux/synergy-tune": "994d5fbc24bd1a6cd8d17a86766bab95f3d26b269f010874631b03ce3dc889a5",
     "pollux/synergy-proportional": "7685ba065ef6dfc1ed5f2e8d3378a380a052808c5e753712c760ac48c223256e",
-    "pollux/intra-node-bandwidth-aware": "f4fcc565b57b9435e9c63e1cbb127bb265303157efb0517ff33043c83ed11347",
     "themis/first-free": "66d949503c20db7101c55b23e1ce2ba5c161c4e4903ba3c5b836f4447a4242fb",
     "themis/consolidated": "87ab22efdb7a964ba443bbb4ab363e487bf97f6595e1f8649a3496b184503bcd",
     "themis/tiresias-placement": "fa9f1fca38c9fe9a1c0aa2dd2e939381d39b45cb8bcfb46abf014a2c8befb9cd",
     "themis/tiresias-plus": "13be3f75f1b9a3397246c893d770529ca05be49e6a178c8ea560f3681e188095",
     "themis/synergy-tune": "a9ae270efe27bda57e189263b629b7507d5a9d94570858cef17ead90f1ab5752",
     "themis/synergy-proportional": "77e3250dd76333bedb4c17b7dbd30a93fb14f4da35852d9decf9d780f7693f89",
-    "themis/intra-node-bandwidth-aware": "87ab22efdb7a964ba443bbb4ab363e487bf97f6595e1f8649a3496b184503bcd",
     "synergy/first-free": "b54a0b7ffb83279ccf8d14f531f3bc1546b187b70b74d4da76c6c6aa4d4d9956",
     "synergy/consolidated": "33aae88042b6a69680b4d4c24240eb45aeb895922e8ef07b040d2c498ba48f40",
     "synergy/tiresias-placement": "15d7f1776973b9c5dc3364755f07dabd36bce180a672a36b91d154f6a407a76a",
     "synergy/tiresias-plus": "c265c7c5be5df044873a82d7588008ee31a53cf1cb53d9601deeab330f54d25e",
     "synergy/synergy-tune": "07c7e1eb3fd7103e9d257d3788ab4dc610c810cde87c8cb5f30313bce0c9c81c",
     "synergy/synergy-proportional": "0f11ad6f51527267bc07c3d85da4380e27c668a7bde59244ed916a64975d69d4",
-    "synergy/intra-node-bandwidth-aware": "33aae88042b6a69680b4d4c24240eb45aeb895922e8ef07b040d2c498ba48f40",
     "pollux/failure-storm-smoke": "44a2d5a7cdd7907508b801dbf724ef915daad3f302bab284a1c44b03495af480",
     "pollux/spot-market-smoke": "67dbd52e150aa96def29f8f226e1ecb37678fa0c4f8c4b666b140b25024177e8",
     "pollux/runtime": "f4fcc565b57b9435e9c63e1cbb127bb265303157efb0517ff33043c83ed11347",
@@ -179,7 +172,41 @@ def _params():
 
 def test_every_case_has_a_recorded_hash():
     assert sorted(GOLDEN) == sorted(CASES)
-    assert len(CASES) == 75
+    assert len(CASES) == 66
+
+
+#: Cases whose schedule equals another case's by construction: ``case ->
+#: (twin, why)``.  A twin is never itself a key, so the twins and the
+#: undeclared cases are the distinct behaviours the constants pin.
+EQUIVALENT = {
+    **{
+        f"synergy/{placement}": (f"fifo/{placement}", "Synergy orders jobs as FIFO does")
+        for placement in PLACEMENT_POLICIES
+    },
+    **{
+        f"gavel/{placement}": (f"las/{placement}", "on one GPU type Gavel is LAS")
+        for placement in PLACEMENT_POLICIES
+    },
+    **{
+        f"{policy}/runtime": (
+            f"{policy}/consolidated",
+            "the deployment path reproduces the simulator's schedule",
+        )
+        for policy in ("fifo", "tiresias", "pollux")
+    },
+}
+
+
+def test_equal_hashes_are_exactly_the_declared_equivalences():
+    for case, (twin, _why) in EQUIVALENT.items():
+        assert twin in GOLDEN and twin not in EQUIVALENT, case
+        assert GOLDEN[case] == GOLDEN[twin], f"{case} no longer equals {twin}"
+    distinct = [case for case in GOLDEN if case not in EQUIVALENT]
+    by_hash = {}
+    for case in distinct:
+        by_hash.setdefault(GOLDEN[case], []).append(case)
+    assert [cases for cases in by_hash.values() if len(cases) > 1] == []
+    assert len(EQUIVALENT) == 15 and len(distinct) == 51
 
 
 #: What ``job.metrics`` may carry: the five application metrics the execution
