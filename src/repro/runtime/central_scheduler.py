@@ -20,9 +20,10 @@ Two pieces tie the lease lifecycle and cluster dynamics together:
   timeline, which the engine sees unwrapped), so scale-out registers fresh
   workers and scale-in deregisters dead ones instead of the first
   ``ScaleOut`` raising ``LeaseError``;
-* :class:`~repro.runtime.metrics.WorkerMetricsAggregator` -- wires the
-  worker-side metric stores (``push_metrics``/``pull_metrics`` deltas) into the
-  shared :class:`~repro.core.abstractions.MetricCollector` abstraction.
+* :class:`~repro.runtime.metrics.WorkerMetricsAggregator` -- a job status
+  observer, not a per-round collector: a job reports to its worker, which is
+  pulled (a ``pull_metrics`` delta), when it leaves RUNNING, so the
+  deployment path defers progress and skips rounds as simulation does.
 """
 
 from __future__ import annotations
@@ -172,12 +173,6 @@ class CentralScheduler:
         launcher = RpcLauncher(overheads, self.lease_manager, cluster_state)
         self.preemptor = RpcPreemption(overheads, self.lease_manager)
 
-        collectors = list(metric_collectors)
-        self.worker_metrics: Optional[WorkerMetricsAggregator] = None
-        if collect_worker_metrics:
-            self.worker_metrics = WorkerMetricsAggregator(self.channel, self.lease_manager)
-            collectors.append(self.worker_metrics)
-
         self._simulator = Simulator(
             cluster_state=cluster_state,
             jobs=jobs,
@@ -186,7 +181,7 @@ class CentralScheduler:
             admission_policy=admission_policy,
             round_duration=round_duration,
             execution_model=execution,
-            metric_collectors=collectors,
+            metric_collectors=metric_collectors,
             tracked_job_ids=tracked_job_ids,
             max_rounds=max_rounds,
             cluster_manager=cluster_manager,
@@ -200,6 +195,12 @@ class CentralScheduler:
         # that differ between simulation and deployment.
         self._simulator.manager.launcher = launcher
         self._simulator.manager.preemptor = self.preemptor
+        # Observers run in registration order: the execution model attached
+        # first, so a job leaving RUNNING is settled when it reports.
+        self.worker_metrics: Optional[WorkerMetricsAggregator] = None
+        if collect_worker_metrics:
+            self.worker_metrics = WorkerMetricsAggregator(self.channel, self.lease_manager, execution)
+            self._simulator.job_state.add_observer(self.worker_metrics)
         # Telemetry: the lease protocol and the RPC channel share the
         # simulator's recorder (one source, one monotonic sequence) and read
         # the loop's clock -- hooks only observe, so traced deployment runs

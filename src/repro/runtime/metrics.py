@@ -1,114 +1,109 @@
-"""Deployment-path metric collection.
+"""Deployment-path metric collection, at a job's epoch boundaries.
 
 In a real Blox deployment applications push arbitrary key-value metrics into
 their node's WorkerManager (via :class:`WorkerMetricsCollector`), and the
-CentralScheduler's metric-collection abstraction aggregates the per-node
-stores each round over RPC (``pull_metrics``).  This module bridges those two
-halves into the simulator's :class:`~repro.core.abstractions.MetricCollector`
-contract so the same scheduling loop drives metric collection on both paths:
+CentralScheduler aggregates the per-node stores over RPC (``pull_metrics``).
+Between entering and leaving RUNNING a job's reported progress is a pure
+function of the rounds elapsed (the execution model's epoch), so the two
+halves meet when a job *leaves* RUNNING -- suspension, eviction or
+completion -- and the run keeps deferring progress as in simulation:
 
-* the *application side* is stood in for by one batched push of each running
-  job's scalar metrics (work done, plus whatever the execution model
-  published into ``job.metrics``) to the job's *reporting worker* -- the
-  first node of its lease assignment -- a node-local call, exactly like a
-  real training process talking to its local daemon;
-* the *scheduler side* pulls the **delta** (entries written since the last
-  pull) over the RPC channel from the workers that host a reporting job this
-  round -- the scheduler knows who those are from the leases it granted, so
-  it never polls a worker that has nothing new -- and merges what came back
-  into one cluster-wide view that policies and experiments can read.
+* the *application side* is one batched, node-local push of the job's
+  settled scalar metrics (work done, plus whatever the execution model
+  published into ``job.metrics``) to its *reporting worker*, the first node
+  of its lease when it entered RUNNING, as a training process would talk
+  to its local daemon;
+* the *scheduler side* then pulls that worker's **delta** (entries written
+  since its last pull) over the RPC channel, before the prune step's
+  ``job_finished`` clears the store, into one cluster-wide view.  A read of
+  a job that is still running settles its epoch instead.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
-from repro.core.abstractions import MetricCollector
-from repro.core.cluster_state import ClusterState
-from repro.core.job_state import JobState
+from repro.core.job import Job, JobStatus
+from repro.core.job_state import JobStateObserver
 from repro.runtime.lease import SCHEDULER_ENDPOINT, _LeaseManagerBase
 from repro.runtime.rpc import InMemoryRpcChannel
-from repro.runtime.worker_manager import WorkerManager
+
+if TYPE_CHECKING:  # annotation only: the scheduler hands its model in
+    from repro.simulator.execution import ExecutionModel
 
 
-class WorkerMetricsAggregator(MetricCollector):
-    """Aggregates WorkerManager metric stores through the collector contract.
+class WorkerMetricsAggregator(JobStateObserver):
+    """Aggregates WorkerManager metric stores at job status transitions.
 
-    Reads the lease manager's *live* worker registry and lease assignments,
-    so membership changes mid-run are picked up automatically: a new node is
-    pulled from the first round it hosts a reporting job, a departed node
-    stops (entries it had not shipped yet are lost with it).  Pull calls are
-    real RPCs (they bill the scheduler endpoint between lease rounds) but are
-    excluded from the per-call log, which is reserved for lease traffic.
+    Reads the lease manager's *live* worker registry and assignments: a job
+    whose reporting node left before the job stopped running loses what it
+    had not shipped with the node.  Pulls are real RPCs (billed to the
+    scheduler endpoint) excluded from the per-call log, which is reserved
+    for lease traffic.  Register it on the run's ``JobState`` after the
+    execution model, so a job leaving RUNNING is settled when it is read.
     """
-
-    name = "worker-metrics"
 
     def __init__(
         self,
         channel: InMemoryRpcChannel,
         lease_manager: _LeaseManagerBase,
+        execution_model: ExecutionModel,
         keys: Sequence[str] = ("loss", "throughput"),
     ) -> None:
         self.channel = channel
         self.workers = lease_manager.workers
-        #: job id -> lease assignment, whose ``node_ids`` the launcher grants
-        #: sorted: ``node_ids[0]`` is what ``cluster_state.nodes_for_job``
-        #: would rebuild and sort per job per round.
+        #: job id -> lease assignment; the launcher grants ``node_ids``
+        #: sorted, so ``node_ids[0]`` is ``cluster_state.nodes_for_job``'s first.
         self.assignments = lease_manager.assignments
+        self.execution_model = execution_model
         self.keys: Tuple[str, ...] = tuple(keys)
-        #: Last-known metrics per job, merged from the pulled deltas; jobs
-        #: keep their final values after they finish (their worker store is
-        #: cleared, the aggregate is not).
-        self.latest: Dict[int, Dict[str, object]] = {}
-        self.pull_rounds = 0
+        #: job id -> (running job, reporting node), taken when the job enters
+        #: RUNNING: a preemption revokes the lease before the status write.
+        self.reporting: Dict[int, Tuple[Job, int]] = {}
+        #: Metrics merged from the pulled deltas: a job keeps its values from
+        #: the moment it left RUNNING (its worker store is cleared, this is not).
+        self._pulled: Dict[int, Dict[str, object]] = {}
+        self.pulls = 0
 
-    def collect(
-        self,
-        job_state: JobState,
-        cluster_state: ClusterState,
-        current_time: float,
-    ) -> None:
-        workers = self.workers
-        assignments = self.assignments
-        keys = self.keys
-        # Application side: each running job reports to its reporting worker.
-        reporting: Dict[int, WorkerManager] = {}
-        for job in job_state.running_jobs():
-            job_id = job.job_id
-            assignment = assignments.get(job_id)
-            if assignment is None:
-                continue
-            node_id = assignment.node_ids[0]
-            worker = workers.get(node_id)
-            if worker is None:
-                continue
-            payload: Dict[str, object] = {"work_done": job.work_done}
-            metrics = job.metrics
-            for key in keys:
-                if key in metrics:
-                    payload[key] = metrics[key]
-            worker.push_metrics(job_id, payload)
-            reporting[node_id] = worker
+    def on_status_change(self, job: Job, old: Optional[JobStatus], new: JobStatus) -> None:
+        if new is JobStatus.RUNNING:
+            assignment = self.assignments.get(job.job_id)
+            if assignment is not None:
+                self.reporting[job.job_id] = (job, assignment.node_ids[0])
+        elif old is JobStatus.RUNNING and job.job_id in self.reporting:
+            self.collect(*self.reporting.pop(job.job_id))
 
-        # Scheduler side: pull the delta of every worker that was just
-        # written to and merge it.  ``latest`` copies the values out of the
-        # reply, which the channel may also hold in its dedup cache.
-        call = self.channel.call
-        latest = self.latest
-        for node_id in sorted(reporting):
-            delta = call(
-                reporting[node_id].endpoint_name,
-                "pull_metrics",
-                caller=SCHEDULER_ENDPOINT,
-                log=False,
-            )
-            for job_id, values in delta.items():
-                entry = latest.get(job_id)
-                if entry is None:
-                    entry = latest[job_id] = {}
-                entry.update(values)
-        self.pull_rounds += 1
+    def collect(self, job: Job, node_id: int) -> None:
+        """The job left RUNNING: it pushes to its worker, whose delta is pulled and merged."""
+        worker = self.workers.get(node_id)
+        if worker is None:
+            return
+        worker.push_metrics(job.job_id, self._report(job))
+        delta = self.channel.call(
+            worker.endpoint_name, "pull_metrics", caller=SCHEDULER_ENDPOINT, log=False
+        )
+        for job_id, values in delta.items():  # copied: the dedup cache may hold the reply
+            self._pulled.setdefault(job_id, {}).update(values)
+        self.pulls += 1
+
+    def _report(self, job: Job) -> Dict[str, object]:
+        """What the job's training process reports now: its settled metrics."""
+        self.execution_model.publish_owed(job)
+        report: Dict[str, object] = {"work_done": job.work_done}
+        for key in self.keys:
+            if key in job.metrics:
+                report[key] = job.metrics[key]
+        return report
 
     def latest_for(self, job_id: int) -> Dict[str, object]:
-        return dict(self.latest.get(job_id, {}))
+        """The job's last-known metrics; a running job's as of now."""
+        values = dict(self._pulled.get(job_id, {}))
+        if job_id in self.reporting:
+            values.update(self._report(self.reporting[job_id][0]))
+        return values
+
+    @property
+    def latest(self) -> Dict[int, Dict[str, object]]:
+        """job id -> :meth:`latest_for`, for every job that reported or is running."""
+        job_ids = {**dict.fromkeys(self._pulled), **dict.fromkeys(self.reporting)}
+        return {job_id: self.latest_for(job_id) for job_id in job_ids}

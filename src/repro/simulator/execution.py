@@ -665,6 +665,16 @@ class ExecutionModel(JobStateObserver):
         for record in list(self._records.values()):
             record.flush()
 
+    def publish_owed(self, job: Job) -> None:
+        """:meth:`publish_owed_metrics` for one job: what a reader of that job needs."""
+        record = self._owed.pop(job.job_id, None)
+        if record is not None:
+            record.owed = False
+            self._update_app_metrics(record.job, record.rate)
+        record = self._records.get(job.job_id)
+        if record is not None:
+            record.flush()
+
     def _publish(self, job: Job, rate: float) -> None:
         """Write one job's application metrics now, settling any older debt."""
         older = self._owed.pop(job.job_id, None)

@@ -163,8 +163,9 @@ def test_federation_shards_match_stepping(scheduling):
 
 @pytest.mark.parametrize("collect_worker_metrics", [True, False])
 def test_central_scheduler_matches_stepping(collect_worker_metrics):
-    """Worker-metric collectors force the light loop; without them the
-    deployment manager (which overrides prune) still batches strides."""
+    """With or without the worker-metrics observer (it reports at status
+    transitions, not per round) the deployment manager, which overrides
+    prune, still batches strides."""
     trace = small_trace(num_jobs=25, seed=21)
     results = []
     for fast_forward in (True, False):

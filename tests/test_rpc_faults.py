@@ -10,12 +10,11 @@ fault-free run, with zero leaked leases.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.cluster.builder import build_cluster
 from repro.core.exceptions import ConfigurationError, RpcFaultError
+from repro.core.job import JobStatus
 from repro.policies.scheduling import FifoScheduling
 from repro.runtime.central_scheduler import CentralScheduler
 from repro.runtime.client_library import BloxDataLoader
@@ -29,6 +28,7 @@ from repro.runtime.rpc import (
     RpcCostModel,
 )
 from repro.runtime.worker_manager import WorkerManager
+from repro.simulator.execution import ExecutionModel
 from repro.simulator.overheads import OverheadModel
 from repro.workloads.philly import generate_philly_trace
 
@@ -245,8 +245,8 @@ def test_loader_exit_propagation_is_monotonic():
 # ----------------------------------------------------------------------
 
 
-def _deployment_fingerprint(fault_seed=None, methods=None):
-    jobs = generate_philly_trace(num_jobs=30, jobs_per_hour=20.0, seed=13).jobs
+def _deployment_fingerprint(fault_seed=None, methods=None, num_jobs=30):
+    jobs = generate_philly_trace(num_jobs=num_jobs, jobs_per_hour=20.0, seed=13).jobs
     scheduler = CentralScheduler(
         cluster_state=build_cluster(num_nodes=4),
         jobs=jobs,
@@ -322,11 +322,12 @@ def test_aggregate_shares_no_dict_with_worker_store_or_dedup_cache():
     channel = InMemoryRpcChannel(RpcCostModel(), FaultPlan(FaultSpec()), RetryPolicy())
     workers = [WorkerManager(node_id=i, channel=channel) for i in range(2)]
     manager = OptimisticLeaseManager(workers, channel)
-    aggregator = WorkerMetricsAggregator(channel, manager)
+    aggregator = WorkerMetricsAggregator(channel, manager, ExecutionModel())
     for job, worker in zip(jobs, workers):
         manager.grant(job.job_id, [worker.node_id])
         job.work_done = 5.0
-    aggregator.collect(SimpleNamespace(running_jobs=lambda: jobs), None, 0.0)
+        aggregator.on_status_change(job, JobStatus.RUNNABLE, JobStatus.RUNNING)
+        aggregator.on_status_change(job, JobStatus.RUNNING, JobStatus.PREEMPTED)
     cached = [r for r in channel._dedup.values() if isinstance(r, dict)]
     assert len(cached) == 2  # an armed plan keeps every pull reply for dedup
     for job, worker, reply in zip(jobs, workers, cached):
@@ -335,16 +336,23 @@ def test_aggregate_shares_no_dict_with_worker_store_or_dedup_cache():
         assert reply == {job.job_id: {"work_done": 5.0}}
         reply[job.job_id]["work_done"] = -2.0
         worker.metrics[job.job_id]["work_done"] = -3.0
-        assert aggregator.latest[job.job_id]["work_done"] == -1.0
+        assert aggregator.latest_for(job.job_id)["work_done"] == 5.0
+
+
+PULLED_JOBS = 120
 
 
 @pytest.mark.parametrize("fault_seed", [0, 1, 2, 3, 4])
 def test_pulled_metrics_under_faulty_pulls_equal_the_fault_free_run(fault_seed):
-    reference, clean = _deployment_fingerprint()
-    faulty, scheduler = _deployment_fingerprint(fault_seed, methods=("pull_metrics",))
+    # A job is pulled once per stint of running, so the run needs enough
+    # jobs for the pulls to draw every fault kind.
+    reference, clean = _deployment_fingerprint(num_jobs=PULLED_JOBS)
+    faulty, scheduler = _deployment_fingerprint(
+        fault_seed, methods=("pull_metrics",), num_jobs=PULLED_JOBS
+    )
     assert faulty == reference
     assert scheduler.worker_metrics.latest == clean.worker_metrics.latest
-    assert len(scheduler.worker_metrics.latest) == 30
+    assert len(scheduler.worker_metrics.latest) == PULLED_JOBS
     plan = scheduler.channel.fault_plan
     assert min(plan.drops, plan.lost_replies, plan.duplicates, plan.delays) > 0
     assert scheduler.fault_stats().exhausted == 0

@@ -6,14 +6,12 @@ RPC cost accounting behind Fig. 19, membership dynamics under scenario churn,
 and schedule parity between the deployment path and the plain simulator.
 """
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.cluster.builder import ClusterSpec, build_cluster
 from repro.core.abstractions import ClusterManager
 from repro.core.exceptions import ConfigurationError, LeaseError
-from repro.core.job import Job
+from repro.core.job import Job, JobStatus
 from repro.experiments.figures import FIGURES, measure_lease_round
 from repro.experiments.harness import run_figure
 from repro.policies.scheduling.fifo import FifoScheduling
@@ -34,7 +32,8 @@ from repro.runtime.lease import SCHEDULER_ENDPOINT
 from repro.scenarios.registry import scenario_names
 from repro.scenarios.spec import FailNodes, ScaleIn, ScaleOut, ScenarioSpec, WorkloadSpec
 from repro.simulator.engine import Simulator
-from repro.simulator.overheads import OverheadModel
+from repro.simulator.execution import ExecutionModel
+from repro.simulator.overheads import ClusterOverheadModel, OverheadModel
 from repro.telemetry.runspec import RunSpec
 from repro.workloads.philly import generate_philly_trace
 
@@ -436,22 +435,18 @@ class TestCentralScheduler:
         result = scheduler.run()
         aggregator = scheduler.worker_metrics
         assert aggregator is not None
-        assert aggregator.pull_rounds > 0
         finished = [j for j in result.jobs if j.completion_time is not None]
+        # One pull each time a job stopped running: preempted or completed.
+        assert aggregator.pulls == sum(j.num_preemptions for j in result.jobs) + len(finished)
         # Every job that ran reported work_done through its worker store.
         assert set(aggregator.latest) == {j.job_id for j in finished}
         for job in finished:
-            assert aggregator.latest_for(job.job_id)["work_done"] > 0
+            assert aggregator.latest_for(job.job_id)["work_done"] == job.work_done > 0
 
 
 # ----------------------------------------------------------------------
-# Worker metrics travel as deltas
+# Worker metrics travel as deltas, when a job stops running
 # ----------------------------------------------------------------------
-
-
-def _Running(*jobs):
-    """A stand-in for the one ``JobState`` method the aggregator reads."""
-    return SimpleNamespace(running_jobs=lambda: list(jobs))
 
 
 def _job(job_id, work_done=0.0):
@@ -460,27 +455,63 @@ def _job(job_id, work_done=0.0):
     return job
 
 
+def _enter(aggregator, job):
+    aggregator.on_status_change(job, JobStatus.RUNNABLE, JobStatus.RUNNING)
+
+
+def _leave(aggregator, job, status=JobStatus.PREEMPTED):
+    aggregator.on_status_change(job, JobStatus.RUNNING, status)
+
+
 def metric_setup(num_nodes=4):
     channel = InMemoryRpcChannel()
     workers = [WorkerManager(node_id=i, channel=channel) for i in range(num_nodes)]
     manager = OptimisticLeaseManager(workers, channel)
-    return manager, workers, channel, WorkerMetricsAggregator(channel, manager)
+    return manager, workers, channel, WorkerMetricsAggregator(channel, manager, ExecutionModel())
 
 
-def spy_on_collect(scheduler, before=None, after=None):
-    """Run ``before``/``after`` around every ``collect`` of a scheduler."""
-    aggregator = scheduler.worker_metrics
-    collect = aggregator.collect
+def spy_on_pulls(scheduler, after=None):
+    """Every ``pull_metrics`` reply of a scheduler's channel, in call order."""
+    replies = []
+    call = scheduler.channel.call
 
-    def spied(job_state, cluster_state, current_time):
-        if before is not None:
-            before(job_state, cluster_state)
-        collect(job_state, cluster_state, current_time)
-        if after is not None:
-            after(job_state, cluster_state)
+    def spied(endpoint, method, *args, **kwargs):
+        reply = call(endpoint, method, *args, **kwargs)
+        if method == "pull_metrics":
+            replies.append(reply)
+            if after is not None:
+                after(reply)
+        return reply
 
-    aggregator.collect = spied
-    return aggregator
+    scheduler.channel.call = spied
+    return replies
+
+
+def spy_on_full_rounds(scheduler, after):
+    """Run ``after(job_state, cluster_state)`` after every full round's ``exec_jobs``."""
+    manager = scheduler.manager
+    exec_jobs = manager.exec_jobs
+
+    def spied(decision, cluster_state, job_state):
+        launched = exec_jobs(decision, cluster_state, job_state)
+        after(job_state, cluster_state)
+        return launched
+
+    manager.exec_jobs = spied
+
+
+def count_steady_scans(scheduler):
+    """Live count of the execution model's multi-round folds."""
+    model = scheduler._simulator.execution_model
+    scan = model.steady_scan
+    calls = [0]
+
+    def spied(*args):
+        calls[0] += 1
+        return scan(*args)
+
+    model.steady_scan = spied
+    return calls
 
 
 class TestWorkerMetricsDelta:
@@ -512,19 +543,23 @@ class TestWorkerMetricsDelta:
 
     def test_migrated_job_follows_its_current_worker(self):
         # Preempted off node 3, relaunched on node 0: node 3 keeps the old
-        # entry until completion, and pulls merge in node order -- a full
-        # pull would let node 3's stale value overwrite node 0's every round.
+        # entry until completion but is never pulled again, so its stale
+        # value can never overwrite node 0's.
         manager, workers, _channel, aggregator = metric_setup()
         job = _job(500, work_done=10.0)
         manager.grant(500, [3])
-        aggregator.collect(_Running(job), None, 0.0)
+        _enter(aggregator, job)
+        manager.renewal_round([500])  # the lease is revoked before the status write
+        _leave(aggregator, job)
         assert aggregator.latest_for(500)["work_done"] == 10.0
-        manager.renewal_round([500])
         manager.grant(500, [0])
+        _enter(aggregator, job)
         for work_done in (20.0, 30.0):
-            job.work_done = work_done
-            aggregator.collect(_Running(job), None, 300.0)
+            job.work_done = work_done  # a running job is read, not pulled
             assert aggregator.latest_for(500)["work_done"] == work_done
+        _leave(aggregator, job, JobStatus.COMPLETED)
+        assert aggregator.latest_for(500)["work_done"] == 30.0
+        assert workers[0].metrics[500] == {"work_done": 30.0}
         assert workers[3].metrics[500] == {"work_done": 10.0}  # still held, never re-shipped
 
     def test_only_reporting_workers_are_pulled(self):
@@ -532,32 +567,41 @@ class TestWorkerMetricsDelta:
         manager.grant(1, [2, 5])  # a gang reports through its first node
         manager.grant(2, [2])
         manager.grant(3, [6])
+        jobs = [_job(1, 1.0), _job(2, 2.0), _job(3, 3.0)]
         channel.reset_accounting()
-        aggregator.collect(_Running(_job(1, 1.0), _job(2, 2.0), _job(3, 3.0)), None, 0.0)
-        assert channel.total_calls == 2  # worker-2 and worker-6, not all eight
+        for job in jobs:
+            _enter(aggregator, job)
+        assert channel.total_calls == 0  # entering RUNNING ships nothing
+        assert aggregator.latest_for(2) == {"work_done": 2.0}  # nor does a read
+        assert channel.total_calls == 0
+        for job in jobs:
+            _leave(aggregator, job)
+        assert channel.total_calls == 3  # worker-2 twice and worker-6, not all eight
         assert channel.busy_ms("worker-5") == 0.0
         assert {j: v["work_done"] for j, v in aggregator.latest.items()} == {1: 1.0, 2: 2.0, 3: 3.0}
-        assert aggregator.pull_rounds == 1
-        aggregator.collect(_Running(), None, 300.0)  # nothing runs: nothing is pulled
-        assert channel.total_calls == 2
-        assert aggregator.pull_rounds == 2
+        assert aggregator.pulls == 3
 
     def test_worker_registered_mid_run_is_pulled_once_it_hosts_a_reporting_job(self):
         manager, _workers, channel, aggregator = metric_setup(num_nodes=2)
         manager.register_worker(WorkerManager(node_id=9, channel=channel))
-        aggregator.collect(_Running(), None, 0.0)
         assert channel.busy_ms("worker-9") == 0.0
         manager.grant(7, [9])
-        aggregator.collect(_Running(_job(7, 5.0)), None, 300.0)
+        job = _job(7, 5.0)
+        _enter(aggregator, job)
+        _leave(aggregator, job)
+        assert channel.busy_ms("worker-9") > 0.0
         assert aggregator.latest_for(7) == {"work_done": 5.0}
 
     def test_deregistered_worker_takes_its_unpulled_entries_with_it(self):
         manager, workers, _channel, aggregator = metric_setup(num_nodes=2)
         manager.grant(7, [1])
+        job = _job(7, 6.0)
+        _enter(aggregator, job)
         workers[1].push_metrics(7, {"work_done": 5.0})  # written, never pulled
         manager.deregister_worker(1)
-        aggregator.collect(_Running(_job(7, 6.0)), None, 0.0)  # reporting worker gone
+        _leave(aggregator, job)  # reporting worker gone
         assert aggregator.latest == {}
+        assert aggregator.pulls == 0
 
     def test_pulled_work_done_tracks_the_last_push_over_a_contended_run(self):
         # The runtime-leases benchmark shape at scale 0.2: 1.4x load, ~2 000
@@ -577,49 +621,68 @@ class TestWorkerMetricsDelta:
             scheduling_policy=TiresiasScheduling(),
             overhead_model=OverheadModel(),
         )
-        pushed, pulled, decreased = {}, {}, []
+        model = scheduler._simulator.execution_model
+        job_state = scheduler._simulator.job_state
+        keys = scheduler.worker_metrics.keys
+        unsettled = []
 
-        def record_pushes(job_state, cluster_state):
-            for job in job_state.running_jobs():
-                pushed[job.job_id] = job.work_done
+        def check_report(reply):
+            # A job reports the metrics it is owed when it stops, not those
+            # of the last write before: publishing every job now adds nothing.
+            model.publish_owed_metrics()
+            for job_id, values in reply.items():
+                metrics = job_state.get(job_id).metrics
+                if {k: values.get(k) for k in keys} != {k: metrics.get(k) for k in keys}:
+                    unsettled.append(job_id)
 
-        def check_pulls(job_state, cluster_state):
-            for job_id, values in aggregator.latest.items():
+        replies = spy_on_pulls(scheduler, after=check_report)
+        result = scheduler.run()
+        assert len(scheduler.lease_latencies_ms()) > 100  # contended: many migrations
+        assert unsettled == []
+        pulled, decreased = {}, []
+        for reply in replies:
+            for job_id, values in reply.items():
                 if values["work_done"] < pulled.get(job_id, 0.0):
                     decreased.append(job_id)
                 pulled[job_id] = values["work_done"]
-
-        aggregator = spy_on_collect(scheduler, record_pushes, check_pulls)
-        scheduler.run()
-        assert len(scheduler.lease_latencies_ms()) > 100  # contended: many migrations
         assert decreased == []
-        assert len(pushed) == 800
-        stale = [j for j, value in pushed.items() if aggregator.latest[j]["work_done"] != value]
-        assert stale == []
+        assert len(pulled) == 800
+        aggregator = scheduler.worker_metrics
+        inexact = [
+            j.job_id
+            for j in result.jobs
+            if not aggregator.latest_for(j.job_id)["work_done"] == pulled[j.job_id] == j.work_done
+        ]
+        assert inexact == []
 
     @pytest.mark.parametrize("policy", ["tiresias", "pollux"])
     @pytest.mark.parametrize("scenario", scenario_names())
     def test_lease_assignment_names_the_nodes_of_every_running_job(self, scenario, policy):
         # The aggregator takes a job's reporting worker from its lease
-        # assignment instead of rebuilding ``nodes_for_job`` per job per
-        # round; that is only sound while the two agree at collect time.
-        scheduler = RunSpec(
-            mode="runtime", policy=policy, scenario=scenario, scenario_smoke=True
-        ).build()
-        assignments = scheduler.lease_manager.assignments
+        # assignment when the job enters RUNNING instead of rebuilding
+        # ``nodes_for_job``; that is only sound while the two agree for
+        # every running job, checked after every full round's launches of
+        # the default run and of the stepping one.
         checked, mismatches = 0, []
+        for fast_forward in (True, False):
+            scheduler = RunSpec(
+                mode="runtime", policy=policy, scenario=scenario, scenario_smoke=True
+            ).build(fast_forward=fast_forward)
+            assignments = scheduler.lease_manager.assignments
+            reporting = scheduler.worker_metrics.reporting
 
-        def compare(job_state, cluster_state):
-            nonlocal checked
-            for job in job_state.running_jobs():
-                checked += 1
-                assignment = assignments.get(job.job_id)
-                nodes = cluster_state.nodes_for_job(job.job_id)
-                if assignment is None or assignment.node_ids != nodes:
-                    mismatches.append((job.job_id, assignment, nodes))
+            def compare(job_state, cluster_state):
+                nonlocal checked
+                for job in job_state.running_jobs():
+                    checked += 1
+                    assignment = assignments.get(job.job_id)
+                    nodes = cluster_state.nodes_for_job(job.job_id)
+                    _, reporter = reporting.get(job.job_id, (None, None))
+                    if assignment is None or assignment.node_ids != nodes or reporter != nodes[0]:
+                        mismatches.append((job.job_id, assignment, nodes, reporter))
 
-        spy_on_collect(scheduler, before=compare)
-        scheduler.run()
+            spy_on_full_rounds(scheduler, after=compare)
+            scheduler.run()
         assert checked > 1000
         assert mismatches == []
 
@@ -627,25 +690,80 @@ class TestWorkerMetricsDelta:
     def test_stepping_run_pulls_the_same_deltas_as_the_default_run(self, scenario):
         spec = RunSpec(mode="runtime", policy="tiresias", scenario=scenario)
         default, stepping = spec.build(), spec.build(fast_forward=False)
-        default.run()
-        stepping.run()
+        default_result = default.run()
+        stepping_result = stepping.run()
         if scenario == "scale-cycle":  # workers join and leave mid-run
             assert len(default.lease_manager.membership_log) > 8
+        assert default._simulator.execution_model._defer
+        assert {j.job_id: j.completion_time for j in default_result.jobs} == {
+            j.job_id: j.completion_time for j in stepping_result.jobs
+        }
         assert default.worker_metrics.latest == stepping.worker_metrics.latest
-        assert default.worker_metrics.pull_rounds == stepping.worker_metrics.pull_rounds
+        assert default.worker_metrics.pulls == stepping.worker_metrics.pulls
         assert default.channel.lifetime_calls == stepping.channel.lifetime_calls
 
     def test_control_traffic_of_a_seeded_run_is_pinned(self):
-        # Counted work, not wall time: 455 lease messages plus one pull per
-        # reporting worker per round.  Polling all 8 workers every round
-        # reads 455 + 8 x 730 = 6 295.
+        # Counted work, not wall time: 455 lease messages plus one pull each
+        # time a job stopped running (120, recorded from the run, not
+        # derived).  A pull per reporting worker per round read 3 071 calls,
+        # polling all 8 workers every round 455 + 8 x 730 = 6 295.
         scheduler = RunSpec(
             mode="runtime", policy="tiresias", seed=11, num_jobs=40, jobs_per_hour=12.0
         ).build()
         result = scheduler.run()
         assert result.completion_fraction() == 1.0
-        assert scheduler.worker_metrics.pull_rounds == result.rounds == 730
-        assert scheduler.channel.lifetime_calls == 3071
+        assert result.rounds == 730
+        stops = sum(j.num_preemptions for j in result.jobs) + len(result.jobs)
+        assert scheduler.worker_metrics.pulls == stops == 120
+        assert scheduler.channel.lifetime_calls == 575
+
+
+class TestDeploymentPathDefers:
+    """Worker metrics ride on status transitions, so progress stays deferred."""
+
+    def test_a_deterministic_run_defers_and_folds_many_rounds_at_once(self):
+        scheduler = RunSpec(mode="runtime", policy="tiresias", num_jobs=40).build()
+        assert scheduler._simulator._stride_accelerable
+        scans = count_steady_scans(scheduler)
+        scheduler.run()
+        assert scans[0] >= 1
+
+    @pytest.mark.parametrize("scenario", ["scale-cycle", "chaos"])
+    def test_a_paused_run_reports_every_running_job_as_stepping_does(self, scenario):
+        spec = RunSpec(mode="runtime", policy="tiresias", scenario=scenario)
+        default, stepping = spec.build(), spec.build(fast_forward=False)
+        for stop_time in (20_000.0, 60_000.0):
+            default._simulator._advance_loop(stop_time)
+            stepping._simulator._advance_loop(stop_time)
+            running = default._simulator.job_state.running_jobs()
+            assert running
+            assert [j.job_id for j in running] == [
+                j.job_id for j in stepping._simulator.job_state.running_jobs()
+            ]
+            for job in running:
+                assert default.worker_metrics.latest_for(job.job_id) == (
+                    stepping.worker_metrics.latest_for(job.job_id)
+                )
+                assert default.worker_metrics.latest_for(job.job_id)["work_done"] == job.work_done
+            assert default.worker_metrics.latest == stepping.worker_metrics.latest
+            assert default.channel.lifetime_calls == stepping.channel.lifetime_calls
+
+    def test_a_jittered_run_stays_eager_and_still_reports(self):
+        trace = small_trace(num_jobs=12)
+        scheduler = CentralScheduler(
+            cluster_state=build_cluster(num_nodes=4),
+            jobs=trace.fresh_jobs(),
+            scheduling_policy=FifoScheduling(),
+            overhead_model=ClusterOverheadModel(),
+        )
+        assert not scheduler._simulator._stride_accelerable
+        result = scheduler.run()
+        assert not scheduler._simulator.execution_model._defer
+        latest = scheduler.worker_metrics.latest
+        assert set(latest) == {j.job_id for j in result.jobs}
+        for job in result.jobs:
+            assert latest[job.job_id]["work_done"] == job.work_done > 0
+            assert latest[job.job_id]["loss"] == job.metrics["loss"]
 
 
 class TestFidelityRunner:
