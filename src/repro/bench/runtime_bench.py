@@ -40,7 +40,7 @@ def deployment_facts(scheduler, result) -> Dict[str, object]:
         # Every scheduler- and worker-side lease entry still held.
         "leaked_leases": scheduler.leaked_leases(),
         "workers_final": len(scheduler.workers),
-        "metric_jobs": len(scheduler.worker_metrics.latest) if scheduler.worker_metrics else 0,
+        "metric_jobs": len(scheduler.worker_metrics.latest),
     }
 
 

@@ -4,7 +4,7 @@ A shard is a full Blox scheduling loop -- its own
 :class:`~repro.core.cluster_state.ClusterState`, policy composition and
 (optionally) scenario timeline -- that the federation engine can *pause* at
 routing events and *resume* after submitting routed gangs.  Everything about
-the loop (full rounds, light rounds, the event core's skips,
+the loop (full rounds, the event core's skips,
 ``check_invariants``) is inherited unchanged from
 :class:`~repro.simulator.engine.Simulator`, including the pause: the engine
 bounds every skip by the ``stop_time`` of :meth:`ShardSimulator.run_until`, so
@@ -17,7 +17,7 @@ exactly two things:
   gang is indistinguishable from a trace job that was there from the start;
 * while ``accepting`` is set, the shard's finish conditions
   (``_tracked_all_finished`` / ``_stalled``) are suppressed -- a shard that
-  drained its current jobs merely idles (cheap light rounds) until the next
+  drained its current jobs merely idles (skipped rounds) until the next
   routing event, because more gangs may still be routed to it.
 """
 

@@ -66,10 +66,9 @@ class RpcLauncher(SimulatedLauncher):
 
     name = "rpc-launch"
 
-    def __init__(self, overheads, lease_manager, cluster_state: ClusterState) -> None:
+    def __init__(self, overheads, lease_manager) -> None:
         super().__init__(overheads)
         self.lease_manager = lease_manager
-        self._cluster_state = cluster_state
 
     def launch(self, job, gpu_ids, cluster_state, current_time, aux_per_gpu=None) -> None:
         node_ids = sorted({cluster_state.gpu(g).node_id for g in gpu_ids})
@@ -101,10 +100,9 @@ class DeploymentBloxManager(BloxManager):
       (failures, recoveries, scale-out/in, upgrades), before the engine
       evicts the affected jobs.
     * Its prune step retires finished jobs' leases.  Every path through the
-      engine -- full rounds, light fast-forward rounds and the event core's
-      skips -- prunes through this method, so a completed job always
-      releases its lease and clears worker-local state in the same round it
-      frees its GPUs.
+      engine -- full rounds and the event core's skips -- prunes through
+      this method, so a completed job always releases its lease and clears
+      worker-local state in the same round it frees its GPUs.
     """
 
     def __init__(self, *args, lease_manager: Optional[_LeaseManagerBase] = None, **kwargs) -> None:
@@ -146,7 +144,6 @@ class CentralScheduler:
         max_rounds: int = 200_000,
         cluster_manager: Optional[ClusterManager] = None,
         fast_forward: bool = True,
-        collect_worker_metrics: bool = True,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
         recorder: Optional[TraceRecorder] = None,
@@ -170,7 +167,7 @@ class CentralScheduler:
         # default; fidelity/parity experiments pass a deterministic model.
         overheads = overhead_model if overhead_model is not None else ClusterOverheadModel()
         execution = ExecutionModel(overhead_model=overheads)
-        launcher = RpcLauncher(overheads, self.lease_manager, cluster_state)
+        launcher = RpcLauncher(overheads, self.lease_manager)
         self.preemptor = RpcPreemption(overheads, self.lease_manager)
 
         self._simulator = Simulator(
@@ -197,10 +194,8 @@ class CentralScheduler:
         self._simulator.manager.preemptor = self.preemptor
         # Observers run in registration order: the execution model attached
         # first, so a job leaving RUNNING is settled when it reports.
-        self.worker_metrics: Optional[WorkerMetricsAggregator] = None
-        if collect_worker_metrics:
-            self.worker_metrics = WorkerMetricsAggregator(self.channel, self.lease_manager, execution)
-            self._simulator.job_state.add_observer(self.worker_metrics)
+        self.worker_metrics = WorkerMetricsAggregator(self.channel, self.lease_manager, execution)
+        self._simulator.job_state.add_observer(self.worker_metrics)
         # Telemetry: the lease protocol and the RPC channel share the
         # simulator's recorder (one source, one monotonic sequence) and read
         # the loop's clock -- hooks only observe, so traced deployment runs

@@ -21,7 +21,7 @@ completion -- and the run keeps deferring progress as in simulation:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.core.job import Job, JobStatus
 from repro.core.job_state import JobStateObserver
@@ -30,6 +30,9 @@ from repro.runtime.rpc import InMemoryRpcChannel
 
 if TYPE_CHECKING:  # annotation only: the scheduler hands its model in
     from repro.simulator.execution import ExecutionModel
+
+#: The application metrics a job reports besides its work done.
+REPORTED_KEYS = ("loss", "throughput")
 
 
 class WorkerMetricsAggregator(JobStateObserver):
@@ -48,7 +51,6 @@ class WorkerMetricsAggregator(JobStateObserver):
         channel: InMemoryRpcChannel,
         lease_manager: _LeaseManagerBase,
         execution_model: ExecutionModel,
-        keys: Sequence[str] = ("loss", "throughput"),
     ) -> None:
         self.channel = channel
         self.workers = lease_manager.workers
@@ -56,7 +58,6 @@ class WorkerMetricsAggregator(JobStateObserver):
         #: sorted, so ``node_ids[0]`` is ``cluster_state.nodes_for_job``'s first.
         self.assignments = lease_manager.assignments
         self.execution_model = execution_model
-        self.keys: Tuple[str, ...] = tuple(keys)
         #: job id -> (running job, reporting node), taken when the job enters
         #: RUNNING: a preemption revokes the lease before the status write.
         self.reporting: Dict[int, Tuple[Job, int]] = {}
@@ -90,7 +91,7 @@ class WorkerMetricsAggregator(JobStateObserver):
         """What the job's training process reports now: its settled metrics."""
         self.execution_model.publish_owed(job)
         report: Dict[str, object] = {"work_done": job.work_done}
-        for key in self.keys:
+        for key in REPORTED_KEYS:
             if key in job.metrics:
                 report[key] = job.metrics[key]
         return report

@@ -329,13 +329,34 @@ class Simulator:
         else:
             self.tracked_job_ids = list(tracked_job_ids)
 
-        # Event-skipping is only enabled when every composed policy declares it
-        # safe to skip its per-round calls while nothing can change.
+        # Event-skipping -- every skip one batch in the event core -- is
+        # enabled only when nothing needs the rounds it jumps:
+        # * every composed policy declares it safe to skip its per-round
+        #   calls while nothing can change;
+        # * rates are drift-free: per-round jitter's RNG must be drawn once
+        #   per job per round, in order, which a batched skip cannot do;
+        # * no metric collector is attached: collectors sample every round
+        #   by contract;
+        # * the BloxManager keeps the stock clock: a subclass overriding
+        #   advance_time expects one call per round;
+        # * the ClusterManager can predict its events: one that overrides
+        #   update() but not next_event_time() has per-round effects, and
+        #   treating its inherited "no events ever" as truth would silently
+        #   skip them.
+        cluster_manager_cls = type(self.manager.cluster_manager)
         self.fast_forward = (
             bool(fast_forward)
             and getattr(self.scheduling_policy, "supports_fast_forward", True)
             and getattr(self.admission_policy, "supports_fast_forward", True)
             and getattr(self.placement_policy, "supports_fast_forward", True)
+            and self.execution_model.jitter_free
+            and not self.metric_collectors
+            and type(self.manager).advance_time is BloxManager.advance_time
+            and (
+                cluster_manager_cls.update is ClusterManager.update
+                or cluster_manager_cls.next_event_time
+                is not ClusterManager.next_event_time
+            )
         )
         # Skipping rounds *with running jobs* additionally requires that
         # rescheduling an unchanged set of running gang jobs is a no-op.
@@ -348,43 +369,17 @@ class Simulator:
         # requires the scheduling policy to bound when its decision next
         # changes.  A policy that does not override next_policy_event_time
         # keeps the base "may change any round" contract, so the detection
-        # mirrors the ClusterManager.next_event_time migration check below.
-        # A drift-free execution rate (no per-round jitter RNG that strides
-        # must not consume out of order) is required both for predicting
-        # completion times and for batched per-job advancement.
-        jitter_free = self.execution_model.jitter_free
+        # mirrors the ClusterManager.next_event_time check above.
         self._policy_event_aware = (
             type(self.scheduling_policy).next_policy_event_time
             is not SchedulingPolicy.next_policy_event_time
             and getattr(self.placement_policy, "steady_state_safe", False)
             and getattr(self.admission_policy, "steady_state_safe", True)
-            and jitter_free
-        )
-        # Batched skips additionally require that nothing observes the
-        # intermediate rounds: collectors sample per round by contract, and a
-        # BloxManager subclass overriding advance_time expects one call per
-        # round (the contract for a manager whose update_metrics or
-        # prune_completed_jobs needs per-round calls), so either keeps the
-        # per-round light loop.
-        self._stride_accelerable = (
-            jitter_free
-            and not self.metric_collectors
-            and type(self.manager).advance_time is BloxManager.advance_time
         )
         #: Whether the most recent full round's placement decision was a pure
         #: lease renewal (nothing suspended, nothing newly launched).  The
         #: elastic fast-forward path uses this as its fixed-point witness.
         self._last_decision_noop = False
-        # A ClusterManager subclass that overrides update() but not
-        # next_event_time() has per-round effects the simulator cannot predict;
-        # treating its inherited "no events ever" as truth would silently skip
-        # its events, so such managers disable event skipping entirely.
-        manager_cls = type(self.manager.cluster_manager)
-        if (
-            manager_cls.update is not ClusterManager.update
-            and manager_cls.next_event_time is ClusterManager.next_event_time
-        ):
-            self.fast_forward = False
 
         # Loop state lives on the instance so the loop is *resumable*: the
         # federation layer (src/repro/federation/) pauses a shard's loop at
@@ -398,23 +393,22 @@ class Simulator:
         #: every skip stops short of it, as of a cluster event.
         self._stop_time: Optional[float] = None
 
-        # Sanctioned skips that are batchable execute in the event core's one
-        # skip; everything else takes the per-round light loop below.  Where
-        # the skip may run, running jobs' progress is deferred too: a full
-        # round then folds only the jobs whose completion round has come.
+        # Sanctioned skips execute in the event core's one skip.  Where a skip
+        # may run, running jobs' progress is deferred too: a full round then
+        # folds only the jobs whose completion round has come.
         self._event_core = EventCore(self)
         self.execution_model.attach(
             self.job_state,
             self.manager.round_number,
             self.manager.round_duration,
-            defer=self.fast_forward and self._stride_accelerable,
+            defer=self.fast_forward,
         )
 
         # Telemetry is opt-in and read-only: the recorder hooks only observe
         # state (never draw RNG or mutate anything), so a traced run stays
         # bit-identical to an untraced one, and it deliberately is not a
-        # MetricCollector -- collectors disable steady-mode strides, which
-        # would turn "record a trace" into a multi-x slowdown.
+        # MetricCollector -- collectors disable fast-forward, which would
+        # turn "record a trace" into a multi-x slowdown.
         self._recorder = recorder
         self._telemetry_observer: Optional[TelemetryObserver] = None
         if recorder is not None:
@@ -477,8 +471,8 @@ class Simulator:
             busy_capacity=self.cluster_state.busy_capacity(),
             healthy_capacity=self.cluster_state.healthy_capacity(),
         )
-        # Every single-row RoundRecord -- full rounds, light rounds, a skip's
-        # completion rounds -- is built here, and the skipped runs in
+        # Every single-row RoundRecord -- full rounds and a skip's completion
+        # rounds -- is built here, and the skipped runs in
         # EventCore._append_records, so those two emit the traced round
         # stream that equals the round log.
         if self._recorder is not None:
@@ -531,27 +525,6 @@ class Simulator:
                 return False
         return True
 
-    def _earliest_completion_bound(self) -> Optional[float]:
-        """Earliest time any running job can reach its termination target.
-
-        Uses the execution model's own rate function, so the estimate matches
-        what the per-round ``advance`` calls will accumulate (modulo
-        floating-point association, which the caller's one-round margin
-        absorbs).  ``None`` when no running job can finish (e.g. zero rates).
-        """
-        mgr = self.manager
-        earliest: Optional[float] = None
-        for job in self.job_state.running_jobs():
-            epoch = self.execution_model.epoch(job, self.cluster_state)
-            rate = epoch.rate
-            if rate <= 0:
-                continue
-            remaining = max(0.0, epoch.target - job.work_done)
-            finish = mgr.current_time + job.pending_overhead + remaining / rate
-            if earliest is None or finish < earliest:
-                earliest = finish
-        return earliest
-
     def _boundary_horizon(self) -> float:
         """Time of the next arrival, cluster event or pause (``inf`` if none).
 
@@ -566,18 +539,17 @@ class Simulator:
         ]
         return min(bounds) if bounds else math.inf
 
-    def _fast_forward(self, round_log: RoundLog) -> bool:
+    def _fast_forward(self) -> bool:
         """Skip rounds during which no scheduling decision can change.
 
         Called at the end of a full round, *before* ``advance_time``.  While no
         arrival, cluster event, admission release or scheduling change can
         occur, the only per-round work is advancing running jobs and logging;
         the cluster update, admission, scheduling, placement and launch steps
-        are guaranteed no-ops.  An accelerable skip runs in batch in
-        :meth:`EventCore.skip`; any other runs exactly those steps round by
-        round (``_fast_forward_light``).  Both keep work/overhead accounting,
-        completion times, metric collection and the round log bit-identical to
-        a run with fast-forward disabled.
+        are guaranteed no-ops.  This method decides whether a skip is
+        sanctioned and how far it may reach; :meth:`EventCore.skip` runs it in
+        batch, keeping work/overhead accounting, completion times and the
+        round log bit-identical to a run with fast-forward disabled.
 
         Returns ``True`` when every tracked job finished during the skip (the
         caller must then stop exactly as the full loop would).
@@ -598,7 +570,6 @@ class Simulator:
 
         boundary = self._boundary_horizon()
         policy_bound: Optional[float] = None
-        running = job_state.count_with_status(JobStatus.RUNNING)
         # With no active job, or under the gang witness -- audited policies,
         # every active job already running, each holding exactly its
         # requested gang -- a completion cannot change any decision, so a
@@ -630,62 +601,14 @@ class Simulator:
             # Unlike the gang path (where nothing is waiting for GPUs), a
             # completion here frees GPUs that a queued job must receive in
             # that very round -- so the skip must stop *before* the first
-            # completion, not merely break at it.  The event core stops at
-            # the round before the first probed completion; the light loop
-            # (collectors present) bounds the horizon by the closed-form
-            # completion estimate with a one-round safety margin.
+            # completion, not merely break at it: the event core stops at
+            # the round before the first probed completion.
             through_completions = False
-            if not self._stride_accelerable:
-                completion = self._earliest_completion_bound()
-                if completion is not None:
-                    completion -= mgr.round_duration
-                    if completion <= mgr.current_time:
-                        return False
-                    if policy_bound is None or completion < policy_bound:
-                        policy_bound = completion
 
         # Nothing may fire before the next arrival, cluster event or pause
         # (or, on the decision-stable path, the policy's own next event).
         horizon = boundary if policy_bound is None else min(boundary, policy_bound)
-        if self._stride_accelerable:
-            return self._event_core.skip(horizon, through_completions)
-        return self._fast_forward_light(horizon, running, round_log)
-
-    def _fast_forward_light(
-        self,
-        horizon: float,
-        running: int,
-        round_log: RoundLog,
-    ) -> bool:
-        """The per-round light loop: advance + log, nothing else.
-
-        Handles the skips the event core does not claim: those observed by
-        metric collectors, jittered rates, or a manager that overrides
-        ``advance_time``.  Breaks back to the full loop as soon as a
-        completion changes the steady state.
-        """
-        mgr = self.manager
-        job_state = self.job_state
-        while (
-            mgr.round_number + 1 < self.max_rounds
-            and (mgr.round_number + 1) * mgr.round_duration < horizon
-        ):
-            mgr.advance_time()
-            mgr.update_metrics(self.cluster_state, job_state)
-            released = mgr.prune_completed_jobs(self.cluster_state, job_state)
-            if self._tracked_all_finished():
-                return True
-            # Keep the sanctioned "now" side-channel fresh for collectors,
-            # mirroring the refresh the full loop does before its policy calls.
-            job_state.current_time = mgr.current_time
-            self._collect_metrics()
-            round_log.append(self._round_record())
-            if released or job_state.count_with_status(JobStatus.RUNNING) != running:
-                # A completion changed the steady state; let the full loop
-                # take over again (its next rounds are no-ops for the policies
-                # but cheap, and they re-establish the skip conditions).
-                break
-        return False
+        return self._event_core.skip(horizon, through_completions)
 
     def _advance_loop(self, stop_time: Optional[float]) -> bool:
         """Drive the scheduling loop; return ``True`` once the run finished.
@@ -790,7 +713,7 @@ class Simulator:
                     return True
 
                 # 8. Event-skipping: jump over rounds in which nothing can change.
-                if self.fast_forward and self._fast_forward(round_log):
+                if self.fast_forward and self._fast_forward():
                     return True
 
                 mgr.advance_time()

@@ -67,7 +67,7 @@ class EventCore:
 
         The largest ``k <= round_cap`` whose round still starts strictly
         before the horizon, ``(round_number + k) * round_duration < horizon``
-        -- the comparison the per-round light loop makes one round at a time.
+        -- the comparison a stepping loop would make one round at a time.
         The division only seeds the answer; the two adjust loops decide it
         against that exact product.
         """

@@ -290,8 +290,9 @@ class ExecutionModel(JobStateObserver):
     ) -> None:
         """Observe the run's registry, from fold round ``round_number`` on.
 
-        With ``defer`` (the simulator passes it where its skip executor may
-        run: drift-free rates, no metric collector, the stock clock), a
+        With ``defer`` (the simulator passes its ``fast_forward``: its skip
+        executor may run, so rates are drift-free, no metric collector is
+        attached and the clock is the stock one), a
         running job's progress is an epoch: one record and a completion-heap
         entry, folded only when the job completes, leaves RUNNING or has its
         progress read.  Otherwise :meth:`fold_round` folds every running job

@@ -48,9 +48,9 @@ SCHEMA_VERSION = 2
 # Event kinds
 # ---------------------------------------------------------------------------
 
-#: One per appended :class:`~repro.simulator.engine.RoundRecord` (full rounds,
-#: light fast-forward rounds and the event core's skips all emit it, so
-#: traced round streams equal ``round_log``).
+#: One per appended :class:`~repro.simulator.engine.RoundRecord` (full rounds
+#: and the event core's skips both emit it, so traced round streams equal
+#: ``round_log``).
 EVENT_ROUND = "round"
 #: Job lifecycle transition, emitted from the ``JobStateObserver`` hooks.
 EVENT_JOB = "job"

@@ -96,6 +96,20 @@ def check_docs():
     return module
 
 
+def test_docs_check_flags_a_stale_attribute_reference(check_docs):
+    """One finding for a method the class no longer has; none for an own
+    method, a ``self.`` field, an inherited method or a class outside src/."""
+    classes = check_docs.src_class_attributes()
+    text = (
+        "`Simulator.run`, `Simulator.fast_forward`, `EventCore.skip(horizon)`, "
+        "`DeploymentBloxManager.advance_time`, `Path.exists` and "
+        "`Simulator._no_such_method`"
+    )
+    findings = check_docs.check_attribute_refs(text, "doc.md", classes)
+    assert len(findings) == 1
+    assert "`Simulator._no_such_method`" in findings[0]
+
+
 def test_gate_inventory_and_one_artifact_shape(tmp_path, monkeypatch, check_docs):
     monkeypatch.chdir(tmp_path)
     assert run(bench_main, ["--smoke"]) == 0

@@ -2,8 +2,7 @@
 
 Covers the computed clock (``current_time == round_number * round_duration``
 through skips of any length, horizon counting against that product), the
-manager-subclass rule (an overridden ``advance_time`` keeps the per-round
-light loop), the epoch lifetime, the one skip's accounting (nothing folded
+epoch lifetime, the one skip's accounting (nothing folded
 but completing jobs, each one ordinary round), and the
 simultaneous-event regression: an arrival, a completion and a cluster-churn
 firing all landing on the *same* round boundary must replay the stepping
@@ -15,7 +14,6 @@ import pickle
 import pytest
 
 from repro.cluster.builder import build_cluster
-from repro.core.blox_manager import BloxManager
 from repro.core.job import Job, JobStatus
 from repro.policies.placement.consolidated import ConsolidatedPlacement
 from repro.policies.scheduling import PolluxScheduling, TiresiasScheduling
@@ -57,7 +55,7 @@ def assert_identical(first, second):
 
 @pytest.mark.parametrize("rd", [300.0, 60.0, 287.5, 100.1, 33.3])
 def test_rounds_until_counts_rounds_starting_before_the_horizon(rd):
-    """The seeded closed form equals the light loop's one-round-at-a-time test."""
+    """The seeded closed form equals a one-round-at-a-time count."""
     trace = generate_philly_trace(num_jobs=4, jobs_per_hour=4.0, seed=1)
     sim = make_sim(trace.fresh_jobs(), round_duration=rd)
     core = sim._event_core
@@ -106,33 +104,6 @@ def test_clock_is_round_number_times_duration_after_skips(rd):
         trace.fresh_jobs(), round_duration=rd, max_rounds=2_000_000, fast_forward=False
     ).run()
     assert_identical(result, stepping)
-
-
-# ----------------------------------------------------------------------
-# Manager subclasses
-# ----------------------------------------------------------------------
-
-
-class CountingManager(BloxManager):
-    """Overrides ``advance_time``, so it must see one call per round."""
-
-    advances = 0
-
-    def advance_time(self):
-        super().advance_time()
-        self.advances += 1
-
-
-def test_manager_overriding_advance_time_takes_the_light_loop():
-    trace = generate_philly_trace(num_jobs=30, jobs_per_hour=5.0, seed=17)
-    sim = make_sim(trace.fresh_jobs(), manager_factory=CountingManager)
-    assert sim.fast_forward and not sim._stride_accelerable
-    result = sim.run()
-    assert sim.manager.advances == result.rounds
-    assert_identical(result, make_sim(trace.fresh_jobs(), fast_forward=False).run())
-    # The same trace on the plain manager does batch (the comparison above is
-    # not vacuous).
-    assert make_sim(trace.fresh_jobs())._stride_accelerable
 
 
 # ----------------------------------------------------------------------

@@ -161,11 +161,10 @@ def test_federation_shards_match_stepping(scheduling):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("collect_worker_metrics", [True, False])
-def test_central_scheduler_matches_stepping(collect_worker_metrics):
-    """With or without the worker-metrics observer (it reports at status
-    transitions, not per round) the deployment manager, which overrides
-    prune, still batches strides."""
+def test_central_scheduler_matches_stepping():
+    """With the worker-metrics observer (it reports at status transitions,
+    not per round) the deployment manager, which overrides prune, still
+    batches strides."""
     trace = small_trace(num_jobs=25, seed=21)
     results = []
     for fast_forward in (True, False):
@@ -176,7 +175,6 @@ def test_central_scheduler_matches_stepping(collect_worker_metrics):
             placement_policy=ConsolidatedPlacement(),
             round_duration=ROUND,
             overhead_model=OverheadModel(),
-            collect_worker_metrics=collect_worker_metrics,
             fast_forward=fast_forward,
         )
         results.append(scheduler.run())

@@ -29,6 +29,7 @@ from repro.runtime import (
     build_lease_setup,
 )
 from repro.runtime.lease import SCHEDULER_ENDPOINT
+from repro.runtime.metrics import REPORTED_KEYS
 from repro.scenarios.registry import scenario_names
 from repro.scenarios.spec import FailNodes, ScaleIn, ScaleOut, ScenarioSpec, WorkloadSpec
 from repro.simulator.engine import Simulator
@@ -623,7 +624,7 @@ class TestWorkerMetricsDelta:
         )
         model = scheduler._simulator.execution_model
         job_state = scheduler._simulator.job_state
-        keys = scheduler.worker_metrics.keys
+        keys = REPORTED_KEYS
         unsettled = []
 
         def check_report(reply):
@@ -723,7 +724,8 @@ class TestDeploymentPathDefers:
 
     def test_a_deterministic_run_defers_and_folds_many_rounds_at_once(self):
         scheduler = RunSpec(mode="runtime", policy="tiresias", num_jobs=40).build()
-        assert scheduler._simulator._stride_accelerable
+        assert scheduler._simulator.fast_forward
+        assert scheduler._simulator.execution_model._defer
         scans = count_steady_scans(scheduler)
         scheduler.run()
         assert scans[0] >= 1
@@ -756,9 +758,9 @@ class TestDeploymentPathDefers:
             scheduling_policy=FifoScheduling(),
             overhead_model=ClusterOverheadModel(),
         )
-        assert not scheduler._simulator._stride_accelerable
-        result = scheduler.run()
+        assert scheduler._simulator.fast_forward is False
         assert not scheduler._simulator.execution_model._defer
+        result = scheduler.run()
         latest = scheduler.worker_metrics.latest
         assert set(latest) == {j.job_id for j in result.jobs}
         for job in result.jobs:
@@ -785,6 +787,9 @@ class TestDeploymentClusterManager:
             jobs=compiled.trace.fresh_jobs(),
             scheduling_policy=FifoScheduling(),
             cluster_manager=cluster_manager,
+            # Deterministic rates: jitter alone disables fast-forward, so the
+            # manager rule is the only one these tests exercise.
+            overhead_model=OverheadModel(),
         )
 
     def test_unmigrated_manager_disables_event_skipping(self):

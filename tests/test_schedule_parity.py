@@ -12,10 +12,15 @@ import pytest
 
 from repro.bench.legacy import LegacySimulator
 from repro.cluster.builder import build_cluster
+from repro.core.abstractions import ClusterManager
+from repro.core.blox_manager import BloxManager
+from repro.metrics.collector import UtilizationCollector
 from repro.policies.placement.consolidated import ConsolidatedPlacement
 from repro.policies.scheduling.fifo import FifoScheduling
 from repro.policies.scheduling.srtf import SrtfScheduling
 from repro.simulator.engine import Simulator
+from repro.simulator.overheads import ClusterOverheadModel
+from repro.synthesizer.auto_scheduler import AutoSchedulerSynthesizer
 from repro.workloads.philly import generate_philly_trace
 
 
@@ -65,52 +70,77 @@ def test_fast_forward_parity_under_srtf(trace):
     assert_identical(without_skip, with_skip)
 
 
-def test_fast_forward_disabled_for_unsafe_policies(trace):
-    """Policies that opt out must force every round to execute."""
-    from repro.synthesizer.auto_scheduler import AutoSchedulerSynthesizer
+class UpdateOnlyClusterManager(ClusterManager):
+    """Overrides update() but not next_event_time: its events are unpredictable."""
 
+    def update(self, cluster_state, current_time):
+        return []
+
+
+class CountingManager(BloxManager):
+    """Overrides ``advance_time``, so it must see one call per round."""
+
+    advances = 0
+
+    def advance_time(self):
+        super().advance_time()
+        self.advances += 1
+
+
+def _synthesizer():
     synth = AutoSchedulerSynthesizer.from_grid(
         ["fifo"], ["accept-all"], evaluate_every=10, horizon_rounds=4
     )
-    sim = Simulator(
+    return {"scheduling_policy": synth, "admission_policy": synth}
+
+
+#: Every reason a run steps every round instead of fast-forwarding, as the
+#: Simulator keyword arguments that give it (built fresh per run).
+STEPPING_REASONS = {
+    "synthesizer-opt-out": _synthesizer,
+    "update-only-cluster-manager": lambda: {"cluster_manager": UpdateOnlyClusterManager()},
+    "metric-collector": lambda: {"metric_collectors": [UtilizationCollector()]},
+    "per-round-jitter": lambda: {"overhead_model": ClusterOverheadModel()},
+    "advance-time-override": lambda: {"manager_factory": CountingManager},
+}
+
+
+def _sim(trace, fast_forward, **kwargs):
+    kwargs.setdefault("scheduling_policy", FifoScheduling())
+    return Simulator(
         cluster_state=build_cluster(num_nodes=4, gpus_per_node=4),
         jobs=trace.fresh_jobs(),
-        scheduling_policy=synth,
-        admission_policy=synth,
-        fast_forward=True,
+        placement_policy=ConsolidatedPlacement(),
+        fast_forward=fast_forward,
+        **kwargs,
     )
+
+
+@pytest.mark.parametrize("reason", list(STEPPING_REASONS))
+def test_each_reason_to_step_disables_fast_forward(trace, reason):
+    """Each reason alone turns fast-forward and deferred progress off, and
+    the run is the stepping run bit for bit."""
+    sim = _sim(trace, True, **STEPPING_REASONS[reason]())
     assert sim.fast_forward is False
+    assert sim.execution_model._defer is False
+    result = sim.run()
+    assert_identical(result, _sim(trace, False, **STEPPING_REASONS[reason]()).run())
+    if reason == "advance-time-override":
+        assert sim.manager.advances == result.rounds
 
 
-def test_unmigrated_cluster_manager_disables_fast_forward(trace):
-    """A manager overriding update() but not next_event_time cannot be skipped."""
-    from repro.core.abstractions import ClusterManager
+def test_stock_and_migrated_runs_fast_forward(trace):
+    """Without a reason to step (the table above is not vacuous), and with a
+    cluster manager that also overrides next_event_time, a run skips."""
 
-    class Sneaky(ClusterManager):
-        def update(self, cluster_state, current_time):
-            return []
-
-    sim = Simulator(
-        cluster_state=build_cluster(num_nodes=4, gpus_per_node=4),
-        jobs=trace.fresh_jobs(),
-        scheduling_policy=FifoScheduling(),
-        cluster_manager=Sneaky(),
-        fast_forward=True,
-    )
-    assert sim.fast_forward is False
-
-    class Migrated(Sneaky):
+    class Migrated(UpdateOnlyClusterManager):
         def next_event_time(self, current_time):
             return None
 
-    sim = Simulator(
-        cluster_state=build_cluster(num_nodes=4, gpus_per_node=4),
-        jobs=trace.fresh_jobs(),
-        scheduling_policy=FifoScheduling(),
-        cluster_manager=Migrated(),
-        fast_forward=True,
-    )
-    assert sim.fast_forward is True
+    for kwargs in ({}, {"cluster_manager": Migrated()}):
+        sim = _sim(trace, True, **kwargs)
+        assert sim.fast_forward is True
+        assert sim.execution_model._defer is True
 
 
 def test_admission_with_per_round_side_effects_is_never_skipped(trace):
@@ -139,7 +169,6 @@ def test_admission_with_per_round_side_effects_is_never_skipped(trace):
 
 def test_fast_forward_parity_with_scheduled_cluster_events(trace):
     """Event skipping must stop exactly at failures/recoveries a manager schedules."""
-    from repro.core.abstractions import ClusterManager
 
     class OneFailure(ClusterManager):
         def __init__(self):

@@ -14,6 +14,10 @@ Checks, for ``README.md`` and every ``docs/*.md``:
   top-level ``*.md``/``*.json``/``*.py``/``*.yml``) name files that exist,
   so prose like "see `src/repro/federation/engine.py`" breaks CI when the
   file moves;
+* **class attributes** -- every inline code span ``Class.attr`` (or
+  ``Class.attr(...)``) whose ``Class`` is defined under ``src/`` names a
+  method, a class attribute or a ``self.`` attribute of that class or of a
+  base class defined there, so prose naming a deleted method breaks CI;
 * **module commands** -- every ``python -m repro.<module>`` mentioned
   anywhere (prose *and* fenced code blocks) resolves to a real module under
   ``src/`` that is runnable (a package with ``__main__.py``, or a plain
@@ -46,11 +50,12 @@ CI docs job.
 
 from __future__ import annotations
 
+import ast
 import json
 import re
 import sys
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -67,6 +72,8 @@ PATHLIKE_RE = re.compile(
 PATH_ALLOWLIST = {
     "docs/*.md",
 }
+#: Inline code spans naming a class attribute: ``Class.attr`` or ``Class.attr(...)``.
+ATTRIBUTE_SPAN_RE = re.compile(r"^([A-Z]\w*)\.([A-Za-z_]\w*)(?:\(.*\))?$")
 #: Documented runnable modules: ``python -m repro.bench --smoke`` etc.
 MODULE_CMD_RE = re.compile(r"python\s+-m\s+(repro(?:\.\w+)+)")
 
@@ -155,6 +162,76 @@ def check_file(md_path: Path) -> List[str]:
             errors.append(
                 f"{rel}: documented command `python -m {module}` is not "
                 "runnable (no __main__.py package or module under src/)"
+            )
+    return errors
+
+
+def _base_names(node: ast.ClassDef) -> Iterable[str]:
+    for base in node.bases:
+        if isinstance(base, ast.Subscript):  # Generic[T] and the like
+            base = base.value
+        if isinstance(base, ast.Name):
+            yield base.id
+        elif isinstance(base, ast.Attribute):
+            yield base.attr
+
+
+def src_class_attributes(src: Path = REPO_ROOT / "src") -> Dict[str, Set[str]]:
+    """Class name -> every attribute a class of that name under ``src`` has.
+
+    An attribute is a method or nested class, a name assigned in the class
+    body, or a ``self.<name>`` store anywhere inside the class, including
+    those of its base classes defined under ``src``.  Classes sharing a name
+    share one set.
+    """
+    own: Dict[str, Set[str]] = {}
+    bases: Dict[str, Set[str]] = {}
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            attrs = own.setdefault(node.name, set())
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    attrs.add(item.name)
+                elif isinstance(item, ast.Assign):
+                    attrs.update(t.id for t in item.targets if isinstance(t, ast.Name))
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    attrs.add(item.target.id)
+            for sub in ast.walk(node):
+                if (
+                    isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "self"
+                ):
+                    attrs.add(sub.attr)
+            bases.setdefault(node.name, set()).update(_base_names(node))
+
+    def inherited(name: str, seen: Set[str]) -> Set[str]:
+        if name in seen or name not in own:
+            return set()
+        seen.add(name)
+        attrs = set(own[name])
+        for base in bases[name]:
+            attrs |= inherited(base, seen)
+        return attrs
+
+    return {name: inherited(name, set()) for name in own}
+
+
+def check_attribute_refs(text: str, where: str, classes: Dict[str, Set[str]]) -> List[str]:
+    """Stale ``Class.attr`` code spans in ``text`` (fenced blocks already stripped)."""
+    errors: List[str] = []
+    for match in CODE_SPAN_RE.finditer(text):
+        ref = ATTRIBUTE_SPAN_RE.match(match.group(1).strip())
+        if ref is None or ref.group(1) not in classes:
+            continue
+        cls, attr = ref.groups()
+        if attr not in classes[cls]:
+            errors.append(
+                f"{where}: stale attribute reference `{cls}.{attr}` "
+                f"({cls}, defined under src/, has no attribute {attr!r})"
             )
     return errors
 
@@ -294,9 +371,17 @@ def main() -> int:
     errors: List[str] = [
         f"missing documentation file: {f.relative_to(REPO_ROOT)}" for f in missing
     ]
+    classes = src_class_attributes()
     for md_path in files:
         if md_path.exists():
             errors.extend(check_file(md_path))
+            errors.extend(
+                check_attribute_refs(
+                    strip_code_blocks(md_path.read_text()),
+                    str(md_path.relative_to(REPO_ROOT)),
+                    classes,
+                )
+            )
     errors.extend(check_lint_rule_ids())
     errors.extend(check_policy_names())
     errors.extend(check_bench_artifacts())
