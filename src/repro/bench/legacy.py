@@ -28,7 +28,7 @@ from repro.cluster.gpu_types import GPU_TYPES
 from repro.cluster.node import GPU
 from repro.core.abstractions import ScheduleEntry, SchedulingPolicy
 from repro.core.blox_manager import BloxManager
-from repro.core.cluster_state import ClusterState, gpu_type_key
+from repro.core.cluster_state import Allocation, ClusterState, gpu_type_key
 from repro.core.exceptions import UnknownNodeError
 from repro.core.job import Job, JobStatus
 from repro.core.job_state import JobState
@@ -82,6 +82,12 @@ class LegacyClusterState(ClusterState):
 
     def nodes_for_job(self, job_id: int) -> List[int]:
         return sorted({g.node_id for g in self.gpus_for_job(job_id)})
+
+    def allocation(self, job_id: int) -> Optional[Allocation]:
+        held = {g.gpu_id for g in self.gpus_for_job(job_id)}
+        if not held:
+            return None
+        return self._derive(held, self.cpu_share(job_id))
 
     def jobs_with_allocations(self) -> List[int]:
         return sorted({g.job_id for g in self.gpus.values() if g.job_id is not None})

@@ -8,19 +8,21 @@ that raises :class:`~repro.core.exceptions.AllocationError` on double
 allocation so inconsistent placement decisions are caught immediately.
 
 The state is *indexed*: per-node free-GPU sets, healthy nodes grouped by
-free-GPU count, a job->GPU index and cached free/busy counters are updated
-invariantly by every mutation (``assign``/``release_job``/``add_node``/
-``remove_node``/``mark_node_failed``/``mark_node_recovered``), so the hot
-queries (``free_gpus``, ``gpus_for_job``, ``gpus_on_node``, ``num_free_gpus``,
-``utilization``, ``free_count_buckets``) cost O(result) instead of O(total
-GPUs).  ``check_invariants`` recomputes everything from scratch and is used by
-the test suite to prove the indexes never drift from the ground truth.
+free-GPU count, one :class:`Allocation` record per job holding GPUs and cached
+free/busy counters are updated invariantly by every mutation (``assign``/
+``release_job``/``add_node``/``remove_node``/``mark_node_failed``/
+``mark_node_recovered``), so the hot queries (``free_gpus``, ``gpus_for_job``,
+``gpus_on_node``, ``num_free_gpus``, ``utilization``, ``free_count_buckets``,
+``allocation``) cost O(result) instead of O(total GPUs).  ``check_invariants``
+recomputes everything from scratch and is used by the test suite to prove the
+indexes never drift from the ground truth.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
+from dataclasses import dataclass
 from typing import (
     AbstractSet,
     DefaultDict,
@@ -31,6 +33,7 @@ from typing import (
     Optional,
     Sequence,
     Set,
+    Tuple,
     Union,
 )
 
@@ -45,6 +48,26 @@ def gpu_type_key(gpu_type: Union[str, GPUType]) -> str:
     return name.lower()
 
 
+@dataclass(slots=True, eq=False)
+class Allocation:
+    """One job's held GPUs, grouped by node once, when they are assigned.
+
+    ``runs``: hosting node -> its GPUs, ascending, nodes in GPU-id order;
+    ``nodes``: sorted; ``compute_factor``: the slowest GPU's; ``bandwidth``:
+    the lowest cross-node bandwidth of ``nodes``; ``cpu_share``: the granted
+    share of a Synergy launch's CPU demand (``None`` = unthrottled).  Every
+    layer reads it instead of regrouping the GPUs; every assignment makes a
+    new one, so its identity keys what is derived from it.
+    """
+
+    gpu_ids: Set[int]
+    runs: Dict[int, List[int]]
+    nodes: Tuple[int, ...]
+    compute_factor: float
+    bandwidth: float
+    cpu_share: Optional[float] = None
+
+
 class ClusterState:
     """Tracks every node and GPU in the cluster and which job occupies it."""
 
@@ -56,18 +79,14 @@ class ClusterState:
         self._node_gpu_ids: Dict[int, List[int]] = {}
         #: Free GPU ids per node (membership set; ordering comes from the list above).
         self._free_by_node: Dict[int, Set[int]] = {}
-        #: Free-GPU count -> ids of the healthy nodes with exactly that many
-        #: free GPUs (counts >= 1 only; an emptied bucket stays, empty).
-        #: This is what placement answers best fit and bucket-ordered walks
-        #: from.
+        #: Free-GPU count (>= 1) -> ids of the healthy nodes with that many free
+        #: GPUs (an emptied bucket stays, empty): placement's best fit reads it.
         self._nodes_by_free: DefaultDict[int, Set[int]] = defaultdict(set)
-        #: job id -> set of GPU ids it currently holds.
+        #: job id -> the GPU ids it holds, and the record of that allocation.
         self._job_gpu_ids: Dict[int, Set[int]] = {}
-        #: job id -> node ids where auxiliary CPU/memory is reserved for it.
+        self._allocations: Dict[int, Allocation] = {}
+        #: job id -> node ids where :meth:`reserve_aux` reserved CPU/memory.
         self._aux_nodes_by_job: Dict[int, Set[int]] = {}
-        #: job id -> granted fraction of its CPU demand, for jobs launched on
-        #: a CPU request (Synergy); part of the allocation, so it goes with it.
-        self._cpu_share: Dict[int, float] = {}
         #: Cached counters kept in sync by every mutation.
         self._busy_count = 0
         self._free_healthy_count = 0
@@ -82,15 +101,9 @@ class ClusterState:
         #: GPUs (free or assigned) on healthy nodes: the integer twin of
         #: ``_healthy_capacity``, maintained at the same mutation sites.
         self._healthy_gpu_count = 0
-        #: Version stamps consumed by the execution model's rate cache: the
-        #: membership version bumps on any node add/remove/health change, a
-        #: job's allocation version bumps whenever its GPU set changes.  A
-        #: job's effective rate is a pure function of state covered by these
-        #: two stamps (its GPUs, their types, its nodes' bandwidths, its CPU
-        #: share -- set only at launch, right after ``assign``), so a cache
-        #: entry is valid exactly while both are unchanged.
+        #: Bumps on any node add/remove/health change (the deployment path
+        #: reconciles its workers only when it moved).
         self.membership_version = 0
-        self._alloc_version: Dict[int, int] = {}
         if nodes is not None:
             for node in nodes:
                 self.add_node(node)
@@ -164,11 +177,8 @@ class ClusterState:
         if node_id not in self.nodes:
             raise UnknownNodeError(node_id)
         node = self.nodes[node_id]
-        evicted_jobs: List[int] = []
-        for gpu_id in self._node_gpu_ids[node_id]:
-            job_id = self.gpus[gpu_id].job_id
-            if job_id is not None and job_id not in evicted_jobs:
-                evicted_jobs.append(job_id)
+        on_node = dict.fromkeys(self.gpus[g].job_id for g in self._node_gpu_ids[node_id])
+        evicted_jobs = [job_id for job_id in on_node if job_id is not None]
         # Free each evicted job's full allocation (including GPUs on other
         # nodes) and its aux reservations everywhere.
         for job_id in evicted_jobs:
@@ -176,11 +186,7 @@ class ClusterState:
         # Drop any remaining aux bookkeeping that pointed at this node.
         for job_id in node.aux_job_ids():
             node.release_aux(job_id)
-            nodes_for_job = self._aux_nodes_by_job.get(job_id)
-            if nodes_for_job is not None:
-                nodes_for_job.discard(node_id)
-                if not nodes_for_job:
-                    del self._aux_nodes_by_job[job_id]
+            self._aux_nodes_by_job.get(job_id, set()).discard(node_id)
         # Remove the node's (now all free) GPUs from the indexes.
         if not node.failed:
             self._refile(node_id, len(self._free_by_node[node_id]), 0)
@@ -201,45 +207,31 @@ class ClusterState:
     def mark_node_failed(self, node_id: int) -> List[int]:
         """Mark a node failed without removing it; returns jobs running on it."""
         node = self.node(node_id)
-        affected = sorted(
-            {
-                self.gpus[g].job_id
-                for g in self._node_gpu_ids[node_id]
-                if self.gpus[g].job_id is not None
-            }
-        )
+        on_node = (self.gpus[g].job_id for g in self._node_gpu_ids[node_id])
+        affected = sorted({job_id for job_id in on_node if job_id is not None})
         if not node.failed:
-            node.failed = True
-            free_here = len(self._free_by_node[node_id])
-            self._refile(node_id, free_here, 0)
-            self._free_healthy_count -= free_here
-            key = gpu_type_key(node.gpu_type)
-            self._free_healthy_by_type[key] = (
-                self._free_healthy_by_type.get(key, 0) - free_here
-            )
-            factor = node.gpu_type.compute_factor
-            total_here = len(self._node_gpu_ids[node_id])
-            self._healthy_capacity -= factor * total_here
-            self._healthy_gpu_count -= total_here
-            self._busy_capacity -= factor * (total_here - free_here)
-            self.membership_version += 1
+            self._flip_health(node)
         return affected
 
     def mark_node_recovered(self, node_id: int) -> None:
         """Bring a failed node back into the schedulable pool."""
         node = self.node(node_id)
-        if not node.failed:
-            return
-        node.failed = False
-        free_here = len(self._free_by_node[node_id])
-        self._refile(node_id, 0, free_here)
-        self._free_healthy_count += free_here
+        if node.failed:
+            self._flip_health(node)
+
+    def _flip_health(self, node: Node) -> None:
+        """Fail a healthy node or recover a failed one (a negated product is exact)."""
+        node.failed = not node.failed
+        sign = -1 if node.failed else 1
+        free_here = len(self._free_by_node[node.node_id])
+        total_here = len(self._node_gpu_ids[node.node_id])
+        self._refile(node.node_id, *((free_here, 0) if node.failed else (0, free_here)))
+        self._free_healthy_count += sign * free_here
         key = gpu_type_key(node.gpu_type)
-        self._free_healthy_by_type[key] = self._free_healthy_by_type.get(key, 0) + free_here
-        factor = node.gpu_type.compute_factor
-        total_here = len(self._node_gpu_ids[node_id])
+        self._free_healthy_by_type[key] = self._free_healthy_by_type.get(key, 0) + sign * free_here
+        factor = sign * node.gpu_type.compute_factor
         self._healthy_capacity += factor * total_here
-        self._healthy_gpu_count += total_here
+        self._healthy_gpu_count += sign * total_here
         self._busy_capacity += factor * (total_here - free_here)
         self.membership_version += 1
 
@@ -299,8 +291,7 @@ class ClusterState:
         return self._nodes_by_free
 
     def gpus_on_node(self, node_id: int) -> List[GPU]:
-        if node_id not in self.nodes:
-            raise UnknownNodeError(node_id)
+        self.node(node_id)  # raises UnknownNodeError
         return [self.gpus[g] for g in self._node_gpu_ids[node_id]]
 
     def free_gpus_on_node(self, node_id: int) -> List[GPU]:
@@ -310,7 +301,12 @@ class ClusterState:
         return [self.gpus[g] for g in self._node_gpu_ids[node_id] if g in free_ids]
 
     def gpus_for_job(self, job_id: int) -> List[GPU]:
-        return [self.gpus[g] for g in sorted(self._job_gpu_ids.get(job_id, ()))]
+        record = self._allocations.get(job_id)
+        return [] if record is None else [self.gpus[g] for g in sorted(record.gpu_ids)]
+
+    def allocation(self, job_id: int) -> Optional[Allocation]:
+        """The record of the job's allocation; ``None`` if it holds no GPUs."""
+        return self._allocations.get(job_id)
 
     def allocations(self) -> Mapping[int, AbstractSet[int]]:
         """Job id -> the GPU ids it holds: the live index, read-only.
@@ -327,11 +323,8 @@ class ClusterState:
 
     def nodes_for_job(self, job_id: int) -> List[int]:
         """Distinct node ids hosting a job, sorted; empty if the job is not placed."""
-        return sorted({self.gpus[g].node_id for g in self._job_gpu_ids.get(job_id, ())})
-
-    def job_is_consolidated(self, job_id: int) -> bool:
-        """True when all of a job's GPUs are on a single node."""
-        return len(self.nodes_for_job(job_id)) <= 1
+        record = self._allocations.get(job_id)
+        return [] if record is None else list(record.nodes)
 
     def jobs_with_allocations(self) -> List[int]:
         """Ids of jobs currently holding at least one GPU, sorted."""
@@ -339,11 +332,8 @@ class ClusterState:
 
     def cpu_share(self, job_id: int) -> Optional[float]:
         """Granted fraction of the job's CPU demand; ``None`` if not throttled."""
-        return self._cpu_share.get(job_id)
-
-    def alloc_version(self, job_id: int) -> int:
-        """Monotonic stamp of a job's allocation (bumps on assign/release)."""
-        return self._alloc_version.get(job_id, 0)
+        record = self._allocations.get(job_id)
+        return None if record is None else record.cpu_share
 
     def gpu(self, gpu_id: int) -> GPU:
         if gpu_id not in self.gpus:
@@ -354,92 +344,125 @@ class ClusterState:
     # Assignment bookkeeping
     # ------------------------------------------------------------------
 
-    def assign(self, job_id: int, gpu_ids: Sequence[int]) -> None:
-        """Assign the given GPUs to a job.
+    def assign(
+        self,
+        job_id: int,
+        gpu_ids: Sequence[int],
+        aux_per_gpu: Optional[Tuple[float, float]] = None,
+    ) -> float:
+        """Assign free, distinct GPUs to a job holding none; returns the CPU granted.
 
-        All GPUs must currently be free (and distinct); the whole assignment is
-        validated before any index is touched so the cluster state never ends
-        up half-updated.
+        Validated before any index is touched, so nothing sticks on an error.
+        Grouped by node once, into the job's :class:`Allocation`: each node's
+        free set, bucket and type counter move once, and with ``aux_per_gpu``
+        (CPU cores, host memory per GPU) it reserves as much as it has left.
         """
         if not gpu_ids:
-            return  # no-op, and no phantom entry in the job->GPU index
-        seen: Set[int] = set()
-        for gpu_id in gpu_ids:
-            gpu = self.gpu(gpu_id)
-            if not gpu.is_free or gpu_id in seen:
-                owner = job_id if gpu_id in seen else gpu.job_id
+            return 0.0  # no-op, and no phantom entry in the job->GPU index
+        if job_id in self._allocations:
+            raise AllocationError(f"job {job_id} already holds GPUs; release them first")
+        record = self._derive(gpu_ids)
+        rows, nodes = self.gpus, self.nodes
+        buckets, free_by_node = self._nodes_by_free, self._free_by_node
+        for node_id, run in record.runs.items():
+            free = free_by_node[node_id]
+            if len(free.intersection(run)) != len(run):  # a GPU is busy, or named twice
+                gpu_id = next(g for i, g in enumerate(run) if g not in free or g in run[:i])
+                owner = job_id if gpu_id in free else self.gpus[gpu_id].job_id
                 raise AllocationError(
                     f"GPU {gpu_id} is already assigned to job {owner}, "
                     f"cannot assign to job {job_id}"
                 )
-            seen.add(gpu_id)
-        held = self._job_gpu_ids.setdefault(job_id, set())
-        buckets = self._nodes_by_free
-        self._alloc_version[job_id] = self._alloc_version.get(job_id, 0) + 1
-        for gpu_id in gpu_ids:
-            gpu = self.gpus[gpu_id]
-            gpu.job_id = job_id
-            held.add(gpu_id)
-            node_id = gpu.node_id
-            free = self._free_by_node[node_id]
-            free.discard(gpu_id)
-            self._busy_count += 1
-            if not self.nodes[node_id].failed:
-                left = len(free)  # bucket move left + 1 -> left, inlined
-                buckets[left + 1].remove(node_id)
+        granted = 0.0
+        for node_id, run in record.runs.items():
+            count = len(run)
+            for gpu_id in run:
+                rows[gpu_id].job_id = job_id
+            free = free_by_node[node_id]
+            free.difference_update(run)
+            self._busy_count += count
+            node = nodes[node_id]
+            if not node.failed:
+                left = len(free)
+                buckets[left + count].remove(node_id)
                 if left:
                     buckets[left].add(node_id)
-                self._free_healthy_count -= 1
-                self._free_healthy_by_type[gpu_type_key(gpu.gpu_type)] -= 1
-                self._busy_capacity += gpu.gpu_type.compute_factor
+                self._free_healthy_count -= count
+                gpu_type = rows[run[0]].gpu_type
+                self._free_healthy_by_type[gpu_type_key(gpu_type)] -= count
+                busy_capacity, factor = self._busy_capacity, gpu_type.compute_factor
+                for _ in run:  # one add per GPU: the order the capacity sums keep
+                    busy_capacity += factor
+                self._busy_capacity = busy_capacity
+            if aux_per_gpu is not None:
+                cpus = min(float(aux_per_gpu[0]) * count, max(0.0, node.cpu_free))
+                mem_gb = min(float(aux_per_gpu[1]) * count, max(0.0, node.mem_free))
+                node.allocate_aux(job_id, cpus, mem_gb)
+                granted += cpus
+        self._job_gpu_ids[job_id] = record.gpu_ids
+        self._allocations[job_id] = record
+        return granted
+
+    def _derive(self, gpu_ids: Iterable[int], cpu_share: Optional[float] = None) -> Allocation:
+        """The record of an allocation of ``gpu_ids``, grouped from the GPU rows."""
+        rows, runs, ordered = self.gpus, {}, sorted(gpu_ids)
+        for gpu_id in ordered:
+            if gpu_id not in rows:
+                raise AllocationError(f"unknown GPU id {gpu_id}")
+            runs.setdefault(rows[gpu_id].node_id, []).append(gpu_id)
+        nodes = tuple(sorted(runs))
+        factor = min([rows[run[0]].gpu_type.compute_factor for run in runs.values()])
+        bandwidth = min([self.nodes[node_id].network_bw_gbps for node_id in nodes])
+        return Allocation(set(ordered), runs, nodes, factor, bandwidth, cpu_share)
 
     def reserve_aux(self, job_id: int, node_id: int, cpus: float, mem_gb: float) -> None:
-        """Reserve CPU/memory for a job on a node, tracking it for release.
-
-        Launch mechanisms must go through this (rather than calling
-        ``Node.allocate_aux`` directly) so :meth:`release_job` can release aux
-        reservations in O(nodes hosting the job) instead of scanning the
-        cluster.
-        """
+        """Reserve CPU/memory for a job outside :meth:`assign`; freed by :meth:`release_job`."""
         self.node(node_id).allocate_aux(job_id, cpus, mem_gb)
         self._aux_nodes_by_job.setdefault(job_id, set()).add(node_id)
 
     def set_cpu_share(self, job_id: int, share: float) -> None:
-        """Record the CPU share a job was launched with; freed by :meth:`release_job`."""
-        if not self._job_gpu_ids.get(job_id):
+        """Record the CPU share a job was launched with on its allocation."""
+        record = self._allocations.get(job_id)
+        if record is None:
             raise AllocationError(f"job {job_id} holds no GPUs, cannot record a CPU share")
-        self._cpu_share[job_id] = share
+        record.cpu_share = share
 
     def release_job(self, job_id: int) -> List[int]:
-        """Free every GPU (and auxiliary resources) held by a job; returns freed GPU ids."""
-        freed = sorted(self._job_gpu_ids.pop(job_id, set()))
-        aux_nodes = self._aux_nodes_by_job.pop(job_id, set())
-        self._cpu_share.pop(job_id, None)
-        if freed:
-            self._alloc_version[job_id] = self._alloc_version.get(job_id, 0) + 1
-        buckets = self._nodes_by_free
-        for gpu_id in freed:
-            gpu = self.gpus[gpu_id]
-            gpu.job_id = None
-            node_id = gpu.node_id
-            free = self._free_by_node[node_id]
-            free.add(gpu_id)
-            self._busy_count -= 1
-            if not self.nodes[node_id].failed:
-                now = len(free)  # bucket move now - 1 -> now, inlined
-                if now > 1:
-                    buckets[now - 1].remove(node_id)
-                buckets[now].add(node_id)
-                self._free_healthy_count += 1
-                key = gpu_type_key(gpu.gpu_type)
-                self._free_healthy_by_type[key] = self._free_healthy_by_type.get(key, 0) + 1
-                self._busy_capacity -= gpu.gpu_type.compute_factor
-            # Defensive: cover aux reserved outside reserve_aux on hosting nodes.
-            aux_nodes.add(node_id)
-        for node_id in sorted(aux_nodes):
+        """Free every GPU (and auxiliary resources) held by a job; returns freed GPU ids.
+
+        Walks the job's :class:`Allocation`: each node moves once.
+        """
+        for node_id in sorted(self._aux_nodes_by_job.pop(job_id, ())):
             if node_id in self.nodes:
                 self.nodes[node_id].release_aux(job_id)
-        return freed
+        record = self._allocations.pop(job_id, None)
+        if record is None:
+            return []
+        del self._job_gpu_ids[job_id]
+        rows, nodes, buckets = self.gpus, self.nodes, self._nodes_by_free
+        for node_id, run in record.runs.items():
+            count = len(run)
+            for gpu_id in run:
+                rows[gpu_id].job_id = None
+            free = self._free_by_node[node_id]
+            free.update(run)
+            self._busy_count -= count
+            node = nodes[node_id]
+            node.release_aux(job_id)
+            if not node.failed:
+                now = len(free)
+                if now > count:
+                    buckets[now - count].remove(node_id)
+                buckets[now].add(node_id)
+                self._free_healthy_count += count
+                gpu_type = rows[run[0]].gpu_type
+                key = gpu_type_key(gpu_type)
+                self._free_healthy_by_type[key] = self._free_healthy_by_type.get(key, 0) + count
+                busy_capacity, factor = self._busy_capacity, gpu_type.compute_factor
+                for _ in run:
+                    busy_capacity -= factor
+                self._busy_capacity = busy_capacity
+        return [gpu_id for run in record.runs.values() for gpu_id in run]
 
     def utilization(self) -> float:
         """Fraction of GPUs currently assigned to some job."""
@@ -510,10 +533,12 @@ class ClusterState:
                 )
             )
         clone._next_gpu_id = self._next_gpu_id
+        for job_id in clone._job_gpu_ids:
+            record = clone._derive(clone._job_gpu_ids[job_id], self.cpu_share(job_id))
+            clone._job_gpu_ids[job_id], clone._allocations[job_id] = record.gpu_ids, record
         clone._aux_nodes_by_job = {
             job_id: set(node_ids) for job_id, node_ids in self._aux_nodes_by_job.items()
         }
-        clone._cpu_share = dict(self._cpu_share)
         return clone
 
     # ------------------------------------------------------------------
@@ -590,13 +615,21 @@ class ClusterState:
             )
             assert listed == actual, f"per-node GPU list drifted for node {node_id}"
         for job_id, node_ids in self._aux_nodes_by_job.items():
-            for node_id in sorted(node_ids):
-                assert node_id in self.nodes, (
-                    f"aux index references removed node {node_id} for job {job_id}"
-                )
-        for job_id, share in self._cpu_share.items():
-            assert job_id in job_gpus, f"CPU share kept for job {job_id} holding no GPUs"
-            assert 0.0 <= share <= 1.0, f"CPU share {share} of job {job_id} outside [0, 1]"
+            assert node_ids <= self.nodes.keys(), f"aux index of job {job_id} names a removed node"
+        assert self._allocations.keys() == job_gpus.keys(), "allocation records drifted"
+        for job_id, gpu_ids in job_gpus.items():
+            record = self._allocations[job_id]
+            runs: Dict[int, List[int]] = {}
+            for gpu_id in sorted(gpu_ids):
+                runs.setdefault(self.gpus[gpu_id].node_id, []).append(gpu_id)
+            factor = min(self.gpus[g].gpu_type.compute_factor for g in gpu_ids)
+            bandwidth = min(self.nodes[n].network_bw_gbps for n in runs)
+            expected = (list(runs.items()), tuple(sorted(runs)), factor, bandwidth)
+            got = (list(record.runs.items()), record.nodes, record.compute_factor, record.bandwidth)
+            assert got == expected, f"record of job {job_id} {got} != recomputed {expected}"
+            assert record.gpu_ids is self._job_gpu_ids[job_id], f"job {job_id}: two GPU sets"
+            share = record.cpu_share
+            assert share is None or 0.0 <= share <= 1.0, f"CPU share {share} of job {job_id}"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -35,10 +35,21 @@ class SimulatedLauncher(JobLauncher):
         current_time: float,
         aux_per_gpu: Optional[Tuple[float, float]] = None,
     ) -> None:
+        """Assign the GPUs with CPU cores and host memory alongside; start the job.
+
+        ``aux_per_gpu`` is Synergy's per-GPU ``(cpu, mem)`` request; without
+        one the job gets its full demand, unthrottled.  A requested launch
+        records the granted share of its CPU demand, which the rate reads.
+        """
         if not gpu_ids:
             raise AllocationError(f"cannot launch job {job.job_id} with an empty allocation")
-        cluster_state.assign(job.job_id, gpu_ids)
-        self._reserve_aux_resources(job, cluster_state, aux_per_gpu)
+        request = aux_per_gpu or (job.cpu_demand_per_gpu, job.mem_demand_per_gpu)
+        granted = cluster_state.assign(job.job_id, gpu_ids, request)
+        if aux_per_gpu is not None:
+            demand = job.cpu_demand_per_gpu * len(gpu_ids)
+            share = 1.0 if demand <= 0 else min(1.0, granted / demand)
+            cluster_state.set_cpu_share(job.job_id, share)
+        self.allocated(job, cluster_state)
         job.allocated_gpus = sorted(gpu_ids)
         job.status = JobStatus.RUNNING
         job.pending_overhead += self.overheads.launch_overhead(job)
@@ -46,42 +57,8 @@ class SimulatedLauncher(JobLauncher):
         if job.first_schedule_time is None:
             job.first_schedule_time = current_time
 
-    def _reserve_aux_resources(
-        self,
-        job: Job,
-        cluster_state: ClusterState,
-        aux_per_gpu: Optional[Tuple[float, float]],
-    ) -> None:
-        """Reserve CPU cores and host memory alongside the GPUs.
-
-        Resource-sensitive placement (Synergy) puts the per-GPU ``(cpu, mem)``
-        it wants for the job on the decision; without one the job gets its
-        full demand and no throttling.  A requested launch records the
-        granted share of the job's CPU demand with its allocation, which is
-        what the execution model's rate reads.
-        """
-        cpu_per_gpu, mem_per_gpu = aux_per_gpu or (job.cpu_demand_per_gpu, job.mem_demand_per_gpu)
-
-        gpus = cluster_state.gpus_for_job(job.job_id)
-        total_cpu_granted = 0.0
-        per_node_counts = {}
-        for gpu in gpus:
-            per_node_counts[gpu.node_id] = per_node_counts.get(gpu.node_id, 0) + 1
-        for node_id, count in per_node_counts.items():
-            node = cluster_state.node(node_id)
-            cpu_wanted = float(cpu_per_gpu) * count
-            mem_wanted = float(mem_per_gpu) * count
-            cpu_granted = min(cpu_wanted, max(0.0, node.cpu_free))
-            mem_granted = min(mem_wanted, max(0.0, node.mem_free))
-            # Reserve through the cluster so the job->aux-node index stays in
-            # sync and release_job can free it without scanning every node.
-            cluster_state.reserve_aux(job.job_id, node_id, cpu_granted, mem_granted)
-            total_cpu_granted += cpu_granted
-
-        if aux_per_gpu is not None:
-            demand = job.cpu_demand_per_gpu * max(1, len(gpus))
-            share = 1.0 if demand <= 0 else min(1.0, total_cpu_granted / demand)
-            cluster_state.set_cpu_share(job.job_id, share)
+    def allocated(self, job: Job, cluster_state: ClusterState) -> None:
+        """Hook between the job's allocation and its RUNNING write (no-op in simulation)."""
 
 
 class SimulatedPreemption(PreemptionMechanism):

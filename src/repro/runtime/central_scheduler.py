@@ -62,7 +62,7 @@ if TYPE_CHECKING:  # annotation only: the caller hands the recorder in
 
 
 class RpcLauncher(SimulatedLauncher):
-    """Launch mechanism that instructs WorkerManagers before updating shared state."""
+    """Launch mechanism that grants the lease on the allocation's nodes before RUNNING."""
 
     name = "rpc-launch"
 
@@ -70,10 +70,8 @@ class RpcLauncher(SimulatedLauncher):
         super().__init__(overheads)
         self.lease_manager = lease_manager
 
-    def launch(self, job, gpu_ids, cluster_state, current_time, aux_per_gpu=None) -> None:
-        node_ids = sorted({cluster_state.gpu(g).node_id for g in gpu_ids})
-        self.lease_manager.grant(job.job_id, node_ids)
-        super().launch(job, gpu_ids, cluster_state, current_time, aux_per_gpu)
+    def allocated(self, job, cluster_state) -> None:
+        self.lease_manager.grant(job.job_id, cluster_state.allocation(job.job_id).nodes)
 
 
 class RpcPreemption(SimulatedPreemption):
@@ -98,7 +96,7 @@ class DeploymentBloxManager(BloxManager):
     * Its cluster update reconciles the lease manager's worker registry with
       the cluster's node set after the cluster manager applied its events
       (failures, recoveries, scale-out/in, upgrades), before the engine
-      evicts the affected jobs.
+      evicts the affected jobs, if ``membership_version`` moved.
     * Its prune step retires finished jobs' leases.  Every path through the
       engine -- full rounds and the event core's skips -- prunes through
       this method, so a completed job always releases its lease and clears
@@ -110,10 +108,13 @@ class DeploymentBloxManager(BloxManager):
         if lease_manager is None:
             raise ConfigurationError("DeploymentBloxManager needs a lease_manager")
         self.lease_manager = lease_manager
+        self._synced_version: Optional[int] = None  # of the last reconciliation
 
     def update_cluster(self, cluster_state: ClusterState) -> List[int]:
         affected = super().update_cluster(cluster_state)
-        self.lease_manager.sync_membership(cluster_state)
+        if cluster_state.membership_version != self._synced_version:
+            self.lease_manager.sync_membership(cluster_state)
+            self._synced_version = cluster_state.membership_version
         return affected
 
     def prune_completed_jobs(

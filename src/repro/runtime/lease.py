@@ -31,14 +31,13 @@ left, so scenario timelines (scale-out, scale-in, upgrades) never hit an
 unknown endpoint.  Revocations tolerate workers that vanished mid-flight
 (their node is gone; the lease dies with it).
 
-Fault tolerance: every lease RPC names its *logical operation* with an
-idempotency token (a per-manager sequence number keeps tokens unique across
-re-grants of the same job), so under an armed
-:class:`~repro.runtime.rpc.FaultPlan` the channel's retry/dedup machinery
-makes grant, renew/revoke, the two-phase exit fan-out and completion
-exactly-once -- a chaos run's schedule stays bit-identical to a fault-free
-run, which ``python -m repro.bench --chaos`` gates along with
-:meth:`_LeaseManagerBase.leaked_leases` staying zero.
+Fault tolerance: under an armed :class:`~repro.runtime.rpc.FaultPlan` every
+lease RPC names its *logical operation* with an idempotency token (unique
+across re-grants of a job; a revocation's fan-out derives its peers' tokens
+from it), so retry/dedup make grant, renew/revoke, the fan-out and completion
+exactly-once: a chaos run's schedule stays bit-identical to a fault-free run,
+which ``python -m repro.bench --chaos`` gates with zero
+:meth:`_LeaseManagerBase.leaked_leases`.  Without a plan no token is built.
 """
 
 from __future__ import annotations
@@ -81,9 +80,8 @@ class _LeaseManagerBase:
         self._holders: Dict[int, Set[int]] = {}
         #: ``("register"|"deregister", node_id)`` per membership change.
         self.membership_log: List[Tuple[str, int]] = []
-        #: Monotonic operation counter: makes idempotency tokens unique
-        #: across repeats of the same logical pair (a job re-granted after
-        #: preemption must not dedup against its previous grant).
+        #: Operation counter: a token differs from every earlier one, e.g.
+        #: a re-grant's from the job's previous grant.
         self._op_seq = 0
         #: Optional telemetry: (recorder, simulated-time clock).  Set through
         #: :meth:`set_telemetry` (the CentralScheduler wires it); grants,
@@ -102,15 +100,17 @@ class _LeaseManagerBase:
         payload.update(extra)
         recorder.emit(EVENT_LEASE, clock(), payload)
 
-    def _token(self, op: str, job_id: int) -> str:
+    def _token(self, op: str, job_id: int) -> Optional[str]:
+        """One logical operation's idempotency token; ``None`` if the channel cannot fault."""
+        if self.channel.fault_plan is None:
+            return None
         self._op_seq += 1
         return f"{op}:{job_id}:{self._op_seq}"
 
     # -- scheduler-side handlers ----------------------------------------
 
     def _handle_check_lease(self, payload) -> bool:
-        job_id = payload["job_id"]
-        return self._active_leases.get(job_id, False)
+        return self._active_leases.get(payload["job_id"], False)
 
     # -- membership dynamics --------------------------------------------
 
@@ -188,10 +188,6 @@ class _LeaseManagerBase:
         self.release(job_id)
         self._emit_lease("complete", job_id)
 
-    def critical_path_ms(self) -> float:
-        """Latency of the round: the busiest endpoint bounds the round's lease time."""
-        return self.channel.critical_path_ms()
-
     def leaked_leases(self) -> int:
         """Lease-protocol state that should be empty after a drained run.
 
@@ -245,7 +241,7 @@ class CentralLeaseManager(_LeaseManagerBase):
         for job_id in sorted(revoked):
             self.release(job_id)
             self._emit_lease("revoke", job_id, protocol=self.name)
-        return self.critical_path_ms()
+        return self.channel.critical_path_ms()
 
 
 class OptimisticLeaseManager(_LeaseManagerBase):
@@ -269,19 +265,22 @@ class OptimisticLeaseManager(_LeaseManagerBase):
             available = [n for n in assignment.node_ids if n in self.workers]
             if available:
                 first, peers = available[0], available[1:]
+                # The worker derives its peers' tokens from this revocation's.
+                token = self._token("revoke", job_id)
                 self.channel.call(
                     self.workers[first].endpoint_name,
                     "revoke_lease",
                     {
                         "job_id": job_id,
                         "peers": [self.workers[p].endpoint_name for p in peers],
+                        "token": token,
                     },
                     caller=SCHEDULER_ENDPOINT,
-                    idempotency_token=self._token("revoke", job_id),
+                    idempotency_token=token,
                 )
             self.release(job_id)
             self._emit_lease("revoke", job_id, protocol=self.name)
-        return self.critical_path_ms()
+        return self.channel.critical_path_ms()
 
 
 def build_lease_setup(

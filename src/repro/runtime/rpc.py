@@ -23,19 +23,17 @@ Fault injection
 
 The chaos half of the robustness layer (``docs/robustness.md``): a
 :class:`FaultPlan` draws one fault per *delivery attempt* from a per-seed
-RNG, scenario-engine style -- same seed, same call sequence, same faults --
-and the channel absorbs the failures with a :class:`RetryPolicy`
-(exponential backoff, billed to the caller: waiting is latency) plus
-idempotency tokens.  Every ``call()`` gets a token (auto-generated when the
-caller does not pass one), the first *executed* delivery caches its result
-under that token, and later deliveries of the same token return the cache
-without re-running the handler.  Together these give **exactly-once**
-semantics per logical call under drops (handler never ran -- retry runs it),
-lost replies (handler ran, reply vanished -- the retry is deduplicated) and
-duplicates (second delivery suppressed), which is what lets a chaos run's
-*schedule* stay bit-identical to a fault-free run even though its fault and
-latency counters differ.  When retries are disabled or exhausted the call
-raises :class:`~repro.core.exceptions.RpcFaultError`.
+RNG -- same seed, same call sequence, same faults -- and the channel absorbs
+them with a :class:`RetryPolicy` (exponential backoff, billed to the caller:
+waiting is latency) plus idempotency tokens: the first *executed* delivery of
+a token (auto-generated when the caller passes none) caches its result, and
+later deliveries return the cache without re-running the handler.  That is
+**exactly-once** per logical call under drops (the retry runs the handler),
+lost replies (the retry is deduplicated) and duplicates (suppressed), so a
+chaos run's *schedule* stays bit-identical to a fault-free run while its
+fault and latency counters differ; disabled or exhausted retries raise
+:class:`~repro.core.exceptions.RpcFaultError`.  Without a plan every call is
+delivered exactly once by construction: no token, dedup cache or attempt loop.
 """
 
 from __future__ import annotations
@@ -190,7 +188,7 @@ class RetryPolicy:
         return min(self.backoff_base_ms * (2 ** (attempt - 2)), self.backoff_max_ms)
 
 
-@dataclass
+@dataclass(slots=True)
 class RpcCall:
     """A record of one delivered message (kept for tests and debugging)."""
 
@@ -203,10 +201,9 @@ class RpcCall:
 class InMemoryRpcChannel:
     """Synchronous message delivery with per-endpoint cost accounting.
 
-    ``fault_plan``/``retry_policy`` arm the chaos layer; both default to off,
-    in which case delivery, accounting and the call log behave exactly as the
-    fault-free channel always has (single attempt, no token bookkeeping
-    beyond an unused counter).
+    ``fault_plan``/``retry_policy`` arm the chaos layer.  Without a plan
+    (the default) every call takes the fast path: one attempt, billed and
+    logged, no token or dedup cache (a retry policy alone has nothing to retry).
     """
 
     def __init__(
@@ -266,11 +263,9 @@ class InMemoryRpcChannel:
     # ------------------------------------------------------------------
 
     def _bill(self, endpoint: Optional[str], cost_ms: float) -> None:
-        if endpoint is None or cost_ms == 0.0:
-            return
-        self.endpoint_busy_ms[endpoint] = (
-            self.endpoint_busy_ms.get(endpoint, 0.0) + cost_ms
-        )
+        if endpoint is not None and cost_ms != 0.0:
+            busy = self.endpoint_busy_ms
+            busy[endpoint] = busy.get(endpoint, 0.0) + cost_ms
 
     def _execute(
         self, endpoint: str, handler: Callable[[Any], Any], payload: Any, token: str
@@ -306,11 +301,10 @@ class InMemoryRpcChannel:
         handler.  ``log=False`` skips the per-call record (bulk traffic such
         as metric pulls would otherwise dominate the log) but still counts
         and bills the call.  ``idempotency_token`` names the *logical*
-        operation: deliveries sharing a token execute the handler once and
-        share its result.  Protocol code passes stable tokens (e.g. one per
-        lease revocation); anonymous calls get a fresh per-call token, which
-        still protects them against the channel's own retries and injected
-        duplicates.
+        operation: under a fault plan, deliveries sharing a token execute the
+        handler once and share its result (anonymous calls get a fresh
+        per-call token against the channel's own retries and duplicates);
+        without one nothing delivers a call twice and the token is ignored.
         """
         try:
             handler = self._handlers[endpoint][method]
@@ -318,8 +312,9 @@ class InMemoryRpcChannel:
             raise ConfigurationError(
                 f"no handler registered for {method!r} on {endpoint!r}"
             ) from None
-        if caller is None and self._context:
-            caller = self._context[-1]
+        context = self._context
+        if caller is None and context:
+            caller = context[-1]
         self.total_calls += 1
         self.lifetime_calls += 1
         if self._telemetry is not None:
@@ -329,10 +324,8 @@ class InMemoryRpcChannel:
                     EVENT_RPC_FAULTS, clock(), self.fault_stats().as_dict()
                 )
         if log:
-            self.call_log.append(
-                RpcCall(target=endpoint, method=method, payload=payload, caller=caller)
-            )
-        if self.fault_plan is None and idempotency_token is None:
+            self.call_log.append(RpcCall(endpoint, method, payload, caller))
+        if self.fault_plan is None:
             # Fault-free fast path: what ``_bill`` does, in the same order
             # (caller first, so the float sums are the historical ones).
             busy = self.endpoint_busy_ms
@@ -341,11 +334,11 @@ class InMemoryRpcChannel:
                 busy[caller] = busy.get(caller, 0.0) + cost.base_ms
             if cost.server_ms != 0.0:
                 busy[endpoint] = busy.get(endpoint, 0.0) + cost.server_ms
-            self._context.append(endpoint)
+            context.append(endpoint)
             try:
                 return handler(payload)
             finally:
-                self._context.pop()
+                context.pop()
         if idempotency_token is None:
             self._token_seq += 1
             idempotency_token = f"auto:{self._token_seq}"
@@ -355,11 +348,7 @@ class InMemoryRpcChannel:
             attempt += 1
             if self.retry_policy is not None:
                 self._bill(caller, self.retry_policy.backoff_ms(attempt))
-            fault = (
-                self.fault_plan.draw(endpoint, method)
-                if self.fault_plan is not None
-                else "ok"
-            )
+            fault = self.fault_plan.draw(endpoint, method)
             self._bill(caller, self.cost_model.base_ms)
             if fault == "drop":
                 # Request lost in flight: the server never saw it.

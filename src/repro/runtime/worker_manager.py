@@ -94,17 +94,17 @@ class WorkerManager:
             self.exit_iterations[job_id] = int(exit_iteration)
         if self.channel is not None:
             # Phase two: propagate the *fixed* exit iteration to the peers the
-            # scheduler named.  Nested calls bill this worker, not the
-            # scheduler (caller-aware channel accounting).  The token makes
-            # each peer's fan-out exactly-once per agreed boundary: a retried
-            # or duplicated propagation deduplicates instead of re-running.
+            # scheduler named, billed to this worker.  Peer tokens derive from
+            # the scheduler's revoke token: a retried or duplicated fan-out of
+            # one revocation dedups, the gang's next revocation does not.
             agreed = self.exit_iterations[job_id]
+            token = payload.get("token")
             for peer_endpoint in payload.get("peers", ()):
                 self.channel.call(
                     peer_endpoint,
                     "revoke_lease",
                     {"job_id": job_id, "exit_iteration": agreed},
-                    idempotency_token=f"exit:{job_id}:{agreed}:{peer_endpoint}",
+                    idempotency_token=None if token is None else f"{token}:{peer_endpoint}",
                 )
         return not already_revoked
 

@@ -344,7 +344,7 @@ class Simulator:
         #   treating its inherited "no events ever" as truth would silently
         #   skip them.
         cluster_manager_cls = type(self.manager.cluster_manager)
-        self.fast_forward = (
+        self._skippable = (
             bool(fast_forward)
             and getattr(self.scheduling_policy, "supports_fast_forward", True)
             and getattr(self.admission_policy, "supports_fast_forward", True)
@@ -401,7 +401,7 @@ class Simulator:
             self.job_state,
             self.manager.round_number,
             self.manager.round_duration,
-            defer=self.fast_forward,
+            defer=self._skippable,
         )
 
         # Telemetry is opt-in and read-only: the recorder hooks only observe
@@ -418,6 +418,15 @@ class Simulator:
             # The registry holds observers weakly; the instance attribute
             # above is the strong reference keeping it alive.
             self.job_state.add_observer(self._telemetry_observer)
+
+    @property
+    def fast_forward(self) -> bool:
+        """Whether this run may skip rounds (and so defers progress).
+
+        Read-only: ``__init__`` decides it once, together with the execution
+        model's deferral, which a skip relies on.
+        """
+        return self._skippable
 
     # ------------------------------------------------------------------
 
@@ -687,7 +696,7 @@ class Simulator:
                 # 6. Apply the decision (recording, for the decision-stable
                 # fast-forward path, whether it was a pure lease renewal; this
                 # must be judged against the pre-application state).
-                if self.fast_forward and self._policy_event_aware:
+                if self._skippable and self._policy_event_aware:
                     self._last_decision_noop = self._decision_is_noop(decision)
                 launched = mgr.exec_jobs(decision, self.cluster_state, self.job_state)
                 # Trace non-trivial decisions (pure lease renewals are noise).
@@ -713,7 +722,7 @@ class Simulator:
                     return True
 
                 # 8. Event-skipping: jump over rounds in which nothing can change.
-                if self.fast_forward and self._fast_forward():
+                if self._skippable and self._fast_forward():
                     return True
 
                 mgr.advance_time()

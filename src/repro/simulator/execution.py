@@ -74,10 +74,11 @@ class _Epoch:
     """What the model keeps of one running job for one allocation.
 
     The facts a round needs that only change with the allocation -- rate,
-    fragmentation, GPU count, work target -- stamped with the job's
-    allocation version, and whether the application metrics of its latest
-    round are still owed.  A membership change reaches a running job only by
-    evicting it, which bumps that version, so the stamp alone keys the facts.
+    fragmentation, GPU count, work target -- keyed by the job's allocation
+    record (:meth:`ClusterState.allocation`, compared by identity: every
+    assignment makes a new one), and whether the application metrics of its
+    latest round are still owed.  A membership change reaches a running job
+    only by evicting it, which drops that record, so the key alone suffices.
 
     While the run defers progress (see :meth:`ExecutionModel.attach`) the
     record is also the job's *epoch*, from the first fold after its launch
@@ -100,10 +101,10 @@ class _Epoch:
         self.model = model
         self.job = job
         self.cluster = cluster_state
-        self.alloc = cluster_state.alloc_version(job_id)
+        alloc = self.alloc = cluster_state.allocation(job_id)
         self.rate = model.effective_rate(job, cluster_state)
-        self.fragmented = len(cluster_state.nodes_for_job(job_id)) > 1
-        self.num_gpus = cluster_state.num_gpus_for_job(job_id)
+        self.fragmented = alloc is not None and len(alloc.nodes) > 1
+        self.num_gpus = 0 if alloc is None else len(alloc.gpu_ids)
         self.target = model.termination.work_target(job)
         self.owed = False
         self.round: Optional[int] = None
@@ -227,11 +228,10 @@ class ExecutionModel(JobStateObserver):
         the model's communication intensity and inversely proportional to the
         cross-node bandwidth of the nodes they span.
         """
-        nodes = cluster_state.nodes_for_job(job.job_id)
-        if len(nodes) <= 1:
+        alloc = cluster_state.allocation(job.job_id)
+        if alloc is None or len(alloc.nodes) <= 1:
             return 1.0
-        bandwidths = [cluster_state.node(n).network_bw_gbps for n in nodes]
-        bottleneck_bw = min(bandwidths)
+        bottleneck_bw = alloc.bandwidth
         if bottleneck_bw <= 0:
             raise SimulationError(f"node with non-positive network bandwidth hosting job {job.job_id}")
         penalty = job.comm_intensity * (REFERENCE_NETWORK_BW_GBPS / bottleneck_bw)
@@ -248,13 +248,13 @@ class ExecutionModel(JobStateObserver):
         the allocation; CPU starvation slows the input pipeline linearly,
         bounded below so a job never fully stalls on CPU alone.
         """
-        gpus = cluster_state.gpus_for_job(job.job_id)
-        if not gpus:
+        alloc = cluster_state.allocation(job.job_id)
+        if alloc is None:
             return 0.0
-        scaling = job.throughput_factor(len(gpus))
-        compute_factor = min(g.gpu_type.compute_factor for g in gpus)
+        scaling = job.throughput_factor(len(alloc.gpu_ids))
+        compute_factor = alloc.compute_factor
         placement = self.placement_efficiency(job, cluster_state)
-        share = cluster_state.cpu_share(job.job_id)
+        share = alloc.cpu_share
         cpu_factor = 1.0 if share is None else 0.4 + 0.6 * share
         jitter = self.overheads.iteration_jitter(job)
         return scaling * compute_factor * placement * cpu_factor * jitter
@@ -272,11 +272,12 @@ class ExecutionModel(JobStateObserver):
             record is not None
             and record.job is job
             and record.cluster is cluster_state
-            and record.alloc == cluster_state.alloc_version(job_id)
+            and record.alloc is cluster_state.allocation(job_id)
             and self.jitter_free
         ):
             return record
         if record is not None and record.owed:
+            record.alloc = None
             self._owed[job_id] = record
         record = self._records[job_id] = _Epoch(self, job, cluster_state)
         return record
@@ -357,6 +358,7 @@ class ExecutionModel(JobStateObserver):
             record.round = None
             record.job._epoch = None
         record.serial = 0
+        record.alloc = None  # an owed record must not keep a released allocation alive
         if record.owed:
             self._owed[job_id] = record
         if self._records.get(job_id) is record:

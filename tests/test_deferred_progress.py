@@ -258,8 +258,9 @@ CHURN_SCENARIOS = (
 def test_membership_changes_reach_running_jobs_only_by_eviction(scenario, policy):
     """Before every fold, each open epoch's facts equal a fresh computation.
 
-    So a record keyed on the allocation version alone never serves a stale
-    rate, fragmentation or GPU count, however the membership moved.
+    So a record keyed on the identity of the job's allocation record alone
+    never serves a stale rate, fragmentation or GPU count, however the
+    membership moved.
     """
     compiled = get_scenario(scenario, smoke=True).compile(seed=7)
     sim = Simulator(
@@ -283,10 +284,11 @@ def test_membership_changes_reach_running_jobs_only_by_eviction(scenario, policy
         for job_id, epoch in model._records.items():
             job = epoch.job
             assert job.status is JobStatus.RUNNING
-            assert epoch.alloc == cluster.alloc_version(job_id)
+            assert epoch.alloc is cluster.allocation(job_id)
             assert epoch.rate == model.effective_rate(job, cluster)
-            assert epoch.num_gpus == cluster.num_gpus_for_job(job_id)
-            assert epoch.fragmented == (len(cluster.nodes_for_job(job_id)) > 1)
+            held = [g for g in cluster.gpus.values() if g.job_id == job_id]
+            assert epoch.num_gpus == len(held)
+            assert epoch.fragmented == (len({g.node_id for g in held}) > 1)
         update_metrics(cluster_state, job_state)
 
     sim.manager.update_metrics = checking_update_metrics

@@ -208,6 +208,28 @@ def test_two_phase_revoke_exactly_once_under_faults():
     assert manager.leaked_leases() == 0
 
 
+def test_every_revocation_of_a_gang_reaches_its_peers():
+    """A gang revoked, relaunched on the same nodes and revoked again.
+
+    Both revocations agree on the same exit iteration with the same peer, so
+    a peer token built from those alone made the second fan-out a duplicate
+    of the first, and the peer kept running on a revoked lease.  Each
+    revocation's fan-out is its own operation; the armed (empty) plan keeps
+    the dedup cache in play.
+    """
+    channel = InMemoryRpcChannel(RpcCostModel(), ScriptedPlan([]), RetryPolicy())
+    workers = [WorkerManager(node_id=i, channel=channel) for i in range(2)]
+    manager = OptimisticLeaseManager(workers, channel)
+    for _ in range(2):
+        manager.grant(7, [0, 1])
+        assert [w.leases[7] for w in workers] == [True, True]
+        manager.renewal_round([7])
+        assert [w.leases[7] for w in workers] == [False, False]
+    assert channel.duplicates_suppressed == 0
+    manager.complete(7)
+    assert manager.leaked_leases() == 0
+
+
 def test_leaked_leases_counts_residual_state():
     manager, workers, _ = build_lease_setup(2, gpus_per_node=2)
     assert manager.leaked_leases() > 0  # granted jobs hold leases

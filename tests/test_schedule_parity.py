@@ -129,6 +129,23 @@ def test_each_reason_to_step_disables_fast_forward(trace, reason):
         assert sim.manager.advances == result.rounds
 
 
+def test_fast_forward_is_fixed_when_the_run_is_built():
+    """``__init__`` decides the skip predicate and the deferral with it.
+
+    Switching skips on afterwards for a run it refused (a collector) sent
+    the skip executor an eager model with no completion heap: skips jumped
+    past completions and a 30-job FIFO run never finished.  The flag is
+    read-only, and the refused run is the stepping run bit for bit.
+    """
+    trace30 = generate_philly_trace(num_jobs=30, jobs_per_hour=5.0, seed=99)
+    sim = _sim(trace30, True, metric_collectors=[UtilizationCollector()])
+    assert sim.fast_forward is False
+    with pytest.raises(AttributeError):
+        sim.fast_forward = True
+    stepping = _sim(trace30, False, metric_collectors=[UtilizationCollector()])
+    assert_identical(sim.run(), stepping.run())
+
+
 def test_stock_and_migrated_runs_fast_forward(trace):
     """Without a reason to step (the table above is not vacuous), and with a
     cluster manager that also overrides next_event_time, a run skips."""

@@ -8,6 +8,7 @@ still holding.
 """
 
 import hashlib
+from functools import partial
 
 import pytest
 
@@ -15,7 +16,7 @@ from repro.cluster.builder import build_cluster
 from repro.core.exceptions import ConfigurationError
 from repro.policies.scheduling import SCHEDULING_POLICIES
 from repro.simulator.engine import Simulator
-from repro.synthesizer import AutoSchedulerSynthesizer, AverageJct
+from repro.synthesizer import AutoSchedulerSynthesizer, AverageJct, auto_scheduler
 from repro.workloads.bursty import make_bursty_trace
 from repro.workloads.philly import generate_philly_trace
 
@@ -28,7 +29,7 @@ def _job_row(job):
 
 
 @pytest.mark.parametrize("policy", ["fifo", "srtf", "tiresias", "pollux"])
-def test_shadow_run_equals_live_run(policy):
+def test_shadow_run_equals_live_run(policy, monkeypatch):
     trace = make_bursty_trace(num_jobs=12, base_jobs_per_hour=6.0, seed=4)
     live = Simulator(
         cluster_state=build_cluster(num_nodes=4, gpus_per_node=4),
@@ -49,9 +50,13 @@ def test_shadow_run_equals_live_run(policy):
         # The synthesizer forks from inside the live round's schedule call.
         if not forks:
             for fast_forward in (False, True):
-                fork = synth._fork((policy, "accept-all"), job_state, cluster_state)
-                fork.fast_forward = fast_forward
-                forks.append(fork)
+                # A run's skip predicate is fixed when it is built.
+                monkeypatch.setattr(
+                    auto_scheduler, "Simulator", partial(Simulator, fast_forward=fast_forward)
+                )
+                forks.append(synth._fork((policy, "accept-all"), job_state, cluster_state))
+                assert forks[-1].fast_forward is fast_forward
+            monkeypatch.undo()
         return live_schedule(job_state, cluster_state)
 
     live.scheduling_policy.schedule = tap
