@@ -79,12 +79,6 @@ PICKLE_REGISTRY: Dict[str, str] = {
     "GpuUpgradeEvent": "repro/scenarios/events.py",
 }
 
-#: Files allowed to define ``on_progress`` overrides.  The registry fans
-#: progress writes out only to *overriding* observers, so every override
-#: puts two extra dispatches per running job per round on the hot path --
-#: the base definition itself is the one documented exception.
-ON_PROGRESS_ALLOWED: Tuple[str, ...] = ("repro/core/job_state.py",)
-
 #: Functions that are hot even without a ``# hot-path`` marker, as
 #: ``<path suffix>::<qualified name>``.  H102 bans logging/telemetry emit
 #: calls inside these and inside any function whose ``def`` line (or the
@@ -96,7 +90,6 @@ HOT_PATH_FUNCTIONS: FrozenSet[str] = frozenset(
         "repro/core/job.py::_ProgressField.__set__",
         "repro/core/job.py::Job.add_progress",
         "repro/core/job.py::Job.store_progress",
-        "repro/core/job_state.py::JobState._notify_progress",
         "repro/core/job_state.py::JobState._reindex_status",
         "repro/simulator/execution.py::ExecutionModel.advance",
         "repro/simulator/execution.py::ExecutionModel.advance_running",
@@ -166,7 +159,6 @@ class LintManifest:
     pickle_registry: Dict[str, str] = field(
         default_factory=lambda: dict(PICKLE_REGISTRY)
     )
-    on_progress_allowed: Tuple[str, ...] = ON_PROGRESS_ALLOWED
     hot_path_functions: FrozenSet[str] = HOT_PATH_FUNCTIONS
     policy_doc_path: str = POLICY_DOC_PATH
     policy_package_prefixes: Tuple[str, ...] = POLICY_PACKAGE_PREFIXES
@@ -207,10 +199,6 @@ class LintManifest:
     def pickle_registry_class(self, rel: str, class_name: str) -> bool:
         expected = self.pickle_registry.get(class_name)
         return expected is not None and rel.replace("\\", "/").endswith(expected)
-
-    def on_progress_override_allowed(self, rel: str) -> bool:
-        rel = rel.replace("\\", "/")
-        return any(rel.endswith(suffix) for suffix in self.on_progress_allowed)
 
     def is_hot_path_function(self, rel: str, qualname: str) -> bool:
         rel = rel.replace("\\", "/")

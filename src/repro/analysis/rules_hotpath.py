@@ -1,10 +1,8 @@
 """(H) Hot-path hygiene rules.
 
-The engine's per-round cost story (207 -> 7.9k rounds/s) depends on two
-disciplines: the progress fan-out only dispatches to observers that
-*override* ``on_progress`` (so observers that don't, cost nothing -- H101
-keeps it that way), and the innermost accounting functions stay free of
-logging/telemetry emission (H102).  Hot functions are marked either with a
+The engine's per-round cost story (207 -> 7.9k rounds/s) depends on the
+innermost accounting functions staying free of logging/telemetry emission
+(H102).  Hot functions are marked either with a
 ``# hot-path`` comment on (or immediately above) the ``def`` line, or by
 listing ``<file>::<Qual.name>`` in the manifest's ``HOT_PATH_FUNCTIONS``.
 """
@@ -51,42 +49,6 @@ def _has_hot_marker(ctx: FileContext, fn: ast.AST) -> bool:
         if "# hot-path" in ctx.line_text(first - 1):
             return True
     return False
-
-
-class OnProgressOverrideRule(Rule):
-    """H101: ``on_progress`` overrides outside the documented exceptions.
-
-    ``JobState``'s registry fans progress writes out *only* to observers
-    that override ``on_progress``; every override therefore re-adds two
-    dispatches per running job per round to the hottest loop in the system.
-    New overrides must be a reviewed manifest change, not a drive-by.
-    """
-
-    rule_id = "H101"
-    description = (
-        "on_progress override outside the documented exceptions re-enters "
-        "the per-round hot path"
-    )
-    hint = (
-        "consume job lifecycle events (on_status_change) instead, or add "
-        "the file to ON_PROGRESS_ALLOWED with a rationale"
-    )
-
-    def visit_FunctionDef(self, ctx: FileContext, node: ast.FunctionDef) -> None:
-        if node.name != "on_progress":
-            return
-        if ctx.module is None:
-            return
-        if not isinstance(parent_of(node), ast.ClassDef):
-            return
-        if ctx.manifest.on_progress_override_allowed(ctx.rel):
-            return
-        ctx.report(
-            self,
-            node,
-            f"`{_qualname(node)}` overrides on_progress outside the "
-            "documented exceptions",
-        )
 
 
 class HotPathEmitRule(Rule):
@@ -162,4 +124,4 @@ class HotPathEmitRule(Rule):
         return False
 
 
-HOTPATH_RULES = (OnProgressOverrideRule, HotPathEmitRule)
+HOTPATH_RULES = (HotPathEmitRule,)

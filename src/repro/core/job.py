@@ -92,7 +92,7 @@ class _StatusField:
 
 
 class _ProgressField:
-    """Data descriptor for a job's progress: settled on read, observed on write.
+    """Data descriptor for a job's progress: settled on read and on write.
 
     ``work_done``, ``attained_service`` and ``pending_overhead`` are written
     by the execution model (and the launch and preemption mechanisms).  While
@@ -101,24 +101,13 @@ class _ProgressField:
     job up to the model's fold clock, and a write settles it, stores the
     value and restarts the epoch from it.
 
-    Scheduling policies keep ordered priority structures keyed on attained
-    service / remaining work (see
-    :class:`~repro.policies.scheduling.priority_index.RunnablePriorityIndex`).
-    For those structures to stay correct, every write to ``attained_service``
-    and ``work_done`` notifies the registry recorded by ``JobState.track``,
-    which forwards to its observers.  Untracked jobs pay only a slot store.
-
     The raw value lives in the job's ``"_" + name`` slot; only this module
     and the execution model's folds touch it there (a fold reads it only
     where no epoch is pending).  :meth:`Job.add_progress` and
     :meth:`Job.store_progress` are the shortcuts the folds write through.
     """
 
-    def __init__(self, notify: bool = True) -> None:
-        self._notify = notify
-
     def __set_name__(self, owner, name) -> None:
-        self._name = name
         self._attr = "_" + name
 
     def __get__(self, obj, objtype=None):
@@ -133,17 +122,7 @@ class _ProgressField:
         epoch = obj._epoch
         if epoch is not None:
             epoch.settle()
-        attr = self._attr
-        old = getattr(obj, attr)
-        setattr(obj, attr, value)
-        registry = obj._registry
-        if (
-            self._notify
-            and registry is not None
-            and registry._progress_observers
-            and old != value
-        ):
-            registry._notify_progress(obj, self._name, old, value)
+        setattr(obj, self._attr, value)
         if epoch is not None:
             epoch.rebase()
 
@@ -196,8 +175,9 @@ class Job:
     The record is slotted: a job carries no instance dict.  ``status``,
     ``attained_service``, ``work_done`` and ``pending_overhead`` are data
     descriptors over the private slots of the same name with a leading
-    underscore; a job starts ``SUBMITTED`` with no progress, and assigning
-    them afterwards notifies the owning registry.  ``_registry`` and
+    underscore; a job starts ``SUBMITTED`` with no progress.  A status write
+    notifies the owning registry; a progress read or write settles a
+    deferred job first.  ``_registry`` and
     ``_epoch`` are runtime wiring, ``None`` when absent.  Equality compares
     the stored slots, without settling a deferred job.
     """
@@ -244,7 +224,7 @@ class Job:
     status = _StatusField()
     attained_service = _ProgressField()
     work_done = _ProgressField()
-    pending_overhead = _ProgressField(notify=False)
+    pending_overhead = _ProgressField()
 
     def __post_init__(self) -> None:
         if self.num_gpus < 1:
@@ -289,39 +269,20 @@ class Job:
     def add_progress(self, work: float, service: float) -> None:
         """``work_done += work`` then ``attained_service += service``, in one call.
 
-        The execution model's write, once per running job per round.  Same
-        values and same notifications as the two assignments; while the
-        registry has no progress observer (nobody to notify) both sums are
-        stored without the descriptor calls.
+        The execution model's write, once per running job per round; the
+        caller has settled the job, so both sums go straight to the slots.
         """
-        registry = self._registry
-        if registry is not None and registry._progress_observers:
-            self.work_done = self._work_done + work
-            self.attained_service = self._attained_service + service
-        else:
-            self._work_done += work
-            self._attained_service += service
+        self._work_done += work
+        self._attained_service += service
 
     def store_progress(self, work: float, pending: float, attained: float) -> None:
         """Write all three progress fields at once: a settled epoch's write.
 
-        Same notifications as assigning ``work_done`` then
-        ``attained_service``; never settles (the caller is the settle).
+        Never settles (the caller is the settle).
         """
         self._pending_overhead = pending
-        registry = self._registry
-        if registry is not None and registry._progress_observers:
-            old = self._work_done
-            self._work_done = work
-            if old != work:
-                registry._notify_progress(self, "work_done", old, work)
-            old = self._attained_service
-            self._attained_service = attained
-            if old != attained:
-                registry._notify_progress(self, "attained_service", old, attained)
-        else:
-            self._work_done = work
-            self._attained_service = attained
+        self._work_done = work
+        self._attained_service = attained
 
     # --- derived quantities ---------------------------------------------
 

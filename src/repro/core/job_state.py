@@ -34,19 +34,18 @@ class JobStateObserver:
 
     Scheduling policies register an observer (via :meth:`JobState.add_observer`)
     to maintain incremental priority structures instead of re-scanning and
-    re-sorting the registry every round.  Three hooks cover every way a job's
-    scheduling-relevant state can change:
+    re-sorting the registry every round.  Two hooks cover every membership
+    and status change:
 
     * :meth:`on_job_tracked` -- a job entered the registry (or replaced a
       previously tracked object with the same id);
     * :meth:`on_status_change` -- a status transition, fired both by
       :meth:`JobState.set_status` and by direct ``job.status = ...`` writes
-      (the status descriptor routes them here);
-    * :meth:`on_progress` -- ``attained_service`` or ``work_done`` changed.
-      It fires when progress is *written*: per round where the execution
-      model folds eagerly, but under deferred progress once per settle (when
-      a job completes, leaves RUNNING, or has its progress read), covering
-      every round folded since the last one.
+      (the status descriptor routes them here).
+
+    Progress (``attained_service`` / ``work_done``) has no hook: it accrues
+    only while a job is RUNNING, so an index keyed on it can refresh a job's
+    key at its status transitions.
 
     Hooks fire *after* the registry's own indexes are updated, so observers may
     query the registry from inside a hook.  Observers must not mutate job
@@ -57,9 +56,6 @@ class JobStateObserver:
         return None
 
     def on_status_change(self, job: Job, old: Optional[JobStatus], new: JobStatus) -> None:
-        return None
-
-    def on_progress(self, job: Job, field: str, old: float, new: float) -> None:
         return None
 
 
@@ -78,10 +74,6 @@ class JobState:
         #: synthesizer does) without an unregister call -- a strong list would
         #: keep every stale policy index alive and dispatching forever.
         self._observers: List[weakref.ref] = []
-        #: Observers that override on_progress; progress writes (two per
-        #: running job per round, the hottest notification path) dispatch only
-        #: to these.
-        self._progress_observers: List[weakref.ref] = []
         #: Memoized sorted views keyed by the requested status tuple,
         #: invalidated on any status transition or (re)tracking.  The hot loop
         #: reads views like running_jobs() several times per round while
@@ -111,33 +103,23 @@ class JobState:
     # ------------------------------------------------------------------
 
     def add_observer(self, observer: JobStateObserver) -> None:
-        """Register an observer for tracking/status/progress notifications.
+        """Register an observer for tracking and status notifications.
 
         Registering the same observer twice is a no-op (each observer receives
         every notification exactly once).  The registry holds observers
         *weakly*: a garbage-collected observer (e.g. the priority index of a
         policy the synthesizer swapped out) silently drops off the dispatch
         lists, so callers must keep a strong reference to an observer they
-        want notified.  Progress notifications are only dispatched to
-        observers that actually override ``on_progress``, so observers that
-        only care about membership/status changes add no cost to the
-        execution hot path.
+        want notified.
         """
         if any(ref() is observer for ref in self._observers):
             return
         self._observers.append(weakref.ref(observer))
-        if type(observer).on_progress is not JobStateObserver.on_progress:
-            self._progress_observers.append(weakref.ref(observer))
 
     def remove_observer(self, observer: JobStateObserver) -> None:
         """Detach a previously registered observer (no-op if absent)."""
         self._observers = [
             ref for ref in self._observers if ref() is not None and ref() is not observer
-        ]
-        self._progress_observers = [
-            ref
-            for ref in self._progress_observers
-            if ref() is not None and ref() is not observer
         ]
 
     def _live_observers(self, refs: List[weakref.ref]) -> List[JobStateObserver]:
@@ -154,13 +136,6 @@ class JobState:
             refs[:] = [ref for ref in refs if ref() is not None]
         return observers
 
-    def _notify_progress(self, job: Job, field: str, old: float, new: float) -> None:
-        """Forward a progress write to observers (called by the Job descriptor)."""
-        if not self._progress_observers or self._jobs.get(job.job_id) is not job:
-            return
-        for observer in self._live_observers(self._progress_observers):
-            observer.on_progress(job, field, old, new)
-
     def __getstate__(self):
         """Pickle support (parallel sweeps ship results across processes).
 
@@ -171,7 +146,6 @@ class JobState:
         """
         state = self.__dict__.copy()
         state["_observers"] = []
-        state["_progress_observers"] = []
         state["_view_cache"] = {}
         return state
 

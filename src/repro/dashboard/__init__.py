@@ -1,6 +1,6 @@
 """``python -m repro.dashboard``: a stdlib-only live view over a trace file.
 
-Tails any telemetry sink (JSONL or SQLite) with a
+Tails a JSONL telemetry trace with a
 :class:`~repro.telemetry.sinks.TraceFollower` and serves a small
 auto-refreshing web page -- cluster utilisation, queue depth, per-shard
 imbalance and restart counters, and live JCT percentiles -- from
@@ -19,6 +19,7 @@ import argparse
 import http.server
 import json
 import math
+import sys
 import threading
 from typing import Dict, List, Optional
 
@@ -30,6 +31,7 @@ from repro.telemetry.events import (
     EVENT_RPC_FAULTS,
     EVENT_SUPERVISOR,
     TraceEvent,
+    TraceFormatError,
 )
 from repro.telemetry.sinks import TraceFollower
 
@@ -257,7 +259,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.dashboard",
         description=(
-            "Live web dashboard over a telemetry trace (JSONL or SQLite). "
+            "Live web dashboard over a JSONL telemetry trace. "
             "Tails the file as the run writes it; works equally on a "
             "finished trace."
         ),
@@ -274,7 +276,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.once:
         aggregator = DashboardAggregator()
-        aggregator.consume(TraceFollower(args.trace).poll())
+        try:
+            aggregator.consume(TraceFollower(args.trace).poll())
+        except TraceFormatError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(aggregator.render_text())
         return 0
     try:

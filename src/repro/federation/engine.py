@@ -756,7 +756,7 @@ class UniformShardFactory:
             else None
         )
         if recorder is None and self.trace_dir is not None:
-            from repro.telemetry.sinks import JsonlSink  # pulls sqlite3/orjson
+            from repro.telemetry.sinks import JsonlSink  # pulls orjson
 
             os.makedirs(self.trace_dir, exist_ok=True)
             sink = JsonlSink(

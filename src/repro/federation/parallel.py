@@ -530,10 +530,7 @@ class WorkerPoolBackend(ShardBackend):
                             break
                     except (EOFError, OSError):
                         pass
-                raise RetryableWorkerError(
-                    f"{self._describe(worker_index)} died with exitcode "
-                    f"{proc.exitcode} without replying"
-                )
+                raise self._died(worker_index, "without replying")
             if deadline is not None and time.monotonic() > deadline:
                 raise RetryableWorkerError(
                     f"{self._describe(worker_index)} did not reply within "
@@ -559,10 +556,14 @@ class WorkerPoolBackend(ShardBackend):
         try:
             self._conns[worker_index].send(message)
         except (BrokenPipeError, OSError):
-            raise RetryableWorkerError(
-                f"{self._describe(worker_index)} is gone (exitcode "
-                f"{self._procs[worker_index].exitcode}); cannot send {message[0]!r}"
-            )
+            raise self._died(worker_index, f"before receiving {message[0]!r}")
+
+    def _died(self, worker_index: int, detail: str) -> RetryableWorkerError:
+        """The one message for a worker process found dead, sending or receiving."""
+        return RetryableWorkerError(
+            f"{self._describe(worker_index)} died with exitcode "
+            f"{self._procs[worker_index].exitcode} {detail}"
+        )
 
     def _handshake(self, timeout_s: float) -> float:
         durations = set()

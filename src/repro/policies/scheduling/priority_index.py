@@ -12,8 +12,7 @@ hooks:
   advances running jobs only), so an idle job's priority is computed once on
   entry and cached until it leaves the tier.  Keys that change for other
   reasons must be repositioned explicitly (:meth:`RunnablePriorityIndex.reposition`,
-  used by Tiresias' starvation promotions) or, for continuously drifting
-  keys, by subclassing and overriding ``on_progress``;
+  used by Tiresias' starvation promotions);
 * the **running tier** is small (bounded by cluster capacity, not queue
   length).  By default its keys drift every round (attained service,
   remaining work), so it is sorted fresh at schedule time; a policy whose
@@ -180,15 +179,12 @@ class RunnablePriorityIndex(JobStateObserver):
         self._discard(job.job_id)
         self._admit(job)
 
-    # NOTE: the index deliberately does NOT override on_progress.  Idle keys
-    # are frozen by construction -- attained service and remaining work only
-    # change while a job is RUNNING -- drifting running keys are computed at
-    # schedule time, and a kept-sorted running tier moves only where its
-    # owner repositions it.  JobState skips the progress dispatch entirely
-    # for observers that leave on_progress unimplemented, keeping progress
-    # writes off the notification path.  A policy whose idle keys do drift
-    # (a continuously-keyed structure) should subclass and override
-    # on_progress to call reposition().
+    # NOTE: progress writes notify nobody.  Idle keys are frozen by
+    # construction -- attained service and remaining work only change while
+    # a job is RUNNING -- drifting running keys are computed at schedule
+    # time, and a kept-sorted running tier moves only where its owner
+    # repositions it.  A policy whose idle keys do drift must call
+    # reposition() where they change.
 
     # ------------------------------------------------------------------
     # Mutation helpers

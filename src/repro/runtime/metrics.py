@@ -40,9 +40,8 @@ class WorkerMetricsAggregator(JobStateObserver):
 
     Reads the lease manager's *live* worker registry and assignments: a job
     whose reporting node left before the job stopped running loses what it
-    had not shipped with the node.  Pulls are real RPCs (billed to the
-    scheduler endpoint) excluded from the per-call log, which is reserved
-    for lease traffic.  Register it on the run's ``JobState`` after the
+    had not shipped with the node.  Pulls are real RPCs, billed to the
+    scheduler endpoint.  Register it on the run's ``JobState`` after the
     execution model, so a job leaving RUNNING is settled when it is read.
     """
 
@@ -81,7 +80,7 @@ class WorkerMetricsAggregator(JobStateObserver):
             return
         worker.push_metrics(job.job_id, self._report(job))
         delta = self.channel.call(
-            worker.endpoint_name, "pull_metrics", caller=SCHEDULER_ENDPOINT, log=False
+            worker.endpoint_name, "pull_metrics", caller=SCHEDULER_ENDPOINT
         )
         for job_id, values in delta.items():  # copied: the dedup cache may hold the reply
             self._pulled.setdefault(job_id, {}).update(values)

@@ -188,22 +188,12 @@ class RetryPolicy:
         return min(self.backoff_base_ms * (2 ** (attempt - 2)), self.backoff_max_ms)
 
 
-@dataclass(slots=True)
-class RpcCall:
-    """A record of one delivered message (kept for tests and debugging)."""
-
-    target: str
-    method: str
-    payload: Any
-    caller: Optional[str] = None
-
-
 class InMemoryRpcChannel:
     """Synchronous message delivery with per-endpoint cost accounting.
 
     ``fault_plan``/``retry_policy`` arm the chaos layer.  Without a plan
     (the default) every call takes the fast path: one attempt, billed and
-    logged, no token or dedup cache (a retry policy alone has nothing to retry).
+    counted, no token or dedup cache (a retry policy alone has nothing to retry).
     """
 
     def __init__(
@@ -218,7 +208,6 @@ class InMemoryRpcChannel:
         #: endpoint -> method -> handler: one nested lookup per message, and
         #: an endpoint leaves the cluster as one key.
         self._handlers: Dict[str, Dict[str, Callable[[Any], Any]]] = {}
-        self.call_log: List[RpcCall] = []
         #: Total busy time per endpoint in milliseconds, used to compute the
         #: critical-path latency of a round of lease traffic.
         self.endpoint_busy_ms: Dict[str, float] = {}
@@ -290,7 +279,6 @@ class InMemoryRpcChannel:
         method: str,
         payload: Any = None,
         caller: Optional[str] = None,
-        log: bool = True,
         idempotency_token: Optional[str] = None,
     ) -> Any:
         """Deliver a message, attributing client cost to the caller and server
@@ -298,9 +286,7 @@ class InMemoryRpcChannel:
 
         ``caller`` names the endpoint issuing the call; when omitted, a call
         made from inside a handler is attributed to the endpoint running that
-        handler.  ``log=False`` skips the per-call record (bulk traffic such
-        as metric pulls would otherwise dominate the log) but still counts
-        and bills the call.  ``idempotency_token`` names the *logical*
+        handler.  ``idempotency_token`` names the *logical*
         operation: under a fault plan, deliveries sharing a token execute the
         handler once and share its result (anonymous calls get a fresh
         per-call token against the channel's own retries and duplicates);
@@ -323,8 +309,6 @@ class InMemoryRpcChannel:
                 recorder.emit(
                     EVENT_RPC_FAULTS, clock(), self.fault_stats().as_dict()
                 )
-        if log:
-            self.call_log.append(RpcCall(endpoint, method, payload, caller))
         if self.fault_plan is None:
             # Fault-free fast path: what ``_bill`` does, in the same order
             # (caller first, so the float sums are the historical ones).
@@ -399,7 +383,6 @@ class InMemoryRpcChannel:
         the round.
         """
         self.endpoint_busy_ms.clear()
-        self.call_log.clear()
         self.total_calls = 0
 
     def fault_stats(self) -> FaultStats:

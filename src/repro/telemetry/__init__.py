@@ -4,7 +4,7 @@ See ``docs/observability.md``.  The layer has four parts:
 
 * :mod:`repro.telemetry.events` -- the versioned event schema
   (:class:`TraceEvent`, :class:`TraceHeader`, :func:`run_metadata`);
-* :mod:`repro.telemetry.sinks` -- JSONL / SQLite / ring-buffer sinks plus
+* :mod:`repro.telemetry.sinks` -- JSONL and ring-buffer sinks plus
   readers and the incremental :class:`TraceFollower`;
 * :mod:`repro.telemetry.recorder` -- :class:`TraceRecorder` (per-source
   monotonic sequence numbers) and the job-transition observer;
@@ -37,16 +37,14 @@ from repro.telemetry.events import (
 #: Names served lazily (PEP 562).  Every engine imports event-kind constants
 #: from :mod:`repro.telemetry.events`, which runs this file first; importing
 #: the recorder and the sinks here would make each simulation process pay for
-#: ``sqlite3`` and ``orjson`` although only a recording run builds a sink.
+#: ``orjson`` although only a recording run builds a sink.
 _LAZY = {
     "TelemetryObserver": "repro.telemetry.recorder",
     "TraceRecorder": "repro.telemetry.recorder",
     "JsonlSink": "repro.telemetry.sinks",
     "RingBufferSink": "repro.telemetry.sinks",
-    "SqliteSink": "repro.telemetry.sinks",
     "TraceFollower": "repro.telemetry.sinks",
     "TraceSink": "repro.telemetry.sinks",
-    "open_sink": "repro.telemetry.sinks",
     "read_trace": "repro.telemetry.sinks",
 }
 
@@ -85,9 +83,7 @@ __all__ = [
     "TelemetryObserver",
     "TraceSink",
     "JsonlSink",
-    "SqliteSink",
     "RingBufferSink",
     "TraceFollower",
-    "open_sink",
     "read_trace",
 ]

@@ -9,11 +9,9 @@ events as ``"federation"`` while each in-process shard records rounds as
 
 Recording must never perturb the schedule.  Every emission point in the
 engine only *reads* state (no RNG draws, no state writes), and the job
-observer below deliberately does not override ``on_progress`` -- the
-registry's progress fan-out only dispatches to overriding observers, so the
-two-writes-per-running-job-per-round hot path stays untouched.  The parity
-tests in ``tests/test_telemetry.py`` hold a traced run bit-identical to an
-untraced one.
+observer below hears membership and status changes only, never a progress
+write.  The parity tests in ``tests/test_telemetry.py`` hold a traced run
+bit-identical to an untraced one.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from repro.core.job import Job, JobStatus
 from repro.core.job_state import JobStateObserver
 from repro.telemetry.events import EVENT_JOB, TraceHeader
 
-if TYPE_CHECKING:  # the sink is handed in; importing sinks pulls sqlite3/orjson
+if TYPE_CHECKING:  # the sink is handed in; importing sinks pulls orjson
     from repro.telemetry.sinks import TraceSink
 
 #: Emit one rpc-faults counter snapshot every this many RPC calls.
@@ -61,9 +59,8 @@ class TelemetryObserver(JobStateObserver):
     """Streams job lifecycle transitions as ``job`` events.
 
     ``clock`` supplies the simulated time at emission (the engine passes the
-    BloxManager clock).  ``on_progress`` is intentionally *not* overridden:
-    the registry only fans progress writes out to overriding observers, so
-    attaching this observer adds zero per-round progress cost.
+    BloxManager clock).  Progress writes notify no observer, so attaching
+    this one adds zero per-round progress cost.
 
     The registry holds observers weakly -- whoever attaches one must keep a
     strong reference (the Simulator stores it on the instance).

@@ -1,23 +1,22 @@
-"""Pluggable trace sinks: JSONL file, SQLite database, in-memory ring buffer.
+"""Trace sinks: a JSONL file or an in-memory ring buffer.
 
 A sink accepts one :class:`~repro.telemetry.events.TraceHeader` followed by
-any number of :class:`~repro.telemetry.events.TraceEvent` records.  All three
-stock sinks are stdlib-only and append-oriented:
+any number of :class:`~repro.telemetry.events.TraceEvent` records.  Both
+stock sinks are append-oriented:
 
 * :class:`JsonlSink` -- one JSON object per line; the first line is the
-  header (recognisable by its ``schema_version`` key).  The cheapest sink
-  and the one the dashboard tails.
-* :class:`SqliteSink` -- ``header``/``events`` tables, batched inserts.
-  Queryable after the fact (``sqlite3 trace.db 'select kind, count(*) ...'``).
+  header (recognisable by its ``schema_version`` key).  The one trace file
+  format, and the one the dashboard tails.
 * :class:`RingBufferSink` -- bounded in-memory buffer for live consumers and
   tests; never touches the filesystem.
 
-:func:`read_trace` loads either file format back (sniffing the SQLite magic
-bytes, so extensions are free-form), and :class:`TraceFollower` incrementally
-polls a growing trace file -- the mechanism behind
-``python -m repro.dashboard``'s live view.
+:func:`read_trace` loads a trace file back, and :class:`TraceFollower`
+incrementally polls a growing one -- the mechanism behind
+``python -m repro.dashboard``'s live view.  Both report a line that is not
+a UTF-8 JSON object as :class:`~repro.telemetry.events.TraceFormatError`
+naming the file and line.
 
-File sinks intentionally refuse pickling: a recorder crossing a process
+The file sink intentionally refuses pickling: a recorder crossing a process
 boundary (e.g. into a supervised federation worker that will be checkpointed)
 would otherwise re-emit duplicate records after restore.  Worker-side
 tracing instead opens its sinks *inside* the worker (see
@@ -30,16 +29,13 @@ import collections
 import io
 import json
 import os
-import sqlite3
-from typing import Deque, Iterator, List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from repro.telemetry.events import (
     TraceEvent,
     TraceFormatError,
     TraceHeader,
 )
-
-_SQLITE_MAGIC = b"SQLite format 3\x00"
 
 
 class TraceSink:
@@ -106,11 +102,6 @@ if _orjson is not None:
     # orjson with OPT_SORT_KEYS produces the same compact sorted form as
     # the stdlib encoder above at ~5x less per-event cost, which is what
     # keeps recording inside the bench's overhead gate.
-    def _encode_json(
-        obj, _dumps=_orjson.dumps, _opt=_orjson.OPT_SORT_KEYS
-    ) -> str:
-        return _dumps(obj, option=_opt).decode()
-
     def _encode_line(
         record,
         _dumps=_orjson.dumps,
@@ -119,7 +110,6 @@ if _orjson is not None:
         return _dumps(record, option=_opt)
 
 else:
-    _encode_json = _ENCODE
 
     def _encode_line(record) -> bytes:
         return (_ENCODE(record) + "\n").encode("utf-8")
@@ -208,78 +198,6 @@ class JsonlSink(TraceSink):
         )
 
 
-class SqliteSink(TraceSink):
-    """SQLite sink with batched inserts (stdlib ``sqlite3``)."""
-
-    _BATCH = 512
-
-    def __init__(self, path: str) -> None:
-        self.path = os.fspath(path)
-        if os.path.exists(self.path):
-            os.remove(self.path)
-        self._conn: Optional[sqlite3.Connection] = sqlite3.connect(self.path)
-        self._conn.executescript(
-            """
-            CREATE TABLE header (record TEXT NOT NULL);
-            CREATE TABLE events (
-                source  TEXT    NOT NULL,
-                seq     INTEGER NOT NULL,
-                time    REAL    NOT NULL,
-                kind    TEXT    NOT NULL,
-                payload TEXT    NOT NULL
-            );
-            """
-        )
-        self._pending: List[Tuple[str, int, float, str, str]] = []
-
-    def write_header(self, header: TraceHeader) -> None:
-        if self._conn is None:
-            raise TraceFormatError(f"trace sink {self.path} already closed")
-        self._conn.execute(
-            "INSERT INTO header (record) VALUES (?)",
-            (json.dumps(header.as_record(), sort_keys=True),),
-        )
-
-    def emit(self, event: TraceEvent) -> None:
-        self.emit_record(*event)
-
-    def emit_record(
-        self, source: str, seq: int, time: float, kind: str, payload
-    ) -> None:
-        self._pending.append((source, seq, time, kind, _encode_json(payload)))
-        if len(self._pending) >= self._BATCH:
-            self._drain()
-
-    def _drain(self) -> None:
-        if self._conn is None:
-            raise TraceFormatError(f"trace sink {self.path} already closed")
-        if self._pending:
-            self._conn.executemany(
-                "INSERT INTO events (source, seq, time, kind, payload) "
-                "VALUES (?, ?, ?, ?, ?)",
-                self._pending,
-            )
-            self._pending.clear()
-
-    def flush(self) -> None:
-        if self._conn is not None:
-            self._drain()
-            self._conn.commit()
-
-    def close(self) -> None:
-        if self._conn is not None:
-            self._drain()
-            self._conn.commit()
-            self._conn.close()
-            self._conn = None
-
-    def __getstate__(self):
-        raise TypeError(
-            "SqliteSink holds an open database connection and cannot cross a "
-            "process or checkpoint boundary"
-        )
-
-
 class RingBufferSink(TraceSink):
     """Keep the last ``capacity`` events in memory (``None`` = unbounded)."""
 
@@ -308,93 +226,60 @@ class RingBufferSink(TraceSink):
 # ---------------------------------------------------------------------------
 
 
-def _is_sqlite(path: str) -> bool:
-    with open(path, "rb") as handle:
-        return handle.read(len(_SQLITE_MAGIC)) == _SQLITE_MAGIC
-
-
-def _iter_jsonl(path: str) -> Iterator[dict]:
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+def _decode_record(line: bytes, path: str, lineno: int) -> Optional[dict]:
+    """One trace line as its record, ``None`` for a blank line."""
+    try:
+        text = line.decode("utf-8").strip()
+        if not text:
+            return None
+        record = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError both
+        raise TraceFormatError(
+            f"{path}:{lineno}: not a JSONL trace record ({exc})"
+        ) from None
+    if not isinstance(record, dict):
+        raise TraceFormatError(f"{path}:{lineno}: not a JSONL trace record")
+    return record
 
 
 def read_trace(path: str) -> Tuple[TraceHeader, List[TraceEvent]]:
-    """Load a JSONL or SQLite trace back into (header, events).
-
-    Events come back in file order for JSONL and in ``rowid`` (insertion)
-    order for SQLite -- emission order either way.
-    """
+    """Load a JSONL trace back into (header, events), events in file order."""
     path = os.fspath(path)
     if not os.path.exists(path):
         raise TraceFormatError(f"no such trace: {path}")
-    if _is_sqlite(path):
-        return _read_sqlite(path)
-    return _read_jsonl(path)
-
-
-def _read_jsonl(path: str) -> Tuple[TraceHeader, List[TraceEvent]]:
     header: Optional[TraceHeader] = None
     events: List[TraceEvent] = []
-    for record in _iter_jsonl(path):
-        if header is None:
-            header = TraceHeader.from_record(record)
-        else:
-            events.append(TraceEvent.from_record(record))
+    with open(path, "rb") as handle:
+        for lineno, line in enumerate(handle, 1):
+            record = _decode_record(line, path, lineno)
+            if record is None:
+                continue
+            if header is None:
+                header = TraceHeader.from_record(record)
+            else:
+                events.append(TraceEvent.from_record(record))
     if header is None:
         raise TraceFormatError(f"trace {path} has no header line")
-    return header, events
-
-
-def _read_sqlite(path: str) -> Tuple[TraceHeader, List[TraceEvent]]:
-    conn = sqlite3.connect(path)
-    try:
-        row = conn.execute("SELECT record FROM header").fetchone()
-        if row is None:
-            raise TraceFormatError(f"trace {path} has no header row")
-        header = TraceHeader.from_record(json.loads(row[0]))
-        events = [
-            TraceEvent(
-                source=source,
-                seq=seq,
-                time=time,
-                kind=kind,
-                payload=json.loads(payload),
-            )
-            for source, seq, time, kind, payload in conn.execute(
-                "SELECT source, seq, time, kind, payload FROM events ORDER BY rowid"
-            )
-        ]
-    finally:
-        conn.close()
     return header, events
 
 
 class TraceFollower:
     """Incrementally read a growing trace file (the dashboard's tail loop).
 
-    ``poll()`` returns only the records appended since the previous call.
-    JSONL traces are followed by byte offset (partial trailing lines are
-    left for the next poll); SQLite traces by max ``rowid``.
+    ``poll()`` returns only the records appended since the previous call,
+    following the file by byte offset (a partial trailing line is left for
+    the next poll).
     """
 
     def __init__(self, path: str) -> None:
         self.path = os.fspath(path)
         self.header: Optional[TraceHeader] = None
-        self._offset = 0  # jsonl byte offset
-        self._rowid = 0  # sqlite high-water mark
-        self._sqlite: Optional[bool] = None
+        self._offset = 0
+        self._lineno = 0
 
     def poll(self) -> List[TraceEvent]:
         if not os.path.exists(self.path) or os.path.getsize(self.path) == 0:
             return []
-        if self._sqlite is None:
-            self._sqlite = _is_sqlite(self.path)
-        return self._poll_sqlite() if self._sqlite else self._poll_jsonl()
-
-    def _poll_jsonl(self) -> List[TraceEvent]:
         events: List[TraceEvent] = []
         with open(self.path, "rb") as handle:
             handle.seek(self._offset)
@@ -403,58 +288,12 @@ class TraceFollower:
                 if not line or not line.endswith(b"\n"):
                     break  # incomplete trailing line: retry next poll
                 self._offset = handle.tell()
-                text = line.decode("utf-8").strip()
-                if not text:
+                self._lineno += 1
+                record = _decode_record(line, self.path, self._lineno)
+                if record is None:
                     continue
-                record = json.loads(text)
                 if self.header is None:
                     self.header = TraceHeader.from_record(record)
                 else:
                     events.append(TraceEvent.from_record(record))
         return events
-
-    def _poll_sqlite(self) -> List[TraceEvent]:
-        events: List[TraceEvent] = []
-        conn = sqlite3.connect(self.path)
-        try:
-            if self.header is None:
-                row = conn.execute("SELECT record FROM header").fetchone()
-                if row is not None:
-                    self.header = TraceHeader.from_record(json.loads(row[0]))
-            for rowid, source, seq, time, kind, payload in conn.execute(
-                "SELECT rowid, source, seq, time, kind, payload FROM events "
-                "WHERE rowid > ? ORDER BY rowid",
-                (self._rowid,),
-            ):
-                self._rowid = rowid
-                events.append(
-                    TraceEvent(
-                        source=source,
-                        seq=seq,
-                        time=time,
-                        kind=kind,
-                        payload=json.loads(payload),
-                    )
-                )
-        except sqlite3.OperationalError:
-            return []  # writer has not committed the schema yet
-        finally:
-            conn.close()
-        return events
-
-
-def open_sink(path: str, fmt: Optional[str] = None) -> TraceSink:
-    """Open a file sink by explicit format or filename extension.
-
-    ``fmt`` may be ``"jsonl"`` or ``"sqlite"``; when omitted, ``.db`` /
-    ``.sqlite`` / ``.sqlite3`` extensions select SQLite and anything else
-    selects JSONL.
-    """
-    if fmt is None:
-        ext = os.path.splitext(path)[1].lower()
-        fmt = "sqlite" if ext in (".db", ".sqlite", ".sqlite3") else "jsonl"
-    if fmt == "jsonl":
-        return JsonlSink(path)
-    if fmt == "sqlite":
-        return SqliteSink(path)
-    raise TraceFormatError(f"unknown trace sink format {fmt!r}")

@@ -28,7 +28,7 @@ from repro.policies.scheduling import SCHEDULING_POLICIES
 from repro.telemetry.diff import diff_streams
 from repro.telemetry.events import NONDETERMINISTIC_KINDS, TraceFormatError, merge_events
 from repro.telemetry.runspec import MODES, RunSpec, run_recorded
-from repro.telemetry.sinks import RingBufferSink, open_sink, read_trace
+from repro.telemetry.sinks import JsonlSink, RingBufferSink, read_trace
 from repro.workloads import WORKLOAD_GENERATORS
 
 
@@ -111,7 +111,7 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
 
 def _cmd_record(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    sink = open_sink(args.out, fmt=args.format)
+    sink = JsonlSink(args.out)
     try:
         run_recorded(spec, sink, started_at=time.time())
     finally:
@@ -137,7 +137,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     ignore = frozenset() if args.all_kinds else NONDETERMINISTIC_KINDS
     divergences = diff_streams(recorded, replayed, ignore_kinds=ignore)
     if args.out:
-        out_sink = open_sink(args.out)
+        out_sink = JsonlSink(args.out)
         try:
             out_sink.write_header(spec.header())
             for event in replayed:
@@ -212,13 +212,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     record = sub.add_parser("record", help="run a workload with recording on")
     _add_spec_arguments(record)
-    record.add_argument("--out", default="trace.jsonl", help="output trace path")
-    record.add_argument(
-        "--format",
-        choices=("jsonl", "sqlite"),
-        default=None,
-        help="sink format (default: by extension; .db/.sqlite -> sqlite)",
-    )
+    record.add_argument("--out", default="trace.jsonl", help="output JSONL trace path")
 
     replay = sub.add_parser(
         "replay", help="re-drive a recorded run and diff the event streams"

@@ -294,9 +294,9 @@ def test_zero_rate_job_is_a_no_op_of_any_length(pending):
 def test_simulation_path_never_imports_numpy():
     """README: no third-party runtime dependencies -- even where numpy is installed.
 
-    Nor anything that only a recording run needs: the sinks' ``sqlite3`` and
-    ``orjson`` and the artifact header's ``platform`` stay out of every
-    unrecorded core, runtime and federation run (each benchmark child, sweep
+    Nor anything that only a recording run needs: the sink's ``orjson`` and
+    the artifact header's ``platform`` (and ``sqlite3``, which nothing
+    imports) stay out of every unrecorded core, runtime and federation run (each benchmark child, sweep
     worker and spawned shard worker pays for what this path imports).
     """
     code = (

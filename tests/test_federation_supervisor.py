@@ -185,6 +185,18 @@ def test_unsupervised_kill_keeps_historical_error_shape():
             backend.advance(ROUND)
 
 
+def test_send_to_a_dead_worker_says_died():
+    # The send path and the receive path describe one dead worker alike.
+    with WorkerPoolBackend(bench_factory(), num_shards=2, workers=2) as backend:
+        proc = backend._procs[1]
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.join(5.0)
+        with pytest.raises(
+            RetryableWorkerError, match="died with exitcode -9 before receiving 'advance'"
+        ):
+            backend._send(1, ("advance", ROUND))
+
+
 # ----------------------------------------------------------------------
 # In-flight submissions (the fire-and-forget fix)
 # ----------------------------------------------------------------------

@@ -305,9 +305,6 @@ def test_observer_hooks_fire_in_order():
         def on_status_change(self, job, old, new):
             events.append(("status", job.job_id, old, new))
 
-        def on_progress(self, job, field, old, new):
-            events.append(("progress", job.job_id, field, new))
-
     job_state = JobState()
     recorder = Recorder()  # observers are held weakly: keep a strong ref
     job_state.add_observer(recorder)
@@ -315,26 +312,14 @@ def test_observer_hooks_fire_in_order():
     job_state.track(job)
     job.status = JobStatus.RUNNABLE
     job.status = JobStatus.RUNNING
-    job.attained_service = 10.0
+    job.attained_service = 10.0  # progress writes notify no observer
     job.work_done = 5.0
     assert events == [
         ("tracked", job.job_id),
         ("status", job.job_id, JobStatus.SUBMITTED, JobStatus.RUNNABLE),
         ("status", job.job_id, JobStatus.RUNNABLE, JobStatus.RUNNING),
-        ("progress", job.job_id, "attained_service", 10.0),
-        ("progress", job.job_id, "work_done", 5.0),
     ]
-
-
-def test_progress_dispatch_skipped_for_status_only_observers():
-    """Observers that don't override on_progress stay off the hot write path."""
-    job_state = JobState()
-    observer = JobStateObserver()
-    job_state.add_observer(observer)
-    assert job_state._progress_observers == []
-    job = make_job()
-    job_state.track(job)
-    job.attained_service = 3.0  # must not raise nor dispatch
+    assert (job.attained_service, job.work_done) == (10.0, 5.0)
 
 
 def test_pollux_goodput_memoization_and_invalidation():

@@ -39,13 +39,6 @@ from repro.telemetry.runspec import RunSpec
 from repro.workloads.philly import generate_philly_trace
 
 
-def scheduler_calls(channel, method=None):
-    calls = [c for c in channel.call_log if c.caller == SCHEDULER_ENDPOINT]
-    if method is not None:
-        calls = [c for c in calls if c.method == method]
-    return calls
-
-
 # ----------------------------------------------------------------------
 # RPC channel accounting
 # ----------------------------------------------------------------------
@@ -95,14 +88,6 @@ class TestRpcAccounting:
         ):
             channel.call(kept.endpoint_name, "nope")
         assert channel.total_calls == 1  # an unroutable message is never counted
-
-    def test_unlogged_calls_still_count_and_bill(self):
-        channel = InMemoryRpcChannel()
-        channel.register("b", "ping", lambda p: None)
-        channel.call("b", "ping", {}, caller="a", log=False)
-        assert channel.total_calls == 1
-        assert channel.call_log == []
-        assert channel.busy_ms("b") > 0
 
 
 # ----------------------------------------------------------------------
@@ -159,20 +144,28 @@ class TestLeaseLifecycle:
 
 class TestOptimisticProtocol:
     def test_scheduler_issues_exactly_one_revoke_per_revoked_job(self):
-        manager, _workers, channel = build_lease_setup(4, protocol="optimistic")
+        # A unit client cost and a free server make an endpoint's busy time
+        # the number of calls it issued since the round reset the accounting.
+        cost = RpcCostModel(base_ms=1.0, server_ms=0.0)
+        manager, workers, channel = build_lease_setup(4, cost_model=cost, protocol="optimistic")
         manager.grant(100, [0, 1, 2, 3])
         manager.grant(101, [0, 1])
+        delivered = []
+        for worker in workers:
+
+            def counted(payload, handle=worker._handle_revoke, name=worker.endpoint_name):
+                delivered.append(name)
+                return handle(payload)
+
+            channel.register(worker.endpoint_name, "revoke_lease", counted)
         manager.renewal_round([100, 101])
-        assert len(scheduler_calls(channel, "revoke_lease")) == 2
+        assert channel.busy_ms(SCHEDULER_ENDPOINT) == 2
         # Peers were reached by worker-to-worker propagation, not by the
-        # scheduler: every other revoke names a worker as its caller.
-        peer_revokes = [
-            c
-            for c in channel.call_log
-            if c.method == "revoke_lease" and c.caller != SCHEDULER_ENDPOINT
-        ]
-        assert len(peer_revokes) == 3 + 1  # 3 peers of job 100, 1 peer of job 101
-        assert all(c.caller.startswith("worker-") for c in peer_revokes)
+        # scheduler: every other call of the round was issued by a worker.
+        peer_revokes = sum(channel.busy_ms(w.endpoint_name) for w in workers)
+        assert peer_revokes == 3 + 1  # 3 peers of job 100, 1 peer of job 101
+        # Every call of the round delivered a revoke.
+        assert channel.total_calls == len(delivered) == 2 + 4
 
     def test_peer_fanout_does_not_bill_the_scheduler(self):
         cost = RpcCostModel(base_ms=1.0, server_ms=2.0)

@@ -2,8 +2,8 @@
 
 The contracts under test:
 
-* the versioned schema round-trips through both file sinks (JSONL and
-  SQLite) byte-for-byte, and malformed records fail loudly;
+* the versioned schema round-trips through the JSONL sink byte-for-byte,
+  and malformed records or lines fail loudly;
 * per-source monotonic ``seq`` makes multi-stream merges deterministic --
   including across parallel federation workers under *both* the fork and
   spawn start methods (per-shard trace files must be byte-identical);
@@ -24,6 +24,7 @@ import pickle
 import pytest
 
 from repro.dashboard import DashboardAggregator, percentile
+from repro.dashboard import main as dashboard_main
 from repro.federation import (
     FederationEngine,
     LocalShardBackend,
@@ -43,7 +44,6 @@ from repro.telemetry import (
     SCHEMA_VERSION,
     JsonlSink,
     RingBufferSink,
-    SqliteSink,
     TraceEvent,
     TraceFollower,
     TraceFormatError,
@@ -51,7 +51,6 @@ from repro.telemetry import (
     TraceRecorder,
     config_hash,
     merge_events,
-    open_sink,
     read_trace,
     run_metadata,
 )
@@ -125,12 +124,10 @@ def test_header_round_trip_and_version_gate():
         TraceHeader.from_record({"metadata": {}})  # no version at all
 
 
-@pytest.mark.parametrize("fmt", ["jsonl", "sqlite"])
-def test_file_sink_round_trip(tmp_path, fmt):
-    path = str(tmp_path / f"trace.{fmt}")
+def test_file_sink_round_trip(tmp_path):
+    path = str(tmp_path / "trace.jsonl")
     header = TraceHeader(metadata={"seed": 7})
-    with open_sink(path, fmt=fmt) as sink:
-        assert isinstance(sink, JsonlSink if fmt == "jsonl" else SqliteSink)
+    with JsonlSink(path) as sink:
         sink.write_header(header)
         for event in SAMPLE_EVENTS:
             sink.emit(event)
@@ -157,20 +154,53 @@ def test_jsonl_lines_are_canonical_json(tmp_path):
     assert lines == expected
 
 
-def test_open_sink_by_extension(tmp_path):
-    assert isinstance(open_sink(str(tmp_path / "t.db")), SqliteSink)
-    assert isinstance(open_sink(str(tmp_path / "t.jsonl")), JsonlSink)
-    with pytest.raises(TraceFormatError):
-        open_sink(str(tmp_path / "t"), fmt="xml")
-
-
-def test_file_sinks_refuse_pickle(tmp_path):
+def test_file_sink_refuses_pickle(tmp_path):
     # A sink crossing a process/checkpoint boundary would re-emit duplicate
-    # records after restore; both file sinks refuse up front.
-    for sink in (JsonlSink(str(tmp_path / "a.jsonl")), SqliteSink(str(tmp_path / "a.db"))):
-        with sink:
-            with pytest.raises(TypeError):
-                pickle.dumps(sink)
+    # records after restore; the file sink refuses up front.
+    with JsonlSink(str(tmp_path / "a.jsonl")) as sink:
+        with pytest.raises(TypeError):
+            pickle.dumps(sink)
+
+
+def _write_lines(path, *lines: bytes) -> str:
+    with open(path, "wb") as handle:
+        handle.write(b"".join(line + b"\n" for line in lines))
+    return str(path)
+
+
+HEADER_LINE = json.dumps(TraceHeader(metadata={"seed": 1}).as_record()).encode()
+
+
+@pytest.mark.parametrize(
+    "line",
+    [b"not json", b"\xff\xfe not utf-8", b"[1, 2]"],
+    ids=["json", "utf8", "not-an-object"],
+)
+def test_undecodable_line_is_a_format_error_naming_file_and_line(tmp_path, line):
+    path = _write_lines(tmp_path / "bad.jsonl", HEADER_LINE, line)
+    with pytest.raises(TraceFormatError, match=r"bad\.jsonl:2: "):
+        read_trace(path)
+    with pytest.raises(TraceFormatError, match=r"bad\.jsonl:2: "):
+        TraceFollower(path).poll()
+
+
+def test_follower_counts_lines_across_polls(tmp_path):
+    path = tmp_path / "grow.jsonl"
+    _write_lines(path, HEADER_LINE, b"", json.dumps(SAMPLE_EVENTS[0].as_record()).encode())
+    follower = TraceFollower(str(path))
+    assert follower.poll() == [SAMPLE_EVENTS[0]]
+    with open(path, "ab") as handle:
+        handle.write(b"not json\n")
+    with pytest.raises(TraceFormatError, match=r"grow\.jsonl:4: "):
+        follower.poll()
+
+
+def test_sqlite_file_is_a_format_error(tmp_path):
+    # A trace written by the retired SQLite sink starts with this magic.
+    path = tmp_path / "old.db"
+    path.write_bytes(b"SQLite format 3\x00" + bytes(range(256)) * 4)
+    with pytest.raises(TraceFormatError, match=r"old\.db:1: "):
+        read_trace(str(path))
 
 
 def test_ring_buffer_bounds_memory():
@@ -409,13 +439,8 @@ def test_cli_record_replay_diff_show(tmp_path, capsys):
     assert trace_main(["record", *spec_args, "--out", recorded]) == 0
     assert trace_main(["replay", recorded]) == 0
     assert trace_main(["diff", recorded, recorded]) == 0
-    other = str(tmp_path / "other.db")
-    assert (
-        trace_main(
-            ["record", *spec_args[:-1], "13", "--out", other, "--format", "sqlite"]
-        )
-        == 0
-    )
+    other = str(tmp_path / "other.jsonl")
+    assert trace_main(["record", *spec_args[:-1], "13", "--out", other]) == 0
     assert trace_main(["diff", recorded, other]) == 1
     assert trace_main(["show", recorded, "--limit", "5"]) == 0
     out = capsys.readouterr().out
@@ -431,6 +456,14 @@ def test_cli_rejects_unreplayable_trace(tmp_path):
         sink.emit(SAMPLE_EVENTS[0])
     assert trace_main(["replay", bare]) == 2
     assert trace_main(["diff", bare, str(tmp_path / "missing.jsonl")]) == 2
+
+
+def test_cli_reports_a_malformed_trace_as_an_error(tmp_path, capsys):
+    bad = _write_lines(tmp_path / "bad.jsonl", HEADER_LINE, b"not json")
+    assert trace_main(["show", bad]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}:2: ")
+    assert dashboard_main([bad, "--once"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}:2: ")
 
 
 @pytest.mark.parametrize(
