@@ -102,10 +102,10 @@ HOT_PATH_FUNCTIONS: FrozenSet[str] = frozenset(
         "repro/simulator/execution.py::ExecutionModel.next_completion",
         "repro/simulator/engine.py::RoundLog.append",
         "repro/simulator/engine.py::RoundLog.append_run",
-        # _append_records is deliberately absent: it *is* the batched
+        # Simulator._log_rounds is deliberately absent: it *is* the
         # round-record choke point, so telemetry emission belongs there.
-        "repro/simulator/event_core.py::EventCore.skip",
-        "repro/simulator/event_core.py::EventCore._rounds_until",
+        "repro/simulator/engine.py::Simulator._skip",
+        "repro/simulator/engine.py::Simulator._rounds_until",
         # A full round's schedule -> place path: the priority stream, the
         # elastic water-fills, the schedules' own selections and the
         # placement walk every other schedule takes.

@@ -30,7 +30,7 @@ SMOKE = RunSpec(seed=BENCH_SEED, num_jobs=60, jobs_per_hour=4.0, num_nodes=8)
 #: jobs/hour = 720 h) at low offered load on a 64-GPU cluster with
 #: fine-grained 60 s rounds.  Low load means long decision-free stretches
 #: (single-job drains, idle gaps) and fine rounds mean many rounds per
-#: stretch -- the regime where the event core's O(events) skipping separates
+#: stretch -- the regime where the skip executor's O(events) skipping separates
 #: from the stepping loop's O(rounds) execution.  The load is the honest knob
 #: here: arrivals and completions (the full rounds both runs share) are the
 #: irreducible cost, so the separation measures skipped-round execution and

@@ -8,7 +8,7 @@ V100) used by the execution model and by heterogeneity-aware policies (Gavel).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.core.exceptions import ConfigurationError
@@ -26,8 +26,11 @@ class GPUType:
     name: str
     compute_factor: float
     memory_gb: float
+    #: The lowercase name: the cluster's per-type index key, derived once.
+    key: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "key", self.name.lower())
         if self.compute_factor <= 0:
             raise ConfigurationError(f"compute_factor must be > 0, got {self.compute_factor}")
         if self.memory_gb <= 0:

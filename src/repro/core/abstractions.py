@@ -67,9 +67,9 @@ class PlacementDecision:
     allocation changes this round: launches, moves and resizes.
     ``to_suspend`` lists jobs running in the previous round that must be
     preempted (because they were not selected, or their placement changed).
-    A running job named in neither keeps exactly the GPUs it holds.  The
-    stock placements list nothing else; a policy may still list a kept job
-    under its current GPUs (a lease renewal), which ``exec_jobs`` skips.
+    A running job named in neither keeps exactly the GPUs it holds.  A job
+    listed in ``to_launch`` must hold no GPUs once ``to_suspend`` is applied:
+    ``exec_jobs`` raises ``AllocationError`` for one that still does.
 
     ``aux_per_gpu`` maps a launched job id -> the ``(CPU cores, host memory
     GB)`` per GPU the launcher reserves for it (Synergy).  A launch not listed

@@ -17,25 +17,10 @@ from typing import Deque, Iterable, List, Optional, Tuple
 from repro.core.abstractions import ClusterManager, PlacementDecision
 from repro.core.cluster_state import ClusterState
 from repro.core.exceptions import ConfigurationError
-from repro.core.job import Job, JobStatus
+from repro.core.job import Job
 from repro.core.job_state import JobState
 from repro.core.mechanisms import SimulatedLauncher, SimulatedPreemption
 from repro.simulator.execution import ExecutionModel
-
-
-def is_lease_renewal(job: Job, gpu_ids) -> bool:
-    """Whether (re)launching ``job`` on ``gpu_ids`` would change nothing.
-
-    Relies on ``job.allocated_gpus`` being maintained sorted (the launcher
-    sorts it; preemption and pruning clear it), so the plain equality decides
-    a sorted listing without sorting.  The stock placements emit the
-    allocation delta and never list a kept job; this is for policies that
-    do.  Shared by :meth:`BloxManager.exec_jobs` and the simulator's
-    no-op-decision witness so the two can never disagree.
-    """
-    return job.status == JobStatus.RUNNING and (
-        gpu_ids == job.allocated_gpus or sorted(gpu_ids) == job.allocated_gpus
-    )
 
 
 class BloxManager:
@@ -121,13 +106,12 @@ class BloxManager:
         cluster_state: ClusterState,
         job_state: JobState,
     ) -> List[Tuple[int, List[int]]]:
-        """Apply a placement decision: suspend first, then launch.
+        """Apply a placement decision, the round's delta: suspend first, then launch.
 
-        A running job the decision does not name keeps its GPUs.  One listed
-        under exactly the GPUs it already holds is a lease renewal: skipped,
-        no overhead.  Returns the launches actually applied (renewals
-        excluded), so the engine can trace real decisions without a second
-        lease-renewal scan over the launch map.
+        A running job the decision does not name keeps its GPUs; listing one
+        that still holds GPUs fails in ``ClusterState.assign`` with
+        ``AllocationError`` before its state moves.  A job that finished is
+        not launched.  Returns the launches applied.
         """
         for job_id in decision.to_suspend:
             job = job_state.get(job_id)
@@ -139,11 +123,6 @@ class BloxManager:
             job = job_state.get(job_id)
             if job.is_finished:
                 continue
-            if is_lease_renewal(job, gpu_ids):
-                continue  # lease renewed, nothing to do
-            if job.status == JobStatus.RUNNING:
-                # Placement changed without an explicit suspend: treat as a move.
-                self.preemptor.preempt(job, cluster_state, self.current_time)
             self.launcher.launch(
                 job, gpu_ids, cluster_state, self.current_time, decision.aux_per_gpu.get(job_id)
             )

@@ -44,8 +44,7 @@ from repro.core.exceptions import AllocationError, UnknownNodeError
 
 def gpu_type_key(gpu_type: Union[str, GPUType]) -> str:
     """Normalised lookup key for a GPU type given either a name or a GPUType."""
-    name = gpu_type.name if isinstance(gpu_type, GPUType) else str(gpu_type)
-    return name.lower()
+    return gpu_type.key if isinstance(gpu_type, GPUType) else str(gpu_type).lower()
 
 
 @dataclass(slots=True, eq=False)
@@ -155,7 +154,7 @@ class ClusterState:
             if not node.failed:
                 self._refile(gpu.node_id, len(free) - 1, len(free))
                 self._free_healthy_count += 1
-                key = gpu_type_key(gpu.gpu_type)
+                key = gpu.gpu_type.key
                 self._free_healthy_by_type[key] = self._free_healthy_by_type.get(key, 0) + 1
         else:
             self._job_gpu_ids.setdefault(gpu.job_id, set()).add(gpu.gpu_id)
@@ -194,8 +193,7 @@ class ClusterState:
             del self.gpus[gpu_id]
             if not node.failed:
                 self._free_healthy_count -= 1
-                key = gpu_type_key(node.gpu_type)
-                self._free_healthy_by_type[key] -= 1
+                self._free_healthy_by_type[node.gpu_type.key] -= 1
                 self._healthy_capacity -= node.gpu_type.compute_factor
                 self._healthy_gpu_count -= 1
         del self._node_gpu_ids[node_id]
@@ -227,7 +225,7 @@ class ClusterState:
         total_here = len(self._node_gpu_ids[node.node_id])
         self._refile(node.node_id, *((free_here, 0) if node.failed else (0, free_here)))
         self._free_healthy_count += sign * free_here
-        key = gpu_type_key(node.gpu_type)
+        key = node.gpu_type.key
         self._free_healthy_by_type[key] = self._free_healthy_by_type.get(key, 0) + sign * free_here
         factor = sign * node.gpu_type.compute_factor
         self._healthy_capacity += factor * total_here
@@ -389,7 +387,7 @@ class ClusterState:
                     buckets[left].add(node_id)
                 self._free_healthy_count -= count
                 gpu_type = rows[run[0]].gpu_type
-                self._free_healthy_by_type[gpu_type_key(gpu_type)] -= count
+                self._free_healthy_by_type[gpu_type.key] -= count
                 busy_capacity, factor = self._busy_capacity, gpu_type.compute_factor
                 for _ in run:  # one add per GPU: the order the capacity sums keep
                     busy_capacity += factor
@@ -456,7 +454,7 @@ class ClusterState:
                 buckets[now].add(node_id)
                 self._free_healthy_count += count
                 gpu_type = rows[run[0]].gpu_type
-                key = gpu_type_key(gpu_type)
+                key = gpu_type.key
                 self._free_healthy_by_type[key] = self._free_healthy_by_type.get(key, 0) + count
                 busy_capacity, factor = self._busy_capacity, gpu_type.compute_factor
                 for _ in run:

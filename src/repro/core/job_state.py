@@ -17,7 +17,7 @@ an index instead of scanning and re-sorting the whole registry every round.
 from __future__ import annotations
 
 import weakref
-from typing import AbstractSet, Callable, Dict, Iterable, List, Optional, Set
+from typing import AbstractSet, Dict, Iterable, List, Optional, Set
 
 from repro.core.exceptions import UnknownJobError
 from repro.core.job import Job, JobStatus
@@ -252,15 +252,6 @@ class JobState:
         self._newly_finished.clear()
         return taken
 
-    def prune_completed_jobs(self) -> List[Job]:
-        """Return (but keep a record of) jobs that reached a terminal state.
-
-        The Blox loop calls this every round; we keep finished jobs in the
-        registry so that end-of-run metrics can be computed, but they no longer
-        appear in :meth:`active_jobs`.
-        """
-        return self.finished_jobs()
-
     # ------------------------------------------------------------------
     # Lookup and views
     # ------------------------------------------------------------------
@@ -327,10 +318,6 @@ class JobState:
 
     def waiting_admission_jobs(self) -> List[Job]:
         return self.jobs_with_status(JobStatus.WAITING_ADMISSION)
-
-    def filter(self, predicate: Callable[[Job], bool]) -> List[Job]:
-        """Generic filtered view, e.g. ``job_state.filter(lambda j: j.num_gpus > 4)``."""
-        return [j for j in self.all_jobs() if predicate(j)]
 
     # ------------------------------------------------------------------
     # Aggregates used by policies and experiments

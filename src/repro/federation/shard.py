@@ -4,7 +4,7 @@ A shard is a full Blox scheduling loop -- its own
 :class:`~repro.core.cluster_state.ClusterState`, policy composition and
 (optionally) scenario timeline -- that the federation engine can *pause* at
 routing events and *resume* after submitting routed gangs.  Everything about
-the loop (full rounds, the event core's skips,
+the loop (full rounds, skips,
 ``check_invariants``) is inherited unchanged from
 :class:`~repro.simulator.engine.Simulator`, including the pause: the engine
 bounds every skip by the ``stop_time`` of :meth:`ShardSimulator.run_until`, so

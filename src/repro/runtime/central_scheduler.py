@@ -98,7 +98,7 @@ class DeploymentBloxManager(BloxManager):
       (failures, recoveries, scale-out/in, upgrades), before the engine
       evicts the affected jobs, if ``membership_version`` moved.
     * Its prune step retires finished jobs' leases.  Every path through the
-      engine -- full rounds and the event core's skips -- prunes through
+      engine -- full rounds and skips -- prunes through
       this method, so a completed job always releases its lease and clears
       worker-local state in the same round it frees its GPUs.
     """

@@ -36,13 +36,12 @@ from repro.core.abstractions import (
     SchedulingPolicy,
     TerminationPolicy,
 )
-from repro.core.blox_manager import BloxManager, is_lease_renewal
+from repro.core.blox_manager import BloxManager
 from repro.core.cluster_state import ClusterState
 from repro.core.exceptions import ConfigurationError, SimulationError
 from repro.core.job import Job, JobStatus
 from repro.core.job_state import JobState
 from repro.metrics.summary import SummaryStats, average, jct_summary
-from repro.simulator.event_core import EventCore
 from repro.simulator.execution import ExecutionModel
 from repro.simulator.overheads import OverheadModel
 from repro.telemetry.events import (
@@ -329,7 +328,7 @@ class Simulator:
         else:
             self.tracked_job_ids = list(tracked_job_ids)
 
-        # Event-skipping -- every skip one batch in the event core -- is
+        # Event-skipping -- every skip one batch in :meth:`_skip` -- is
         # enabled only when nothing needs the rounds it jumps:
         # * every composed policy declares it safe to skip its per-round
         #   calls while nothing can change;
@@ -376,9 +375,9 @@ class Simulator:
             and getattr(self.placement_policy, "steady_state_safe", False)
             and getattr(self.admission_policy, "steady_state_safe", True)
         )
-        #: Whether the most recent full round's placement decision was a pure
-        #: lease renewal (nothing suspended, nothing newly launched).  The
-        #: elastic fast-forward path uses this as its fixed-point witness.
+        #: Whether the most recent full round's placement decision was empty
+        #: (nothing suspended, nothing launched).  The elastic fast-forward
+        #: path uses this as its fixed-point witness.
         self._last_decision_noop = False
 
         # Loop state lives on the instance so the loop is *resumable*: the
@@ -393,10 +392,9 @@ class Simulator:
         #: every skip stops short of it, as of a cluster event.
         self._stop_time: Optional[float] = None
 
-        # Sanctioned skips execute in the event core's one skip.  Where a skip
+        # Sanctioned skips execute in one batch (:meth:`_skip`).  Where a skip
         # may run, running jobs' progress is deferred too: a full round then
         # folds only the jobs whose completion round has come.
-        self._event_core = EventCore(self)
         self.execution_model.attach(
             self.job_state,
             self.manager.round_number,
@@ -464,32 +462,40 @@ class Simulator:
                     self.job_state, self.cluster_state, self.manager.current_time
                 )
 
-    def _round_record(self) -> RoundRecord:
+    def _log_rounds(self, count: int = 1) -> None:
+        """Log the ``count`` rounds ending at the current one, and trace them.
+
+        A full round and a skip's completion round log one row; a skipped
+        segment, in which nothing observable changes, logs all its rows as
+        one run of the round log, an O(1) append.  Every ``RoundRecord`` is
+        built here, so the traced ``round`` stream equals the round log.  A
+        skip runs only on the computed clock, where round ``n`` starts at
+        ``n * round_duration``; a single row takes the manager's clock.
+        """
         mgr = self.manager
+        rd = mgr.round_duration
+        first = mgr.round_number + 1 - count
         running = self.job_state.count_with_status(JobStatus.RUNNING)
         record = RoundRecord(
-            round_number=mgr.round_number,
-            time=mgr.current_time,
-            running_jobs=running,
-            queued_jobs=self.job_state.count_active() - running,
-            utilization=self.cluster_state.utilization(),
-            scheduler_name=getattr(self.scheduling_policy, "current_name", None)
-            or self.scheduling_policy.name,
-            admission_name=getattr(self.admission_policy, "current_name", None)
-            or self.admission_policy.name,
-            busy_capacity=self.cluster_state.busy_capacity(),
-            healthy_capacity=self.cluster_state.healthy_capacity(),
+            first,
+            mgr.current_time if count == 1 else first * rd,
+            running,
+            self.job_state.count_active() - running,
+            self.cluster_state.utilization(),
+            getattr(self.scheduling_policy, "current_name", None) or self.scheduling_policy.name,
+            getattr(self.admission_policy, "current_name", None) or self.admission_policy.name,
+            self.cluster_state.busy_capacity(),
+            self.cluster_state.healthy_capacity(),
         )
-        # Every single-row RoundRecord -- full rounds and a skip's completion
-        # rounds -- is built here, and the skipped runs in
-        # EventCore._append_records, so those two emit the traced round
-        # stream that equals the round log.
-        if self._recorder is not None:
+        self._round_log.append_run(record, count)
+        if self._recorder is None:
+            return
+        for number in range(first, first + count):
             self._recorder.emit(
                 EVENT_ROUND,
-                record.time,
+                record.time if number == first else number * rd,
                 {
-                    "round": record.round_number,
+                    "round": number,
                     "running": record.running_jobs,
                     "queued": record.queued_jobs,
                     "utilization": record.utilization,
@@ -497,26 +503,10 @@ class Simulator:
                     "healthy_capacity": record.healthy_capacity,
                 },
             )
-        return record
 
     # ------------------------------------------------------------------
     # Event-skipping fast-forward
     # ------------------------------------------------------------------
-
-    def _decision_is_noop(self, decision) -> bool:
-        """Whether applying ``decision`` leaves job and cluster state unchanged.
-
-        True when nothing is suspended and nothing is launched -- an empty
-        delta, or one whose every launch entry is a listed lease renewal (the
-        job is already RUNNING on exactly those GPUs).  Must be evaluated
-        *before* ``exec_jobs`` applies the decision.
-        """
-        if decision.to_suspend:
-            return False
-        for job_id, gpu_ids in decision.to_launch.items():
-            if not is_lease_renewal(self.job_state.get(job_id), gpu_ids):
-                return False
-        return True
 
     def _gang_steady_witness(self) -> bool:
         """Whether rescheduling is provably a no-op this round (gang path).
@@ -556,7 +546,7 @@ class Simulator:
         occur, the only per-round work is advancing running jobs and logging;
         the cluster update, admission, scheduling, placement and launch steps
         are guaranteed no-ops.  This method decides whether a skip is
-        sanctioned and how far it may reach; :meth:`EventCore.skip` runs it in
+        sanctioned and how far it may reach; :meth:`_skip` runs it in
         batch, keeping work/overhead accounting, completion times and the
         round log bit-identical to a run with fast-forward disabled.
 
@@ -587,11 +577,11 @@ class Simulator:
         through_completions = True
         if job_state.count_active() and not self._gang_steady_witness():
             # Decision-stable (elastic/discretised policies): this round's
-            # decision was a pure lease renewal, and the policy guarantees
+            # decision was empty, and the policy guarantees
             # -- via next_policy_event_time -- that absent external events
             # it re-emits the same schedule until the returned time.  An
             # unchanged schedule against unchanged state places the same
-            # no-op, so the skipped rounds are provably identical.
+            # empty delta, so the skipped rounds are provably identical.
             if not (self._policy_event_aware and self._last_decision_noop):
                 return False
             bound = self.scheduling_policy.next_policy_event_time(
@@ -610,14 +600,121 @@ class Simulator:
             # Unlike the gang path (where nothing is waiting for GPUs), a
             # completion here frees GPUs that a queued job must receive in
             # that very round -- so the skip must stop *before* the first
-            # completion, not merely break at it: the event core stops at
-            # the round before the first probed completion.
+            # completion, not merely break at it: the skip stops at the
+            # round before the first probed completion.
             through_completions = False
 
         # Nothing may fire before the next arrival, cluster event or pause
         # (or, on the decision-stable path, the policy's own next event).
         horizon = boundary if policy_bound is None else min(boundary, policy_bound)
-        return self._event_core.skip(horizon, through_completions)
+        return self._skip(horizon, through_completions)
+
+    def _rounds_until(self, horizon: float, round_cap: int) -> int:
+        """Rounds skippable before ``horizon``, capped.
+
+        The largest ``k <= round_cap`` whose round still starts strictly
+        before the horizon, ``(round_number + k) * round_duration < horizon``
+        -- the comparison a stepping loop would make one round at a time.
+        The division only seeds the answer; the two adjust loops decide it
+        against that exact product.
+        """
+        if round_cap <= 0:
+            return 0
+        if horizon == math.inf:
+            return round_cap
+        rd = self.manager.round_duration
+        base = self.manager.round_number
+        guess = min(max(int(horizon / rd) - base, 0), round_cap)
+        while guess > 0 and (base + guess) * rd >= horizon:
+            guess -= 1
+        while guess < round_cap and (base + guess + 1) * rd < horizon:
+            guess += 1
+        return guess
+
+    def _skip(self, horizon: float, through_completions: bool = True) -> bool:
+        """Skip the sanctioned rounds before ``horizon`` in batch.
+
+        The one skip executor.  Entered at the end of a full round whose skip
+        :meth:`_fast_forward` sanctioned, with ``horizon`` the first round
+        that must run in full (arrival, cluster event or policy event) or
+        pause.  Returns whether every tracked job finished inside the skip.
+
+        * the execution model's completion heap names the next completion
+          round, resuming only the probes that have not scanned that far;
+        * between completion rounds nothing observable changes: the clock
+          jumps, the rounds are logged as one run and progress stays
+          deferred (a job settles when something reads it);
+        * with ``through_completions`` (the gang witness: a completion cannot
+          change a decision, so the skip chains on), at each completion
+          round exactly the completing jobs are folded -- settled to the
+          round before, then one ordinary ``advance_running`` round in
+          ascending job id, the order stepping visits them -- and pruned;
+        * without it (the decision-stable witness: freed GPUs must go to a
+          queued job in that very round), the skip ends at the round before
+          the first completion;
+        * when the skip ends (arrival, cluster event, pause, policy event or
+          the round budget) the fold clock moves to its last round.
+
+        Stepping (``fast_forward=False``) is the reference.  Bit-identity
+        with it rests on the computed clock (round ``n`` starts at ``n *
+        round_duration``, so a jump of any length lands on the float
+        stepping reaches), on the fold replaying ``advance_running``'s float
+        operations in order, and on leaving a completion tied with a
+        boundary round to that round's full pass: the skip stops one round
+        short of it.
+        """
+        mgr = self.manager
+        job_state = self.job_state
+        cluster = self.cluster_state
+        execution = self.execution_model
+        rd = mgr.round_duration
+        entry_round = mgr.round_number
+
+        # The skip cannot extend past the horizon as of the entry round.
+        end = entry_round + self._rounds_until(horizon, self.max_rounds - 1 - entry_round)
+        if end == entry_round:
+            return False
+        if not through_completions:
+            first = execution.next_completion(end, cluster)
+            if first is not None:
+                end = first - 1
+                if end == entry_round:
+                    return False
+
+        while True:
+            # Never past ``end``, should the horizon move out.
+            segment_cap = min(
+                self._rounds_until(horizon, self.max_rounds - 1 - mgr.round_number),
+                end - mgr.round_number,
+            )
+            boundary = execution.next_completion(mgr.round_number + segment_cap, cluster)
+            # Jump to the round before the completion, or (none coming) to
+            # the next boundary or the round budget.
+            last = mgr.round_number + segment_cap if boundary is None else boundary - 1
+            if last > mgr.round_number:
+                skipped = last - mgr.round_number
+                mgr.round_number = last
+                mgr.current_time = last * rd
+                self._log_rounds(skipped)
+            if boundary is None:
+                execution.fold_through(mgr.round_number, cluster)
+                job_state.current_time = mgr.current_time
+                return False
+            mgr.advance_time()
+            execution.fold_round(job_state, cluster, boundary, mgr.current_time - rd, rd)
+            mgr.prune_completed_jobs(cluster, job_state)
+            job_state.current_time = mgr.current_time
+            if self._tracked_all_finished():
+                # The simulation ends at this round exactly as the full loop
+                # would; the remaining jobs settle when the loop returns.
+                return True
+            self._log_rounds()
+            if not job_state.count_active():
+                return False
+            # The gang witness is preserved by construction (the remaining
+            # jobs keep running on their exact gangs), so chain directly into
+            # the next segment.
+            horizon = self._boundary_horizon()
 
     def _advance_loop(self, stop_time: Optional[float]) -> bool:
         """Drive the scheduling loop; return ``True`` once the run finished.
@@ -638,7 +735,6 @@ class Simulator:
         whether that is an error).
         """
         mgr = self.manager
-        round_log = self._round_log
         self._stop_time = stop_time
         wall_start = time.perf_counter()
         try:
@@ -694,15 +790,13 @@ class Simulator:
                 decision = self.placement_policy.place(schedule, self.cluster_state, self.job_state)
 
                 # 6. Apply the decision (recording, for the decision-stable
-                # fast-forward path, whether it was a pure lease renewal; this
-                # must be judged against the pre-application state).
-                if self._skippable and self._policy_event_aware:
-                    self._last_decision_noop = self._decision_is_noop(decision)
+                # fast-forward path, whether it was empty).
+                self._last_decision_noop = not (decision.to_launch or decision.to_suspend)
                 launched = mgr.exec_jobs(decision, self.cluster_state, self.job_state)
-                # Trace non-trivial decisions (pure lease renewals are noise).
-                # exec_jobs reports what it actually applied, so tracing never
-                # re-scans the launch map; the event lands after the status
-                # transitions it caused, at the same simulated time.
+                # Trace non-empty decisions.  exec_jobs reports the launches
+                # it applied, so tracing never re-scans the launch map; the
+                # event lands after the status transitions it caused, at the
+                # same simulated time.
                 if self._recorder is not None and (launched or decision.to_suspend):
                     self._recorder.emit(
                         EVENT_DECISION,
@@ -716,7 +810,7 @@ class Simulator:
                 # 7. Metric collection.
                 self._collect_metrics()
 
-                round_log.append(self._round_record())
+                self._log_rounds()
 
                 if self._stalled():
                     return True

@@ -48,14 +48,12 @@ SCHEMA_VERSION = 2
 # Event kinds
 # ---------------------------------------------------------------------------
 
-#: One per appended :class:`~repro.simulator.engine.RoundRecord` (full rounds
-#: and the event core's skips both emit it, so traced round streams equal
-#: ``round_log``).
+#: One per :class:`~repro.simulator.engine.RoundRecord` row (full rounds and
+#: skipped rounds alike, so traced round streams equal ``round_log``).
 EVENT_ROUND = "round"
 #: Job lifecycle transition, emitted from the ``JobStateObserver`` hooks.
 EVENT_JOB = "job"
-#: A non-trivial schedule/placement decision (new launches or suspensions;
-#: pure lease renewals are not decisions).
+#: A non-empty schedule/placement decision (launches or suspensions).
 EVENT_DECISION = "decision"
 #: A running job evicted by a cluster membership change.
 EVENT_EVICTION = "eviction"

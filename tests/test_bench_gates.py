@@ -101,7 +101,7 @@ def test_docs_check_flags_a_stale_attribute_reference(check_docs):
     method, a ``self.`` field, an inherited method or a class outside src/."""
     classes = check_docs.src_class_attributes()
     text = (
-        "`Simulator.run`, `Simulator.fast_forward`, `EventCore.skip(horizon)`, "
+        "`Simulator.run`, `Simulator.fast_forward`, `Simulator._skip(horizon)`, "
         "`DeploymentBloxManager.advance_time`, `Path.exists` and "
         "`Simulator._no_such_method`"
     )

@@ -1,4 +1,4 @@
-"""Unit and regression tests for the skip executor (the event core).
+"""Unit and regression tests for the skip executor, ``Simulator._skip``.
 
 Covers the computed clock (``current_time == round_number * round_duration``
 through skips of any length, horizon counting against that product), the
@@ -58,7 +58,6 @@ def test_rounds_until_counts_rounds_starting_before_the_horizon(rd):
     """The seeded closed form equals a one-round-at-a-time count."""
     trace = generate_philly_trace(num_jobs=4, jobs_per_hour=4.0, seed=1)
     sim = make_sim(trace.fresh_jobs(), round_duration=rd)
-    core = sim._event_core
     for base in (0, 1, 7, 1001):
         sim.manager.round_number = base
         for horizon in (
@@ -74,7 +73,7 @@ def test_rounds_until_counts_rounds_starting_before_the_horizon(rd):
                 expected = 0
                 while expected < cap and (base + expected + 1) * rd < horizon:
                     expected += 1
-                assert core._rounds_until(horizon, cap) == expected, (
+                assert sim._rounds_until(horizon, cap) == expected, (
                     rd, base, horizon, cap,
                 )
 
@@ -214,8 +213,8 @@ def trace_skips(sim, monkeypatch):
     that completed inside a skip, and that ``advance_running`` ran inside
     one.
     """
-    core, execution = sim._event_core, sim.execution_model
-    skip, settle = core.skip, _Epoch.settle
+    execution = sim.execution_model
+    skip, settle = sim._skip, _Epoch.settle
     scan, advance_running = execution.steady_scan, execution.advance_running
     trace = {"skips": [], "settles": [], "completed": set(), "advanced": set()}
     skipping = []
@@ -265,7 +264,7 @@ def trace_skips(sim, monkeypatch):
             trace["advanced"].update(job.job_id for job in jobs)
         advance_running(jobs, *args)
 
-    core.skip = traced_skip
+    sim._skip = traced_skip
     monkeypatch.setattr(_Epoch, "settle", traced_settle)
     execution.steady_scan = traced_scan
     execution.advance_running = traced_advance_running

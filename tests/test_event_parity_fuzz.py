@@ -2,7 +2,7 @@
 
 Each drawn spec is a random point in (workload x cluster shape x round
 duration x policy x placement x churn) space; the property is always the
-same: the default run (skips executed by the event core) must replay the
+same: the default run (skips executed by ``Simulator._skip``) must replay the
 plain stepping loop (``fast_forward=False``) bit-identically -- per-job
 completion times, the full round log, round count and end time -- and both
 must leave the shared state in the same condition as judged by

@@ -1,6 +1,6 @@
 """The skip executor under every resumable-loop surface.
 
-The event core executes skips *inside* the round loop, so everything built on
+``Simulator._skip`` executes skips *inside* the round loop, so everything built on
 the loop's pausability must match the stepping loop (``fast_forward=False``):
 
 * ``_advance_loop(stop_time)`` pause/resume on a plain simulator;

@@ -1,16 +1,17 @@
 """Gang selection/suspension tests for ``BasePlacementPolicy`` and the view."""
 
+import pytest
+
 from repro.cluster.builder import build_cluster
 from repro.core.abstractions import PlacementDecision, ScheduleEntry
 from repro.core.blox_manager import BloxManager
+from repro.core.exceptions import AllocationError
 from repro.core.job import Job, JobStatus
 from repro.core.job_state import JobState
 from repro.core.mechanisms import SimulatedLauncher
 from repro.policies.placement.base import AvailabilityView
 from repro.policies.placement.consolidated import ConsolidatedPlacement
 from repro.policies.placement.first_free import FirstFreePlacement
-from repro.policies.scheduling import FifoScheduling
-from repro.simulator.engine import Simulator
 from repro.simulator.overheads import OverheadModel
 
 
@@ -127,21 +128,30 @@ def test_schedule_past_capacity_cannot_change_the_decision():
     assert full.to_suspend == [4] and sorted(full.to_launch) == [2, 3]
 
 
-def test_listed_lease_renewal_is_still_a_no_op():
-    # A third-party placement may keep listing kept jobs under their GPUs.
+def test_listing_a_job_that_holds_gpus_fails_before_any_state_moves():
+    """A decision is the round's delta: a running job listed in ``to_launch``
+    without being suspended, on its own GPUs or on others, is an error."""
     cluster = build_cluster(num_nodes=2, gpus_per_node=4)
+    job_state = JobState()
     job = make_job(1, 3)
-    sim = Simulator(cluster, [job], FifoScheduling())
-    sim.job_state.add_new_jobs([job])
-    launch(job, [4, 5, 6], cluster, sim.job_state)
-    for listed in ([4, 5, 6], [6, 4, 5]):
+    job_state.add_new_jobs([job])
+    launch(job, [4, 5, 6], cluster, job_state)
+
+    def observed():
+        return (
+            job.status, job.allocated_gpus, job.num_launches, job.num_preemptions,
+            job.pending_overhead, cluster.allocation(1), cluster.jobs_with_allocations(),
+            [g.gpu_id for g in cluster.free_gpus()], cluster.utilization(),
+        )
+
+    before = observed()
+    for listed in ([4, 5, 6], [0, 1, 2]):
         decision = PlacementDecision(to_launch={1: listed})
-        assert sim._decision_is_noop(decision)
-        assert sim.manager.exec_jobs(decision, cluster, sim.job_state) == []
-        assert job.num_launches == 1 and job.allocated_gpus == [4, 5, 6]
-    assert sim._decision_is_noop(PlacementDecision())
-    assert not sim._decision_is_noop(PlacementDecision(to_launch={1: [0, 1, 2]}))
-    assert not sim._decision_is_noop(PlacementDecision(to_suspend=[1]))
+        with pytest.raises(AllocationError):
+            BloxManager([]).exec_jobs(decision, cluster, job_state)
+        assert observed() == before
+        cluster.check_invariants()
+        job_state.check_invariants()
 
 
 def test_duplicate_job_id_later_in_the_schedule_is_ignored():

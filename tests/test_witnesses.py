@@ -4,16 +4,19 @@ A parity gate compares two engines, and a golden hash compares a run with an
 earlier one; neither can tell that both were wrong.  Each witness here sets
 up a case small enough to work out on paper and checks the simulator against
 that derivation, on the default engine and on the stepping reference
-(``fast_forward=False``).
+(``fast_forward=False``) -- and the scheduling witnesses also on the
+deployment path (``CentralScheduler`` with the simulation overhead model).
 """
 
 import pytest
 
 from repro.cluster.builder import build_cluster
 from repro.core.job import Job
-from repro.policies.scheduling.fifo import FifoScheduling
+from repro.policies.scheduling import FifoScheduling, SrtfScheduling, TiresiasScheduling
 from repro.policies.termination import EpochBasedTermination, LossBasedTermination
+from repro.runtime.central_scheduler import CentralScheduler
 from repro.simulator.engine import Simulator
+from repro.simulator.overheads import OverheadModel
 
 DURATION = 7_200.0
 #: The default ``OverheadModel``'s generic launch overhead.
@@ -62,3 +65,77 @@ def test_epoch_based_termination_ignores_convergence(fast_forward):
     """The same three jobs under the default policy run their full 7200 s of
     work after the 20 s launch: 7220 s each, whatever their convergence."""
     assert _completions(EpochBasedTermination(), fast_forward) == [7_220.0] * 3
+
+
+# ----------------------------------------------------------------------
+# Scheduling on one idle node
+# ----------------------------------------------------------------------
+#
+# Shared arithmetic: one idle 4-GPU V100 node, 300 s rounds, every job
+# arriving at 0.  A job runs at speed 1.0 on its requested GPUs (one node,
+# so no cross-node term; no CPU throttle); a launch pays the default 20 s
+# generic overhead first; a job is launched only at a round boundary, the
+# first one at or after the GPUs it needs are freed.
+
+ENGINES = ("default", "stepping", "runtime")
+ROUND_S = 300.0
+
+
+def _schedule(jobs, policy, engine):
+    """Run ``jobs`` on one idle 4-GPU node; ``{job_id: (start, completion)}``."""
+    cluster = build_cluster(num_nodes=1, gpus_per_node=4)
+    if engine == "runtime":
+        scheduler = CentralScheduler(cluster, jobs, policy, overhead_model=OverheadModel())
+        scheduler.run()
+        job_state = scheduler._simulator.job_state
+        assert scheduler.leaked_leases() == 0
+    else:
+        sim = Simulator(cluster, jobs, policy, fast_forward=engine == "default")
+        sim.run()
+        job_state = sim.job_state
+    cluster.check_invariants()
+    job_state.check_invariants()
+    return {job.job_id: (job.first_schedule_time, job.completion_time) for job in jobs}
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("policy", [FifoScheduling, TiresiasScheduling], ids=["fifo", "tiresias"])
+@pytest.mark.parametrize("gpus", [1, 4])
+def test_isolated_job_finishes_after_its_launch_and_its_work(gpus, policy, engine):
+    """Alone on the node, a 7200 s job with 1 or 4 GPUs fits at once: it
+    launches in round 0 at t = 0 and ends at 0 + 20 + 7200 = 7220 s, under
+    FIFO and under Tiresias (nothing to order, nothing to demote against)."""
+    job = Job(arrival_time=0.0, num_gpus=gpus, duration=DURATION, job_id=0)
+    assert _schedule([job], policy(), engine) == {0: (0.0, 7_220.0)}
+
+
+def _two_full_node_jobs():
+    # The long job has the lower id, so FIFO's (arrival, id) order runs it first.
+    return [
+        Job(arrival_time=0.0, num_gpus=4, duration=7_200.0, job_id=0),
+        Job(arrival_time=0.0, num_gpus=4, duration=3_600.0, job_id=1),
+    ]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_fifo_runs_two_full_node_jobs_back_to_back_on_round_boundaries(engine):
+    """Two 4-GPU jobs fill the node one at a time.  FIFO launches the first
+    arrival (the 7200 s job) at 0: it ends at 20 + 7200 = 7220 s.  The freed
+    GPUs go out at the next round boundary, ceil(7220 / 300) * 300 = 7500 s,
+    so the 3600 s job ends at 7500 + 20 + 3600 = 11120 s."""
+    assert _schedule(_two_full_node_jobs(), FifoScheduling(), engine) == {
+        0: (0.0, 7_220.0),
+        1: (7_500.0, 11_120.0),
+    }
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_srtf_runs_the_short_job_first(engine):
+    """SRTF orders by remaining work, so the 3600 s job runs first: it ends
+    at 20 + 3600 = 3620 s.  The next boundary is ceil(3620 / 300) * 300 =
+    3900 s, where the 7200 s job launches and ends at 3900 + 20 + 7200 =
+    11120 s -- the same makespan as FIFO, a shorter mean."""
+    assert _schedule(_two_full_node_jobs(), SrtfScheduling(), engine) == {
+        0: (3_900.0, 11_120.0),
+        1: (0.0, 3_620.0),
+    }
