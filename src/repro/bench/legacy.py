@@ -247,8 +247,6 @@ class LegacyGavelScheduling(SchedulingPolicy):
         )
         entries = []
         for job in ordered:
-            preferred = self.best_gpu_type(job, cluster_state)
-            job.metrics["preferred_gpu_type"] = preferred
             entries.append(ScheduleEntry(job_id=job.job_id, gpu_demand=job.num_gpus))
         return entries
 

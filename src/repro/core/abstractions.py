@@ -88,9 +88,6 @@ class AdmissionPolicy:
     previous round; it may hold jobs back internally (admission queue) and
     release them in a later round, which is how the threshold policies used in
     the composition case study (§5.1) work.
-
-    The application metrics in ``job.metrics`` may lag inside ``accept``; see
-    :class:`SchedulingPolicy`.
     """
 
     name = "admission"
@@ -143,18 +140,11 @@ class SchedulingPolicy:
     in a generator or any other iterable falls back to the walk.
 
     Progress (``work_done``, ``attained_service``, ``pending_overhead``) reads
-    current on every job when ``schedule`` runs (a job whose progress is
-    deferred settles on the read).  The five application metrics
-    the execution model derives from it (``job.metrics["loss" | "progress" |
-    "iteration_time" | "throughput" | "attained_service"]``) are not: they
-    are written when a metric collector runs, when a job completes or stalls
-    and when the loop returns, and hold the last written values in between.
-    A policy (admission, scheduling or placement) that reads them must call
-    ``publish_owed_metrics()`` on the run's
-    :class:`~repro.simulator.execution.ExecutionModel` first (the one passed
-    to, or created by, the simulator: ``Simulator.execution_model``); the
-    call is schedule-neutral and costs one write per job advanced since the
-    last one.
+    current on every job whenever a policy runs (a job whose progress is
+    deferred settles on the read), and so does ``job.metrics``, the
+    application metrics the execution model's rate derives from it
+    (``"loss" | "progress" | "iteration_time" | "throughput" |
+    "attained_service"``), computed on each read.
     """
 
     name = "scheduling"

@@ -16,7 +16,7 @@ from typing import Deque, Iterable, List, Optional, Tuple
 
 from repro.core.abstractions import ClusterManager, PlacementDecision
 from repro.core.cluster_state import ClusterState
-from repro.core.exceptions import ConfigurationError
+from repro.core.exceptions import AllocationError, ConfigurationError
 from repro.core.job import Job
 from repro.core.job_state import JobState
 from repro.core.mechanisms import SimulatedLauncher, SimulatedPreemption
@@ -109,10 +109,17 @@ class BloxManager:
         """Apply a placement decision, the round's delta: suspend first, then launch.
 
         A running job the decision does not name keeps its GPUs; listing one
-        that still holds GPUs fails in ``ClusterState.assign`` with
-        ``AllocationError`` before its state moves.  A job that finished is
-        not launched.  Returns the launches applied.
+        for launch that still holds GPUs and is not suspended fails with
+        ``AllocationError`` before any job or GPU moves.  A job that finished
+        is not launched.  Returns the launches applied.
         """
+        for job_id in decision.to_launch:
+            if (
+                cluster_state.allocation(job_id) is not None
+                and job_id not in decision.to_suspend
+                and not job_state.get(job_id).is_finished
+            ):
+                raise AllocationError(f"job {job_id} already holds GPUs; release them first")
         for job_id in decision.to_suspend:
             job = job_state.get(job_id)
             self.preemptor.preempt(job, cluster_state, self.current_time)

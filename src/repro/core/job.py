@@ -15,7 +15,8 @@ import enum
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from types import MappingProxyType
+from typing import TYPE_CHECKING, List, Mapping, Optional
 
 from repro.core.exceptions import ConfigurationError
 
@@ -179,7 +180,9 @@ class Job:
     notifies the owning registry; a progress read or write settles a
     deferred job first.  ``_registry`` and
     ``_epoch`` are runtime wiring, ``None`` when absent.  Equality compares
-    the stored slots, without settling a deferred job.
+    the stored slots, without settling a deferred job.  :attr:`metrics` is
+    not stored: it is computed from the progress fields, ``_rate`` and the
+    two flags on each read.
     """
 
     # --- static description -------------------------------------------------
@@ -211,9 +214,14 @@ class Job:
     num_preemptions: int = 0
     num_launches: int = 0
     _pending_overhead: float = field(default=0.0, init=False, repr=False)
-    #: The application-metric bus: the five metrics the execution model
-    #: publishes, plus ``was_fragmented`` and ``admission_rejected``.
-    metrics: Dict[str, object] = field(default_factory=dict)
+    #: The rate of the latest advanced round that made progress: ``0.0`` if
+    #: every advanced round stalled, ``None`` if the job never advanced.
+    #: Written by the execution model's folds (a deferred job's on settle).
+    _rate: Optional[float] = field(default=None, init=False, repr=False)
+    #: Whether an advanced round ran the job across more than one node.
+    was_fragmented: bool = field(default=False, init=False)
+    #: Why admission rejected the job (it is then ``FAILED``), or ``None``.
+    admission_rejected: Optional[str] = field(default=None, init=False)
 
     # --- runtime wiring (never compared, never pickled) ---------------------
     #: The owning :class:`~repro.core.job_state.JobState`, set by ``track``.
@@ -251,12 +259,12 @@ class Job:
         ``JobState.__setstate__`` restores it on the registry side, so a job
         pickled *inside* its registry round-trips fully bound while a job
         pickled alone arrives unbound (track it to re-bind).  A deferred job
-        settles and publishes its application metrics first, and its epoch
-        record stays behind: no deferred state crosses a pickle.
+        settles first, and its epoch record stays behind: no deferred state
+        crosses a pickle.
         """
         epoch = self._epoch
         if epoch is not None:
-            epoch.flush()
+            epoch.settle()
         return _job_state(self)
 
     def __setstate__(self, state) -> None:
@@ -285,6 +293,40 @@ class Job:
         self._attained_service = attained
 
     # --- derived quantities ---------------------------------------------
+
+    @property
+    def metrics(self) -> Mapping[str, object]:
+        """The application-metric bus, computed on read (a read-only mapping).
+
+        The five application metrics the paper's schedulers consume are pure
+        functions of the job's progress and ``_rate``: exactly what a write
+        after every advanced round would have left.  ``loss``, ``progress``
+        and ``attained_service`` once the job advanced, ``iteration_time``
+        and ``throughput`` once a round made progress, plus
+        ``was_fragmented`` and ``admission_rejected`` when set.
+        """
+        # Progress first: the read settles a deferred job, which writes _rate.
+        work_done = self.work_done
+        rate = self._rate
+        metrics = {}
+        if self.was_fragmented:
+            metrics["was_fragmented"] = True
+        if self.admission_rejected is not None:
+            metrics["admission_rejected"] = self.admission_rejected
+        if rate is not None:
+            duration = self.duration
+            progress = 1.0 if duration <= 0 else min(1.0, work_done / duration)
+            # A simple exponentially decaying loss curve: reaches ~1% of its
+            # initial value at the job's convergence point and stays flat after.
+            convergence_progress = min(1.0, progress / self.convergence_fraction)
+            metrics["loss"] = 10.0 * (0.01 ** convergence_progress)
+            metrics["progress"] = progress
+            if rate > 0:
+                iteration_time = self.iteration_time
+                metrics["iteration_time"] = iteration_time / rate
+                metrics["throughput"] = rate / iteration_time
+            metrics["attained_service"] = self.attained_service
+        return MappingProxyType(metrics)
 
     @property
     def total_iterations(self) -> float:
@@ -362,7 +404,8 @@ class Job:
         """Return a deep-enough copy including dynamic state.
 
         The synthesizer forks the live system state into a shadow simulation;
-        list/dict fields are copied so the shadow run cannot mutate the live job.
+        the list field is copied so the shadow run cannot mutate the live job.
+        ``_rate`` is read after the progress fields, which settle a deferred job.
         """
         clone = self.copy_static()
         clone.status = self.status
@@ -375,7 +418,9 @@ class Job:
         clone.num_preemptions = self.num_preemptions
         clone.num_launches = self.num_launches
         clone.pending_overhead = self.pending_overhead
-        clone.metrics = dict(self.metrics)
+        clone._rate = self._rate
+        clone.was_fragmented = self.was_fragmented
+        clone.admission_rejected = self.admission_rejected
         return clone
 
 

@@ -207,9 +207,7 @@ def placement_load_row(spec: RunSpec) -> List[Row]:
         placement=spec.placement,
         jobs_per_hour=spec.jobs_per_hour,
         **_jct(result),
-        fragmented_jobs=sum(
-            1 for job in result.tracked_jobs() if job.metrics.get("was_fragmented", False)
-        ),
+        fragmented_jobs=sum(1 for job in result.tracked_jobs() if job.was_fragmented),
     )]
 
 

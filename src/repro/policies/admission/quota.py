@@ -24,7 +24,7 @@ class UserQuotaAdmission(AdmissionPolicy):
     forever (and, with such a job in the queue, the simulator's stall detector
     never fires -- the livelock noted in the ROADMAP).  Such jobs are rejected
     at submission instead: they are tracked in the registry with status
-    ``FAILED`` and ``metrics["admission_rejected"]`` set, so runs terminate
+    ``FAILED`` and ``admission_rejected`` set, so runs terminate
     and the rejection is observable in the results.
     """
 
@@ -70,7 +70,7 @@ class UserQuotaAdmission(AdmissionPolicy):
                 # the simulator's termination checks) see a terminal job.
                 job_state.track(job)
                 job.status = JobStatus.FAILED
-                job.metrics["admission_rejected"] = "gang_exceeds_user_quota"
+                job.admission_rejected = "gang_exceeds_user_quota"
                 self.rejected_job_ids.append(job.job_id)
                 continue
             job.status = JobStatus.WAITING_ADMISSION

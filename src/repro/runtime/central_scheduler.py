@@ -193,9 +193,7 @@ class CentralScheduler:
         # that differ between simulation and deployment.
         self._simulator.manager.launcher = launcher
         self._simulator.manager.preemptor = self.preemptor
-        # Observers run in registration order: the execution model attached
-        # first, so a job leaving RUNNING is settled when it reports.
-        self.worker_metrics = WorkerMetricsAggregator(self.channel, self.lease_manager, execution)
+        self.worker_metrics = WorkerMetricsAggregator(self.channel, self.lease_manager)
         self._simulator.job_state.add_observer(self.worker_metrics)
         # Telemetry: the lease protocol and the RPC channel share the
         # simulator's recorder (one source, one monotonic sequence) and read

@@ -9,8 +9,8 @@ halves meet when a job *leaves* RUNNING -- suspension, eviction or
 completion -- and the run keeps deferring progress as in simulation:
 
 * the *application side* is one batched, node-local push of the job's
-  settled scalar metrics (work done, plus whatever the execution model
-  published into ``job.metrics``) to its *reporting worker*, the first node
+  settled scalar metrics (work done, plus the reported keys of
+  ``job.metrics``) to its *reporting worker*, the first node
   of its lease when it entered RUNNING, as a training process would talk
   to its local daemon;
 * the *scheduler side* then pulls that worker's **delta** (entries written
@@ -21,15 +21,12 @@ completion -- and the run keeps deferring progress as in simulation:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.job import Job, JobStatus
 from repro.core.job_state import JobStateObserver
 from repro.runtime.lease import SCHEDULER_ENDPOINT, _LeaseManagerBase
 from repro.runtime.rpc import InMemoryRpcChannel
-
-if TYPE_CHECKING:  # annotation only: the scheduler hands its model in
-    from repro.simulator.execution import ExecutionModel
 
 #: The application metrics a job reports besides its work done.
 REPORTED_KEYS = ("loss", "throughput")
@@ -41,22 +38,20 @@ class WorkerMetricsAggregator(JobStateObserver):
     Reads the lease manager's *live* worker registry and assignments: a job
     whose reporting node left before the job stopped running loses what it
     had not shipped with the node.  Pulls are real RPCs, billed to the
-    scheduler endpoint.  Register it on the run's ``JobState`` after the
-    execution model, so a job leaving RUNNING is settled when it is read.
+    scheduler endpoint.  A job is read through its progress fields and
+    ``job.metrics``, so a deferred one settles on the read.
     """
 
     def __init__(
         self,
         channel: InMemoryRpcChannel,
         lease_manager: _LeaseManagerBase,
-        execution_model: ExecutionModel,
     ) -> None:
         self.channel = channel
         self.workers = lease_manager.workers
         #: job id -> lease assignment; the launcher grants ``node_ids``
         #: sorted, so ``node_ids[0]`` is ``cluster_state.nodes_for_job``'s first.
         self.assignments = lease_manager.assignments
-        self.execution_model = execution_model
         #: job id -> (running job, reporting node), taken when the job enters
         #: RUNNING: a preemption revokes the lease before the status write.
         self.reporting: Dict[int, Tuple[Job, int]] = {}
@@ -88,11 +83,11 @@ class WorkerMetricsAggregator(JobStateObserver):
 
     def _report(self, job: Job) -> Dict[str, object]:
         """What the job's training process reports now: its settled metrics."""
-        self.execution_model.publish_owed(job)
         report: Dict[str, object] = {"work_done": job.work_done}
+        metrics = job.metrics
         for key in REPORTED_KEYS:
-            if key in job.metrics:
-                report[key] = job.metrics[key]
+            if key in metrics:
+                report[key] = metrics[key]
         return report
 
     def latest_for(self, job_id: int) -> Dict[str, object]:

@@ -33,8 +33,6 @@ class TimelineClusterManager(ClusterManager):
         self._next = 0
         #: Number of events applied so far.
         self.events_applied = 0
-        #: ``(time, event kind, affected job ids)`` per applied event.
-        self.applied_log: List[Tuple[float, str, Tuple[int, ...]]] = []
         #: Full applied records ``(time, event, affected job ids)`` for the
         #: telemetry drain; ``_drained`` is the cursor of what was already
         #: reported, so each firing is emitted exactly once even across
@@ -54,7 +52,6 @@ class TimelineClusterManager(ClusterManager):
             self._next += 1
             ids = event.apply(cluster_state)
             self.events_applied += 1
-            self.applied_log.append((current_time, event.kind, tuple(ids)))
             self._applied_events.append((current_time, event, tuple(ids)))
             for job_id in ids:
                 if job_id not in affected:

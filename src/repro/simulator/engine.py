@@ -455,12 +455,8 @@ class Simulator:
 
     def _collect_metrics(self) -> None:
         """Step 7 of the loop; collectors read the application metrics."""
-        if self.metric_collectors:
-            self.execution_model.publish_owed_metrics()
-            for collector in self.metric_collectors:
-                collector.collect(
-                    self.job_state, self.cluster_state, self.manager.current_time
-                )
+        for collector in self.metric_collectors:
+            collector.collect(self.job_state, self.cluster_state, self.manager.current_time)
 
     def _log_rounds(self, count: int = 1) -> None:
         """Log the ``count`` rounds ending at the current one, and trace them.
@@ -823,9 +819,9 @@ class Simulator:
             return False
         finally:
             # Whoever regains control (a caller reading results, a federation
-            # pause, a checkpoint pickling this object) sees every job
-            # settled and its application metrics written.
-            self.execution_model.publish_owed_metrics()
+            # pause, a checkpoint pickling this object) sees every job's
+            # stored progress settled.
+            self.execution_model.settle_all()
             self._wall_time += time.perf_counter() - wall_start
 
     def flush_telemetry(self) -> None:

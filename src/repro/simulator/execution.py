@@ -76,8 +76,7 @@ class _Epoch:
     The facts a round needs that only change with the allocation -- rate,
     fragmentation, GPU count, work target -- keyed by the job's allocation
     record (:meth:`ClusterState.allocation`, compared by identity: every
-    assignment makes a new one), and whether the application metrics of its
-    latest round are still owed.  A membership change reaches a running job
+    assignment makes a new one).  A membership change reaches a running job
     only by evicting it, which drops that record, so the key alone suffices.
 
     While the run defers progress (see :meth:`ExecutionModel.attach`) the
@@ -92,7 +91,7 @@ class _Epoch:
 
     __slots__ = (
         "model", "job", "cluster", "alloc", "rate", "fragmented", "num_gpus",
-        "target", "owed", "round", "work", "pending", "attained", "probe_round",
+        "target", "round", "work", "pending", "attained", "probe_round",
         "probe_work", "probe_pending", "probe_attained", "completes", "serial",
     )
 
@@ -106,7 +105,6 @@ class _Epoch:
         self.fragmented = alloc is not None and len(alloc.nodes) > 1
         self.num_gpus = 0 if alloc is None else len(alloc.gpu_ids)
         self.target = model.termination.work_target(job)
-        self.owed = False
         self.round: Optional[int] = None
         self.completes: Optional[int] = None
         self.serial = 0
@@ -117,9 +115,8 @@ class _Epoch:
         The read path of a deferred job's ``work_done``,
         ``attained_service`` and ``pending_overhead``.  Folds through
         :meth:`ExecutionModel.steady_scan` (the probe's state when it stopped
-        exactly there), writes the three fields once, rebases the epoch, and
-        owes the application metrics as the folded rounds would, or --
-        stalled -- writes them.
+        exactly there), writes the three fields and the job's rate once (as
+        the folded rounds would have), and rebases the epoch.
         """
         model = self.model
         fold_round = model._fold_round
@@ -145,23 +142,14 @@ class _Epoch:
                 )
         self.round = fold_round
         self.work, self.pending, self.attained = work, pending, attained
-        self.job.store_progress(work, pending, attained)
-        if self.rate > 0:
-            self.owed = True
-        else:
-            model._publish(self.job, self.rate)
+        job = self.job
+        job.store_progress(work, pending, attained)
+        if self.rate > 0 or job._rate is None:
+            job._rate = self.rate
 
     def rebase(self) -> None:
         """Restart the epoch from the job's fields after a write to them."""
         self.model._start(self, self.model._fold_round)
-
-    def flush(self) -> None:
-        """Settle the job and write the application metrics it is owed."""
-        if self.round is not None:
-            self.settle()
-        if self.owed:
-            self.owed = False
-            self.model._update_app_metrics(self.job, self.rate)
 
 
 class ExecutionModel(JobStateObserver):
@@ -194,10 +182,6 @@ class ExecutionModel(JobStateObserver):
         #: job id -> the record of the job's current allocation (see
         #: :class:`_Epoch`); closed when the job leaves RUNNING.
         self._records: Dict[int, _Epoch] = {}
-        #: job id -> the closed record whose application metrics are still
-        #: owed: nothing reads them before :meth:`publish_owed_metrics`, so
-        #: leaving RUNNING writes nothing.
-        self._owed: Dict[int, _Epoch] = {}
         #: The registry this model observes, and its ``bind_epoch`` when it
         #: last attached (a mismatch: the registry crossed a pickle).
         self._job_state: Optional[JobState] = None
@@ -276,9 +260,6 @@ class ExecutionModel(JobStateObserver):
             and self.jitter_free
         ):
             return record
-        if record is not None and record.owed:
-            record.alloc = None
-            self._owed[job_id] = record
         record = self._records[job_id] = _Epoch(self, job, cluster_state)
         return record
 
@@ -298,10 +279,8 @@ class ExecutionModel(JobStateObserver):
         entry, folded only when the job completes, leaves RUNNING or has its
         progress read.  Otherwise :meth:`fold_round` folds every running job
         every round.  Either way a job's record closes when it leaves
-        RUNNING, handing the application metrics it is owed to
-        :meth:`publish_owed_metrics`.
+        RUNNING.
         """
-        self.publish_owed_metrics()
         for record in list(self._records.values()):
             self._close(record)
         if self._job_state is not None and self._job_state is not job_state:
@@ -351,16 +330,14 @@ class ExecutionModel(JobStateObserver):
                 self._close(record)
 
     def _close(self, record: _Epoch) -> None:
-        """End a record: settle its job, hand over what it is owed, forget it."""
+        """End a record: settle its job and forget it."""
         job_id = record.job.job_id
         if record.round is not None:
             record.settle()
             record.round = None
             record.job._epoch = None
         record.serial = 0
-        record.alloc = None  # an owed record must not keep a released allocation alive
-        if record.owed:
-            self._owed[job_id] = record
+        record.alloc = None  # a stale heap entry must not keep a released allocation alive
         if self._records.get(job_id) is record:
             del self._records[job_id]
             if not self._records:
@@ -369,7 +346,7 @@ class ExecutionModel(JobStateObserver):
     def __getstate__(self):
         """No deferred state crosses a pickle.
 
-        Each job settles (and publishes) itself as it is pickled
+        Each job settles itself as it is pickled
         (``Job.__getstate__``); the copy reopens the epochs when it next
         folds (:meth:`_rebind`).
         """
@@ -403,7 +380,7 @@ class ExecutionModel(JobStateObserver):
             if not record.num_gpus:
                 raise SimulationError(f"running job {job_id} holds no GPUs")
             if record.fragmented:
-                job.metrics["was_fragmented"] = True
+                job.was_fragmented = True
             self._start(record, fold_round)
             job._epoch = record
         self._opening.clear()
@@ -570,9 +547,9 @@ class ExecutionModel(JobStateObserver):
         notification order and the order in which completions flip status.
         Updates ``work_done``, ``attained_service`` and ``pending_overhead``;
         a job that reaches its termination target is marked completed with
-        a sub-round-accurate completion time.  The five application metrics
-        are *owed*, not written, unless the job completes (observers of the
-        transition may read them) or stalls; see :meth:`publish_owed_metrics`.
+        a sub-round-accurate completion time.  A round that makes progress
+        records its rate on the job (a stalled one only where none is yet),
+        which ``job.metrics`` derives the application metrics from.
 
         This is the one per-round fold: :meth:`advance` is its one-job call,
         and :meth:`steady_scan` replays exactly these floating-point
@@ -592,7 +569,7 @@ class ExecutionModel(JobStateObserver):
             if not num_gpus:
                 raise SimulationError(f"running job {job_id} holds no GPUs")
             if record.fragmented:
-                job.metrics["was_fragmented"] = True
+                job.was_fragmented = True
 
             # The fold owns these jobs' progress (none is deferred), so it
             # reads and writes the stored values without the descriptors.
@@ -624,12 +601,9 @@ class ExecutionModel(JobStateObserver):
                     work = available * rate
 
             job.add_progress(work, num_gpus * (compute_seconds + overhead_used))
+            if rate > 0 or job._rate is None:
+                job._rate = rate
 
-            if rate > 0 and not completed:
-                record.owed = True
-                continue
-            record.owed = False
-            self._publish(job, rate)
             if completed:
                 # completion_time first: the status setter notifies JobState
                 # observers, which read the JCT off the job.
@@ -645,47 +619,20 @@ class ExecutionModel(JobStateObserver):
     ) -> bool:
         """Advance one running job across one round; returns whether it completed.
 
-        The one-job call of :meth:`advance_running`.  A lone caller reads the
-        job straight afterwards, so its metrics are published, not owed.
+        The one-job call of :meth:`advance_running`.
         """
         self.advance_running((job,), cluster_state, round_start, round_duration)
-        self.publish_owed_metrics()
         return job.status is JobStatus.COMPLETED
 
-    def publish_owed_metrics(self) -> None:
-        """Settle every deferred job and write the application metrics still owed.
+    def settle_all(self) -> None:
+        """Bring every deferred job's progress fields up to the fold clock.
 
-        The values are pure functions of each job's current progress and the
-        rate of its latest round, neither of which moves between rounds, so
-        writing them late yields exactly what a per-round write would have
-        left.  The scheduling loop calls this before metric collectors run
-        and whenever it returns.
+        A read settles a job by itself; this is for what compares the raw
+        slots (``Job.__eq__``).  The loop calls it whenever it returns.
         """
-        while self._owed:
-            _, record = self._owed.popitem()
-            record.owed = False
-            self._update_app_metrics(record.job, record.rate)
-        for record in list(self._records.values()):
-            record.flush()
-
-    def publish_owed(self, job: Job) -> None:
-        """:meth:`publish_owed_metrics` for one job: what a reader of that job needs."""
-        record = self._owed.pop(job.job_id, None)
-        if record is not None:
-            record.owed = False
-            self._update_app_metrics(record.job, record.rate)
-        record = self._records.get(job.job_id)
-        if record is not None:
-            record.flush()
-
-    def _publish(self, job: Job, rate: float) -> None:
-        """Write one job's application metrics now, settling any older debt."""
-        older = self._owed.pop(job.job_id, None)
-        if older is not None and rate <= 0:
-            # A stalled round reports no iteration time or throughput; the
-            # last progressing round's must stand, as if written back then.
-            self._update_app_metrics(job, older.rate)
-        self._update_app_metrics(job, rate)
+        for record in self._records.values():
+            if record.round is not None:
+                record.settle()
 
     @staticmethod
     def steady_scan(
@@ -765,20 +712,3 @@ class ExecutionModel(JobStateObserver):
             attained += service_delta
             i += 1
         return None, work, pending, attained
-
-    def _update_app_metrics(self, job: Job, rate: float) -> None:
-        """Push the application-level metrics the paper's schedulers consume."""
-        duration = job.duration
-        progress = 1.0 if duration <= 0 else min(1.0, job.work_done / duration)
-        # A simple exponentially decaying loss curve: reaches ~1% of its initial
-        # value at the job's convergence point and stays flat afterwards.
-        convergence_progress = min(1.0, progress / job.convergence_fraction)
-        loss = 10.0 * (0.01 ** convergence_progress)
-        metrics = job.metrics
-        metrics["loss"] = loss
-        metrics["progress"] = progress
-        if rate > 0:
-            iteration_time = job.iteration_time
-            metrics["iteration_time"] = iteration_time / rate
-            metrics["throughput"] = rate / iteration_time
-        metrics["attained_service"] = job.attained_service

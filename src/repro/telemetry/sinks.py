@@ -47,17 +47,6 @@ class TraceSink:
     def emit(self, event: TraceEvent) -> None:
         raise NotImplementedError
 
-    def emit_record(
-        self, source: str, seq: int, time: float, kind: str, payload
-    ) -> None:
-        """Field-wise emission: the recorder's hot path.
-
-        File sinks override this to serialise straight from the fields,
-        skipping the TraceEvent allocation per event; the default simply
-        wraps the fields for :meth:`emit`.
-        """
-        self.emit(TraceEvent(source, seq, time, kind, payload))
-
     def bind_emitter(self, source: str):
         """A fused ``emit(kind, time, payload)`` closure for one source.
 
@@ -65,13 +54,13 @@ class TraceSink:
         recorder -> sink path is one closure frame per event.  File sinks
         override this to bind their write handle directly.
         """
-        emit_record = self.emit_record
+        emit_event = self.emit
         seq = 0
 
         def emit(kind: str, time: float, payload) -> None:
             nonlocal seq
             seq += 1
-            emit_record(source, seq, time, kind, payload)
+            emit_event(TraceEvent(source, seq, time, kind, payload))
 
         return emit
 
@@ -128,30 +117,7 @@ class JsonlSink(TraceSink):
         self._write_line(header.as_record())
 
     def emit(self, event: TraceEvent) -> None:
-        self.emit_record(*event)
-
-    def emit_record(
-        self, source: str, seq: int, time: float, kind: str, payload
-    ) -> None:
-        # One encoder call for the whole line, byte-identical to
-        # dumps(event.as_record(), ensure_ascii=False, sort_keys=True,
-        # separators=(",", ":")).  This is the engine's per-round write --
-        # every dict copy, throwaway encoder or intermediate TraceEvent here
-        # shows up in the bench's recording-overhead gate.
-        handle = self._handle
-        if handle is None:
-            raise TraceFormatError(f"trace sink {self.path} already closed")
-        handle.write(
-            _encode_line(
-                {
-                    "kind": kind,
-                    "payload": payload if payload else {},
-                    "seq": seq,
-                    "source": source,
-                    "time": time,
-                }
-            )
-        )
+        self._write_line(event.as_record())
 
     def bind_emitter(self, source: str):
         handle = self._handle
@@ -160,6 +126,10 @@ class JsonlSink(TraceSink):
         write = handle.write
         seq = 0
 
+        # One encoder call for the whole line, byte-identical to
+        # _write_line(event.as_record()).  This is the engine's per-round
+        # write -- every dict copy, throwaway encoder or intermediate
+        # TraceEvent here shows up in the bench's recording-overhead gate.
         def emit(kind: str, time: float, payload, _encode=_encode_line) -> None:
             nonlocal seq
             seq += 1

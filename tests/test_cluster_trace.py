@@ -60,15 +60,20 @@ def test_drain_applied_reports_each_firing_once():
     assert [(t, e.kind) for t, e, _ in drained] == [(250.0, "NodeRecoveryEvent")]
 
 
-def test_drain_matches_applied_log():
-    manager = TimelineClusterManager(
-        [NodeFailureEvent(time=50.0, node_ids=(0, 2)),
-         ScaleOutEvent(time=60.0, num_nodes=1, gpus_per_node=2)]
-    )
+def test_drain_reports_the_given_events_with_the_ids_update_returned():
+    failure = NodeFailureEvent(time=50.0, node_ids=(0, 2))
+    scale_out = ScaleOutEvent(time=60.0, num_nodes=1, gpus_per_node=2)
+    manager = TimelineClusterManager([scale_out, failure])  # applied in time order
     state = _cluster()
-    manager.update(state, 75.0)
+    state.assign(7, [0, 1])  # node 0
+    state.assign(8, [4])  # node 2
+    affected = manager.update(state, 75.0)
     drained = manager.drain_applied()
-    assert [(t, e.kind, ids) for t, e, ids in drained] == manager.applied_log
+    assert [(t, e, ids) for t, e, ids in drained] == [
+        (75.0, failure, (7, 8)),
+        (75.0, scale_out, ()),
+    ]
+    assert affected == [7, 8]
 
 
 def test_default_manager_drains_nothing():

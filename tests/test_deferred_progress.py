@@ -72,7 +72,7 @@ def read_every_full_round(sim):
     """Round number -> every job's progress and metrics, read as ``schedule`` starts.
 
     Progress is read first (a deferred job settles on that read), then the
-    owed metrics are published and read -- what a policy may do.
+    metrics, which are derived from it on the read -- what a policy may do.
     """
     seen = {}
     schedule = sim.scheduling_policy.schedule
@@ -80,7 +80,6 @@ def read_every_full_round(sim):
     def reading_schedule(job_state, cluster_state):
         jobs = job_state.all_jobs()
         fields = {job.job_id: progress(job) for job in jobs}
-        sim.execution_model.publish_owed_metrics()
         seen[sim.manager.round_number] = {
             job.job_id: (fields[job.job_id], metrics(job)) for job in jobs
         }

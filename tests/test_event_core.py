@@ -121,7 +121,6 @@ def per_job_state(sim):
     model = sim.execution_model
     return {
         "epochs": model._records,
-        "owed": model._owed,
         "opening": model._opening,
         "completion heap": live_heap_jobs(model),
         "entries": policy._index._entries,
@@ -170,10 +169,8 @@ def test_epochs_are_dropped_when_their_job_leaves_running():
             runnable = {job.job_id for job in sim.job_state.runnable_jobs()}
             assert set(scheduling._index._entries) <= runnable
             assert set(model._records) | set(model._opening) == running
-            # A pause hands control back: everything settled, nothing owed,
-            # nothing unpruned.
-            assert not model._owed
-            assert not any(epoch.owed for epoch in model._records.values())
+            # A pause hands control back: everything settled, nothing
+            # unpruned.
             assert all(
                 epoch.round == model._fold_round for epoch in model._records.values()
             )

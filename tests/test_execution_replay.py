@@ -129,7 +129,6 @@ def fold(job, cluster, rd, model, rounds):
     if rounds > 1:
         model.fold_through(BASE_ROUND + rounds - 1, cluster)
     model.fold_round(job_state, cluster, BASE_ROUND + rounds, (BASE_ROUND + rounds - 1) * rd, rd)
-    model.publish_owed_metrics()  # a settled epoch owes its metrics like a round does
     return job
 
 

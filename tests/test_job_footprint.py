@@ -6,12 +6,15 @@ these tests keep an instance dict from silently coming back:
 
 * neither record has a ``__dict__``;
 * a generated Philly job costs at most 700 traced bytes (about 2 KB with an
-  instance dict of 30 keys or more, which CPython 3.11 stops sharing);
+  instance dict of 30 keys or more, which CPython 3.11 stops sharing), and
+  so does a job that ran to completion (~650 B: its metrics are computed on
+  read, not stored -- a stored metrics dict made it ~880 B);
 * ``copy_static()`` copies every static field and ``snapshot()`` every
   dynamic one -- both are written by hand, so they are checked against
   ``dataclasses.fields(Job)``;
 * a tracked, running, deferred job survives a pickle slot for slot, with its
-  runtime wiring (``_registry``, ``_epoch``) cleared.
+  runtime wiring (``_registry``, ``_epoch``) cleared;
+* ``job.metrics`` is computed on read, not stored, and a write to it raises.
 """
 
 import dataclasses
@@ -63,7 +66,9 @@ DYNAMIC = {
     "num_preemptions": 2,
     "num_launches": 3,
     "_pending_overhead": 30.0,
-    "metrics": {"loss": 0.25, "was_fragmented": True},
+    "_rate": 0.5,
+    "was_fragmented": True,
+    "admission_rejected": "gang_exceeds_user_quota",
 }
 
 
@@ -79,7 +84,8 @@ def slots(job):
 def busy_job():
     job = Job(**STATIC)
     for name, value in DYNAMIC.items():
-        setattr(job, name.lstrip("_"), value)
+        public = name.lstrip("_")  # through the descriptor, where there is one
+        setattr(job, public if hasattr(Job, public) else name, value)
     return job
 
 
@@ -103,6 +109,40 @@ def test_a_generated_job_costs_at_most_700_bytes():
     finally:
         tracemalloc.stop()
     assert per_job <= 700, f"{per_job:.0f} B per job"
+
+
+def test_a_job_costs_at_most_700_bytes_after_a_full_run():
+    def run(num_jobs, seed):
+        jobs = generate_philly_trace(num_jobs=num_jobs, jobs_per_hour=30.0, seed=seed).jobs
+        Simulator(build_cluster(num_nodes=8, gpus_per_node=4), jobs, TiresiasScheduling()).run()
+        for job in jobs:
+            job._registry = None  # the run's registry, not the job's own state
+        return jobs
+
+    run(20, 1)  # warm every cache
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        jobs = run(600, 20240301)
+        gc.collect()
+        per_job = (tracemalloc.get_traced_memory()[0] - before) / len(jobs)
+    finally:
+        tracemalloc.stop()
+    assert all(job.status is JobStatus.COMPLETED for job in jobs)
+    assert per_job <= 700, f"{per_job:.0f} B per job"
+
+
+def test_metrics_is_a_read_only_view_not_a_field():
+    job = Job(arrival_time=0.0, num_gpus=1, duration=60.0)
+    assert "metrics" not in {field.name for field in dataclasses.fields(Job)}
+    assert job.metrics == {}
+    job.was_fragmented = True
+    assert job.metrics == {"was_fragmented": True}
+    with pytest.raises(AttributeError):
+        job.metrics = {"loss": 1.0}
+    with pytest.raises(TypeError):
+        job.metrics["loss"] = 1.0
 
 
 def test_the_fixtures_name_every_field():
@@ -129,7 +169,7 @@ def test_snapshot_copies_every_field():
     job = busy_job()
     clone = job.snapshot()
     assert slots(clone) == slots(job) == {**STATIC, **DYNAMIC}
-    for name in ("scaling", "allocated_gpus", "metrics"):
+    for name in ("scaling", "allocated_gpus"):
         assert getattr(clone, name) is not getattr(job, name), name
 
 

@@ -154,6 +154,33 @@ def test_listing_a_job_that_holds_gpus_fails_before_any_state_moves():
         job_state.check_invariants()
 
 
+def test_a_bad_launch_rejects_the_whole_decision_before_any_state_moves():
+    """Launches run in ascending id, so job 1 would be RUNNING on GPU 0
+    before job 2, which still holds GPUs 4-6, failed: the decision is
+    checked whole before its first suspension."""
+    cluster = build_cluster(num_nodes=2, gpus_per_node=4)
+    job_state = JobState()
+    first, second = make_job(1, 1), make_job(2, 3)
+    job_state.add_new_jobs([first, second])
+    launch(second, [4, 5, 6], cluster, job_state)
+
+    def observed():
+        return (
+            [(job.status, job.allocated_gpus, job.num_launches, job.num_preemptions,
+              job.pending_overhead, job.first_schedule_time) for job in (first, second)],
+            cluster.allocation(1), cluster.allocation(2), cluster.jobs_with_allocations(),
+            [g.gpu_id for g in cluster.free_gpus()], cluster.utilization(),
+        )
+
+    before = observed()
+    decision = PlacementDecision(to_launch={1: [0], 2: [4, 5, 6]})
+    with pytest.raises(AllocationError):
+        BloxManager([]).exec_jobs(decision, cluster, job_state)
+    assert observed() == before
+    cluster.check_invariants()
+    job_state.check_invariants()
+
+
 def test_duplicate_job_id_later_in_the_schedule_is_ignored():
     cluster = build_cluster(num_nodes=2, gpus_per_node=4)
     job_state = JobState()

@@ -28,7 +28,6 @@ from repro.runtime.rpc import (
     RpcCostModel,
 )
 from repro.runtime.worker_manager import WorkerManager
-from repro.simulator.execution import ExecutionModel
 from repro.simulator.overheads import OverheadModel
 from repro.workloads.philly import generate_philly_trace
 
@@ -344,7 +343,7 @@ def test_aggregate_shares_no_dict_with_worker_store_or_dedup_cache():
     channel = InMemoryRpcChannel(RpcCostModel(), FaultPlan(FaultSpec()), RetryPolicy())
     workers = [WorkerManager(node_id=i, channel=channel) for i in range(2)]
     manager = OptimisticLeaseManager(workers, channel)
-    aggregator = WorkerMetricsAggregator(channel, manager, ExecutionModel())
+    aggregator = WorkerMetricsAggregator(channel, manager)
     for job, worker in zip(jobs, workers):
         manager.grant(job.job_id, [worker.node_id])
         job.work_done = 5.0

@@ -33,7 +33,6 @@ from repro.runtime.metrics import REPORTED_KEYS
 from repro.scenarios.registry import scenario_names
 from repro.scenarios.spec import FailNodes, ScaleIn, ScaleOut, ScenarioSpec, WorkloadSpec
 from repro.simulator.engine import Simulator
-from repro.simulator.execution import ExecutionModel
 from repro.simulator.overheads import ClusterOverheadModel, OverheadModel
 from repro.telemetry.runspec import RunSpec
 from repro.workloads.philly import generate_philly_trace
@@ -461,7 +460,7 @@ def metric_setup(num_nodes=4):
     channel = InMemoryRpcChannel()
     workers = [WorkerManager(node_id=i, channel=channel) for i in range(num_nodes)]
     manager = OptimisticLeaseManager(workers, channel)
-    return manager, workers, channel, WorkerMetricsAggregator(channel, manager, ExecutionModel())
+    return manager, workers, channel, WorkerMetricsAggregator(channel, manager)
 
 
 def spy_on_pulls(scheduler, after=None):
@@ -615,15 +614,13 @@ class TestWorkerMetricsDelta:
             scheduling_policy=TiresiasScheduling(),
             overhead_model=OverheadModel(),
         )
-        model = scheduler._simulator.execution_model
         job_state = scheduler._simulator.job_state
         keys = REPORTED_KEYS
         unsettled = []
 
         def check_report(reply):
-            # A job reports the metrics it is owed when it stops, not those
-            # of the last write before: publishing every job now adds nothing.
-            model.publish_owed_metrics()
+            # A job reports its metrics as of the moment it stops: read
+            # again now, a stopped job's are the same.
             for job_id, values in reply.items():
                 metrics = job_state.get(job_id).metrics
                 if {k: values.get(k) for k in keys} != {k: metrics.get(k) for k in keys}:

@@ -24,13 +24,13 @@ import hashlib
 import pytest
 
 from repro.cluster.builder import build_cluster
-from repro.core.abstractions import MetricCollector
 from repro.core.job import JobStatus
 from repro.core.job_state import JobStateObserver
 from repro.policies.placement import PLACEMENT_POLICIES
 from repro.policies.scheduling import SCHEDULING_POLICIES, TiresiasScheduling
+from repro.runtime.central_scheduler import CentralScheduler
 from repro.simulator.engine import Simulator
-from repro.simulator.execution import ExecutionModel
+from repro.simulator.overheads import OverheadModel
 from repro.telemetry.runspec import RunSpec
 from repro.workloads.philly import generate_philly_trace
 
@@ -226,62 +226,64 @@ def test_schedule_matches_the_recorded_hash(case_id):
 
 
 # ----------------------------------------------------------------------
-# Owed application metrics
+# The metric bus, read anywhere
 # ----------------------------------------------------------------------
-
-
-class EagerMetrics(ExecutionModel):
-    """Settles every job and writes its application metrics every round: the reference."""
-
-    def fold_round(self, *args):
-        super().fold_round(*args)
-        self.publish_owed_metrics()
-
-
-def unwritten(model):
-    """Records whose application metrics may lag: owed, or progress deferred."""
-    open_epochs = model._records.values()
-    return len(model._owed) + sum(1 for epoch in open_epochs if epoch.owed or epoch.round is not None)
 
 
 def metrics_of(jobs):
     return [(job.job_id, sorted(job.metrics.items())) for job in jobs]
 
 
+class MetricReadingTiresias(TiresiasScheduling):
+    """Reads every job's metric bus as ``schedule`` starts, keyed by round.
+
+    A job launched in an earlier round has been advanced since, so its
+    ``attained_service`` metric must equal its progress field: a job whose
+    metric lags is recorded in ``stale``.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.manager = None  # the run's BloxManager: the round clock
+        self.samples = {}
+        self.stale = []
+
+    def schedule(self, job_state, cluster_state):
+        jobs = job_state.all_jobs()
+        self.samples[self.manager.round_number] = metrics_of(jobs)
+        self.stale += [
+            job.job_id
+            for job in jobs
+            if job.num_launches and job.metrics.get("attained_service") != job.attained_service
+        ]
+        return super().schedule(job_state, cluster_state)
+
+
 class CompletionWitness(JobStateObserver):
     """Reads a job's metrics at the moment its status flips to COMPLETED."""
 
-    def __init__(self, model):
-        self.model = model
+    def __init__(self):
         self.seen = []
-        self.most_owed = 0
 
     def on_status_change(self, job, old, new):
-        self.most_owed = max(self.most_owed, unwritten(self.model))
         if new is JobStatus.COMPLETED:
             self.seen += metrics_of([job])
 
 
-class RunningJobsCollector(MetricCollector):
-    def __init__(self):
-        self.samples = []
-
-    def collect(self, job_state, cluster_state, current_time):
-        self.samples.append(metrics_of(job_state.running_jobs()))
-
-
-def observe(model, with_collector):
+def observe(engine):
     """What each kind of reader sees of ``job.metrics`` over one contended run."""
     trace = generate_philly_trace(num_jobs=60, jobs_per_hour=40.0, seed=9)
-    collector = RunningJobsCollector()
-    sim = Simulator(
-        build_cluster(num_nodes=4, gpus_per_node=4),
-        trace.fresh_jobs(),
-        TiresiasScheduling(),
-        execution_model=model,
-        metric_collectors=[collector] if with_collector else [],
-    )
-    witness = CompletionWitness(model)
+    policy = MetricReadingTiresias()
+    cluster = build_cluster(num_nodes=4, gpus_per_node=4)
+    if engine == "runtime":
+        scheduler = CentralScheduler(
+            cluster, trace.fresh_jobs(), policy, overhead_model=OverheadModel()
+        )
+        sim = scheduler._simulator
+    else:
+        sim = Simulator(cluster, trace.fresh_jobs(), policy, fast_forward=engine == "default")
+    policy.manager = sim.manager
+    witness = CompletionWitness()
     sim.job_state.add_observer(witness)
     last_arrival = max(job.arrival_time for job in sim.jobs)
     pauses = []
@@ -289,63 +291,34 @@ def observe(model, with_collector):
         sim._advance_loop(step * last_arrival / 6)
         pauses.append(metrics_of(sim.job_state.all_jobs()))
     result = sim.run()
-    seen = {
+    assert policy.stale == [], engine
+    return {
+        "schedule": policy.samples,
         "completion": witness.seen,
-        "collector": collector.samples,
         "pause": pauses,
         "end of run": metrics_of(result.jobs),
     }
-    return seen, witness.most_owed
 
 
-@pytest.mark.parametrize("with_collector", [False, True])
-def test_owed_metrics_equal_eager_ones_wherever_they_can_be_read(with_collector):
-    owed, most_owed = observe(ExecutionModel(), with_collector)
-    eager, _ = observe(EagerMetrics(), with_collector)
-    for point in eager:
-        assert owed[point] == eager[point], point
-    assert len(owed["completion"]) == 60 and any(owed["pause"][0])
-    # Not vacuous: between observation points the default model did owe.
-    assert most_owed > 0
+def test_every_engine_reads_the_same_current_metrics_wherever_they_are_read():
+    """No reader calls anything first: ``job.metrics`` is computed on read.
 
-
-class MetricReadingTiresias(TiresiasScheduling):
-    """Reads the metric bus inside ``schedule``; publishes first if given the model."""
-
-    def __init__(self, model=None):
-        super().__init__()
-        self.model = model
-        self.samples = []
-
-    def schedule(self, job_state, cluster_state):
-        if self.model is not None:
-            self.model.publish_owed_metrics()
-        self.samples.append(metrics_of(job_state.running_jobs()))
-        return super().schedule(job_state, cluster_state)
-
-
-def test_a_policy_reading_application_metrics_must_publish_them_first():
-    """Steps 4-6 run between ``update_metrics`` and the next metrics write."""
-
-    def run(model, publishing):
-        policy = MetricReadingTiresias(model if publishing else None)
-        trace = generate_philly_trace(num_jobs=60, jobs_per_hour=40.0, seed=9)
-        sim = Simulator(
-            build_cluster(num_nodes=4, gpus_per_node=4),
-            trace.fresh_jobs(),
-            policy,
-            execution_model=model,
-        )
-        return policy.samples, job_state_hash(jobs_of(sim.run()))
-
-    eager, end_state = run(EagerMetrics(), publishing=False)
-    published, published_end = run(ExecutionModel(), publishing=True)
-    lagging, lagging_end = run(ExecutionModel(), publishing=False)
-    assert published == eager
-    # The documented lag is real (docs/policies.md, authoring checklist) ...
-    assert lagging != eager
-    # ... and neither reading nor publishing moves the schedule.
-    assert published_end == lagging_end == end_state
+    The default engine and the deployment path defer progress and skip
+    rounds; stepping advances every job every round.  All three agree at
+    every full round the default engine runs, at every completion, at every
+    pause and at the end, and no launched job's metrics lag its progress.
+    """
+    default, stepping, runtime = (observe(e) for e in ("default", "stepping", "runtime"))
+    assert runtime == default
+    for point in ("completion", "pause", "end of run"):
+        assert default[point] == stepping[point], point
+    full_rounds = default["schedule"]
+    assert full_rounds == {r: stepping["schedule"][r] for r in full_rounds}
+    # Not vacuous: the default engine skipped rounds, and jobs had run and
+    # reported by the first pause.
+    assert len(full_rounds) < len(stepping["schedule"])
+    assert len(default["completion"]) == 60
+    assert any(metrics for _, metrics in default["pause"][0])
 
 
 if __name__ == "__main__":

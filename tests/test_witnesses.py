@@ -139,3 +139,71 @@ def test_srtf_runs_the_short_job_first(engine):
         0: (3_900.0, 11_120.0),
         1: (0.0, 3_620.0),
     }
+
+
+# ----------------------------------------------------------------------
+# The application metrics
+# ----------------------------------------------------------------------
+#
+# ``job.metrics`` derives five values from the job's progress and the rate r
+# of its latest round that made progress: ``progress`` = work_done /
+# duration, ``loss`` = 10 * 0.01 ** min(1, progress / convergence_fraction),
+# ``iteration_time`` = job.iteration_time / r, ``throughput`` =
+# r / job.iteration_time and ``attained_service`` (GPU-seconds held, the
+# launch overhead included).  A job alone on the node runs at r = 1.0, and
+# its iteration time is the default 1.0 s.
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_an_isolated_job_ends_with_the_metrics_of_its_whole_run(engine):
+    """The isolated 1-GPU 7200 s job above ends at 7220 s with all its work
+    done: progress 7200 / 7200 = 1.0, loss 10 * 0.01 ** min(1, 1.0 / 1.0) =
+    0.1, iteration time 1.0 / 1.0 = 1.0 s, throughput 1.0 / 1.0 = 1.0
+    iteration/s, and 1 GPU held for 20 + 7200 = 7220 GPU-seconds."""
+    job = Job(arrival_time=0.0, num_gpus=1, duration=DURATION, job_id=0)
+    assert _schedule([job], FifoScheduling(), engine) == {0: (0.0, 7_220.0)}
+    assert dict(job.metrics) == {
+        "loss": 0.1,
+        "progress": 1.0,
+        "iteration_time": 1.0,
+        "throughput": 1.0,
+        "attained_service": 7_220.0,
+    }
+
+
+class ArrivalReadingFifo(FifoScheduling):
+    """FIFO that reads job 1's metric bus in the round job 2 first shows up."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = None
+
+    def schedule(self, job_state, cluster_state):
+        if self.seen is None and 2 in job_state:
+            self.seen = dict(job_state.get(1).metrics)
+        return super().schedule(job_state, cluster_state)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_policy_reads_the_metrics_of_the_rounds_run_so_far(engine):
+    """Job 1 (7200 s, convergence fraction 0.5) launches at 0; job 2 (600 s)
+    arrives at 3600 s, so every engine runs that round in full and calls
+    ``schedule``, with no call to make first.  Job 1 has then run rounds
+    0-11: 3600 s on its GPU, 20 s of them the launch, so work 3580 s,
+    progress 3580 / 7200, loss 10 * 0.01 ** min(1, (3580 / 7200) / 0.5) =
+    10 * 0.01 ** (3580 / 3600), attained service 1 * 3600 = 3600
+    GPU-seconds, and rate 1.0.  Job 2 takes a free GPU at once and ends at
+    3600 + 20 + 600 = 4220 s."""
+    jobs = [
+        Job(arrival_time=0.0, num_gpus=1, duration=DURATION, convergence_fraction=0.5, job_id=1),
+        Job(arrival_time=3_600.0, num_gpus=1, duration=600.0, job_id=2),
+    ]
+    policy = ArrivalReadingFifo()
+    assert _schedule(jobs, policy, engine) == {1: (0.0, 7_220.0), 2: (3_600.0, 4_220.0)}
+    assert policy.seen == {
+        "loss": 10.0 * 0.01 ** (3_580.0 / 3_600.0),
+        "progress": 3_580.0 / 7_200.0,
+        "iteration_time": 1.0,
+        "throughput": 1.0,
+        "attained_service": 3_600.0,
+    }
