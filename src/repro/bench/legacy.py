@@ -12,17 +12,17 @@ are slow (the speed baseline is ``benchmarks/run.py`` on the parent commit):
   the core bench cell and ``tests/test_schedule_parity.py``.
 * the six sort-based ``Legacy*Scheduling`` policies -- full re-sorts of the
   runnable set every round, Pollux's O(capacity x jobs) water-filling scan,
-  Gavel's per-job rebuild of the cluster GPU-type set, Tiresias' impure
-  comparator.  They are the oracle for the incremental policies and run on
-  the stepping engine only (``fast_forward=False``; they declare no
-  ``steady_state_safe`` / ``next_policy_event_time`` and validate nothing):
-  the ``reference-policy`` leg of the policy matrix and
+  Gavel's per-job rebuild of the cluster GPU-type set, Tiresias' linear
+  scan of its queue thresholds.  They are the oracle for the incremental
+  policies and run on the stepping engine only (``fast_forward=False``;
+  they declare no ``steady_state_safe`` / ``next_policy_event_time`` and
+  validate nothing): the ``reference-policy`` leg of the policy matrix and
   ``tests/test_policy_incremental.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
 from repro.cluster.gpu_types import GPU_TYPES
 from repro.cluster.node import GPU
@@ -32,7 +32,8 @@ from repro.core.cluster_state import Allocation, ClusterState, gpu_type_key
 from repro.core.exceptions import UnknownNodeError
 from repro.core.job import Job, JobStatus
 from repro.core.job_state import JobState
-from repro.policies.scheduling.tiresias import DEFAULT_QUEUE_THRESHOLDS
+from repro.policies.scheduling.pollux import EFFICIENCY_DECAY, RESTART_PENALTY
+from repro.policies.scheduling.tiresias import QUEUE_THRESHOLDS
 from repro.simulator.engine import Simulator
 
 
@@ -177,38 +178,21 @@ class LegacyLasScheduling(SchedulingPolicy):
 
 
 class LegacyTiresiasScheduling(SchedulingPolicy):
-    """Seed Tiresias: impure comparator, full re-sort, no event bounds."""
+    """Seed Tiresias: full re-sort, no event bounds."""
 
     name = "tiresias"
 
-    def __init__(
-        self,
-        queue_thresholds: Sequence[float] = DEFAULT_QUEUE_THRESHOLDS,
-        starvation_promote_after: float = float("inf"),
-    ) -> None:
-        self.queue_thresholds = list(queue_thresholds)
-        self.starvation_promote_after = starvation_promote_after
-        self._last_run_time: Dict[int, float] = {}
-
-    def queue_index(self, job: Job) -> int:
-        for index, threshold in enumerate(self.queue_thresholds):
+    @staticmethod
+    def queue_index(job: Job) -> int:
+        for index, threshold in enumerate(QUEUE_THRESHOLDS):
             if job.attained_service < threshold:
                 return index
-        return len(self.queue_thresholds)
-
-    def _effective_queue(self, job: Job, now: float) -> int:
-        if job.status == JobStatus.RUNNING:
-            self._last_run_time[job.job_id] = now
-        waited = now - self._last_run_time.get(job.job_id, job.arrival_time)
-        if waited >= self.starvation_promote_after:
-            return 0
-        return self.queue_index(job)
+        return len(QUEUE_THRESHOLDS)
 
     def schedule(self, job_state: JobState, cluster_state: ClusterState) -> List[ScheduleEntry]:
-        now = getattr(job_state, "current_time", 0.0)
         ordered = sorted(
             job_state.runnable_jobs(),
-            key=lambda j: (self._effective_queue(j, now), j.arrival_time, j.job_id),
+            key=lambda j: (self.queue_index(j), j.arrival_time, j.job_id),
         )
         return [ScheduleEntry(job_id=j.job_id, gpu_demand=j.num_gpus) for j in ordered]
 
@@ -233,11 +217,12 @@ class LegacyGavelScheduling(SchedulingPolicy):
 
     def normalised_service(self, job: Job, cluster_state: ClusterState) -> float:
         gpus = cluster_state.gpus_for_job(job.job_id)
-        if gpus:
-            type_name = gpus[0].gpu_type.name
+        if gpus:  # a gang runs at its slowest held type
+            throughput = min(self.job_throughput_on(job, gpu.gpu_type.name) for gpu in gpus)
         else:
             type_name = self.best_gpu_type(job, cluster_state) or "v100"
-        return job.attained_service * self.job_throughput_on(job, type_name)
+            throughput = self.job_throughput_on(job, type_name)
+        return job.attained_service * throughput
 
     def schedule(self, job_state: JobState, cluster_state: ClusterState) -> List[ScheduleEntry]:
         jobs = job_state.runnable_jobs()
@@ -256,15 +241,11 @@ class LegacyPolluxScheduling(SchedulingPolicy):
 
     name = "pollux"
 
-    def __init__(self, efficiency_decay: float = 0.03, restart_penalty: float = 0.05) -> None:
-        self.efficiency_decay = efficiency_decay
-        self.restart_penalty = restart_penalty
-
     def statistical_efficiency(self, job: Job, num_gpus: int) -> float:
         extra = max(0, num_gpus - 1)
         scale_limit = max(1, job.max_batch_scale)
         overscale = max(0, num_gpus - scale_limit)
-        return 1.0 / (1.0 + self.efficiency_decay * extra + 0.5 * overscale)
+        return 1.0 / (1.0 + EFFICIENCY_DECAY * extra + 0.5 * overscale)
 
     def goodput(self, job: Job, num_gpus: int) -> float:
         if num_gpus <= 0:
@@ -277,7 +258,7 @@ class LegacyPolluxScheduling(SchedulingPolicy):
             return 0.0
         gain = self.goodput(job, num_gpus + 1) - self.goodput(job, num_gpus)
         if num_gpus == 0 and job.status != JobStatus.RUNNING:
-            gain -= self.restart_penalty
+            gain -= RESTART_PENALTY
         return gain
 
     def schedule(self, job_state: JobState, cluster_state: ClusterState) -> List[ScheduleEntry]:

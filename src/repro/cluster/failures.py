@@ -56,7 +56,6 @@ class FailureInjector:
     recovery_prob: float = 0.0
     seed: int = 0
     _rng: random.Random = field(init=False, repr=False)
-    failed_rounds: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.failure_prob <= 1.0:
@@ -73,7 +72,6 @@ class FailureInjector:
         for node in list(cluster_state.nodes.values()):
             if not node.failed and self._rng.random() < self.failure_prob:
                 affected_jobs.extend(cluster_state.mark_node_failed(node.node_id))
-                self.failed_rounds += 1
             elif node.failed and self._rng.random() < self.recovery_prob:
                 # Go through the indexed API so the cluster's cached free-GPU
                 # counters stay consistent with node health.

@@ -1,9 +1,8 @@
-"""Scheduler evaluation metrics: JCT, responsiveness, makespan, CDFs."""
+"""Scheduler evaluation metrics: JCT, responsiveness, makespan, utilisation."""
 
 from repro.metrics.summary import (
     average,
     percentile,
-    cdf_points,
     capacity_weighted_utilization,
     jct_summary,
     scenario_summary,
@@ -15,7 +14,6 @@ from repro.metrics.collector import UtilizationCollector
 __all__ = [
     "average",
     "percentile",
-    "cdf_points",
     "capacity_weighted_utilization",
     "jct_summary",
     "scenario_summary",

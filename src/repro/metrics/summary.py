@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from repro.core.job import Job
 
@@ -40,14 +40,6 @@ def percentile(values: Sequence[float], q: float) -> float:
         return ordered[low]
     frac = rank - low
     return ordered[low] * (1 - frac) + ordered[high] * frac
-
-
-def cdf_points(values: Sequence[float]) -> Tuple[List[float], List[float]]:
-    """Return ``(sorted_values, cumulative_fractions)`` for a CDF plot."""
-    ordered = sorted(values)
-    n = len(ordered)
-    fractions = [(i + 1) / n for i in range(n)] if n else []
-    return ordered, fractions
 
 
 @dataclass(frozen=True)

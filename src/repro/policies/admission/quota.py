@@ -7,17 +7,19 @@ from typing import Deque, Dict, List, Sequence
 
 from repro.core.abstractions import AdmissionPolicy
 from repro.core.cluster_state import ClusterState
-from repro.core.exceptions import ConfigurationError
 from repro.core.job import Job, JobStatus
 from repro.core.job_state import JobState
+
+#: GPUs each user may have admitted at once.
+USER_QUOTA = 16
 
 
 class UserQuotaAdmission(AdmissionPolicy):
     """Limit the number of GPUs each user may have admitted at once.
 
-    Jobs exceeding their user's quota wait in a per-user FIFO queue and are
-    released as that user's earlier jobs finish.  ``default_quota`` applies to
-    users without an explicit entry in ``quotas``.
+    Every user has the same quota, :data:`USER_QUOTA` GPUs.  Jobs exceeding
+    it wait in a per-user FIFO queue and are released as that user's earlier
+    jobs finish.
 
     A job whose gang is *larger than its user's whole quota* can never be
     admitted no matter how many earlier jobs finish; queueing it would wait
@@ -30,14 +32,7 @@ class UserQuotaAdmission(AdmissionPolicy):
 
     name = "user-quota"
 
-    def __init__(self, default_quota: int = 16, quotas: Dict[str, int] = None) -> None:
-        if default_quota < 1:
-            raise ConfigurationError("default_quota must be >= 1")
-        self.default_quota = default_quota
-        self.quotas = dict(quotas or {})
-        for user, quota in self.quotas.items():
-            if quota < 1:
-                raise ConfigurationError(f"quota for user {user!r} must be >= 1")
+    def __init__(self) -> None:
         self._queues: Dict[str, Deque[Job]] = {}
         #: Ids of jobs rejected because their gang exceeds the user quota.
         self.rejected_job_ids: List[int] = []
@@ -47,9 +42,6 @@ class UserQuotaAdmission(AdmissionPolicy):
         for queue in self._queues.values():
             pending.extend(queue)
         return sorted(pending, key=lambda j: j.job_id)
-
-    def _quota_for(self, user: str) -> int:
-        return self.quotas.get(user, self.default_quota)
 
     def _user_usage(self, job_state: JobState) -> Dict[str, int]:
         usage: Dict[str, int] = {}
@@ -64,7 +56,7 @@ class UserQuotaAdmission(AdmissionPolicy):
         job_state: JobState,
     ) -> List[Job]:
         for job in new_jobs:
-            if job.num_gpus > self._quota_for(job.user):
+            if job.num_gpus > USER_QUOTA:
                 # Admission-reject: this gang can never fit the user's quota,
                 # so holding it would livelock.  Track it so the registry (and
                 # the simulator's termination checks) see a terminal job.
@@ -80,9 +72,8 @@ class UserQuotaAdmission(AdmissionPolicy):
         accepted: List[Job] = []
         for user in sorted(self._queues):
             queue = self._queues[user]
-            quota = self._quota_for(user)
             used = usage.get(user, 0)
-            while queue and used + queue[0].num_gpus <= quota:
+            while queue and used + queue[0].num_gpus <= USER_QUOTA:
                 job = queue.popleft()
                 used += job.num_gpus
                 accepted.append(job)

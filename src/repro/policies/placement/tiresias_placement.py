@@ -13,24 +13,21 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.cluster_state import ClusterState
-from repro.core.exceptions import ConfigurationError
 from repro.core.job import Job
 from repro.policies.placement.base import AvailabilityView, BasePlacementPolicy
 
+#: Model skew above which the heuristic consolidates a job.
+SKEW_THRESHOLD = 0.5
+
 
 class TiresiasPlacement(BasePlacementPolicy):
-    """Consolidate jobs whose model skew exceeds ``skew_threshold``; spread the rest."""
+    """Consolidate jobs whose model skew exceeds :data:`SKEW_THRESHOLD`; spread the rest."""
 
     name = "tiresias-placement"
 
-    def __init__(self, skew_threshold: float = 0.5) -> None:
-        if skew_threshold < 0:
-            raise ConfigurationError("skew_threshold must be >= 0")
-        self.skew_threshold = skew_threshold
-
     def wants_consolidation(self, job: Job) -> bool:
         """The skew-based heuristic's guess at whether the job is placement sensitive."""
-        return job.skew > self.skew_threshold
+        return job.skew > SKEW_THRESHOLD
 
     def select_gpus(
         self,

@@ -6,13 +6,12 @@ from typing import Iterator, Optional
 
 from repro.core.abstractions import ScheduleEntry, SchedulingPolicy
 from repro.core.cluster_state import ClusterState
-from repro.core.job import Job
 from repro.core.job_state import JobState
 from repro.policies.scheduling.priority_index import RunnablePriorityIndex, arrival_key
 
 
 class FifoScheduling(SchedulingPolicy):
-    """Run jobs strictly in arrival order.
+    """Run jobs in arrival order, backfilling GPUs the queue head cannot use.
 
     FIFO is non-preemptive in spirit: once a job starts it keeps its GPUs until
     it finishes, and newly arriving jobs queue behind the whole backlog -- which
@@ -20,24 +19,20 @@ class FifoScheduling(SchedulingPolicy):
     Figure 7 while avoiding the preemption-induced JCT inflation that hits LAS
     and Tiresias there.
 
-    ``hol_blocking`` controls whether a queued job whose GPU demand does not fit
-    blocks everything behind it (strict head-of-line blocking) or whether later
-    jobs may backfill the leftover GPUs.  Backfilling is the default: it matches
-    how production FIFO queues behave and keeps utilisation comparable to the
-    preemptive policies so the comparison isolates the ordering decision.
+    A queued job whose GPU demand does not fit does not block the jobs behind
+    it: later jobs may backfill the leftover GPUs.  This matches how
+    production FIFO queues behave and keeps utilisation comparable to the
+    preemptive policies, so the comparison isolates the ordering decision.
     """
 
     name = "fifo"
 
     #: Stateless gang policy: with every active job running on its requested
-    #: allocation, rescheduling is a no-op, so steady-state rounds may be
-    #: fast-forwarded (with backfilling, all running jobs always fit capacity;
-    #: with strict HOL blocking the running prefix still fits, so the loop
-    #: never breaks early on a running job).
+    #: allocation, rescheduling is a no-op (all running jobs always fit
+    #: capacity), so steady-state rounds may be fast-forwarded.
     steady_state_safe = True
 
-    def __init__(self, hol_blocking: bool = False) -> None:
-        self.hol_blocking = hol_blocking
+    def __init__(self) -> None:
         # Arrival keys never change: both tiers are kept sorted.
         self._index = RunnablePriorityIndex(idle_key=arrival_key, running_key=arrival_key)
 
@@ -51,17 +46,4 @@ class FifoScheduling(SchedulingPolicy):
 
     def schedule(self, job_state: JobState, cluster_state: ClusterState) -> Iterator[ScheduleEntry]:
         self._index.bind(job_state)
-        if self.hol_blocking:
-            ordered = _head_of_line(self._index.ordered(), cluster_state.healthy_gpus())
-            return self._index.gang_entries(ordered)
         return self._index.gang_entries()
-
-
-def _head_of_line(ordered: Iterator[Job], remaining: int) -> Iterator[Job]:
-    """Strict head-of-line blocking: the stream ends at the first job whose
-    gang does not fit what the jobs before it leave."""
-    for job in ordered:
-        if job.num_gpus > remaining:
-            return
-        remaining -= job.num_gpus
-        yield job

@@ -5,8 +5,9 @@ each job's resource usage by its throughput on the accelerator type it runs
 on: a job that accumulated an hour on a slow K80 has attained less *effective*
 service than one that ran an hour on a V100.  The policy orders jobs by this
 normalised attained service.  A type's throughput is its
-:attr:`~repro.cluster.gpu_types.GPUType.compute_factor`, the factor the
-execution model runs a job at.
+:attr:`~repro.cluster.gpu_types.GPUType.compute_factor`; a running gang is
+normalised by its slowest held type, the allocation record's factor, which
+is the one the execution model runs it at.
 
 Simplification versus the full Gavel optimiser: the original computes a
 fractional allocation matrix via an LP over (job, accelerator-type) pairs and
@@ -74,8 +75,9 @@ class GavelScheduling(SchedulingPolicy):
         self._refresh_present_types(cluster_state)
 
         def running_key(job: Job):
-            gpus = cluster_state.gpus_for_job(job.job_id)
-            factor = gpus[0].gpu_type.compute_factor if gpus else self._best_factor
+            # A gang runs at its slowest held type: the allocation record's factor.
+            allocation = cluster_state.allocation(job.job_id)
+            factor = allocation.compute_factor if allocation is not None else self._best_factor
             return self._priority_key(job, factor)
 
         return self._index.gang_entries(self._index.ordered(running_key=running_key))

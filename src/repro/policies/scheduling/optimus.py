@@ -16,9 +16,11 @@ from typing import Dict, List, Tuple
 
 from repro.core.abstractions import ScheduleEntry, SchedulingPolicy
 from repro.core.cluster_state import ClusterState
-from repro.core.exceptions import ConfigurationError
 from repro.core.job import Job
 from repro.core.job_state import JobState
+
+#: The most GPUs Optimus hands a single job.
+MAX_GPUS_PER_JOB = 32
 
 
 class OptimusScheduling(SchedulingPolicy):
@@ -28,11 +30,6 @@ class OptimusScheduling(SchedulingPolicy):
     # Explicit fast-forward contract (C101): marginal gains shift with every
     # progress update, so decisions may change each round.
     steady_state_safe = False
-
-    def __init__(self, max_gpus_per_job: int = 32) -> None:
-        if max_gpus_per_job < 1:
-            raise ConfigurationError("max_gpus_per_job must be >= 1")
-        self.max_gpus_per_job = max_gpus_per_job
 
     # ------------------------------------------------------------------
     # Convergence / gain model
@@ -58,7 +55,7 @@ class OptimusScheduling(SchedulingPolicy):
 
     def marginal_gain(self, job: Job, current_gpus: int) -> float:
         """Reduction in estimated completion time from one additional GPU."""
-        cap = min(self.max_gpus_per_job, job.scaling.max_useful_gpus)
+        cap = min(MAX_GPUS_PER_JOB, job.scaling.max_useful_gpus)
         if current_gpus >= cap:
             return 0.0
         return self._completion_time_with(job, current_gpus) - self._completion_time_with(

@@ -23,7 +23,7 @@ adds the most goodput (ties to the lower job id), while that gain exceeds
 on the job's static profile ``(scaling, num_gpus, max_batch_scale)``, so it is
 memoized per job (invalidated by :meth:`PolluxScheduling.invalidate_profile`).
 A job's next units form a *chain*: ``gains[1:]`` for a running job (its first
-GPU is guaranteed), ``[gains[0] - restart_penalty] + gains[1:]`` for a waiting
+GPU is guaranteed), ``[gains[0] - RESTART_PENALTY] + gains[1:]`` for a waiting
 one, cut before the first value ``<= _MIN_GAIN``.  The greedy takes units in
 one *static* order: by ``(-min(chain[:g+1]), job id, g)``, the negated
 prefix minimum first.  A unit can be taken only after every unit before it
@@ -54,10 +54,17 @@ from typing import (
 
 from repro.core.abstractions import ScheduleEntry, SchedulingPolicy
 from repro.core.cluster_state import ClusterState
-from repro.core.exceptions import ConfigurationError
 from repro.core.job import Job, JobStatus
 from repro.core.job_state import JobState
 from repro.policies.scheduling.priority_index import RunnablePriorityIndex, arrival_key
+
+#: Statistical efficiency lost per data-parallel replica beyond the first.
+EFFICIENCY_DECAY = 0.03
+
+#: Goodput a waiting job's first GPU forgoes: starting a job costs a
+#: checkpoint-restore, so growing a running job is preferred on a near tie
+#: (Pollux's re-allocation penalty).
+RESTART_PENALTY = 0.05
 
 #: Minimum marginal goodput for which another GPU is still worth handing out
 #: (matches the seed's strictly-greater comparison against this epsilon).
@@ -135,13 +142,7 @@ class PolluxScheduling(SchedulingPolicy):
 
     name = "pollux"
 
-    def __init__(self, efficiency_decay: float = 0.03, restart_penalty: float = 0.05) -> None:
-        if efficiency_decay < 0:
-            raise ConfigurationError("efficiency_decay must be >= 0")
-        if restart_penalty < 0:
-            raise ConfigurationError("restart_penalty must be >= 0")
-        self.efficiency_decay = efficiency_decay
-        self.restart_penalty = restart_penalty
+    def __init__(self) -> None:
         #: job id -> its memo (:data:`_Table`); one per runnable job that has
         #: been scheduled, dropped when the job finishes.
         self._gain_tables: Dict[int, _Table] = {}
@@ -170,7 +171,7 @@ class PolluxScheduling(SchedulingPolicy):
         extra = max(0, num_gpus - 1)
         scale_limit = max(1, job.max_batch_scale)
         overscale = max(0, num_gpus - scale_limit)
-        return 1.0 / (1.0 + self.efficiency_decay * extra + 0.5 * overscale)
+        return 1.0 / (1.0 + EFFICIENCY_DECAY * extra + 0.5 * overscale)
 
     def goodput(self, job: Job, num_gpus: int) -> float:
         if num_gpus <= 0:
@@ -185,7 +186,7 @@ class PolluxScheduling(SchedulingPolicy):
             cap = min(job.scaling.max_useful_gpus, job.num_gpus * max(1, job.max_batch_scale))
             values = [self.goodput(job, g) for g in range(cap + 1)]
             gains = [values[g + 1] - values[g] for g in range(cap)]
-            waiting = [gains[0] - self.restart_penalty, *gains[1:]] if gains else []
+            waiting = [gains[0] - RESTART_PENALTY, *gains[1:]] if gains else []
             table = (gains, _chain_keys(gains[1:]), _chain_keys(waiting))
             self._gain_tables[job.job_id] = table
         return table
@@ -205,10 +206,7 @@ class PolluxScheduling(SchedulingPolicy):
             return 0.0
         gain = gains[num_gpus]
         if num_gpus == 0 and job.status != JobStatus.RUNNING:
-            # Starting a brand-new job costs a checkpoint-restore; bias very
-            # slightly towards growing existing jobs, as Pollux's re-allocation
-            # penalty does.
-            gain -= self.restart_penalty
+            gain -= RESTART_PENALTY
         return gain
 
     def next_policy_event_time(

@@ -11,8 +11,8 @@ hooks:
   time and job id only change while a job is RUNNING (the execution model
   advances running jobs only), so an idle job's priority is computed once on
   entry and cached until it leaves the tier.  Keys that change for other
-  reasons must be repositioned explicitly (:meth:`RunnablePriorityIndex.reposition`,
-  used by Tiresias' starvation promotions);
+  reasons need a :meth:`RunnablePriorityIndex.rebuild` (Gavel's, when the
+  best GPU type present changes);
 * the **running tier** is small (bounded by cluster capacity, not queue
   length).  By default its keys drift every round (attained service,
   remaining work), so it is sorted fresh at schedule time; a policy whose
@@ -38,7 +38,7 @@ The index binds lazily to whichever :class:`~repro.core.job_state.JobState` the
 policy is called with; rebinding (a shadow simulation, a fresh run reusing the
 policy object) detaches from the old registry and rebuilds from scratch, and
 notifies the owner through the ``on_rebuild`` callback so per-job memo caches
-(goodput gain tables, starvation clocks) can be dropped with it.
+(goodput gain tables, demotion bounds) can be dropped with it.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ class RunnablePriorityIndex(JobStateObserver):
         running_key: Optional[KeyFn] = None,
         on_rebuild: Optional[Callable[[], None]] = None,
         on_transition: Optional[Callable[[Job, Optional[JobStatus]], None]] = None,
-        on_idle_enter: Optional[Callable[[Job], None]] = None,
         on_running_enter: Optional[Callable[[Job], None]] = None,
     ) -> None:
         #: ``running_key``, if given, promises running keys that change only
@@ -82,14 +81,13 @@ class RunnablePriorityIndex(JobStateObserver):
         #: kept sorted.  ``on_rebuild`` fires before a wholesale rebuild (drop
         #: memo caches); ``on_transition(job, old_status)`` fires on every
         #: tracked status change *before* the tiers are updated, so owners
-        #: can refresh state the idle key depends on (Tiresias' wait clock);
-        #: ``on_idle_enter(job)`` / ``on_running_enter(job)`` fire after a
-        #: job is inserted into the idle / running tier.
+        #: can drop per-job state (Pollux's gain tables, Tiresias' demotion
+        #: bounds); ``on_running_enter(job)`` fires after a job is inserted
+        #: into the running tier.
         self._idle_key_fn = idle_key
         self._running_key_fn = running_key
         self._on_rebuild = on_rebuild
         self._on_transition = on_transition
-        self._on_idle_enter = on_idle_enter
         self._on_running_enter = on_running_enter
         self._job_state: Optional[JobState] = None
         #: ``bind_epoch`` of the bound registry at attach time; a mismatch
@@ -183,8 +181,8 @@ class RunnablePriorityIndex(JobStateObserver):
     # construction -- attained service and remaining work only change while
     # a job is RUNNING -- drifting running keys are computed at schedule
     # time, and a kept-sorted running tier moves only where its owner
-    # repositions it.  A policy whose idle keys do drift must call
-    # reposition() where they change.
+    # repositions it.  A policy whose idle keys do drift must rebuild()
+    # where they change.
 
     # ------------------------------------------------------------------
     # Mutation helpers
@@ -200,8 +198,6 @@ class RunnablePriorityIndex(JobStateObserver):
 
     def _insert_idle(self, job: Job, sort: bool = False) -> None:
         _insert(self._idle, self._idle_keys, self._idle_key_fn(job), job, sort)
-        if self._on_idle_enter is not None:
-            self._on_idle_enter(job)
 
     def _insert_running(self, job: Job, sort: bool = False) -> None:
         self._running[job.job_id] = job
@@ -224,18 +220,13 @@ class RunnablePriorityIndex(JobStateObserver):
             _remove(self._idle, self._idle_keys, job_id)
 
     def reposition(self, job: Job) -> None:
-        """Recompute a job's key and move it to its new position in its tier.
+        """Recompute a running job's key and move it in the kept-sorted tier.
 
-        Used for key changes the observer hooks cannot see: wall-clock
-        driven ones in the idle tier (Tiresias' starvation promotions) and,
-        in a kept-sorted running tier, the owner's own events (Tiresias'
-        demotions).  No-op for jobs outside both sorted tiers.
+        Used for key changes the observer hooks cannot see: the owner's own
+        events (Tiresias' demotions).  No-op for jobs outside that tier.
         """
         job_id = job.job_id
-        if job_id in self._idle_keys:
-            _remove(self._idle, self._idle_keys, job_id)
-            _insert(self._idle, self._idle_keys, self._idle_key_fn(job), job, True)
-        elif job_id in self._running_keys:
+        if job_id in self._running_keys:
             _remove(self._running_sorted, self._running_keys, job_id)
             key = self._running_key_fn(job)  # type: ignore[misc]
             _insert(self._running_sorted, self._running_keys, key, job, True)

@@ -20,6 +20,3 @@ class SynergyScheduling(FifoScheduling):
     name = "synergy"
     # Explicit fast-forward contract (C101): FIFO's schedule, so FIFO's.
     steady_state_safe = True
-
-    def __init__(self) -> None:
-        super().__init__()

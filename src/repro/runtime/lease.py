@@ -78,8 +78,6 @@ class _LeaseManagerBase:
         #: exit iteration) on its former workers; completion must clear those
         #: too, not just the latest assignment.
         self._holders: Dict[int, Set[int]] = {}
-        #: ``("register"|"deregister", node_id)`` per membership change.
-        self.membership_log: List[Tuple[str, int]] = []
         #: Operation counter: a token differs from every earlier one, e.g.
         #: a re-grant's from the job's previous grant.
         self._op_seq = 0
@@ -117,7 +115,6 @@ class _LeaseManagerBase:
     def register_worker(self, worker: WorkerManager) -> None:
         """A node joined: route its endpoint and make it grantable."""
         self.workers[worker.node_id] = worker
-        self.membership_log.append(("register", worker.node_id))
 
     def deregister_worker(self, node_id: int) -> None:
         """A node left: drop its endpoint; leases it held die with it."""
@@ -125,7 +122,6 @@ class _LeaseManagerBase:
         if worker is None:
             return
         self.channel.unregister_endpoint(worker.endpoint_name)
-        self.membership_log.append(("deregister", node_id))
 
     def sync_membership(self, cluster_state: ClusterState) -> Tuple[List[int], List[int]]:
         """Reconcile the worker registry with the cluster's current node set.

@@ -16,7 +16,7 @@ fanning out itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from repro.runtime.rpc import InMemoryRpcChannel
 
@@ -34,7 +34,6 @@ class WorkerManager:
     #: when a revocation arrives without one.
     job_iterations: Dict[int, int] = field(default_factory=dict)
     metrics: Dict[int, Dict[str, object]] = field(default_factory=dict)
-    running_jobs: List[int] = field(default_factory=list)
     endpoint_name: str = field(init=False)
     #: Jobs whose metric entry was written since the last pull, in write
     #: order: ``pull_metrics`` ships exactly these and forgets them.
@@ -59,8 +58,6 @@ class WorkerManager:
         job_id = payload["job_id"]
         self.leases[job_id] = True
         self.exit_iterations.pop(job_id, None)
-        if job_id not in self.running_jobs:
-            self.running_jobs.append(job_id)
         return True
 
     def _handle_revoke(self, payload) -> bool:
@@ -81,10 +78,6 @@ class WorkerManager:
             return False
         already_revoked = not self.leases[job_id]
         self.leases[job_id] = False
-        if job_id in self.running_jobs:
-            # The job now drains to its exit iteration and checkpoints; it no
-            # longer counts as running here (a relaunch re-adds it).
-            self.running_jobs.remove(job_id)
         exit_iteration = payload.get("exit_iteration")
         if exit_iteration is None:
             # Phase one lands here: this worker fixes the concrete boundary.
@@ -169,5 +162,3 @@ class WorkerManager:
         self.job_iterations.pop(job_id, None)
         self.metrics.pop(job_id, None)
         self._unpulled.pop(job_id, None)
-        if job_id in self.running_jobs:
-            self.running_jobs.remove(job_id)

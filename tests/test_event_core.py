@@ -124,7 +124,6 @@ def per_job_state(sim):
         "opening": model._opening,
         "completion heap": live_heap_jobs(model),
         "entries": policy._index._entries,
-        "wait clock": getattr(policy, "_last_run_time", {}),
         "demotion bounds": getattr(policy, "_demote_at", {}),
     }
 
@@ -137,8 +136,8 @@ def test_epochs_are_dropped_when_their_job_leaves_running():
     pickling at a pause -- so it is held to the same bound here: the
     execution model's epoch records, queued opens and completion heap, the
     registry's newly-finished ids, the priority index's reused schedule
-    entries and (under Tiresias, a gang policy) the policy's wait clock and
-    demotion bounds.  An epoch goes when its job leaves RUNNING -- evicted,
+    entries and (under Tiresias, a gang policy) the policy's demotion
+    bounds.  An epoch goes when its job leaves RUNNING -- evicted,
     suspended or completed -- so at every pause the epochs are exactly the
     running jobs.
     """
@@ -184,7 +183,6 @@ def test_epochs_are_dropped_when_their_job_leaves_running():
         assert_identical(sim.build_result(), resumed.build_result())
         assert peak["epochs"] > 0 and peak["completion heap"] > 0
         if isinstance(scheduling, TiresiasScheduling):
-            assert peak["wait clock"] > 0
             assert peak["demotion bounds"] > 0
         for drained in (sim, resumed):
             assert not drained.job_state.count_with_status(JobStatus.RUNNING)

@@ -1,7 +1,7 @@
 """Schedule-parity and unit tests for the incremental policy layer.
 
 The incremental implementations (heap-based Pollux, priority-index ordering
-for FIFO/SRTF/LAS/Tiresias/Gavel, observer-maintained wait clocks) must make
+for FIFO/SRTF/LAS/Tiresias/Gavel, Tiresias' demotion bounds) must make
 bit-identical decisions to the sort-based reference implementations kept in
 ``repro.bench.legacy``, run on the stepping engine (``fast_forward=False``)
 -- and the event-aware fast-forward the new policies opt into must be
@@ -93,13 +93,6 @@ def test_incremental_policy_matches_legacy(trace, new_factory, old_factory):
     assert len(new.finished_jobs()) == 120
 
 
-def test_tiresias_starvation_promotion_matches_legacy(trace):
-    kwargs = dict(queue_thresholds=(900.0, 3600.0), starvation_promote_after=1800.0)
-    new = run(trace, TiresiasScheduling(**kwargs))
-    old = run(trace, LegacyTiresiasScheduling(**kwargs), fast_forward=False)
-    assert_identical(old, new)
-
-
 # ----------------------------------------------------------------------
 # Fast-forward on/off parity for the newly opted-in elastic policies
 # ----------------------------------------------------------------------
@@ -112,11 +105,8 @@ def test_tiresias_starvation_promotion_matches_legacy(trace):
         TiresiasScheduling,
         GavelScheduling,
         FifoScheduling,
-        lambda: TiresiasScheduling(
-            queue_thresholds=(900.0, 3600.0), starvation_promote_after=1800.0
-        ),
     ],
-    ids=["pollux", "tiresias", "gavel", "fifo", "tiresias-starve"],
+    ids=["pollux", "tiresias", "gavel", "fifo"],
 )
 def test_fast_forward_parity_for_event_aware_policies(trace, factory):
     with_skip = run(trace, factory(), fast_forward=True)
@@ -136,11 +126,8 @@ def test_fast_forward_parity_for_event_aware_policies(trace, factory):
         SynergyScheduling,
         PolluxScheduling,
         TiresiasScheduling,
-        lambda: TiresiasScheduling(
-            queue_thresholds=(900.0, 3600.0), starvation_promote_after=1800.0
-        ),
     ],
-    ids=["fifo", "synergy", "pollux", "tiresias", "tiresias-starve"],
+    ids=["fifo", "synergy", "pollux", "tiresias"],
 )
 def test_running_tier_equals_a_fresh_sort_after_every_schedule(trace, factory):
     """``check_invariants`` re-sorts the running tier by ``running_key`` over
@@ -173,7 +160,7 @@ def test_tiresias_checks_a_demotion_bound_with_slack():
     the closed-form bound; the check runs early enough to move the key."""
     job_state = JobState()
     cluster = build_256gpu_cluster()
-    policy = TiresiasScheduling(queue_thresholds=(1000.0,))
+    policy = TiresiasScheduling()
     job, other = make_job(gpus=1), make_job(arrival=1.0, gpus=1)
     job_state.add_new_jobs([job, other])
     list(policy.schedule(job_state, cluster))
@@ -181,9 +168,10 @@ def test_tiresias_checks_a_demotion_bound_with_slack():
         cluster.assign(running.job_id, [gpu])
         running.allocated_gpus = [gpu]
         running.status = JobStatus.RUNNING
-    assert policy.next_policy_event_time(job_state, cluster, 0.0) == 1000.0
-    job.attained_service = 1000.0  # drifted past the threshold ...
-    job_state.current_time = 1000.0 - 1e-9  # ... while the clock is short of the bound
+    # One GPU from 0 GPU-s: the first threshold, 3600 GPU-s, at 3600 s.
+    assert policy.next_policy_event_time(job_state, cluster, 0.0) == 3600.0
+    job.attained_service = 3600.0  # drifted past the threshold ...
+    job_state.current_time = 3600.0 - 1e-9  # ... while the clock is short of the bound
     order = [entry.job_id for entry in policy.schedule(job_state, cluster)]
     policy._index.check_invariants()
     assert order == [other.job_id, job.job_id]
@@ -214,14 +202,10 @@ def test_fast_forward_parity_with_cluster_failure_under_tiresias(trace):
                 return 120_000.0
             return None
 
-    policy = TiresiasScheduling(
-        queue_thresholds=(1800.0,), starvation_promote_after=7200.0
+    with_skip = run(trace, TiresiasScheduling(), cluster_manager=OneFailure(), fast_forward=True)
+    without_skip = run(
+        trace, TiresiasScheduling(), cluster_manager=OneFailure(), fast_forward=False
     )
-    with_skip = run(trace, policy, cluster_manager=OneFailure(), fast_forward=True)
-    policy = TiresiasScheduling(
-        queue_thresholds=(1800.0,), starvation_promote_after=7200.0
-    )
-    without_skip = run(trace, policy, cluster_manager=OneFailure(), fast_forward=False)
     assert_identical(without_skip, with_skip)
 
 
@@ -345,15 +329,6 @@ def test_gavel_schedules_without_metric_writes():
     assert job.metrics == {}
 
 
-def test_tiresias_rejects_bad_configuration():
-    from repro.core.exceptions import ConfigurationError
-
-    with pytest.raises(ConfigurationError):
-        TiresiasScheduling(queue_thresholds=(100.0, 50.0))
-    with pytest.raises(ConfigurationError):
-        TiresiasScheduling(starvation_promote_after=0.0)
-
-
 def test_schedule_is_pure_under_repeated_calls(trace):
     """Calling schedule() twice in a row must yield the same entries (no
     comparator side effects)."""
@@ -361,7 +336,7 @@ def test_schedule_is_pure_under_repeated_calls(trace):
     cluster = build_256gpu_cluster()
     job_state.add_new_jobs([make_job(arrival=i, gpus=2) for i in range(6)])
     job_state.current_time = 500.0
-    policy = TiresiasScheduling(queue_thresholds=(900.0,), starvation_promote_after=1800.0)
+    policy = TiresiasScheduling()
     first = list(policy.schedule(job_state, cluster))
     second = list(policy.schedule(job_state, cluster))
     assert first == second

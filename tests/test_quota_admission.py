@@ -9,7 +9,7 @@ admission-reject path now fails these jobs at submission.
 from repro.cluster.builder import build_cluster
 from repro.core.job import Job, JobStatus
 from repro.core.job_state import JobState
-from repro.policies.admission.quota import UserQuotaAdmission
+from repro.policies.admission.quota import USER_QUOTA, UserQuotaAdmission
 from repro.policies.scheduling.fifo import FifoScheduling
 from repro.simulator.engine import Simulator
 from repro.workloads.trace import Trace
@@ -20,10 +20,11 @@ def make_job(arrival, gpus, duration=2000.0, user="alice"):
 
 
 def test_oversize_gang_is_rejected_not_queued():
-    policy = UserQuotaAdmission(default_quota=4)
+    assert USER_QUOTA == 16
+    policy = UserQuotaAdmission()
     job_state = JobState()
-    cluster = build_cluster(num_nodes=2, gpus_per_node=4)
-    oversize = make_job(0.0, 8)
+    cluster = build_cluster(num_nodes=8, gpus_per_node=4)
+    oversize = make_job(0.0, 32)
     accepted = policy.accept([oversize], cluster, job_state)
     assert accepted == []
     assert policy.pending_jobs() == []
@@ -37,12 +38,12 @@ def test_oversize_gang_is_rejected_not_queued():
 
 def test_simulation_terminates_despite_oversize_job():
     """The seed livelock: the run must now finish instead of exhausting rounds."""
-    jobs = [make_job(0.0, 8), make_job(0.0, 2, user="bob")]
+    jobs = [make_job(0.0, 32), make_job(0.0, 2, user="bob")]
     sim = Simulator(
-        cluster_state=build_cluster(num_nodes=2, gpus_per_node=4),
+        cluster_state=build_cluster(num_nodes=8, gpus_per_node=4),
         jobs=jobs,
         scheduling_policy=FifoScheduling(),
-        admission_policy=UserQuotaAdmission(default_quota=4),
+        admission_policy=UserQuotaAdmission(),
         max_rounds=5_000,
     )
     result = sim.run()
@@ -55,15 +56,15 @@ def test_simulation_terminates_despite_oversize_job():
 def test_within_quota_jobs_still_queue_and_release():
     """The original quota semantics are preserved for admissible jobs."""
     jobs = [
-        make_job(0.0, 4, duration=3000.0),
-        make_job(0.0, 4, duration=3000.0),  # waits until the first finishes
+        make_job(0.0, 16, duration=3000.0),
+        make_job(0.0, 16, duration=3000.0),  # waits until the first finishes
         make_job(0.0, 2, user="bob"),
     ]
     sim = Simulator(
-        cluster_state=build_cluster(num_nodes=4, gpus_per_node=4),
+        cluster_state=build_cluster(num_nodes=16, gpus_per_node=4),
         jobs=jobs,
         scheduling_policy=FifoScheduling(),
-        admission_policy=UserQuotaAdmission(default_quota=4),
+        admission_policy=UserQuotaAdmission(),
         max_rounds=10_000,
     )
     result = sim.run()

@@ -3,7 +3,7 @@
 ``SchedulingPolicy.schedule`` may return a lazy iterable, read at most once,
 in the same round, before any job changes state.  These tests pin the three
 halves of that contract: placement reads only as far as the healthy GPUs
-last; what a policy must do every round (Tiresias' promotions) happens when
+last; what a policy must do every round (Tiresias' demotions) happens when
 ``schedule`` is called, read or not; and the entries, read to the end, are
 the ones the list-returning implementation produced, round by round, along a
 seeded run under cluster churn -- pinned as digests recorded before the
@@ -16,7 +16,7 @@ import hashlib
 import pytest
 
 from repro.cluster.builder import ClusterSpec, build_cluster
-from repro.core.job import Job
+from repro.core.job import Job, JobStatus
 from repro.core.job_state import JobState
 from repro.policies.placement.consolidated import ConsolidatedPlacement
 from repro.policies.scheduling import (
@@ -50,13 +50,9 @@ SCENARIO = ScenarioSpec(
 
 POLICIES = {
     "fifo": FifoScheduling,
-    "fifo-hol-blocking": lambda: FifoScheduling(hol_blocking=True),
     "las": LasScheduling,
     "srtf": SrtfScheduling,
     "tiresias": TiresiasScheduling,
-    "tiresias-starve": lambda: TiresiasScheduling(
-        queue_thresholds=(900.0, 3600.0), starvation_promote_after=1800.0
-    ),
     "themis": ThemisScheduling,
     "synergy": SynergyScheduling,
     "gavel": GavelScheduling,
@@ -67,7 +63,6 @@ POLICIES = {
 #: sha256 over every full round's (time, [(job id, demand), ...]).
 STREAM_DIGESTS = {
     "fifo": "41243ec020d27e7df67eb13a759d0fa1d800342da6beeb8da08d451afa2840c5",
-    "fifo-hol-blocking": "2c916bfcc4fb289f576a48ef94d8dec85db0282a73ef67bc761f133358ac4942",
     "gavel": "0deed6c90da646a2eca8efe1307bfea9d4ac14e59311e2c524f90b700daa5ed4",
     "las": "49334c79d405b988b54556809dd06811d476cd76372b79ce8ef56d41b92d3ff6",
     "optimus": "d19f496a6a50380ea0195e1204c82f185e0ef7c8da950d61ce76ce5a08de48de",
@@ -76,7 +71,6 @@ STREAM_DIGESTS = {
     "synergy": "41243ec020d27e7df67eb13a759d0fa1d800342da6beeb8da08d451afa2840c5",
     "themis": "2041539e0f51f796342e087c2166ce3925d22a47f1279cdf9b360f37736c8bae",
     "tiresias": "f658ec0bd6986452a6a4af559bf018557060b399f5bca9e59eadbcf32c912a41",
-    "tiresias-starve": "ad3ed5608806bf9c4e695713b5b312d8fdd159f40aa7801ae881c2f396051033",
 }
 
 
@@ -152,31 +146,36 @@ def test_an_unwrapped_stream_selects_without_building_entries():
     assert not policy._index._entries
 
 
-def test_tiresias_promotes_at_call_time_even_if_nothing_is_read():
+def test_tiresias_demotes_at_call_time_even_if_nothing_is_read():
+    """A running job past its demotion bound moves to queue 1 when
+    ``schedule`` is called, whether or not the stream is read."""
     job_state = JobState()
     cluster = build_cluster(num_nodes=1)
-    demoted = Job(arrival_time=0.0, num_gpus=1, duration=1000.0)
-    demoted.attained_service = 500.0  # past the one threshold: queue 1
-    fresh = Job(arrival_time=10.0, num_gpus=1, duration=1000.0)
-    job_state.add_new_jobs([demoted, fresh])
-    policy = TiresiasScheduling(queue_thresholds=(100.0,), starvation_promote_after=1000.0)
+    running = Job(arrival_time=0.0, num_gpus=1, duration=10_000.0)
+    waiting = Job(arrival_time=10.0, num_gpus=1, duration=10_000.0)
+    job_state.add_new_jobs([running, waiting])
+    policy = TiresiasScheduling()
 
     def order():
         return [e.job_id for e in policy.schedule(job_state, cluster)]
 
-    assert order() == [fresh.job_id, demoted.job_id]
-    job_state.current_time = 2000.0  # the demoted job has waited 2000 s
+    assert order() == [running.job_id, waiting.job_id]
+    cluster.assign(running.job_id, [0])
+    running.allocated_gpus = [0]
+    running.status = JobStatus.RUNNING  # bounded at 3600 s: 3600 GPU-s on one GPU
+    running.attained_service = 4000.0
+    job_state.current_time = 4000.0
     policy.schedule(job_state, cluster)  # never read
-    assert policy._index.idle_key_of(demoted.job_id)[0] == 0
-    assert not policy._promote_heap
-    assert order() == [demoted.job_id, fresh.job_id]
+    assert policy._index.running_key_of(running.job_id)[0] == 1
+    assert policy._demote_at == {running.job_id: 28_800.0}  # the next threshold's bound
+    assert order() == [waiting.job_id, running.job_id]
 
 
 @pytest.mark.parametrize(
     "factory,memo",
     [
         (PolluxScheduling, "_gain_tables"),
-        (TiresiasScheduling, "_last_run_time"),
+        (TiresiasScheduling, "_demote_at"),
     ],
     ids=["pollux", "tiresias"],
 )

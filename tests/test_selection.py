@@ -33,7 +33,7 @@ from repro.policies.scheduling import (
     SynergyScheduling,
     TiresiasScheduling,
 )
-from repro.policies.scheduling.pollux import _MIN_GAIN, _chain_keys
+from repro.policies.scheduling.pollux import _MIN_GAIN, RESTART_PENALTY, _chain_keys
 from repro.simulator.engine import Simulator
 from repro.simulator.overheads import OverheadModel
 from repro.workloads.philly import generate_philly_trace
@@ -43,9 +43,6 @@ POLICIES = {
     "fifo": FifoScheduling,
     "synergy": SynergyScheduling,
     "tiresias": TiresiasScheduling,
-    "tiresias-starve": lambda: TiresiasScheduling(
-        queue_thresholds=(900.0, 3600.0), starvation_promote_after=1800.0
-    ),
     "pollux": PolluxScheduling,
 }
 
@@ -219,7 +216,7 @@ def test_pollux_profile_invalidated_mid_run():
         stream_waiting(policy),
         sim.cluster_state.healthy_gpus(),
         lambda job: fresh._table(job)[0],
-        policy.restart_penalty,
+        RESTART_PENALTY,
     )
     assert [(e.job_id, e.gpu_demand) for e in stream] == expected
     sim._advance_loop(None)
@@ -294,9 +291,13 @@ GAIN_VALUES = (0.9, 0.5, 0.5, 0.3, 0.3, 0.2, 0.05, 0.04, _MIN_GAIN, 2 * _MIN_GAI
 
 
 def random_case(rng):
-    """Jobs with random (often non-monotone) gain tables, some running."""
+    """Jobs with random (often non-monotone) gain tables, some running.
+
+    The drawn restart penalty is folded into the waiting chains directly,
+    so the policy's own constant is never read.
+    """
     penalty = rng.choice((0.0, 0.05, 0.3))
-    policy = PolluxScheduling(restart_penalty=penalty)
+    policy = PolluxScheduling()
     job_state = JobState()
     count = rng.randint(0, 8)
     jobs = [
@@ -320,19 +321,19 @@ def random_case(rng):
     running = stream_running(policy)
     units = sum(len(gains) for gains in tables.values())
     capacity = rng.randint(0, len(running) + units + 2)
-    return policy, job_state, tables, Capacity(capacity)
+    return policy, job_state, tables, Capacity(capacity), penalty
 
 
 def assert_static_order_is_the_heap(seed):
     rng = random.Random(seed)
-    policy, job_state, tables, capacity = random_case(rng)
+    policy, job_state, tables, capacity, penalty = random_case(rng)
     allocation = policy.schedule(job_state, capacity)
     expected = heap_water_fill(
         stream_running(policy),
         stream_waiting(policy),
         capacity.healthy_gpus(),
         lambda job: tables[job.job_id],
-        policy.restart_penalty,
+        penalty,
     )
     assert [(e.job_id, e.gpu_demand) for e in allocation] == expected, seed
 

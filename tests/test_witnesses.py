@@ -10,9 +10,18 @@ deployment path (``CentralScheduler`` with the simulation overhead model).
 
 import pytest
 
+from repro.bench.legacy import LegacyGavelScheduling
 from repro.cluster.builder import build_cluster
-from repro.core.job import Job
-from repro.policies.scheduling import FifoScheduling, SrtfScheduling, TiresiasScheduling
+from repro.cluster.node import Node
+from repro.core.cluster_state import ClusterState
+from repro.core.job import Job, JobStatus
+from repro.core.job_state import JobState
+from repro.policies.scheduling import (
+    FifoScheduling,
+    GavelScheduling,
+    SrtfScheduling,
+    TiresiasScheduling,
+)
 from repro.policies.termination import EpochBasedTermination, LossBasedTermination
 from repro.runtime.central_scheduler import CentralScheduler
 from repro.simulator.engine import Simulator
@@ -139,6 +148,71 @@ def test_srtf_runs_the_short_job_first(engine):
         0: (3_900.0, 11_120.0),
         1: (0.0, 3_620.0),
     }
+
+
+def _long_and_short_full_node_jobs():
+    # The long job has the lower id, so it runs first on an (arrival, id) tie.
+    return [
+        Job(arrival_time=0.0, num_gpus=4, duration=7_200.0, job_id=0),
+        Job(arrival_time=0.0, num_gpus=4, duration=600.0, job_id=1),
+    ]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_tiresias_demotes_the_long_job_at_its_queue_threshold(engine):
+    """Both jobs start in queue 0 (below 3600 GPU-s), so the 7200 s job A
+    (id 0) launches at 0.  Its service counts the 20 s launch, 4 GPU-s per
+    second, so it reaches the first threshold, 3600 GPU-s, at 3600 / 4 =
+    900 s, a round boundary: A drops to queue 1 there with 900 - 20 = 880 s
+    of work done, and the 600 s job B, still in queue 0, preempts it.  B
+    ends at 900 + 20 + 600 = 1520 s.  The next boundary is ceil(1520 /
+    300) * 300 = 1800 s, where A relaunches paying its 15 s checkpoint
+    restore and the 20 s launch, then runs its 7200 - 880 = 6320 s left:
+    it ends at 1800 + 35 + 6320 = 8155 s after one preemption."""
+    jobs = _long_and_short_full_node_jobs()
+    assert _schedule(jobs, TiresiasScheduling(), engine) == {
+        0: (0.0, 8_155.0),
+        1: (900.0, 1_520.0),
+    }
+    assert [job.num_preemptions for job in jobs] == [1, 0]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_fifo_never_preempts_the_long_job(engine):
+    """The contrast case: FIFO runs A (id 0) 0 -> 20 + 7200 = 7220 s, then
+    B at the next boundary, ceil(7220 / 300) * 300 = 7500 s, to 7500 + 20 +
+    600 = 8120 s."""
+    jobs = _long_and_short_full_node_jobs()
+    assert _schedule(jobs, FifoScheduling(), engine) == {
+        0: (0.0, 7_220.0),
+        1: (7_500.0, 8_120.0),
+    }
+    assert [job.num_preemptions for job in jobs] == [0, 0]
+
+
+def test_gavel_normalises_a_gang_by_its_slowest_held_type():
+    """A v100 node (GPUs 0-1, factor 1.0) and a k80 node (GPUs 2-3, factor
+    0.3).  Gang G (4 GPUs, 1000 GPU-s attained) runs on both, so it runs at
+    the k80's speed: normalised service 1000 x 0.3 = 300.  Idle W (2 GPUs,
+    500 GPU-s) is normalised by the best type present, v100: 500 x 1.0 =
+    500.  Gavel orders by the lower value, so G comes first -- in the policy
+    and in its sort-based reference."""
+    cluster = ClusterState()
+    cluster.add_node(Node(node_id=0, num_gpus=2, gpu_type_name="v100"))
+    cluster.add_node(Node(node_id=1, num_gpus=2, gpu_type_name="k80"))
+    gang = Job(arrival_time=0.0, num_gpus=4, duration=DURATION, job_id=0)
+    waiting = Job(arrival_time=0.0, num_gpus=2, duration=DURATION, job_id=1)
+    job_state = JobState()
+    job_state.add_new_jobs([gang, waiting])
+    cluster.assign(gang.job_id, [0, 1, 2, 3])
+    gang.allocated_gpus = [0, 1, 2, 3]
+    gang.status = JobStatus.RUNNING
+    gang.attained_service = 1_000.0
+    waiting.attained_service = 500.0
+    assert cluster.allocation(gang.job_id).compute_factor == 0.3
+    for policy in (GavelScheduling(), LegacyGavelScheduling()):
+        order = [entry.job_id for entry in policy.schedule(job_state, cluster)]
+        assert order == [gang.job_id, waiting.job_id], type(policy).__name__
 
 
 # ----------------------------------------------------------------------

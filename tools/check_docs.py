@@ -34,6 +34,11 @@ Checks, for ``README.md`` and every ``docs/*.md``:
   ``WORKLOAD_GENERATORS``, ``ROUTER_FACTORIES``), in both directions, so a
   documented name is always one ``RunSpec`` / ``python -m repro.trace record``
   accepts and a registered policy is always documented;
+* **policy knobs** -- the "Knobs" cell of each scheduling, placement and
+  admission row opens with exactly the constructor parameters of the class
+  its registry entry builds (a ``functools.partial`` unwrapped to its
+  class), backticked and comma-separated, or with ``–`` if it takes none,
+  so a knob is documented exactly while a constructor accepts it;
 * **bench artifacts** -- every checked-in ``BENCH_*.json`` has the one shape
   ``repro.bench.cells.write_artifact`` writes: exactly the top-level keys
   ``benchmark``/``machine``/``metadata``/``config``/``gates``/``cells``/
@@ -277,28 +282,78 @@ POLICY_REGISTRIES = {
 }
 #: First cell of a table row: ``| `name` | ...``.
 NAME_CELL_RE = re.compile(r"^\|\s*`([^`]+)`\s*\|")
+#: The registries whose tables carry a "Knobs" column checked against the
+#: constructor of each registered class.
+KNOB_REGISTRIES = ("SCHEDULING_POLICIES", "PLACEMENT_POLICIES", "ADMISSION_POLICIES")
+#: What a Knobs cell opens with when the class takes no parameter.
+NO_KNOBS = "–"
+
+
+def table_cells(line: str) -> List[str]:
+    """The stripped cells of a markdown table row."""
+    return [cell.strip() for cell in line.strip().strip("|").split("|")]
+
+
+def constructor_parameters(factory) -> List[str]:
+    """The constructor parameters of the class a registry factory builds."""
+    import functools
+    import inspect
+
+    while isinstance(factory, functools.partial):
+        factory = factory.func
+    return list(inspect.signature(factory).parameters)
+
+
+def knob_cell_error(cell: str, parameters: List[str]) -> str:
+    """Why a Knobs cell does not open with ``parameters`` ('' if it does)."""
+    expected = ", ".join(f"`{name}`" for name in parameters) or NO_KNOBS
+    rest = cell[len(expected):]
+    if not cell.startswith(expected) or re.match(r"\s*,?\s*`\w+`", rest):
+        return f"must open with {expected}, found {cell!r}"
+    return ""
 
 
 def check_policy_names() -> List[str]:
-    """docs/policies.md "Name" columns and the policy registries agree."""
+    """docs/policies.md "Name" and "Knobs" columns and the policy registries agree."""
     import importlib
 
     doc = REPO_ROOT / "docs" / "policies.md"
     if not doc.exists():
         return ["missing documentation file: docs/policies.md"]
     documented: Dict[str, set] = {heading: set() for heading in POLICY_REGISTRIES}
+    #: (heading, name) -> the row's Knobs cell, for tables that have one.
+    knobs: Dict[Tuple[str, str], str] = {}
     section = None
+    knob_column = None
     for line in doc.read_text().splitlines():
         if line.startswith("## "):
             section = next((h for h in POLICY_REGISTRIES if line.startswith(h)), None)
+            knob_column = None
+        if line.startswith("| Name |"):
+            header = table_cells(line)
+            knob_column = header.index("Knobs") if "Knobs" in header else None
         match = NAME_CELL_RE.match(line)
         if section is not None and match:
             documented[section].add(match.group(1))
+            cells = table_cells(line)
+            if knob_column is not None and knob_column < len(cells):
+                knobs[section, match.group(1)] = cells[knob_column]
     errors: List[str] = []
     sys.path.insert(0, str(REPO_ROOT / "src"))
     try:
         for heading, (module, attribute) in POLICY_REGISTRIES.items():
-            registered = set(getattr(importlib.import_module(module), attribute))
+            registry = getattr(importlib.import_module(module), attribute)
+            registered = set(registry)
+            if attribute in KNOB_REGISTRIES:
+                for name in sorted(registered & documented[heading]):
+                    cell = knobs.get((heading, name), "")
+                    error = knob_cell_error(cell, constructor_parameters(registry[name]))
+                    if error:
+                        errors.append(
+                            f"docs/policies.md: {heading[3:]!r} row `{name}`: the Knobs "
+                            f"cell {error} (the constructor parameters of what "
+                            f"{attribute}[{name!r}] builds)"
+                        )
             errors.extend(
                 f"docs/policies.md: {heading[3:]!r} documents `{name}`, which "
                 f"is not a key of {module}.{attribute}"
