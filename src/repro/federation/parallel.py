@@ -119,6 +119,9 @@ _POLL_INTERVAL_S = 0.2
 #: (= unbounded) in ``_recv``.
 _DEFAULT_TIMEOUT = object()
 
+#: Seconds a (re)spawned worker has to build its shards and say ready.
+_HANDSHAKE_TIMEOUT_S = 120.0
+
 
 def usable_cores() -> int:
     """Cores this process may run on (its affinity mask where the OS has one)."""
@@ -356,7 +359,6 @@ class WorkerPoolBackend(ShardBackend):
         num_shards: int,
         workers: int,
         mp_context: Optional[str] = None,
-        handshake_timeout_s: float = 120.0,
         collect_timeout_s: Optional[float] = None,
         supervisor: Optional[SupervisorConfig] = None,
         kill_plan: Optional[WorkerKillPlan] = None,
@@ -392,7 +394,6 @@ class WorkerPoolBackend(ShardBackend):
         self.factory = factory
         self._supervisor = supervisor
         self._kill_plan = kill_plan
-        self._handshake_timeout_s = handshake_timeout_s
         self._ctx = multiprocessing.get_context(mp_context)
         self._owned: List[List[int]] = [[] for _ in range(self.workers)]
         for shard_id in range(num_shards):
@@ -435,7 +436,7 @@ class WorkerPoolBackend(ShardBackend):
         try:
             for worker_index in range(self.workers):
                 self._spawn(worker_index, build=True)
-            self.round_duration = self._handshake(self._handshake_timeout_s)
+            self.round_duration = self._handshake()
         except BaseException:
             self.close()
             raise
@@ -565,10 +566,10 @@ class WorkerPoolBackend(ShardBackend):
             f"{self._procs[worker_index].exitcode} {detail}"
         )
 
-    def _handshake(self, timeout_s: float) -> float:
+    def _handshake(self) -> float:
         durations = set()
         for worker_index in range(self.workers):
-            tag, payload = self._recv(worker_index, timeout_s)
+            tag, payload = self._recv(worker_index, _HANDSHAKE_TIMEOUT_S)
             if tag != "ready":
                 raise FatalWorkerError(
                     f"{self._describe(worker_index)} sent {tag!r} instead of "
@@ -636,7 +637,7 @@ class WorkerPoolBackend(ShardBackend):
 
     def _respawn_and_replay(self, worker_index: int) -> None:
         self._spawn(worker_index, build=False)
-        tag, _ = self._recv(worker_index, self._handshake_timeout_s)
+        tag, _ = self._recv(worker_index, _HANDSHAKE_TIMEOUT_S)
         if tag != "ready":
             raise FatalWorkerError(
                 f"{self._describe(worker_index)} sent {tag!r} instead of the "

@@ -254,9 +254,6 @@ class RunnablePriorityIndex(JobStateObserver):
         """The kept-sorted running tier, by key (the live list; do not mutate)."""
         return self._running_sorted
 
-    def idle_key_of(self, job_id: int) -> Optional[PriorityKey]:
-        return self._idle_keys.get(job_id)
-
     def running_key_of(self, job_id: int) -> Optional[PriorityKey]:
         """A running job's key in the kept-sorted tier (as last positioned)."""
         return self._running_keys.get(job_id)

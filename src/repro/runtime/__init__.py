@@ -22,7 +22,6 @@ from repro.runtime.rpc import (
     FaultSpec,
     InMemoryRpcChannel,
     RetryPolicy,
-    RpcCostModel,
 )
 from repro.runtime.worker_manager import WorkerManager
 from repro.runtime.client_library import BloxDataLoader, WorkerMetricsCollector
@@ -39,7 +38,6 @@ __all__ = [
     "FaultSpec",
     "InMemoryRpcChannel",
     "RetryPolicy",
-    "RpcCostModel",
     "WorkerManager",
     "BloxDataLoader",
     "WorkerMetricsCollector",

@@ -4,8 +4,9 @@ The scheduling loop and all policy modules are exactly the ones used in
 simulation; what changes is the backend (as the paper emphasises, only the job
 launch and preemption modules differ).  Here launches and preemptions are
 dispatched over the in-memory RPC channel to the per-node WorkerManagers, and
-job leases are managed through either the central or the optimistic lease
-protocol.  Execution itself is still advanced by the shared execution model
+job leases are managed through the optimistic lease protocol (Fig. 19 compares
+it with the central one on :func:`~repro.runtime.lease.build_lease_setup`).
+Execution itself is still advanced by the shared execution model
 (optionally with the cluster overhead model that adds real-run jitter), which
 is what the fidelity experiment (Fig. 18) compares against plain simulation.
 
@@ -40,21 +41,15 @@ from repro.core.abstractions import (
 )
 from repro.core.blox_manager import BloxManager
 from repro.core.cluster_state import ClusterState
-from repro.core.exceptions import ConfigurationError
 from repro.core.job import Job
 from repro.core.job_state import JobState
 from repro.core.mechanisms import SimulatedLauncher, SimulatedPreemption
-from repro.runtime.lease import (
-    CentralLeaseManager,
-    OptimisticLeaseManager,
-    _LeaseManagerBase,
-)
+from repro.runtime.lease import OptimisticLeaseManager, _LeaseManagerBase
 from repro.metrics.summary import FaultStats
 from repro.runtime.metrics import WorkerMetricsAggregator
-from repro.runtime.rpc import FaultPlan, InMemoryRpcChannel, RetryPolicy, RpcCostModel
+from repro.runtime.rpc import FaultPlan, InMemoryRpcChannel, RetryPolicy
 from repro.runtime.worker_manager import WorkerManager
 from repro.simulator.engine import SimulationResult, Simulator
-from repro.simulator.execution import ExecutionModel
 from repro.simulator.overheads import ClusterOverheadModel, OverheadModel
 
 if TYPE_CHECKING:  # annotation only: the caller hands the recorder in
@@ -103,10 +98,8 @@ class DeploymentBloxManager(BloxManager):
       worker-local state in the same round it frees its GPUs.
     """
 
-    def __init__(self, *args, lease_manager: Optional[_LeaseManagerBase] = None, **kwargs) -> None:
+    def __init__(self, *args, lease_manager: _LeaseManagerBase, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        if lease_manager is None:
-            raise ConfigurationError("DeploymentBloxManager needs a lease_manager")
         self.lease_manager = lease_manager
         self._synced_version: Optional[int] = None  # of the last reconciliation
 
@@ -137,38 +130,30 @@ class CentralScheduler:
         placement_policy: Optional[PlacementPolicy] = None,
         admission_policy: Optional[AdmissionPolicy] = None,
         round_duration: float = 300.0,
-        lease_protocol: str = "optimistic",
         overhead_model: Optional[OverheadModel] = None,
         metric_collectors: Sequence[MetricCollector] = (),
-        rpc_cost_model: RpcCostModel = RpcCostModel(),
         tracked_job_ids: Optional[Sequence[int]] = None,
-        max_rounds: int = 200_000,
         cluster_manager: Optional[ClusterManager] = None,
         fast_forward: bool = True,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
         recorder: Optional[TraceRecorder] = None,
     ) -> None:
-        if lease_protocol not in ("central", "optimistic"):
-            raise ConfigurationError(f"unknown lease protocol {lease_protocol!r}")
         self.cluster_state = cluster_state
         # An armed fault plan turns every lease RPC into an attempt loop with
         # retry/backoff and idempotency-token dedup; the schedule must stay
         # bit-identical to a fault-free run (only latencies and fault counters
         # differ), which the chaos bench gates.
-        self.channel = InMemoryRpcChannel(rpc_cost_model, fault_plan, retry_policy)
+        self.channel = InMemoryRpcChannel(fault_plan, retry_policy)
         initial_workers = [
             WorkerManager(node_id=node_id, channel=self.channel)
             for node_id in sorted(cluster_state.nodes)
         ]
-        manager_cls = CentralLeaseManager if lease_protocol == "central" else OptimisticLeaseManager
-        self.lease_manager = manager_cls(initial_workers, self.channel)
+        self.lease_manager = OptimisticLeaseManager(initial_workers, self.channel)
 
         # Cluster runs pay real launch/preemption overheads plus jitter by
         # default; fidelity/parity experiments pass a deterministic model.
         overheads = overhead_model if overhead_model is not None else ClusterOverheadModel()
-        execution = ExecutionModel(overhead_model=overheads)
-        launcher = RpcLauncher(overheads, self.lease_manager)
         self.preemptor = RpcPreemption(overheads, self.lease_manager)
 
         self._simulator = Simulator(
@@ -178,21 +163,21 @@ class CentralScheduler:
             placement_policy=placement_policy,
             admission_policy=admission_policy,
             round_duration=round_duration,
-            execution_model=execution,
+            overhead_model=overheads,
             metric_collectors=metric_collectors,
             tracked_job_ids=tracked_job_ids,
-            max_rounds=max_rounds,
             cluster_manager=cluster_manager,
             fast_forward=fast_forward,
+            # The RPC-backed launch and preemption mechanisms: the two
+            # modules that differ between simulation and deployment.
             manager_factory=partial(
-                DeploymentBloxManager, lease_manager=self.lease_manager
+                DeploymentBloxManager,
+                lease_manager=self.lease_manager,
+                launcher=RpcLauncher(overheads, self.lease_manager),
+                preemptor=self.preemptor,
             ),
             recorder=recorder,
         )
-        # Swap in the RPC-backed launch/preemption mechanisms: the two modules
-        # that differ between simulation and deployment.
-        self._simulator.manager.launcher = launcher
-        self._simulator.manager.preemptor = self.preemptor
         self.worker_metrics = WorkerMetricsAggregator(self.channel, self.lease_manager)
         self._simulator.job_state.add_observer(self.worker_metrics)
         # Telemetry: the lease protocol and the RPC channel share the

@@ -47,7 +47,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cluster_state import ClusterState
 from repro.core.exceptions import ConfigurationError, LeaseError
-from repro.runtime.rpc import InMemoryRpcChannel, RpcCostModel
+from repro.runtime.rpc import InMemoryRpcChannel
 from repro.runtime.worker_manager import WorkerManager
 from repro.telemetry.events import EVENT_LEASE
 
@@ -283,7 +283,6 @@ def build_lease_setup(
     num_nodes: int,
     gpus_per_node: int = 4,
     jobs_per_gpu: float = 1.0,
-    cost_model: RpcCostModel = RpcCostModel(),
     protocol: str = "optimistic",
 ):
     """Construct a lease manager with one single-GPU job per GPU (Fig. 19 setup).
@@ -293,7 +292,7 @@ def build_lease_setup(
     """
     if protocol not in ("central", "optimistic"):
         raise ConfigurationError(f"unknown lease protocol {protocol!r}")
-    channel = InMemoryRpcChannel(cost_model)
+    channel = InMemoryRpcChannel()
     workers = [WorkerManager(node_id=i, channel=channel) for i in range(num_nodes)]
     manager_cls = CentralLeaseManager if protocol == "central" else OptimisticLeaseManager
     manager = manager_cls(workers, channel)

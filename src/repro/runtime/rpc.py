@@ -3,18 +3,19 @@
 Every call between the CentralScheduler, the WorkerManagers and the client
 library goes through an :class:`InMemoryRpcChannel`.  The channel delivers
 messages synchronously (the components run in one process here) but accounts
-for the *cost* each call would have over the network using a simple
-:class:`RpcCostModel`; the lease-renewal scalability experiment (Fig. 19)
-takes the busiest endpoint of a round of lease traffic as that round's
-critical-path latency.
+for the *cost* each call would have over the network using two constants,
+:data:`RPC_BASE_MS` and :data:`RPC_SERVER_MS`; the lease-renewal scalability
+experiment (Fig. 19) takes the busiest endpoint of a round of lease traffic as
+that round's critical-path latency.
 
 Cost attribution is **caller-aware**: every call bills its client-side cost
-(``base_ms``: serialisation + network round trip) to the *calling* endpoint
-and its handling cost (``server_ms``) to the *receiving* endpoint.  Calls a
-handler makes while serving a request are automatically attributed to the
-endpoint running that handler (the channel keeps a context stack), so when a
-worker fans a lease revocation out to its peers, the fan-out bills the worker
-and its peers -- never the scheduler that sent the single original revoke.
+(``RPC_BASE_MS``: serialisation + network round trip) to the *calling*
+endpoint and its handling cost (``RPC_SERVER_MS``) to the *receiving*
+endpoint.  Calls a handler makes while serving a request are automatically
+attributed to the endpoint running that handler (the channel keeps a context
+stack), so when a worker fans a lease revocation out to its peers, the fan-out
+bills the worker and its peers -- never the scheduler that sent the single
+original revoke.
 Independent endpoints proceed in parallel in the modelled network, which is
 why the critical path is the per-endpoint *maximum*, not the global sum.
 
@@ -53,23 +54,13 @@ from repro.telemetry.events import EVENT_RPC_FAULTS
 _DEDUP_CACHE_SIZE = 4096
 
 
-@dataclass(frozen=True)
-class RpcCostModel:
-    """Latency model for one RPC between two components.
-
-    ``base_ms`` is the per-call client-side overhead (serialisation + network
-    round trip), billed to the caller; ``server_ms`` is the time the receiving
-    server spends handling the call, billed to the callee.  Calls into a
-    single server serialise on that server, which is what makes a centralised
-    lease server a bottleneck as the cluster scales.
-    """
-
-    base_ms: float = 0.02
-    server_ms: float = 0.03
-
-    def __post_init__(self) -> None:
-        if self.base_ms < 0 or self.server_ms < 0:
-            raise ConfigurationError("RPC cost components must be >= 0")
+#: The RPC cost model.  Every call bills ``RPC_BASE_MS`` (client-side
+#: serialisation + network round trip) to the caller and ``RPC_SERVER_MS``
+#: (the receiving server's handling time) to the callee, in milliseconds.
+#: Calls into a single server serialise on that server, which is what makes
+#: a centralised lease server a bottleneck as the cluster scales.
+RPC_BASE_MS = 0.02
+RPC_SERVER_MS = 0.03
 
 
 @dataclass(frozen=True)
@@ -160,32 +151,34 @@ class FaultPlan:
         return "ok"
 
 
+#: Retry backoff before attempt ``k`` (k >= 2): ``RETRY_BACKOFF_BASE_MS *
+#: 2**(k-2)`` capped at ``RETRY_BACKOFF_MAX_MS``, in milliseconds.
+RETRY_BACKOFF_BASE_MS = 1.0
+RETRY_BACKOFF_MAX_MS = 50.0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How many delivery attempts a call gets, and what waiting costs.
+    """How many delivery attempts a call gets.
 
-    Backoff before attempt ``k`` (k >= 2) is ``base * 2**(k-2)`` capped at
-    ``backoff_max_ms``, billed to the *caller* -- time spent waiting for a
-    retry is latency on that endpoint's critical path, exactly like the
-    round trip itself.
+    Backoff before attempt ``k`` (k >= 2) is :data:`RETRY_BACKOFF_BASE_MS`
+    doubled per attempt and capped at :data:`RETRY_BACKOFF_MAX_MS`, billed
+    to the *caller* -- time spent waiting for a retry is latency on that
+    endpoint's critical path, exactly like the round trip itself.
     """
 
     max_attempts: int = 4
-    backoff_base_ms: float = 1.0
-    backoff_max_ms: float = 50.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ConfigurationError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.backoff_base_ms < 0 or self.backoff_max_ms < 0:
-            raise ConfigurationError("backoff components must be >= 0")
 
     def backoff_ms(self, attempt: int) -> float:
         if attempt <= 1:
             return 0.0
-        return min(self.backoff_base_ms * (2 ** (attempt - 2)), self.backoff_max_ms)
+        return min(RETRY_BACKOFF_BASE_MS * (2 ** (attempt - 2)), RETRY_BACKOFF_MAX_MS)
 
 
 class InMemoryRpcChannel:
@@ -198,11 +191,9 @@ class InMemoryRpcChannel:
 
     def __init__(
         self,
-        cost_model: RpcCostModel = RpcCostModel(),
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
-        self.cost_model = cost_model
         self.fault_plan = fault_plan
         self.retry_policy = retry_policy
         #: endpoint -> method -> handler: one nested lookup per message, and
@@ -313,11 +304,9 @@ class InMemoryRpcChannel:
             # Fault-free fast path: what ``_bill`` does, in the same order
             # (caller first, so the float sums are the historical ones).
             busy = self.endpoint_busy_ms
-            cost = self.cost_model
-            if caller is not None and cost.base_ms != 0.0:
-                busy[caller] = busy.get(caller, 0.0) + cost.base_ms
-            if cost.server_ms != 0.0:
-                busy[endpoint] = busy.get(endpoint, 0.0) + cost.server_ms
+            if caller is not None:
+                busy[caller] = busy.get(caller, 0.0) + RPC_BASE_MS
+            busy[endpoint] = busy.get(endpoint, 0.0) + RPC_SERVER_MS
             context.append(endpoint)
             try:
                 return handler(payload)
@@ -333,20 +322,20 @@ class InMemoryRpcChannel:
             if self.retry_policy is not None:
                 self._bill(caller, self.retry_policy.backoff_ms(attempt))
             fault = self.fault_plan.draw(endpoint, method)
-            self._bill(caller, self.cost_model.base_ms)
+            self._bill(caller, RPC_BASE_MS)
             if fault == "drop":
                 # Request lost in flight: the server never saw it.
                 delivered, result = False, None
             else:
                 if fault == "delay":
                     self._bill(caller, self.fault_plan.spec.delay_ms)
-                self._bill(endpoint, self.cost_model.server_ms)
+                self._bill(endpoint, RPC_SERVER_MS)
                 result = self._execute(endpoint, handler, payload, idempotency_token)
                 if fault == "duplicate":
                     # Second copy of the same message arrives: it costs the
                     # server another handling slot, but the token suppresses
                     # re-execution.
-                    self._bill(endpoint, self.cost_model.server_ms)
+                    self._bill(endpoint, RPC_SERVER_MS)
                     self._execute(endpoint, handler, payload, idempotency_token)
                 # A lost reply executed the handler; the caller just cannot
                 # know that -- only a deduplicated retry can surface the

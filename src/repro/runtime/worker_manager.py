@@ -27,13 +27,13 @@ class WorkerManager:
 
     node_id: int
     channel: Optional[InMemoryRpcChannel] = None
-    leases: Dict[int, bool] = field(default_factory=dict)
-    exit_iterations: Dict[int, int] = field(default_factory=dict)
+    leases: Dict[int, bool] = field(init=False, default_factory=dict)
+    exit_iterations: Dict[int, int] = field(init=False, default_factory=dict)
     #: Last iteration each local job reported (the client library's data
     #: loader records progress here); used to pick a concrete exit iteration
     #: when a revocation arrives without one.
-    job_iterations: Dict[int, int] = field(default_factory=dict)
-    metrics: Dict[int, Dict[str, object]] = field(default_factory=dict)
+    job_iterations: Dict[int, int] = field(init=False, default_factory=dict)
+    metrics: Dict[int, Dict[str, object]] = field(init=False, default_factory=dict)
     endpoint_name: str = field(init=False)
     #: Jobs whose metric entry was written since the last pull, in write
     #: order: ``pull_metrics`` ships exactly these and forgets them.

@@ -275,7 +275,6 @@ class Simulator:
         admission_policy: Optional[AdmissionPolicy] = None,
         round_duration: float = 300.0,
         overhead_model: Optional[OverheadModel] = None,
-        execution_model: Optional[ExecutionModel] = None,
         termination_policy: Optional[TerminationPolicy] = None,
         metric_collectors: Sequence[MetricCollector] = (),
         cluster_manager: Optional[ClusterManager] = None,
@@ -304,12 +303,9 @@ class Simulator:
         self.scheduling_policy = scheduling_policy
         self.placement_policy = placement_policy or ConsolidatedPlacement()
         self.admission_policy = admission_policy or AcceptAll()
-        if execution_model is not None:
-            self.execution_model = execution_model
-        else:
-            self.execution_model = ExecutionModel(
-                overhead_model=overhead_model, termination_policy=termination_policy
-            )
+        self.execution_model = ExecutionModel(
+            overhead_model=overhead_model, termination_policy=termination_policy
+        )
         self.metric_collectors = list(metric_collectors)
         self.max_rounds = max_rounds
         # The deployment path (repro.runtime.CentralScheduler) substitutes a

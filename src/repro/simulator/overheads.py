@@ -11,7 +11,7 @@ jitter, matching how the paper profiles launch/preemption overheads per model.
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.exceptions import ConfigurationError
 from repro.core.job import Job
@@ -41,39 +41,36 @@ DEFAULT_PREEMPTION_OVERHEAD: Dict[str, float] = {
 }
 
 
+#: The cluster model's extra fixed cost per launch (seconds) and the standard
+#: deviation of its per-round rate jitter.
+CLUSTER_EXTRA_LAUNCH_SECONDS = 12.0
+CLUSTER_JITTER_STD = 0.04
+
+
 class OverheadModel:
     """Deterministic launch/preemption overheads used by the plain simulator.
 
-    ``scale`` lets experiments turn overheads off (``scale=0``) or exaggerate
-    them; the per-model tables can be overridden for sensitivity studies.
+    ``scale`` turns overheads off (``scale=0``) or exaggerates them.  No run
+    description sets it (every run pays the per-model tables above); it is
+    the paper's overhead-free simulator, which unit tests use to isolate
+    placement and rate arithmetic from launch costs.
     """
 
-    def __init__(
-        self,
-        scale: float = 1.0,
-        launch_table: Optional[Dict[str, float]] = None,
-        preemption_table: Optional[Dict[str, float]] = None,
-    ) -> None:
+    def __init__(self, scale: float = 1.0) -> None:
         if scale < 0:
             raise ConfigurationError(f"overhead scale must be >= 0, got {scale}")
         self.scale = scale
-        self.launch_table = dict(DEFAULT_LAUNCH_OVERHEAD)
-        if launch_table:
-            self.launch_table.update(launch_table)
-        self.preemption_table = dict(DEFAULT_PREEMPTION_OVERHEAD)
-        if preemption_table:
-            self.preemption_table.update(preemption_table)
 
     def _lookup(self, table: Dict[str, float], job: Job) -> float:
-        return table.get(job.model_name, table.get("generic", 20.0)) * self.scale
+        return table.get(job.model_name, table["generic"]) * self.scale
 
     def launch_overhead(self, job: Job) -> float:
         """Seconds lost when (re)starting a job: process start + checkpoint restore."""
-        return self._lookup(self.launch_table, job)
+        return self._lookup(DEFAULT_LAUNCH_OVERHEAD, job)
 
     def preemption_overhead(self, job: Job) -> float:
         """Seconds lost when checkpointing a job at preemption time."""
-        return self._lookup(self.preemption_table, job)
+        return self._lookup(DEFAULT_PREEMPTION_OVERHEAD, job)
 
     def iteration_jitter(self, job: Job) -> float:
         """Multiplicative per-round jitter on execution rate (1.0 = none)."""
@@ -85,32 +82,21 @@ class ClusterOverheadModel(OverheadModel):
 
     Real clusters deviate from the simulator because of hardware variability,
     data-loading stalls and interference.  We model this as (i) a small extra
-    fixed cost per launch and (ii) a per-round multiplicative jitter on the
-    execution rate drawn from a seeded Gaussian, so "cluster" runs are
-    reproducible yet differ from plain simulation by a few per cent -- the
-    regime the fidelity experiment (Fig. 18) measures.
+    fixed cost per launch (:data:`CLUSTER_EXTRA_LAUNCH_SECONDS`) and (ii) a
+    per-round multiplicative jitter on the execution rate drawn from a seeded
+    Gaussian (:data:`CLUSTER_JITTER_STD`), so "cluster" runs are reproducible
+    yet differ from plain simulation by a few per cent -- the regime the
+    fidelity experiment (Fig. 18) measures.
     """
 
-    def __init__(
-        self,
-        scale: float = 1.0,
-        jitter_std: float = 0.04,
-        extra_launch_seconds: float = 12.0,
-        seed: int = 0,
-    ) -> None:
-        super().__init__(scale=scale)
-        if jitter_std < 0:
-            raise ConfigurationError("jitter_std must be >= 0")
-        self.jitter_std = jitter_std
-        self.extra_launch_seconds = extra_launch_seconds
+    def __init__(self, seed: int = 0) -> None:
+        super().__init__()
         self._rng = random.Random(seed)
 
     def launch_overhead(self, job: Job) -> float:
-        return super().launch_overhead(job) + self.extra_launch_seconds
+        return super().launch_overhead(job) + CLUSTER_EXTRA_LAUNCH_SECONDS
 
     def iteration_jitter(self, job: Job) -> float:
-        if self.jitter_std == 0:
-            return 1.0
         # Clamp so pathological draws can never stall or wildly speed up a job.
-        jitter = self._rng.gauss(1.0, self.jitter_std)
+        jitter = self._rng.gauss(1.0, CLUSTER_JITTER_STD)
         return min(1.2, max(0.8, jitter))

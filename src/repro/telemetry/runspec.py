@@ -20,8 +20,8 @@ Three modes cover the repo's execution paths:
 * ``core`` -- the plain :class:`~repro.simulator.engine.Simulator`;
 * ``runtime`` -- the deployment path
   (:class:`~repro.runtime.central_scheduler.CentralScheduler`; optimistic
-  leases and deterministic overheads unless ``build()`` is handed a
-  ``lease_protocol`` / ``overhead_model``), adding lease + rpc-faults events;
+  leases, and deterministic overheads unless ``build()`` is handed an
+  ``overhead_model``), adding lease + rpc-faults events;
 * ``federation`` -- the federation engine over in-process shards, adding
   per-shard round streams plus routing events; ``build(workers=N)`` is the
   same federation with the shards in N worker processes.
@@ -44,7 +44,6 @@ MODES = ("core", "runtime", "federation")
 #: (:class:`~repro.federation.parallel.WorkerPoolBackend`), not the shards.
 _POOL_KEYWORDS = (
     "mp_context",
-    "handshake_timeout_s",
     "collect_timeout_s",
     "supervisor",
     "kill_plan",
@@ -290,7 +289,6 @@ class RunSpec:
             from repro.simulator.overheads import OverheadModel
 
             engine_cls, source = CentralScheduler, "runtime"
-            engine_kwargs.setdefault("lease_protocol", "optimistic")
             engine_kwargs.setdefault("overhead_model", OverheadModel())
         else:
             from repro.simulator.engine import Simulator

@@ -110,6 +110,38 @@ def test_docs_check_flags_a_stale_attribute_reference(check_docs):
     assert "`Simulator._no_such_method`" in findings[0]
 
 
+def test_docs_check_flags_an_undocumented_constructor_parameter(check_docs):
+    """The checked-in parameter tables cover every documented constructor.
+    A defaulted parameter without a row, a row naming no parameter, and a
+    row whose "Set by" names no run (or a figure that does not exist) are
+    findings; a row naming a RunSpec field or a test that exists is not."""
+    assert check_docs.check_constructor_knobs() == []
+
+    class Engine:
+        def __init__(self, cluster, speed=1.0, mode="a", seed=0, new_knob=None):
+            pass
+
+    doc = (
+        "| Parameter | Set by | Note |\n|---|---|---|\n"
+        "| `Engine(speed)` | `RunSpec.round_duration`, "
+        "`tests/test_bench_gates.py::test_docs_check_flags_an_undocumented_constructor_parameter` | |\n"
+        "| `Engine(mode)` | `FIGURES[\"fig99\"]` | |\n"
+        "| `Engine(seed)` | by hand | |\n"
+        "| `Engine(gone)` | `RunSpec.seed` | |\n"
+    )
+    findings = check_docs.check_constructor_knobs({"doc.md": doc}, {"Engine": Engine})
+    expected = [
+        "`Engine(new_knob)` has no row",
+        "doc.md: `Engine(gone)` is not a defaulted parameter",
+        'doc.md: `Engine(mode)` Set by `FIGURES["fig99"]`: no such figure',
+        "doc.md: `Engine(mode)` names no run",
+        "doc.md: `Engine(seed)` names no run",
+    ]
+    assert len(findings) == len(expected)
+    for finding, text in zip(findings, expected):
+        assert text in finding
+
+
 def test_gate_inventory_and_one_artifact_shape(tmp_path, monkeypatch, check_docs):
     monkeypatch.chdir(tmp_path)
     assert run(bench_main, ["--smoke"]) == 0

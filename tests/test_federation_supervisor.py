@@ -31,6 +31,9 @@ from repro.federation.router import make_router
 from repro.metrics.parity import schedule_diff
 from repro.policies.placement.consolidated import ConsolidatedPlacement
 from repro.policies.scheduling import FifoScheduling
+from repro.telemetry.events import EVENT_SUPERVISOR
+from repro.telemetry.recorder import TraceRecorder
+from repro.telemetry.sinks import RingBufferSink
 from repro.workloads.philly import generate_philly_trace
 
 ROUND = 300.0
@@ -123,6 +126,26 @@ def test_two_kills_same_worker_recover():
     )
     assert schedule_diff(serial, recovered).identical
     assert recovered.fault_stats.worker_restarts == 2
+
+
+def test_supervisor_actions_stream_to_the_parent_recorder():
+    """A recorded supervised run streams each checkpoint and restart with the
+    live counters; recording changes nothing about the schedule."""
+    trace = small_trace(num_jobs=30)
+    sink = RingBufferSink()
+    recovered = run_supervised(
+        trace,
+        supervisor=supervisor(),
+        kill_plan=WorkerKillPlan(kills=((2, 0),), when="before"),
+        recorder=TraceRecorder(sink, source="federation"),
+    )
+    assert schedule_diff(run_serial(trace), recovered).identical
+    events = [event for event in sink.events() if event.kind == EVENT_SUPERVISOR]
+    ops = [event.payload["op"] for event in events]
+    assert ops.count("restart") == 1
+    assert ops.count("checkpoint") == recovered.fault_stats.checkpoints >= 1
+    restart = events[ops.index("restart")].payload
+    assert (restart["worker"], restart["attempt"], restart["worker_restarts"]) == (0, 1, 1)
 
 
 # ----------------------------------------------------------------------

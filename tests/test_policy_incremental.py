@@ -252,7 +252,8 @@ def test_priority_index_tracks_status_transitions():
     jobs[2].status = JobStatus.PREEMPTED
     index.check_invariants()
     # Preempted job re-enters the idle tier keyed by its frozen service.
-    assert index.idle_key_of(jobs[2].job_id)[0] == 50.0
+    idle_keys = {job.job_id: key for key, job in index.idle_entries()}
+    assert idle_keys[jobs[2].job_id][0] == 50.0
 
     jobs[0].status = JobStatus.COMPLETED
     index.check_invariants()

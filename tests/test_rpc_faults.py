@@ -23,9 +23,10 @@ from repro.runtime.metrics import WorkerMetricsAggregator
 from repro.runtime.rpc import (
     FaultPlan,
     FaultSpec,
+    RPC_BASE_MS,
+    RPC_SERVER_MS,
     InMemoryRpcChannel,
     RetryPolicy,
-    RpcCostModel,
 )
 from repro.runtime.worker_manager import WorkerManager
 from repro.simulator.overheads import OverheadModel
@@ -57,7 +58,7 @@ class ScriptedPlan(FaultPlan):
 
 
 def counting_channel(plan, retry=RetryPolicy()):
-    channel = InMemoryRpcChannel(RpcCostModel(), plan, retry)
+    channel = InMemoryRpcChannel(plan, retry)
     calls = []
     channel.register("server", "echo", lambda payload: calls.append(payload) or payload)
     return channel, calls
@@ -124,9 +125,8 @@ def test_duplicate_delivery_is_suppressed():
 def test_delay_bills_the_caller():
     channel, _ = counting_channel(ScriptedPlan(["delay"]))
     channel.call("server", "echo", "x", caller="client")
-    base = channel.cost_model.base_ms
     assert channel.busy_ms("client") == pytest.approx(
-        base + channel.fault_plan.spec.delay_ms
+        RPC_BASE_MS + channel.fault_plan.spec.delay_ms
     )
 
 
@@ -148,7 +148,7 @@ def test_no_retry_policy_means_single_attempt():
 
 def test_every_call_executes_exactly_once_under_mixed_faults():
     channel = InMemoryRpcChannel(
-        RpcCostModel(), FaultPlan(MIXED_SPEC, seed=5), RetryPolicy(max_attempts=16)
+        FaultPlan(MIXED_SPEC, seed=5), RetryPolicy(max_attempts=16)
     )
     executions = {}
     channel.register(
@@ -176,11 +176,11 @@ def test_explicit_token_shares_one_execution():
 
 
 def test_fault_free_channel_unchanged():
-    channel = InMemoryRpcChannel(RpcCostModel(base_ms=1.0, server_ms=2.0))
+    channel = InMemoryRpcChannel()
     channel.register("server", "echo", lambda payload: payload)
     assert channel.call("server", "echo", "x", caller="client") == "x"
-    assert channel.busy_ms("client") == pytest.approx(1.0)
-    assert channel.busy_ms("server") == pytest.approx(2.0)
+    assert channel.busy_ms("client") == RPC_BASE_MS
+    assert channel.busy_ms("server") == RPC_SERVER_MS
     assert channel.fault_stats().faults_injected == 0
 
 
@@ -191,7 +191,7 @@ def test_fault_free_channel_unchanged():
 
 def test_two_phase_revoke_exactly_once_under_faults():
     channel = InMemoryRpcChannel(
-        RpcCostModel(), ScriptedPlan(["lose_reply", "duplicate", "drop"]),
+        ScriptedPlan(["lose_reply", "duplicate", "drop"]),
         RetryPolicy(max_attempts=8),
     )
     workers = [WorkerManager(node_id=i, channel=channel) for i in range(3)]
@@ -216,7 +216,7 @@ def test_every_revocation_of_a_gang_reaches_its_peers():
     revocation's fan-out is its own operation; the armed (empty) plan keeps
     the dedup cache in play.
     """
-    channel = InMemoryRpcChannel(RpcCostModel(), ScriptedPlan([]), RetryPolicy())
+    channel = InMemoryRpcChannel(ScriptedPlan([]), RetryPolicy())
     workers = [WorkerManager(node_id=i, channel=channel) for i in range(2)]
     manager = OptimisticLeaseManager(workers, channel)
     for _ in range(2):
@@ -316,7 +316,7 @@ def test_schedule_parity_under_injected_faults(fault_seed):
 
 
 def test_lost_pull_reply_surfaces_the_cached_delta_not_an_empty_second_one():
-    channel = InMemoryRpcChannel(RpcCostModel(), ScriptedPlan(["lose_reply"]), RetryPolicy())
+    channel = InMemoryRpcChannel(ScriptedPlan(["lose_reply"]), RetryPolicy())
     worker = WorkerManager(node_id=0, channel=channel)
     worker.push_metrics(7, {"work_done": 10.0})
     # The first delivery ran the handler (marks cleared) and lost the reply;
@@ -328,7 +328,7 @@ def test_lost_pull_reply_surfaces_the_cached_delta_not_an_empty_second_one():
 
 def test_dropped_and_duplicated_pulls_ship_each_delta_once():
     channel = InMemoryRpcChannel(
-        RpcCostModel(), ScriptedPlan(["drop", "duplicate", "delay"]), RetryPolicy()
+        ScriptedPlan(["drop", "duplicate", "delay"]), RetryPolicy()
     )
     worker = WorkerManager(node_id=0, channel=channel)
     worker.push_metrics(7, {"work_done": 10.0})
@@ -340,7 +340,7 @@ def test_dropped_and_duplicated_pulls_ship_each_delta_once():
 
 def test_aggregate_shares_no_dict_with_worker_store_or_dedup_cache():
     jobs = generate_philly_trace(num_jobs=2, jobs_per_hour=20.0, seed=13).jobs
-    channel = InMemoryRpcChannel(RpcCostModel(), FaultPlan(FaultSpec()), RetryPolicy())
+    channel = InMemoryRpcChannel(FaultPlan(FaultSpec()), RetryPolicy())
     workers = [WorkerManager(node_id=i, channel=channel) for i in range(2)]
     manager = OptimisticLeaseManager(workers, channel)
     aggregator = WorkerMetricsAggregator(channel, manager)

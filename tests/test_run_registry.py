@@ -33,7 +33,7 @@ from repro.policies.admission import ADMISSION_POLICIES
 from repro.policies.placement import PLACEMENT_POLICIES
 from repro.policies.scheduling import SCHEDULING_POLICIES
 from repro.telemetry.diff import diff_streams
-from repro.runtime import CentralLeaseManager, OptimisticLeaseManager
+from repro.runtime import OptimisticLeaseManager
 from repro.simulator.overheads import ClusterOverheadModel, OverheadModel
 from repro.telemetry.events import NONDETERMINISTIC_KINDS, TraceFormatError
 from repro.telemetry.runspec import _POOL_KEYWORDS, MODES, RunSpec, run_recorded
@@ -207,12 +207,11 @@ def test_a_figure_spec_is_a_bench_cell_with_every_reference_leg():
     assert row["finished_jobs"] == 20 and row["spec"] == spec.as_dict()
 
 
-def test_runtime_build_keeps_a_callers_overhead_model_and_protocol():
+def test_runtime_build_keeps_a_callers_overhead_model():
     spec = RunSpec(mode="runtime", num_jobs=12, num_nodes=4)
     model = ClusterOverheadModel(seed=1)
-    engine = spec.build(overhead_model=model, lease_protocol="central")
+    engine = spec.build(overhead_model=model)
     assert engine.manager.execution.overheads is model
-    assert isinstance(engine.lease_manager, CentralLeaseManager)
     # The no-argument build is what it always was.
     default = spec.build()
     assert type(default.manager.execution.overheads) is OverheadModel

@@ -14,6 +14,8 @@ from repro.core.exceptions import ConfigurationError, LeaseError
 from repro.core.job import Job, JobStatus
 from repro.experiments.figures import FIGURES, measure_lease_round
 from repro.experiments.harness import run_figure
+from repro.metrics.collector import UtilizationCollector
+from repro.metrics.parity import schedule_diff
 from repro.policies.scheduling.fifo import FifoScheduling
 from repro.policies.scheduling.tiresias import TiresiasScheduling
 from repro.runtime import (
@@ -22,14 +24,15 @@ from repro.runtime import (
     CentralScheduler,
     InMemoryRpcChannel,
     OptimisticLeaseManager,
-    RpcCostModel,
     WorkerManager,
     WorkerMetricsAggregator,
     WorkerMetricsCollector,
     build_lease_setup,
 )
+from repro.runtime.central_scheduler import RpcLauncher, RpcPreemption
 from repro.runtime.lease import SCHEDULER_ENDPOINT
 from repro.runtime.metrics import REPORTED_KEYS
+from repro.runtime.rpc import RPC_BASE_MS, RPC_SERVER_MS
 from repro.scenarios.registry import scenario_names
 from repro.scenarios.spec import FailNodes, ScaleIn, ScaleOut, ScenarioSpec, WorkloadSpec
 from repro.simulator.engine import Simulator
@@ -45,24 +48,25 @@ from repro.workloads.philly import generate_philly_trace
 
 class TestRpcAccounting:
     def test_caller_and_callee_are_billed_separately(self):
-        channel = InMemoryRpcChannel(RpcCostModel(base_ms=1.0, server_ms=10.0))
+        assert RPC_BASE_MS != RPC_SERVER_MS  # else the two bills look alike
+        channel = InMemoryRpcChannel()
         channel.register("b", "ping", lambda p: "pong")
         channel.call("b", "ping", {}, caller="a")
-        assert channel.busy_ms("a") == 1.0
-        assert channel.busy_ms("b") == 10.0
-        assert channel.critical_path_ms() == 10.0
+        assert channel.busy_ms("a") == RPC_BASE_MS
+        assert channel.busy_ms("b") == RPC_SERVER_MS
+        assert channel.critical_path_ms() == max(RPC_BASE_MS, RPC_SERVER_MS)
 
     def test_nested_calls_bill_the_handling_endpoint(self):
-        channel = InMemoryRpcChannel(RpcCostModel(base_ms=1.0, server_ms=10.0))
+        channel = InMemoryRpcChannel()
         channel.register("c", "leaf", lambda p: None)
         channel.register("b", "fan", lambda p: channel.call("c", "leaf", {}))
         channel.call("b", "fan", {}, caller="a")
-        # a paid one client cost; b paid its server cost plus the client cost
-        # of the nested call it made; c paid one server cost.  Nothing from
-        # the fan-out lands on a.
-        assert channel.busy_ms("a") == 1.0
-        assert channel.busy_ms("b") == 11.0
-        assert channel.busy_ms("c") == 10.0
+        # a paid one client cost; b paid its server cost, then the client
+        # cost of the nested call it made; c paid one server cost.  Nothing
+        # from the fan-out lands on a.
+        assert channel.busy_ms("a") == RPC_BASE_MS
+        assert channel.busy_ms("b") == RPC_SERVER_MS + RPC_BASE_MS
+        assert channel.busy_ms("c") == RPC_SERVER_MS
 
     def test_unregister_endpoint_drops_all_methods(self):
         channel = InMemoryRpcChannel()
@@ -143,10 +147,9 @@ class TestLeaseLifecycle:
 
 class TestOptimisticProtocol:
     def test_scheduler_issues_exactly_one_revoke_per_revoked_job(self):
-        # A unit client cost and a free server make an endpoint's busy time
-        # the number of calls it issued since the round reset the accounting.
-        cost = RpcCostModel(base_ms=1.0, server_ms=0.0)
-        manager, workers, channel = build_lease_setup(4, cost_model=cost, protocol="optimistic")
+        # An endpoint's busy time since the round reset the accounting is
+        # RPC_BASE_MS per call it issued plus RPC_SERVER_MS per call it served.
+        manager, workers, channel = build_lease_setup(4, protocol="optimistic")
         manager.grant(100, [0, 1, 2, 3])
         manager.grant(101, [0, 1])
         delivered = []
@@ -158,21 +161,25 @@ class TestOptimisticProtocol:
 
             channel.register(worker.endpoint_name, "revoke_lease", counted)
         manager.renewal_round([100, 101])
-        assert channel.busy_ms(SCHEDULER_ENDPOINT) == 2
+        # The scheduler served nothing and issued two calls.
+        assert channel.busy_ms(SCHEDULER_ENDPOINT) == 2 * RPC_BASE_MS
         # Peers were reached by worker-to-worker propagation, not by the
-        # scheduler: every other call of the round was issued by a worker.
-        peer_revokes = sum(channel.busy_ms(w.endpoint_name) for w in workers)
-        assert peer_revokes == 3 + 1  # 3 peers of job 100, 1 peer of job 101
+        # scheduler: every other call of the round was issued by a worker
+        # (3 peers of job 100, 1 peer of job 101), and the workers served
+        # all six.
+        worker_busy = sum(channel.busy_ms(w.endpoint_name) for w in workers)
+        assert worker_busy == pytest.approx(
+            (3 + 1) * RPC_BASE_MS + (2 + 4) * RPC_SERVER_MS, rel=1e-12
+        )
         # Every call of the round delivered a revoke.
         assert channel.total_calls == len(delivered) == 2 + 4
 
     def test_peer_fanout_does_not_bill_the_scheduler(self):
-        cost = RpcCostModel(base_ms=1.0, server_ms=2.0)
-        manager, _workers, channel = build_lease_setup(8, cost_model=cost, protocol="optimistic")
+        manager, _workers, channel = build_lease_setup(8, protocol="optimistic")
         manager.grant(200, list(range(8)))
         manager.renewal_round([200])
         # One client-side cost for the single revoke, regardless of gang width.
-        assert channel.busy_ms(SCHEDULER_ENDPOINT) == 1.0
+        assert channel.busy_ms(SCHEDULER_ENDPOINT) == RPC_BASE_MS
 
     def test_exit_iterations_are_concrete_integers(self):
         manager, workers, _channel = build_lease_setup(3, protocol="optimistic")
@@ -322,14 +329,12 @@ def churn_scenario():
 
 
 class TestCentralScheduler:
-    @pytest.mark.parametrize("lease_protocol", ["central", "optimistic"])
-    def test_all_leases_released_at_end_of_run(self, lease_protocol):
+    def test_all_leases_released_at_end_of_run(self):
         trace = small_trace()
         scheduler = CentralScheduler(
             cluster_state=build_cluster(num_nodes=4),
             jobs=trace.fresh_jobs(),
             scheduling_policy=TiresiasScheduling(),
-            lease_protocol=lease_protocol,
             overhead_model=OverheadModel(),
             tracked_job_ids=trace.tracked_ids(),
         )
@@ -341,6 +346,55 @@ class TestCentralScheduler:
             # revoked-lease and exit-iteration drain entries included.
             assert worker.leases == {}
             assert worker.exit_iterations == {}
+
+    def test_runs_on_the_callers_overhead_model(self):
+        """Launch, preemption and execution share the model handed in, and
+        the RPC mechanisms are the manager's from construction on."""
+        trace = small_trace()
+        model = ClusterOverheadModel(seed=1)
+        scheduler = CentralScheduler(
+            cluster_state=build_cluster(num_nodes=4),
+            jobs=trace.fresh_jobs(),
+            scheduling_policy=TiresiasScheduling(),
+            overhead_model=model,
+            tracked_job_ids=trace.tracked_ids(),
+        )
+        manager = scheduler.manager
+        assert manager.execution.overheads is model
+        assert isinstance(manager.launcher, RpcLauncher)
+        assert isinstance(manager.preemptor, RpcPreemption)
+        assert manager.launcher.overheads is model
+        assert manager.preemptor is scheduler.preemptor
+        assert manager.preemptor.overheads is model
+        assert manager.launcher.lease_manager is scheduler.lease_manager
+        assert manager.preemptor.lease_manager is scheduler.lease_manager
+        assert scheduler.run().completion_fraction() == 1.0
+        assert scheduler.leaked_leases() == 0
+
+    def test_a_metric_collector_samples_every_deployment_round(self):
+        """Blox's metric-collector module runs on the deployment path as in
+        simulation: it turns round skipping off, sees every round once, at
+        its start time, and leaves the schedule of the default run alone."""
+        trace = small_trace()
+
+        def build(**kwargs):
+            return CentralScheduler(
+                cluster_state=build_cluster(num_nodes=4),
+                jobs=trace.fresh_jobs(),
+                scheduling_policy=TiresiasScheduling(),
+                overhead_model=OverheadModel(),
+                tracked_job_ids=trace.tracked_ids(),
+                **kwargs,
+            )
+
+        collector = UtilizationCollector()
+        scheduler = build(metric_collectors=[collector])
+        assert scheduler._simulator.fast_forward is False
+        collected = scheduler.run()
+        assert schedule_diff(build().run(), collected).identical
+        assert collector.timestamps == [
+            n * collected.round_duration for n in range(collected.rounds)
+        ]
 
     def test_schedule_parity_with_plain_simulator_zero_overheads(self):
         trace = small_trace()

@@ -7,7 +7,9 @@ from repro.policies.placement.consolidated import ConsolidatedPlacement
 from repro.policies.scheduling.fifo import FifoScheduling
 from repro.policies.scheduling.las import LasScheduling
 from repro.policies.admission.threshold import ThresholdAdmission
+from repro.policies.termination import LossBasedTermination
 from repro.simulator.engine import Simulator
+from repro.simulator.overheads import OverheadModel
 from repro.workloads.philly import generate_philly_trace
 
 
@@ -59,6 +61,27 @@ def test_admission_policy_composition_runs_to_completion():
         admission_policy=ThresholdAdmission(threshold_factor=1.2),
     )
     assert len(result.finished_jobs()) == 30
+
+
+def test_simulator_runs_on_the_termination_policy_and_overheads_it_is_given():
+    """The one execution model a Simulator builds holds both, and the
+    manager's execution, launch and preemption run on it."""
+    trace = generate_philly_trace(num_jobs=5, jobs_per_hour=6.0, seed=13)
+    termination = LossBasedTermination()
+    overheads = OverheadModel(scale=0.0)
+    sim = Simulator(
+        build_cluster(num_nodes=2),
+        trace.fresh_jobs(),
+        FifoScheduling(),
+        overhead_model=overheads,
+        termination_policy=termination,
+    )
+    assert sim.execution_model.termination is termination
+    assert sim.execution_model.overheads is overheads
+    manager = sim.manager
+    assert manager.execution is sim.execution_model
+    assert manager.launcher.overheads is overheads
+    assert manager.preemptor.overheads is overheads
 
 
 def test_max_rounds_guard_raises():

@@ -39,6 +39,16 @@ Checks, for ``README.md`` and every ``docs/*.md``:
   its registry entry builds (a ``functools.partial`` unwrapped to its
   class), backticked and comma-separated, or with ``–`` if it takes none,
   so a knob is documented exactly while a constructor accepts it;
+* **constructor parameters** -- every defaulted parameter of the engine,
+  runtime and federation constructors in ``CONSTRUCTORS`` has exactly one
+  row ``| `Class(param)` | set by | ... |`` in a "Parameter | Set by" table
+  of ``docs/architecture.md``, ``runtime.md``, ``federation.md`` or
+  ``robustness.md``, every row names such a parameter, and every "Set by"
+  cell names at least one run that sets it: a ``RunSpec`` field
+  (``RunSpec.<field>``), a figure (``FIGURES["<name>"]``), a
+  ``BENCHMARK.json`` workload, a ``python -m repro.<module>`` command, or a
+  test (``tests/<file>.py::<name>``) -- so a value no run sets is a module
+  constant, not a knob;
 * **bench artifacts** -- every checked-in ``BENCH_*.json`` has the one shape
   ``repro.bench.cells.write_artifact`` writes: exactly the top-level keys
   ``benchmark``/``machine``/``metadata``/``config``/``gates``/``cells``/
@@ -60,7 +70,7 @@ import json
 import re
 import sys
 from pathlib import Path
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -371,6 +381,163 @@ def check_policy_names() -> List[str]:
     return errors
 
 
+#: Name -> defining module of the engine, runtime and federation constructors
+#: whose defaulted parameters the docs' parameter tables cover.
+CONSTRUCTORS = {
+    "Simulator": "repro.simulator.engine",
+    "CentralScheduler": "repro.runtime.central_scheduler",
+    "BloxManager": "repro.core.blox_manager",
+    "ExecutionModel": "repro.simulator.execution",
+    "OverheadModel": "repro.simulator.overheads",
+    "ClusterOverheadModel": "repro.simulator.overheads",
+    "InMemoryRpcChannel": "repro.runtime.rpc",
+    "RetryPolicy": "repro.runtime.rpc",
+    "FaultPlan": "repro.runtime.rpc",
+    "WorkerManager": "repro.runtime.worker_manager",
+    "WorkerPoolBackend": "repro.federation.parallel",
+    "SupervisorConfig": "repro.federation.parallel",
+    "FederationEngine": "repro.federation.engine",
+    "build_cluster": "repro.cluster.builder",
+}
+#: The docs whose "Parameter | Set by" tables document ``CONSTRUCTORS``.
+KNOB_DOCS = ("architecture.md", "runtime.md", "federation.md", "robustness.md")
+#: A parameter row: ``| `Class(param)` | set by | ...``.
+PARAMETER_ROW_RE = re.compile(r"^\|\s*`(\w+)\((\w+)\)`\s*\|([^|]*)\|")
+#: The references a "Set by" cell may name.
+SETTER_RES = {
+    "spec": re.compile(r"^RunSpec\.(\w+)$"),
+    "figure": re.compile(r'^FIGURES\["(\w+)"\]$'),
+    "command": re.compile(r"^python -m (repro(?:\.\w+)+)(?: .*)?$"),
+    "test": re.compile(r"^((?:tests|benchmarks)/[\w/]+\.py)((?:::\w+)+)$"),
+}
+
+
+def defaulted_parameters(constructor) -> List[str]:
+    """The parameters of ``constructor`` a caller may leave out."""
+    import inspect
+
+    return [
+        name
+        for name, parameter in inspect.signature(constructor).parameters.items()
+        if parameter.default is not inspect.Parameter.empty
+    ]
+
+
+def parameter_rows(docs: Dict[str, str]) -> Tuple[Dict[Tuple[str, str], Tuple[str, str]], List[str]]:
+    """``(class, param) -> (doc, Set-by cell)`` from the docs' parameter tables,
+    plus one error per duplicated row."""
+    rows: Dict[Tuple[str, str], Tuple[str, str]] = {}
+    errors: List[str] = []
+    for doc, text in docs.items():
+        in_table = False
+        for line in strip_code_blocks(text).splitlines():
+            if line.startswith("| Parameter | Set by |"):
+                in_table = True
+                continue
+            if not line.startswith("|"):
+                in_table = False
+            match = PARAMETER_ROW_RE.match(line) if in_table else None
+            if match is None:
+                continue
+            key = (match.group(1), match.group(2))
+            if key in rows:
+                errors.append(f"{doc}: `{key[0]}({key[1]})` is documented twice")
+            rows[key] = (doc, match.group(3).strip())
+    return rows, errors
+
+
+def setter_error(reference: str, known: Dict[str, Set[str]]) -> Optional[str]:
+    """Why a code span of a "Set by" cell names no run ('' if it names one;
+    ``None`` if it is not a setter reference at all)."""
+    if reference in known["workloads"]:
+        return ""
+    for kind, pattern in SETTER_RES.items():
+        match = pattern.match(reference)
+        if match is None:
+            continue
+        if kind == "spec":
+            return "" if match.group(1) in known["spec"] else "no such RunSpec field"
+        if kind == "figure":
+            return "" if match.group(1) in known["figures"] else "no such figure"
+        if kind == "command":
+            base = REPO_ROOT / "src" / Path(*match.group(1).split("."))
+            runnable = (base / "__main__.py").exists() or base.with_suffix(".py").exists()
+            return "" if runnable else "no such runnable module"
+        path = REPO_ROOT / match.group(1)
+        if not path.exists():
+            return "no such test file"
+        source = path.read_text()
+        for name in match.group(2).split("::")[1:]:
+            if not re.search(rf"^\s*(?:def|class) {name}\b", source, re.M):
+                return f"{match.group(1)} defines no {name}"
+        return ""
+    return None
+
+
+def check_constructor_knobs(
+    docs: Optional[Dict[str, str]] = None,
+    constructors: Optional[Dict[str, object]] = None,
+) -> List[str]:
+    """The parameter tables and the constructors' defaulted parameters agree,
+    and every row names a run that sets its parameter."""
+    import dataclasses
+    import importlib
+
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    try:
+        if docs is None:
+            docs = {name: (REPO_ROOT / "docs" / name).read_text() for name in KNOB_DOCS}
+        if constructors is None:
+            constructors = {
+                name: getattr(importlib.import_module(module), name)
+                for name, module in CONSTRUCTORS.items()
+            }
+        from repro.experiments.figures import FIGURES
+        from repro.telemetry.runspec import RunSpec
+    except Exception as exc:  # pragma: no cover - import environment issues
+        return [f"docs: cannot import the documented constructors ({exc})"]
+    finally:
+        sys.path.pop(0)
+    benchmark = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    known = {
+        "spec": {f.name for f in dataclasses.fields(RunSpec)},
+        "figures": set(FIGURES),
+        "workloads": {w["name"] for w in benchmark["workloads"]},
+    }
+    rows, errors = parameter_rows(docs)
+    expected = {
+        (name, parameter)
+        for name, constructor in constructors.items()
+        for parameter in defaulted_parameters(constructor)
+    }
+    errors.extend(
+        f"docs: `{name}({parameter})` has no row in a Parameter | Set by table of "
+        f"{', '.join(KNOB_DOCS)} (a value no run sets is a module constant)"
+        for name, parameter in sorted(expected - set(rows))
+    )
+    for (name, parameter), (doc, cell) in sorted(rows.items()):
+        if (name, parameter) not in expected:
+            errors.append(
+                f"{doc}: `{name}({parameter})` is not a defaulted parameter of a "
+                "documented constructor"
+            )
+            continue
+        verdicts = [
+            (span, setter_error(span, known)) for span in CODE_SPAN_RE.findall(cell)
+        ]
+        errors.extend(
+            f"{doc}: `{name}({parameter})` Set by `{span}`: {error}"
+            for span, error in verdicts
+            if error
+        )
+        if not any(error == "" for _, error in verdicts):
+            errors.append(
+                f"{doc}: `{name}({parameter})` names no run that sets it (a RunSpec "
+                "field, a figure, a benchmark workload, a command or a test)"
+            )
+    return errors
+
+
 #: The one top-level key set of a ``BENCH_*.json`` (and of a section that a
 #: separate command produced, recognisable by its own ``gates``).
 ARTIFACT_KEYS = ("benchmark", "machine", "metadata", "config", "gates", "cells", "sections")
@@ -439,6 +606,7 @@ def main() -> int:
             )
     errors.extend(check_lint_rule_ids())
     errors.extend(check_policy_names())
+    errors.extend(check_constructor_knobs())
     errors.extend(check_bench_artifacts())
     if errors:
         print(f"check_docs: {len(errors)} broken reference(s)", file=sys.stderr)
