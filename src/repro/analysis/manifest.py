@@ -63,8 +63,8 @@ PICKLE_REGISTRY: Dict[str, str] = {
     "Job": "repro/core/job.py",
     "JobState": "repro/core/job_state.py",
     "ShardViewSummary": "repro/federation/router.py",
-    "UniformShardFactory": "repro/federation/engine.py",
     "ScenarioManagerFactory": "repro/federation/engine.py",
+    "RunSpec": "repro/telemetry/runspec.py",
     # What the worker protocol's ``finish`` reply ships back.
     "SimulationResult": "repro/simulator/engine.py",
     "RoundLog": "repro/simulator/engine.py",

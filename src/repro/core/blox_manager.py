@@ -31,8 +31,6 @@ class BloxManager:
         trace_jobs: Iterable[Job],
         round_duration: float = 300.0,
         execution_model: Optional[ExecutionModel] = None,
-        launcher: Optional[SimulatedLauncher] = None,
-        preemptor: Optional[SimulatedPreemption] = None,
         cluster_manager: Optional[ClusterManager] = None,
     ) -> None:
         if round_duration <= 0:
@@ -42,8 +40,8 @@ class BloxManager:
         self.round_number = 0
         self.execution = execution_model if execution_model is not None else ExecutionModel()
         overheads = self.execution.overheads
-        self.launcher = launcher if launcher is not None else SimulatedLauncher(overheads)
-        self.preemptor = preemptor if preemptor is not None else SimulatedPreemption(overheads)
+        self.launcher = SimulatedLauncher(overheads)
+        self.preemptor = SimulatedPreemption(overheads)
         self.cluster_manager = cluster_manager if cluster_manager is not None else ClusterManager()
         self._wait_queue: Deque[Job] = deque(
             sorted(trace_jobs, key=lambda j: (j.arrival_time, j.job_id))

@@ -84,8 +84,6 @@ class ClusterState:
         #: job id -> the GPU ids it holds, and the record of that allocation.
         self._job_gpu_ids: Dict[int, Set[int]] = {}
         self._allocations: Dict[int, Allocation] = {}
-        #: job id -> node ids where :meth:`reserve_aux` reserved CPU/memory.
-        self._aux_nodes_by_job: Dict[int, Set[int]] = {}
         #: Cached counters kept in sync by every mutation.
         self._busy_count = 0
         self._free_healthy_count = 0
@@ -182,10 +180,6 @@ class ClusterState:
         # nodes) and its aux reservations everywhere.
         for job_id in evicted_jobs:
             self.release_job(job_id)
-        # Drop any remaining aux bookkeeping that pointed at this node.
-        for job_id in node.aux_job_ids():
-            node.release_aux(job_id)
-            self._aux_nodes_by_job.get(job_id, set()).discard(node_id)
         # Remove the node's (now all free) GPUs from the indexes.
         if not node.failed:
             self._refile(node_id, len(self._free_by_node[node_id]), 0)
@@ -413,11 +407,6 @@ class ClusterState:
         bandwidth = min([self.nodes[node_id].network_bw_gbps for node_id in nodes])
         return Allocation(set(ordered), runs, nodes, factor, bandwidth, cpu_share)
 
-    def reserve_aux(self, job_id: int, node_id: int, cpus: float, mem_gb: float) -> None:
-        """Reserve CPU/memory for a job outside :meth:`assign`; freed by :meth:`release_job`."""
-        self.node(node_id).allocate_aux(job_id, cpus, mem_gb)
-        self._aux_nodes_by_job.setdefault(job_id, set()).add(node_id)
-
     def set_cpu_share(self, job_id: int, share: float) -> None:
         """Record the CPU share a job was launched with on its allocation."""
         record = self._allocations.get(job_id)
@@ -430,9 +419,6 @@ class ClusterState:
 
         Walks the job's :class:`Allocation`: each node moves once.
         """
-        for node_id in sorted(self._aux_nodes_by_job.pop(job_id, ())):
-            if node_id in self.nodes:
-                self.nodes[node_id].release_aux(job_id)
         record = self._allocations.pop(job_id, None)
         if record is None:
             return []
@@ -534,9 +520,6 @@ class ClusterState:
         for job_id in clone._job_gpu_ids:
             record = clone._derive(clone._job_gpu_ids[job_id], self.cpu_share(job_id))
             clone._job_gpu_ids[job_id], clone._allocations[job_id] = record.gpu_ids, record
-        clone._aux_nodes_by_job = {
-            job_id: set(node_ids) for job_id, node_ids in self._aux_nodes_by_job.items()
-        }
         return clone
 
     # ------------------------------------------------------------------
@@ -612,8 +595,6 @@ class ClusterState:
                 key=lambda g: self.gpus[g].local_gpu_id,
             )
             assert listed == actual, f"per-node GPU list drifted for node {node_id}"
-        for job_id, node_ids in self._aux_nodes_by_job.items():
-            assert node_ids <= self.nodes.keys(), f"aux index of job {job_id} names a removed node"
         assert self._allocations.keys() == job_gpus.keys(), "allocation records drifted"
         for job_id, gpu_ids in job_gpus.items():
             record = self._allocations[job_id]

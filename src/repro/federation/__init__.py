@@ -51,7 +51,6 @@ from repro.federation.engine import (
     ScenarioManagerFactory,
     ShardBackend,
     ShardFinishStats,
-    UniformShardFactory,
     drive_federation,
 )
 from repro.federation.parallel import (
@@ -94,7 +93,6 @@ __all__ = [
     "ShardSimulator",
     "ShardViewSummary",
     "SupervisorConfig",
-    "UniformShardFactory",
     "WorkerKillPlan",
     "WorkerPoolBackend",
     "default_worker_count",

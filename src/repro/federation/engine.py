@@ -41,12 +41,10 @@ serial == parallel for the worker-pool cells.
 
 from __future__ import annotations
 
-import os
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.cluster.builder import build_cluster
 from repro.core.abstractions import ClusterManager
 from repro.core.exceptions import ConfigurationError, SimulationError
 from repro.core.job import Job
@@ -61,12 +59,7 @@ from repro.metrics.summary import (
     jct_summary,
 )
 from repro.simulator.engine import SimulationResult
-from repro.telemetry.events import (
-    EVENT_FEDERATION,
-    EVENT_ROUTE,
-    EVENT_TIMING,
-    TraceHeader,
-)
+from repro.telemetry.events import EVENT_FEDERATION, EVENT_ROUTE, EVENT_TIMING
 from repro.telemetry.recorder import DEFAULT_FEDERATION_INTERVAL, TraceRecorder
 
 __all__ = [
@@ -76,7 +69,6 @@ __all__ = [
     "ShardFinishStats",
     "ShardBackend",
     "LocalShardBackend",
-    "UniformShardFactory",
     "ScenarioManagerFactory",
     "drive_federation",
     "DriveStats",
@@ -681,7 +673,7 @@ class FederationEngine:
 
 
 # ----------------------------------------------------------------------
-# Shard construction: picklable factories
+# Per-shard cluster managers that cross a process boundary
 # ----------------------------------------------------------------------
 
 
@@ -705,79 +697,3 @@ class ScenarioManagerFactory:
 
         spec = get_scenario(self.scenario, smoke=self.smoke)
         return spec.compile(seed=self.seed_base + shard_id).make_cluster_manager()
-
-
-@dataclass(frozen=True)
-class UniformShardFactory:
-    """Recipe for building one federation's identical shards, picklable.
-
-    This is how shards reach worker processes: live simulators must never be
-    pickled (their policy indexes re-bind by object identity and would go
-    permanently stale in the child), so the *recipe* crosses the pipe and each
-    worker builds its own shards from it.  The picklability contract is
-    therefore on the ingredients: every factory field must be a module-level
-    callable or a picklable object (policy classes themselves qualify;
-    closures and lambdas do not -- use :class:`ScenarioManagerFactory` for
-    per-shard scenario timelines).
-    """
-
-    nodes_per_shard: int
-    scheduling_factory: Callable
-    placement_factory: Optional[Callable] = None
-    admission_factory: Optional[Callable] = None
-    gpus_per_node: int = 4
-    round_duration: float = 300.0
-    cluster_manager_factory: Optional[Callable[[int], Optional[ClusterManager]]] = None
-    #: When set, each built shard streams telemetry to
-    #: ``<trace_dir>/shard-<id>.jsonl``.  The sink is opened *inside*
-    #: ``build`` -- i.e. inside the worker process in parallel mode -- so
-    #: fork and spawn contexts produce the same per-shard streams.
-    trace_dir: Optional[str] = None
-    #: Extra :class:`~repro.federation.shard.ShardSimulator` keywords, the
-    #: same for every shard: ``fast_forward=False`` is the stepping
-    #: reference.
-    engine_kwargs: Mapping[str, object] = field(default_factory=dict)
-
-    def build(
-        self, shard_id: int, recorder: Optional[TraceRecorder] = None
-    ) -> ShardSimulator:
-        """Build the single shard ``shard_id`` with fresh policy instances.
-
-        ``recorder`` is the caller's (in-process recording); without one,
-        ``trace_dir`` opens the shard's own.
-        """
-        if self.nodes_per_shard < 1:
-            raise ConfigurationError(
-                f"nodes_per_shard must be >= 1, got {self.nodes_per_shard}"
-            )
-        manager = (
-            self.cluster_manager_factory(shard_id)
-            if self.cluster_manager_factory
-            else None
-        )
-        if recorder is None and self.trace_dir is not None:
-            from repro.telemetry.sinks import JsonlSink  # pulls orjson
-
-            os.makedirs(self.trace_dir, exist_ok=True)
-            sink = JsonlSink(
-                os.path.join(self.trace_dir, f"shard-{shard_id}.jsonl")
-            )
-            sink.write_header(
-                TraceHeader(metadata={"source": f"shard{shard_id}"})
-            )
-            recorder = TraceRecorder(sink, source=f"shard{shard_id}")
-        return ShardSimulator(
-            shard_id=shard_id,
-            cluster_state=build_cluster(
-                num_nodes=self.nodes_per_shard,
-                gpus_per_node=self.gpus_per_node,
-            ),
-            scheduling_policy=self.scheduling_factory(),
-            placement_policy=self.placement_factory() if self.placement_factory else None,
-            admission_policy=self.admission_factory() if self.admission_factory else None,
-            cluster_manager=manager,
-            round_duration=self.round_duration,
-            recorder=recorder,
-            **self.engine_kwargs,
-        )
-

@@ -13,7 +13,8 @@ Protocol
 
 Each worker owns one or more :class:`~repro.federation.shard.ShardSimulator`
 instances (shard ``i`` lives on worker ``i % workers``) built *in the worker*
-from a picklable :class:`~repro.federation.engine.UniformShardFactory` -- live
+by :meth:`~repro.telemetry.runspec.RunSpec.shard` from the run's plain-data
+spec -- the one a trace header carries -- and its shard keywords; live
 simulators never cross the pipe on the hot path (they *do* cross it as opaque
 checkpoint blobs under supervision, which is safe since the PR 6 picklability
 contract plus registry ``bind_epoch`` healing made whole-simulator round-trips
@@ -33,7 +34,7 @@ bit-exact).  Over its duplex pipe a worker answers:
   and ship the blobs (supervision only);
 * ``("restore", [blob_or_None, ...])`` -> ``("ok", None)`` -- rebuild owned
   shards from checkpoint blobs (``None`` means "build fresh from the
-  factory": the shard never reached a checkpoint);
+  spec": the shard never reached a checkpoint);
 * ``("hang", seconds)`` -- sleep without replying (test hook: a worker whose
   main loop is stuck but whose heartbeat thread keeps beating, the case only
   a bounded collect timeout can detect);
@@ -93,17 +94,18 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.exceptions import ConfigurationError, SimulationError
 from repro.core.job import Job
 from repro.federation import FatalWorkerError, RetryableWorkerError
-from repro.federation.engine import ShardBackend, UniformShardFactory, finish_shards
+from repro.federation.engine import ShardBackend, finish_shards
 from repro.federation.router import ShardViewSummary
 from repro.metrics.summary import FaultStats
 from repro.simulator.engine import SimulationResult
 from repro.telemetry.events import EVENT_SUPERVISOR
 from repro.telemetry.recorder import TraceRecorder
+from repro.telemetry.runspec import RunSpec
 
 __all__ = [
     "SupervisorConfig",
@@ -213,7 +215,8 @@ class WorkerKillPlan:
 
 def _worker_main(
     conn,
-    factory: UniformShardFactory,
+    spec: RunSpec,
+    shard_kwargs: Mapping[str, object],
     shard_ids: Sequence[int],
     build: bool = True,
     heartbeat_interval_s: Optional[float] = None,
@@ -245,7 +248,7 @@ def _worker_main(
         threading.Thread(target=beat, daemon=True, name="shard-heartbeat").start()
     try:
         shards = (
-            {shard_id: factory.build(shard_id) for shard_id in shard_ids}
+            {shard_id: spec.shard(shard_id, **shard_kwargs) for shard_id in shard_ids}
             if build
             else {}
         )
@@ -281,7 +284,7 @@ def _worker_main(
                     shard_id: (
                         pickle.loads(blob)
                         if blob is not None
-                        else factory.build(shard_id)
+                        else spec.shard(shard_id, **shard_kwargs)
                     )
                     for shard_id, blob in zip(shard_ids, blobs)
                 }
@@ -355,32 +358,33 @@ class WorkerPoolBackend(ShardBackend):
 
     def __init__(
         self,
-        factory: UniformShardFactory,
-        num_shards: int,
+        spec: RunSpec,
         workers: int,
+        shard_kwargs: Optional[Mapping[str, object]] = None,
         mp_context: Optional[str] = None,
         collect_timeout_s: Optional[float] = None,
         supervisor: Optional[SupervisorConfig] = None,
         kill_plan: Optional[WorkerKillPlan] = None,
         recorder: Optional[TraceRecorder] = None,
     ) -> None:
-        if num_shards < 1:
-            raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
+        if spec.mode != "federation":
+            raise ConfigurationError(f"a worker pool runs a federation spec, not {spec.mode!r}")
+        shard_kwargs = dict(shard_kwargs or {})
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         if collect_timeout_s is not None and collect_timeout_s <= 0:
             raise ConfigurationError(
                 f"collect_timeout_s must be positive or None, got {collect_timeout_s}"
             )
-        if supervisor is not None and factory.trace_dir is not None:
+        if supervisor is not None and shard_kwargs.get("trace_dir") is not None:
             # Checkpoints pickle whole shards; a shard tracing to an open
             # JSONL handle cannot cross that boundary, and replaying a
             # restored shard would re-emit duplicate trace records anyway.
             raise ConfigurationError(
-                "supervised worker pools cannot use factory.trace_dir; "
+                "supervised worker pools cannot use trace_dir; "
                 "record supervisor telemetry on the parent recorder instead"
             )
-        self.num_shards = num_shards
+        num_shards = self.num_shards = spec.shards
         self.workers = min(workers, num_shards)
         for _, worker_index in kill_plan.kills if kill_plan is not None else ():
             if not 0 <= worker_index < self.workers:
@@ -391,7 +395,8 @@ class WorkerPoolBackend(ShardBackend):
                     f"workers 0..{self.workers - 1}"
                 )
         self.collect_timeout_s = collect_timeout_s
-        self.factory = factory
+        self.spec = spec
+        self.shard_kwargs = shard_kwargs
         self._supervisor = supervisor
         self._kill_plan = kill_plan
         self._ctx = multiprocessing.get_context(mp_context)
@@ -406,7 +411,7 @@ class WorkerPoolBackend(ShardBackend):
         self._started = False
         self._closed = False
         # Supervision state: per-shard checkpoint blobs (None = build fresh
-        # from the factory), plus the global command log since the last
+        # from the spec), plus the global command log since the last
         # checkpoint.  Only populated when a supervisor is configured.
         self._checkpoints: List[Optional[bytes]] = [None] * num_shards
         self._log: List[tuple] = []
@@ -454,7 +459,14 @@ class WorkerPoolBackend(ShardBackend):
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self.factory, self._owned[worker_index], build, heartbeat),
+            args=(
+                child_conn,
+                self.spec,
+                self.shard_kwargs,
+                self._owned[worker_index],
+                build,
+                heartbeat,
+            ),
             name=f"federation-shard-worker-{worker_index}",
             daemon=True,
         )

@@ -147,7 +147,7 @@ class ShardSimulator(Simulator):
                 f"shard {self.shard_id} did not finish within {self.max_rounds} "
                 "rounds; the routed workload is likely too large for the shard"
             )
-        # Worker-process shards (factory trace_dir) must not rely on
+        # Worker-process shards (the trace_dir shard keyword) must not rely on
         # interpreter exit to flush their trace files.
         self.flush_telemetry()
         return self.build_result()

@@ -70,12 +70,15 @@ class RunnablePriorityIndex(JobStateObserver):
 
     def __init__(
         self,
-        idle_key: KeyFn,
+        idle_key: Optional[KeyFn],
         running_key: Optional[KeyFn] = None,
         on_rebuild: Optional[Callable[[], None]] = None,
         on_transition: Optional[Callable[[Job, Optional[JobStatus]], None]] = None,
         on_running_enter: Optional[Callable[[Job], None]] = None,
     ) -> None:
+        #: ``idle_key=None`` keeps no idle tier: an owner whose order drifts
+        #: every round for waiting jobs too (Themis) reads the runnable set
+        #: from the registry and uses the index for its entries only.
         #: ``running_key``, if given, promises running keys that change only
         #: where the owner calls :meth:`reposition`: the running tier is then
         #: kept sorted.  ``on_rebuild`` fires before a wholesale rebuild (drop
@@ -197,7 +200,8 @@ class RunnablePriorityIndex(JobStateObserver):
             self._entries.pop(job.job_id, None)
 
     def _insert_idle(self, job: Job, sort: bool = False) -> None:
-        _insert(self._idle, self._idle_keys, self._idle_key_fn(job), job, sort)
+        if self._idle_key_fn is not None:
+            _insert(self._idle, self._idle_keys, self._idle_key_fn(job), job, sort)
 
     def _insert_running(self, job: Job, sort: bool = False) -> None:
         self._running[job.job_id] = job
@@ -242,9 +246,6 @@ class RunnablePriorityIndex(JobStateObserver):
     def idle_entries(self) -> List[Tuple[PriorityKey, Job]]:
         """The idle tier, sorted by key (the live list; do not mutate)."""
         return self._idle
-
-    def idle_jobs(self) -> List[Job]:
-        return [job for _, job in self._idle]
 
     def running_jobs(self) -> List[Job]:
         """The running tier (unordered)."""
@@ -311,6 +312,8 @@ class RunnablePriorityIndex(JobStateObserver):
         assert self._job_state is not None, "index is not bound"
         runnable = {job.job_id: job for job in self._job_state.runnable_jobs()}
         members = set(self._idle_keys) | set(self._running)
+        if self._idle_key_fn is None:
+            members |= {job_id for job_id, job in runnable.items() if job.status in _IDLE_STATUSES}
         assert members == set(runnable), (
             f"index members {sorted(members)} != runnable {sorted(runnable)}"
         )

@@ -19,10 +19,6 @@ from repro.core.job_state import JobState
 from repro.policies.scheduling.priority_index import RunnablePriorityIndex
 
 
-def _id_key(job: Job):
-    return (job.job_id,)
-
-
 class ThemisScheduling(SchedulingPolicy):
     """Prioritise jobs with the worst finish-time fairness."""
 
@@ -33,9 +29,9 @@ class ThemisScheduling(SchedulingPolicy):
 
     def __init__(self) -> None:
         # rho drifts with ``now`` for waiting jobs too, so no tier order
-        # survives a round: the index supplies the runnable set and the
-        # reused entries, and every round sorts by rho.
-        self._index = RunnablePriorityIndex(idle_key=_id_key)
+        # survives a round: every round sorts the registry's runnable set by
+        # rho, and the index, which keeps no idle tier, reuses the entries.
+        self._index = RunnablePriorityIndex(idle_key=None)
 
     def finish_time_fairness(self, job: Job, now: float) -> float:
         """rho = projected shared finish time / isolated finish time."""
@@ -47,7 +43,6 @@ class ThemisScheduling(SchedulingPolicy):
         now = getattr(job_state, "current_time", 0.0)
         index = self._index
         index.bind(job_state)
-        jobs = index.idle_jobs() + index.running_jobs()
-        scored = [(self.finish_time_fairness(job, now), job) for job in jobs]
+        scored = [(self.finish_time_fairness(job, now), job) for job in job_state.runnable_jobs()]
         scored.sort(key=lambda pair: (-pair[0], pair[1].arrival_time, pair[1].job_id))
         return index.gang_entries(job for _, job in scored)

@@ -1,14 +1,16 @@
-"""The CentralScheduler: the deployment-path counterpart of the Simulator loop.
+"""The CentralScheduler: the Simulator loop on the deployment path.
 
-The scheduling loop and all policy modules are exactly the ones used in
-simulation; what changes is the backend (as the paper emphasises, only the job
-launch and preemption modules differ).  Here launches and preemptions are
+:class:`CentralScheduler` *is* a :class:`~repro.simulator.engine.Simulator`:
+the scheduling loop and all policy modules are exactly the ones used in
+simulation, and every loop keyword is the Simulator's; what changes is the
+backend (as the paper emphasises, only the job launch and preemption modules
+differ).  Here launches and preemptions are
 dispatched over the in-memory RPC channel to the per-node WorkerManagers, and
 job leases are managed through the optimistic lease protocol (Fig. 19 compares
 it with the central one on :func:`~repro.runtime.lease.build_lease_setup`).
 Execution itself is still advanced by the shared execution model
-(optionally with the cluster overhead model that adds real-run jitter), which
-is what the fidelity experiment (Fig. 18) compares against plain simulation.
+(the fidelity experiment, Fig. 18, hands in the cluster overhead model that
+adds real-run jitter and compares against plain simulation).
 
 Two pieces tie the lease lifecycle and cluster dynamics together:
 
@@ -30,15 +32,8 @@ Two pieces tie the lease lifecycle and cluster dynamics together:
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from repro.core.abstractions import (
-    AdmissionPolicy,
-    ClusterManager,
-    MetricCollector,
-    PlacementPolicy,
-    SchedulingPolicy,
-)
 from repro.core.blox_manager import BloxManager
 from repro.core.cluster_state import ClusterState
 from repro.core.job import Job
@@ -49,11 +44,7 @@ from repro.metrics.summary import FaultStats
 from repro.runtime.metrics import WorkerMetricsAggregator
 from repro.runtime.rpc import FaultPlan, InMemoryRpcChannel, RetryPolicy
 from repro.runtime.worker_manager import WorkerManager
-from repro.simulator.engine import SimulationResult, Simulator
-from repro.simulator.overheads import ClusterOverheadModel, OverheadModel
-
-if TYPE_CHECKING:  # annotation only: the caller hands the recorder in
-    from repro.telemetry.recorder import TraceRecorder
+from repro.simulator.engine import Simulator
 
 
 class RpcLauncher(SimulatedLauncher):
@@ -100,6 +91,12 @@ class DeploymentBloxManager(BloxManager):
 
     def __init__(self, *args, lease_manager: _LeaseManagerBase, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        # The RPC-backed launch and preemption mechanisms -- the two modules
+        # that differ between simulation and deployment -- pay the execution
+        # model's overheads, so one overhead model serves all three.
+        overheads = self.execution.overheads
+        self.launcher = RpcLauncher(overheads, lease_manager)
+        self.preemptor = RpcPreemption(overheads, lease_manager)
         self.lease_manager = lease_manager
         self._synced_version: Optional[int] = None  # of the last reconciliation
 
@@ -119,27 +116,21 @@ class DeploymentBloxManager(BloxManager):
         return finished
 
 
-class CentralScheduler:
-    """Runs the Blox loop against WorkerManagers over RPC ("cluster mode")."""
+class CentralScheduler(Simulator):
+    """The Blox loop against WorkerManagers over RPC ("cluster mode").
+
+    A :class:`~repro.simulator.engine.Simulator` whose ``BloxManager``
+    launches and preempts over RPC: every other keyword is the Simulator's.
+    """
 
     def __init__(
         self,
         cluster_state: ClusterState,
-        jobs: Sequence[Job],
-        scheduling_policy: SchedulingPolicy,
-        placement_policy: Optional[PlacementPolicy] = None,
-        admission_policy: Optional[AdmissionPolicy] = None,
-        round_duration: float = 300.0,
-        overhead_model: Optional[OverheadModel] = None,
-        metric_collectors: Sequence[MetricCollector] = (),
-        tracked_job_ids: Optional[Sequence[int]] = None,
-        cluster_manager: Optional[ClusterManager] = None,
-        fast_forward: bool = True,
+        *args,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        recorder: Optional[TraceRecorder] = None,
+        **kwargs,
     ) -> None:
-        self.cluster_state = cluster_state
         # An armed fault plan turns every lease RPC into an attempt loop with
         # retry/backoff and idempotency-token dedup; the schedule must stay
         # bit-identical to a fault-free run (only latencies and fault counters
@@ -150,52 +141,22 @@ class CentralScheduler:
             for node_id in sorted(cluster_state.nodes)
         ]
         self.lease_manager = OptimisticLeaseManager(initial_workers, self.channel)
-
-        # Cluster runs pay real launch/preemption overheads plus jitter by
-        # default; fidelity/parity experiments pass a deterministic model.
-        overheads = overhead_model if overhead_model is not None else ClusterOverheadModel()
-        self.preemptor = RpcPreemption(overheads, self.lease_manager)
-
-        self._simulator = Simulator(
-            cluster_state=cluster_state,
-            jobs=jobs,
-            scheduling_policy=scheduling_policy,
-            placement_policy=placement_policy,
-            admission_policy=admission_policy,
-            round_duration=round_duration,
-            overhead_model=overheads,
-            metric_collectors=metric_collectors,
-            tracked_job_ids=tracked_job_ids,
-            cluster_manager=cluster_manager,
-            fast_forward=fast_forward,
-            # The RPC-backed launch and preemption mechanisms: the two
-            # modules that differ between simulation and deployment.
-            manager_factory=partial(
-                DeploymentBloxManager,
-                lease_manager=self.lease_manager,
-                launcher=RpcLauncher(overheads, self.lease_manager),
-                preemptor=self.preemptor,
-            ),
-            recorder=recorder,
+        super().__init__(
+            cluster_state,
+            *args,
+            manager_factory=partial(DeploymentBloxManager, lease_manager=self.lease_manager),
+            **kwargs,
         )
         self.worker_metrics = WorkerMetricsAggregator(self.channel, self.lease_manager)
-        self._simulator.job_state.add_observer(self.worker_metrics)
+        self.job_state.add_observer(self.worker_metrics)
         # Telemetry: the lease protocol and the RPC channel share the
-        # simulator's recorder (one source, one monotonic sequence) and read
-        # the loop's clock -- hooks only observe, so traced deployment runs
-        # keep schedule parity with untraced ones.
-        if recorder is not None:
-            clock = lambda: self._simulator.manager.current_time  # noqa: E731
-            self.lease_manager.set_telemetry(recorder, clock)
-            self.channel.set_telemetry(recorder, clock)
-
-    def run(self) -> SimulationResult:
-        """Execute the workload through the deployment path."""
-        return self._simulator.run()
-
-    @property
-    def manager(self) -> BloxManager:
-        return self._simulator.manager
+        # loop's recorder (one source, one monotonic sequence) and read its
+        # clock -- hooks only observe, so traced deployment runs keep
+        # schedule parity with untraced ones.
+        if self._recorder is not None:
+            clock = lambda: self.manager.current_time  # noqa: E731
+            self.lease_manager.set_telemetry(self._recorder, clock)
+            self.channel.set_telemetry(self._recorder, clock)
 
     @property
     def workers(self) -> Dict[int, WorkerManager]:
@@ -204,7 +165,7 @@ class CentralScheduler:
 
     def lease_latencies_ms(self) -> List[float]:
         """Per-preemption lease-round latencies observed during the run."""
-        return list(self.preemptor.lease_round_latencies_ms)
+        return list(self.manager.preemptor.lease_round_latencies_ms)
 
     def fault_stats(self) -> FaultStats:
         """Fault-injection and recovery counters from the RPC channel."""

@@ -5,7 +5,9 @@ placement, admission and workload names (any key of ``SCHEDULING_POLICIES`` /
 ``PLACEMENT_POLICIES`` / ``ADMISSION_POLICIES`` / ``WORKLOAD_GENERATORS``,
 never pickled objects), seed, workload size and generator parameters, cluster
 shape, federation layout -- and :meth:`RunSpec.build` is the one place that
-turns a description into an engine.  It is stored in every
+turns a description into an engine (:meth:`RunSpec.shard` the one that turns
+it into a federation shard, in this process or in a pool worker, which
+receives the spec itself).  It is stored in every
 recorded trace's header, which makes the trace *self-replaying*:
 ``python -m repro.trace replay trace.jsonl`` rebuilds the exact run from the
 header and diffs the fresh event stream against the recorded one.  Because
@@ -19,18 +21,22 @@ Three modes cover the repo's execution paths:
 
 * ``core`` -- the plain :class:`~repro.simulator.engine.Simulator`;
 * ``runtime`` -- the deployment path
-  (:class:`~repro.runtime.central_scheduler.CentralScheduler`; optimistic
-  leases, and deterministic overheads unless ``build()`` is handed an
+  (:class:`~repro.runtime.central_scheduler.CentralScheduler`, a
+  ``Simulator`` with optimistic leases; the same keywords and the same
+  deterministic overheads unless ``build()`` is handed an
   ``overhead_model``), adding lease + rpc-faults events;
 * ``federation`` -- the federation engine over in-process shards, adding
   per-shard round streams plus routing events; ``build(workers=N)`` is the
-  same federation with the shards in N worker processes.
+  same federation with the shards in N worker processes.  A spec that
+  generates its own trace is refused when the trace's widest gang does not
+  fit one shard.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass, fields
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro.telemetry.events import TraceFormatError, TraceHeader, run_metadata
 
@@ -137,7 +143,7 @@ class RunSpec:
             if self.mode == "federation":
                 raise TraceFormatError(
                     "scenario runs are core/runtime only (federation shards "
-                    "take per-shard managers from their shard factory)"
+                    "take per-shard managers from build(cluster_manager_factory=...))"
                 )
             if self.scenario not in scenario_names():
                 raise TraceFormatError(
@@ -201,16 +207,10 @@ class RunSpec:
         a :class:`~repro.federation.parallel.WorkerPoolBackend` parameter
         (``supervisor``, ``kill_plan``, ``collect_timeout_s``, ...).  On both
         backends ``jobs`` / ``tracked_job_ids`` replace the spec's trace (a
-        lazy stream for ``run_stream()``) and ``cluster_manager_factory`` /
-        ``trace_dir`` are shard-recipe fields.
+        lazy stream for ``run_stream()``; a trace the spec generates itself
+        must fit one shard), and the remaining keywords go to
+        :meth:`shard`.
         """
-        from repro.policies.admission import ADMISSION_POLICIES
-        from repro.policies.placement import PLACEMENT_POLICIES
-        from repro.policies.scheduling import SCHEDULING_POLICIES
-
-        scheduling = SCHEDULING_POLICIES[self.policy]
-        placement = PLACEMENT_POLICIES[self.placement]
-        admission = ADMISSION_POLICIES[self.admission]
 
         def recorder(source: str) -> Optional[TraceRecorder]:
             if sink is None:
@@ -220,37 +220,28 @@ class RunSpec:
             return TraceRecorder(sink, source=source)
 
         if self.mode == "federation":
-            from repro.federation.engine import (
-                FederationEngine,
-                LocalShardBackend,
-                UniformShardFactory,
-            )
+            from repro.federation.engine import FederationEngine, LocalShardBackend
             from repro.federation.router import make_router
-
-            def take(*names: str) -> Dict[str, object]:
-                return {k: engine_kwargs.pop(k) for k in names if k in engine_kwargs}
 
             jobs = engine_kwargs.pop("jobs", None)
             tracked = engine_kwargs.pop("tracked_job_ids", None)
             if jobs is None:
                 trace = self.trace()
                 jobs, tracked = trace.fresh_jobs(), trace.tracked_ids()
-            pool_kwargs = take(*_POOL_KEYWORDS)
-            factory = UniformShardFactory(
-                nodes_per_shard=self.num_nodes // self.shards,
-                scheduling_factory=scheduling,
-                placement_factory=placement,
-                admission_factory=admission,
-                gpus_per_node=self.gpus_per_node,
-                round_duration=self.round_duration,
-                **take("cluster_manager_factory", "trace_dir"),
-                engine_kwargs=engine_kwargs,
-            )
+                widest = max(job.num_gpus for job in jobs)
+                capacity = self.num_nodes // self.shards * self.gpus_per_node
+                if widest > capacity:
+                    raise TraceFormatError(
+                        f"the workload's largest gang needs {widest} GPUs, but each "
+                        f"of the {self.shards} shards owns {capacity}; "
+                        "use fewer shards or more nodes"
+                    )
+            pool_kwargs = {k: engine_kwargs.pop(k) for k in _POOL_KEYWORDS if k in engine_kwargs}
             if workers is not None:
                 from repro.federation.parallel import WorkerPoolBackend
 
                 backend = WorkerPoolBackend(
-                    factory, self.shards, workers, recorder=recorder("federation"), **pool_kwargs
+                    self, workers, engine_kwargs, recorder=recorder("federation"), **pool_kwargs
                 )
             elif pool_kwargs:
                 raise TraceFormatError(
@@ -259,7 +250,10 @@ class RunSpec:
                 )
             else:
                 backend = LocalShardBackend(
-                    [factory.build(i, recorder(f"shard{i}")) for i in range(self.shards)]
+                    [
+                        self.shard(i, recorder(f"shard{i}"), **engine_kwargs)
+                        for i in range(self.shards)
+                    ]
                 )
             return FederationEngine(
                 backend, make_router(self.router), jobs, tracked, recorder("federation")
@@ -286,23 +280,78 @@ class RunSpec:
             round_duration = self.round_duration
         if self.mode == "runtime":
             from repro.runtime.central_scheduler import CentralScheduler
-            from repro.simulator.overheads import OverheadModel
 
             engine_cls, source = CentralScheduler, "runtime"
-            engine_kwargs.setdefault("overhead_model", OverheadModel())
         else:
             from repro.simulator.engine import Simulator
 
             engine_cls, source = Simulator, "sim"
         return engine_cls(
-            cluster_state=cluster,
-            jobs=trace.fresh_jobs(),
-            scheduling_policy=scheduling(),
-            placement_policy=placement(),
-            admission_policy=admission(),
+            cluster,
+            trace.fresh_jobs(),
+            *self._policies(),
             round_duration=round_duration,
             tracked_job_ids=trace.tracked_ids(),
             recorder=recorder(source),
+            **engine_kwargs,
+        )
+
+    def _policies(self) -> tuple:
+        """Fresh scheduling, placement and admission policies, in that order."""
+        from repro.policies.admission import ADMISSION_POLICIES
+        from repro.policies.placement import PLACEMENT_POLICIES
+        from repro.policies.scheduling import SCHEDULING_POLICIES
+
+        return (
+            SCHEDULING_POLICIES[self.policy](),
+            PLACEMENT_POLICIES[self.placement](),
+            ADMISSION_POLICIES[self.admission](),
+        )
+
+    def shard(
+        self,
+        shard_id: int,
+        recorder: Optional[TraceRecorder] = None,
+        cluster_manager_factory: Optional[Callable[[int], object]] = None,
+        trace_dir: Optional[str] = None,
+        **engine_kwargs,
+    ):
+        """Federation shard ``shard_id`` of this spec, with fresh policies.
+
+        Every shard of a federation -- in this process or in a pool worker,
+        which receives this spec -- is built here: ``num_nodes / shards``
+        nodes, the spec's policy stack and round duration.
+        ``cluster_manager_factory(shard_id)`` gives the shard its own cluster
+        manager (a picklable one, such as
+        :class:`~repro.federation.engine.ScenarioManagerFactory`, to cross
+        into a worker).  Without a ``recorder``, ``trace_dir`` makes the
+        shard stream telemetry to ``<trace_dir>/shard-<id>.jsonl``, a sink
+        opened where the shard is built, so fork and spawn pools write the
+        same per-shard streams.  ``engine_kwargs`` reach
+        :class:`~repro.federation.shard.ShardSimulator`:
+        ``fast_forward=False`` is the stepping reference.
+        """
+        from repro.cluster.builder import build_cluster
+        from repro.federation.shard import ShardSimulator
+
+        if self.mode != "federation":
+            raise TraceFormatError(f"shard() needs a federation-mode spec, not {self.mode!r}")
+        manager = cluster_manager_factory(shard_id) if cluster_manager_factory else None
+        if recorder is None and trace_dir is not None:
+            from repro.telemetry.recorder import TraceRecorder
+            from repro.telemetry.sinks import JsonlSink
+
+            os.makedirs(trace_dir, exist_ok=True)
+            sink = JsonlSink(os.path.join(trace_dir, f"shard-{shard_id}.jsonl"))
+            sink.write_header(TraceHeader(metadata={"source": f"shard{shard_id}"}))
+            recorder = TraceRecorder(sink, source=f"shard{shard_id}")
+        return ShardSimulator(
+            shard_id,
+            build_cluster(num_nodes=self.num_nodes // self.shards, gpus_per_node=self.gpus_per_node),
+            *self._policies(),
+            cluster_manager=manager,
+            round_duration=self.round_duration,
+            recorder=recorder,
             **engine_kwargs,
         )
 

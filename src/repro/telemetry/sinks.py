@@ -20,7 +20,7 @@ The file sink intentionally refuses pickling: a recorder crossing a process
 boundary (e.g. into a supervised federation worker that will be checkpointed)
 would otherwise re-emit duplicate records after restore.  Worker-side
 tracing instead opens its sinks *inside* the worker (see
-``UniformShardFactory.trace_dir``).
+the ``trace_dir`` keyword of :meth:`~repro.telemetry.runspec.RunSpec.shard`).
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import List, Optional
@@ -110,12 +111,18 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
 
 
 def _cmd_record(args: argparse.Namespace) -> int:
+    """Record into ``<out>.partial`` and move it to ``--out`` once the run
+    finished: a spec ``build()`` rejects, or a run that fails, leaves no
+    ``--out`` file behind."""
     spec = _spec_from_args(args)
-    sink = JsonlSink(args.out)
+    partial = f"{args.out}.partial"
     try:
-        run_recorded(spec, sink, started_at=time.time())
+        with JsonlSink(partial) as sink:
+            run_recorded(spec, sink, started_at=time.time())
+        os.replace(partial, args.out)
     finally:
-        sink.close()
+        if os.path.exists(partial):
+            os.remove(partial)
     _, events = read_trace(args.out)
     print(f"recorded {len(events)} events ({spec.mode}/{spec.policy}) -> {args.out}")
     return 0

@@ -142,6 +142,41 @@ def test_docs_check_flags_an_undocumented_constructor_parameter(check_docs):
         assert text in finding
 
 
+def test_docs_check_flags_an_unmapped_forwarding_kwargs(check_docs):
+    """A ``**kwargs`` is a finding unless ``FORWARDS`` maps its constructor to
+    another documented one, whose rows then cover what it forwards."""
+    assert check_docs.FORWARDS == {"CentralScheduler": "Simulator"}
+
+    class Engine:
+        def __init__(self, cluster, speed=1.0):
+            pass
+
+    class Deployment(Engine):
+        def __init__(self, cluster, *args, faults=None, **kwargs):
+            pass
+
+    class Rogue:
+        def __init__(self, cluster, **options):
+            pass
+
+    doc = (
+        "| Parameter | Set by | Note |\n|---|---|---|\n"
+        "| `Engine(speed)` | `RunSpec.round_duration` | |\n"
+        "| `Deployment(faults)` | `python -m repro.bench --chaos` | |\n"
+    )
+    constructors = {"Engine": Engine, "Deployment": Deployment, "Rogue": Rogue}
+    forwards = {"Deployment": "Engine", "Rogue": "Nowhere"}
+    assert check_docs.check_constructor_knobs({"doc.md": doc}, constructors, forwards) == [
+        "docs: `Rogue(**options)` forwards to no documented constructor "
+        "(map it in FORWARDS, or it could hide a knob)"
+    ]
+    findings = check_docs.check_constructor_knobs({"doc.md": doc}, constructors, {})
+    assert [finding.split("`")[1] for finding in findings] == [
+        "Deployment(**kwargs)",
+        "Rogue(**options)",
+    ]
+
+
 def test_gate_inventory_and_one_artifact_shape(tmp_path, monkeypatch, check_docs):
     monkeypatch.chdir(tmp_path)
     assert run(bench_main, ["--smoke"]) == 0

@@ -101,11 +101,10 @@ def test_failure_and_recovery_update_free_counters():
 
 def test_remove_node_evicts_jobs_and_releases_aux_everywhere():
     cluster = build_cluster(num_nodes=3, gpus_per_node=4)
-    cluster.assign(7, [0, 1, 5])  # spans nodes 0 and 1
-    cluster.assign(8, [9])  # node 2, untouched by the removal
-    cluster.reserve_aux(7, 0, 4.0, 8.0)
-    cluster.reserve_aux(7, 1, 2.0, 4.0)
-    cluster.reserve_aux(8, 2, 3.0, 16.0)
+    cluster.assign(7, [0, 1, 5], (2.0, 4.0))  # spans nodes 0 and 1, aux on both
+    cluster.assign(8, [9], (3.0, 16.0))  # node 2, untouched by the removal
+    assert cluster.node(0).aux_allocation(7) == (4.0, 8.0)
+    assert cluster.node(1).aux_allocation(7) == (2.0, 4.0)
 
     evicted = cluster.remove_node(1)
     cluster.check_invariants()
@@ -142,8 +141,7 @@ def test_view_orders_free_gpus_by_local_id():
 
 def test_snapshot_is_deep_and_uses_public_node_state():
     cluster = build_cluster(num_nodes=2, gpus_per_node=4)
-    cluster.assign(3, [0, 1])
-    cluster.reserve_aux(3, 0, 6.0, 32.0)
+    cluster.assign(3, [0, 1], (3.0, 16.0))
     cluster.mark_node_failed(1)
 
     snap = cluster.snapshot()
@@ -243,8 +241,8 @@ def _assert_records(cluster, shares):
         view = _rows_view(cluster, job_id)
         assert cluster.nodes_for_job(job_id) == ([] if view is None else list(view[2]))
         assert [g.gpu_id for g in cluster.gpus_for_job(job_id)] == ([] if view is None else view[0])
-    # An aux reservation exists only for a job holding GPUs on that node or
-    # reserved through reserve_aux; a released job holds none anywhere.
+    # An aux reservation exists only for a job holding GPUs on that node; a
+    # released job holds none anywhere.
     for node in cluster.nodes.values():
         for job_id in node.aux_job_ids():
             assert job_id in jobs, f"job {job_id} keeps aux on node {node.node_id}"
@@ -287,8 +285,6 @@ def _random_record_walk(seed, steps):
                 elif rng.random() < 0.5:
                     shares[next_job] = min(1.0, granted / (aux[0] * len(picked)))
                     cluster.set_cpu_share(next_job, shares[next_job])
-                if rng.random() < 0.2:  # a reservation outside assign goes too
-                    cluster.reserve_aux(next_job, rng.choice(sorted(cluster.nodes)), 1.0, 1.0)
                 next_job += 1
         elif op < 0.55:
             held = cluster.jobs_with_allocations()
@@ -334,18 +330,17 @@ def test_allocation_record_matches_the_gpu_rows_wide(seed):
     _random_record_walk(seed, 400)
 
 
-def test_standalone_aux_reservation_is_released_with_the_job():
+def test_aux_reserved_at_assign_is_released_with_the_job():
     cluster = build_cluster(num_nodes=3, gpus_per_node=4)
-    assert cluster.assign(7, [0, 1], (2.0, 4.0)) == 4.0
-    cluster.reserve_aux(7, 2, 3.0, 5.0)  # a node the job holds no GPU on
+    assert cluster.assign(7, [0, 1, 4], (2.0, 4.0)) == 6.0
     assert cluster.node(0).aux_allocation(7) == (4.0, 8.0)
+    assert cluster.node(1).aux_allocation(7) == (2.0, 4.0)
     cluster.release_job(7)
     cluster.check_invariants()
     assert all(node.aux_job_ids() == [] for node in cluster.nodes.values())
-    # A job holding no GPUs at all is freed too.
-    cluster.reserve_aux(8, 1, 1.0, 1.0)
+    # Releasing a job that holds no GPUs frees nothing.
     assert cluster.release_job(8) == []
-    assert cluster.node(1).aux_job_ids() == []
+    cluster.check_invariants()
 
 
 def test_every_assignment_is_a_new_record():

@@ -171,19 +171,17 @@ def test_shard_scenario_records_cluster_events():
         FederationEngine,
         LocalShardBackend,
         ScenarioManagerFactory,
-        UniformShardFactory,
     )
     from repro.federation.router import make_router
-    from repro.policies.scheduling import FifoScheduling
     from repro.telemetry.recorder import TraceRecorder
     from repro.workloads.philly import generate_philly_trace
 
     sink = RingBufferSink()
-    shard = UniformShardFactory(
-        nodes_per_shard=4,
-        scheduling_factory=FifoScheduling,
+    shard = RunSpec(mode="federation", num_nodes=4, shards=1).shard(
+        0,
+        TraceRecorder(sink, source="shard0"),
         cluster_manager_factory=ScenarioManagerFactory("failure-storm", smoke=True),
-    ).build(0, TraceRecorder(sink, source="shard0"))
+    )
     trace = generate_philly_trace(num_jobs=12, jobs_per_hour=6.0, seed=5)
     FederationEngine(
         LocalShardBackend([shard]),
@@ -242,7 +240,7 @@ def test_plain_core_run_emits_no_cluster_events():
 
 def test_runspec_rejects_scenario_in_federation_mode():
     # Core and runtime specs take a scenario (tests/test_run_registry.py runs
-    # both); federation shards get managers from their shard factory.
+    # both); federation shards get managers from a cluster_manager_factory.
     with pytest.raises(TraceFormatError, match="core/runtime only"):
         RunSpec(mode="federation", scenario="failure-storm")
 

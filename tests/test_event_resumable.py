@@ -6,7 +6,7 @@ the loop's pausability must match the stepping loop (``fast_forward=False``):
 * ``_advance_loop(stop_time)`` pause/resume on a plain simulator;
 * federation shards (``run_until``/``submit``/``finish`` driven by the
   engine over a ``LocalShardBackend``);
-* the deployment path (:class:`CentralScheduler` composes the simulator);
+* the deployment path (:class:`CentralScheduler` is a simulator);
 * trace record -> replay -> diff round-trips, including headers recorded
   while the spec still carried an ``engine`` field.
 """
@@ -18,7 +18,7 @@ from functools import partial
 import pytest
 
 from repro.cluster.builder import build_cluster
-from repro.federation.engine import FederationEngine, LocalShardBackend, UniformShardFactory
+from repro.federation.engine import FederationEngine, LocalShardBackend
 from repro.federation.router import make_router
 from repro.policies.placement.consolidated import ConsolidatedPlacement
 from repro.policies.scheduling import FifoScheduling, SrtfScheduling, TiresiasScheduling
@@ -126,16 +126,10 @@ def test_pause_points_match_stepping(build, stops):
 # ----------------------------------------------------------------------
 
 
-def _run_federation(fast_forward, scheduling=FifoScheduling, router_name="round-robin"):
+def _run_federation(fast_forward, policy="fifo", router_name="round-robin"):
     trace = small_trace(num_jobs=40, seed=7)
-    factory = UniformShardFactory(
-        4,
-        scheduling,
-        ConsolidatedPlacement,
-        round_duration=ROUND,
-        engine_kwargs={"fast_forward": fast_forward},
-    )
-    shards = [factory.build(i) for i in range(2)]
+    spec = RunSpec(mode="federation", policy=policy, num_nodes=8, shards=2, round_duration=ROUND)
+    shards = [spec.shard(i, fast_forward=fast_forward) for i in range(2)]
     engine = FederationEngine(
         LocalShardBackend(shards),
         make_router(router_name),
@@ -147,8 +141,8 @@ def _run_federation(fast_forward, scheduling=FifoScheduling, router_name="round-
 
 @pytest.mark.parametrize("scheduling", [FifoScheduling, SrtfScheduling])
 def test_federation_shards_match_stepping(scheduling):
-    default = _run_federation(True, scheduling=scheduling)
-    stepping = _run_federation(False, scheduling=scheduling)
+    default = _run_federation(True, policy=scheduling.name)
+    stepping = _run_federation(False, policy=scheduling.name)
     assert default.assignments == stepping.assignments
     for default_shard, stepping_shard in zip(
         default.shard_results, stepping.shard_results

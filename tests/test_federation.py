@@ -33,7 +33,6 @@ from repro.federation import (
     RoundRobinRouter,
     ShardSimulator,
     ShardViewSummary,
-    UniformShardFactory,
     make_router,
     router_names,
     summarize_shard,
@@ -41,9 +40,10 @@ from repro.federation import (
 from repro.metrics.parity import schedule_diff
 from repro.metrics.summary import FederationSummary, federation_summary, percentile
 from repro.policies.placement.consolidated import ConsolidatedPlacement
-from repro.policies.scheduling import FifoScheduling, SrtfScheduling
+from repro.policies.scheduling import FifoScheduling
 from repro.scenarios.registry import get_scenario
 from repro.simulator.engine import RoundRecord, Simulator
+from repro.telemetry.runspec import RunSpec
 from repro.workloads.philly import generate_philly_trace
 
 ROUND = 300.0
@@ -53,17 +53,23 @@ def small_trace(num_jobs=40, seed=7, jobs_per_hour=6.0):
     return generate_philly_trace(num_jobs=num_jobs, jobs_per_hour=jobs_per_hour, seed=seed)
 
 
-def make_federation(num_shards, router, trace, fast_forward=True, nodes_per_shard=4,
-                    scheduling=FifoScheduling, cluster_manager_factory=None):
-    factory = UniformShardFactory(
-        nodes_per_shard,
-        scheduling,
-        ConsolidatedPlacement,
+def federation_spec(num_shards, nodes_per_shard=4, policy="fifo"):
+    return RunSpec(
+        mode="federation",
+        policy=policy,
+        num_nodes=num_shards * nodes_per_shard,
+        shards=num_shards,
         round_duration=ROUND,
-        cluster_manager_factory=cluster_manager_factory,
-        engine_kwargs={"fast_forward": fast_forward},
     )
-    shards = [factory.build(i) for i in range(num_shards)]
+
+
+def make_federation(num_shards, router, trace, fast_forward=True, nodes_per_shard=4,
+                    policy="fifo", cluster_manager_factory=None):
+    spec = federation_spec(num_shards, nodes_per_shard, policy)
+    shards = [
+        spec.shard(i, cluster_manager_factory=cluster_manager_factory, fast_forward=fast_forward)
+        for i in range(num_shards)
+    ]
     engine = FederationEngine(
         LocalShardBackend(shards),
         router,
@@ -135,9 +141,9 @@ def test_federation_fast_forward_parity(router_name):
 def test_federation_parity_with_srtf():
     # A second gang policy exercises preemption decisions across shards.
     trace = small_trace(num_jobs=30, seed=11)
-    ff_engine, _ = make_federation(2, QueueDelayRouter(), trace, scheduling=SrtfScheduling)
+    ff_engine, _ = make_federation(2, QueueDelayRouter(), trace, policy="srtf")
     step_engine, _ = make_federation(
-        2, QueueDelayRouter(), trace, scheduling=SrtfScheduling, fast_forward=False
+        2, QueueDelayRouter(), trace, policy="srtf", fast_forward=False
     )
     assert schedule_diff(ff_engine.run(), step_engine.run()).identical
 
@@ -212,8 +218,7 @@ def test_result_accessors():
 def test_infeasible_gang_raises():
     # 2 nodes x 4 GPUs per shard = 8 GPUs; a 16-GPU gang fits nowhere.
     jobs = [Job(arrival_time=0.0, num_gpus=16, duration=3600.0, job_id=1)]
-    factory = UniformShardFactory(2, FifoScheduling, round_duration=ROUND)
-    shards = [factory.build(i) for i in range(2)]
+    shards = [federation_spec(2, nodes_per_shard=2).shard(i) for i in range(2)]
     engine = FederationEngine(LocalShardBackend(shards), RoundRobinRouter(), jobs)
     with pytest.raises(SimulationError, match="no feasible routing"):
         engine.run()
@@ -247,8 +252,7 @@ def test_oversized_gangs_skip_small_shards():
 
 
 def test_engine_rejects_misnumbered_shards():
-    factory = UniformShardFactory(2, FifoScheduling, round_duration=ROUND)
-    shards = [factory.build(i) for i in range(2)]
+    shards = [federation_spec(2, nodes_per_shard=2).shard(i) for i in range(2)]
     shards[1].shard_id = 7
     with pytest.raises(ConfigurationError, match="shard ids must equal"):
         LocalShardBackend(shards)
@@ -274,16 +278,14 @@ def test_engine_rejects_mixed_round_durations():
 
 
 def test_engine_rejects_empty_workload():
-    factory = UniformShardFactory(2, FifoScheduling, round_duration=ROUND)
-    shards = [factory.build(i) for i in range(1)]
+    shards = [federation_spec(1, nodes_per_shard=2).shard(0)]
     with pytest.raises(ConfigurationError, match="empty workload"):
         FederationEngine(LocalShardBackend(shards), RoundRobinRouter(), []).run()
 
 
 def test_submit_after_finish_raises():
     jobs = [Job(arrival_time=0.0, num_gpus=1, duration=600.0, job_id=1)]
-    factory = UniformShardFactory(1, FifoScheduling, round_duration=ROUND)
-    shards = [factory.build(i) for i in range(1)]
+    shards = [federation_spec(1, nodes_per_shard=1).shard(0)]
     FederationEngine(LocalShardBackend(shards), RoundRobinRouter(), jobs).run()
     with pytest.raises(SimulationError, match="draining"):
         shards[0].submit(Job(arrival_time=0.0, num_gpus=1, duration=600.0, job_id=2))

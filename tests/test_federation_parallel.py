@@ -4,7 +4,7 @@ The contracts under test:
 
 * a :class:`FederationEngine` on a :class:`WorkerPoolBackend` is
   **bit-identical** to the same engine on a :class:`LocalShardBackend` for the
-  same factory/trace -- assignments,
+  same spec/trace -- assignments,
   per-shard completion times, round logs and round counts -- for every stock
   router, including under per-shard failure-storm scenario timelines (worker
   processes are an execution detail, never a semantic one);
@@ -34,15 +34,12 @@ from repro.federation import (
     FederationEngine,
     LocalShardBackend,
     ScenarioManagerFactory,
-    UniformShardFactory,
     WorkerPoolBackend,
     drive_federation,
     make_router,
     router_names,
 )
 from repro.metrics.parity import schedule_diff
-from repro.policies.placement.consolidated import ConsolidatedPlacement
-from repro.policies.scheduling import FifoScheduling, SrtfScheduling
 from repro.scenarios.registry import get_scenario
 from repro.simulator.overheads import OverheadModel
 from repro.telemetry.events import TraceFormatError
@@ -56,14 +53,13 @@ def small_trace(num_jobs=40, seed=7, jobs_per_hour=6.0):
     return generate_philly_trace(num_jobs=num_jobs, jobs_per_hour=jobs_per_hour, seed=seed)
 
 
-def bench_factory(nodes_per_shard=4, scheduling=FifoScheduling,
-                  cluster_manager_factory=None):
-    return UniformShardFactory(
-        nodes_per_shard=nodes_per_shard,
-        scheduling_factory=scheduling,
-        placement_factory=ConsolidatedPlacement,
+def bench_spec(num_shards=2, policy="fifo"):
+    return RunSpec(
+        mode="federation",
+        policy=policy,
+        num_nodes=4 * num_shards,
+        shards=num_shards,
         round_duration=ROUND,
-        cluster_manager_factory=cluster_manager_factory,
     )
 
 
@@ -72,13 +68,13 @@ def make_engine(backend, router_name, jobs, tracked_job_ids=None):
     return FederationEngine(backend, make_router(router_name), jobs, tracked_job_ids)
 
 
-def run_serial(factory, num_shards, router_name, trace):
-    backend = LocalShardBackend([factory.build(i) for i in range(num_shards)])
+def run_serial(spec, router_name, trace, **shard_kwargs):
+    backend = LocalShardBackend([spec.shard(i, **shard_kwargs) for i in range(spec.shards)])
     return make_engine(backend, router_name, trace.fresh_jobs(), trace.tracked_ids()).run()
 
 
-def run_parallel(factory, num_shards, router_name, trace, workers=2, **kwargs):
-    backend = WorkerPoolBackend(factory, num_shards, workers, **kwargs)
+def run_parallel(spec, router_name, trace, workers=2, mp_context=None, **shard_kwargs):
+    backend = WorkerPoolBackend(spec, workers, shard_kwargs, mp_context=mp_context)
     return make_engine(backend, router_name, trace.fresh_jobs(), trace.tracked_ids()).run()
 
 
@@ -90,9 +86,9 @@ def run_parallel(factory, num_shards, router_name, trace, workers=2, **kwargs):
 @pytest.mark.parametrize("router_name", router_names())
 def test_parallel_matches_serial(router_name):
     trace = small_trace()
-    factory = bench_factory()
-    serial = run_serial(factory, 2, router_name, trace)
-    parallel = run_parallel(factory, 2, router_name, trace, workers=2)
+    spec = bench_spec()
+    serial = run_serial(spec, router_name, trace)
+    parallel = run_parallel(spec, router_name, trace, workers=2)
     assert schedule_diff(serial, parallel).identical
     assert serial.workers == 0
     assert parallel.workers == 2
@@ -104,13 +100,12 @@ def test_parallel_matches_serial_under_failure_storm(router_name):
     # worker from the picklable ScenarioManagerFactory; evictions, node
     # failures and routed gangs must interleave identically to the serial run.
     trace = small_trace(num_jobs=30, seed=3)
-    factory = bench_factory(
-        cluster_manager_factory=ScenarioManagerFactory(
-            "failure-storm", smoke=True, seed_base=99
-        )
+    managers = ScenarioManagerFactory("failure-storm", smoke=True, seed_base=99)
+    spec = bench_spec()
+    serial = run_serial(spec, router_name, trace, cluster_manager_factory=managers)
+    parallel = run_parallel(
+        spec, router_name, trace, workers=2, cluster_manager_factory=managers
     )
-    serial = run_serial(factory, 2, router_name, trace)
-    parallel = run_parallel(factory, 2, router_name, trace, workers=2)
     assert schedule_diff(serial, parallel).identical
     assert sum(r.eviction_count for r in parallel.shard_results) == sum(
         r.eviction_count for r in serial.shard_results
@@ -121,28 +116,25 @@ def test_parallel_matches_serial_with_srtf_and_more_shards_than_workers():
     # 4 shards on 2 workers exercises multi-shard-per-worker ownership, and
     # SRTF exercises preemption decisions inside the workers.
     trace = small_trace(num_jobs=30, seed=11)
-    factory = bench_factory(scheduling=SrtfScheduling)
-    serial = run_serial(factory, 4, "queue-delay", trace)
-    parallel = run_parallel(factory, 4, "queue-delay", trace, workers=2)
+    spec = bench_spec(4, policy="srtf")
+    serial = run_serial(spec, "queue-delay", trace)
+    parallel = run_parallel(spec, "queue-delay", trace, workers=2)
     assert schedule_diff(serial, parallel).identical
 
 
 def test_parallel_spawn_context_matches_serial():
     # The protocol must be spawn-safe: nothing reaches the worker by memory
-    # inheritance, everything crosses the pipe or the factory pickle.
+    # inheritance, everything crosses the pipe or the spec pickle.
     trace = small_trace(num_jobs=20, seed=5)
-    factory = bench_factory()
-    serial = run_serial(factory, 2, "least-loaded", trace)
-    parallel = run_parallel(
-        factory, 2, "least-loaded", trace, workers=2, mp_context="spawn"
-    )
+    spec = bench_spec()
+    serial = run_serial(spec, "least-loaded", trace)
+    parallel = run_parallel(spec, "least-loaded", trace, workers=2, mp_context="spawn")
     assert schedule_diff(serial, parallel).identical
 
 
 def test_parallel_timing_breakdown_populated():
     trace = small_trace(num_jobs=20, seed=5)
-    factory = bench_factory()
-    result = run_parallel(factory, 2, "round-robin", trace, workers=2)
+    result = run_parallel(bench_spec(), "round-robin", trace, workers=2)
     assert result.routing_time_s > 0
     assert result.advance_time_s > 0
     assert len(result.shard_busy_time_s()) == 2
@@ -197,7 +189,7 @@ def test_failed_drive_leaves_no_child_alive():
 
 
 def test_worker_pool_starts_once():
-    backend = WorkerPoolBackend(bench_factory(), num_shards=2, workers=2)
+    backend = WorkerPoolBackend(bench_spec(), workers=2)
     with backend:
         pass
     with pytest.raises(ConfigurationError, match="starts once"):
@@ -205,7 +197,7 @@ def test_worker_pool_starts_once():
 
 
 def test_build_kwargs_reach_every_shard_on_both_backends():
-    # One shard recipe: any engine keyword the in-process shards take, the
+    # One shard builder: any engine keyword the in-process shards take, the
     # shards a worker builds take too.
     default = SPEC.build().run()
     for model in (OverheadModel(), OverheadModel(scale=0.0)):
@@ -254,9 +246,9 @@ class ExitingManagerFactory:
 
 def test_worker_crash_raises_simulation_error():
     trace = small_trace(num_jobs=20, seed=5)
-    factory = bench_factory(cluster_manager_factory=ExitingManagerFactory(after=3600.0))
+    managers = ExitingManagerFactory(after=3600.0)
     with pytest.raises(SimulationError, match="died|closed its pipe"):
-        run_parallel(factory, 2, "round-robin", trace, workers=2)
+        run_parallel(bench_spec(), "round-robin", trace, cluster_manager_factory=managers)
 
 
 def test_unpicklable_factory_fails_cleanly():
@@ -264,9 +256,14 @@ def test_unpicklable_factory_fails_cleanly():
     # startup, not deadlock.  (The fork context tolerates closures by memory
     # inheritance, which is why spawn-safety is the contract tests pin.)
     trace = small_trace(num_jobs=10, seed=5)
-    factory = bench_factory(cluster_manager_factory=lambda shard_id: None)
     with pytest.raises(Exception):
-        run_parallel(factory, 2, "round-robin", trace, workers=2, mp_context="spawn")
+        run_parallel(
+            bench_spec(),
+            "round-robin",
+            trace,
+            mp_context="spawn",
+            cluster_manager_factory=lambda shard_id: None,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -326,8 +323,7 @@ def test_scenario_manager_factory_pickles_and_seeds_per_shard():
 
 
 def test_shard_view_summary_pickles_and_with_queued():
-    factory = bench_factory()
-    shard = factory.build(0)
+    shard = bench_spec().shard(0)
     summary = shard.view_summary()
     clone = pickle.loads(pickle.dumps(summary))
     assert clone == summary
@@ -347,13 +343,11 @@ def test_shard_view_summary_pickles_and_with_queued():
 
 def test_run_stream_conserves_jobs_and_stats():
     generator = PhillyTraceGenerator(num_jobs=30, jobs_per_hour=6.0, seed=7)
-    factory = bench_factory()
+    spec = bench_spec()
     reference = make_engine(
-        WorkerPoolBackend(factory, 2, 2), "round-robin", generator.generate().fresh_jobs()
+        WorkerPoolBackend(spec, 2), "round-robin", generator.generate().fresh_jobs()
     ).run()
-    stream = make_engine(
-        WorkerPoolBackend(factory, 2, 2), "round-robin", generator.iter_jobs()
-    ).run_stream()
+    stream = make_engine(WorkerPoolBackend(spec, 2), "round-robin", generator.iter_jobs()).run_stream()
     assert stream.total_jobs == 30
     assert stream.jobs_per_shard == reference.jobs_per_shard()
     assert stream.finished_jobs() == reference.pooled_stats().count
@@ -365,13 +359,11 @@ def test_run_stream_conserves_jobs_and_stats():
 def test_run_stream_in_process_matches_pooled_stream():
     # The drain reduces each result where the shard lives, on either backend.
     generator = PhillyTraceGenerator(num_jobs=30, jobs_per_hour=6.0, seed=7)
-    factory = bench_factory()
+    spec = bench_spec()
     local = make_engine(
-        LocalShardBackend([factory.build(i) for i in range(2)]), "queue-delay", generator.iter_jobs()
+        LocalShardBackend([spec.shard(i) for i in range(2)]), "queue-delay", generator.iter_jobs()
     ).run_stream()
-    pooled = make_engine(
-        WorkerPoolBackend(factory, 2, 2), "queue-delay", generator.iter_jobs()
-    ).run_stream()
+    pooled = make_engine(WorkerPoolBackend(spec, 2), "queue-delay", generator.iter_jobs()).run_stream()
     assert (local.workers, pooled.workers) == (0, 2)
     assert local.fault_stats is None
     assert local.jobs_per_shard == pooled.jobs_per_shard
@@ -381,8 +373,8 @@ def test_run_stream_in_process_matches_pooled_stream():
 
 
 def test_drive_federation_rejects_unsorted_stream():
-    factory = bench_factory()
-    backend = LocalShardBackend([factory.build(i) for i in range(2)])
+    spec = bench_spec()
+    backend = LocalShardBackend([spec.shard(i) for i in range(2)])
     jobs = [
         Job(arrival_time=600.0, num_gpus=1, duration=600.0, job_id=2),
         Job(arrival_time=0.0, num_gpus=1, duration=600.0, job_id=1),

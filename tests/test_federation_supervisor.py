@@ -23,16 +23,14 @@ from repro.federation import (
     LocalShardBackend,
     RetryableWorkerError,
     SupervisorConfig,
-    UniformShardFactory,
     WorkerKillPlan,
     WorkerPoolBackend,
 )
 from repro.federation.router import make_router
 from repro.metrics.parity import schedule_diff
-from repro.policies.placement.consolidated import ConsolidatedPlacement
-from repro.policies.scheduling import FifoScheduling
 from repro.telemetry.events import EVENT_SUPERVISOR
 from repro.telemetry.recorder import TraceRecorder
+from repro.telemetry.runspec import RunSpec
 from repro.telemetry.sinks import RingBufferSink
 from repro.workloads.philly import generate_philly_trace
 
@@ -45,11 +43,11 @@ def small_trace(num_jobs=40, seed=7, jobs_per_hour=6.0):
     )
 
 
-def bench_factory(nodes_per_shard=4):
-    return UniformShardFactory(
-        nodes_per_shard=nodes_per_shard,
-        scheduling_factory=FifoScheduling,
-        placement_factory=ConsolidatedPlacement,
+def bench_spec(num_shards=2, nodes_per_shard=4):
+    return RunSpec(
+        mode="federation",
+        num_nodes=num_shards * nodes_per_shard,
+        shards=num_shards,
         round_duration=ROUND,
     )
 
@@ -65,12 +63,12 @@ def run_on(backend, trace):
 
 
 def run_serial(trace, num_shards=2):
-    factory = bench_factory()
-    return run_on(LocalShardBackend([factory.build(i) for i in range(num_shards)]), trace)
+    spec = bench_spec(num_shards)
+    return run_on(LocalShardBackend([spec.shard(i) for i in range(num_shards)]), trace)
 
 
 def run_supervised(trace, num_shards=2, workers=2, **kwargs):
-    return run_on(WorkerPoolBackend(bench_factory(), num_shards, workers, **kwargs), trace)
+    return run_on(WorkerPoolBackend(bench_spec(num_shards), workers, **kwargs), trace)
 
 
 def supervisor(**overrides):
@@ -159,7 +157,7 @@ def _first_boundary(trace):
 
 def test_hung_worker_unsupervised_raises_with_context():
     with WorkerPoolBackend(
-        bench_factory(), num_shards=2, workers=2, collect_timeout_s=0.5
+        bench_spec(2), workers=2, collect_timeout_s=0.5
     ) as backend:
         backend._conns[0].send(("hang", 30.0))
         with pytest.raises(RetryableWorkerError, match="collect timeout") as excinfo:
@@ -174,8 +172,7 @@ def test_hung_worker_unsupervised_raises_with_context():
 
 def test_hung_worker_supervised_recovers():
     with WorkerPoolBackend(
-        bench_factory(),
-        num_shards=2,
+        bench_spec(2),
         workers=2,
         collect_timeout_s=0.5,
         supervisor=supervisor(),
@@ -188,8 +185,7 @@ def test_hung_worker_supervised_recovers():
 
 def test_silent_worker_detected_by_heartbeat_timeout():
     with WorkerPoolBackend(
-        bench_factory(),
-        num_shards=2,
+        bench_spec(2),
         workers=2,
         supervisor=supervisor(
             heartbeat_interval_s=0.05, heartbeat_timeout_s=0.5
@@ -202,7 +198,7 @@ def test_silent_worker_detected_by_heartbeat_timeout():
 
 
 def test_unsupervised_kill_keeps_historical_error_shape():
-    with WorkerPoolBackend(bench_factory(), num_shards=2, workers=2) as backend:
+    with WorkerPoolBackend(bench_spec(2), workers=2) as backend:
         os.kill(backend._procs[1].pid, signal.SIGKILL)
         with pytest.raises(SimulationError, match="died|closed its pipe"):
             backend.advance(ROUND)
@@ -210,7 +206,7 @@ def test_unsupervised_kill_keeps_historical_error_shape():
 
 def test_send_to_a_dead_worker_says_died():
     # The send path and the receive path describe one dead worker alike.
-    with WorkerPoolBackend(bench_factory(), num_shards=2, workers=2) as backend:
+    with WorkerPoolBackend(bench_spec(2), workers=2) as backend:
         proc = backend._procs[1]
         os.kill(proc.pid, signal.SIGKILL)
         proc.join(5.0)
@@ -230,8 +226,7 @@ def test_submit_to_freshly_killed_worker_is_not_lost():
     jobs = trace.fresh_jobs()
     first = jobs[0]
     with WorkerPoolBackend(
-        bench_factory(),
-        num_shards=2,
+        bench_spec(2),
         workers=2,
         supervisor=supervisor(checkpoint_interval=1000),
     ) as backend:
@@ -314,8 +309,7 @@ def test_kill_plan_must_name_a_pool_worker(worker_index):
     # for any other index would never fire, and a chaos leg would pass without a kill.
     with pytest.raises(ConfigurationError, match=f"worker {worker_index}"):
         WorkerPoolBackend(
-            bench_factory(),
-            num_shards=2,
+            bench_spec(2),
             workers=4,
             supervisor=supervisor(),
             kill_plan=WorkerKillPlan(kills=((1, 0), (2, worker_index))),
@@ -324,4 +318,4 @@ def test_kill_plan_must_name_a_pool_worker(worker_index):
 
 def test_collect_timeout_validation():
     with pytest.raises(ConfigurationError):
-        WorkerPoolBackend(bench_factory(), num_shards=2, workers=2, collect_timeout_s=0.0)
+        WorkerPoolBackend(bench_spec(2), workers=2, collect_timeout_s=0.0)

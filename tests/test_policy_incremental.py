@@ -31,6 +31,7 @@ from repro.policies.scheduling import (
     PolluxScheduling,
     SrtfScheduling,
     SynergyScheduling,
+    ThemisScheduling,
     TiresiasScheduling,
 )
 from repro.policies.scheduling.priority_index import RunnablePriorityIndex
@@ -153,6 +154,25 @@ def test_running_tier_equals_a_fresh_sort_after_every_schedule(trace, factory):
     assert len(result.finished_jobs()) == 120
     if isinstance(policy, TiresiasScheduling):
         assert any(repositioned), "no running job was demoted"
+
+
+def test_themis_index_keeps_no_idle_tier(trace):
+    """Themis sorts the registry's runnable set by rho every round, so its
+    index (``idle_key=None``) keeps no idle tier -- only the running jobs
+    and the reused entries -- and still mirrors the registry."""
+    policy = ThemisScheduling()
+    index = policy._index
+    schedule = policy.schedule
+
+    def checked_schedule(job_state, cluster_state):
+        entries = schedule(job_state, cluster_state)
+        index.check_invariants()
+        assert index.idle_entries() == []
+        return entries
+
+    policy.schedule = checked_schedule
+    result = run(trace, policy)
+    assert len(result.finished_jobs()) == 120
 
 
 def test_tiresias_checks_a_demotion_bound_with_slack():

@@ -162,9 +162,9 @@ def test_every_admission_records_and_replays(admission, mode):
     engine = spec.build()
     if mode == "federation":
         built = [shard.admission_policy for shard in engine.backend.shards]
-        built.append(spec.build(workers=1).backend.factory.admission_factory())
+        built.append(spec.build(workers=1).backend.spec.shard(0).admission_policy)
     else:
-        built = [getattr(engine, "_simulator", engine).admission_policy]
+        built = [engine.admission_policy]
     assert [policy.name for policy in built] == [admission] * len(built)
 
 
@@ -212,6 +212,9 @@ def test_runtime_build_keeps_a_callers_overhead_model():
     model = ClusterOverheadModel(seed=1)
     engine = spec.build(overhead_model=model)
     assert engine.manager.execution.overheads is model
+    # One model serves the execution model and both RPC mechanisms.
+    assert engine.manager.launcher.overheads is model
+    assert engine.manager.preemptor.overheads is model
     # The no-argument build is what it always was.
     default = spec.build()
     assert type(default.manager.execution.overheads) is OverheadModel
@@ -259,10 +262,11 @@ def test_build_workers_returns_the_multiprocess_federation():
     assert isinstance(backend, WorkerPoolBackend)
     # Pool keywords configure the pool, the rest every shard the workers build.
     assert backend.collect_timeout_s == 60.0
-    assert backend.factory.engine_kwargs == {"fast_forward": False}
+    assert backend.spec is spec
+    assert backend.shard_kwargs == {"fast_forward": False}
     # build()'s pool-keyword list is every pool parameter it does not set itself.
     pool_params = set(inspect.signature(WorkerPoolBackend).parameters)
-    assert set(_POOL_KEYWORDS) == pool_params - {"factory", "num_shards", "workers", "recorder"}
+    assert set(_POOL_KEYWORDS) == pool_params - {"spec", "workers", "shard_kwargs", "recorder"}
     parallel = engine.run()
     assert parallel.workers == 2
     diff = schedule_diff(spec.build().run(), parallel)

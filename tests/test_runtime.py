@@ -359,12 +359,12 @@ class TestCentralScheduler:
             overhead_model=model,
             tracked_job_ids=trace.tracked_ids(),
         )
+        assert isinstance(scheduler, Simulator)
         manager = scheduler.manager
         assert manager.execution.overheads is model
         assert isinstance(manager.launcher, RpcLauncher)
         assert isinstance(manager.preemptor, RpcPreemption)
         assert manager.launcher.overheads is model
-        assert manager.preemptor is scheduler.preemptor
         assert manager.preemptor.overheads is model
         assert manager.launcher.lease_manager is scheduler.lease_manager
         assert manager.preemptor.lease_manager is scheduler.lease_manager
@@ -389,7 +389,7 @@ class TestCentralScheduler:
 
         collector = UtilizationCollector()
         scheduler = build(metric_collectors=[collector])
-        assert scheduler._simulator.fast_forward is False
+        assert scheduler.fast_forward is False
         collected = scheduler.run()
         assert schedule_diff(build().run(), collected).identical
         assert collector.timestamps == [
@@ -567,7 +567,7 @@ def spy_on_full_rounds(scheduler, after):
 
 def count_steady_scans(scheduler):
     """Live count of the execution model's multi-round folds."""
-    model = scheduler._simulator.execution_model
+    model = scheduler.execution_model
     scan = model.steady_scan
     calls = [0]
 
@@ -686,7 +686,7 @@ class TestWorkerMetricsDelta:
             scheduling_policy=TiresiasScheduling(),
             overhead_model=OverheadModel(),
         )
-        job_state = scheduler._simulator.job_state
+        job_state = scheduler.job_state
         keys = REPORTED_KEYS
         unsettled = []
 
@@ -758,7 +758,7 @@ class TestWorkerMetricsDelta:
         stepping_result = stepping.run()
         if scenario == "scale-cycle":  # workers join and leave mid-run
             assert len(membership) > 8
-        assert default._simulator.execution_model._defer
+        assert default.execution_model._defer
         assert {j.job_id: j.completion_time for j in default_result.jobs} == {
             j.job_id: j.completion_time for j in stepping_result.jobs
         }
@@ -787,8 +787,8 @@ class TestDeploymentPathDefers:
 
     def test_a_deterministic_run_defers_and_folds_many_rounds_at_once(self):
         scheduler = RunSpec(mode="runtime", policy="tiresias", num_jobs=40).build()
-        assert scheduler._simulator.fast_forward
-        assert scheduler._simulator.execution_model._defer
+        assert scheduler.fast_forward
+        assert scheduler.execution_model._defer
         scans = count_steady_scans(scheduler)
         scheduler.run()
         assert scans[0] >= 1
@@ -798,12 +798,12 @@ class TestDeploymentPathDefers:
         spec = RunSpec(mode="runtime", policy="tiresias", scenario=scenario)
         default, stepping = spec.build(), spec.build(fast_forward=False)
         for stop_time in (20_000.0, 60_000.0):
-            default._simulator._advance_loop(stop_time)
-            stepping._simulator._advance_loop(stop_time)
-            running = default._simulator.job_state.running_jobs()
+            default._advance_loop(stop_time)
+            stepping._advance_loop(stop_time)
+            running = default.job_state.running_jobs()
             assert running
             assert [j.job_id for j in running] == [
-                j.job_id for j in stepping._simulator.job_state.running_jobs()
+                j.job_id for j in stepping.job_state.running_jobs()
             ]
             for job in running:
                 assert default.worker_metrics.latest_for(job.job_id) == (
@@ -821,8 +821,8 @@ class TestDeploymentPathDefers:
             scheduling_policy=FifoScheduling(),
             overhead_model=ClusterOverheadModel(),
         )
-        assert scheduler._simulator.fast_forward is False
-        assert not scheduler._simulator.execution_model._defer
+        assert scheduler.fast_forward is False
+        assert not scheduler.execution_model._defer
         result = scheduler.run()
         latest = scheduler.worker_metrics.latest
         assert set(latest) == {j.job_id for j in result.jobs}
@@ -861,12 +861,12 @@ class TestDeploymentClusterManager:
                 return []
 
         scheduler = self._scheduler(churn_scenario(), LegacyManager())
-        assert scheduler._simulator.fast_forward is False
+        assert scheduler.fast_forward is False
 
     def test_timeline_manager_keeps_event_bound(self):
         compiled = churn_scenario()
         timeline = compiled.make_cluster_manager()
         scheduler = self._scheduler(compiled, timeline)
-        assert scheduler._simulator.fast_forward is True
+        assert scheduler.fast_forward is True
         assert scheduler.manager.cluster_manager is timeline
         assert timeline.next_event_time(0.0) == 3600.0

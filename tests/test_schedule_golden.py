@@ -276,10 +276,7 @@ def observe(engine):
     policy = MetricReadingTiresias()
     cluster = build_cluster(num_nodes=4, gpus_per_node=4)
     if engine == "runtime":
-        scheduler = CentralScheduler(
-            cluster, trace.fresh_jobs(), policy, overhead_model=OverheadModel()
-        )
-        sim = scheduler._simulator
+        sim = CentralScheduler(cluster, trace.fresh_jobs(), policy, overhead_model=OverheadModel())
     else:
         sim = Simulator(cluster, trace.fresh_jobs(), policy, fast_forward=engine == "default")
     policy.manager = sim.manager

@@ -28,7 +28,6 @@ from repro.dashboard import main as dashboard_main
 from repro.federation import (
     FederationEngine,
     LocalShardBackend,
-    UniformShardFactory,
     WorkerPoolBackend,
     make_router,
 )
@@ -249,24 +248,19 @@ def test_merge_is_order_independent():
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
 def test_parallel_shard_traces_deterministic(tmp_path, start_method):
     # Worker-side recording: each shard opens its own JSONL sink inside the
-    # worker process (factory.trace_dir), so the per-shard stream must be
+    # worker process (the trace_dir shard keyword), so the per-shard stream must be
     # byte-identical to the serial run's -- under both start methods.
     if start_method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"{start_method} start method unavailable")
     trace = small_trace(num_jobs=20, seed=3)
 
     def run(mode_dir, parallel):
-        factory = UniformShardFactory(
-            nodes_per_shard=4,
-            scheduling_factory=FifoScheduling,
-            placement_factory=ConsolidatedPlacement,
-            round_duration=ROUND,
-            trace_dir=str(tmp_path / mode_dir),
-        )
+        spec = RunSpec(mode="federation", num_nodes=8, shards=2, round_duration=ROUND)
+        shard_kwargs = {"trace_dir": str(tmp_path / mode_dir)}
         backend = (
-            WorkerPoolBackend(factory, 2, 2, mp_context=start_method)
+            WorkerPoolBackend(spec, 2, shard_kwargs, mp_context=start_method)
             if parallel
-            else LocalShardBackend([factory.build(i) for i in range(2)])
+            else LocalShardBackend([spec.shard(i, **shard_kwargs) for i in range(2)])
         )
         FederationEngine(
             backend,
@@ -476,6 +470,24 @@ def test_cli_record_rejects_bad_spec_before_opening_the_output(tmp_path, bad_fla
     assert trace_main(["record", *bad_flag, "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_record_rejects_a_federation_whose_gang_fits_no_shard(tmp_path, capsys):
+    # Two 2-node shards own 8 GPUs each; the seeded Philly trace draws a
+    # 16-GPU gang.  Used to die mid-run with a SimulationError traceback and
+    # leave a partial trace behind.
+    out = tmp_path / "t.jsonl"
+    argv = ["record", "--mode", "federation", "--jobs", "20", "--nodes", "4", "--out", str(out)]
+    assert trace_main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: the workload's largest gang needs 16 GPUs, but each of the 2 shards owns 8"
+    )
+    assert list(tmp_path.iterdir()) == []
+    # Jobs handed to build() are the caller's to size; only a generated
+    # trace is checked.
+    spec = RunSpec(mode="federation", num_jobs=20, num_nodes=4)
+    small = [job for job in spec.trace().fresh_jobs() if job.num_gpus <= 8]
+    assert spec.build(jobs=small).run().pooled_stats().count == len(small)
 
 
 def test_cli_replay_rejects_bad_header_spec(tmp_path, capsys):

@@ -96,7 +96,7 @@ def _schedule(jobs, policy, engine):
     if engine == "runtime":
         scheduler = CentralScheduler(cluster, jobs, policy, overhead_model=OverheadModel())
         scheduler.run()
-        job_state = scheduler._simulator.job_state
+        job_state = scheduler.job_state
         assert scheduler.leaked_leases() == 0
     else:
         sim = Simulator(cluster, jobs, policy, fast_forward=engine == "default")

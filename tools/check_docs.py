@@ -40,7 +40,8 @@ Checks, for ``README.md`` and every ``docs/*.md``:
   class), backticked and comma-separated, or with ``–`` if it takes none,
   so a knob is documented exactly while a constructor accepts it;
 * **constructor parameters** -- every defaulted parameter of the engine,
-  runtime and federation constructors in ``CONSTRUCTORS`` has exactly one
+  runtime and federation constructors in ``CONSTRUCTORS`` (a ``**kwargs``
+  must forward to another of them, by ``FORWARDS``) has exactly one
   row ``| `Class(param)` | set by | ... |`` in a "Parameter | Set by" table
   of ``docs/architecture.md``, ``runtime.md``, ``federation.md`` or
   ``robustness.md``, every row names such a parameter, and every "Set by"
@@ -399,6 +400,10 @@ CONSTRUCTORS = {
     "FederationEngine": "repro.federation.engine",
     "build_cluster": "repro.cluster.builder",
 }
+#: Constructors that take another documented constructor's keywords through
+#: ``**kwargs``: their rows cover only the parameters they add, the target's
+#: rows cover the rest.  Any other ``**kwargs`` could hide a knob.
+FORWARDS = {"CentralScheduler": "Simulator"}
 #: The docs whose "Parameter | Set by" tables document ``CONSTRUCTORS``.
 KNOB_DOCS = ("architecture.md", "runtime.md", "federation.md", "robustness.md")
 #: A parameter row: ``| `Class(param)` | set by | ...``.
@@ -421,6 +426,25 @@ def defaulted_parameters(constructor) -> List[str]:
         for name, parameter in inspect.signature(constructor).parameters.items()
         if parameter.default is not inspect.Parameter.empty
     ]
+
+
+def forwarding_errors(constructors: Dict[str, object], forwards: Dict[str, str]) -> List[str]:
+    """A ``**kwargs`` of a documented constructor must forward, by
+    ``forwards``, to another documented constructor."""
+    import inspect
+
+    errors = []
+    for name, constructor in sorted(constructors.items()):
+        for parameter in inspect.signature(constructor).parameters.values():
+            if parameter.kind is not inspect.Parameter.VAR_KEYWORD:
+                continue
+            target = forwards.get(name)
+            if target not in constructors:
+                errors.append(
+                    f"docs: `{name}(**{parameter.name})` forwards to no documented "
+                    "constructor (map it in FORWARDS, or it could hide a knob)"
+                )
+    return errors
 
 
 def parameter_rows(docs: Dict[str, str]) -> Tuple[Dict[Tuple[str, str], Tuple[str, str]], List[str]]:
@@ -477,9 +501,11 @@ def setter_error(reference: str, known: Dict[str, Set[str]]) -> Optional[str]:
 def check_constructor_knobs(
     docs: Optional[Dict[str, str]] = None,
     constructors: Optional[Dict[str, object]] = None,
+    forwards: Dict[str, str] = FORWARDS,
 ) -> List[str]:
     """The parameter tables and the constructors' defaulted parameters agree,
-    and every row names a run that sets its parameter."""
+    every row names a run that sets its parameter, and every ``**kwargs``
+    forwards to a documented constructor."""
     import dataclasses
     import importlib
 
@@ -505,6 +531,7 @@ def check_constructor_knobs(
         "workloads": {w["name"] for w in benchmark["workloads"]},
     }
     rows, errors = parameter_rows(docs)
+    errors.extend(forwarding_errors(constructors, forwards))
     expected = {
         (name, parameter)
         for name, constructor in constructors.items()
