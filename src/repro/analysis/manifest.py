@@ -94,6 +94,8 @@ HOT_PATH_FUNCTIONS: FrozenSet[str] = frozenset(
         "repro/simulator/execution.py::ExecutionModel.advance",
         "repro/simulator/execution.py::ExecutionModel.advance_running",
         "repro/simulator/execution.py::ExecutionModel.steady_scan",
+        "repro/simulator/execution.py::_repeat_add",
+        "repro/simulator/execution.py::_binade_step",
         # Deferred progress: the settle path every progress read may take,
         # and the per-round fold / skip queries of the completion heap.
         "repro/simulator/execution.py::_Epoch.settle",
@@ -102,6 +104,7 @@ HOT_PATH_FUNCTIONS: FrozenSet[str] = frozenset(
         "repro/simulator/execution.py::ExecutionModel.next_completion",
         "repro/simulator/engine.py::RoundLog.append",
         "repro/simulator/engine.py::RoundLog.append_run",
+        "repro/simulator/engine.py::RoundLog.append_rows",
         # Simulator._log_rounds is deliberately absent: it *is* the
         # round-record choke point, so telemetry emission belongs there.
         "repro/simulator/engine.py::Simulator._skip",

@@ -122,19 +122,9 @@ class JobState:
             ref for ref in self._observers if ref() is not None and ref() is not observer
         ]
 
-    def _live_observers(self, refs: List[weakref.ref]) -> List[JobStateObserver]:
-        """Resolve weak observer refs, pruning any that died."""
-        observers = []
-        dead = False
-        for ref in refs:
-            observer = ref()
-            if observer is None:
-                dead = True
-            else:
-                observers.append(observer)
-        if dead:
-            refs[:] = [ref for ref in refs if ref() is not None]
-        return observers
+    def _prune_observers(self) -> None:
+        """Drop the weak observer refs whose observer died."""
+        self._observers = [ref for ref in self._observers if ref() is not None]
 
     def __getstate__(self):
         """Pickle support (parallel sweeps ship results across processes).
@@ -180,8 +170,15 @@ class JobState:
         if self._view_cache:
             self._view_cache.clear()
         if self._observers:
-            for observer in self._live_observers(self._observers):
-                observer.on_status_change(job, old, new)
+            dead = False
+            for ref in self._observers:
+                observer = ref()
+                if observer is None:
+                    dead = True
+                else:
+                    observer.on_status_change(job, old, new)
+            if dead:
+                self._prune_observers()
 
     def set_status(self, job_id: int, status: JobStatus) -> Job:
         """Transition a job to ``status``, keeping the status indexes in sync.
@@ -239,8 +236,15 @@ class JobState:
         if self._view_cache:
             self._view_cache.clear()
         if self._observers:
-            for observer in self._live_observers(self._observers):
-                observer.on_job_tracked(job)
+            dead = False
+            for ref in self._observers:
+                observer = ref()
+                if observer is None:
+                    dead = True
+                else:
+                    observer.on_job_tracked(job)
+            if dead:
+                self._prune_observers()
 
     def take_newly_finished(self) -> List[int]:
         """Ids that turned terminal since the previous call, ascending.

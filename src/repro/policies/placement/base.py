@@ -28,10 +28,11 @@ class AvailabilityView:
     suspended this round, and is consumed as allocations are handed out.
     It is an overlay on the cluster's free-count index
     (:meth:`ClusterState.free_count_buckets`): it keeps its own free list
-    only for the nodes this round touches -- nodes that get GPUs back from a
-    suspended job and nodes it takes from -- and its own copy of a bucket
-    only once it moves a node into or out of it.  Every other answer is read
-    from the cluster, which the view never mutates.  A round costs
+    only for the nodes this round reads or touches -- nodes it asks about,
+    nodes that get GPUs back from a suspended job and nodes it takes from --
+    and its own copy of a bucket only once it moves a node into or out of
+    it.  Every other answer is read from the cluster, which the view never
+    mutates.  A round costs
     O(touched nodes + buckets), and the queries walk buckets in count order
     instead of sorting every node.
     """
@@ -42,7 +43,7 @@ class AvailabilityView:
         #: counts in ``_owned``, which :meth:`_refile` copied before a change.
         self._buckets: Dict[int, Set[int]] = dict(cluster_state.free_count_buckets())
         self._owned: Set[int] = set()
-        #: Free GPUs (local-id order) of the nodes this view has touched.
+        #: Free GPUs (local-id order) of the nodes this view has read or touched.
         self._lists: Dict[int, List[GPU]] = {}
         self._sorted: Optional[List[int]] = None  # see node_ids
         self._total = cluster_state.num_free_gpus()
@@ -74,14 +75,18 @@ class AvailabilityView:
             self._buckets[new].add(node_id)
 
     def _free_list(self, node_id: int) -> List[GPU]:
-        """The node's free GPUs in local-id order (the view's own list if touched)."""
+        """The node's free GPUs in local-id order, read from the cluster once.
+
+        Read-only: :meth:`take` replaces a node's list, never edits it.
+        """
         gpus = self._lists.get(node_id)
-        if gpus is not None:
-            return gpus
-        node = self.cluster_state.nodes.get(node_id)
-        if node is None or node.failed:
-            return []
-        return self.cluster_state.free_gpus_on_node(node_id)
+        if gpus is None:
+            node = self.cluster_state.nodes.get(node_id)
+            failed = node is None or node.failed
+            gpus = self._lists[node_id] = (
+                [] if failed else self.cluster_state.free_gpus_on_node(node_id)
+            )
+        return gpus
 
     def total_free(self) -> int:
         return self._total

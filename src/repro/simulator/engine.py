@@ -111,7 +111,7 @@ class RoundLog(collections.abc.Sequence):
     sequence of rows.  It pickles as its runs.
     """
 
-    __slots__ = ("round_duration", "_heads", "_ends", "_next_round")
+    __slots__ = ("round_duration", "_heads", "_ends", "_next_round", "_tail")
 
     def __init__(self, round_duration: float) -> None:
         self.round_duration = round_duration
@@ -121,6 +121,8 @@ class RoundLog(collections.abc.Sequence):
         self._ends = array("q")
         #: The round number a row must carry to extend the last run.
         self._next_round: Optional[int] = None
+        #: The payload of the last run (``_payload`` of its first row).
+        self._tail: Optional[tuple] = None
 
     def append(self, record: RoundRecord) -> None:
         """Add one round's row."""
@@ -128,18 +130,26 @@ class RoundLog(collections.abc.Sequence):
 
     def append_run(self, record: RoundRecord, count: int) -> None:
         """Add ``record`` and the ``count - 1`` rounds after it, same payload."""
-        number = record.round_number
-        heads = self._heads
+        self.append_rows(record.round_number, record.time, _payload(record), count)
+
+    def append_rows(self, number: int, time: float, payload: tuple, count: int) -> None:
+        """Add ``count`` rows from round ``number``, the first at ``time``.
+
+        ``payload`` holds the seven fields after number and time, in
+        :class:`RoundRecord` order; a row object is built only when the rows
+        start a new run.
+        """
         ends = self._ends
         if (
             number == self._next_round
-            and record.time == number * self.round_duration
-            and _payload(record) == _payload(heads[-1])
+            and time == number * self.round_duration
+            and payload == self._tail
         ):
             ends[-1] += count
         else:
-            heads.append(record)
+            self._heads.append(RoundRecord(number, time, *payload))
             ends.append(ends[-1] + count if ends else count)
+            self._tail = payload
         self._next_round = number + count
 
     def runs(self) -> Iterator[Tuple[RoundRecord, int]]:
@@ -155,6 +165,7 @@ class RoundLog(collections.abc.Sequence):
         clone._heads = self._heads.copy()
         clone._ends = self._ends[:]
         clone._next_round = self._next_round
+        clone._tail = self._tail
         return clone
 
     def __len__(self) -> int:
@@ -454,45 +465,51 @@ class Simulator:
         for collector in self.metric_collectors:
             collector.collect(self.job_state, self.cluster_state, self.manager.current_time)
 
-    def _log_rounds(self, count: int = 1) -> None:
+    def _log_rounds(self, count: int = 1, skipped: bool = False) -> None:
         """Log the ``count`` rounds ending at the current one, and trace them.
 
-        A full round and a skip's completion round log one row; a skipped
-        segment, in which nothing observable changes, logs all its rows as
-        one run of the round log, an O(1) append.  Every ``RoundRecord`` is
-        built here, so the traced ``round`` stream equals the round log.  A
-        skip runs only on the computed clock, where round ``n`` starts at
-        ``n * round_duration``; a single row takes the manager's clock.
+        A full round and a skip's completion round log one row; a
+        ``skipped`` segment, in which nothing observable changes, repeats
+        the payload of the row before it (the round before the segment) and
+        logs all its rows as one run of the round log, an O(1) append.
+        Every row is logged here, so the traced ``round`` stream equals the
+        round log.  A skip runs only on the computed clock, where round
+        ``n`` starts at ``n * round_duration``; a single row takes the
+        manager's clock.
         """
         mgr = self.manager
         rd = mgr.round_duration
         first = mgr.round_number + 1 - count
-        running = self.job_state.count_with_status(JobStatus.RUNNING)
-        record = RoundRecord(
-            first,
-            mgr.current_time if count == 1 else first * rd,
-            running,
-            self.job_state.count_active() - running,
-            self.cluster_state.utilization(),
-            getattr(self.scheduling_policy, "current_name", None) or self.scheduling_policy.name,
-            getattr(self.admission_policy, "current_name", None) or self.admission_policy.name,
-            self.cluster_state.busy_capacity(),
-            self.cluster_state.healthy_capacity(),
-        )
-        self._round_log.append_run(record, count)
+        if skipped:
+            time = first * rd
+            payload = self._round_log._tail
+        else:
+            time = mgr.current_time if count == 1 else first * rd
+            running = self.job_state.count_with_status(JobStatus.RUNNING)
+            payload = (
+                running,
+                self.job_state.count_active() - running,
+                self.cluster_state.utilization(),
+                getattr(self.scheduling_policy, "current_name", None) or self.scheduling_policy.name,
+                getattr(self.admission_policy, "current_name", None) or self.admission_policy.name,
+                self.cluster_state.busy_capacity(),
+                self.cluster_state.healthy_capacity(),
+            )
+        self._round_log.append_rows(first, time, payload, count)
         if self._recorder is None:
             return
+        running, queued, utilization, _, _, busy, healthy = payload
         for number in range(first, first + count):
             self._recorder.emit(
                 EVENT_ROUND,
-                record.time if number == first else number * rd,
+                time if number == first else number * rd,
                 {
                     "round": number,
-                    "running": record.running_jobs,
-                    "queued": record.queued_jobs,
-                    "utilization": record.utilization,
-                    "busy_capacity": record.busy_capacity,
-                    "healthy_capacity": record.healthy_capacity,
+                    "running": running,
+                    "queued": queued,
+                    "utilization": utilization,
+                    "busy_capacity": busy,
+                    "healthy_capacity": healthy,
                 },
             )
 
@@ -511,7 +528,9 @@ class Simulator:
             return False
         if job_state.count_with_status(JobStatus.RUNNING) != job_state.count_active():
             return False
-        for job in job_state.running_jobs():
+        get = job_state.get
+        for job_id in job_state.ids_with_status(JobStatus.RUNNING):
+            job = get(job_id)
             if len(job.allocated_gpus) != job.num_gpus:
                 return False
         return True
@@ -523,12 +542,15 @@ class Simulator:
         ``stop_time`` of the ``_advance_loop`` call that runs it.
         """
         mgr = self.manager
-        next_event = mgr.cluster_manager.next_event_time(mgr.current_time)
-        next_arrival = mgr.next_arrival_time()
-        bounds = [
-            t for t in (next_event, next_arrival, self._stop_time) if t is not None
-        ]
-        return min(bounds) if bounds else math.inf
+        horizon = math.inf
+        for bound in (
+            mgr.cluster_manager.next_event_time(mgr.current_time),
+            mgr.next_arrival_time(),
+            self._stop_time,
+        ):
+            if bound is not None and bound < horizon:
+                horizon = bound
+        return horizon
 
     def _fast_forward(self) -> bool:
         """Skip rounds during which no scheduling decision can change.
@@ -673,21 +695,28 @@ class Simulator:
                 if end == entry_round:
                     return False
 
+        # The last round the skip may reach; it moves only with the horizon
+        # (the last round starting before it does not depend on the round
+        # the count starts from), and never past ``end``, should the horizon
+        # move out.
+        reach, reach_horizon = end, horizon
         while True:
-            # Never past ``end``, should the horizon move out.
-            segment_cap = min(
-                self._rounds_until(horizon, self.max_rounds - 1 - mgr.round_number),
-                end - mgr.round_number,
-            )
-            boundary = execution.next_completion(mgr.round_number + segment_cap, cluster)
+            if horizon != reach_horizon:
+                reach = min(
+                    mgr.round_number
+                    + self._rounds_until(horizon, self.max_rounds - 1 - mgr.round_number),
+                    end,
+                )
+                reach_horizon = horizon
+            boundary = execution.next_completion(reach, cluster)
             # Jump to the round before the completion, or (none coming) to
             # the next boundary or the round budget.
-            last = mgr.round_number + segment_cap if boundary is None else boundary - 1
+            last = reach if boundary is None else boundary - 1
             if last > mgr.round_number:
-                skipped = last - mgr.round_number
+                rows = last - mgr.round_number
                 mgr.round_number = last
                 mgr.current_time = last * rd
-                self._log_rounds(skipped)
+                self._log_rounds(rows, skipped=True)
             if boundary is None:
                 execution.fold_through(mgr.round_number, cluster)
                 job_state.current_time = mgr.current_time

@@ -17,6 +17,7 @@ policies "on a common footing" as the paper argues.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.abstractions import TerminationPolicy
@@ -44,6 +45,85 @@ def _blind_rounds(gap: float, rate: float, round_duration: float, left: int) -> 
     completes.  NaN and infinite gaps fold everything or nothing, never raise.
     """
     return int(max(0.0, min(left + 1.0, gap / rate / round_duration))) - 1
+
+
+#: Below this many adds :func:`_repeat_add` runs the plain loop, which is
+#: cheaper than its closed form for so few rounds.
+_FOLD_CUTOFF = 32
+
+#: Every integer of magnitude up to ``2**53`` is a float.
+_GRAIN = 1 << 53
+
+
+def _repeat_add(x: float, d: float, n: int) -> float:
+    """``x`` after ``n`` sequential ``x += d``, bit for bit, in O(binades) steps.
+
+    When ``x`` and ``d`` are integers over a common power-of-two denominator
+    whose every partial sum stays within ``2**53`` of those units, each add is
+    exact and so is the closed-form sum (the usual case: integral
+    ``round_duration * rate``).  Otherwise :func:`_binade_step` jumps through
+    each binade at once.  A zero step or a non-finite operand reaches a fixed
+    point after one add; a finite sum that overflows stays ``inf``.
+    """
+    if n < _FOLD_CUTOFF:
+        for _ in range(n):
+            x += d
+        return x
+    if d == 0.0 or not (math.isfinite(x) and math.isfinite(d)):
+        return x + d
+    x_num, x_den = x.as_integer_ratio()
+    d_num, d_den = d.as_integer_ratio()
+    den = max(x_den, d_den)
+    start = x_num * (den // x_den)
+    end = start + n * d_num * (den // d_den)
+    if abs(start) <= _GRAIN and abs(end) <= _GRAIN:
+        return end / den
+    while n >= _FOLD_CUTOFF:
+        if not math.isfinite(x):
+            return x  # overflowed: inf absorbs every finite step
+        x, taken = _binade_step(x, d, n)
+        n -= taken
+    for _ in range(n):
+        x += d
+    return x
+
+
+def _binade_step(x: float, d: float, n: int) -> Tuple[float, int]:
+    """``(x after k adds of d, k)`` for some ``1 <= k <= n``.
+
+    ``x`` and ``d`` are finite and ``d`` is not zero.  Inside ``x``'s binade
+    every float is a multiple ``X * u`` of one ulp ``u``, so an add that
+    stays inside is ``X += D``, ``D`` being ``d / u`` rounded to the nearest
+    integer: all the adds that keep ``X`` strictly inside are taken as one
+    jump, and the real add after them crosses into the next binade.  A
+    single real add is taken instead where the jump fails -- at an exact
+    half-ulp tie (round-half-even then depends on ``X``) and near zero.
+    """
+    if abs(x) < 4.0 * abs(d):
+        return x + d, 1
+    exp = math.frexp(x)[1]
+    ulp_exp = max(exp - 53, -1074)  # subnormals share the one ulp 2**-1074
+    units = int(math.ldexp(abs(x), -ulp_exp))
+    scaled = math.ldexp(abs(d), -ulp_exp)  # < 2**51: |d| <= |x| / 4
+    whole = int(scaled)
+    fraction = scaled - whole
+    if fraction == 0.5:
+        return x + d, 1
+    step = whole + (fraction > 0.5)
+    if (x > 0.0) == (d > 0.0):  # away from zero: stay below the next binade
+        slack = (1 << (exp - ulp_exp)) - 1 - units
+    else:  # towards zero: stay above the binade's least float
+        slack = units - (1 << (exp - 1 - ulp_exp)) - 1
+        step = -step
+    taken = min(slack // abs(step), n) if step else n
+    if slack < 0 or not taken:
+        return x + d, 1
+    result = math.ldexp(float(units + taken * step), ulp_exp)
+    if x < 0.0:
+        result = -result
+    if taken < n:
+        return result + d, taken + 1
+    return result, taken
 
 
 def _rounds_short(gap: float, rate: float, round_duration: float, target: float) -> int:
@@ -660,9 +740,12 @@ class ExecutionModel(JobStateObserver):
 
         The per-round operations are identical, in identical order, to
         :meth:`advance_running` under a constant rate, so the fold is
-        bit-identical to stepping.  A non-positive rate only drains overhead:
-        once ``pending`` is exactly 0.0 each of its rounds adds 0.0, a no-op
-        of any length, so the scan returns there.
+        bit-identical to stepping.  Once overhead has drained, the rounds
+        that cannot complete are folded blind by :func:`_repeat_add`, the
+        closed form of the same adds, so a scan costs O(binades) steps, not
+        one per round.  A non-positive rate only drains overhead: once
+        ``pending`` is exactly 0.0 each of its rounds adds 0.0, a no-op of
+        any length, so the scan returns there.
         """
         # advance_running's completion test is ``remaining / rate <=
         # available`` with ``remaining`` clamped at 0.0; since ``available``
@@ -683,11 +766,12 @@ class ExecutionModel(JobStateObserver):
             return None, work, pending, attained
         # Drained: every round has overhead_used == 0.0 and available ==
         # round_duration, so a non-completing round is two adds with constant
-        # operands.  The rounds that cannot complete are folded blind and
-        # only the last of them is tested: the test is monotone (work never
-        # decreases, so the gap never grows), so its passing proves every
-        # blind round took the no-completion arm.  If it fails, the estimate
-        # overshot and the checked loop runs from the saved state.
+        # operands.  The rounds that cannot complete are folded blind, in
+        # closed form, and only the last of them is tested: the test is
+        # monotone (work never decreases, so the gap never grows), so its
+        # passing proves every blind round took the no-completion arm.  If it
+        # fails, the estimate overshot and the checked loop runs from the
+        # saved state.
         work_delta = round_duration * rate
         service_delta = num_gpus * (round_duration + 0.0)
         # With one round left the blind fold is the checked loop's one test.
@@ -697,10 +781,8 @@ class ExecutionModel(JobStateObserver):
             else 0
         )
         if blind > 0:
-            blind_work, blind_attained = work, attained
-            for _ in range(blind - 1):
-                blind_work += work_delta
-                blind_attained += service_delta
+            blind_work = _repeat_add(work, work_delta, blind - 1)
+            blind_attained = _repeat_add(attained, service_delta, blind - 1)
             if (target - blind_work) / rate > round_duration:
                 work = blind_work + work_delta
                 attained = blind_attained + service_delta

@@ -237,11 +237,14 @@ class RunSpec:
                         "use fewer shards or more nodes"
                     )
             pool_kwargs = {k: engine_kwargs.pop(k) for k in _POOL_KEYWORDS if k in engine_kwargs}
+            # One recorder, one sequence: the pool's supervisor events and the
+            # engine's routing events share the "federation" source.
+            federation = recorder("federation")
             if workers is not None:
                 from repro.federation.parallel import WorkerPoolBackend
 
                 backend = WorkerPoolBackend(
-                    self, workers, engine_kwargs, recorder=recorder("federation"), **pool_kwargs
+                    self, workers, engine_kwargs, recorder=federation, **pool_kwargs
                 )
             elif pool_kwargs:
                 raise TraceFormatError(
@@ -255,9 +258,7 @@ class RunSpec:
                         for i in range(self.shards)
                     ]
                 )
-            return FederationEngine(
-                backend, make_router(self.router), jobs, tracked, recorder("federation")
-            )
+            return FederationEngine(backend, make_router(self.router), jobs, tracked, federation)
         if workers is not None:
             raise TraceFormatError("build(workers=...) needs a federation-mode spec")
 

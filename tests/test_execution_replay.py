@@ -5,10 +5,12 @@ multi-round fold deferred progress uses -- as an epoch's completion probe,
 and written back when the epoch settles -- and a completing round is one
 ordinary ``advance_running`` round.  The end-to-end parity suites compare whole runs;
 these compare the fold with stepping job by job on seeded random states, bit
-for bit (3,000 seeds under ``pytest --fuzz``), and keep numpy off the
+for bit (3,000 seeds under ``pytest --fuzz``), compare the fold's closed-form
+repeated add with the literal loop it replaces, and keep numpy off the
 simulation path.
 """
 
+import math
 import os
 import random
 import subprocess
@@ -20,7 +22,14 @@ import pytest
 from repro.cluster.builder import build_cluster
 from repro.core.job import Job, JobStatus
 from repro.core.job_state import JobState
-from repro.simulator.execution import ExecutionModel, _blind_rounds, _rounds_short
+from repro.simulator import execution
+from repro.simulator.execution import (
+    _FOLD_CUTOFF,
+    ExecutionModel,
+    _blind_rounds,
+    _repeat_add,
+    _rounds_short,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -288,6 +297,125 @@ def test_zero_rate_job_is_a_no_op_of_any_length(pending):
         assert snapshot(fold(job, cluster, 300.0, model, rounds)) == snapshot(stepped)
     assert stepped.work_done == 1234.5
     assert stepped.attained_service == 2 * pending
+
+
+# ----------------------------------------------------------------------
+# The closed-form repeated add against the literal loop
+# ----------------------------------------------------------------------
+
+
+def literal_loop(x, d, n):
+    for _ in range(n):
+        x += d
+    return x
+
+
+def bits(value):
+    """A float's identity: its hex, with every NaN one value."""
+    return "nan" if value != value else value.hex()
+
+
+def ulp_of(x):
+    return math.ldexp(1.0, max(math.frexp(x)[1] - 53, -1074))
+
+
+def random_case(rng):
+    """One seeded ``(x, d, n)`` drawn from the shapes a fold meets and worse."""
+    kind = rng.randrange(7)
+    if kind == 0:  # a drained job: work and attained service grow from 0
+        x, d = rng.choice((0.0, rng.uniform(0.0, 1e6))), rng.uniform(1e-3, 600.0)
+    elif kind == 1:  # integral, dyadic and non-dyadic round deltas
+        x = float(rng.randrange(10**7)) * rng.choice((1.0, 0.5, 0.1))
+        d = 60.0 * rng.choice((1.0, 0.5, 0.75, 1 / 1.4, 0.9, 1 / 3))
+    elif kind == 2:  # either sign, crossing zero
+        x, d = rng.uniform(-1e4, 1e4), rng.uniform(-50.0, 50.0)
+    elif kind == 3:  # an exact half-ulp tie, either direction
+        x = math.ldexp(rng.randrange(1 << 52, 1 << 53), rng.randrange(-60, 60))
+        d = ulp_of(x) * (rng.randrange(0, 64) + 0.5) * rng.choice((1, -1))
+    elif kind == 4:  # steps that land on a binade boundary
+        x = math.ldexp(1.0, rng.randrange(-20, 60)) - rng.randrange(0, 64) * 0.25
+        d = rng.choice((0.25, 0.5, 1.0, 3.0, -0.25, -1.0))
+    elif kind == 5:  # the top binade overflows, the subnormals share one ulp
+        x, d = rng.uniform(1e300, 1.7e308), rng.uniform(1e290, 1e296)
+        if rng.random() < 0.5:
+            x, d = rng.uniform(-1e-308, 1e-308), rng.uniform(-1e-310, 1e-310)
+    else:  # below the ulp: a no-op, or half a binade's ulp on the way down
+        x = math.ldexp(1.0, rng.randrange(-40, 40)) * rng.choice((1, -1))
+        d = ulp_of(x) * rng.uniform(0.1, 0.6) * rng.choice((1, -1))
+    n = rng.choice((rng.randrange(0, 2 * _FOLD_CUTOFF), rng.randrange(0, 3000)))
+    return x, d, n
+
+
+#: Cases the random draw reaches rarely or never, each with its loop result.
+ADVERSARIAL = [
+    (0.0, 60.0, 1000),
+    (-0.0, 60.0 * (1 / 1.4), 1000),
+    (-0.0, -0.0, 100),
+    (-0.0, 0.0, 100),
+    (5.0, -0.0, 100),
+    (float(2**53 - 64), 1.0, 64),  # the last partial sum is the grain exactly
+    (float(2**53 - 64), 1.0, 65),  # one past it: the binade path takes over
+    (float(2**53 - 64) / 4, 0.25, 64),
+    (float(2**53 - 64) / 4, 0.25, 65),
+    (float(2**52 + 1), 0.5, 100),  # a tie from an odd multiple of the ulp
+    (float(2**52 + 2), 0.5, 100),
+    (float(2**52 + 1), 1.5, 100),
+    (float(2**52 + 1), -0.5, 100),
+    (float(2**52), -0.375, 100),  # below the binade the ulp halves
+    (float(2**53 - 7), 3.0, 100),  # lands on the boundary, then across it
+    (float(2**53 - 7), 2.75, 100),
+    (1.7976931348623157e308, 1e292, 100),  # overflows to inf and stays
+    (-1.7976931348623157e308, -1e292, 100),
+    (1e-310, 3e-311, 5000),  # subnormal steps out of the subnormal range
+    (3e-310, -1e-311, 5000),
+    (math.inf, 1.0, 100),
+    (1.0, math.inf, 100),
+    (math.inf, -math.inf, 100),
+    (-math.inf, 1.0, 100),
+    (math.nan, 1.0, 100),
+    (1.0, math.nan, 100),
+]
+
+
+def check_repeat_add(x, d, n):
+    assert bits(_repeat_add(x, d, n)) == bits(literal_loop(x, d, n)), (x.hex(), d.hex(), n)
+
+
+@pytest.mark.parametrize("case", ADVERSARIAL, ids=lambda case: f"{case[0]!r}+{case[1]!r}x{case[2]}")
+def test_repeat_add_matches_the_loop_on_adversarial_cases(case):
+    check_repeat_add(*case)
+
+
+def test_repeat_add_matches_the_loop_on_a_seeded_sample():
+    rng = random.Random(0xADD)
+    for _ in range(1500):
+        check_repeat_add(*random_case(rng))
+
+
+@pytest.mark.fuzz
+def test_repeat_add_matches_the_loop_wide_sweep():
+    rng = random.Random(0xF0DD)
+    for _ in range(60000):
+        check_repeat_add(*random_case(rng))
+
+
+def test_a_million_round_fold_takes_a_step_per_binade(monkeypatch):
+    """A non-dyadic delta defeats the exact sum; the fold still costs
+    O(binades) helper steps, not one per round."""
+    steps = []
+    step = execution._binade_step
+
+    def counted(x, d, n):
+        steps.append(n)
+        return step(x, d, n)
+
+    monkeypatch.setattr(execution, "_binade_step", counted)
+    for x, d in ((0.0, 60.0 * (1 / 1.4)), (12345.678, 0.1), (1e9 + 0.5, -0.3)):
+        steps.clear()
+        assert bits(_repeat_add(x, d, 10**6)) == bits(literal_loop(x, d, 10**6))
+        assert 0 < len(steps) <= 64, (x, d, len(steps))
+    steps.clear()
+    assert _repeat_add(7.0, 60.0, 10**6) == 7.0 + 60.0 * 10**6 and not steps
 
 
 def test_simulation_path_never_imports_numpy():

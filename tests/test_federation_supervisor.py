@@ -146,6 +146,23 @@ def test_supervisor_actions_stream_to_the_parent_recorder():
     assert (restart["worker"], restart["attempt"], restart["worker_restarts"]) == (0, 1, 1)
 
 
+def test_a_recorded_supervised_pool_numbers_each_source_once():
+    """The pool's supervisor events and the engine's routing events share the
+    ``federation`` source, so they share one sequence: no ``(source, seq)``
+    pair repeats, and each source counts 1, 2, 3, ... without a gap."""
+    sink = RingBufferSink()
+    RunSpec(mode="federation", num_jobs=30, num_nodes=8).build(
+        sink, workers=2, supervisor=SupervisorConfig(checkpoint_interval=2)
+    ).run()
+    keys = [(event.source, event.seq) for event in sink.events()]
+    kinds = {event.kind for event in sink.events() if event.source == "federation"}
+    assert EVENT_SUPERVISOR in kinds and len(kinds) > 1
+    assert len(keys) == len(set(keys))
+    for source in {source for source, _ in keys}:
+        seqs = [seq for src, seq in keys if src == source]
+        assert seqs == list(range(1, len(seqs) + 1)), source
+
+
 # ----------------------------------------------------------------------
 # Hung and silent workers (collect timeout, heartbeat timeout)
 # ----------------------------------------------------------------------

@@ -166,6 +166,28 @@ def test_pickle_is_o_runs_and_round_trips():
     assert len(list(restored.runs())) == 10
 
 
+@pytest.mark.parametrize("duplicate", ["copy", "pickle"])
+def test_a_duplicate_joins_rows_as_the_original_does(duplicate):
+    """The last run's payload, which the join test reads, survives ``copy()``
+    and pickling: equal rows join the last run of a duplicate exactly as they
+    join the original's, and a differing row starts a run in both."""
+    log = sample_log()
+    twin = log.copy() if duplicate == "copy" else pickle.loads(pickle.dumps(log))
+    last = log[-1]
+    follow = [
+        (row(last.round_number + 1, running=last.running_jobs), 1),
+        (row(last.round_number + 2, running=last.running_jobs), 4),
+        (row(last.round_number + 6, running=last.running_jobs + 1), 2),
+        (row(last.round_number + 8, running=last.running_jobs + 1), 1),
+    ]
+    for record, count in follow:
+        log.append_run(record, count)
+        twin.append_run(record, count)
+    assert list(twin.runs()) == list(log.runs())
+    assert twin == log and len(twin) == len(sample_log()) + 8
+    assert len(list(log.runs())) == len(list(sample_log().runs())) + 1
+
+
 # ----------------------------------------------------------------------
 # Engines
 # ----------------------------------------------------------------------
